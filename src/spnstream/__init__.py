@@ -7,7 +7,6 @@ from .nodes import (LeafNode, NodePool, ProductNode, StructuralError, SumNode,
                     derived_weights, validate)
 from .evaluate import (analytic_mean, compile_pool, conditional_log_density,
                        log_density, log_density_rows, sample)
-from .updates import update_parameters
 from .learner import (EvalCache, LearnerConfig, fit, init_factored_pool,
                       learn_batch, make_mixture, merge_into_leaf, simplify)
 from .model_io import (ModelFormatError, export_dot, load_model, pool_from_json,
@@ -30,7 +29,6 @@ __all__ = [
     "log_density",
     "log_density_rows",
     "sample",
-    "update_parameters",
     "EvalCache",
     "LearnerConfig",
     "fit",

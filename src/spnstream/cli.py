@@ -22,7 +22,8 @@ from .dataset import DatasetError, load_csv, save_csv
 from .evaluate import log_density_rows, sample
 from .learner import LearnerConfig, fit
 from .model_io import ModelFormatError, export_dot, load_model, save_model
-from .nodes import LeafNode, NodePool, ProductNode, SumNode, derived_weights
+from .nodes import (LeafNode, NodePool, ProductNode, SumNode, derived_weights,
+                    topological_order)
 from . import toy
 
 
@@ -162,20 +163,11 @@ def cmd_gen_toy(args) -> int:
 
 
 def _depth(pool: NodePool) -> int:
-    depth = {}
-
-    def visit(nid: int) -> int:
-        if nid in depth:
-            return depth[nid]
+    depth: dict[int, int] = {}
+    for nid in topological_order(pool):
         node = pool.node(nid)
-        if isinstance(node, LeafNode):
-            d = 1
-        else:
-            d = 1 + max(visit(c) for c in node.children)
-        depth[nid] = d
-        return d
-
-    return visit(pool.root)
+        depth[nid] = 1 if isinstance(node, LeafNode) else 1 + max(depth[c] for c in node.children)
+    return depth[pool.root]
 
 
 def cmd_inspect(args) -> int:

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from . import kernels
 from .gstats import GaussianStats
@@ -40,7 +38,8 @@ def _leaf_factor(stats: GaussianStats, floor: float, positions=None):
     k = mean.shape[0]
     reg = cov + floor * np.eye(k)
     chol = np.linalg.cholesky(reg)
-    ichol = solve_triangular(chol, np.eye(k), lower=True)
+    # LAPACK's inverse leaves ~1e-16 above the diagonal; the numpy kernel reads it.
+    ichol = np.tril(np.linalg.inv(chol))
     const = -0.5 * k * LOG_2PI - float(np.log(np.diag(chol)).sum())
     return mean, ichol, const
 
@@ -159,11 +158,20 @@ def compile_pool(pool: NodePool) -> CompiledNet:
     return net
 
 
+def check_rows(X: np.ndarray, dim: int) -> np.ndarray:
+    """Complete rows as a float (n, dim) array; ValueError on bad width or values."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != dim:
+        raise ValueError(f"rows have width {X.shape[1]}, pool dimension is {dim}")
+    if not np.isfinite(X).all():
+        bad = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
+        raise ValueError(f"row {bad} contains a non-finite value")
+    return X
+
+
 def log_density_rows(pool: NodePool, X: np.ndarray, net: CompiledNet | None = None) -> np.ndarray:
     """Joint log-density at complete rows, shape (n_rows,)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != pool.dim:
-        raise ValueError(f"rows have width {X.shape[1]}, pool dimension is {pool.dim}")
+    X = check_rows(X, pool.dim)
     if net is None:
         net = compile_pool(pool)
     out = net.eval_rows(X)
@@ -184,7 +192,7 @@ def subtree_log_density_rows(pool: NodePool, nid: int, X: np.ndarray) -> np.ndar
             w = derived_weights(node, pool.weight_mode)
             stacked = np.stack([values[c] for c in node.children])
             with np.errstate(divide="ignore"):
-                values[cur] = logsumexp(stacked + np.log(w)[:, None], axis=0)
+                values[cur] = np.logaddexp.reduce(stacked + np.log(w)[:, None], axis=0)
     return values[nid]
 
 
@@ -231,7 +239,7 @@ def log_density(pool: NodePool, evidence: Mapping[int, float]) -> float:
             w = derived_weights(node, pool.weight_mode)
             vals = np.array([values[c] for c in node.children])
             with np.errstate(divide="ignore"):
-                values[cur] = float(logsumexp(vals + np.log(w)))
+                values[cur] = float(np.logaddexp.reduce(vals + np.log(w)))
     return values[pool.root]
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluate import CompiledNet, compile_pool, subtree_log_density_rows
+from .evaluate import CompiledNet, check_rows, compile_pool, subtree_log_density_rows
 from .gstats import GaussianStats
 from .nodes import (LeafNode, NodePool, ProductNode, Scope, SumNode,
                     WEIGHT_MODES, make_scope, scope_positions, scope_union)
@@ -337,13 +337,13 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
     any other data, so every row is counted exactly once on every path.
     A component inheriting evidence n is first re-examined at 2n, so a
     change can never cascade within the batch that triggered it.
+    Rows of the wrong width or with a non-finite value raise ValueError
+    before the pool is touched.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    rows = check_rows(rows, pool.dim)
     report = BatchReport(rows=rows.shape[0])
     if rows.shape[0] == 0:
         return report
-    if rows.shape[1] != pool.dim:
-        raise ValueError(f"rows have width {rows.shape[1]}, pool dimension is {pool.dim}")
     if cache is None:
         cache = EvalCache()
     net = cache.ensure(pool)
@@ -424,10 +424,11 @@ def fit(rows: np.ndarray, config: LearnerConfig,
     the stream has been consumed; parameters keep updating to the end.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    n, dim = rows.shape
     if pool is None:
-        pool = init_factored_pool(dim, weight_mode=config.weight_mode,
+        pool = init_factored_pool(rows.shape[1], weight_mode=config.weight_mode,
                                   variance_floor=config.variance_floor)
+    rows = check_rows(rows, pool.dim)
+    n = rows.shape[0]
     rng = np.random.default_rng(config.seed)
     cache = EvalCache()
     report = FitReport(rows=n)

@@ -15,13 +15,17 @@ import numpy as np
 
 from .gstats import GaussianStats
 from .learner import LearnerConfig
-from .nodes import LeafNode, NodePool, ProductNode, SumNode, validate
+from .nodes import LeafNode, NodePool, ProductNode, StructuralError, SumNode, validate
 
 FORMAT_VERSION = 1
 
 
 class ModelFormatError(ValueError):
     """Raised when a model file cannot be parsed or fails validation."""
+
+
+# What converting a JSON value of the wrong type or range raises.
+_BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def _stats_to_json(stats: GaussianStats) -> dict[str, Any]:
@@ -42,7 +46,7 @@ def _stats_from_json(obj: Any, where: str) -> GaussianStats:
         count = float(obj["count"])
         mean = np.asarray(obj["mean"], dtype=np.float64)
         cov = np.asarray(obj["cov"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise ModelFormatError(f"{where}: bad stats record ({exc})") from exc
     if mean.shape != (k,) or cov.shape != (k * k,):
         raise ModelFormatError(f"{where}: stats dimensions do not match dim={k}")
@@ -99,24 +103,22 @@ def pool_to_json(pool: NodePool, config: LearnerConfig | None = None,
 
 
 def pool_from_json(doc: Any) -> NodePool:
+    """Rebuild and validate a pool; any malformed document raises ModelFormatError."""
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format_version: {version!r}")
     try:
-        dim = int(doc["dimension"])
         root = int(doc["root"])
         node_recs = doc["nodes"]
-        weight_mode = doc.get("weight_mode", "laplace")
-        variance_floor = float(doc.get("variance_floor", 1e-4))
-    except (KeyError, TypeError, ValueError) as exc:
+        pool = NodePool(int(doc["dimension"]), weight_mode=doc.get("weight_mode", "laplace"),
+                        variance_floor=float(doc.get("variance_floor", 1e-4)))
+    except _BAD_VALUE as exc:
         raise ModelFormatError(f"bad model header ({exc})") from exc
     if not isinstance(node_recs, list) or not node_recs:
         raise ModelFormatError("nodes must be a non-empty list")
 
-    pool = NodePool(dim, weight_mode=weight_mode, variance_floor=variance_floor)
-    seen: set[int] = set()
     for i, rec in enumerate(node_recs):
         where = f"nodes[{i}]"
         if not isinstance(rec, dict):
@@ -126,27 +128,27 @@ def pool_from_json(doc: Any) -> NodePool:
             kind = rec["type"]
             scope = tuple(int(v) for v in rec["scope"])
             count = float(rec["count"])
-        except (KeyError, TypeError, ValueError) as exc:
+            children = [int(c) for c in rec.get("children", [])]
+            child_counts = [float(c) for c in rec.get("child_counts", [])]
+            next_check = rec.get("next_check")
+            next_check = None if next_check is None else float(next_check)
+        except _BAD_VALUE as exc:
             raise ModelFormatError(f"{where}: bad node record ({exc})") from exc
-        if nid in seen:
+        if nid in pool.nodes:
             raise ModelFormatError(f"{where}: duplicate node id {nid}")
-        seen.add(nid)
         if kind == "leaf":
             node: Any = LeafNode(scope=scope, stats=_stats_from_json(rec.get("stats"), where),
                                  count=count)
         elif kind == "product":
             stats = _stats_from_json(rec.get("stats"), where)
-            node = ProductNode(scope=scope,
-                               children=[int(c) for c in rec.get("children", [])],
-                               count=count, stats=stats,
-                               next_check=float(rec.get("next_check", 2.0 * stats.count)))
+            node = ProductNode(scope=scope, children=children, count=count, stats=stats,
+                               next_check=(2.0 * stats.count if next_check is None
+                                           else next_check))
         elif kind == "sum":
-            node = SumNode(scope=scope,
-                           children=[int(c) for c in rec.get("children", [])],
-                           child_counts=[float(c) for c in rec.get("child_counts", [])],
-                           count=count)
-            if len(node.children) != len(node.child_counts):
+            if len(children) != len(child_counts):
                 raise ModelFormatError(f"{where}: children and child_counts lengths differ")
+            node = SumNode(scope=scope, children=children, child_counts=child_counts,
+                           count=count)
         else:
             raise ModelFormatError(f"{where}: unknown node type {kind!r}")
         pool.nodes[nid] = node
@@ -155,9 +157,13 @@ def pool_from_json(doc: Any) -> NodePool:
         raise ModelFormatError(f"root id {root} is not among the nodes")
     pool.root = root
 
-    report = validate(pool)
+    try:
+        report = validate(pool)
+    except StructuralError as exc:
+        raise ModelFormatError(f"model failed validation: {exc}") from exc
     if not report.ok:
-        raise ModelFormatError(f"model failed validation:\n{report}")
+        raise ModelFormatError(
+            f"model failed validation: {'; '.join(map(str, report.violations))}")
     return pool
 
 

@@ -1,24 +1,18 @@
-"""Online parameter updates with hard routing at sum nodes.
+"""The routing rule at sum nodes: best child wins, exact ties break at random.
 
-A batch is pushed down from the root.  Product nodes forward every row to
-all children.  Sum nodes evaluate each child's sub-network on their subset
-of rows and hand each row to the child with the highest likelihood,
-breaking exact ties uniformly at random; the winner's count goes up by the
-number of rows it received, and mixture weights follow automatically since
-they are derived from counts.  Leaves fold their rows into their running
-Gaussian statistics.
-
-With count-ratio ("mle") weights this update never decreases the density
-of the routed point, so a stream of single-row batches gives monotone
-per-point likelihood.
+``learner.learn_batch`` hard-routes every row of a batch down the network:
+at a sum node the row goes to the child whose sub-network gives it the
+highest likelihood, and only that child's count and statistics absorb it.
+This module holds the tie-break argmax that picks the winner.  With
+``structure_frozen=True`` that pass is the whole online parameter update;
+with count-ratio ("mle") weights it never decreases the density of the
+routed point, so a stream of single-row batches gives monotone per-point
+likelihood.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .evaluate import CompiledNet, compile_pool
-from .nodes import LeafNode, NodePool, ProductNode, SumNode
 
 
 def tie_break_argmax(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -36,54 +30,3 @@ def tie_break_argmax(values: np.ndarray, rng: np.random.Generator) -> np.ndarray
         candidates = np.flatnonzero(tied_mask[:, col])
         winners[col] = candidates[rng.integers(len(candidates))]
     return winners
-
-
-def winning_child(pool: NodePool, nid: int, row: np.ndarray,
-                  rng: np.random.Generator) -> int:
-    """Index (position in the child list) of the sum child that best explains the row."""
-    node = pool.node(nid)
-    if not isinstance(node, SumNode):
-        raise ValueError(f"node {nid} is not a sum node")
-    row = np.asarray(row, dtype=np.float64).reshape(1, -1)
-    net = compile_pool(pool)
-    values = net.eval_rows(row)
-    stacked = np.stack([values[net.index[c]] for c in node.children])
-    return int(tie_break_argmax(stacked, rng)[0])
-
-
-def update_parameters(pool: NodePool, rows: np.ndarray, rng: np.random.Generator,
-                      start: int | None = None, net: CompiledNet | None = None) -> None:
-    """Push a batch of complete rows down the (sub)network rooted at ``start``.
-
-    Every visited node's count grows by the number of rows it receives.
-    The structure is left untouched.
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    if rows.shape[0] == 0:
-        return
-    if rows.shape[1] != pool.dim:
-        raise ValueError(f"rows have width {rows.shape[1]}, pool dimension is {pool.dim}")
-    if net is None:
-        net = compile_pool(pool)
-    values = net.eval_rows(rows)
-    root = pool.root if start is None else start
-
-    def descend(nid: int, idx: np.ndarray) -> None:
-        node = pool.node(nid)
-        node.count += float(len(idx))
-        if isinstance(node, LeafNode):
-            node.stats = node.stats.update(rows[np.ix_(idx, list(node.scope))])
-        elif isinstance(node, ProductNode):
-            for c in node.children:
-                descend(c, idx)
-        else:
-            stacked = np.stack([values[net.index[c]][idx] for c in node.children])
-            winners = tie_break_argmax(stacked, rng)
-            for j, c in enumerate(node.children):
-                sub = idx[winners == j]
-                if len(sub) == 0:
-                    continue
-                node.child_counts[j] += float(len(sub))
-                descend(c, sub)
-
-    descend(root, np.arange(rows.shape[0]))

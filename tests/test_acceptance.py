@@ -24,20 +24,20 @@ from spnstream.gstats import GaussianStats
 from spnstream.learner import EvalCache, LearnerConfig, fit, init_factored_pool, learn_batch
 from spnstream.model_io import load_model, save_model
 from spnstream.nodes import LeafNode, SumNode, validate
-from spnstream.updates import update_parameters
 from spnstream import toy
 
 
 def test_updates_never_decrease_likelihood_of_the_absorbed_point():
     start = time.perf_counter()
     rng = np.random.default_rng(0)
+    config = LearnerConfig()
     pairs = 0
     for _ in range(250):
         pool = random_pool(rng, dim=int(rng.integers(1, 7)), weight_mode="mle")
         for _ in range(4):
             point = rng.normal(0.0, 3.0, size=pool.dim)
             before = log_density_rows(pool, point[None, :])[0]
-            update_parameters(pool, point[None, :], rng)
+            learn_batch(pool, point[None, :], config, rng, structure_frozen=True)
             after = log_density_rows(pool, point[None, :])[0]
             assert after >= before - 1e-9
             pairs += 1

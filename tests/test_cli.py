@@ -4,14 +4,16 @@ Every test goes through main(argv) so argument parsing, error handling,
 and exit codes are all exercised exactly as a shell user would hit them.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from spnstream.cli import main
 from spnstream.dataset import load_csv
 from spnstream.gstats import GaussianStats
-from spnstream.model_io import load_model, save_model
-from spnstream.nodes import LeafNode, NodePool
+from spnstream.model_io import load_model, pool_to_json, save_model
+from spnstream.nodes import LeafNode, NodePool, SumNode
 
 
 def run(capsys, *argv):
@@ -139,6 +141,37 @@ def test_corrupt_model_fails_cleanly(tmp_path, capsys):
     code, _, err = run(capsys, "inspect", model)
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_malformed_model_fails_with_one_error_line(tmp_path, capsys):
+    pool = NodePool(dim=1)
+    stats = GaussianStats(np.array([0.0]), np.array([[1.0]]), 1.0)
+    leaf = pool.add(LeafNode((0,), stats, 1.0))
+    pool.root = pool.add(SumNode((0,), [leaf, leaf], [1.0, 1.0], 2.0))
+    doc = pool_to_json(pool)
+    doc["nodes"][pool.root]["children"][1] = 99  # dangling child
+    model = tmp_path / "dangling.spn"
+    model.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "inspect", model)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_inspect_reports_depth_of_a_very_deep_chain(tmp_path, capsys):
+    # sum(leaf, sum(leaf, ... sum(leaf, leaf))) with 1500 sums: deeper than
+    # Python's default recursion limit.
+    pool = NodePool(dim=1)
+    stats = GaussianStats(np.array([0.0]), np.array([[1.0]]), 1.0)
+    inner = pool.add(LeafNode((0,), stats.copy(), 1.0))
+    for _ in range(1500):
+        leaf = pool.add(LeafNode((0,), stats.copy(), 1.0))
+        inner = pool.add(SumNode((0,), [leaf, inner], [1.0, 1.0], 2.0))
+    pool.root = inner
+    model = tmp_path / "deep.spn"
+    save_model(model, pool)
+    code, out, err = run(capsys, "inspect", model)
+    assert code == 0, err
+    assert "depth 1501" in out.splitlines()
 
 
 def test_sample_rejects_negative_rows(tmp_path, capsys):

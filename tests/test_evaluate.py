@@ -188,6 +188,12 @@ def test_subtree_rows_at_root_match_full_evaluation():
     )
 
 
+def test_non_finite_rows_are_rejected():
+    pool = init_factored_pool(3)
+    with pytest.raises(ValueError, match="row 0 contains a non-finite value"):
+        log_density_rows(pool, np.array([[np.nan, 1.0, 2.0]]))
+
+
 def test_refresh_leaf_tracks_parameter_change():
     pool = two_leaf_mixture([3.0, 2.0])
     net = compile_pool(pool)
@@ -235,19 +241,7 @@ def test_numba_and_fallback_kernels_agree():
         np.abs(scalar - vectorized).max()
     )
 
-    # The child imports the same spnstream source as this process, ahead of
-    # any inherited (possibly relative) PYTHONPATH, and runs from tests/ so
-    # that helpers imports.
-    src_root = str(Path(spnstream.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH", "")
-    env = dict(
-        os.environ,
-        SPNSTREAM_NO_NUMBA="1",
-        PYTHONPATH=os.pathsep.join(filter(None, [src_root, inherited])),
-    )
-    code = (
-        "import json\n"
-        "import numpy as np\n"
+    result = run_child(
         "from spnstream import kernels\n"
         "from spnstream.evaluate import log_density_rows\n"
         "from helpers import random_pool\n"
@@ -255,20 +249,57 @@ def test_numba_and_fallback_kernels_agree():
         "pool = random_pool(rng, dim=4)\n"
         "X = rng.normal(size=(16, 4))\n"
         "print(json.dumps({'numba': kernels.NUMBA_ENABLED,\n"
-        "                  'rows': log_density_rows(pool, X).tolist()}))\n"
+        "                  'rows': log_density_rows(pool, X).tolist()}))\n",
+        SPNSTREAM_NO_NUMBA="1",
+    )
+    assert result["numba"] is False
+    other = np.array(result["rows"])
+    assert np.allclose(here, other, rtol=0.0, atol=1e-12)
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # A None entry in sys.modules makes every import of scipy fail.
+    result = run_child(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from spnstream import (LearnerConfig, conditional_log_density, fit, load_model,\n"
+        "                       log_density, sample, save_model, toy)\n"
+        "pool, _ = fit(toy.generate(300, np.random.default_rng(0)),\n"
+        "              LearnerConfig(batch_size=8, max_leaf_vars=1))\n"
+        f"save_model({str(tmp_path / 'm.spn')!r}, pool)\n"
+        f"pool, _ = load_model({str(tmp_path / 'm.spn')!r})\n"
+        "draws = sample(pool, np.random.default_rng(1), size=5)\n"
+        "print(json.dumps({'scipy': any(m.startswith('scipy.') for m in sys.modules),\n"
+        "                  'marginal': log_density(pool, {0: 0.5}),\n"
+        "                  'conditional': conditional_log_density(pool, {0: 0.5}, {2: 1.0}),\n"
+        "                  'draws': draws.shape}))\n"
+    )
+    assert result["scipy"] is False
+    assert math.isfinite(result["marginal"]) and math.isfinite(result["conditional"])
+    assert result["draws"] == [5, 3]
+
+
+def run_child(code: str, **env_extra) -> dict:
+    """Run ``code`` in a fresh Python on this checkout's spnstream; parse its JSON."""
+    # The child imports the same spnstream source as this process, ahead of
+    # any inherited (possibly relative) PYTHONPATH, and runs from tests/ so
+    # that helpers imports.
+    src_root = str(Path(spnstream.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH", "")
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src_root, inherited])),
+        **env_extra,
     )
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", "import json\nimport numpy as np\n" + code],
         env=env,
         capture_output=True,
         text=True,
         cwd=os.path.dirname(__file__),
     )
     assert out.returncode == 0, f"child exited with {out.returncode}:\n{out.stderr}"
-    result = json.loads(out.stdout)
-    assert result["numba"] is False
-    other = np.array(result["rows"])
-    assert np.allclose(here, other, rtol=0.0, atol=1e-12)
+    return json.loads(out.stdout)
 
 
 def test_point_like_leaf_samples_concentrate():

@@ -454,3 +454,17 @@ def test_restructure_checks_follow_a_doubling_schedule():
         if rep.leaves_merged and merged_at is None:
             merged_at = i + 1
     assert merged_at == 15
+
+
+def test_non_finite_rows_are_rejected_before_the_pool_changes():
+    pool = init_factored_pool(3)
+    counts = {nid: n.count for nid, n in pool.nodes.items()}
+    version = pool.structure_version
+    bad = np.array([[0.1, 0.2, 0.3], [np.nan, 1.0, 2.0]])
+    with pytest.raises(ValueError, match="row 1"):
+        learn_batch(pool, bad, LearnerConfig(), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="non-finite"):
+        fit(np.vstack([np.zeros((5, 3)), [[0.0, np.inf, 0.0]]]), LearnerConfig(), pool=pool)
+    assert {nid: n.count for nid, n in pool.nodes.items()} == counts
+    assert pool.structure_version == version
+    assert validate(pool).ok

@@ -136,6 +136,25 @@ def test_duplicate_node_ids_are_rejected():
     assert "duplicate" in str(err.value)
 
 
+def _product(doc):
+    return next(rec for rec in doc["nodes"] if rec["type"] == "product")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: _product(doc).update(children=["a", "b"]),
+    lambda doc: doc.update(dimension=0),
+    lambda doc: doc.update(weight_mode="median"),
+    lambda doc: doc.update(variance_floor=-1.0),
+    lambda doc: _product(doc)["children"].append(99),
+], ids=["non-int-children", "zero-dimension", "unknown-weight-mode",
+        "negative-variance-floor", "dangling-child"])
+def test_malformed_documents_raise_model_format_error(edit):
+    doc = pool_to_json(init_factored_pool(2))
+    edit(doc)
+    with pytest.raises(ModelFormatError):
+        pool_from_json(doc)
+
+
 def test_hand_written_single_leaf_file_loads(tmp_path):
     doc = {
         "format_version": 1,

@@ -1,4 +1,7 @@
-"""Hard-routed parameter updates: routing, counts, monotonicity, determinism."""
+"""Hard-routed parameter updates: routing, counts, monotonicity, determinism.
+
+The parameter-only update is ``learn_batch`` with frozen structure.
+"""
 
 import copy
 
@@ -7,8 +10,9 @@ import pytest
 
 from spnstream.evaluate import log_density, log_density_rows
 from spnstream.gstats import GaussianStats
-from spnstream.nodes import LeafNode, NodePool, SumNode, make_scope, validate
-from spnstream.updates import tie_break_argmax, update_parameters, winning_child
+from spnstream.learner import LearnerConfig, learn_batch
+from spnstream.nodes import LeafNode, NodePool, ProductNode, SumNode, make_scope, validate
+from spnstream.updates import tie_break_argmax
 
 from helpers import population_stats, random_pool
 
@@ -19,6 +23,10 @@ def leaf(scope, mean, var, count=1.0):
         GaussianStats(np.array([float(mean)]), np.array([[float(var)]]), count),
         count,
     )
+
+
+def absorb(pool, rows, rng):
+    learn_batch(pool, rows, LearnerConfig(), rng, structure_frozen=True)
 
 
 def mixture_1d(means, counts, mode="mle", var=1.0):
@@ -35,7 +43,7 @@ def test_single_leaf_batch_reduces_to_stats_update():
     nid = pool.add(leaf([0], 0.0, 1.0, 2.0))
     pool.root = nid
     batch = np.array([[1.0], [2.0], [6.0]])
-    update_parameters(pool, batch, np.random.default_rng(0))
+    absorb(pool, batch, np.random.default_rng(0))
     node = pool.node(nid)
     assert node.count == 5.0
     assert node.stats.count == 5.0
@@ -46,7 +54,7 @@ def test_single_leaf_batch_reduces_to_stats_update():
 
 def test_clear_winner_gets_the_count():
     pool, ids = mixture_1d([0.0, 10.0], [3.0, 1.0])
-    update_parameters(pool, np.array([[0.5]]), np.random.default_rng(0))
+    absorb(pool, np.array([[0.5]]), np.random.default_rng(0))
     root = pool.node(pool.root)
     assert root.child_counts == [4.0, 1.0]
     assert root.count == 5.0
@@ -56,17 +64,26 @@ def test_clear_winner_gets_the_count():
     assert pool.node(ids[1]).stats.mean[0] == 10.0
 
 
+def second_child_share(pool, row, n, rng):
+    """Fraction of n copies of ``row`` that the root sum routes to its second child."""
+    root = pool.node(pool.root)
+    before = root.child_counts[1]
+    absorb(pool, np.tile(row, (n, 1)), rng)
+    return (root.child_counts[1] - before) / n
+
+
 def test_winning_child_obvious_argmax():
     pool, _ = mixture_1d([0.0, 10.0], [1.0, 1.0])
-    assert winning_child(pool, pool.root, np.array([0.0]), np.random.default_rng(0)) == 0
-    assert winning_child(pool, pool.root, np.array([10.0]), np.random.default_rng(0)) == 1
+    assert second_child_share(pool, [0.0], 1, np.random.default_rng(0)) == 0.0
+    pool, _ = mixture_1d([0.0, 10.0], [1.0, 1.0])
+    assert second_child_share(pool, [10.0], 1, np.random.default_rng(0)) == 1.0
 
 
 def test_identical_children_split_evenly():
+    # Every row is tied, and the tie-break draws once per tied row in row
+    # order, so one batch makes the same picks as 10 000 single-row calls.
     pool, _ = mixture_1d([1.0, 1.0], [2.0, 2.0])
-    rng = np.random.default_rng(42)
-    picks = [winning_child(pool, pool.root, np.array([0.3]), rng) for _ in range(10_000)]
-    freq = np.mean(picks)
+    freq = second_child_share(pool, [0.3], 10_000, np.random.default_rng(42))
     assert abs(freq - 0.5) < 0.05
 
 
@@ -74,9 +91,7 @@ def test_midpoint_between_equal_variance_children_is_a_tie():
     # N(0,1) and N(4,1) give the exact same pdf at x=2, so routing at the
     # midpoint must be random between the two.
     pool, _ = mixture_1d([0.0, 4.0], [1.0, 1.0])
-    rng = np.random.default_rng(7)
-    picks = [winning_child(pool, pool.root, np.array([2.0]), rng) for _ in range(10_000)]
-    freq = np.mean(picks)
+    freq = second_child_share(pool, [2.0], 10_000, np.random.default_rng(7))
     assert 0.45 < freq < 0.55
 
 
@@ -92,7 +107,7 @@ def test_tie_break_consumes_no_randomness_without_ties():
 def test_update_batch_routes_each_row_independently():
     pool, ids = mixture_1d([0.0, 10.0], [1.0, 1.0])
     batch = np.array([[0.1], [9.9], [-0.2], [10.3]])
-    update_parameters(pool, batch, np.random.default_rng(0))
+    absorb(pool, batch, np.random.default_rng(0))
     root = pool.node(pool.root)
     assert root.child_counts == [3.0, 3.0]
     assert pool.node(ids[0]).stats.count == 3.0  # two routed rows on top of one pseudo-row
@@ -104,11 +119,16 @@ def test_counts_conserved_across_levels():
     for _ in range(10):
         pool = random_pool(rng, dim=int(rng.integers(1, 5)))
         before = {nid: pool.node(nid).count for nid in pool.nodes}
+        before_stats = {nid: n.stats.count for nid, n in pool.nodes.items()
+                        if isinstance(n, ProductNode)}
         rows = rng.normal(size=(50, pool.dim))
-        update_parameters(pool, rows, np.random.default_rng(1))
+        absorb(pool, rows, np.random.default_rng(1))
         root = pool.node(pool.root)
         assert root.count == before[pool.root] + 50.0
         for nid, node in pool.nodes.items():
+            if isinstance(node, ProductNode):
+                # Product statistics absorb exactly the rows routed through.
+                assert node.stats.count - before_stats[nid] == node.count - before[nid]
             if isinstance(node, SumNode):
                 routed = node.count - before[nid]
                 routed_children = sum(
@@ -123,7 +143,7 @@ def test_update_never_changes_structure():
     pool = random_pool(rng, dim=3)
     ids = set(pool.nodes)
     version = pool.structure_version
-    update_parameters(pool, rng.normal(size=(20, 3)), np.random.default_rng(2))
+    absorb(pool, rng.normal(size=(20, 3)), np.random.default_rng(2))
     assert set(pool.nodes) == ids
     assert pool.structure_version == version
 
@@ -135,7 +155,7 @@ def test_update_is_deterministic_given_seed():
     def run():
         r = np.random.default_rng(23)
         pool = random_pool(r, dim=2)
-        update_parameters(pool, rows, np.random.default_rng(3))
+        absorb(pool, rows, np.random.default_rng(3))
         return pool
 
     a, b = run(), run()
@@ -160,7 +180,7 @@ def test_single_point_update_raises_its_density_mle():
         x = rng.normal(scale=2.0, size=pool.dim)
         ev = {i: float(x[i]) for i in range(pool.dim)}
         before = log_density(pool, ev)
-        update_parameters(pool, x.reshape(1, -1), np.random.default_rng(4))
+        absorb(pool, x.reshape(1, -1), np.random.default_rng(4))
         after = log_density(pool, ev)
         assert after >= before - 1e-9
 
@@ -168,13 +188,13 @@ def test_single_point_update_raises_its_density_mle():
 def test_rejects_wrong_width():
     pool, _ = mixture_1d([0.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError):
-        update_parameters(pool, np.zeros((3, 2)), np.random.default_rng(0))
+        absorb(pool, np.zeros((3, 2)), np.random.default_rng(0))
 
 
 def test_empty_batch_is_a_noop():
     pool, _ = mixture_1d([0.0, 1.0], [1.0, 1.0])
     before = log_density_rows(pool, np.array([[0.5]]))
-    update_parameters(pool, np.zeros((0, 1)), np.random.default_rng(0))
+    absorb(pool, np.zeros((0, 1)), np.random.default_rng(0))
     assert pool.node(pool.root).count == 2.0
     assert log_density_rows(pool, np.array([[0.5]])) == pytest.approx(before)
 
@@ -188,7 +208,7 @@ def test_leaf_stats_match_batch_oracle_after_many_updates():
     rng = np.random.default_rng(37)
     chunks = [rng.normal(size=(int(rng.integers(1, 40)), 2)) for _ in range(25)]
     for chunk in chunks:
-        update_parameters(pool, chunk, np.random.default_rng(0))
+        absorb(pool, chunk, np.random.default_rng(0))
     all_rows = np.concatenate(chunks)
     mean, cov = population_stats(all_rows)
     node = pool.node(nid)
