@@ -11,8 +11,8 @@ Run from the repository root:
     python3 benchmarks/bench_eval.py
     python3 benchmarks/bench_eval.py --batch-sizes 1 64 4096 --min-seconds 0.5
 
-The numba kernel is also what ``SPNSTREAM_NO_NUMBA=1`` switches off at
-import time; here both are called directly so one process measures both.
+Both kernels are called directly, so one process measures both; the
+numba one only when numba is installed.
 """
 
 import argparse
@@ -98,8 +98,7 @@ def main() -> None:
     run_workload("wide mixture (64 x 4 leaves over 16 vars)",
                  wide_mixture(64, 16, 4, rng), args.batch_sizes, args.min_seconds, rng)
     if not NUMBA_ENABLED:
-        print("\nnumba kernel unavailable in this process "
-              "(SPNSTREAM_NO_NUMBA set or numba not installed)")
+        print("\nnumba kernel unavailable in this process (numba not installed)")
 
 
 if __name__ == "__main__":

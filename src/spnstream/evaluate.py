@@ -5,6 +5,7 @@ Two evaluation paths exist.  ``log_density_rows`` flattens the pool into a
 path training uses.  ``log_density`` walks the graph directly and accepts
 partial evidence, marginalizing unassigned variables inside each Gaussian
 leaf; a leaf with no assigned variable contributes a factor of one.
+``sample`` draws all requested rows in one top-down pass over the network.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import kernels
 from .gstats import GaussianStats
-from .nodes import (LeafNode, NodePool, ProductNode, Scope, SumNode,
-                    derived_weights, topological_order)
+from .nodes import (LeafNode, NodePool, ProductNode, SumNode, derived_weights,
+                    topological_order)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -42,14 +43,6 @@ def _leaf_factor(stats: GaussianStats, floor: float, positions=None):
     ichol = np.tril(np.linalg.inv(chol))
     const = -0.5 * k * LOG_2PI - float(np.log(np.diag(chol)).sum())
     return mean, ichol, const
-
-
-def leaf_log_density_rows(leaf: LeafNode, floor: float, X: np.ndarray) -> np.ndarray:
-    """Log-density of a leaf at complete rows, using its scope columns of X."""
-    mean, ichol, const = _leaf_factor(leaf.stats, floor)
-    dev = X[:, list(leaf.scope)] - mean
-    y = dev @ ichol.T
-    return const - 0.5 * np.einsum("ij,ij->i", y, y)
 
 
 # ======================================================================
@@ -169,11 +162,10 @@ def check_rows(X: np.ndarray, dim: int) -> np.ndarray:
     return X
 
 
-def log_density_rows(pool: NodePool, X: np.ndarray, net: CompiledNet | None = None) -> np.ndarray:
+def log_density_rows(pool: NodePool, X: np.ndarray) -> np.ndarray:
     """Joint log-density at complete rows, shape (n_rows,)."""
     X = check_rows(X, pool.dim)
-    if net is None:
-        net = compile_pool(pool)
+    net = compile_pool(pool)
     out = net.eval_rows(X)
     return out[net.index[pool.root]].copy()
 
@@ -185,7 +177,9 @@ def subtree_log_density_rows(pool: NodePool, nid: int, X: np.ndarray) -> np.ndar
     for cur in topological_order(pool, nid):
         node = pool.node(cur)
         if isinstance(node, LeafNode):
-            values[cur] = leaf_log_density_rows(node, pool.variance_floor, X)
+            mean, ichol, const = _leaf_factor(node.stats, pool.variance_floor)
+            y = (X[:, list(node.scope)] - mean) @ ichol.T
+            values[cur] = const - 0.5 * np.einsum("ij,ij->i", y, y)
         elif isinstance(node, ProductNode):
             values[cur] = np.sum([values[c] for c in node.children], axis=0)
         else:
@@ -266,41 +260,43 @@ def conditional_log_density(pool: NodePool, query: Mapping[int, float],
 def sample(pool: NodePool, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Draw rows from the network's distribution.
 
-    Descends from the root, picking one child of each sum node according to
-    its derived weights (deterministically, without consuming randomness,
-    when only one weight is positive) and drawing each reached leaf from
-    its regularized Gaussian.  Returns shape (d,) when size is None,
-    otherwise (size, d).
+    One top-down pass, vectorized over rows: each node receives the indices
+    of the rows that reach it, a sum node splits them among its children
+    according to its derived weights (deterministically, without consuming
+    randomness, when only one weight is positive), a product node passes
+    them to every child, and a leaf draws its scope columns from its
+    regularized Gaussian.  Returns shape (d,) when size is None, otherwise
+    (size, d).
     """
     n = 1 if size is None else int(size)
     out = np.empty((n, pool.dim), dtype=np.float64)
-    factors: dict[int, tuple] = {}
-    weights: dict[int, np.ndarray] = {}
-    for i in range(n):
-        stack = [pool.root]
-        while stack:
-            nid = stack.pop()
-            node = pool.node(nid)
-            if isinstance(node, LeafNode):
-                if nid not in factors:
-                    k = len(node.scope)
-                    reg = node.stats.cov + pool.variance_floor * np.eye(k)
-                    factors[nid] = (node.stats.mean, np.linalg.cholesky(reg))
-                mean, chol = factors[nid]
-                z = rng.standard_normal(len(node.scope))
-                out[i, list(node.scope)] = mean + chol @ z
-            elif isinstance(node, ProductNode):
-                stack.extend(reversed(node.children))
-            else:
-                if nid not in weights:
-                    weights[nid] = derived_weights(node, pool.weight_mode)
-                w = weights[nid]
-                positive = np.flatnonzero(w > 0.0)
-                if len(positive) == 1:
-                    pick = int(positive[0])
-                else:
-                    pick = int(rng.choice(len(w), p=w / w.sum()))
-                stack.append(node.children[pick])
+    # Decomposability keeps the row sets arriving from different parents
+    # disjoint, so every row is drawn once per variable.
+    reach: dict[int, list[np.ndarray]] = {pool.root: [np.arange(n)]}
+    for nid in reversed(topological_order(pool)):
+        if nid not in reach:
+            continue
+        rows = np.concatenate(reach.pop(nid))
+        node = pool.node(nid)
+        if isinstance(node, LeafNode):
+            k = len(node.scope)
+            chol = np.linalg.cholesky(node.stats.cov + pool.variance_floor * np.eye(k))
+            z = rng.standard_normal((len(rows), k))
+            out[rows[:, None], list(node.scope)] = node.stats.mean + z @ chol.T
+        elif isinstance(node, ProductNode):
+            for c in node.children:
+                reach.setdefault(c, []).append(rows)
+        else:
+            w = derived_weights(node, pool.weight_mode)
+            positive = np.flatnonzero(w > 0.0)
+            if len(positive) == 1:
+                reach.setdefault(node.children[int(positive[0])], []).append(rows)
+                continue
+            picks = rng.choice(len(w), size=len(rows), p=w / w.sum())
+            for j, c in enumerate(node.children):
+                sub = rows[picks == j]
+                if len(sub):
+                    reach.setdefault(c, []).append(sub)
     return out[0] if size is None else out
 
 

@@ -5,9 +5,8 @@ complete rows, the log-density of every node in the network.  The network
 is flattened into plain arrays (see ``evaluate.CompiledNet``) and handed to
 one of two interchangeable kernels:
 
-* a numba ``@njit`` scalar-loop kernel, used by default;
-* a vectorized pure-numpy kernel, selected by setting the environment
-  variable ``SPNSTREAM_NO_NUMBA=1`` or automatically when numba is absent.
+* a numba ``@njit`` scalar-loop kernel, used whenever numba imports;
+* a vectorized pure-numpy kernel, used when numba is absent.
 
 Both produce identical results up to floating point noise; the benchmark
 under ``benchmarks/`` compares their throughput.
@@ -25,15 +24,12 @@ Array layout (N nodes in topological order, children before parents):
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 KIND_LEAF = 0
 KIND_SUM = 1
 KIND_PRODUCT = 2
-
-_ENV_FLAG = "SPNSTREAM_NO_NUMBA"
 
 
 def eval_flat_numpy(kind, child_ptr, child_idx, child_logw,
@@ -103,20 +99,13 @@ def _eval_flat_scalar(kind, child_ptr, child_idx, child_logw,
     return out
 
 
-def _want_numba() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() not in ("1", "true", "yes")
-
-
-NUMBA_ENABLED = False
-eval_flat_numba = None
-
-if _want_numba():
-    try:
-        from numba import njit
-
-        eval_flat_numba = njit(cache=True)(_eval_flat_scalar)
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised only without numba installed
-        NUMBA_ENABLED = False
+try:
+    from numba import njit
+except ImportError:  # pragma: no cover - exercised only without numba installed
+    NUMBA_ENABLED = False
+    eval_flat_numba = None
+else:
+    NUMBA_ENABLED = True
+    eval_flat_numba = njit(cache=True)(_eval_flat_scalar)
 
 eval_flat = eval_flat_numba if NUMBA_ENABLED else eval_flat_numpy

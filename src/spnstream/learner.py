@@ -29,7 +29,8 @@ import numpy as np
 from .evaluate import CompiledNet, check_rows, compile_pool, subtree_log_density_rows
 from .gstats import GaussianStats
 from .nodes import (LeafNode, NodePool, ProductNode, Scope, SumNode,
-                    WEIGHT_MODES, make_scope, scope_positions, scope_union)
+                    WEIGHT_MODES, make_scope, scope_positions, scope_union,
+                    topological_order)
 from .updates import tie_break_argmax
 
 
@@ -219,44 +220,33 @@ def simplify(pool: NodePool) -> bool:
     Product nodes left with a single child are spliced out, and a sum node
     appearing as a child of another sum node is dissolved into its parent,
     its children promoted with their counts.  Density under count-ratio
-    weights is unchanged.  Runs to a fixpoint, so the result is idempotent.
+    weights is unchanged.  One pass, children before parents, so every
+    node sees its children already normalized and the result is idempotent.
     """
-    changed_any = False
-    while True:
-        changed = False
-        parents: dict[int, list[int]] = {}
-        for nid, node in pool.nodes.items():
-            if not isinstance(node, LeafNode):
-                for c in node.children:
-                    parents.setdefault(c, []).append(nid)
-        for nid in sorted(pool.nodes):
-            node = pool.nodes.get(nid)
-            if node is None or isinstance(node, LeafNode):
-                continue
-            if isinstance(node, ProductNode) and len(node.children) == 1:
-                child = node.children[0]
-                for pid in parents.get(nid, []):
-                    parent = pool.nodes[pid]
-                    parent.children[parent.children.index(nid)] = child
-                if pool.root == nid:
-                    pool.root = child
-                pool.remove(nid)
-                changed = True
-                break
-            if isinstance(node, SumNode):
-                inner = next((c for c in node.children
-                              if isinstance(pool.nodes[c], SumNode)), None)
-                if inner is not None:
-                    inner_node = pool.nodes[inner]
-                    pos = node.children.index(inner)
-                    node.children[pos:pos + 1] = inner_node.children
-                    node.child_counts[pos:pos + 1] = inner_node.child_counts
-                    pool.remove(inner)
+    spliced: dict[int, int] = {}  # removed single-child product -> its replacement
+    changed = False
+    for nid in topological_order(pool):
+        node = pool.node(nid)
+        if isinstance(node, LeafNode):
+            continue
+        node.children = [spliced.get(c, c) for c in node.children]
+        if isinstance(node, ProductNode) and len(node.children) == 1:
+            spliced[nid] = node.children[0]
+            if pool.root == nid:
+                pool.root = node.children[0]
+            pool.remove(nid)
+            changed = True
+        elif isinstance(node, SumNode):
+            # Right to left, so expanding one position keeps the others valid.
+            for pos in reversed(range(len(node.children))):
+                inner_id = node.children[pos]
+                inner = pool.node(inner_id)
+                if isinstance(inner, SumNode):
+                    node.children[pos:pos + 1] = inner.children
+                    node.child_counts[pos:pos + 1] = inner.child_counts
+                    pool.remove(inner_id)
                     changed = True
-                    break
-        if not changed:
-            return changed_any
-        changed_any = True
+    return changed
 
 
 @dataclass

@@ -275,8 +275,8 @@ def validate(pool: NodePool) -> ValidationReport:
 
     Returns a report listing every violation: completeness at sum nodes,
     decomposability at product nodes, derived weights summing to one,
-    positive definite regularized leaf covariances, dimension and scope
-    consistency, and acyclicity.  Dangling child references raise
+    positive definite regularized leaf covariances, finite counts, dimension
+    and scope consistency, and acyclicity.  Dangling child references raise
     ``StructuralError`` instead of being reported, since no meaningful
     checks can run on top of them.
     """
@@ -311,8 +311,12 @@ def validate(pool: NodePool) -> ValidationReport:
         if scopes[nid] != node.scope:
             report.add(nid, "scope-mismatch",
                        f"stored scope {node.scope} differs from recomputed {scopes[nid]}")
-        if any(v >= pool.dim for v in node.scope):
+        if any(v < 0 or v >= pool.dim for v in node.scope):
             report.add(nid, "scope-range", "scope references a variable outside the pool dimension")
+        counts = [node.count]
+        counts += node.child_counts if isinstance(node, SumNode) else [node.stats.count]
+        if not np.all(np.isfinite(counts)):
+            report.add(nid, "non-finite", "node counts contain non-finite values")
         if isinstance(node, LeafNode):
             k = len(node.scope)
             if node.stats.dim != k:

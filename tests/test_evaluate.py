@@ -226,35 +226,22 @@ def test_numba_and_fallback_kernels_agree():
     rng = np.random.default_rng(83)
     pool = random_pool(rng, dim=4)
     X = rng.normal(size=(16, 4))
-    here = log_density_rows(pool, X)
 
-    # The scalar loop is the body numba compiles; run un-jitted, it checks
-    # the numba kernel's logic against the numpy kernel even without numba.
+    # eval_flat is the numba kernel when numba imports and the numpy kernel
+    # otherwise.  The scalar loop is the body numba compiles; run un-jitted,
+    # it checks the numba kernel's logic against the numpy kernel even
+    # without numba.
     net = compile_pool(pool)
     flat = (net.kind, net.child_ptr, net.child_idx, net.child_logw,
             net.leaf_ptr, net.leaf_vars, net.leaf_mean, net.mat_ptr,
             net.leaf_ichol, net.leaf_const, X)
     shape = (net.kind.shape[0], X.shape[0])
-    scalar = kernels._eval_flat_scalar(*flat, np.empty(shape))
     vectorized = kernels.eval_flat_numpy(*flat, np.empty(shape))
-    assert np.allclose(scalar, vectorized, rtol=0.0, atol=1e-12), float(
-        np.abs(scalar - vectorized).max()
-    )
-
-    result = run_child(
-        "from spnstream import kernels\n"
-        "from spnstream.evaluate import log_density_rows\n"
-        "from helpers import random_pool\n"
-        "rng = np.random.default_rng(83)\n"
-        "pool = random_pool(rng, dim=4)\n"
-        "X = rng.normal(size=(16, 4))\n"
-        "print(json.dumps({'numba': kernels.NUMBA_ENABLED,\n"
-        "                  'rows': log_density_rows(pool, X).tolist()}))\n",
-        SPNSTREAM_NO_NUMBA="1",
-    )
-    assert result["numba"] is False
-    other = np.array(result["rows"])
-    assert np.allclose(here, other, rtol=0.0, atol=1e-12)
+    for other in (kernels.eval_flat, kernels._eval_flat_scalar):
+        got = other(*flat, np.empty(shape))
+        assert np.allclose(got, vectorized, rtol=0.0, atol=1e-12), float(
+            np.abs(got - vectorized).max()
+        )
 
 
 def test_runtime_needs_no_scipy(tmp_path):
@@ -279,24 +266,18 @@ def test_runtime_needs_no_scipy(tmp_path):
     assert result["draws"] == [5, 3]
 
 
-def run_child(code: str, **env_extra) -> dict:
+def run_child(code: str) -> dict:
     """Run ``code`` in a fresh Python on this checkout's spnstream; parse its JSON."""
     # The child imports the same spnstream source as this process, ahead of
-    # any inherited (possibly relative) PYTHONPATH, and runs from tests/ so
-    # that helpers imports.
+    # any inherited (possibly relative) PYTHONPATH.
     src_root = str(Path(spnstream.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH", "")
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join(filter(None, [src_root, inherited])),
-        **env_extra,
-    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_root, inherited])))
     out = subprocess.run(
         [sys.executable, "-c", "import json\nimport numpy as np\n" + code],
         env=env,
         capture_output=True,
         text=True,
-        cwd=os.path.dirname(__file__),
     )
     assert out.returncode == 0, f"child exited with {out.returncode}:\n{out.stderr}"
     return json.loads(out.stdout)
@@ -341,6 +322,23 @@ def test_sample_mean_matches_analytic_mean():
         draws = sample(pool, np.random.default_rng(123), size=20000)
         se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 4.5 * se + 1e-6)
+
+
+def test_sample_mean_on_a_leaf_shared_by_two_products():
+    # The x0 leaf has two product parents under the root sum, so it is
+    # reached by the rows of both mixture components.
+    pool = NodePool(dim=2)
+    shared = pool.add(leaf([0], [1.5], [[0.5]], 30.0))
+    low = pool.add(leaf([1], [-2.0], [[0.3]], 10.0))
+    high = pool.add(leaf([1], [3.0], [[0.8]], 20.0))
+    scope = make_scope([0, 1])
+    left = pool.add(ProductNode(scope, [shared, low], 10.0, GaussianStats.zeros(2, 10.0)))
+    right = pool.add(ProductNode(scope, [shared, high], 20.0, GaussianStats.zeros(2, 20.0)))
+    pool.root = pool.add(SumNode(scope, [left, right], [10.0, 20.0], 30.0))
+    assert validate(pool).ok
+    draws = sample(pool, np.random.default_rng(7), size=20000)
+    se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
+    assert np.all(np.abs(draws.mean(axis=0) - oracle_mean(pool)) < 4.5 * se)
 
 
 def test_validate_then_evaluate_round_trip_on_random_pools():

@@ -23,6 +23,7 @@ from spnstream.nodes import (
     SumNode,
     make_scope,
     scope_of,
+    topological_order,
     validate,
 )
 
@@ -291,12 +292,59 @@ def test_sum_under_sum_children_are_promoted_with_counts():
     assert validate(pool).ok
 
 
+def inject_redundancy(pool, rng):
+    """Nest runs of sum children in new sums and put single-child product
+    chains on random edges; under mle weights the density is unchanged."""
+    for _ in range(2):
+        for node in list(pool.nodes.values()):
+            if isinstance(node, SumNode) and rng.random() < 0.7:
+                lo = int(rng.integers(0, len(node.children)))
+                hi = int(rng.integers(lo + 1, len(node.children) + 1))
+                counts = node.child_counts[lo:hi]
+                inner = pool.add(SumNode(node.scope, node.children[lo:hi], counts, sum(counts)))
+                node.children[lo:hi] = [inner]
+                node.child_counts[lo:hi] = [sum(counts)]
+
+    def chain(nid):
+        for _ in range(int(rng.integers(1, 4))):
+            k = len(pool.node(nid).scope)
+            nid = pool.add(ProductNode(pool.node(nid).scope, [nid], 1.0,
+                                       GaussianStats.zeros(k, 1.0)))
+        return nid
+
+    for node in list(pool.nodes.values()):
+        if not isinstance(node, LeafNode):
+            node.children = [chain(c) if rng.random() < 0.3 else c for c in node.children]
+    if rng.random() < 0.3:
+        pool.root = chain(pool.root)
+
+
 def test_simplify_is_idempotent():
     rng = np.random.default_rng(9)
     for _ in range(10):
         pool = random_pool(rng, dim=int(rng.integers(1, 5)))
         simplify(pool)
         assert not simplify(pool)
+    for _ in range(60):
+        # random_pool draws a nested sum's count apart from the count its
+        # parent keeps for it, so flattening that nesting changes the density;
+        # only the injected nesting, whose counts agree, is checked.
+        pool = random_pool(rng, dim=int(rng.integers(1, 5)), weight_mode="mle")
+        simplify(pool)
+        inject_redundancy(pool, rng)
+        X = rng.normal(size=(6, pool.dim))
+        before = log_density_rows(pool, X)
+        simplify(pool)
+        order = topological_order(pool)
+        assert len(order) == len(pool)  # nothing left dangling or unreachable
+        for nid in order:
+            node = pool.node(nid)
+            if isinstance(node, ProductNode):
+                assert len(node.children) > 1
+            if isinstance(node, SumNode):
+                assert not any(isinstance(pool.node(c), SumNode) for c in node.children)
+        assert not simplify(pool)
+        assert np.allclose(log_density_rows(pool, X), before, rtol=0.0, atol=1e-9)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,8 @@ from spnstream.model_io import (
     pool_to_json,
     save_model,
 )
-from spnstream.nodes import LeafNode, ProductNode, SumNode, make_scope
+from spnstream.gstats import GaussianStats
+from spnstream.nodes import LeafNode, NodePool, ProductNode, SumNode, make_scope
 from spnstream import toy
 
 from helpers import random_pool
@@ -152,6 +153,41 @@ def test_malformed_documents_raise_model_format_error(edit):
     doc = pool_to_json(init_factored_pool(2))
     edit(doc)
     with pytest.raises(ModelFormatError):
+        pool_from_json(doc)
+
+
+def _two_leaf_mixture_doc():
+    pool = NodePool(dim=1)
+    a = pool.add(LeafNode(make_scope([0]), GaussianStats(np.zeros(1), np.eye(1), 2.0), 2.0))
+    b = pool.add(LeafNode(make_scope([0]), GaussianStats(np.ones(1), np.eye(1), 1.0), 1.0))
+    pool.root = pool.add(SumNode(make_scope([0]), [a, b], [2.0, 1.0], 3.0))
+    return pool_to_json(pool)
+
+
+def _first(doc, kind):
+    return next(rec for rec in doc["nodes"] if rec["type"] == kind)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: _first(doc, "sum").update(child_counts=[float("nan"), 1.0]),
+    lambda doc: (_first(doc, "leaf").update(count=float("nan")),
+                 _first(doc, "leaf")["stats"].update(count=float("nan"))),
+    lambda doc: _first(doc, "sum").update(count=float("inf")),
+], ids=["nan-child-count", "nan-leaf-counts", "infinite-sum-count"])
+def test_non_finite_counts_are_rejected(tmp_path, edit):
+    doc = _two_leaf_mixture_doc()
+    edit(doc)
+    path = tmp_path / "m.spn"
+    path.write_text(json.dumps(doc))  # writes NaN and Infinity literals
+    with pytest.raises(ModelFormatError, match="non-finite"):
+        load_model(path)
+
+
+def test_negative_scope_variables_are_rejected():
+    doc = pool_to_json(init_factored_pool(1))
+    for rec in doc["nodes"]:
+        rec["scope"] = [-1]
+    with pytest.raises(ModelFormatError, match="scope-range"):
         pool_from_json(doc)
 
 
