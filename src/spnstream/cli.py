@@ -12,6 +12,7 @@ Errors exit with status 1 and a single diagnostic line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -56,16 +57,8 @@ def _add_learner_flags(p: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args) -> LearnerConfig:
     try:
-        return LearnerConfig(
-            correlation_threshold=args.correlation_threshold,
-            max_leaf_vars=args.max_leaf_vars,
-            batch_size=args.batch_size,
-            weight_mode=args.weight_mode,
-            early_stop_fraction=args.early_stop_fraction,
-            variance_floor=args.variance_floor,
-            seed=args.seed,
-            significance_z=args.significance_z,
-        )
+        return LearnerConfig(**{f.name: getattr(args, f.name)
+                                for f in dataclasses.fields(LearnerConfig)})
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 

@@ -219,9 +219,10 @@ def simplify(pool: NodePool) -> bool:
 
     Product nodes left with a single child are spliced out, and a sum node
     appearing as a child of another sum node is dissolved into its parent,
-    its children promoted with their counts.  Density under count-ratio
-    weights is unchanged.  One pass, children before parents, so every
-    node sees its children already normalized and the result is idempotent.
+    its children promoted with their counts scaled by the parent's count for
+    it over its own count.  Density under count-ratio weights is unchanged.
+    One pass, children before parents, so every node sees its children
+    already normalized and the result is idempotent.
     """
     spliced: dict[int, int] = {}  # removed single-child product -> its replacement
     changed = False
@@ -242,8 +243,9 @@ def simplify(pool: NodePool) -> bool:
                 inner_id = node.children[pos]
                 inner = pool.node(inner_id)
                 if isinstance(inner, SumNode):
+                    scale = node.child_counts[pos] / inner.count if inner.count else 1.0
                     node.children[pos:pos + 1] = inner.children
-                    node.child_counts[pos:pos + 1] = inner.child_counts
+                    node.child_counts[pos:pos + 1] = [c * scale for c in inner.child_counts]
                     pool.remove(inner_id)
                     changed = True
     return changed
@@ -260,10 +262,15 @@ class EvalCache:
 
     net: CompiledNet | None = None
     stale_leaves: set = field(default_factory=set)
+    # The pool ``net`` was compiled from: loaded pools all start at the same
+    # structure version, so the version alone cannot tell two pools apart.
+    pool: NodePool | None = field(init=False, default=None)
 
     def ensure(self, pool: NodePool) -> CompiledNet:
-        if self.net is None or self.net.structure_version != pool.structure_version:
+        if (self.net is None or self.pool is not pool
+                or self.net.structure_version != pool.structure_version):
             self.net = compile_pool(pool)
+            self.pool = pool
             self.stale_leaves.clear()
             return self.net
         for nid in self.stale_leaves:
@@ -319,12 +326,15 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
     """One streaming update: push a batch through the network once.
 
     Per-node log-likelihoods for the whole batch are computed bottom-up
-    first, then a top-down pass updates counts, routes rows at sum nodes,
+    first, then one top-down pass updates counts, routes rows at sum nodes,
     folds rows into product statistics, triggers structure changes, and
-    updates leaves.  Structure decisions use a product's statistics after
-    absorbing the current batch, but the nodes a change creates are born
-    from the pre-batch state; the batch then continues down into them like
-    any other data, so every row is counted exactly once on every path.
+    updates leaves.  That pass is one iterative depth-first walk in
+    pre-order over an explicit stack, so network depth is not limited by
+    Python's recursion limit.  Structure decisions use a product's
+    statistics after absorbing the current batch, but the nodes a change
+    creates are born from the pre-batch state; the batch then continues
+    down into them like any other data, so every row is counted exactly
+    once on every path.
     A component inheriting evidence n is first re-examined at 2n, so a
     change can never cascade within the batch that triggered it.
     Rows of the wrong width or with a non-finite value raise ValueError
@@ -364,7 +374,10 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
         # Node created during this pass: not in the compiled net yet.
         return subtree_log_density_rows(pool, c, rows[idx])
 
-    def descend(nid: int, idx: np.ndarray) -> None:
+    # A sum pushes only the children it routed rows to.
+    stack = [(pool.root, np.arange(rows.shape[0]))]
+    while stack:
+        nid, idx = stack.pop()
         node = pool.node(nid)
         node.count += float(len(idx))
         if isinstance(node, LeafNode):
@@ -378,19 +391,18 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
                     and node.stats.count >= node.next_check):
                 node.next_check = 2.0 * node.stats.count
                 restructure(nid, node, prev_stats, prev_count)
-            for c in list(node.children):
-                descend(c, idx)
+            stack.extend((c, idx) for c in reversed(node.children))
         else:
             stacked = np.stack([child_values(c, idx) for c in node.children])
             winners = tie_break_argmax(stacked, rng)
-            for j, c in enumerate(list(node.children)):
+            routed = []
+            for j, c in enumerate(node.children):
                 sub = idx[winners == j]
-                if len(sub) == 0:
-                    continue
-                node.child_counts[j] += float(len(sub))
-                descend(c, sub)
+                if len(sub):
+                    node.child_counts[j] += float(len(sub))
+                    routed.append((c, sub))
+            stack.extend(reversed(routed))
 
-    descend(pool.root, np.arange(rows.shape[0]))
     if report.restructured:
         simplify(pool)
     return report

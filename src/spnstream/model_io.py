@@ -8,6 +8,7 @@ structurally broken input rather than deferring the failure to query time.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
@@ -89,16 +90,7 @@ def pool_to_json(pool: NodePool, config: LearnerConfig | None = None,
         "nodes": nodes,
     }
     if config is not None:
-        doc["learner_config"] = {
-            "correlation_threshold": config.correlation_threshold,
-            "max_leaf_vars": config.max_leaf_vars,
-            "batch_size": config.batch_size,
-            "weight_mode": config.weight_mode,
-            "early_stop_fraction": config.early_stop_fraction,
-            "variance_floor": config.variance_floor,
-            "seed": config.seed,
-            "significance_z": config.significance_z,
-        }
+        doc["learner_config"] = dataclasses.asdict(config)
     return doc
 
 

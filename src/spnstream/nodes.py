@@ -138,17 +138,7 @@ class NodePool:
 
     def remove_subtree(self, nid: int) -> None:
         """Remove a node and everything reachable from it."""
-        stack = [nid]
-        seen = set()
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            node = self.node(cur)
-            if not isinstance(node, LeafNode):
-                stack.extend(node.children)
-        for cur in seen:
+        for cur in topological_order(self, nid):
             del self.nodes[cur]
         self.structure_version += 1
 
@@ -201,19 +191,6 @@ def topological_order(pool: NodePool, start: int | None = None) -> list[int]:
     return order
 
 
-def scope_of(pool: NodePool, nid: int | None = None) -> Scope:
-    """Recompute the scope of a node from the structure beneath it."""
-    target = pool.root if nid is None else nid
-    computed: dict[int, Scope] = {}
-    for cur in topological_order(pool, target):
-        node = pool.node(cur)
-        if isinstance(node, LeafNode):
-            computed[cur] = node.scope
-        else:
-            computed[cur] = scope_union(*(computed[c] for c in node.children))
-    return computed[target]
-
-
 @dataclass
 class Violation:
     node: int | None
@@ -242,72 +219,41 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _detect_cycle(pool: NodePool) -> bool:
-    state: dict[int, int] = {}
-    for start in pool.nodes:
-        if state.get(start):
-            continue
-        stack = [(start, 0)]
-        while stack:
-            nid, pos = stack.pop()
-            node = pool.nodes[nid]
-            children = [] if isinstance(node, LeafNode) else node.children
-            if pos == 0:
-                if state.get(nid) == 2:
-                    continue
-                state[nid] = 1
-            if pos < len(children):
-                stack.append((nid, pos + 1))
-                child = children[pos]
-                if child in pool.nodes:
-                    st = state.get(child)
-                    if st == 1:
-                        return True
-                    if st != 2:
-                        stack.append((child, 0))
-            else:
-                state[nid] = 2
-    return False
-
-
 def validate(pool: NodePool) -> ValidationReport:
     """Check the pool against the structural rules of a valid network.
 
     Returns a report listing every violation: completeness at sum nodes,
     decomposability at product nodes, derived weights summing to one,
     positive definite regularized leaf covariances, finite counts, dimension
-    and scope consistency, and acyclicity.  Dangling child references raise
-    ``StructuralError`` instead of being reported, since no meaningful
-    checks can run on top of them.
+    and scope consistency, and acyclicity.  Every node must be reachable
+    from the root ("unreachable" otherwise, which also covers cycles among
+    unreachable nodes), and the root must cover every variable of the pool
+    exactly ("root-scope").  Dangling child references and sum nodes whose
+    child counts do not match their children raise ``StructuralError``
+    instead of being reported, since no meaningful checks can run on top of
+    them; only reachable nodes are inspected for these.
     """
     report = ValidationReport()
-    if pool.root not in pool.nodes:
-        raise StructuralError(f"root id {pool.root} is not in the pool")
-    for nid, node in pool.nodes.items():
-        if not isinstance(node, LeafNode):
-            for child in node.children:
-                if child not in pool.nodes:
-                    raise StructuralError(f"node {nid} references missing child {child}")
+    try:
+        order = topological_order(pool)
+    except ValueError:
+        report.add(None, "cycle", "the child graph contains a cycle")
+        return report
+    for nid in sorted(pool.nodes.keys() - set(order)):
+        report.add(nid, "unreachable", "node is not reachable from the root")
+
+    scopes: dict[int, Scope] = {}
+    for nid in order:
+        node = pool.node(nid)
+        if isinstance(node, LeafNode):
+            scopes[nid] = node.scope
+        else:
             if isinstance(node, SumNode) and len(node.child_counts) != len(node.children):
                 raise StructuralError(
                     f"node {nid} has {len(node.children)} children but "
                     f"{len(node.child_counts)} child counts"
                 )
-
-    if _detect_cycle(pool):
-        report.add(None, "cycle", "the child graph contains a cycle")
-        return report
-
-    scopes: dict[int, Scope] = {}
-    for nid in topological_order(pool):
-        node = pool.node(nid)
-        if isinstance(node, LeafNode):
-            scopes[nid] = node.scope
-        else:
             scopes[nid] = scope_union(*(scopes[c] for c in node.children))
-
-    for nid in scopes:
-        node = pool.node(nid)
         if scopes[nid] != node.scope:
             report.add(nid, "scope-mismatch",
                        f"stored scope {node.scope} differs from recomputed {scopes[nid]}")
@@ -370,4 +316,7 @@ def validate(pool: NodePool) -> ValidationReport:
                     report.add(nid, "weight-sum", f"derived weights sum to 1{dev:+.3e}")
                 if np.any(w < 0.0):
                     report.add(nid, "negative-weight", "derived weight is negative")
+    if scopes[pool.root] != tuple(range(pool.dim)):
+        report.add(pool.root, "root-scope",
+                   f"root scope {scopes[pool.root]} does not cover variables 0..{pool.dim - 1}")
     return report

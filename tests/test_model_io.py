@@ -191,6 +191,21 @@ def test_negative_scope_variables_are_rejected():
         pool_from_json(doc)
 
 
+def test_root_that_misses_a_variable_is_rejected():
+    pool = NodePool(dim=2)
+    pool.root = pool.add(LeafNode(make_scope([0]),
+                                  GaussianStats(np.zeros(1), np.eye(1), 1.0), 1.0))
+    with pytest.raises(ModelFormatError, match="root-scope"):
+        pool_from_json(pool_to_json(pool))
+
+
+def test_unreachable_node_is_rejected():
+    doc = _two_leaf_mixture_doc()
+    doc["root"] = _first(doc, "leaf")["id"]
+    with pytest.raises(ModelFormatError, match="unreachable"):
+        pool_from_json(doc)
+
+
 def test_hand_written_single_leaf_file_loads(tmp_path):
     doc = {
         "format_version": 1,

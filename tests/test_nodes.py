@@ -12,7 +12,6 @@ from spnstream.nodes import (
     SumNode,
     derived_weights,
     make_scope,
-    scope_of,
     topological_order,
     validate,
 )
@@ -78,6 +77,35 @@ def test_cycle_is_reported_not_looped():
     assert any(v.code == "cycle" for v in report.violations)
 
 
+def test_unreachable_nodes_are_reported():
+    pool = NodePool(dim=1)
+    pool.root = pool.add(unit_leaf([0]))
+    orphan = pool.add(unit_leaf([0]))
+    report = validate(pool)
+    assert [(v.node, v.code) for v in report.violations] == [(orphan, "unreachable")]
+
+
+def test_cycle_among_unreachable_nodes_is_reported_as_unreachable():
+    pool = NodePool(dim=1)
+    pool.root = pool.add(unit_leaf([0]))
+    leaf = pool.add(unit_leaf([0]))
+    a = pool.add(SumNode(make_scope([0]), [leaf], [1.0], 1.0))
+    b = pool.add(SumNode(make_scope([0]), [a], [1.0], 1.0))
+    pool.node(a).children.append(b)
+    pool.node(a).child_counts.append(1.0)
+    pool.node(a).count = 2.0
+    report = validate(pool)
+    assert [(v.node, v.code) for v in report.violations] == [
+        (leaf, "unreachable"), (a, "unreachable"), (b, "unreachable")]
+
+
+def test_root_that_misses_a_variable_is_reported():
+    pool = NodePool(dim=2)
+    pool.root = pool.add(unit_leaf([0]))
+    report = validate(pool)
+    assert [(v.node, v.code) for v in report.violations] == [(pool.root, "root-scope")]
+
+
 def test_non_positive_definite_leaf_is_flagged():
     pool = NodePool(dim=2, variance_floor=1e-4)
     cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
@@ -85,28 +113,6 @@ def test_non_positive_definite_leaf_is_flagged():
     pool.root = leaf
     report = validate(pool)
     assert any(v.node == leaf and v.code == "not-pd" for v in report.violations)
-
-
-def test_scope_of_leaf_product_sum():
-    pool = NodePool(dim=3)
-    l2 = pool.add(unit_leaf([2]))
-    assert scope_of(pool, l2) == make_scope([2])
-
-    l0 = pool.add(unit_leaf([0]))
-    l1 = pool.add(unit_leaf([1]))
-    prod = pool.add(
-        ProductNode(make_scope([0, 1]), [l0, l1], 1.0, GaussianStats.zeros(2, 1.0))
-    )
-    assert scope_of(pool, prod) == make_scope([0, 1])
-
-    other = pool.add(unit_leaf([0]))
-    another = pool.add(unit_leaf([1]))
-    alt = pool.add(
-        ProductNode(make_scope([0, 1]), [other, another], 1.0, GaussianStats.zeros(2, 1.0))
-    )
-    s = pool.add(SumNode(make_scope([0, 1]), [prod, alt], [1.0, 1.0], 2.0))
-    pool.root = s
-    assert scope_of(pool, s) == make_scope([0, 1])
 
 
 def test_derived_weights_mle_is_count_ratio():
