@@ -1,18 +1,19 @@
-"""Throughput of the two evaluation kernels.
+"""Throughput of the runtime evaluation kernel against the scalar loop.
 
-Times the numba scalar-loop kernel against the pure-numpy fallback on the
-same flattened networks, across batch sizes, and prints rows/second plus
-the speedup.  Two workloads: a model trained on the synthetic benchmark
-stream (small, deep enough to be realistic) and a wide constructed
-mixture (many sum edges, multivariate leaves).
+Times ``CompiledNet.eval_rows``, the kernel training and scoring run (the
+numpy level kernel, or numba when it is installed), against the scalar loop
+``kernels._eval_flat_scalar`` on the same flattened networks, across batch
+sizes, and prints rows/second, the ratio and, at batch 1, milliseconds per
+row.  The scalar loop is numba-compiled where numba imports; otherwise it
+runs as plain Python and is timed only up to ``SCALAR_PYTHON_MAX_BATCH``
+rows.  Three networks: a model trained on the toy stream (small, deep enough
+to be realistic) and two wide constructed mixtures (many sum edges,
+multivariate leaves), the larger with 1 251 nodes.
 
 Run from the repository root:
 
     python3 benchmarks/bench_eval.py
     python3 benchmarks/bench_eval.py --batch-sizes 1 64 4096 --min-seconds 0.5
-
-Both kernels are called directly, so one process measures both; the
-numba one only when numba is installed.
 """
 
 import argparse
@@ -23,7 +24,7 @@ import numpy as np
 from spnstream import toy
 from spnstream.evaluate import compile_pool
 from spnstream.gstats import GaussianStats
-from spnstream.kernels import NUMBA_ENABLED, eval_flat_numba, eval_flat_numpy
+from spnstream.kernels import NUMBA_ENABLED, _eval_flat_scalar, eval_flat_numba
 from spnstream.learner import LearnerConfig, fit
 from spnstream.nodes import LeafNode, NodePool, ProductNode, SumNode, make_scope
 
@@ -49,38 +50,52 @@ def wide_mixture(components: int, dim: int, block: int, rng) -> NodePool:
     return pool
 
 
-def time_kernel(kernel, net, X, min_seconds: float) -> float:
+# Beyond this batch the un-jitted scalar loop takes seconds per call.
+SCALAR_PYTHON_MAX_BATCH = 16
+
+
+def time_call(call, rows: int, min_seconds: float) -> float:
     """Best rows/second over repeated timed calls."""
-    out = np.empty((net.kind.shape[0], X.shape[0]), dtype=np.float64)
-    args = (net.kind, net.child_ptr, net.child_idx, net.child_logw,
-            net.leaf_ptr, net.leaf_vars, net.leaf_mean, net.mat_ptr,
-            net.leaf_ichol, net.leaf_const, X, out)
-    kernel(*args)  # warm-up; also triggers JIT compilation
+    call()  # warm-up; also triggers JIT compilation
     best = 0.0
     spent = 0.0
     while spent < min_seconds:
         t0 = time.perf_counter()
-        kernel(*args)
+        call()
         dt = time.perf_counter() - t0
         spent += dt
-        best = max(best, X.shape[0] / dt)
+        best = max(best, rows / dt)
     return best
 
 
 def run_workload(name: str, pool, batch_sizes, min_seconds: float, rng) -> None:
     net = compile_pool(pool)
     n_nodes = net.kind.shape[0]
+    runtime = "numba" if NUMBA_ENABLED else "numpy level"
+    scalar_kernel = eval_flat_numba if NUMBA_ENABLED else _eval_flat_scalar
+    scalar = "numba" if NUMBA_ENABLED else "python"
     print(f"\n{name}: {n_nodes} nodes, dimension {pool.dim}")
-    print(f"{'batch':>7} {'numpy rows/s':>14} {'numba rows/s':>14} {'speedup':>8}")
+    print(f"{'batch':>7} {'eval_rows rows/s':>17} {'scalar rows/s':>14} {'ratio':>7}"
+          f"   (eval_rows: {runtime}; scalar loop: {scalar})")
     for batch in batch_sizes:
         X = np.ascontiguousarray(rng.normal(0.0, 5.0, size=(batch, pool.dim)))
-        numpy_rate = time_kernel(eval_flat_numpy, net, X, min_seconds)
-        if NUMBA_ENABLED:
-            numba_rate = time_kernel(eval_flat_numba, net, X, min_seconds)
-            print(f"{batch:>7} {numpy_rate:>14.0f} {numba_rate:>14.0f} "
-                  f"{numba_rate / numpy_rate:>7.1f}x")
+        runtime_rate = time_call(lambda: net.eval_rows(X), batch, min_seconds)
+        line = f"{batch:>7} {runtime_rate:>17.0f}"
+        scalar_rate = None
+        if NUMBA_ENABLED or batch <= SCALAR_PYTHON_MAX_BATCH:
+            out = np.empty((n_nodes, batch), dtype=np.float64)
+            args = (net.kind, net.child_ptr, net.child_idx, net.child_logw,
+                    net.leaf_ptr, net.leaf_vars, net.leaf_mean, net.mat_ptr,
+                    net.leaf_ichol, net.leaf_const, X, out)
+            scalar_rate = time_call(lambda: scalar_kernel(*args), batch, min_seconds)
+            line += f" {scalar_rate:>14.0f} {runtime_rate / scalar_rate:>6.1f}x"
         else:
-            print(f"{batch:>7} {numpy_rate:>14.0f} {'(no numba)':>14} {'-':>8}")
+            line += f" {'-':>14} {'-':>7}"
+        if batch == 1:
+            line += f"   ms/row: eval_rows {1e3 / runtime_rate:.3f}"
+            if scalar_rate is not None:
+                line += f", scalar {1e3 / scalar_rate:.3f}"
+        print(line)
 
 
 def main() -> None:
@@ -95,10 +110,10 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
     trained, _ = fit(toy.generate(3000, rng), LearnerConfig(max_leaf_vars=1, seed=0))
     run_workload("trained toy model", trained, args.batch_sizes, args.min_seconds, rng)
-    run_workload("wide mixture (64 x 4 leaves over 16 vars)",
-                 wide_mixture(64, 16, 4, rng), args.batch_sizes, args.min_seconds, rng)
-    if not NUMBA_ENABLED:
-        print("\nnumba kernel unavailable in this process (numba not installed)")
+    for components in (64, 250):
+        run_workload(f"wide mixture ({components} x 4 leaves over 16 vars)",
+                     wide_mixture(components, 16, 4, rng), args.batch_sizes,
+                     args.min_seconds, rng)
 
 
 if __name__ == "__main__":

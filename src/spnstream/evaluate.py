@@ -10,6 +10,7 @@ leaf; a leaf with no assigned variable contributes a factor of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -21,6 +22,10 @@ from .nodes import (LeafNode, NodePool, ProductNode, SumNode, derived_weights,
                     topological_order)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# Bytes of the widest per-row array in one block of log_density_rows; with
+# the numpy kernel's temporaries a block then peaks near 2 MB, whatever the
+# number of rows.
+_BLOCK_BYTES = 1 << 19
 
 
 def _leaf_factor(stats: GaussianStats, floor: float, positions=None):
@@ -66,37 +71,58 @@ class CompiledNet:
     leaf_ichol: np.ndarray
     leaf_const: np.ndarray
     structure_version: int
+    plan: kernels.LevelPlan | None  # None where the numba kernel runs
+    sums: list[tuple[int, int]]  # (sum node id, offset of its first edge)
+    # Rows per block of log_density_rows: the widest per-row array (nodes,
+    # edges or leaf variables) then takes at most _BLOCK_BYTES.
+    block_rows: int
+
+    def row_blocks(self, n_rows: int) -> list[slice]:
+        """Equal blocks of at most ``block_rows`` rows.  Equal sizes avoid a
+        one-row tail, which BLAS would multiply by another routine."""
+        if n_rows <= self.block_rows:
+            return [slice(None)]
+        count = -(-n_rows // self.block_rows)
+        return [slice(j * n_rows // count, (j + 1) * n_rows // count) for j in range(count)]
 
     def eval_rows(self, X: np.ndarray) -> np.ndarray:
         """Per-node log-density matrix, shape (n_nodes, n_rows)."""
         X = np.ascontiguousarray(X, dtype=np.float64)
         out = np.empty((self.kind.shape[0], X.shape[0]), dtype=np.float64)
-        kernels.eval_flat(self.kind, self.child_ptr, self.child_idx, self.child_logw,
-                          self.leaf_ptr, self.leaf_vars, self.leaf_mean,
-                          self.mat_ptr, self.leaf_ichol, self.leaf_const, X, out)
-        return out
+        if kernels.NUMBA_ENABLED:
+            kernels.eval_flat_numba(self.kind, self.child_ptr, self.child_idx, self.child_logw,
+                                    self.leaf_ptr, self.leaf_vars, self.leaf_mean,
+                                    self.mat_ptr, self.leaf_ichol, self.leaf_const, X, out)
+            return out
+        return kernels.eval_flat_numpy(self.plan, self.child_logw, self.leaf_mean,
+                                       self.leaf_ichol, self.leaf_const, X, out)
 
     def refresh_leaf(self, pool: NodePool, nid: int) -> None:
         """Recompute one leaf's flattened parameters after a stats update."""
         i = self.index[nid]
-        leaf = pool.node(nid)
+        stats = pool.node(nid).stats
         lo, hi = self.leaf_ptr[i], self.leaf_ptr[i + 1]
-        k = hi - lo
-        mean, ichol, const = _leaf_factor(leaf.stats, pool.variance_floor)
+        m = self.mat_ptr[i]
+        if hi - lo == 1:
+            # _leaf_factor in closed form: the Cholesky factor of a 1x1 matrix is
+            # its square root.  np.log, not math.log, rounds as _leaf_factor does.
+            sd = math.sqrt(stats.cov[0, 0] + pool.variance_floor)
+            self.leaf_mean[lo] = stats.mean[0]
+            self.leaf_ichol[m] = 1.0 / sd
+            self.leaf_const[i] = -0.5 * LOG_2PI - np.log(sd)
+            return
+        mean, ichol, const = _leaf_factor(stats, pool.variance_floor)
         self.leaf_mean[lo:hi] = mean
-        self.leaf_ichol[self.mat_ptr[i]:self.mat_ptr[i] + k * k] = ichol.ravel()
+        self.leaf_ichol[m:m + ichol.size] = ichol.ravel()
         self.leaf_const[i] = const
 
     def refresh_weights(self, pool: NodePool) -> None:
         """Recompute sum-edge log weights from current counts."""
-        for nid in self.order:
-            node = pool.node(nid)
-            if isinstance(node, SumNode):
-                i = self.index[nid]
-                lo = self.child_ptr[i]
-                w = derived_weights(node, pool.weight_mode)
-                with np.errstate(divide="ignore"):
-                    self.child_logw[lo:lo + len(node.children)] = np.log(w)
+        with np.errstate(divide="ignore"):
+            for nid, lo in self.sums:
+                node = pool.node(nid)
+                self.child_logw[lo:lo + len(node.children)] = np.log(
+                    derived_weights(node, pool.weight_mode))
 
 
 def compile_pool(pool: NodePool) -> CompiledNet:
@@ -107,13 +133,13 @@ def compile_pool(pool: NodePool) -> CompiledNet:
     kind = np.zeros(n, dtype=np.int8)
     child_counts = []
     leaf_sizes = []
-    for nid in order:
+    for i, nid in enumerate(order):
         node = pool.node(nid)
         if isinstance(node, LeafNode):
             child_counts.append(0)
             leaf_sizes.append(len(node.scope))
         else:
-            kind[index[nid]] = kernels.KIND_SUM if isinstance(node, SumNode) else kernels.KIND_PRODUCT
+            kind[i] = kernels.KIND_SUM if isinstance(node, SumNode) else kernels.KIND_PRODUCT
             child_counts.append(len(node.children))
             leaf_sizes.append(0)
 
@@ -126,27 +152,32 @@ def compile_pool(pool: NodePool) -> CompiledNet:
     leaf_ptr[1:] = np.cumsum(leaf_sizes)
     leaf_vars = np.zeros(leaf_ptr[-1], dtype=np.int64)
     leaf_mean = np.zeros(leaf_ptr[-1], dtype=np.float64)
-    mat_sizes = [s * s for s in leaf_sizes]
     mat_ptr = np.zeros(n + 1, dtype=np.int64)
-    mat_ptr[1:] = np.cumsum(mat_sizes)
+    mat_ptr[1:] = np.cumsum([s * s for s in leaf_sizes])
     leaf_ichol = np.zeros(mat_ptr[-1], dtype=np.float64)
+    mat_ptr = mat_ptr[:-1].copy()  # only a start offset per node
     leaf_const = np.zeros(n, dtype=np.float64)
 
-    net = CompiledNet(order, index, kind, child_ptr, child_idx, child_logw,
-                      leaf_ptr, leaf_vars, leaf_mean, mat_ptr[:-1].copy(), leaf_ichol,
-                      leaf_const, pool.structure_version)
-    # mat_ptr needs only a start offset per node
-    for nid in order:
-        i = index[nid]
+    leaves, sums = [], []
+    for i, nid in enumerate(order):
         node = pool.node(nid)
         if isinstance(node, LeafNode):
-            lo, hi = leaf_ptr[i], leaf_ptr[i + 1]
-            leaf_vars[lo:hi] = node.scope
-            net.refresh_leaf(pool, nid)
+            leaf_vars[leaf_ptr[i]:leaf_ptr[i + 1]] = node.scope
+            leaves.append(nid)
         else:
-            lo = child_ptr[i]
-            for j, c in enumerate(node.children):
-                child_idx[lo + j] = index[c]
+            lo = int(child_ptr[i])
+            child_idx[lo:lo + len(node.children)] = [index[c] for c in node.children]
+            if isinstance(node, SumNode):
+                sums.append((nid, lo))
+    plan = None if kernels.NUMBA_ENABLED else kernels.level_plan(
+        kind, child_ptr, child_idx, leaf_ptr, leaf_vars, mat_ptr)
+    width = max(n, child_idx.size, leaf_vars.size)
+    net = CompiledNet(order, index, kind, child_ptr, child_idx, child_logw,
+                      leaf_ptr, leaf_vars, leaf_mean, mat_ptr, leaf_ichol,
+                      leaf_const, pool.structure_version, plan, sums,
+                      max(1, _BLOCK_BYTES // (8 * width)))
+    for nid in leaves:
+        net.refresh_leaf(pool, nid)
     net.refresh_weights(pool)
     return net
 
@@ -163,11 +194,18 @@ def check_rows(X: np.ndarray, dim: int) -> np.ndarray:
 
 
 def log_density_rows(pool: NodePool, X: np.ndarray) -> np.ndarray:
-    """Joint log-density at complete rows, shape (n_rows,)."""
+    """Joint log-density at complete rows, shape (n_rows,).
+
+    Rows are evaluated in blocks and only the root's row of each block is
+    kept, so memory does not grow with the number of rows.
+    """
     X = check_rows(X, pool.dim)
     net = compile_pool(pool)
-    out = net.eval_rows(X)
-    return out[net.index[pool.root]].copy()
+    root = net.index[pool.root]
+    out = np.empty(X.shape[0], dtype=np.float64)
+    for rows in net.row_blocks(X.shape[0]):
+        out[rows] = net.eval_rows(X[rows])[root]
+    return out
 
 
 def subtree_log_density_rows(pool: NodePool, nid: int, X: np.ndarray) -> np.ndarray:

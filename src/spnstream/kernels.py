@@ -3,13 +3,11 @@
 The hot loop of both training and evaluation is computing, for a batch of
 complete rows, the log-density of every node in the network.  The network
 is flattened into plain arrays (see ``evaluate.CompiledNet``) and handed to
-one of two interchangeable kernels:
+one of two kernels:
 
-* a numba ``@njit`` scalar-loop kernel, used whenever numba imports;
-* a vectorized pure-numpy kernel, used when numba is absent.
-
-Both produce identical results up to floating point noise; the benchmark
-under ``benchmarks/`` compares their throughput.
+* a numba ``@njit`` scalar loop over nodes and rows, used whenever numba
+  imports;
+* a level kernel in numpy, used when numba is absent.
 
 Array layout (N nodes in topological order, children before parents):
     kind[i]          0 leaf, 1 sum, 2 product
@@ -19,11 +17,37 @@ Array layout (N nodes in topological order, children before parents):
     leaf_mean        flat per-leaf means, aligned with leaf_vars
     mat_ptr/leaf_ichol    flat row-major inverse Cholesky factors, k*k per leaf
     leaf_const[i]    log normalization constant of leaf i
+
+The level kernel follows a ``LevelPlan`` that ``level_plan`` builds from the
+index arrays, once per structure and only where numba is absent (see
+``evaluate.compile_pool``); the parameter arrays are read at every
+call, so refreshing leaves or weights in place needs no new plan.  The plan
+holds index arrays into the flat arrays above, grouped so that each group
+costs a fixed number of numpy calls whatever its size:
+
+* one ``LeafGroup`` per leaf scope size k.  For k = 1 the group is one
+  elementwise expression over all univariate leaves; for k > 1 it is one
+  batched ``matmul`` against the stacked inverse factors.
+* one ``NodeGroup`` per (height, kind, number of children), in order of
+  height, where a leaf has height 0 and an inner node one more than its
+  highest child.  A group gathers its children's rows into a (children,
+  nodes, rows) block and reduces the first axis: ``add`` for products,
+  ``logaddexp`` after adding the edge log weights for sums.
+
+Reducing the first axis adds a node's children left to right, as the
+scalar kernel does, so a model routes its rows exactly as under the
+per-node numpy loop this kernel replaced.  (numpy sums pairwise only a
+block of one node and one row with eight or more children, as that loop
+did for every node at batch 1.)  A segmented ``reduceat`` over a level's
+edges would not keep the order: it adds each segment's first child to a
+pairwise sum of the others.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,27 +56,82 @@ KIND_SUM = 1
 KIND_PRODUCT = 2
 
 
-def eval_flat_numpy(kind, child_ptr, child_idx, child_logw,
-                    leaf_ptr, leaf_vars, leaf_mean, mat_ptr, leaf_ichol,
-                    leaf_const, X, out):
-    """Vectorized fallback: one pass over nodes, batched over rows."""
-    n_nodes = kind.shape[0]
-    for i in range(n_nodes):
-        if kind[i] == KIND_LEAF:
-            lo, hi = leaf_ptr[i], leaf_ptr[i + 1]
-            k = hi - lo
-            cols = leaf_vars[lo:hi]
-            dev = X[:, cols] - leaf_mean[lo:hi]
-            ichol = leaf_ichol[mat_ptr[i]:mat_ptr[i] + k * k].reshape(k, k)
-            y = dev @ ichol.T
-            out[i, :] = leaf_const[i] - 0.5 * np.einsum("ij,ij->i", y, y)
-        elif kind[i] == KIND_PRODUCT:
-            lo, hi = child_ptr[i], child_ptr[i + 1]
-            out[i, :] = out[child_idx[lo:hi], :].sum(axis=0)
+@dataclass(frozen=True)
+class LeafGroup:
+    """All leaves over k variables; index arrays are (m,) for k = 1, else (m, k[, k])."""
+
+    k: int
+    nodes: np.ndarray   # (m,) dense node indices
+    cols: np.ndarray    # data columns
+    mean: np.ndarray    # positions in leaf_mean
+    ichol: np.ndarray   # positions in leaf_ichol
+
+
+@dataclass(frozen=True)
+class NodeGroup:
+    """Inner nodes of one height and kind with the same number of children c."""
+
+    is_sum: bool
+    nodes: np.ndarray     # (m,) dense node indices
+    children: np.ndarray  # (c, m) dense child indices; column j belongs to nodes[j]
+    edges: np.ndarray     # (c, m) edge positions in child_logw
+
+
+@dataclass(frozen=True)
+class LevelPlan:
+    leaves: tuple[LeafGroup, ...]
+    groups: tuple[NodeGroup, ...]  # children's groups come first
+
+
+def level_plan(kind, child_ptr, child_idx, leaf_ptr, leaf_vars, mat_ptr) -> LevelPlan:
+    """Group the nodes of a flattened network for ``eval_flat_numpy``."""
+    ptr = child_ptr.tolist()
+    kids = child_idx.tolist()
+    sizes = np.diff(leaf_ptr).tolist()
+    height = [0] * len(sizes)
+    by_size: dict[int, list[int]] = defaultdict(list)
+    by_level: dict[tuple[int, int, int], list[int]] = defaultdict(list)
+    for i, kd in enumerate(kind.tolist()):
+        if kd == KIND_LEAF:
+            by_size[sizes[i]].append(i)
+            continue
+        lo, hi = ptr[i], ptr[i + 1]
+        height[i] = 1 + max((height[c] for c in kids[lo:hi]), default=0)
+        by_level[(height[i], kd, hi - lo)].append(i)
+
+    leaves = []
+    for k, members in sorted(by_size.items()):
+        nodes = np.array(members, dtype=np.int64)
+        mean, ichol = leaf_ptr[nodes], mat_ptr[nodes]
+        if k > 1:
+            mean = mean[:, None] + np.arange(k)
+            ichol = ichol[:, None, None] + np.arange(k * k).reshape(k, k)
+        leaves.append(LeafGroup(k, nodes, leaf_vars[mean], mean, ichol))
+    groups = []
+    for (_, kd, c), members in sorted(by_level.items()):
+        nodes = np.array(members, dtype=np.int64)
+        edges = child_ptr[nodes] + np.arange(c)[:, None]
+        groups.append(NodeGroup(kd == KIND_SUM, nodes, child_idx[edges], edges))
+    return LevelPlan(tuple(leaves), tuple(groups))
+
+
+def eval_flat_numpy(plan: LevelPlan, child_logw, leaf_mean, leaf_ichol, leaf_const, X, out):
+    """Level kernel: a few numpy calls per plan group, batched over rows."""
+    for g in plan.leaves:
+        dev = X[:, g.cols] - leaf_mean[g.mean]
+        if g.k == 1:
+            y = dev * leaf_ichol[g.ichol]
+            out[g.nodes] = (leaf_const[g.nodes] - 0.5 * (y * y)).T
         else:
-            lo, hi = child_ptr[i], child_ptr[i + 1]
-            terms = out[child_idx[lo:hi], :] + child_logw[lo:hi, None]
-            out[i, :] = np.logaddexp.reduce(terms, axis=0)
+            y = np.matmul(dev.transpose(1, 0, 2), leaf_ichol[g.ichol].transpose(0, 2, 1))
+            out[g.nodes] = leaf_const[g.nodes, None] - 0.5 * np.einsum("lij,lij->li", y, y)
+    for g in plan.groups:
+        terms = out[g.children]
+        if g.is_sum:
+            terms += child_logw[g.edges][:, :, None]
+            out[g.nodes] = np.logaddexp.reduce(terms, axis=0)
+        else:
+            out[g.nodes] = np.add.reduce(terms, axis=0)
     return out
 
 
@@ -107,5 +186,3 @@ except ImportError:  # pragma: no cover - exercised only without numba installed
 else:
     NUMBA_ENABLED = True
     eval_flat_numba = njit(cache=True)(_eval_flat_scalar)
-
-eval_flat = eval_flat_numba if NUMBA_ENABLED else eval_flat_numpy

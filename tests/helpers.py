@@ -30,13 +30,14 @@ def healthy_stats(rng: np.random.Generator, k: int, count=None) -> GaussianStats
 
 
 def random_pool(rng: np.random.Generator, dim: int, max_sums: int = 6,
-                weight_mode: str = "laplace", variance_floor: float = 1e-4) -> NodePool:
+                weight_mode: str = "laplace", variance_floor: float = 1e-4,
+                max_leaf_vars: int = 3) -> NodePool:
     """Random valid network over ``dim`` variables.
 
     Sum nodes have 2-3 same-scope children with positive integer counts
     summing to the node count, products partition their scope, and leaves
-    carry well-conditioned covariances, so the result passes validation in
-    either weight mode.
+    over at most ``max_leaf_vars`` variables carry well-conditioned
+    covariances, so the result passes validation in either weight mode.
     """
     pool = NodePool(dim, weight_mode=weight_mode, variance_floor=variance_floor)
     budget = {"sums": max_sums}
@@ -46,7 +47,7 @@ def random_pool(rng: np.random.Generator, dim: int, max_sums: int = 6,
         can_sum = budget["sums"] > 0 and depth < 4
         if k == 1:
             kind = "sum" if can_sum and rng.random() < 0.25 else "leaf"
-        elif k <= 3 and rng.random() < 0.35:
+        elif k <= max_leaf_vars and rng.random() < 0.35:
             kind = "leaf"
         elif can_sum and rng.random() < 0.45:
             kind = "sum"

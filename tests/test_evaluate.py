@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 import spnstream
 from spnstream import kernels
 from spnstream.evaluate import (
+    _leaf_factor,
     analytic_mean,
     compile_pool,
     conditional_log_density,
@@ -25,6 +27,7 @@ from spnstream.gstats import GaussianStats
 from spnstream.learner import init_factored_pool
 from spnstream.nodes import LeafNode, NodePool, ProductNode, SumNode, make_scope, validate
 
+from bench_eval import wide_mixture
 from helpers import oracle_log_density, oracle_log_density_rows, oracle_mean, random_pool
 
 # log pdf of a standard normal at zero.
@@ -222,26 +225,126 @@ def test_refresh_weights_tracks_count_change():
     )
 
 
-def test_numba_and_fallback_kernels_agree():
-    rng = np.random.default_rng(83)
-    pool = random_pool(rng, dim=4)
-    X = rng.normal(size=(16, 4))
+def assert_kernels_agree(pool: NodePool, X: np.ndarray) -> None:
+    """The runtime and level kernels against the un-jitted scalar loop and the graph walk.
 
-    # eval_flat is the numba kernel when numba imports and the numpy kernel
-    # otherwise.  The scalar loop is the body numba compiles; run un-jitted,
-    # it checks the numba kernel's logic against the numpy kernel even
-    # without numba.
+    The scalar loop is the body numba compiles, so this also checks the numba
+    kernel's logic where numba is not installed; the level kernel is called
+    directly, so it is checked where numba is installed.
+    """
     net = compile_pool(pool)
-    flat = (net.kind, net.child_ptr, net.child_idx, net.child_logw,
-            net.leaf_ptr, net.leaf_vars, net.leaf_mean, net.mat_ptr,
-            net.leaf_ichol, net.leaf_const, X)
-    shape = (net.kind.shape[0], X.shape[0])
-    vectorized = kernels.eval_flat_numpy(*flat, np.empty(shape))
-    for other in (kernels.eval_flat, kernels._eval_flat_scalar):
-        got = other(*flat, np.empty(shape))
-        assert np.allclose(got, vectorized, rtol=0.0, atol=1e-12), float(
-            np.abs(got - vectorized).max()
-        )
+    got = net.eval_rows(X)
+    assert got.shape == (len(net.order), X.shape[0])
+    want = kernels._eval_flat_scalar(net.kind, net.child_ptr, net.child_idx, net.child_logw,
+                                     net.leaf_ptr, net.leaf_vars, net.leaf_mean, net.mat_ptr,
+                                     net.leaf_ichol, net.leaf_const, X, np.empty_like(got))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    plan = kernels.level_plan(net.kind, net.child_ptr, net.child_idx, net.leaf_ptr,
+                              net.leaf_vars, net.mat_ptr)
+    level = kernels.eval_flat_numpy(plan, net.child_logw, net.leaf_mean, net.leaf_ichol,
+                                    net.leaf_const, X, np.empty_like(got))
+    np.testing.assert_allclose(level, want, rtol=0.0, atol=1e-12)
+    walk = subtree_log_density_rows(pool, pool.root, X)
+    np.testing.assert_allclose(got[net.index[pool.root]], walk, rtol=0.0, atol=1e-12)
+
+
+def deep_chain(heights: int) -> NodePool:
+    """Products and sums alternating up ``heights`` levels.
+
+    Above the leaf on variable 0, step i adds two products that join the node
+    below (shared by both) with a leaf on variable i, and a sum over the two.
+    """
+    dim = heights // 2 + 1
+    pool = NodePool(dim=dim)
+    below = pool.add(leaf([0], [0.0], [[1.0]]))
+    for i in range(1, dim):
+        pair = []
+        for mean in (-0.5, 0.5):
+            right = pool.add(leaf([i], [mean], [[0.7]]))
+            pair.append(pool.add(ProductNode(make_scope(range(i + 1)), [below, right], 1.0,
+                                             GaussianStats.zeros(i + 1, 1.0))))
+        below = pool.add(SumNode(make_scope(range(i + 1)), pair, [2.0, 3.0], 5.0))
+    pool.root = below
+    return pool
+
+
+def test_level_kernel_agrees_on_random_pools():
+    rng = np.random.default_rng(83)
+    leaf_sizes = set()
+    for _ in range(40):
+        pool = random_pool(rng, dim=int(rng.integers(1, 9)), max_sums=int(rng.integers(0, 8)),
+                           weight_mode=str(rng.choice(["mle", "laplace"])), max_leaf_vars=4)
+        leaf_sizes |= {len(n.scope) for n in pool.nodes.values() if isinstance(n, LeafNode)}
+        for rows in (1, 7):
+            assert_kernels_agree(pool, rng.normal(scale=2.0, size=(rows, pool.dim)))
+    assert leaf_sizes == {1, 2, 3, 4}
+
+
+def test_level_kernel_agrees_on_a_200_level_chain():
+    pool = deep_chain(200)
+    assert validate(pool).ok
+    assert_kernels_agree(pool, np.random.default_rng(89).normal(size=(3, pool.dim)))
+
+
+def test_level_kernel_agrees_with_a_zero_count_mle_child():
+    pool = two_leaf_mixture([0.0, 3.0], mode="mle")
+    assert np.isneginf(compile_pool(pool).child_logw).sum() == 1
+    assert_kernels_agree(pool, np.array([[0.0], [4.0], [-3.0]]))
+
+
+def test_level_kernel_agrees_on_an_empty_batch():
+    pool = random_pool(np.random.default_rng(97), dim=5, max_leaf_vars=4)
+    assert_kernels_agree(pool, np.empty((0, 5)))
+    assert log_density_rows(pool, np.empty((0, 5))).shape == (0,)
+
+
+def test_level_kernel_agrees_on_a_1251_node_wide_mixture():
+    rng = np.random.default_rng(101)
+    pool = wide_mixture(250, 16, 4, rng)
+    assert len(pool) == 1251
+    assert_kernels_agree(pool, rng.normal(0.0, 5.0, size=(20, 16)))
+
+
+def test_numba_branch_needs_no_plan(monkeypatch):
+    # Stand the un-jitted scalar loop in for numba: compile_pool then builds
+    # no level plan, and eval_rows runs the scalar kernel.
+    monkeypatch.setattr(kernels, "NUMBA_ENABLED", True)
+    monkeypatch.setattr(kernels, "eval_flat_numba", kernels._eval_flat_scalar)
+    rng = np.random.default_rng(107)
+    pool = random_pool(rng, dim=5, max_leaf_vars=4)
+    net = compile_pool(pool)
+    assert net.plan is None
+    X = rng.normal(size=(4, 5))
+    np.testing.assert_allclose(net.eval_rows(X)[net.index[pool.root]],
+                               subtree_log_density_rows(pool, pool.root, X), rtol=0.0, atol=1e-12)
+
+
+def test_univariate_refresh_matches_leaf_factor_to_one_ulp():
+    floor = 1e-4
+    variances = [0.0, floor, 0.3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.7, 1e10, 3.3e10]
+    for var in variances:
+        pool = single_leaf_pool(mean=1.5, var=var + floor, floor=floor)
+        net = compile_pool(pool)
+        mean, ichol, const = _leaf_factor(pool.node(pool.root).stats, floor)
+        for got, want in ((net.leaf_mean[0], mean[0]), (net.leaf_ichol[0], ichol[0, 0]),
+                          (net.leaf_const[0], const)):
+            assert abs(got - want) <= np.spacing(abs(want)), (var, got, want)
+
+
+def test_log_density_rows_evaluates_in_bounded_blocks():
+    rng = np.random.default_rng(103)
+    pool = wide_mixture(250, 16, 4, rng)
+    # One node x row matrix for all these rows would take 40 MB.
+    X = rng.normal(0.0, 5.0, size=(4000, 16))
+    tracemalloc.start()
+    try:
+        got = log_density_rows(pool, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+    walk = subtree_log_density_rows(pool, pool.root, X)
+    np.testing.assert_allclose(got, walk, rtol=0.0, atol=1e-12)
 
 
 def test_runtime_needs_no_scipy(tmp_path):
