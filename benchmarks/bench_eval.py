@@ -6,9 +6,12 @@ numpy level kernel, or numba when it is installed), against the scalar loop
 sizes, and prints rows/second, the ratio and, at batch 1, milliseconds per
 row.  The scalar loop is numba-compiled where numba imports; otherwise it
 runs as plain Python and is timed only up to ``SCALAR_PYTHON_MAX_BATCH``
-rows.  Three networks: a model trained on the toy stream (small, deep enough
-to be realistic) and two wide constructed mixtures (many sum edges,
-multivariate leaves), the larger with 1 251 nodes.
+rows.  For each network it also prints partial-evidence queries/second
+(``log_density`` marginals with half of the variables observed, and
+``conditional_log_density`` with a quarter queried given another half) and
+the time of one ``compile_pool``.  Three networks: a model trained on the
+toy stream (small, deep enough to be realistic) and two wide constructed
+mixtures (many sum edges, multivariate leaves), the larger with 1 251 nodes.
 
 Run from the repository root:
 
@@ -22,7 +25,7 @@ import time
 import numpy as np
 
 from spnstream import toy
-from spnstream.evaluate import compile_pool
+from spnstream.evaluate import compile_pool, conditional_log_density, log_density
 from spnstream.gstats import GaussianStats
 from spnstream.kernels import NUMBA_ENABLED, _eval_flat_scalar, eval_flat_numba
 from spnstream.learner import LearnerConfig, fit
@@ -68,6 +71,34 @@ def time_call(call, rows: int, min_seconds: float) -> float:
     return best
 
 
+# Distinct queries per timed call of the query benchmark.
+QUERIES = 64
+
+
+def query_rates(pool, min_seconds: float, rng) -> tuple[float, float]:
+    """Marginal and conditional queries/second on random evidence."""
+    d = pool.dim
+    half, quarter = max(1, d // 2), max(1, d // 4)
+    marginals, conditionals = [], []
+    for _ in range(QUERIES):
+        x = rng.normal(0.0, 3.0, size=d)
+        perm = rng.permutation(d).tolist()
+        marginals.append({v: float(x[v]) for v in perm[:half]})
+        conditionals.append(({v: float(x[v]) for v in perm[:quarter]},
+                             {v: float(x[v]) for v in perm[quarter:quarter + half]}))
+
+    def marginal():
+        for evidence in marginals:
+            log_density(pool, evidence)
+
+    def conditional():
+        for query, evidence in conditionals:
+            conditional_log_density(pool, query, evidence)
+
+    return (time_call(marginal, QUERIES, min_seconds),
+            time_call(conditional, QUERIES, min_seconds))
+
+
 def run_workload(name: str, pool, batch_sizes, min_seconds: float, rng) -> None:
     net = compile_pool(pool)
     n_nodes = net.kind.shape[0]
@@ -96,6 +127,10 @@ def run_workload(name: str, pool, batch_sizes, min_seconds: float, rng) -> None:
             if scalar_rate is not None:
                 line += f", scalar {1e3 / scalar_rate:.3f}"
         print(line)
+    marginal, conditional = query_rates(pool, min_seconds, rng)
+    compile_ms = 1e3 / time_call(lambda: compile_pool(pool), 1, min_seconds)
+    print(f"queries/s: marginal {marginal:.0f}, conditional {conditional:.0f};"
+          f" compile_pool {compile_ms:.2f} ms")
 
 
 def main() -> None:

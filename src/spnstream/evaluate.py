@@ -1,16 +1,21 @@
 """Density queries, conditionals, and sampling.
 
-Two evaluation paths exist.  ``log_density_rows`` flattens the pool into a
-``CompiledNet`` and runs the batched kernel over complete rows; this is the
-path training uses.  ``log_density`` walks the graph directly and accepts
-partial evidence, marginalizing unassigned variables inside each Gaussian
-leaf; a leaf with no assigned variable contributes a factor of one.
-``sample`` draws all requested rows in one top-down pass over the network.
+Every density query runs the kernels module over a ``CompiledNet``, the
+pool flattened into arrays.  ``log_density_rows`` scores complete rows.
+``log_density`` and ``conditional_log_density`` pass their evidence as rows
+in which NaN marks an unassigned variable; each Gaussian leaf integrates
+its unassigned variables out, so a leaf with no assigned variable
+contributes a factor of one.  The three share one cached net per pool
+structure and re-read every parameter from the pool on each call, so a
+query never sees stale parameters.  ``sample`` draws all requested rows in
+one top-down pass over the network.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import weakref
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -21,33 +26,34 @@ from .gstats import GaussianStats
 from .nodes import (LeafNode, NodePool, ProductNode, SumNode, derived_weights,
                     topological_order)
 
-LOG_2PI = float(np.log(2.0 * np.pi))
+LOG_2PI = kernels.LOG_2PI
 # Bytes of the widest per-row array in one block of log_density_rows; with
 # the numpy kernel's temporaries a block then peaks near 2 MB, whatever the
 # number of rows.
 _BLOCK_BYTES = 1 << 19
 
 
-def _leaf_factor(stats: GaussianStats, floor: float, positions=None):
-    """Cholesky pieces of a (possibly restricted) regularized leaf Gaussian.
+def _factors(covs: np.ndarray, floor: float):
+    """Cholesky pieces of regularized Gaussians over k variables.
 
-    Returns (mean, inverse Cholesky factor, log normalization constant) for
-    N(mean, cov + floor * I) restricted to the given coordinate positions.
+    From a (k, k) covariance, or a stack of them, returns the regularized
+    covariances cov + floor * I, their inverse Cholesky factors and the log
+    normalization constants, one LAPACK call each for the whole stack.
     """
-    if positions is None:
-        mean = stats.mean
-        cov = stats.cov
-    else:
-        idx = np.asarray(positions, dtype=np.intp)
-        mean = stats.mean[idx]
-        cov = stats.cov[np.ix_(idx, idx)]
-    k = mean.shape[0]
-    reg = cov + floor * np.eye(k)
+    k = covs.shape[-1]
+    reg = covs + floor * np.eye(k)
     chol = np.linalg.cholesky(reg)
     # LAPACK's inverse leaves ~1e-16 above the diagonal; the numpy kernel reads it.
     ichol = np.tril(np.linalg.inv(chol))
-    const = -0.5 * k * LOG_2PI - float(np.log(np.diag(chol)).sum())
-    return mean, ichol, const
+    const = -0.5 * k * LOG_2PI - np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    return reg, ichol, const
+
+
+def _leaf_factor(stats: GaussianStats, floor: float):
+    """(mean, inverse Cholesky factor, log normalization constant) of one
+    leaf's regularized Gaussian N(mean, cov + floor * I)."""
+    _, ichol, const = _factors(stats.cov, floor)
+    return stats.mean, ichol, float(const)
 
 
 # ======================================================================
@@ -69,8 +75,10 @@ class CompiledNet:
     leaf_mean: np.ndarray
     mat_ptr: np.ndarray
     leaf_ichol: np.ndarray
+    leaf_cov: np.ndarray  # regularized covariances, laid out like leaf_ichol
     leaf_const: np.ndarray
     structure_version: int
+    leaves: tuple[kernels.LeafGroup, ...]
     plan: kernels.LevelPlan | None  # None where the numba kernel runs
     sums: list[tuple[int, int]]  # (sum node id, offset of its first edge)
     # Rows per block of log_density_rows: the widest per-row array (nodes,
@@ -85,17 +93,22 @@ class CompiledNet:
         count = -(-n_rows // self.block_rows)
         return [slice(j * n_rows // count, (j + 1) * n_rows // count) for j in range(count)]
 
-    def eval_rows(self, X: np.ndarray) -> np.ndarray:
-        """Per-node log-density matrix, shape (n_nodes, n_rows)."""
+    def eval_rows(self, X: np.ndarray, partial: bool = False) -> np.ndarray:
+        """Per-node log-density matrix, shape (n_nodes, n_rows).
+
+        With ``partial`` a NaN in X marks an unobserved value, integrated out
+        inside its leaf; that runs the level kernel, so the net needs its plan.
+        """
         X = np.ascontiguousarray(X, dtype=np.float64)
         out = np.empty((self.kind.shape[0], X.shape[0]), dtype=np.float64)
-        if kernels.NUMBA_ENABLED:
+        if kernels.NUMBA_ENABLED and not partial:
             kernels.eval_flat_numba(self.kind, self.child_ptr, self.child_idx, self.child_logw,
                                     self.leaf_ptr, self.leaf_vars, self.leaf_mean,
                                     self.mat_ptr, self.leaf_ichol, self.leaf_const, X, out)
             return out
         return kernels.eval_flat_numpy(self.plan, self.child_logw, self.leaf_mean,
-                                       self.leaf_ichol, self.leaf_const, X, out)
+                                       self.leaf_ichol, self.leaf_const, X, out,
+                                       self.leaf_cov if partial else None)
 
     def refresh_leaf(self, pool: NodePool, nid: int) -> None:
         """Recompute one leaf's flattened parameters after a stats update."""
@@ -106,15 +119,44 @@ class CompiledNet:
         if hi - lo == 1:
             # _leaf_factor in closed form: the Cholesky factor of a 1x1 matrix is
             # its square root.  np.log, not math.log, rounds as _leaf_factor does.
-            sd = math.sqrt(stats.cov[0, 0] + pool.variance_floor)
+            var = stats.cov[0, 0] + pool.variance_floor
+            sd = math.sqrt(var)
             self.leaf_mean[lo] = stats.mean[0]
             self.leaf_ichol[m] = 1.0 / sd
+            self.leaf_cov[m] = var
             self.leaf_const[i] = -0.5 * LOG_2PI - np.log(sd)
             return
-        mean, ichol, const = _leaf_factor(stats, pool.variance_floor)
-        self.leaf_mean[lo:hi] = mean
+        reg, ichol, const = _factors(stats.cov, pool.variance_floor)
+        self.leaf_mean[lo:hi] = stats.mean
         self.leaf_ichol[m:m + ichol.size] = ichol.ravel()
+        self.leaf_cov[m:m + reg.size] = reg.ravel()
         self.leaf_const[i] = const
+
+    def refresh_params(self, pool: NodePool) -> None:
+        """Recompute every leaf's flattened parameters and every sum-edge weight.
+
+        Univariate leaves go in closed form, as in ``refresh_leaf``; the
+        leaves over k > 1 variables take one stacked factorization per k.
+        """
+        floor = pool.variance_floor
+        for g in self.leaves:
+            stats = [pool.node(self.order[i]).stats for i in g.nodes.tolist()]
+            means = np.array([s.mean for s in stats])
+            covs = np.array([s.cov for s in stats])
+            if g.k == 1:
+                var = covs[:, 0, 0] + floor
+                sd = np.sqrt(var)
+                self.leaf_mean[g.mean] = means[:, 0]
+                self.leaf_ichol[g.ichol] = 1.0 / sd
+                self.leaf_cov[g.ichol] = var
+                self.leaf_const[g.nodes] = -0.5 * LOG_2PI - np.log(sd)
+            else:
+                reg, ichol, const = _factors(covs, floor)
+                self.leaf_mean[g.mean] = means
+                self.leaf_ichol[g.ichol] = ichol
+                self.leaf_cov[g.ichol] = reg
+                self.leaf_const[g.nodes] = const
+        self.refresh_weights(pool)
 
     def refresh_weights(self, pool: NodePool) -> None:
         """Recompute sum-edge log weights from current counts."""
@@ -155,15 +197,15 @@ def compile_pool(pool: NodePool) -> CompiledNet:
     mat_ptr = np.zeros(n + 1, dtype=np.int64)
     mat_ptr[1:] = np.cumsum([s * s for s in leaf_sizes])
     leaf_ichol = np.zeros(mat_ptr[-1], dtype=np.float64)
+    leaf_cov = np.zeros(mat_ptr[-1], dtype=np.float64)
     mat_ptr = mat_ptr[:-1].copy()  # only a start offset per node
     leaf_const = np.zeros(n, dtype=np.float64)
 
-    leaves, sums = [], []
+    sums = []
     for i, nid in enumerate(order):
         node = pool.node(nid)
         if isinstance(node, LeafNode):
             leaf_vars[leaf_ptr[i]:leaf_ptr[i + 1]] = node.scope
-            leaves.append(nid)
         else:
             lo = int(child_ptr[i])
             child_idx[lo:lo + len(node.children)] = [index[c] for c in node.children]
@@ -171,15 +213,48 @@ def compile_pool(pool: NodePool) -> CompiledNet:
                 sums.append((nid, lo))
     plan = None if kernels.NUMBA_ENABLED else kernels.level_plan(
         kind, child_ptr, child_idx, leaf_ptr, leaf_vars, mat_ptr)
+    leaves = (kernels.leaf_groups(kind, leaf_ptr, leaf_vars, mat_ptr) if plan is None
+              else plan.leaves)
     width = max(n, child_idx.size, leaf_vars.size)
     net = CompiledNet(order, index, kind, child_ptr, child_idx, child_logw,
-                      leaf_ptr, leaf_vars, leaf_mean, mat_ptr, leaf_ichol,
-                      leaf_const, pool.structure_version, plan, sums,
+                      leaf_ptr, leaf_vars, leaf_mean, mat_ptr, leaf_ichol, leaf_cov,
+                      leaf_const, pool.structure_version, leaves, plan, sums,
                       max(1, _BLOCK_BYTES // (8 * width)))
-    for nid in leaves:
-        net.refresh_leaf(pool, nid)
-    net.refresh_weights(pool)
+    net.refresh_params(pool)
     return net
+
+
+class _ReadCache:
+    """The compiled net of the pool the last read query saw.
+
+    The net is rebuilt when the pool, its structure version or its root
+    differs (tests and users may reassign the root without a version bump);
+    otherwise its parameters are re-read from the pool, so edits to counts
+    or statistics made outside ``learn_batch`` show at once.  The pool is
+    held only weakly, and only one net is kept: a net per live pool would
+    stay alive as long as its pool.
+    """
+
+    def __init__(self):
+        self._pool = None
+        self._key = None
+        self._net = None
+
+    def net(self, pool: NodePool) -> CompiledNet:
+        key = (pool.structure_version, pool.root)
+        if self._pool is None or self._pool() is not pool or self._key != key:
+            self._net = None  # let the old net go before compiling the new one
+            net = compile_pool(pool)
+            if net.plan is None:  # the numba kernel takes no partial evidence
+                net.plan = kernels.level_plan(net.kind, net.child_ptr, net.child_idx,
+                                              net.leaf_ptr, net.leaf_vars, net.mat_ptr)
+            self._pool, self._key, self._net = weakref.ref(pool), key, net
+        else:
+            self._net.refresh_params(pool)
+        return self._net
+
+
+_READ_CACHE = _ReadCache()
 
 
 def check_rows(X: np.ndarray, dim: int) -> np.ndarray:
@@ -200,7 +275,7 @@ def log_density_rows(pool: NodePool, X: np.ndarray) -> np.ndarray:
     kept, so memory does not grow with the number of rows.
     """
     X = check_rows(X, pool.dim)
-    net = compile_pool(pool)
+    net = _READ_CACHE.net(pool)
     root = net.index[pool.root]
     out = np.empty(X.shape[0], dtype=np.float64)
     for rows in net.row_blocks(X.shape[0]):
@@ -235,7 +310,10 @@ def subtree_log_density_rows(pool: NodePool, nid: int, X: np.ndarray) -> np.ndar
 def _check_assignment(pool: NodePool, assignment: Mapping[int, float]) -> dict[int, float]:
     out = {}
     for key, value in assignment.items():
-        k = int(key)
+        try:
+            k = operator.index(key)
+        except TypeError:
+            raise ValueError(f"assignment variable {key!r} is not an integer") from None
         if k < 0 or k >= pool.dim:
             raise ValueError(f"assignment variable {k} is outside dimension {pool.dim}")
         v = float(value)
@@ -245,50 +323,37 @@ def _check_assignment(pool: NodePool, assignment: Mapping[int, float]) -> dict[i
     return out
 
 
+def _partial_rows(pool: NodePool, *assignments: dict[int, float]) -> np.ndarray:
+    """Root log-density of each assignment, all in one batch; NaN marks the
+    variables an assignment leaves out."""
+    X = np.full((len(assignments), pool.dim), np.nan)
+    for row, assignment in zip(X, assignments):
+        row[list(assignment)] = list(assignment.values())
+    net = _READ_CACHE.net(pool)
+    return net.eval_rows(X, partial=True)[net.index[pool.root]]
+
+
 def log_density(pool: NodePool, evidence: Mapping[int, float]) -> float:
     """Log of the joint density marginalized over unassigned variables.
 
     With empty evidence this is log of the total mass, which is 0.0 for any
     valid network.
     """
-    ev = _check_assignment(pool, evidence)
-    values: dict[int, float] = {}
-    for cur in topological_order(pool):
-        node = pool.node(cur)
-        if isinstance(node, LeafNode):
-            assigned = [v for v in node.scope if v in ev]
-            if not assigned:
-                values[cur] = 0.0
-                continue
-            positions = [i for i, v in enumerate(node.scope) if v in ev]
-            mean, ichol, const = _leaf_factor(node.stats, pool.variance_floor, positions)
-            dev = np.array([ev[v] for v in assigned]) - mean
-            y = ichol @ dev
-            values[cur] = const - 0.5 * float(y @ y)
-        elif isinstance(node, ProductNode):
-            values[cur] = float(sum(values[c] for c in node.children))
-        else:
-            w = derived_weights(node, pool.weight_mode)
-            vals = np.array([values[c] for c in node.children])
-            with np.errstate(divide="ignore"):
-                values[cur] = float(np.logaddexp.reduce(vals + np.log(w)))
-    return values[pool.root]
+    return float(_partial_rows(pool, _check_assignment(pool, evidence))[0])
 
 
 def conditional_log_density(pool: NodePool, query: Mapping[int, float],
                             evidence: Mapping[int, float]) -> float:
-    """log f(query | evidence) via two marginal evaluations."""
+    """log f(query | evidence): a batch of the evidence and of evidence plus query."""
     q = _check_assignment(pool, query)
     ev = _check_assignment(pool, evidence)
     overlap = set(q) & set(ev)
     if overlap:
         raise ValueError(f"query and evidence share variables {sorted(overlap)}")
-    denom = log_density(pool, ev)
+    denom, joint = _partial_rows(pool, ev, {**ev, **q})
     if denom == -np.inf:
         raise ValueError("evidence has zero density under the model")
-    joint = dict(ev)
-    joint.update(q)
-    return log_density(pool, joint) - denom
+    return float(joint - denom)
 
 
 # ======================================================================

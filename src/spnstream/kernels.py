@@ -19,9 +19,10 @@ Array layout (N nodes in topological order, children before parents):
     leaf_const[i]    log normalization constant of leaf i
 
 The level kernel follows a ``LevelPlan`` that ``level_plan`` builds from the
-index arrays, once per structure and only where numba is absent (see
-``evaluate.compile_pool``); the parameter arrays are read at every
-call, so refreshing leaves or weights in place needs no new plan.  The plan
+index arrays, once per structure: for training only where numba is absent
+(see ``evaluate.compile_pool``), for partial-evidence queries always.  The
+parameter arrays are read at every call, so refreshing leaves or weights in
+place needs no new plan.  The plan
 holds index arrays into the flat arrays above, grouped so that each group
 costs a fixed number of numpy calls whatever its size:
 
@@ -33,6 +34,14 @@ costs a fixed number of numpy calls whatever its size:
   highest child.  A group gathers its children's rows into a (children,
   nodes, rows) block and reduces the first axis: ``add`` for products,
   ``logaddexp`` after adding the edge log weights for sums.
+
+Given the regularized leaf covariances (``leaf_cov``, laid out like
+``leaf_ichol``) the level kernel also takes partial evidence: NaN marks an
+unobserved value, which is integrated out inside its leaf.  A leaf with
+every variable unobserved contributes 0, a univariate leaf otherwise its
+closed form, and the (row, leaf) pairs of one k > 1 group with some but not
+all variables observed go through one stacked Cholesky factorization of
+their restricted covariances.
 
 Reducing the first axis adds a node's children left to right, as the
 scalar kernel does, so a model routes its rows exactly as under the
@@ -54,6 +63,7 @@ import numpy as np
 KIND_LEAF = 0
 KIND_SUM = 1
 KIND_PRODUCT = 2
+LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -83,48 +93,53 @@ class LevelPlan:
     groups: tuple[NodeGroup, ...]  # children's groups come first
 
 
-def level_plan(kind, child_ptr, child_idx, leaf_ptr, leaf_vars, mat_ptr) -> LevelPlan:
-    """Group the nodes of a flattened network for ``eval_flat_numpy``."""
-    ptr = child_ptr.tolist()
-    kids = child_idx.tolist()
-    sizes = np.diff(leaf_ptr).tolist()
-    height = [0] * len(sizes)
-    by_size: dict[int, list[int]] = defaultdict(list)
-    by_level: dict[tuple[int, int, int], list[int]] = defaultdict(list)
-    for i, kd in enumerate(kind.tolist()):
-        if kd == KIND_LEAF:
-            by_size[sizes[i]].append(i)
-            continue
-        lo, hi = ptr[i], ptr[i + 1]
-        height[i] = 1 + max((height[c] for c in kids[lo:hi]), default=0)
-        by_level[(height[i], kd, hi - lo)].append(i)
-
+def leaf_groups(kind, leaf_ptr, leaf_vars, mat_ptr) -> tuple[LeafGroup, ...]:
+    """The leaves of a flattened network, one group per scope size."""
+    sizes = np.diff(leaf_ptr)
     leaves = []
-    for k, members in sorted(by_size.items()):
-        nodes = np.array(members, dtype=np.int64)
+    # Not np.unique, whose first call imports numpy.ma (about 1 MB).
+    for k in sorted(set(sizes[kind == KIND_LEAF].tolist())):
+        nodes = np.flatnonzero((kind == KIND_LEAF) & (sizes == k))
         mean, ichol = leaf_ptr[nodes], mat_ptr[nodes]
         if k > 1:
             mean = mean[:, None] + np.arange(k)
             ichol = ichol[:, None, None] + np.arange(k * k).reshape(k, k)
         leaves.append(LeafGroup(k, nodes, leaf_vars[mean], mean, ichol))
+    return tuple(leaves)
+
+
+def level_plan(kind, child_ptr, child_idx, leaf_ptr, leaf_vars, mat_ptr) -> LevelPlan:
+    """Group the nodes of a flattened network for ``eval_flat_numpy``."""
+    ptr = child_ptr.tolist()
+    kids = child_idx.tolist()
+    height = [0] * kind.shape[0]
+    by_level: dict[tuple[int, int, int], list[int]] = defaultdict(list)
+    for i, kd in enumerate(kind.tolist()):
+        if kd == KIND_LEAF:
+            continue
+        lo, hi = ptr[i], ptr[i + 1]
+        height[i] = 1 + max((height[c] for c in kids[lo:hi]), default=0)
+        by_level[(height[i], kd, hi - lo)].append(i)
+
     groups = []
     for (_, kd, c), members in sorted(by_level.items()):
         nodes = np.array(members, dtype=np.int64)
         edges = child_ptr[nodes] + np.arange(c)[:, None]
         groups.append(NodeGroup(kd == KIND_SUM, nodes, child_idx[edges], edges))
-    return LevelPlan(tuple(leaves), tuple(groups))
+    return LevelPlan(leaf_groups(kind, leaf_ptr, leaf_vars, mat_ptr), tuple(groups))
 
 
-def eval_flat_numpy(plan: LevelPlan, child_logw, leaf_mean, leaf_ichol, leaf_const, X, out):
-    """Level kernel: a few numpy calls per plan group, batched over rows."""
+def eval_flat_numpy(plan: LevelPlan, child_logw, leaf_mean, leaf_ichol, leaf_const, X, out,
+                    leaf_cov=None):
+    """Level kernel: a few numpy calls per plan group, batched over rows.
+
+    With ``leaf_cov`` a NaN in X marks an unobserved value.
+    """
     for g in plan.leaves:
-        dev = X[:, g.cols] - leaf_mean[g.mean]
-        if g.k == 1:
-            y = dev * leaf_ichol[g.ichol]
-            out[g.nodes] = (leaf_const[g.nodes] - 0.5 * (y * y)).T
+        if leaf_cov is None:
+            out[g.nodes] = _leaf_rows(g, X[:, g.cols] - leaf_mean[g.mean], leaf_ichol, leaf_const)
         else:
-            y = np.matmul(dev.transpose(1, 0, 2), leaf_ichol[g.ichol].transpose(0, 2, 1))
-            out[g.nodes] = leaf_const[g.nodes, None] - 0.5 * np.einsum("lij,lij->li", y, y)
+            out[g.nodes] = _partial_leaf_rows(g, leaf_mean, leaf_ichol, leaf_const, leaf_cov, X)
     for g in plan.groups:
         terms = out[g.children]
         if g.is_sum:
@@ -133,6 +148,43 @@ def eval_flat_numpy(plan: LevelPlan, child_logw, leaf_mean, leaf_ichol, leaf_con
         else:
             out[g.nodes] = np.add.reduce(terms, axis=0)
     return out
+
+
+def _leaf_rows(g: LeafGroup, dev, leaf_ichol, leaf_const):
+    """(leaves, rows) log-densities of one leaf group at deviations ``dev``
+    from the means, shape (rows, leaves[, k])."""
+    if g.k == 1:
+        y = dev * leaf_ichol[g.ichol]
+        return (leaf_const[g.nodes] - 0.5 * (y * y)).T
+    y = np.matmul(dev.transpose(1, 0, 2), leaf_ichol[g.ichol].transpose(0, 2, 1))
+    return leaf_const[g.nodes, None] - 0.5 * np.einsum("lij,lij->li", y, y)
+
+
+def _partial_leaf_rows(g: LeafGroup, leaf_mean, leaf_ichol, leaf_const, leaf_cov, X):
+    """``_leaf_rows`` where NaN in X marks an unobserved value."""
+    dev = X[:, g.cols] - leaf_mean[g.mean]
+    miss = np.isnan(dev)
+    dev[miss] = 0.0
+    val = _leaf_rows(g, dev, leaf_ichol, leaf_const)
+    if g.k == 1:
+        val[miss.T] = 0.0
+        return val
+    n_miss = miss.sum(axis=2).T
+    val[n_miss == g.k] = 0.0
+    leaf, row = np.nonzero((n_miss > 0) & (n_miss < g.k))
+    if leaf.size:
+        # Each restricted covariance sits in a k x k matrix that is the
+        # identity on the unobserved variables, where the deviation is 0:
+        # they then add nothing to the quadratic form and log 1 to the
+        # log-determinant, and 0.5 log 2 pi each is added back.
+        hide = miss[row, leaf]
+        cov = np.where(hide[:, :, None] | hide[:, None, :], np.eye(g.k), leaf_cov[g.ichol[leaf]])
+        chol = np.linalg.cholesky(cov)
+        z = np.linalg.solve(chol, dev[row, leaf][:, :, None])[:, :, 0]
+        val[leaf, row] = (-0.5 * (g.k - n_miss[leaf, row]) * LOG_2PI
+                          - np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+                          - 0.5 * np.einsum("ij,ij->i", z, z))
+    return val
 
 
 def _eval_flat_scalar(kind, child_ptr, child_idx, child_logw,

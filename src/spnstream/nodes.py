@@ -143,7 +143,13 @@ class NodePool:
         self.structure_version += 1
 
     def bump(self) -> None:
-        """Mark the structure as changed (after direct child-list edits)."""
+        """Mark the structure as changed (after direct child-list edits).
+
+        Compiled nets, the learner's ``EvalCache`` and the one the density
+        queries share, are rebuilt only when ``structure_version`` (or, for
+        the queries, the root) changes; an edit to a child list made outside
+        this class's methods must call this, or they evaluate the old graph.
+        """
         self.structure_version += 1
 
     def __contains__(self, nid: int) -> bool:

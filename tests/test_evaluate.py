@@ -1,18 +1,22 @@
 """Density evaluation, conditionals, and sampling against hand values and oracles."""
 
+import copy
+import gc
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spnstream
-from spnstream import kernels
+from spnstream import evaluate, kernels
 from spnstream.evaluate import (
     _leaf_factor,
     analytic_mean,
@@ -24,11 +28,12 @@ from spnstream.evaluate import (
     subtree_log_density_rows,
 )
 from spnstream.gstats import GaussianStats
-from spnstream.learner import init_factored_pool
+from spnstream.learner import LearnerConfig, init_factored_pool, learn_batch, make_mixture
 from spnstream.nodes import LeafNode, NodePool, ProductNode, SumNode, make_scope, validate
 
 from bench_eval import wide_mixture
-from helpers import oracle_log_density, oracle_log_density_rows, oracle_mean, random_pool
+from helpers import (expand_mixture, oracle_log_density, oracle_log_density_rows, oracle_mean,
+                     random_pool)
 
 # log pdf of a standard normal at zero.
 LOG_STD_NORMAL_AT_0 = -0.9189385332046727
@@ -151,6 +156,18 @@ def test_conditional_matches_expansion_ratio():
         )
         got = conditional_log_density(pool, query, evidence)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_assignment_keys_must_be_integers():
+    pool = init_factored_pool(3)
+    with pytest.raises(ValueError, match=r"1\.7"):
+        log_density(pool, {1.7: 0.3})
+    with pytest.raises(ValueError, match=r"1\.2"):
+        log_density(pool, {1: 0.3, 1.2: 5.0})
+    with pytest.raises(ValueError, match=r"0\.5") as err:
+        conditional_log_density(pool, {0: 0.1}, {0.5: 2.0})
+    assert "share" not in str(err.value)
+    assert log_density(pool, {np.int64(1): 0.3}) == log_density(pool, {1: 0.3})
 
 
 def test_conditional_rejects_overlapping_keys():
@@ -451,3 +468,172 @@ def test_validate_then_evaluate_round_trip_on_random_pools():
         assert validate(pool).ok
         X = rng.normal(size=(4, pool.dim))
         assert np.all(np.isfinite(log_density_rows(pool, X)))
+
+
+# ----------------------------------------------------------------------
+# Partial evidence on the compiled net
+# ----------------------------------------------------------------------
+
+def leaf_patterns(pool: NodePool, rng):
+    """Evidence under which each leaf sees each subset of its scope observed,
+    the variables outside it observed at random."""
+    for node in pool.nodes.values():
+        if not isinstance(node, LeafNode):
+            continue
+        others = [v for v in range(pool.dim) if v not in node.scope]
+        for r in range(len(node.scope) + 1):
+            for seen in itertools.combinations(node.scope, r):
+                rest = [v for v in others if rng.random() < 0.5]
+                yield {v: float(rng.normal(0.0, 2.0)) for v in (*seen, *rest)}
+
+
+def test_every_leaf_evidence_pattern_matches_oracle():
+    rng = np.random.default_rng(109)
+    leaf_sizes = set()
+    for mode in ("mle", "laplace"):
+        for _ in range(5):
+            pool = random_pool(rng, dim=int(rng.integers(2, 7)), max_sums=3, weight_mode=mode,
+                               max_leaf_vars=4)
+            leaf_sizes |= {len(n.scope) for n in pool.nodes.values() if isinstance(n, LeafNode)}
+            components = expand_mixture(pool)
+            assert abs(log_density(pool, {})) < 1e-9
+            for evidence in leaf_patterns(pool, rng):
+                assert log_density(pool, evidence) == pytest.approx(
+                    oracle_log_density(pool, evidence, components), abs=1e-9), evidence
+            x = rng.normal(size=pool.dim)
+            full = log_density(pool, dict(enumerate(x.tolist())))
+            assert full == pytest.approx(oracle_log_density(pool, dict(enumerate(x)), components),
+                                         abs=1e-9)
+            assert full == pytest.approx(log_density_rows(pool, x)[0], abs=1e-12)
+    assert leaf_sizes == {1, 2, 3, 4}
+
+
+def test_partial_evidence_with_a_zero_count_mle_child_has_no_nan():
+    pool = NodePool(dim=3, weight_mode="mle")
+    scope = make_scope(range(3))
+    kids = []
+    for shift in (0.0, 3.0):
+        a = pool.add(leaf([0, 1], [shift, -shift], [[1.0, 0.4], [0.4, 2.0]], 4.0))
+        b = pool.add(leaf([2], [shift], [[0.5]], 4.0))
+        kids.append(pool.add(ProductNode(scope, [a, b], 4.0, GaussianStats.zeros(3, 4.0))))
+    pool.root = pool.add(SumNode(scope, kids, [0.0, 4.0], 4.0))
+    assert validate(pool).ok
+    for evidence in ({}, {0: 0.5}, {1: -1.0, 2: 0.2}, {0: 0.5, 1: -1.0, 2: 0.2}):
+        got = log_density(pool, evidence)
+        assert math.isfinite(got)
+        assert got == pytest.approx(oracle_log_density(pool, evidence), abs=1e-9)
+    got = conditional_log_density(pool, {0: 0.5}, {1: -1.0})
+    want = oracle_log_density(pool, {0: 0.5, 1: -1.0}) - oracle_log_density(pool, {1: -1.0})
+    assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_conditionals_over_multivariate_leaves_match_expansion_ratio():
+    rng = np.random.default_rng(113)
+    for _ in range(12):
+        d = int(rng.integers(2, 7))
+        pool = random_pool(rng, dim=d, max_sums=3, weight_mode=str(rng.choice(["mle", "laplace"])),
+                           max_leaf_vars=4)
+        components = expand_mixture(pool)
+        perm = rng.permutation(d).tolist()
+        cut = int(rng.integers(1, d))
+        stop = int(rng.integers(cut, d + 1))
+        query = {v: float(rng.normal()) for v in perm[:cut]}
+        evidence = {v: float(rng.normal()) for v in perm[cut:stop]}
+        want = (oracle_log_density(pool, {**query, **evidence}, components)
+                - oracle_log_density(pool, evidence, components))
+        assert conditional_log_density(pool, query, evidence) == pytest.approx(want, abs=1e-9)
+
+
+def two_rooted_pool(rng) -> NodePool:
+    """A random network under a sum whose second child is a factored
+    alternative, so the root can be moved without a structure bump."""
+    pool = random_pool(rng, dim=4, max_sums=3, max_leaf_vars=3)
+    scope = make_scope(range(4))
+    leaves = [pool.add(leaf([v], [0.5 * v], [[1.5]], 10.0)) for v in range(4)]
+    alt = pool.add(ProductNode(scope, leaves, 10.0, GaussianStats.zeros(4, 10.0)))
+    pool.root = pool.add(SumNode(scope, [pool.root, alt], [30.0, 10.0], 40.0))
+    return pool
+
+
+def test_read_queries_follow_every_kind_of_edit():
+    rng = np.random.default_rng(127)
+    pool = two_rooted_pool(rng)
+    X = rng.normal(size=(5, 4))
+    evidence, query = {0: 0.3, 2: -1.1}, {1: 0.8}
+
+    def answers(p):
+        return (log_density(p, evidence), conditional_log_density(p, query, evidence),
+                log_density_rows(p, X).tolist())
+
+    def check():
+        # The pool's answer comes from the net cached before the edit; the
+        # copy's evicts it and is compiled afresh, so the pool is queried
+        # once more to cache its net for the next edit.
+        got = answers(pool)
+        assert got == answers(copy.deepcopy(pool))
+        answers(pool)
+        return got
+
+    seen = [check()]
+    cfg = LearnerConfig(weight_mode=pool.weight_mode)
+    learn_batch(pool, rng.normal(size=(8, 4)), cfg, rng, structure_frozen=True)
+    seen.append(check())
+    root = pool.node(pool.root)
+    root.child_counts[1] += 25.0
+    root.count += 25.0
+    seen.append(check())
+    first = next(n for n in pool.nodes.values() if isinstance(n, LeafNode))
+    first.stats = GaussianStats(first.stats.mean + 0.7, 1.3 * first.stats.cov, first.stats.count)
+    seen.append(check())
+    alt = pool.node(root.children[1])
+    make_mixture(pool, root.children[1], alt.children[0], alt.children[1])
+    seen.append(check())
+    top = pool.root
+    pool.root = root.children[0]
+    seen.append(check())
+    pool.root = top  # not in the net compiled for the previous root
+    seen.append(check())
+    assert all(a != b for a, b in zip(seen, seen[1:]))
+
+
+def test_read_cache_keeps_no_pool_alive():
+    pool = random_pool(np.random.default_rng(131), dim=3)
+    log_density(pool, {0: 0.1})
+    log_density_rows(pool, np.zeros((2, 3)))
+    ref = weakref.ref(pool)
+    del pool
+    gc.collect()
+    assert ref() is None
+
+
+def test_queries_on_a_cached_net_walk_no_graph(monkeypatch):
+    rng = np.random.default_rng(137)
+    pool = random_pool(rng, dim=6, max_sums=4, max_leaf_vars=4)
+    log_density(pool, {0: 0.2})
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("topological_order", "_leaf_factor", "compile_pool"):
+        monkeypatch.setattr(evaluate, name, counted(getattr(evaluate, name)))
+    log_density(pool, {0: 0.2, 3: 1.0})
+    conditional_log_density(pool, {1: 0.5}, {2: -0.4, 5: 1.5})
+    log_density_rows(pool, rng.normal(size=(3, 6)))
+    assert calls == []
+
+
+def test_partial_evidence_runs_the_level_kernel_where_numba_is_installed(monkeypatch):
+    monkeypatch.setattr(kernels, "NUMBA_ENABLED", True)
+    monkeypatch.setattr(kernels, "eval_flat_numba", kernels._eval_flat_scalar)
+    rng = np.random.default_rng(139)
+    pool = random_pool(rng, dim=5, max_sums=3, max_leaf_vars=4)
+    evidence = {0: 0.4, 2: -0.3, 3: 1.2}
+    assert log_density(pool, evidence) == pytest.approx(oracle_log_density(pool, evidence),
+                                                        abs=1e-9)
+    X = rng.normal(size=(4, 5))
+    np.testing.assert_allclose(log_density_rows(pool, X), oracle_log_density_rows(pool, X),
+                               rtol=0.0, atol=1e-9)
