@@ -8,8 +8,9 @@ row.  The scalar loop is numba-compiled where numba imports; otherwise it
 runs as plain Python and is timed only up to ``SCALAR_PYTHON_MAX_BATCH``
 rows.  For each network it also prints partial-evidence queries/second
 (``log_density`` marginals with half of the variables observed, and
-``conditional_log_density`` with a quarter queried given another half) and
-the time of one ``compile_pool``.  Three networks: a model trained on the
+``conditional_log_density`` with a quarter queried given another half),
+``sample`` rows/second at 32 and 4096 rows per call, and the time of one
+``compile_pool``.  Three networks: a model trained on the
 toy stream (small, deep enough to be realistic) and two wide constructed
 mixtures (many sum edges, multivariate leaves), the larger with 1 251 nodes.
 
@@ -25,7 +26,7 @@ import time
 import numpy as np
 
 from spnstream import toy
-from spnstream.evaluate import compile_pool, conditional_log_density, log_density
+from spnstream.evaluate import compile_pool, conditional_log_density, log_density, sample
 from spnstream.gstats import GaussianStats
 from spnstream.kernels import NUMBA_ENABLED, _eval_flat_scalar, eval_flat_numba
 from spnstream.learner import LearnerConfig, fit
@@ -73,6 +74,8 @@ def time_call(call, rows: int, min_seconds: float) -> float:
 
 # Distinct queries per timed call of the query benchmark.
 QUERIES = 64
+# Rows per sample call: the benchmark's read mix, and a large batch.
+SAMPLE_ROWS = (32, 4096)
 
 
 def query_rates(pool, min_seconds: float, rng) -> tuple[float, float]:
@@ -131,6 +134,9 @@ def run_workload(name: str, pool, batch_sizes, min_seconds: float, rng) -> None:
     compile_ms = 1e3 / time_call(lambda: compile_pool(pool), 1, min_seconds)
     print(f"queries/s: marginal {marginal:.0f}, conditional {conditional:.0f};"
           f" compile_pool {compile_ms:.2f} ms")
+    draws = ", ".join(f"{rows} rows {time_call(lambda: sample(pool, rng, rows), rows, min_seconds):.0f}"
+                      for rows in SAMPLE_ROWS)
+    print(f"sample rows/s: {draws}")
 
 
 def main() -> None:

@@ -1,14 +1,17 @@
-"""Density queries, conditionals, and sampling.
+"""Density queries, conditionals, sampling and moments.
 
-Every density query runs the kernels module over a ``CompiledNet``, the
-pool flattened into arrays.  ``log_density_rows`` scores complete rows.
+Every query runs the kernels module over a ``CompiledNet``, the pool
+flattened into arrays.  ``log_density_rows`` scores complete rows.
 ``log_density`` and ``conditional_log_density`` pass their evidence as rows
 in which NaN marks an unassigned variable; each Gaussian leaf integrates
 its unassigned variables out, so a leaf with no assigned variable
-contributes a factor of one.  The three share one cached net per pool
-structure and re-read every parameter from the pool on each call, so a
-query never sees stale parameters.  ``sample`` draws all requested rows in
-one top-down pass over the network.
+contributes a factor of one.  ``sample`` draws rows in one top-down pass
+over the net's level plan and ``analytic_mean`` is one bottom-up pass.
+All of them share one cached net per pool structure (``_ReadCache``).  On
+each call the net re-factors the leaves whose statistics object was
+replaced and recomputes every sum weight from the counts, so a query never
+sees stale parameters; a write into a statistics array in place needs
+``pool.bump()``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -31,14 +34,17 @@ LOG_2PI = kernels.LOG_2PI
 # the numpy kernel's temporaries a block then peaks near 2 MB, whatever the
 # number of rows.
 _BLOCK_BYTES = 1 << 19
+# Bytes one block of sample may take (kernels.DrawPlan.row_words per row).
+_SAMPLE_BYTES = 1 << 20
 
 
 def _factors(covs: np.ndarray, floor: float):
     """Cholesky pieces of regularized Gaussians over k variables.
 
     From a (k, k) covariance, or a stack of them, returns the regularized
-    covariances cov + floor * I, their inverse Cholesky factors and the log
-    normalization constants, one LAPACK call each for the whole stack.
+    covariances cov + floor * I, their Cholesky factors, the inverses of
+    those and the log normalization constants, one LAPACK call each for the
+    whole stack.
     """
     k = covs.shape[-1]
     reg = covs + floor * np.eye(k)
@@ -46,13 +52,13 @@ def _factors(covs: np.ndarray, floor: float):
     # LAPACK's inverse leaves ~1e-16 above the diagonal; the numpy kernel reads it.
     ichol = np.tril(np.linalg.inv(chol))
     const = -0.5 * k * LOG_2PI - np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    return reg, ichol, const
+    return reg, chol, ichol, const
 
 
 def _leaf_factor(stats: GaussianStats, floor: float):
     """(mean, inverse Cholesky factor, log normalization constant) of one
     leaf's regularized Gaussian N(mean, cov + floor * I)."""
-    _, ichol, const = _factors(stats.cov, floor)
+    _, _, ichol, const = _factors(stats.cov, floor)
     return stats.mean, ichol, float(const)
 
 
@@ -75,6 +81,7 @@ class CompiledNet:
     leaf_mean: np.ndarray
     mat_ptr: np.ndarray
     leaf_ichol: np.ndarray
+    leaf_chol: np.ndarray  # Cholesky factors, laid out like leaf_ichol
     leaf_cov: np.ndarray  # regularized covariances, laid out like leaf_ichol
     leaf_const: np.ndarray
     structure_version: int
@@ -84,13 +91,22 @@ class CompiledNet:
     # Rows per block of log_density_rows: the widest per-row array (nodes,
     # edges or leaf variables) then takes at most _BLOCK_BYTES.
     block_rows: int
+    leaf_ids: list[list[int]]  # node ids of each leaf group's leaves
+    # Per leaf group, weak references to the GaussianStats objects its leaves
+    # were last factored from, and the variance floor used; refresh_params
+    # re-factors a leaf only when its stats object was replaced or the floor
+    # changed.  Weak, so replaced statistics are freed by the write that
+    # replaces them, not by the next read.
+    factored: list[list] = field(default_factory=list)
+    floor: float = math.nan
+    draws: kernels.DrawPlan | None = None  # routing tables, built by the first sample
 
-    def row_blocks(self, n_rows: int) -> list[slice]:
+    def row_blocks(self, n_rows: int, block_rows: int) -> list[slice]:
         """Equal blocks of at most ``block_rows`` rows.  Equal sizes avoid a
         one-row tail, which BLAS would multiply by another routine."""
-        if n_rows <= self.block_rows:
+        if n_rows <= block_rows:
             return [slice(None)]
-        count = -(-n_rows // self.block_rows)
+        count = -(-n_rows // block_rows)
         return [slice(j * n_rows // count, (j + 1) * n_rows // count) for j in range(count)]
 
     def eval_rows(self, X: np.ndarray, partial: bool = False) -> np.ndarray:
@@ -116,6 +132,9 @@ class CompiledNet:
         stats = pool.node(nid).stats
         lo, hi = self.leaf_ptr[i], self.leaf_ptr[i + 1]
         m = self.mat_ptr[i]
+        # The records no longer say what the arrays hold: refresh_params
+        # then factors every leaf again.
+        self.floor = math.nan
         if hi - lo == 1:
             # _leaf_factor in closed form: the Cholesky factor of a 1x1 matrix is
             # its square root.  np.log, not math.log, rounds as _leaf_factor does.
@@ -123,39 +142,59 @@ class CompiledNet:
             sd = math.sqrt(var)
             self.leaf_mean[lo] = stats.mean[0]
             self.leaf_ichol[m] = 1.0 / sd
+            self.leaf_chol[m] = sd
             self.leaf_cov[m] = var
             self.leaf_const[i] = -0.5 * LOG_2PI - np.log(sd)
             return
-        reg, ichol, const = _factors(stats.cov, pool.variance_floor)
+        reg, chol, ichol, const = _factors(stats.cov, pool.variance_floor)
         self.leaf_mean[lo:hi] = stats.mean
         self.leaf_ichol[m:m + ichol.size] = ichol.ravel()
+        self.leaf_chol[m:m + chol.size] = chol.ravel()
         self.leaf_cov[m:m + reg.size] = reg.ravel()
         self.leaf_const[i] = const
 
     def refresh_params(self, pool: NodePool) -> None:
-        """Recompute every leaf's flattened parameters and every sum-edge weight.
+        """Bring the flattened parameters up to date with the pool.
 
-        Univariate leaves go in closed form, as in ``refresh_leaf``; the
-        leaves over k > 1 variables take one stacked factorization per k.
+        Leaves whose ``stats`` object is not the one they were last factored
+        from are re-factored (all leaves after a change of the variance
+        floor): univariate ones in closed form, as in ``refresh_leaf``, those
+        over k > 1 variables with one stacked factorization per k.  A write
+        into a stats array in place is not seen; ``pool.bump()`` after one
+        recompiles.  Every sum-edge weight is recomputed, since child counts
+        are edited in place.
         """
         floor = pool.variance_floor
-        for g in self.leaves:
-            stats = [pool.node(self.order[i]).stats for i in g.nodes.tolist()]
-            means = np.array([s.mean for s in stats])
-            covs = np.array([s.cov for s in stats])
-            if g.k == 1:
-                var = covs[:, 0, 0] + floor
-                sd = np.sqrt(var)
-                self.leaf_mean[g.mean] = means[:, 0]
-                self.leaf_ichol[g.ichol] = 1.0 / sd
-                self.leaf_cov[g.ichol] = var
-                self.leaf_const[g.nodes] = -0.5 * LOG_2PI - np.log(sd)
+        if floor != self.floor:
+            self.factored = [[None] * len(ids) for ids in self.leaf_ids]
+            self.floor = floor
+        nodes = pool.nodes
+        for g, ids, done in zip(self.leaves, self.leaf_ids, self.factored):
+            stats = [nodes[nid].stats for nid in ids]
+            fresh = [d is None or d() is not s for d, s in zip(done, stats)]
+            if not any(fresh):
+                continue
+            if all(fresh):
+                at, todo = slice(None), stats
             else:
-                reg, ichol, const = _factors(covs, floor)
-                self.leaf_mean[g.mean] = means
-                self.leaf_ichol[g.ichol] = ichol
-                self.leaf_cov[g.ichol] = reg
-                self.leaf_const[g.nodes] = const
+                at = np.flatnonzero(fresh)
+                todo = [stats[j] for j in at.tolist()]
+            mean_at, mat_at, node_at = g.mean[at], g.ichol[at], g.nodes[at]
+            if g.k == 1:
+                means = np.array([s.mean[0] for s in todo])
+                reg = np.array([s.cov[0, 0] for s in todo]) + floor
+                chol = np.sqrt(reg)
+                ichol = 1.0 / chol
+                const = -0.5 * LOG_2PI - np.log(chol)
+            else:
+                means = np.array([s.mean for s in todo])
+                reg, chol, ichol, const = _factors(np.array([s.cov for s in todo]), floor)
+            self.leaf_mean[mean_at] = means
+            self.leaf_ichol[mat_at] = ichol
+            self.leaf_chol[mat_at] = chol
+            self.leaf_cov[mat_at] = reg
+            self.leaf_const[node_at] = const
+            done[:] = map(weakref.ref, stats)
         self.refresh_weights(pool)
 
     def refresh_weights(self, pool: NodePool) -> None:
@@ -197,6 +236,7 @@ def compile_pool(pool: NodePool) -> CompiledNet:
     mat_ptr = np.zeros(n + 1, dtype=np.int64)
     mat_ptr[1:] = np.cumsum([s * s for s in leaf_sizes])
     leaf_ichol = np.zeros(mat_ptr[-1], dtype=np.float64)
+    leaf_chol = np.zeros(mat_ptr[-1], dtype=np.float64)
     leaf_cov = np.zeros(mat_ptr[-1], dtype=np.float64)
     mat_ptr = mat_ptr[:-1].copy()  # only a start offset per node
     leaf_const = np.zeros(n, dtype=np.float64)
@@ -217,9 +257,10 @@ def compile_pool(pool: NodePool) -> CompiledNet:
               else plan.leaves)
     width = max(n, child_idx.size, leaf_vars.size)
     net = CompiledNet(order, index, kind, child_ptr, child_idx, child_logw,
-                      leaf_ptr, leaf_vars, leaf_mean, mat_ptr, leaf_ichol, leaf_cov,
-                      leaf_const, pool.structure_version, leaves, plan, sums,
-                      max(1, _BLOCK_BYTES // (8 * width)))
+                      leaf_ptr, leaf_vars, leaf_mean, mat_ptr, leaf_ichol, leaf_chol,
+                      leaf_cov, leaf_const, pool.structure_version, leaves, plan, sums,
+                      max(1, _BLOCK_BYTES // (8 * width)),
+                      [[order[i] for i in g.nodes.tolist()] for g in leaves])
     net.refresh_params(pool)
     return net
 
@@ -229,10 +270,13 @@ class _ReadCache:
 
     The net is rebuilt when the pool, its structure version or its root
     differs (tests and users may reassign the root without a version bump);
-    otherwise its parameters are re-read from the pool, so edits to counts
-    or statistics made outside ``learn_batch`` show at once.  The pool is
-    held only weakly, and only one net is kept: a net per live pool would
-    stay alive as long as its pool.
+    otherwise ``refresh_params`` brings it up to date: replaced leaf
+    statistics, edited child counts and a new variance floor show at once,
+    while a write into a statistics array in place needs ``pool.bump()``.
+    The net always carries a level plan, which partial evidence, ``sample``
+    and ``analytic_mean`` run on.  The pool is held only weakly, and only
+    one net is kept: a net per live pool would stay alive as long as its
+    pool.
     """
 
     def __init__(self):
@@ -278,7 +322,7 @@ def log_density_rows(pool: NodePool, X: np.ndarray) -> np.ndarray:
     net = _READ_CACHE.net(pool)
     root = net.index[pool.root]
     out = np.empty(X.shape[0], dtype=np.float64)
-    for rows in net.row_blocks(X.shape[0]):
+    for rows in net.row_blocks(X.shape[0], net.block_rows):
         out[rows] = net.eval_rows(X[rows])[root]
     return out
 
@@ -363,60 +407,39 @@ def conditional_log_density(pool: NodePool, query: Mapping[int, float],
 def sample(pool: NodePool, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Draw rows from the network's distribution.
 
-    One top-down pass, vectorized over rows: each node receives the indices
-    of the rows that reach it, a sum node splits them among its children
-    according to its derived weights (deterministically, without consuming
-    randomness, when only one weight is positive), a product node passes
-    them to every child, and a leaf draws its scope columns from its
-    regularized Gaussian.  Returns shape (d,) when size is None, otherwise
-    (size, d).
+    One top-down pass over the cached net's level plan per block of rows
+    (``kernels.sample_flat``): each sum node picks one child per row that
+    reaches it by its weights, each product node passes the row to every
+    child, and each leaf draws its variables from its regularized Gaussian
+    with the Cholesky factor kept in the net.  Returns shape (d,) when size
+    is None, otherwise (size, d).
     """
     n = 1 if size is None else int(size)
     out = np.empty((n, pool.dim), dtype=np.float64)
-    # Decomposability keeps the row sets arriving from different parents
-    # disjoint, so every row is drawn once per variable.
-    reach: dict[int, list[np.ndarray]] = {pool.root: [np.arange(n)]}
-    for nid in reversed(topological_order(pool)):
-        if nid not in reach:
-            continue
-        rows = np.concatenate(reach.pop(nid))
-        node = pool.node(nid)
-        if isinstance(node, LeafNode):
-            k = len(node.scope)
-            chol = np.linalg.cholesky(node.stats.cov + pool.variance_floor * np.eye(k))
-            z = rng.standard_normal((len(rows), k))
-            out[rows[:, None], list(node.scope)] = node.stats.mean + z @ chol.T
-        elif isinstance(node, ProductNode):
-            for c in node.children:
-                reach.setdefault(c, []).append(rows)
-        else:
-            w = derived_weights(node, pool.weight_mode)
-            positive = np.flatnonzero(w > 0.0)
-            if len(positive) == 1:
-                reach.setdefault(node.children[int(positive[0])], []).append(rows)
-                continue
-            picks = rng.choice(len(w), size=len(rows), p=w / w.sum())
-            for j, c in enumerate(node.children):
-                sub = rows[picks == j]
-                if len(sub):
-                    reach.setdefault(c, []).append(sub)
+    net = _READ_CACHE.net(pool)
+    if net.draws is None:  # built on the first draw, so reads that never sample skip it
+        net.draws = kernels.draw_plan(net.plan, len(net.order))
+    root = net.index[pool.root]
+    for rows in net.row_blocks(n, max(1, _SAMPLE_BYTES // (8 * net.draws.row_words))):
+        kernels.sample_flat(net.plan, net.draws, net.child_logw, net.leaf_mean, net.leaf_chol,
+                            root, rng, out[rows])
     return out[0] if size is None else out
 
 
 def analytic_mean(pool: NodePool) -> np.ndarray:
-    """Exact per-variable mean of the network's distribution."""
-    means: dict[int, np.ndarray] = {}
-    for cur in topological_order(pool):
-        node = pool.node(cur)
-        vec = np.zeros(pool.dim)
-        if isinstance(node, LeafNode):
-            vec[list(node.scope)] = node.stats.mean
-        elif isinstance(node, ProductNode):
-            for c in node.children:
-                vec += means[c]
-        else:
-            w = derived_weights(node, pool.weight_mode)
-            for wi, c in zip(w, node.children):
-                vec += wi * means[c]
-        means[cur] = vec
-    return means[pool.root]
+    """Exact per-variable mean of the network's distribution.
+
+    One bottom-up pass over the cached net's level plan: a leaf's mean sits
+    on its scope, a product adds its children's means and a sum weights
+    them by its edge weights.
+    """
+    net = _READ_CACHE.net(pool)
+    means = np.zeros((len(net.order), pool.dim))
+    for g in net.plan.leaves:
+        means[g.nodes if g.k == 1 else g.nodes[:, None], g.cols] = net.leaf_mean[g.mean]
+    for g in net.plan.groups:
+        terms = means[g.children]
+        if g.is_sum:
+            terms *= np.exp(net.child_logw[g.edges])[:, :, None]
+        means[g.nodes] = terms.sum(axis=0)
+    return means[net.index[pool.root]]

@@ -143,12 +143,17 @@ class NodePool:
         self.structure_version += 1
 
     def bump(self) -> None:
-        """Mark the structure as changed (after direct child-list edits).
+        """Mark the structure as changed (after direct child-list edits, or
+        after writing into a leaf's statistics arrays in place).
 
-        Compiled nets, the learner's ``EvalCache`` and the one the density
+        Compiled nets, the learner's ``EvalCache`` and the one the read
         queries share, are rebuilt only when ``structure_version`` (or, for
         the queries, the root) changes; an edit to a child list made outside
         this class's methods must call this, or they evaluate the old graph.
+        The queries' net re-factors a leaf only when its ``stats`` object is
+        replaced, as ``learn_batch`` does, so a write into ``stats.mean`` or
+        ``stats.cov`` in place must call this too.  Edited counts show
+        without it.
         """
         self.structure_version += 1
 

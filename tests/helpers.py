@@ -151,6 +151,24 @@ def oracle_mean(pool: NodePool) -> np.ndarray:
     return total / norm
 
 
+def oracle_cov(pool: NodePool) -> np.ndarray:
+    """Model covariance from the expansion: the mixture of the components'
+    block-diagonal regularized covariances, about the model mean."""
+    second = np.zeros((pool.dim, pool.dim))
+    norm = 0.0
+    for lw, blocks in expand_mixture(pool):
+        w = np.exp(lw)
+        vec = np.zeros(pool.dim)
+        cov = np.zeros((pool.dim, pool.dim))
+        for vars_, mean, block in blocks:
+            vec[list(vars_)] = mean
+            cov[np.ix_(vars_, vars_)] = block + pool.variance_floor * np.eye(len(vars_))
+        second += w * (cov + np.outer(vec, vec))
+        norm += w
+    mean = oracle_mean(pool)
+    return second / norm - np.outer(mean, mean)
+
+
 # ----------------------------------------------------------------------
 # Raw-data statistics oracle
 # ----------------------------------------------------------------------

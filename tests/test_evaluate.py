@@ -32,8 +32,8 @@ from spnstream.learner import LearnerConfig, init_factored_pool, learn_batch, ma
 from spnstream.nodes import LeafNode, NodePool, ProductNode, SumNode, make_scope, validate
 
 from bench_eval import wide_mixture
-from helpers import (expand_mixture, oracle_log_density, oracle_log_density_rows, oracle_mean,
-                     random_pool)
+from helpers import (expand_mixture, oracle_cov, oracle_log_density, oracle_log_density_rows,
+                     oracle_mean, random_pool)
 
 # log pdf of a standard normal at zero.
 LOG_STD_NORMAL_AT_0 = -0.9189385332046727
@@ -461,6 +461,93 @@ def test_sample_mean_on_a_leaf_shared_by_two_products():
     assert np.all(np.abs(draws.mean(axis=0) - oracle_mean(pool)) < 4.5 * se)
 
 
+def assert_sample_moments(pool: NodePool, n: int, seed: int) -> None:
+    """Sample mean and covariance within 5 standard errors of the model's."""
+    draws = sample(pool, np.random.default_rng(seed), size=n)
+    mean, cov = oracle_mean(pool), oracle_cov(pool)
+    dev = draws - mean
+    for i, j in itertools.product(range(pool.dim), repeat=2):
+        prod = dev[:, i] * dev[:, j]
+        se = prod.std() / math.sqrt(n)
+        assert abs(prod.mean() - cov[i, j]) < 5.0 * se, (i, j, prod.mean(), cov[i, j])
+
+
+# A covariance whose Cholesky factor L is far from symmetric: draws made
+# with L transposed have covariance L^T L, which differs by over one unit.
+SKEWED_COV = np.array([[4.0, 1.8, -1.2], [1.8, 1.5, 0.3], [-1.2, 0.3, 2.0]])
+
+
+def test_sample_covariance_of_a_three_variable_leaf():
+    pool = NodePool(dim=3)
+    pool.root = pool.add(leaf([0, 1, 2], [1.0, -2.0, 0.5], SKEWED_COV, 10.0))
+    chol = np.linalg.cholesky(SKEWED_COV + pool.variance_floor * np.eye(3))
+    assert np.abs(chol.T @ chol - chol @ chol.T).max() > 1.0
+    assert_sample_moments(pool, 100_000, 131)
+
+
+def test_sample_covariance_of_a_mixture_over_multivariate_leaves():
+    pool = NodePool(dim=5)
+    scope = make_scope(range(5))
+    kids = []
+    for shift, count in ((0.0, 30.0), (3.0, 70.0)):
+        pair = pool.add(leaf([0, 4], [shift, -shift], [[1.0, 0.7], [0.7, 2.0]], count))
+        triple = pool.add(leaf([1, 2, 3], [0.5 * shift, shift, -1.0], SKEWED_COV / (1 + shift),
+                               count))
+        kids.append(pool.add(ProductNode(scope, [pair, triple], count,
+                                         GaussianStats.zeros(5, count))))
+    pool.root = pool.add(SumNode(scope, kids, [30.0, 70.0], 100.0))
+    assert validate(pool).ok
+    assert_sample_moments(pool, 100_000, 137)
+
+
+class ConstantRng:
+    """Every uniform ``u``, every normal 0."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def test_zero_weight_children_are_never_drawn_at_either_end_of_the_range():
+    # One mle sum alone, and two in one level group, each with zero-count
+    # first and last children: the smallest and the largest uniform must
+    # pick the children next to them.
+    for n_sums in (1, 2):
+        pool = NodePool(dim=n_sums, weight_mode="mle")
+        sums = []
+        for v in range(n_sums):
+            kids = [pool.add(leaf([v], [mean], [[0.01]], 7.0)) for mean in (-30.0, -1.0, 2.0, 50.0)]
+            sums.append(pool.add(SumNode(make_scope([v]), kids, [0.0, 0.1, 0.2, 0.0], 0.3)))
+        pool.root = sums[0] if n_sums == 1 else pool.add(
+            ProductNode(make_scope(range(n_sums)), sums, 0.3, GaussianStats.zeros(n_sums, 0.3)))
+        assert validate(pool).ok
+        for u, want in ((0.0, -1.0), (np.nextafter(1.0, 0.0), 2.0)):
+            draws = sample(pool, ConstantRng(u), size=64)
+            assert np.array_equal(draws, np.full((64, n_sums), want)), (n_sums, u)
+
+
+def test_sample_draws_in_bounded_blocks():
+    rng = np.random.default_rng(149)
+    pool = wide_mixture(250, 16, 4, rng)
+    sample(pool, rng, size=1)
+    # The 8 000 rows' (leaf, row) pairs and their 4 x 4 factors alone would
+    # take 8 MB in one block; the output takes 1 MB.
+    tracemalloc.start()
+    try:
+        draws = sample(pool, rng, size=8000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+    se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
+    assert np.all(np.abs(draws.mean(axis=0) - analytic_mean(pool)) < 5.0 * se)
+
+
 def test_validate_then_evaluate_round_trip_on_random_pools():
     rng = np.random.default_rng(101)
     for _ in range(10):
@@ -563,7 +650,8 @@ def test_read_queries_follow_every_kind_of_edit():
 
     def answers(p):
         return (log_density(p, evidence), conditional_log_density(p, query, evidence),
-                log_density_rows(p, X).tolist())
+                log_density_rows(p, X).tolist(), analytic_mean(p).tolist(),
+                sample(p, np.random.default_rng(5), size=3).tolist())
 
     def check():
         # The pool's answer comes from the net cached before the edit; the
@@ -624,6 +712,57 @@ def test_queries_on_a_cached_net_walk_no_graph(monkeypatch):
     conditional_log_density(pool, {1: 0.5}, {2: -0.4, 5: 1.5})
     log_density_rows(pool, rng.normal(size=(3, 6)))
     assert calls == []
+
+
+def test_sample_and_mean_on_a_cached_net_factor_only_replaced_leaves(monkeypatch):
+    rng = np.random.default_rng(151)
+    pool = random_pool(rng, dim=8, max_sums=4, max_leaf_vars=4)
+    multi = [n for n in pool.nodes.values() if isinstance(n, LeafNode) and len(n.scope) > 1]
+    assert len(multi) >= 2
+    log_density(pool, {0: 0.2})
+    calls, stacks = [], []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def factors(covs, floor):
+        stacks.append(covs.shape[0])
+        return real_factors(covs, floor)
+
+    real_factors = evaluate._factors
+    for name in ("topological_order", "_leaf_factor", "compile_pool"):
+        monkeypatch.setattr(evaluate, name, counted(getattr(evaluate, name)))
+    monkeypatch.setattr(np.linalg, "cholesky", counted(np.linalg.cholesky))
+    monkeypatch.setattr(evaluate, "_factors", factors)
+    sample(pool, rng, size=40)
+    analytic_mean(pool)
+    log_density_rows(pool, rng.normal(size=(3, 8)))
+    assert calls == [] and stacks == []
+    multi[0].stats = GaussianStats(multi[0].stats.mean + 1.0, multi[0].stats.cov, 3.0)
+    sample(pool, rng, size=40)
+    assert stacks == [1]
+    pool.variance_floor = 2e-4
+    analytic_mean(pool)
+    assert sum(stacks[1:]) == len(multi)
+    assert "topological_order" not in calls and "compile_pool" not in calls
+
+
+def test_in_place_stats_write_shows_after_bump():
+    rng = np.random.default_rng(157)
+    pool = random_pool(rng, dim=4, max_sums=3, max_leaf_vars=3)
+    evidence = {0: 0.3, 2: -0.5}
+    before = (log_density(pool, evidence), analytic_mean(pool).tolist())
+    first = next(n for n in pool.nodes.values() if isinstance(n, LeafNode))
+    first.stats.mean += 0.8
+    first.stats.cov *= 1.5
+    pool.bump()
+    after = (log_density(pool, evidence), analytic_mean(pool).tolist())
+    fresh = copy.deepcopy(pool)
+    assert after == (log_density(fresh, evidence), analytic_mean(fresh).tolist())
+    assert after != before
 
 
 def test_partial_evidence_runs_the_level_kernel_where_numba_is_installed(monkeypatch):
