@@ -174,7 +174,7 @@ class CompiledNet:
             fresh = [d is None or d() is not s for d, s in zip(done, stats)]
             if not any(fresh):
                 continue
-            if all(fresh):
+            if all(fresh):  # every leaf after a write to each: no gathers
                 at, todo = slice(None), stats
             else:
                 at = np.flatnonzero(fresh)
@@ -194,6 +194,8 @@ class CompiledNet:
             self.leaf_chol[mat_at] = chol
             self.leaf_cov[mat_at] = reg
             self.leaf_const[node_at] = const
+            # weakref.ref hands back an object's existing reference, so
+            # recording the unchanged leaves again costs next to nothing.
             done[:] = map(weakref.ref, stats)
         self.refresh_weights(pool)
 

@@ -105,16 +105,12 @@ class DrawGroup:
     ``target`` holds each child's group (an index into ``LevelPlan.groups``,
     or len(groups) plus an index into ``LevelPlan.leaves``) and ``pos`` its
     position in that group's arrays, both (c, m) like ``NodeGroup.children``;
-    ``targets`` lists the groups that occur.  ``runs`` is set for a product
-    group each of whose child slots feeds one group: the rows of ``target``
-    and ``pos`` are then sorted by that group, and each run (group, first
-    slot, end slot) covers the slots feeding it.
+    ``targets`` lists the groups that occur.
     """
 
     target: np.ndarray
     pos: np.ndarray
     targets: tuple[int, ...]
-    runs: tuple[tuple[int, int, int], ...] | None
 
 
 @dataclass(frozen=True)
@@ -123,7 +119,7 @@ class DrawPlan:
     pos_of: np.ndarray    # (N,) its position in that group
     groups: tuple[DrawGroup, ...]  # one per LevelPlan.groups entry
     # Bound on the 8-byte words one drawn row takes: a (node, row) pair for
-    # every node it can reach, a sum's cumulative weights and a leaf's draw.
+    # every node it can reach and a leaf's draw.
     row_words: int
 
 
@@ -178,16 +174,9 @@ def draw_plan(plan: LevelPlan, n_nodes: int) -> DrawPlan:
     draws = []
     for g in plan.groups:
         kids = words[g.children]
-        words[g.nodes] = 2 + (kids.shape[0] + kids.max(axis=0) if g.is_sum else kids.sum(axis=0))
+        words[g.nodes] = 2 + (kids.max(axis=0) if g.is_sum else kids.sum(axis=0))
         target, pos = group_of[g.children], pos_of[g.children]
-        runs = None
-        if not g.is_sum and (target == target[:, :1]).all():
-            slots = np.argsort(target[:, 0], kind="stable")
-            target, pos = target[slots], pos[slots]
-            feeds = target[:, 0].tolist()  # the group each slot feeds, ascending
-            cuts = [a for a in range(1, len(feeds)) if feeds[a] != feeds[a - 1]]
-            runs = tuple((feeds[lo], lo, hi) for lo, hi in zip([0, *cuts], [*cuts, len(feeds)]))
-        draws.append(DrawGroup(target, pos, tuple(sorted(set(target.ravel().tolist()))), runs))
+        draws.append(DrawGroup(target, pos, tuple(sorted(set(target.ravel().tolist())))))
     return DrawPlan(group_of, pos_of, tuple(draws), int(words.max()))
 
 
@@ -276,22 +265,23 @@ def sample_flat(plan: LevelPlan, draws: DrawPlan, child_logw, leaf_mean, leaf_ch
         pos, rows = _joined(parts)
         g, d = plan.groups[gi], draws.groups[gi]
         if g.is_sum:
-            cum = np.cumsum(np.exp(child_logw[g.edges]), axis=0)
-            one = cum.shape[1] == 1  # a single node: one binary search
-            total = cum[-1, 0] if one else cum[-1][pos]
-            # Held below the total, so the first cumulative weight above it
-            # belongs to a child of positive weight.
-            u = np.minimum(rng.random(rows.size) * total, np.nextafter(total, 0.0))
-            pick = (np.searchsorted(cum[:, 0], u, side="right") if one
-                    else (cum[:, pos] <= u).sum(axis=0))
+            # The group's edge weights node after node in one running sum, so
+            # one binary search picks for every pair: node p's children cover
+            # (lo, hi], lo the weight of nodes 0..p-1 and hi = cum[p c + c - 1].
+            # Each node's weights sum to one, so the running sum's rounding
+            # grows only with the number of nodes in the group.
+            c = g.edges.shape[0]
+            cum = np.cumsum(np.exp(child_logw[g.edges.T]))
+            hi = cum[c - 1::c]
+            lo = np.concatenate(([0.0], hi[:-1]))[pos]
+            hi = hi[pos]
+            # Held in [lo, hi), so the first cumulative weight above it
+            # belongs to a child of this node with positive weight.
+            u = np.minimum(lo + rng.random(rows.size) * (hi - lo), np.nextafter(hi, 0.0))
+            pick = np.searchsorted(cum, u, side="right") - pos * c
             _route(pending, d, (pick, pos), rows)
-        elif d.runs is None:
-            _route(pending, d, (slice(None), pos), np.concatenate([rows] * len(d.pos)))
         else:
-            kids = d.pos.take(pos, axis=1)
-            for t, lo, hi in d.runs:
-                pending[t].append((kids[lo:hi].ravel(),
-                                   rows if hi - lo == 1 else np.concatenate([rows] * (hi - lo))))
+            _route(pending, d, (slice(None), pos), np.concatenate([rows] * len(d.pos)))
     for li, g in enumerate(plan.leaves):
         parts, pending[n_inner + li] = pending[n_inner + li], None
         if not parts:

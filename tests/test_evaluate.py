@@ -516,7 +516,8 @@ class ConstantRng:
 def test_zero_weight_children_are_never_drawn_at_either_end_of_the_range():
     # One mle sum alone, and two in one level group, each with zero-count
     # first and last children: the smallest and the largest uniform must
-    # pick the children next to them.
+    # pick the children next to them.  A uniform in between checks that
+    # each sum of a group picks from its own weights.
     for n_sums in (1, 2):
         pool = NodePool(dim=n_sums, weight_mode="mle")
         sums = []
@@ -526,7 +527,7 @@ def test_zero_weight_children_are_never_drawn_at_either_end_of_the_range():
         pool.root = sums[0] if n_sums == 1 else pool.add(
             ProductNode(make_scope(range(n_sums)), sums, 0.3, GaussianStats.zeros(n_sums, 0.3)))
         assert validate(pool).ok
-        for u, want in ((0.0, -1.0), (np.nextafter(1.0, 0.0), 2.0)):
+        for u, want in ((0.0, -1.0), (0.25, -1.0), (np.nextafter(1.0, 0.0), 2.0)):
             draws = sample(pool, ConstantRng(u), size=64)
             assert np.array_equal(draws, np.full((64, n_sums), want)), (n_sums, u)
 
