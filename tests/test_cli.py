@@ -114,6 +114,16 @@ def test_missing_data_file_fails_cleanly(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_undecodable_data_file_fails_with_one_error_line(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"1,2\n\xff\xfe,3\n")
+    code, out, err = run(capsys, "train", data, "--out", tmp_path / "m.spn")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "line 2" in err and "UTF-8" in err
+
+
 def test_dimension_mismatch_fails_cleanly(tmp_path, capsys):
     data = tmp_path / "toy.csv"
     model = tmp_path / "model.spn"
