@@ -14,6 +14,13 @@ rows.  For each network it also prints partial-evidence queries/second
 toy stream (small, deep enough to be realistic) and two wide constructed
 mixtures (many sum edges, multivariate leaves), the larger with 1 251 nodes.
 
+Last, the write path: ``learn_batch`` rows/second on live models, one row
+per call on the trained toy model and 16 rows per call on a model trained
+on planted blocks, each with no read between writes and with one marginal
+query after every write (untimed).  The read re-factors the leaves the
+write replaced; a second factorization of them by the next write, or
+per-node overhead in the write pass, shows in these rates.
+
 Run from the repository root:
 
     python3 benchmarks/bench_eval.py
@@ -21,6 +28,7 @@ Run from the repository root:
 """
 
 import argparse
+import copy
 import time
 
 import numpy as np
@@ -29,7 +37,7 @@ from spnstream import toy
 from spnstream.evaluate import compile_pool, conditional_log_density, log_density, sample
 from spnstream.gstats import GaussianStats
 from spnstream.kernels import NUMBA_ENABLED, _eval_flat_scalar, eval_flat_numba
-from spnstream.learner import LearnerConfig, fit
+from spnstream.learner import EvalCache, LearnerConfig, fit, learn_batch
 from spnstream.nodes import LeafNode, NodePool, ProductNode, SumNode, make_scope
 
 
@@ -139,6 +147,61 @@ def run_workload(name: str, pool, batch_sizes, min_seconds: float, rng) -> None:
     print(f"sample rows/s: {draws}")
 
 
+def planted_blocks(n: int, rng, blocks: int = 6, width: int = 4) -> np.ndarray:
+    """Rows of independent blocks of ``width`` variables; within a block the
+    variables share one of three cluster centres and a latent factor."""
+    centres = rng.normal(0.0, 3.0, size=(blocks, 3, width))
+    loadings = rng.uniform(0.5, 1.5, size=(blocks, width))
+    out = np.empty((n, blocks * width))
+    for b in range(blocks):
+        z = rng.integers(3, size=n)
+        f = rng.standard_normal(n)
+        out[:, b * width:(b + 1) * width] = (centres[b, z] + f[:, None] * loadings[b]
+                                             + rng.normal(0.0, 0.5, size=(n, width)))
+    return out
+
+
+def write_pass(pool, rows, cfg: LearnerConfig, read: bool) -> float:
+    """Seconds of ``learn_batch`` calls streaming ``rows`` into a copy of
+    ``pool`` in batches of ``cfg.batch_size``, the structure learning on.
+    With ``read``, one marginal query runs after every write, untimed."""
+    evidence = {0: float(rows[0, 0])}
+    live, cache = copy.deepcopy(pool), EvalCache()
+    log_density(live, evidence)  # the state a live model is read in
+    rng = np.random.default_rng(cfg.seed)
+    timed = 0.0
+    for lo in range(0, rows.shape[0], cfg.batch_size):
+        t0 = time.perf_counter()
+        learn_batch(live, rows[lo:lo + cfg.batch_size], cfg, rng, cache=cache)
+        timed += time.perf_counter() - t0
+        if read:
+            log_density(live, evidence)
+    return timed
+
+
+def run_writes(min_seconds: float, seed: int) -> None:
+    """Best rows/second of passes without and with reads, taken in turn so
+    that a change of machine speed hits both alike."""
+    rng = np.random.default_rng(seed)
+    toy_cfg = LearnerConfig(max_leaf_vars=1, seed=0)
+    blocks_cfg = LearnerConfig(batch_size=16, seed=0)
+    toy_pool, _ = fit(toy.generate(3000, rng), toy_cfg)
+    blocks_pool, _ = fit(planted_blocks(20000, rng), LearnerConfig(batch_size=256, seed=0))
+    print("\nlearn_batch rows/s on live models (structure learning on)")
+    print(f"{'model':>26} {'batch':>6} {'no reads':>10} {'read after each':>16}")
+    for name, pool, rows, cfg in [
+            ("trained toy", toy_pool, toy.generate(500, rng), toy_cfg),
+            ("planted blocks", blocks_pool, planted_blocks(640, rng), blocks_cfg)]:
+        best, spent = [0.0, 0.0], 0.0
+        while spent < 2 * min_seconds:
+            for read in (False, True):
+                dt = write_pass(pool, rows, cfg, read)
+                spent += dt
+                best[read] = max(best[read], rows.shape[0] / dt)
+        print(f"{name + f' ({len(pool)} nodes)':>26} {cfg.batch_size:>6} {best[0]:>10.0f}"
+              f" {best[1]:>16.0f}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--batch-sizes", type=int, nargs="+",
@@ -155,6 +218,7 @@ def main() -> None:
         run_workload(f"wide mixture ({components} x 4 leaves over 16 vars)",
                      wide_mixture(components, 16, 4, rng), args.batch_sizes,
                      args.min_seconds, rng)
+    run_writes(args.min_seconds, args.seed)
 
 
 if __name__ == "__main__":

@@ -48,10 +48,14 @@ def _load_numpy(path) -> tuple[np.ndarray, list[str] | None] | None:
     Every cell numpy accepts, Python's ``float`` accepts with the same bits,
     and a file numpy splits into rows holds no quote, so an accepted file
     has the same rows as the reference reads.  The header is the reference's
-    own first record.
+    own first record, and only one line long: numpy skips one line, and a
+    quoted header cell may run over several.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        first = [c.strip() for c in next(csv.reader(fh), [])]
+        reader = csv.reader(fh)
+        first = [c.strip() for c in next(reader, [])]
+        if reader.line_num > 1:
+            return None
         names = first if any(first) and _try_floats(first) is None else None
         fh.seek(0)
         with warnings.catch_warnings():

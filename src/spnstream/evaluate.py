@@ -7,11 +7,14 @@ in which NaN marks an unassigned variable; each Gaussian leaf integrates
 its unassigned variables out, so a leaf with no assigned variable
 contributes a factor of one.  ``sample`` draws rows in one top-down pass
 over the net's level plan and ``analytic_mean`` is one bottom-up pass.
-All of them share one cached net per pool structure (``_ReadCache``).  On
-each call the net re-factors the leaves whose statistics object was
-replaced and recomputes every sum weight from the counts, so a query never
-sees stale parameters; a write into a statistics array in place needs
-``pool.bump()``.
+Each pool holds one compiled net (``shared_net``), which these queries and
+``learner.learn_batch`` share, so a write and the reads after it compile
+and factor the network once between them.  The net is rebuilt after a
+structure edit; otherwise each use re-factors only the leaves whose
+statistics object was replaced (every leaf after a change of
+``pool.variance_floor``, which shows at once) and recomputes every sum
+weight from the counts, so no caller sees stale parameters; a write into a
+statistics array in place needs ``pool.bump()``.
 """
 
 from __future__ import annotations
@@ -55,6 +58,14 @@ def _factors(covs: np.ndarray, floor: float):
     return reg, chol, ichol, const
 
 
+def _univariate_factors(var: np.ndarray, floor: float):
+    """``_factors`` in closed form for univariate leaves of variances ``var``,
+    shape (m,): the Cholesky factor of a 1x1 matrix is its square root."""
+    reg = var + floor
+    chol = np.sqrt(reg)
+    return reg, chol, 1.0 / chol, -0.5 * LOG_2PI - np.log(chol)
+
+
 def _leaf_factor(stats: GaussianStats, floor: float):
     """(mean, inverse Cholesky factor, log normalization constant) of one
     leaf's regularized Gaussian N(mean, cov + floor * I)."""
@@ -84,7 +95,7 @@ class CompiledNet:
     leaf_chol: np.ndarray  # Cholesky factors, laid out like leaf_ichol
     leaf_cov: np.ndarray  # regularized covariances, laid out like leaf_ichol
     leaf_const: np.ndarray
-    structure_version: int
+    key: tuple[int, int]  # (pool.structure_version, pool.root) it was compiled at
     leaves: tuple[kernels.LeafGroup, ...]
     plan: kernels.LevelPlan | None  # None where the numba kernel runs
     sums: list[tuple[int, int]]  # (sum node id, offset of its first edge)
@@ -182,10 +193,8 @@ class CompiledNet:
             mean_at, mat_at, node_at = g.mean[at], g.ichol[at], g.nodes[at]
             if g.k == 1:
                 means = np.array([s.mean[0] for s in todo])
-                reg = np.array([s.cov[0, 0] for s in todo]) + floor
-                chol = np.sqrt(reg)
-                ichol = 1.0 / chol
-                const = -0.5 * LOG_2PI - np.log(chol)
+                reg, chol, ichol, const = _univariate_factors(
+                    np.array([s.cov[0, 0] for s in todo]), floor)
             else:
                 means = np.array([s.mean for s in todo])
                 reg, chol, ichol, const = _factors(np.array([s.cov for s in todo]), floor)
@@ -260,47 +269,44 @@ def compile_pool(pool: NodePool) -> CompiledNet:
     width = max(n, child_idx.size, leaf_vars.size)
     net = CompiledNet(order, index, kind, child_ptr, child_idx, child_logw,
                       leaf_ptr, leaf_vars, leaf_mean, mat_ptr, leaf_ichol, leaf_chol,
-                      leaf_cov, leaf_const, pool.structure_version, leaves, plan, sums,
+                      leaf_cov, leaf_const, (pool.structure_version, pool.root), leaves,
+                      plan, sums,
                       max(1, _BLOCK_BYTES // (8 * width)),
                       [[order[i] for i in g.nodes.tolist()] for g in leaves])
     net.refresh_params(pool)
     return net
 
 
-class _ReadCache:
-    """The compiled net of the pool the last read query saw.
+def shared_net(pool: NodePool) -> CompiledNet:
+    """The pool's compiled net, up to date with its parameters.
 
-    The net is rebuilt when the pool, its structure version or its root
-    differs (tests and users may reassign the root without a version bump);
-    otherwise ``refresh_params`` brings it up to date: replaced leaf
-    statistics, edited child counts and a new variance floor show at once,
-    while a write into a statistics array in place needs ``pool.bump()``.
-    The net always carries a level plan, which partial evidence, ``sample``
-    and ``analytic_mean`` run on.  The pool is held only weakly, and only
-    one net is kept: a net per live pool would stay alive as long as its
-    pool.
+    One net per pool, held on the pool itself (``pool.compiled``), so it
+    lives exactly as long as the pool and a deep copy of the pool gets its
+    own.  ``learner.learn_batch`` and every read query use it.  The net is
+    rebuilt when the structure version or the root differs from the ones it
+    was compiled at (tests and users may reassign the root without a
+    version bump); otherwise ``refresh_params`` brings it up to date:
+    replaced leaf statistics, edited child counts and a new variance floor
+    show at once, while a write into a statistics array in place needs
+    ``pool.bump()``.
     """
-
-    def __init__(self):
-        self._pool = None
-        self._key = None
-        self._net = None
-
-    def net(self, pool: NodePool) -> CompiledNet:
-        key = (pool.structure_version, pool.root)
-        if self._pool is None or self._pool() is not pool or self._key != key:
-            self._net = None  # let the old net go before compiling the new one
-            net = compile_pool(pool)
-            if net.plan is None:  # the numba kernel takes no partial evidence
-                net.plan = kernels.level_plan(net.kind, net.child_ptr, net.child_idx,
-                                              net.leaf_ptr, net.leaf_vars, net.mat_ptr)
-            self._pool, self._key, self._net = weakref.ref(pool), key, net
-        else:
-            self._net.refresh_params(pool)
-        return self._net
+    net = pool.compiled
+    if net is None or net.key != (pool.structure_version, pool.root):
+        pool.compiled = None  # let the old net go before compiling the new one
+        net = pool.compiled = compile_pool(pool)
+    else:
+        net.refresh_params(pool)
+    return net
 
 
-_READ_CACHE = _ReadCache()
+def _planned_net(pool: NodePool) -> CompiledNet:
+    """``shared_net`` with the level plan that partial evidence, ``sample`` and
+    ``analytic_mean`` run on; where numba runs, the first such read builds it."""
+    net = shared_net(pool)
+    if net.plan is None:
+        net.plan = kernels.level_plan(net.kind, net.child_ptr, net.child_idx,
+                                      net.leaf_ptr, net.leaf_vars, net.mat_ptr)
+    return net
 
 
 def check_rows(X: np.ndarray, dim: int) -> np.ndarray:
@@ -321,7 +327,7 @@ def log_density_rows(pool: NodePool, X: np.ndarray) -> np.ndarray:
     kept, so memory does not grow with the number of rows.
     """
     X = check_rows(X, pool.dim)
-    net = _READ_CACHE.net(pool)
+    net = shared_net(pool)
     root = net.index[pool.root]
     out = np.empty(X.shape[0], dtype=np.float64)
     for rows in net.row_blocks(X.shape[0], net.block_rows):
@@ -375,7 +381,7 @@ def _partial_rows(pool: NodePool, *assignments: dict[int, float]) -> np.ndarray:
     X = np.full((len(assignments), pool.dim), np.nan)
     for row, assignment in zip(X, assignments):
         row[list(assignment)] = list(assignment.values())
-    net = _READ_CACHE.net(pool)
+    net = _planned_net(pool)
     return net.eval_rows(X, partial=True)[net.index[pool.root]]
 
 
@@ -418,7 +424,7 @@ def sample(pool: NodePool, rng: np.random.Generator, size: int | None = None) ->
     """
     n = 1 if size is None else int(size)
     out = np.empty((n, pool.dim), dtype=np.float64)
-    net = _READ_CACHE.net(pool)
+    net = _planned_net(pool)
     if net.draws is None:  # built on the first draw, so reads that never sample skip it
         net.draws = kernels.draw_plan(net.plan, len(net.order))
     root = net.index[pool.root]
@@ -435,7 +441,7 @@ def analytic_mean(pool: NodePool) -> np.ndarray:
     on its scope, a product adds its children's means and a sum weights
     them by its edge weights.
     """
-    net = _READ_CACHE.net(pool)
+    net = _planned_net(pool)
     means = np.zeros((len(net.order), pool.dim))
     for g in net.plan.leaves:
         means[g.nodes if g.k == 1 else g.nodes[:, None], g.cols] = net.leaf_mean[g.mean]

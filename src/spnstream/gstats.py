@@ -58,7 +58,8 @@ class GaussianStats:
         population covariance using deviations from the pre-update mean,
         then corrects for the mean shift.  An empty batch is a no-op.
         """
-        batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+        if not (type(batch) is np.ndarray and batch.ndim == 2 and batch.dtype == np.float64):
+            batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
         m = batch.shape[0]
         if m == 0:
             return GaussianStats(self.mean.copy(), self.cov.copy(), self.count)
@@ -66,11 +67,12 @@ class GaussianStats:
             raise ValueError(f"batch width {batch.shape[1]} does not match stats dimension {self.dim}")
         n = self.count
         total = n + m
-        new_mean = (n * self.mean + batch.sum(axis=0)) / total
+        # np.add.reduce is what batch.sum(axis=0) calls, without its Python wrapper.
+        new_mean = (n * self.mean + np.add.reduce(batch, axis=0)) / total
         dev = batch - self.mean
         scatter = dev.T @ dev
         delta = new_mean - self.mean
-        new_cov = (n * self.cov + scatter) / total - np.outer(delta, delta)
+        new_cov = (n * self.cov + scatter) / total - delta[:, None] * delta
         new_cov = 0.5 * (new_cov + new_cov.T)
         return GaussianStats(new_mean, new_cov, total)
 

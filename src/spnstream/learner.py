@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import CompiledNet, check_rows, compile_pool, subtree_log_density_rows
+from .evaluate import CompiledNet, check_rows, shared_net, subtree_log_density_rows
 from .gstats import GaussianStats
 from .nodes import (LeafNode, NodePool, ProductNode, Scope, SumNode,
                     WEIGHT_MODES, make_scope, scope_positions, scope_union,
@@ -251,36 +251,20 @@ def simplify(pool: NodePool) -> bool:
     return changed
 
 
-@dataclass
 class EvalCache:
-    """Reuses the flattened network between batches.
+    """Handle on a pool's compiled net, for callers that hold one.
 
-    A structure edit forces a full rebuild; otherwise only the leaves whose
-    statistics moved since the last batch are re-derived, and sum-edge
-    weights are refreshed from current counts on every use.
+    The net lives on the pool (``evaluate.shared_net``) and is shared with
+    the read queries, so a cache adds no state: ``learn_batch`` finds the
+    same net with or without one.  A structure edit forces a rebuild;
+    otherwise only leaves whose statistics were replaced since the net last
+    saw them are re-factored (every leaf after a change of
+    ``pool.variance_floor``), and sum-edge weights are refreshed from the
+    current counts on every use.
     """
 
-    net: CompiledNet | None = None
-    stale_leaves: set = field(default_factory=set)
-    # The pool ``net`` was compiled from: loaded pools all start at the same
-    # structure version, so the version alone cannot tell two pools apart.
-    pool: NodePool | None = field(init=False, default=None)
-
     def ensure(self, pool: NodePool) -> CompiledNet:
-        if (self.net is None or self.pool is not pool
-                or self.net.structure_version != pool.structure_version):
-            self.net = compile_pool(pool)
-            self.pool = pool
-            self.stale_leaves.clear()
-            return self.net
-        for nid in self.stale_leaves:
-            self.net.refresh_leaf(pool, nid)
-        self.stale_leaves.clear()
-        self.net.refresh_weights(pool)
-        return self.net
-
-    def mark_leaf(self, nid: int) -> None:
-        self.stale_leaves.add(nid)
+        return shared_net(pool)
 
 
 def _best_cross_child_pair(pool: NodePool, node: ProductNode):
@@ -339,14 +323,15 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
     change can never cascade within the batch that triggered it.
     Rows of the wrong width or with a non-finite value raise ValueError
     before the pool is touched.
+    The bottom-up pass runs on the pool's compiled net, the one the read
+    queries use (``evaluate.shared_net``), so ``cache`` is optional: the
+    net is found through the pool either way.
     """
     rows = check_rows(rows, pool.dim)
     report = BatchReport(rows=rows.shape[0])
     if rows.shape[0] == 0:
         return report
-    if cache is None:
-        cache = EvalCache()
-    net = cache.ensure(pool)
+    net = shared_net(pool)
     values = net.eval_rows(rows)
 
     def restructure(nid: int, node: ProductNode,
@@ -381,12 +366,11 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
         node = pool.node(nid)
         node.count += float(len(idx))
         if isinstance(node, LeafNode):
-            node.stats = node.stats.update(rows[np.ix_(idx, list(node.scope))])
-            cache.mark_leaf(nid)
+            node.stats = node.stats.update(rows[idx[:, None], node.scope])
         elif isinstance(node, ProductNode):
             prev_stats = node.stats
             prev_count = node.count - float(len(idx))
-            node.stats = node.stats.update(rows[np.ix_(idx, list(node.scope))])
+            node.stats = node.stats.update(rows[idx[:, None], node.scope])
             if (not structure_frozen and len(node.children) >= 2
                     and node.stats.count >= node.next_check):
                 node.next_check = 2.0 * node.stats.count
@@ -432,7 +416,6 @@ def fit(rows: np.ndarray, config: LearnerConfig,
     rows = check_rows(rows, pool.dim)
     n = rows.shape[0]
     rng = np.random.default_rng(config.seed)
-    cache = EvalCache()
     report = FitReport(rows=n)
     freeze_at = None
     if config.early_stop_fraction < 1.0:
@@ -444,7 +427,7 @@ def fit(rows: np.ndarray, config: LearnerConfig,
         frozen = freeze_at is not None and consumed >= freeze_at
         if frozen and report.frozen_after_rows is None:
             report.frozen_after_rows = consumed
-        br = learn_batch(pool, batch, config, rng, structure_frozen=frozen, cache=cache)
+        br = learn_batch(pool, batch, config, rng, structure_frozen=frozen)
         report.batches += 1
         report.mixtures_created += br.mixtures_created
         report.leaves_merged += br.leaves_merged

@@ -116,6 +116,9 @@ class NodePool:
         self.root: int = -1
         self._next_id = 0
         self.structure_version = 0
+        # The evaluate.CompiledNet that learn_batch and the read queries
+        # share; evaluate.shared_net builds and refreshes it.
+        self.compiled = None
 
     def add(self, node: Node) -> int:
         nid = self._next_id
@@ -146,14 +149,14 @@ class NodePool:
         """Mark the structure as changed (after direct child-list edits, or
         after writing into a leaf's statistics arrays in place).
 
-        Compiled nets, the learner's ``EvalCache`` and the one the read
-        queries share, are rebuilt only when ``structure_version`` (or, for
-        the queries, the root) changes; an edit to a child list made outside
-        this class's methods must call this, or they evaluate the old graph.
-        The queries' net re-factors a leaf only when its ``stats`` object is
-        replaced, as ``learn_batch`` does, so a write into ``stats.mean`` or
-        ``stats.cov`` in place must call this too.  Edited counts show
-        without it.
+        The pool's compiled net, which ``learn_batch`` and the read queries
+        share (``evaluate.shared_net``), is rebuilt only when
+        ``structure_version`` or the root changes; an edit to a child list
+        made outside this class's methods must call this, or both evaluate
+        the old graph.  The net re-factors a leaf only when its ``stats``
+        object is replaced, as ``learn_batch`` does, so a write into
+        ``stats.mean`` or ``stats.cov`` in place must call this too.  Edited
+        counts and a new ``variance_floor`` show without it.
         """
         self.structure_version += 1
 

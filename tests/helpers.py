@@ -179,3 +179,23 @@ def population_stats(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = data.mean(axis=0)
     dev = data - mean
     return mean, dev.T @ dev / data.shape[0]
+
+
+def reference_update(stats: GaussianStats, batch) -> GaussianStats:
+    """``GaussianStats.update`` as first written, with every conversion and
+    ``np.outer``: the oracle its faster form must match bit for bit."""
+    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    m = batch.shape[0]
+    if m == 0:
+        return GaussianStats(stats.mean.copy(), stats.cov.copy(), stats.count)
+    if batch.shape[1] != stats.dim:
+        raise ValueError(f"batch width {batch.shape[1]} does not match stats dimension {stats.dim}")
+    n = stats.count
+    total = n + m
+    new_mean = (n * stats.mean + batch.sum(axis=0)) / total
+    dev = batch - stats.mean
+    scatter = dev.T @ dev
+    delta = new_mean - stats.mean
+    new_cov = (n * stats.cov + scatter) / total - np.outer(delta, delta)
+    new_cov = 0.5 * (new_cov + new_cov.T)
+    return GaussianStats(new_mean, new_cov, total)

@@ -39,6 +39,16 @@ def test_header_is_sniffed_not_assumed(tmp_path):
     assert got[0, 0] == 1.5
 
 
+def test_a_quoted_header_cell_over_several_lines_is_one_record(tmp_path):
+    # The quote opens a cell that runs to the end of the file, so the file
+    # is a header and nothing else, however many numeric lines follow.
+    for i, text in enumerate(['"1\n0.0', '"x\n1.0,2.0\n3.0,4.0\n']):
+        path = tmp_path / f"quoted{i}.csv"
+        path.write_text(text)
+        with pytest.raises(DatasetError, match="no data rows"):
+            load_csv(path)
+
+
 def test_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text("x,y\n\n1,2\n\n3,4\n")

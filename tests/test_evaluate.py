@@ -655,12 +655,12 @@ def test_read_queries_follow_every_kind_of_edit():
                 sample(p, np.random.default_rng(5), size=3).tolist())
 
     def check():
-        # The pool's answer comes from the net cached before the edit; the
-        # copy's evicts it and is compiled afresh, so the pool is queried
-        # once more to cache its net for the next edit.
+        # The pool's answer comes from the net it held before the edit; the
+        # copy drops the net it was copied with, so it is compiled afresh.
         got = answers(pool)
-        assert got == answers(copy.deepcopy(pool))
-        answers(pool)
+        fresh = copy.deepcopy(pool)
+        fresh.compiled = None
+        assert got == answers(fresh)
         return got
 
     seen = [check()]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spnstream.gstats import GaussianStats
 
-from helpers import population_stats
+from helpers import population_stats, reference_update
 
 
 def test_single_point_from_empty():
@@ -116,3 +118,56 @@ def test_restrict_slices_and_keeps_count():
     assert sub.count == 7.0
     np.testing.assert_array_equal(sub.mean, [1.0, 3.0])
     np.testing.assert_array_equal(sub.cov, np.diag([1.0, 9.0]))
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def update_cases(draw):
+    """(stats, batch, form): a batch of rows in one of the forms callers pass."""
+    k = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 12))
+    form = draw(st.sampled_from(["c", "columns", "row", "lists", "ints", "wide"]))
+    if form == "row":
+        m = 1
+    mean = np.array(draw(st.lists(FINITE, min_size=k, max_size=k)))
+    a = np.array(draw(st.lists(FINITE, min_size=k * k, max_size=k * k))).reshape(k, k)
+    stats = GaussianStats(mean, a @ a.T, draw(st.floats(0.0, 1e6)))
+    if form == "ints":
+        batch = np.array(draw(st.lists(st.integers(-10**6, 10**6), min_size=m * k,
+                                       max_size=m * k)), dtype=np.int64).reshape(m, k)
+        return stats, batch, form
+    width = k + 1 if form == "wide" else 2 * k + 1
+    full = np.array(draw(st.lists(FINITE, min_size=m * width, max_size=m * width)))
+    full = full.reshape(m, width)
+    if form == "c":
+        batch = np.ascontiguousarray(full[:, :k])
+    elif form == "columns":  # a strided view, as a column slice of a wider batch
+        batch = full[:, 1::2]
+    elif form == "row":
+        batch = full[0, :k]
+    elif form == "lists":
+        batch = full[:, :k].tolist()
+    else:  # one column too many
+        batch = full
+    return stats, batch, form
+
+
+def update_outcome(update, stats, batch):
+    """The exact bits an update gives, or its error message."""
+    try:
+        out = update(stats, batch)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return out.count, out.mean.dtype, out.mean.tobytes(), out.cov.dtype, out.cov.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(update_cases())
+def test_update_matches_the_reference_formula_bit_for_bit(case):
+    stats, batch, form = case
+    got = update_outcome(GaussianStats.update, stats, batch)
+    assert got == update_outcome(reference_update, stats, batch)
+    if form == "wide" and len(batch):
+        assert got[0] == "ValueError" and "does not match stats dimension" in got[1]

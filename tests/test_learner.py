@@ -1,12 +1,13 @@
 """Streaming structure learning: initialization, restructuring, simplification."""
 
+import copy
 import gc
 
 import numpy as np
 import pytest
 
-from spnstream import toy
-from spnstream.evaluate import log_density_rows
+from spnstream import evaluate, toy
+from spnstream.evaluate import log_density, log_density_rows, sample
 from spnstream.gstats import GaussianStats
 from spnstream.learner import (
     EvalCache,
@@ -597,3 +598,173 @@ def test_one_cache_serves_two_loaded_models():
         return out
 
     assert learned(EvalCache()) == learned(None)
+
+
+def test_learner_sees_a_variance_floor_change_at_once():
+    # Leaf A fits 0.6 better under the old floor, leaf B under a floor of 10.
+    pool = NodePool(dim=1)
+    a = pool.add(LeafNode((0,), GaussianStats(np.array([0.0]), np.array([[0.01]]), 5.0), 5.0))
+    b = pool.add(LeafNode((0,), GaussianStats(np.array([1.0]), np.array([[0.0]]), 5.0), 5.0))
+    pool.root = pool.add(SumNode((0,), [a, b], [5.0, 5.0], 10.0))
+    cache = EvalCache()
+    cache.ensure(pool)
+    pool.variance_floor = 10.0
+    fresh = pool_from_json(pool_to_json(pool))
+    row, cfg = np.array([[0.6]]), LearnerConfig()
+    learn_batch(pool, row, cfg, np.random.default_rng(0), cache=cache)
+    learn_batch(fresh, row, cfg, np.random.default_rng(0), cache=EvalCache())
+    assert pool.node(pool.root).child_counts == [5.0, 6.0]
+    assert pool_to_json(pool) == pool_to_json(fresh)
+
+
+class CompileCounter:
+    """Counts compiles, ``refresh_leaf`` calls and factored leaves (one per
+    leaf in each stack handed to ``_factors`` or ``_univariate_factors``)."""
+
+    def __init__(self, monkeypatch):
+        self.compiles = self.refresh_leaf = self.factored = 0
+        self.compile_pool = evaluate.compile_pool
+        counter = self
+
+        def compile_pool(pool):
+            counter.compiles += 1
+            return counter.compile_pool(pool)
+
+        def stacked(fn):
+            def wrapper(covs, floor):
+                counter.factored += covs.shape[0]
+                return fn(covs, floor)
+            return wrapper
+
+        refresh_leaf = evaluate.CompiledNet.refresh_leaf
+
+        def counted_refresh_leaf(net, pool, nid):
+            counter.refresh_leaf += 1
+            return refresh_leaf(net, pool, nid)
+
+        monkeypatch.setattr(evaluate, "compile_pool", compile_pool)
+        monkeypatch.setattr(evaluate, "_factors", stacked(evaluate._factors))
+        monkeypatch.setattr(evaluate, "_univariate_factors",
+                            stacked(evaluate._univariate_factors))
+        monkeypatch.setattr(evaluate.CompiledNet, "refresh_leaf", counted_refresh_leaf)
+
+    def take(self) -> tuple[int, int, int]:
+        out = self.compiles, self.factored, self.refresh_leaf
+        self.compiles = self.refresh_leaf = self.factored = 0
+        return out
+
+    def assert_matches_fresh_compile(self, net, pool):
+        """The net's parameter arrays equal a fresh compile of ``pool``, bit for
+        bit; the fresh compile's factorizations are not counted."""
+        counted = self.factored
+        fresh = self.compile_pool(pool)
+        self.factored = counted
+        for name in ("leaf_mean", "leaf_ichol", "leaf_chol", "leaf_cov", "leaf_const",
+                     "child_logw"):
+            assert getattr(net, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+
+def reads(pool):
+    """One of each read query, as plain values."""
+    return (log_density(pool, {0: 0.3, 5: -1.0}), log_density_rows(pool, np.ones((2, 8))).tolist(),
+            sample(pool, np.random.default_rng(3), size=4).tolist())
+
+
+def blocks_model(seed: int):
+    """A learned 8-variable model: a correlated pair that becomes a 2-variable
+    leaf, a two-cluster triple that becomes a mixture, three free variables."""
+    rng = np.random.default_rng(seed)
+    n = 3000
+    a = rng.normal(size=(n, 1))
+    pair = np.hstack([a, a + 0.3 * rng.normal(size=(n, 1))])
+    triple = 4.0 * rng.integers(0, 2, size=(n, 1)) + rng.normal(size=(n, 3))
+    rows = np.hstack([pair, triple, rng.normal(size=(n, 3))])
+    pool, _ = fit(rows, LearnerConfig(batch_size=64, max_leaf_vars=3, seed=seed))
+    return pool, rng
+
+
+def leaf_stats(pool) -> dict:
+    return {nid: n.stats for nid, n in pool.nodes.items() if isinstance(n, LeafNode)}
+
+
+def test_writes_and_reads_share_one_net_and_factor_each_leaf_once(monkeypatch):
+    pool, rng = blocks_model(41)
+    assert {s.dim for s in leaf_stats(pool).values()} == {1, 2}
+    cfg = LearnerConfig(batch_size=16, max_leaf_vars=3, seed=41)
+    frozen = dict(structure_frozen=True)
+    cache = EvalCache()
+    reads(pool)
+    counter = CompileCounter(monkeypatch)
+
+    # write -> read -> write: each leaf the first write replaced is factored
+    # once, by the read; nothing compiles and refresh_leaf is never called.
+    snapshot = copy.deepcopy(pool)
+    before = leaf_stats(pool)
+    learn_batch(pool, rng.normal(size=(16, 8)), cfg, rng, cache=cache, **frozen)
+    counter.assert_matches_fresh_compile(pool.compiled, snapshot)
+    replaced = sum(s is not before[nid] for nid, s in leaf_stats(pool).items())
+    assert replaced > 0
+    assert counter.take() == (0, 0, 0)
+    reads(pool)
+    counter.assert_matches_fresh_compile(pool.compiled, pool)
+    assert counter.take() == (0, replaced, 0)
+    learn_batch(pool, rng.normal(size=(16, 8)), cfg, rng, cache=cache, **frozen)
+    assert counter.take() == (0, 0, 0)
+    reads(pool)
+    counter.assert_matches_fresh_compile(pool.compiled, pool)
+    counter.take()
+
+    # A structure edit compiles once, for the write and the reads after it.
+    parent = next(nid for nid in topological_order(pool)
+                  if isinstance(pool.node(nid), ProductNode) and len(pool.node(nid).children) >= 2)
+    make_mixture(pool, parent, *pool.node(parent).children[:2])
+    learn_batch(pool, rng.normal(size=(16, 8)), cfg, rng, **frozen)
+    reads(pool)
+    learn_batch(pool, rng.normal(size=(16, 8)), cfg, rng, cache=cache, **frozen)
+    reads(pool)
+    counter.assert_matches_fresh_compile(pool.compiled, pool)
+    compiles, _, refresh_leaf_calls = counter.take()
+    assert (compiles, refresh_leaf_calls) == (1, 0)
+
+
+def test_two_pools_in_turn_compile_once_each(monkeypatch):
+    docs = [pool_to_json(blocks_model(seed)[0]) for seed in (42, 43)]
+    p, q = (pool_from_json(doc) for doc in docs)
+    rng = np.random.default_rng(44)
+    cfg = LearnerConfig(batch_size=16, max_leaf_vars=3)
+    counter = CompileCounter(monkeypatch)
+    for pool, op in [(p, "write"), (q, "read"), (p, "read"), (q, "write"), (p, "write"),
+                     (q, "read"), (p, "read")]:
+        if op == "write":
+            learn_batch(pool, rng.normal(size=(16, 8)), cfg, rng, structure_frozen=True)
+        else:
+            reads(pool)
+            counter.assert_matches_fresh_compile(pool.compiled, pool)
+    assert counter.take()[0] == 2
+    assert counter.refresh_leaf == 0
+
+
+def test_learn_batch_without_a_cache_compiles_once(monkeypatch):
+    pool = pool_from_json(pool_to_json(blocks_model(45)[0]))
+    rng = np.random.default_rng(46)
+    counter = CompileCounter(monkeypatch)
+    for _ in range(2):
+        learn_batch(pool, rng.normal(size=(16, 8)), LearnerConfig(batch_size=16), rng,
+                    structure_frozen=True)
+    assert counter.take()[0] == 1
+
+
+def test_a_deep_copy_writes_without_changing_the_original(monkeypatch):
+    pool, rng = blocks_model(47)
+    cfg = LearnerConfig(batch_size=16, max_leaf_vars=3, seed=47)
+    cache = EvalCache()
+    learn_batch(pool, rng.normal(size=(16, 8)), cfg, rng, cache=cache)
+    before = reads(pool)
+    counter = CompileCounter(monkeypatch)
+    twin, twin_cache = copy.deepcopy((pool, cache))
+    for _ in range(3):
+        learn_batch(twin, rng.normal(2.0, 1.0, size=(16, 8)), cfg, rng, cache=twin_cache)
+        assert reads(twin) != before
+        counter.assert_matches_fresh_compile(twin.compiled, twin)
+        assert reads(pool) == before
+        counter.assert_matches_fresh_compile(pool.compiled, pool)
