@@ -1,17 +1,13 @@
-"""Throughput of the runtime evaluation kernel against the scalar loop.
+"""Throughput of the evaluation kernel, the read queries and the write path.
 
-Times ``CompiledNet.eval_rows``, the kernel training and scoring run (the
-numpy level kernel, or numba when it is installed), against the scalar loop
-``kernels._eval_flat_scalar`` on the same flattened networks, across batch
-sizes, and prints rows/second, the ratio and, at batch 1, milliseconds per
-row.  The scalar loop is numba-compiled where numba imports; otherwise it
-runs as plain Python and is timed only up to ``SCALAR_PYTHON_MAX_BATCH``
-rows.  For each network it also prints partial-evidence queries/second
-(``log_density`` marginals with half of the variables observed, and
-``conditional_log_density`` with a quarter queried given another half),
-``sample`` rows/second at 32 and 4096 rows per call, and the time of one
-``compile_pool``.  Three networks: a model trained on the
-toy stream (small, deep enough to be realistic) and two wide constructed
+Times ``CompiledNet.eval_rows``, the level kernel that training, scoring and
+queries run, across batch sizes, and prints rows/second and, at batch 1,
+milliseconds per row.  For each network it also prints partial-evidence
+queries/second (``log_density`` marginals with half of the variables
+observed, and ``conditional_log_density`` with a quarter queried given
+another half), ``sample`` rows/second at 32 and 4096 rows per call, and the
+time of one ``compile_pool``.  Three networks: a model trained on the toy
+stream (small, deep enough to be realistic) and two wide constructed
 mixtures (many sum edges, multivariate leaves), the larger with 1 251 nodes.
 
 Last, the write path: ``learn_batch`` rows/second on live models, one row
@@ -36,7 +32,6 @@ import numpy as np
 from spnstream import toy
 from spnstream.evaluate import compile_pool, conditional_log_density, log_density, sample
 from spnstream.gstats import GaussianStats
-from spnstream.kernels import NUMBA_ENABLED, _eval_flat_scalar, eval_flat_numba
 from spnstream.learner import EvalCache, LearnerConfig, fit, learn_batch
 from spnstream.nodes import LeafNode, NodePool, ProductNode, SumNode, make_scope
 
@@ -62,13 +57,9 @@ def wide_mixture(components: int, dim: int, block: int, rng) -> NodePool:
     return pool
 
 
-# Beyond this batch the un-jitted scalar loop takes seconds per call.
-SCALAR_PYTHON_MAX_BATCH = 16
-
-
 def time_call(call, rows: int, min_seconds: float) -> float:
     """Best rows/second over repeated timed calls."""
-    call()  # warm-up; also triggers JIT compilation
+    call()  # warm-up
     best = 0.0
     spent = 0.0
     while spent < min_seconds:
@@ -112,31 +103,14 @@ def query_rates(pool, min_seconds: float, rng) -> tuple[float, float]:
 
 def run_workload(name: str, pool, batch_sizes, min_seconds: float, rng) -> None:
     net = compile_pool(pool)
-    n_nodes = net.kind.shape[0]
-    runtime = "numba" if NUMBA_ENABLED else "numpy level"
-    scalar_kernel = eval_flat_numba if NUMBA_ENABLED else _eval_flat_scalar
-    scalar = "numba" if NUMBA_ENABLED else "python"
-    print(f"\n{name}: {n_nodes} nodes, dimension {pool.dim}")
-    print(f"{'batch':>7} {'eval_rows rows/s':>17} {'scalar rows/s':>14} {'ratio':>7}"
-          f"   (eval_rows: {runtime}; scalar loop: {scalar})")
+    print(f"\n{name}: {len(net.order)} nodes, dimension {pool.dim}")
+    print(f"{'batch':>7} {'eval_rows rows/s':>17}")
     for batch in batch_sizes:
         X = np.ascontiguousarray(rng.normal(0.0, 5.0, size=(batch, pool.dim)))
-        runtime_rate = time_call(lambda: net.eval_rows(X), batch, min_seconds)
-        line = f"{batch:>7} {runtime_rate:>17.0f}"
-        scalar_rate = None
-        if NUMBA_ENABLED or batch <= SCALAR_PYTHON_MAX_BATCH:
-            out = np.empty((n_nodes, batch), dtype=np.float64)
-            args = (net.kind, net.child_ptr, net.child_idx, net.child_logw,
-                    net.leaf_ptr, net.leaf_vars, net.leaf_mean, net.mat_ptr,
-                    net.leaf_ichol, net.leaf_const, X, out)
-            scalar_rate = time_call(lambda: scalar_kernel(*args), batch, min_seconds)
-            line += f" {scalar_rate:>14.0f} {runtime_rate / scalar_rate:>6.1f}x"
-        else:
-            line += f" {'-':>14} {'-':>7}"
+        rate = time_call(lambda: net.eval_rows(X), batch, min_seconds)
+        line = f"{batch:>7} {rate:>17.0f}"
         if batch == 1:
-            line += f"   ms/row: eval_rows {1e3 / runtime_rate:.3f}"
-            if scalar_rate is not None:
-                line += f", scalar {1e3 / scalar_rate:.3f}"
+            line += f"   ms/row {1e3 / rate:.3f}"
         print(line)
     marginal, conditional = query_rates(pool, min_seconds, rng)
     compile_ms = 1e3 / time_call(lambda: compile_pool(pool), 1, min_seconds)
@@ -207,7 +181,7 @@ def main() -> None:
     parser.add_argument("--batch-sizes", type=int, nargs="+",
                         default=[1, 16, 256, 4096])
     parser.add_argument("--min-seconds", type=float, default=0.3,
-                        help="timing budget per (kernel, batch) cell")
+                        help="timing budget per timed cell")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 

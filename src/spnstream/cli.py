@@ -23,7 +23,7 @@ from .dataset import DatasetError, load_csv, save_csv
 from .evaluate import log_density_rows, sample
 from .learner import LearnerConfig, fit
 from .model_io import ModelFormatError, export_dot, load_model, save_model
-from .nodes import (LeafNode, NodePool, ProductNode, SumNode, derived_weights,
+from .nodes import (WEIGHT_MODES, LeafNode, NodePool, ProductNode, SumNode, derived_weights,
                     topological_order)
 from . import toy
 
@@ -33,26 +33,28 @@ class CliError(Exception):
 
 
 def _add_learner_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--batch-size", type=int, default=1,
-                   help="rows per streaming update (default 1)")
-    p.add_argument("--correlation-threshold", type=float, default=0.1,
+    default = LearnerConfig()
+    p.add_argument("--batch-size", type=int, default=default.batch_size,
+                   help="rows per streaming update (default %(default)s)")
+    p.add_argument("--correlation-threshold", type=float,
+                   default=default.correlation_threshold,
                    help="minimum cross-child correlation that triggers a "
-                        "structure change (default 0.1)")
-    p.add_argument("--max-leaf-vars", type=int, default=3,
+                        "structure change (default %(default)s)")
+    p.add_argument("--max-leaf-vars", type=int, default=default.max_leaf_vars,
                    help="joint scopes at least this size become mixtures, "
-                        "smaller ones a multivariate leaf (default 3)")
-    p.add_argument("--weight-mode", choices=["laplace", "mle"], default="laplace",
-                   help="sum weight estimator (default laplace)")
-    p.add_argument("--early-stop-fraction", type=float, default=1.0,
+                        "smaller ones a multivariate leaf (default %(default)s)")
+    p.add_argument("--weight-mode", choices=WEIGHT_MODES, default=default.weight_mode,
+                   help="sum weight estimator (default %(default)s)")
+    p.add_argument("--early-stop-fraction", type=float, default=default.early_stop_fraction,
                    help="freeze structure after this fraction of the stream "
-                        "(default 1.0, never)")
-    p.add_argument("--variance-floor", type=float, default=1e-4,
+                        "(default %(default)s; at 1.0 it never freezes)")
+    p.add_argument("--variance-floor", type=float, default=default.variance_floor,
                    help="added to covariance diagonals before densities are "
-                        "taken (default 1e-4)")
-    p.add_argument("--significance-z", type=float, default=4.0,
+                        "taken (default %(default)s)")
+    p.add_argument("--significance-z", type=float, default=default.significance_z,
                    help="required significance |r|*sqrt(n) of a correlation "
-                        "before it can trigger a structure change (default 4)")
-    p.add_argument("--seed", type=int, default=0, help="seed (default 0)")
+                        "before it can trigger a structure change (default %(default)s)")
+    p.add_argument("--seed", type=int, default=default.seed, help="seed (default %(default)s)")
 
 
 def _config_from_args(args) -> LearnerConfig:

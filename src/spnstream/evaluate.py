@@ -1,7 +1,8 @@
 """Density queries, conditionals, sampling and moments.
 
-Every query runs the kernels module over a ``CompiledNet``, the pool
-flattened into arrays.  ``log_density_rows`` scores complete rows.
+Every query runs the level kernel of the kernels module over a
+``CompiledNet``, the pool flattened into arrays and grouped into a level
+plan.  ``log_density_rows`` scores complete rows.
 ``log_density`` and ``conditional_log_density`` pass their evidence as rows
 in which NaN marks an unassigned variable; each Gaussian leaf integrates
 its unassigned variables out, so a leaf with no assigned variable
@@ -34,7 +35,7 @@ from .nodes import (LeafNode, NodePool, ProductNode, SumNode, derived_weights,
 
 LOG_2PI = kernels.LOG_2PI
 # Bytes of the widest per-row array in one block of log_density_rows; with
-# the numpy kernel's temporaries a block then peaks near 2 MB, whatever the
+# the kernel's temporaries a block then peaks near 2 MB, whatever the
 # number of rows.
 _BLOCK_BYTES = 1 << 19
 # Bytes one block of sample may take (kernels.DrawPlan.row_words per row).
@@ -52,7 +53,7 @@ def _factors(covs: np.ndarray, floor: float):
     k = covs.shape[-1]
     reg = covs + floor * np.eye(k)
     chol = np.linalg.cholesky(reg)
-    # LAPACK's inverse leaves ~1e-16 above the diagonal; the numpy kernel reads it.
+    # LAPACK's inverse leaves ~1e-16 above the diagonal; the kernel reads it.
     ichol = np.tril(np.linalg.inv(chol))
     const = -0.5 * k * LOG_2PI - np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
     return reg, chol, ichol, const
@@ -96,13 +97,12 @@ class CompiledNet:
     leaf_cov: np.ndarray  # regularized covariances, laid out like leaf_ichol
     leaf_const: np.ndarray
     key: tuple[int, int]  # (pool.structure_version, pool.root) it was compiled at
-    leaves: tuple[kernels.LeafGroup, ...]
-    plan: kernels.LevelPlan | None  # None where the numba kernel runs
+    plan: kernels.LevelPlan
     sums: list[tuple[int, int]]  # (sum node id, offset of its first edge)
     # Rows per block of log_density_rows: the widest per-row array (nodes,
     # edges or leaf variables) then takes at most _BLOCK_BYTES.
     block_rows: int
-    leaf_ids: list[list[int]]  # node ids of each leaf group's leaves
+    leaf_ids: list[list[int]]  # node ids of each plan.leaves group's leaves
     # Per leaf group, weak references to the GaussianStats objects its leaves
     # were last factored from, and the variance floor used; refresh_params
     # re-factors a leaf only when its stats object was replaced or the floor
@@ -124,63 +124,37 @@ class CompiledNet:
         """Per-node log-density matrix, shape (n_nodes, n_rows).
 
         With ``partial`` a NaN in X marks an unobserved value, integrated out
-        inside its leaf; that runs the level kernel, so the net needs its plan.
+        inside its leaf.
         """
         X = np.ascontiguousarray(X, dtype=np.float64)
         out = np.empty((self.kind.shape[0], X.shape[0]), dtype=np.float64)
-        if kernels.NUMBA_ENABLED and not partial:
-            kernels.eval_flat_numba(self.kind, self.child_ptr, self.child_idx, self.child_logw,
-                                    self.leaf_ptr, self.leaf_vars, self.leaf_mean,
-                                    self.mat_ptr, self.leaf_ichol, self.leaf_const, X, out)
-            return out
         return kernels.eval_flat_numpy(self.plan, self.child_logw, self.leaf_mean,
                                        self.leaf_ichol, self.leaf_const, X, out,
                                        self.leaf_cov if partial else None)
 
     def refresh_leaf(self, pool: NodePool, nid: int) -> None:
-        """Recompute one leaf's flattened parameters after a stats update."""
-        i = self.index[nid]
-        stats = pool.node(nid).stats
-        lo, hi = self.leaf_ptr[i], self.leaf_ptr[i + 1]
-        m = self.mat_ptr[i]
-        # The records no longer say what the arrays hold: refresh_params
-        # then factors every leaf again.
-        self.floor = math.nan
-        if hi - lo == 1:
-            # _leaf_factor in closed form: the Cholesky factor of a 1x1 matrix is
-            # its square root.  np.log, not math.log, rounds as _leaf_factor does.
-            var = stats.cov[0, 0] + pool.variance_floor
-            sd = math.sqrt(var)
-            self.leaf_mean[lo] = stats.mean[0]
-            self.leaf_ichol[m] = 1.0 / sd
-            self.leaf_chol[m] = sd
-            self.leaf_cov[m] = var
-            self.leaf_const[i] = -0.5 * LOG_2PI - np.log(sd)
-            return
-        reg, chol, ichol, const = _factors(stats.cov, pool.variance_floor)
-        self.leaf_mean[lo:hi] = stats.mean
-        self.leaf_ichol[m:m + ichol.size] = ichol.ravel()
-        self.leaf_chol[m:m + chol.size] = chol.ravel()
-        self.leaf_cov[m:m + reg.size] = reg.ravel()
-        self.leaf_const[i] = const
+        """Bring the flattened parameters up to date after a stats update of
+        leaf ``nid``: every leaf is factored again.  Nothing in the package
+        calls it; it stays for perfbench/tracing.py, which wraps it by name."""
+        self.floor = math.nan  # the records no longer say what the arrays hold
+        self.refresh_params(pool)
 
     def refresh_params(self, pool: NodePool) -> None:
         """Bring the flattened parameters up to date with the pool.
 
         Leaves whose ``stats`` object is not the one they were last factored
         from are re-factored (all leaves after a change of the variance
-        floor): univariate ones in closed form, as in ``refresh_leaf``, those
-        over k > 1 variables with one stacked factorization per k.  A write
-        into a stats array in place is not seen; ``pool.bump()`` after one
-        recompiles.  Every sum-edge weight is recomputed, since child counts
-        are edited in place.
+        floor): univariate ones in closed form, those over k > 1 variables
+        with one stacked factorization per k.  A write into a stats array in
+        place is not seen; ``pool.bump()`` after one recompiles.  Every
+        sum-edge weight is recomputed, since child counts are edited in place.
         """
         floor = pool.variance_floor
         if floor != self.floor:
             self.factored = [[None] * len(ids) for ids in self.leaf_ids]
             self.floor = floor
         nodes = pool.nodes
-        for g, ids, done in zip(self.leaves, self.leaf_ids, self.factored):
+        for g, ids, done in zip(self.plan.leaves, self.leaf_ids, self.factored):
             stats = [nodes[nid].stats for nid in ids]
             fresh = [d is None or d() is not s for d, s in zip(done, stats)]
             if not any(fresh):
@@ -262,17 +236,13 @@ def compile_pool(pool: NodePool) -> CompiledNet:
             child_idx[lo:lo + len(node.children)] = [index[c] for c in node.children]
             if isinstance(node, SumNode):
                 sums.append((nid, lo))
-    plan = None if kernels.NUMBA_ENABLED else kernels.level_plan(
-        kind, child_ptr, child_idx, leaf_ptr, leaf_vars, mat_ptr)
-    leaves = (kernels.leaf_groups(kind, leaf_ptr, leaf_vars, mat_ptr) if plan is None
-              else plan.leaves)
+    plan = kernels.level_plan(kind, child_ptr, child_idx, leaf_ptr, leaf_vars, mat_ptr)
     width = max(n, child_idx.size, leaf_vars.size)
     net = CompiledNet(order, index, kind, child_ptr, child_idx, child_logw,
                       leaf_ptr, leaf_vars, leaf_mean, mat_ptr, leaf_ichol, leaf_chol,
-                      leaf_cov, leaf_const, (pool.structure_version, pool.root), leaves,
-                      plan, sums,
+                      leaf_cov, leaf_const, (pool.structure_version, pool.root), plan, sums,
                       max(1, _BLOCK_BYTES // (8 * width)),
-                      [[order[i] for i in g.nodes.tolist()] for g in leaves])
+                      [[order[i] for i in g.nodes.tolist()] for g in plan.leaves])
     net.refresh_params(pool)
     return net
 
@@ -296,16 +266,6 @@ def shared_net(pool: NodePool) -> CompiledNet:
         net = pool.compiled = compile_pool(pool)
     else:
         net.refresh_params(pool)
-    return net
-
-
-def _planned_net(pool: NodePool) -> CompiledNet:
-    """``shared_net`` with the level plan that partial evidence, ``sample`` and
-    ``analytic_mean`` run on; where numba runs, the first such read builds it."""
-    net = shared_net(pool)
-    if net.plan is None:
-        net.plan = kernels.level_plan(net.kind, net.child_ptr, net.child_idx,
-                                      net.leaf_ptr, net.leaf_vars, net.mat_ptr)
     return net
 
 
@@ -381,7 +341,7 @@ def _partial_rows(pool: NodePool, *assignments: dict[int, float]) -> np.ndarray:
     X = np.full((len(assignments), pool.dim), np.nan)
     for row, assignment in zip(X, assignments):
         row[list(assignment)] = list(assignment.values())
-    net = _planned_net(pool)
+    net = shared_net(pool)
     return net.eval_rows(X, partial=True)[net.index[pool.root]]
 
 
@@ -424,7 +384,7 @@ def sample(pool: NodePool, rng: np.random.Generator, size: int | None = None) ->
     """
     n = 1 if size is None else int(size)
     out = np.empty((n, pool.dim), dtype=np.float64)
-    net = _planned_net(pool)
+    net = shared_net(pool)
     if net.draws is None:  # built on the first draw, so reads that never sample skip it
         net.draws = kernels.draw_plan(net.plan, len(net.order))
     root = net.index[pool.root]
@@ -441,7 +401,7 @@ def analytic_mean(pool: NodePool) -> np.ndarray:
     on its scope, a product adds its children's means and a sum weights
     them by its edge weights.
     """
-    net = _planned_net(pool)
+    net = shared_net(pool)
     means = np.zeros((len(net.order), pool.dim))
     for g in net.plan.leaves:
         means[g.nodes if g.k == 1 else g.nodes[:, None], g.cols] = net.leaf_mean[g.mean]

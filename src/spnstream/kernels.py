@@ -1,13 +1,9 @@
-"""Bottom-up evaluation kernels over a flattened network.
+"""The bottom-up evaluation kernel and top-down sampling over a flattened network.
 
 The hot loop of both training and evaluation is computing, for a batch of
-complete rows, the log-density of every node in the network.  The network
-is flattened into plain arrays (see ``evaluate.CompiledNet``) and handed to
-one of two kernels:
-
-* a numba ``@njit`` scalar loop over nodes and rows, used whenever numba
-  imports;
-* a level kernel in numpy, used when numba is absent.
+rows, the log-density of every node in the network.  The network is
+flattened into plain arrays (see ``evaluate.CompiledNet``) and handed to one
+kernel, ``eval_flat_numpy``, which every write and read runs.
 
 Array layout (N nodes in topological order, children before parents):
     kind[i]          0 leaf, 1 sum, 2 product
@@ -19,13 +15,12 @@ Array layout (N nodes in topological order, children before parents):
     leaf_chol        the Cholesky factors themselves, laid out like leaf_ichol
     leaf_const[i]    log normalization constant of leaf i
 
-The level kernel follows a ``LevelPlan`` that ``level_plan`` builds from the
-index arrays, once per structure: for training only where numba is absent
-(see ``evaluate.compile_pool``), for partial-evidence queries always.  The
-parameter arrays are read at every call, so refreshing leaves or weights in
-place needs no new plan.  The plan
-holds index arrays into the flat arrays above, grouped so that each group
-costs a fixed number of numpy calls whatever its size:
+The kernel follows a ``LevelPlan`` that ``level_plan`` builds from the index
+arrays, once per structure (see ``evaluate.compile_pool``).  The parameter
+arrays are read at every call, so refreshing leaves or weights in place
+needs no new plan.  The plan holds index arrays into the flat arrays above,
+grouped so that each group costs a fixed number of numpy calls whatever its
+size:
 
 * one ``LeafGroup`` per leaf scope size k.  For k = 1 the group is one
   elementwise expression over all univariate leaves; for k > 1 it is one
@@ -37,7 +32,7 @@ costs a fixed number of numpy calls whatever its size:
   ``logaddexp`` after adding the edge log weights for sums.
 
 Given the regularized leaf covariances (``leaf_cov``, laid out like
-``leaf_ichol``) the level kernel also takes partial evidence: NaN marks an
+``leaf_ichol``) the kernel also takes partial evidence: NaN marks an
 unobserved value, which is integrated out inside its leaf.  A leaf with
 every variable unobserved contributes 0, a univariate leaf otherwise its
 closed form, and the (row, leaf) pairs of one k > 1 group with some but not
@@ -48,8 +43,8 @@ their restricted covariances.
 pairs that reach a group are handled by a few numpy calls, with routing
 tables (``DrawPlan``) that ``draw_plan`` builds once per structure.
 
-Reducing the first axis adds a node's children left to right, as the
-scalar kernel does, so a model routes its rows exactly as under the
+Reducing the first axis adds a node's children left to right, as a scalar
+loop over nodes does, so a model routes its rows exactly as under the
 per-node numpy loop this kernel replaced.  (numpy sums pairwise only a
 block of one node and one row with eight or more children, as that loop
 did for every node at batch 1.)  A segmented ``reduceat`` over a level's
@@ -59,7 +54,6 @@ pairwise sum of the others.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -69,6 +63,8 @@ KIND_LEAF = 0
 KIND_SUM = 1
 KIND_PRODUCT = 2
 LOG_2PI = float(np.log(2.0 * np.pi))
+# There is no other kernel; perfbench/run.py reads this name to label its runs.
+NUMBA_ENABLED = False
 
 
 @dataclass(frozen=True)
@@ -123,8 +119,9 @@ class DrawPlan:
     row_words: int
 
 
-def leaf_groups(kind, leaf_ptr, leaf_vars, mat_ptr) -> tuple[LeafGroup, ...]:
-    """The leaves of a flattened network, one group per scope size."""
+def level_plan(kind, child_ptr, child_idx, leaf_ptr, leaf_vars, mat_ptr) -> LevelPlan:
+    """Group the nodes of a flattened network for ``eval_flat_numpy``: the
+    leaves by scope size, the inner nodes by height, kind and child count."""
     sizes = np.diff(leaf_ptr)
     leaves = []
     # Not np.unique, whose first call imports numpy.ma (about 1 MB).
@@ -135,11 +132,7 @@ def leaf_groups(kind, leaf_ptr, leaf_vars, mat_ptr) -> tuple[LeafGroup, ...]:
             mean = mean[:, None] + np.arange(k)
             ichol = ichol[:, None, None] + np.arange(k * k).reshape(k, k)
         leaves.append(LeafGroup(k, nodes, leaf_vars[mean], mean, ichol))
-    return tuple(leaves)
 
-
-def level_plan(kind, child_ptr, child_idx, leaf_ptr, leaf_vars, mat_ptr) -> LevelPlan:
-    """Group the nodes of a flattened network for ``eval_flat_numpy``."""
     ptr = child_ptr.tolist()
     kids = child_idx.tolist()
     height = [0] * kind.shape[0]
@@ -156,7 +149,7 @@ def level_plan(kind, child_ptr, child_idx, leaf_ptr, leaf_vars, mat_ptr) -> Leve
         nodes = np.array(members, dtype=np.int64)
         edges = child_ptr[nodes] + np.arange(c)[:, None]
         groups.append(NodeGroup(kd == KIND_SUM, nodes, child_idx[edges], edges))
-    return LevelPlan(leaf_groups(kind, leaf_ptr, leaf_vars, mat_ptr), tuple(groups))
+    return LevelPlan(tuple(leaves), tuple(groups))
 
 
 def draw_plan(plan: LevelPlan, n_nodes: int) -> DrawPlan:
@@ -317,56 +310,3 @@ def _route(pending, d: DrawGroup, idx, rows):
         sel = group == t
         if sel.any():
             pending[t].append((pos[sel], rows[sel]))
-
-
-def _eval_flat_scalar(kind, child_ptr, child_idx, child_logw,
-                      leaf_ptr, leaf_vars, leaf_mean, mat_ptr, leaf_ichol,
-                      leaf_const, X, out):
-    n_nodes = kind.shape[0]
-    n_rows = X.shape[0]
-    for i in range(n_nodes):
-        if kind[i] == KIND_LEAF:
-            lo = leaf_ptr[i]
-            k = leaf_ptr[i + 1] - lo
-            mp = mat_ptr[i]
-            for p in range(n_rows):
-                q = 0.0
-                for r in range(k):
-                    acc = 0.0
-                    for c in range(r + 1):
-                        acc += leaf_ichol[mp + r * k + c] * (X[p, leaf_vars[lo + c]] - leaf_mean[lo + c])
-                    q += acc * acc
-                out[i, p] = leaf_const[i] - 0.5 * q
-        elif kind[i] == KIND_PRODUCT:
-            lo, hi = child_ptr[i], child_ptr[i + 1]
-            for p in range(n_rows):
-                acc = 0.0
-                for e in range(lo, hi):
-                    acc += out[child_idx[e], p]
-                out[i, p] = acc
-        else:
-            lo, hi = child_ptr[i], child_ptr[i + 1]
-            for p in range(n_rows):
-                best = -np.inf
-                for e in range(lo, hi):
-                    v = child_logw[e] + out[child_idx[e], p]
-                    if v > best:
-                        best = v
-                if best == -np.inf:
-                    out[i, p] = -np.inf
-                else:
-                    acc = 0.0
-                    for e in range(lo, hi):
-                        acc += math.exp(child_logw[e] + out[child_idx[e], p] - best)
-                    out[i, p] = best + math.log(acc)
-    return out
-
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    NUMBA_ENABLED = False
-    eval_flat_numba = None
-else:
-    NUMBA_ENABLED = True
-    eval_flat_numba = njit(cache=True)(_eval_flat_scalar)

@@ -251,6 +251,7 @@ def simplify(pool: NodePool) -> bool:
     return changed
 
 
+# Holds no state; it stays, with learn_batch(cache=...), because perfbench/workloads.py passes one.
 class EvalCache:
     """Handle on a pool's compiled net, for callers that hold one.
 

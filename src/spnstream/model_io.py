@@ -172,6 +172,8 @@ def load_model(path) -> tuple[NodePool, dict[str, Any]]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"not valid JSON: {exc}") from exc
     return pool_from_json(doc), doc

@@ -330,7 +330,9 @@ def validate(pool: NodePool) -> ValidationReport:
                     report.add(nid, "weight-sum", f"derived weights sum to 1{dev:+.3e}")
                 if np.any(w < 0.0):
                     report.add(nid, "negative-weight", "derived weight is negative")
-    if scopes[pool.root] != tuple(range(pool.dim)):
+    root_scope = scopes[pool.root]
+    # Lengths first: pool.dim comes from the model file and may be huge.
+    if len(root_scope) != pool.dim or root_scope != tuple(range(pool.dim)):
         report.add(pool.root, "root-scope",
-                   f"root scope {scopes[pool.root]} does not cover variables 0..{pool.dim - 1}")
+                   f"root scope {root_scope} does not cover variables 0..{pool.dim - 1}")
     return report

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 
+# In its own module because perfbench/tracing.py wraps it here by name.
 def tie_break_argmax(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Column-wise argmax of a (children, rows) matrix, exact ties random.
 

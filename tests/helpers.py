@@ -3,18 +3,21 @@
 The oracles deliberately share no code with the library's evaluation path.
 Densities come from expanding the network into an explicit Gaussian
 mixture over the induced sum-branch combinations and evaluating it with
-scipy; statistics come from recomputing over the concatenated raw data.
+scipy, or from a scalar loop over a compiled net's flat arrays; statistics
+come from recomputing over the concatenated raw data.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from spnstream.gstats import GaussianStats
+from spnstream.kernels import KIND_LEAF, KIND_PRODUCT
 from spnstream.nodes import (LeafNode, NodePool, ProductNode, SumNode,
                              derived_weights, make_scope)
 
@@ -79,6 +82,63 @@ def random_pool(rng: np.random.Generator, dim: int, max_sums: int = 6,
 
     pool.root = build(make_scope(range(dim)), 0)
     return pool
+
+
+# ----------------------------------------------------------------------
+# Scalar oracle of the compiled net's kernel
+# ----------------------------------------------------------------------
+
+def scalar_eval_rows(net, X: np.ndarray) -> np.ndarray:
+    """Per-node log-densities (n_nodes, n_rows) of a ``CompiledNet`` at
+    complete rows, one node and one row at a time over its flat arrays.
+
+    The oracle of the level kernel: it reads the same arrays but writes out
+    each leaf's quadratic form and each sum's log-sum-exp, so the two agree
+    to rounding.
+    """
+    kind, child_ptr, child_idx, child_logw = net.kind, net.child_ptr, net.child_idx, net.child_logw
+    leaf_ptr, leaf_vars, leaf_mean = net.leaf_ptr, net.leaf_vars, net.leaf_mean
+    mat_ptr, leaf_ichol, leaf_const = net.mat_ptr, net.leaf_ichol, net.leaf_const
+    n_nodes = kind.shape[0]
+    n_rows = X.shape[0]
+    out = np.empty((n_nodes, n_rows))
+    for i in range(n_nodes):
+        if kind[i] == KIND_LEAF:
+            lo = leaf_ptr[i]
+            k = leaf_ptr[i + 1] - lo
+            mp = mat_ptr[i]
+            for p in range(n_rows):
+                q = 0.0
+                for r in range(k):
+                    acc = 0.0
+                    for c in range(r + 1):
+                        dev = X[p, leaf_vars[lo + c]] - leaf_mean[lo + c]
+                        acc += leaf_ichol[mp + r * k + c] * dev
+                    q += acc * acc
+                out[i, p] = leaf_const[i] - 0.5 * q
+        elif kind[i] == KIND_PRODUCT:
+            lo, hi = child_ptr[i], child_ptr[i + 1]
+            for p in range(n_rows):
+                acc = 0.0
+                for e in range(lo, hi):
+                    acc += out[child_idx[e], p]
+                out[i, p] = acc
+        else:
+            lo, hi = child_ptr[i], child_ptr[i + 1]
+            for p in range(n_rows):
+                best = -np.inf
+                for e in range(lo, hi):
+                    v = child_logw[e] + out[child_idx[e], p]
+                    if v > best:
+                        best = v
+                if best == -np.inf:
+                    out[i, p] = -np.inf
+                else:
+                    acc = 0.0
+                    for e in range(lo, hi):
+                        acc += math.exp(child_logw[e] + out[child_idx[e], p] - best)
+                    out[i, p] = best + math.log(acc)
+    return out
 
 
 # ----------------------------------------------------------------------

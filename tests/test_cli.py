@@ -4,6 +4,7 @@ Every test goes through main(argv) so argument parsing, error handling,
 and exit codes are all exercised exactly as a shell user would hit them.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from spnstream.cli import main
 from spnstream.dataset import load_csv
 from spnstream.gstats import GaussianStats
+from spnstream.learner import LearnerConfig
 from spnstream.model_io import load_model, pool_to_json, save_model
 from spnstream.nodes import LeafNode, NodePool, SumNode
 
@@ -151,6 +153,28 @@ def test_corrupt_model_fails_cleanly(tmp_path, capsys):
     code, _, err = run(capsys, "inspect", model)
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_undecodable_model_fails_with_one_error_line(tmp_path, capsys):
+    model = tmp_path / "utf16.spn"
+    model.write_bytes(b"\xff\xfe{}")
+    data = tmp_path / "data.csv"
+    data.write_text("1.0\n")
+    for argv in (["inspect", model], ["eval", model, data],
+                 ["sample", model, "-n", 1, "--out", tmp_path / "drawn.csv"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "UTF-8" in err
+
+
+def test_train_without_learner_flags_uses_the_learner_defaults(tmp_path, capsys):
+    data = tmp_path / "toy.csv"
+    model = tmp_path / "model.spn"
+    run(capsys, "gen-toy", "-n", 20, "--out", data)
+    assert run(capsys, "train", data, "--out", model)[0] == 0
+    assert load_model(model)[1]["learner_config"] == dataclasses.asdict(LearnerConfig())
 
 
 def test_malformed_model_fails_with_one_error_line(tmp_path, capsys):

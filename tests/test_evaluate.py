@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import spnstream
-from spnstream import evaluate, kernels
+from spnstream import evaluate
 from spnstream.evaluate import (
     _leaf_factor,
     analytic_mean,
@@ -33,7 +33,7 @@ from spnstream.nodes import LeafNode, NodePool, ProductNode, SumNode, make_scope
 
 from bench_eval import wide_mixture
 from helpers import (expand_mixture, oracle_cov, oracle_log_density, oracle_log_density_rows,
-                     oracle_mean, random_pool)
+                     oracle_mean, random_pool, scalar_eval_rows)
 
 # log pdf of a standard normal at zero.
 LOG_STD_NORMAL_AT_0 = -0.9189385332046727
@@ -243,24 +243,11 @@ def test_refresh_weights_tracks_count_change():
 
 
 def assert_kernels_agree(pool: NodePool, X: np.ndarray) -> None:
-    """The runtime and level kernels against the un-jitted scalar loop and the graph walk.
-
-    The scalar loop is the body numba compiles, so this also checks the numba
-    kernel's logic where numba is not installed; the level kernel is called
-    directly, so it is checked where numba is installed.
-    """
+    """The level kernel against the scalar loop over every node and the graph walk at the root."""
     net = compile_pool(pool)
     got = net.eval_rows(X)
     assert got.shape == (len(net.order), X.shape[0])
-    want = kernels._eval_flat_scalar(net.kind, net.child_ptr, net.child_idx, net.child_logw,
-                                     net.leaf_ptr, net.leaf_vars, net.leaf_mean, net.mat_ptr,
-                                     net.leaf_ichol, net.leaf_const, X, np.empty_like(got))
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-    plan = kernels.level_plan(net.kind, net.child_ptr, net.child_idx, net.leaf_ptr,
-                              net.leaf_vars, net.mat_ptr)
-    level = kernels.eval_flat_numpy(plan, net.child_logw, net.leaf_mean, net.leaf_ichol,
-                                    net.leaf_const, X, np.empty_like(got))
-    np.testing.assert_allclose(level, want, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(got, scalar_eval_rows(net, X), rtol=0.0, atol=1e-12)
     walk = subtree_log_density_rows(pool, pool.root, X)
     np.testing.assert_allclose(got[net.index[pool.root]], walk, rtol=0.0, atol=1e-12)
 
@@ -320,20 +307,6 @@ def test_level_kernel_agrees_on_a_1251_node_wide_mixture():
     pool = wide_mixture(250, 16, 4, rng)
     assert len(pool) == 1251
     assert_kernels_agree(pool, rng.normal(0.0, 5.0, size=(20, 16)))
-
-
-def test_numba_branch_needs_no_plan(monkeypatch):
-    # Stand the un-jitted scalar loop in for numba: compile_pool then builds
-    # no level plan, and eval_rows runs the scalar kernel.
-    monkeypatch.setattr(kernels, "NUMBA_ENABLED", True)
-    monkeypatch.setattr(kernels, "eval_flat_numba", kernels._eval_flat_scalar)
-    rng = np.random.default_rng(107)
-    pool = random_pool(rng, dim=5, max_leaf_vars=4)
-    net = compile_pool(pool)
-    assert net.plan is None
-    X = rng.normal(size=(4, 5))
-    np.testing.assert_allclose(net.eval_rows(X)[net.index[pool.root]],
-                               subtree_log_density_rows(pool, pool.root, X), rtol=0.0, atol=1e-12)
 
 
 def test_univariate_refresh_matches_leaf_factor_to_one_ulp():
@@ -764,16 +737,3 @@ def test_in_place_stats_write_shows_after_bump():
     fresh = copy.deepcopy(pool)
     assert after == (log_density(fresh, evidence), analytic_mean(fresh).tolist())
     assert after != before
-
-
-def test_partial_evidence_runs_the_level_kernel_where_numba_is_installed(monkeypatch):
-    monkeypatch.setattr(kernels, "NUMBA_ENABLED", True)
-    monkeypatch.setattr(kernels, "eval_flat_numba", kernels._eval_flat_scalar)
-    rng = np.random.default_rng(139)
-    pool = random_pool(rng, dim=5, max_sums=3, max_leaf_vars=4)
-    evidence = {0: 0.4, 2: -0.3, 3: 1.2}
-    assert log_density(pool, evidence) == pytest.approx(oracle_log_density(pool, evidence),
-                                                        abs=1e-9)
-    X = rng.normal(size=(4, 5))
-    np.testing.assert_allclose(log_density_rows(pool, X), oracle_log_density_rows(pool, X),
-                               rtol=0.0, atol=1e-9)

@@ -199,6 +199,13 @@ def test_root_that_misses_a_variable_is_rejected():
         pool_from_json(pool_to_json(pool))
 
 
+def test_huge_dimension_is_rejected_without_allocating():
+    doc = pool_to_json(init_factored_pool(1))
+    doc["dimension"] = 2**40
+    with pytest.raises(ModelFormatError, match="root-scope"):
+        pool_from_json(doc)
+
+
 def test_unreachable_node_is_rejected():
     doc = _two_leaf_mixture_doc()
     doc["root"] = _first(doc, "leaf")["id"]
