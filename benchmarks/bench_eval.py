@@ -11,9 +11,9 @@ stream (small, deep enough to be realistic) and two wide constructed
 mixtures (many sum edges, multivariate leaves), the larger with 1 251 nodes.
 
 Last, the write path: ``learn_batch`` rows/second on live models, one row
-per call on the trained toy model and 16 rows per call on a model trained
-on planted blocks, each with no read between writes and with one marginal
-query after every write (untimed).  The read re-factors the leaves the
+per call on the trained toy model, and one and 16 rows per call on a wider
+model trained on planted blocks, each with no read between writes and with
+one marginal query after every write (untimed).  The read re-factors the leaves the
 write replaced; a second factorization of them by the next write, or
 per-node overhead in the write pass, shows in these rates.
 
@@ -158,14 +158,15 @@ def run_writes(min_seconds: float, seed: int) -> None:
     that a change of machine speed hits both alike."""
     rng = np.random.default_rng(seed)
     toy_cfg = LearnerConfig(max_leaf_vars=1, seed=0)
-    blocks_cfg = LearnerConfig(batch_size=16, seed=0)
     toy_pool, _ = fit(toy.generate(3000, rng), toy_cfg)
     blocks_pool, _ = fit(planted_blocks(20000, rng), LearnerConfig(batch_size=256, seed=0))
     print("\nlearn_batch rows/s on live models (structure learning on)")
     print(f"{'model':>26} {'batch':>6} {'no reads':>10} {'read after each':>16}")
+    blocks_rows = planted_blocks(640, rng)
     for name, pool, rows, cfg in [
             ("trained toy", toy_pool, toy.generate(500, rng), toy_cfg),
-            ("planted blocks", blocks_pool, planted_blocks(640, rng), blocks_cfg)]:
+            ("planted blocks", blocks_pool, blocks_rows, LearnerConfig(batch_size=1, seed=0)),
+            ("planted blocks", blocks_pool, blocks_rows, LearnerConfig(batch_size=16, seed=0))]:
         best, spent = [0.0, 0.0], 0.0
         while spent < 2 * min_seconds:
             for read in (False, True):

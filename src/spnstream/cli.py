@@ -141,7 +141,10 @@ def cmd_sample(args) -> int:
     pool, doc = _load(args.model)
     names = doc.get("variable_names")
     rng = np.random.default_rng(args.seed)
-    drawn = sample(pool, rng, size=args.rows)
+    try:
+        drawn = sample(pool, rng, size=args.rows)
+    except MemoryError:
+        raise CliError(f"{args.rows} rows of {pool.dim} variables do not fit in memory") from None
     save_csv(args.out, drawn.reshape(args.rows, pool.dim), names=names)
     print(f"wrote {args.rows} rows to {args.out}")
     return 0

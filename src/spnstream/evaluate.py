@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .gstats import GaussianStats
-from .nodes import (LeafNode, NodePool, ProductNode, SumNode, derived_weights,
+from .nodes import (LeafNode, NodePool, ProductNode, SumNode, derived_weights, edge_weights,
                     topological_order)
 
 LOG_2PI = kernels.LOG_2PI
@@ -98,7 +98,8 @@ class CompiledNet:
     leaf_const: np.ndarray
     key: tuple[int, int]  # (pool.structure_version, pool.root) it was compiled at
     plan: kernels.LevelPlan
-    sums: list[tuple[int, int]]  # (sum node id, offset of its first edge)
+    sums: list[int]  # sum node ids
+    sum_edges: np.ndarray  # child_logw positions of their edges, sum by sum
     # Rows per block of log_density_rows: the widest per-row array (nodes,
     # edges or leaf variables) then takes at most _BLOCK_BYTES.
     block_rows: int
@@ -183,12 +184,13 @@ class CompiledNet:
         self.refresh_weights(pool)
 
     def refresh_weights(self, pool: NodePool) -> None:
-        """Recompute sum-edge log weights from current counts."""
+        """Recompute sum-edge log weights from current counts, in one pass
+        over every sum edge; a zero count under "mle" weights gives -inf."""
+        if not self.sums:
+            return
+        weights = edge_weights([pool.nodes[nid] for nid in self.sums], pool.weight_mode)
         with np.errstate(divide="ignore"):
-            for nid, lo in self.sums:
-                node = pool.node(nid)
-                self.child_logw[lo:lo + len(node.children)] = np.log(
-                    derived_weights(node, pool.weight_mode))
+            self.child_logw[self.sum_edges] = np.log(weights)
 
 
 def compile_pool(pool: NodePool) -> CompiledNet:
@@ -226,7 +228,7 @@ def compile_pool(pool: NodePool) -> CompiledNet:
     mat_ptr = mat_ptr[:-1].copy()  # only a start offset per node
     leaf_const = np.zeros(n, dtype=np.float64)
 
-    sums = []
+    sums, sum_edges = [], []
     for i, nid in enumerate(order):
         node = pool.node(nid)
         if isinstance(node, LeafNode):
@@ -235,12 +237,14 @@ def compile_pool(pool: NodePool) -> CompiledNet:
             lo = int(child_ptr[i])
             child_idx[lo:lo + len(node.children)] = [index[c] for c in node.children]
             if isinstance(node, SumNode):
-                sums.append((nid, lo))
+                sums.append(nid)
+                sum_edges.extend(range(lo, lo + len(node.children)))
     plan = kernels.level_plan(kind, child_ptr, child_idx, leaf_ptr, leaf_vars, mat_ptr)
     width = max(n, child_idx.size, leaf_vars.size)
     net = CompiledNet(order, index, kind, child_ptr, child_idx, child_logw,
                       leaf_ptr, leaf_vars, leaf_mean, mat_ptr, leaf_ichol, leaf_chol,
                       leaf_cov, leaf_const, (pool.structure_version, pool.root), plan, sums,
+                      np.array(sum_edges, dtype=np.intp),
                       max(1, _BLOCK_BYTES // (8 * width)),
                       [[order[i] for i in g.nodes.tolist()] for g in plan.leaves])
     net.refresh_params(pool)

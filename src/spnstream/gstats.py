@@ -51,6 +51,15 @@ class GaussianStats:
     def zeros(cls, k: int, count: float = 0.0) -> "GaussianStats":
         return cls(np.zeros(k), np.zeros((k, k)), count)
 
+    @classmethod
+    def _unchecked(cls, mean: np.ndarray, cov: np.ndarray, count: float) -> "GaussianStats":
+        """Statistics from arrays ``update_each_with_one_row`` has just
+        computed: float64, of matching shapes and owned, with a float count;
+        skips the conversions."""
+        stats = object.__new__(cls)
+        stats.mean, stats.cov, stats.count = mean, cov, count
+        return stats
+
     def update(self, batch: np.ndarray) -> "GaussianStats":
         """Absorb a batch of rows and return the updated statistics.
 
@@ -104,3 +113,39 @@ class GaussianStats:
 
     def copy(self) -> "GaussianStats":
         return GaussianStats(self.mean.copy(), self.cov.copy(), self.count)
+
+
+def update_each_with_one_row(stats: list[GaussianStats], X: np.ndarray, rows: list[int],
+                             cols: list) -> list[GaussianStats]:
+    """``stats[i].update(X[rows[i], cols[i]])`` for every i, in one stacked pass.
+
+    The statistics may differ in dimension, so the pass pads them with
+    zeros to the widest.  With a single row every step of
+    ``GaussianStats.update`` is elementwise, so padding never reaches a real
+    entry and each result has the bits of its own update.  Two steps need
+    care there: ``np.add.reduce`` over one row and the one-term
+    ``dev.T @ dev`` both add their terms to +0.0, which turns a -0.0 into
+    +0.0, so the stacked pass adds 0.0 too.  Each result owns its arrays.
+    """
+    ks = [s.mean.shape[0] for s in stats]
+    real = np.arange(max(ks)) < np.array(ks)[:, None]
+    real_cov = real[:, :, None] & real[:, None, :]
+    x = np.zeros(real.shape)
+    width_x = X.shape[1]
+    x[real] = X.take([r * width_x + v for r, c in zip(rows, cols) for v in c])
+    mean = np.zeros(real.shape)
+    mean[real] = np.concatenate([s.mean for s in stats])
+    cov = np.zeros(real_cov.shape)
+    cov[real_cov] = np.concatenate([s.cov for s in stats], axis=None)
+    n = np.array([s.count for s in stats])[:, None]
+    total = n + 1.0
+    new_mean = (n * mean + (x + 0.0)) / total
+    dev = x - mean
+    scatter = dev[:, :, None] * dev[:, None, :] + 0.0
+    delta = new_mean - mean
+    new_cov = ((n[:, :, None] * cov + scatter) / total[:, :, None]
+               - delta[:, :, None] * delta[:, None, :])
+    new_cov = 0.5 * (new_cov + new_cov.transpose(0, 2, 1))
+    return [GaussianStats._unchecked(new_mean[i, :k].copy(), new_cov[i, :k, :k].copy(),
+                                     s.count + 1)
+            for i, (s, k) in enumerate(zip(stats, ks))]

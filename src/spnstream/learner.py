@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluate import CompiledNet, check_rows, shared_net, subtree_log_density_rows
-from .gstats import GaussianStats
+from .gstats import GaussianStats, update_each_with_one_row
 from .nodes import (LeafNode, NodePool, ProductNode, Scope, SumNode,
                     WEIGHT_MODES, make_scope, scope_positions, scope_union,
                     topological_order)
@@ -322,6 +322,16 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
     once on every path.
     A component inheriting evidence n is first re-examined at 2n, so a
     change can never cascade within the batch that triggered it.
+
+    A leaf or product that receives exactly one row is not updated on the
+    spot: the walk queues it, and all queued nodes take their rows in one
+    stacked update (``gstats.update_each_with_one_row``) when the walk
+    ends, or earlier when statistics are about to be read: before a
+    product's structure check, and before scoring a node created in this
+    pass.  A node reached a second time in the pass (a DAG) first has the
+    queue applied, so its updates compose in visit order.  A node that
+    receives two or more rows updates on the spot.  The result has the
+    bits of updating every node as the walk reaches it.
     Rows of the wrong width or with a non-finite value raise ValueError
     before the pool is touched.
     The bottom-up pass runs on the pool's compiled net, the one the read
@@ -353,12 +363,25 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
                             birth_stats=prev_stats, birth_count=prev_count)
             report.leaves_merged += 1
 
-    def child_values(c: int, idx: np.ndarray) -> np.ndarray:
-        pos = net.index.get(c)
-        if pos is not None:
-            return values[pos][idx]
-        # Node created during this pass: not in the compiled net yet.
-        return subtree_log_density_rows(pool, c, rows[idx])
+    # One-row visits are applied together, by one stacked update at the end
+    # of the pass or before the next read of statistics, whichever is first.
+    pending: dict[int, tuple[LeafNode | ProductNode, int]] = {}  # id -> (node, row)
+
+    def flush() -> None:
+        if not pending:
+            return
+        queue = list(pending.values())
+        fresh = update_each_with_one_row([n.stats for n, _ in queue], rows,
+                                         [r for _, r in queue], [n.scope for n, _ in queue])
+        for (node, _), stats in zip(queue, fresh):
+            node.stats = stats
+        pending.clear()
+
+    def absorb(nid: int, node: LeafNode | ProductNode, idx: np.ndarray) -> None:
+        if len(idx) == 1:
+            pending[nid] = (node, int(idx[0]))
+        else:
+            node.stats = node.stats.update(rows[idx[:, None], node.scope])
 
     # A sum pushes only the children it routed rows to.
     stack = [(pool.root, np.arange(rows.shape[0]))]
@@ -366,20 +389,23 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
         nid, idx = stack.pop()
         node = pool.node(nid)
         node.count += float(len(idx))
-        if isinstance(node, LeafNode):
-            node.stats = node.stats.update(rows[idx[:, None], node.scope])
-        elif isinstance(node, ProductNode):
-            prev_stats = node.stats
-            prev_count = node.count - float(len(idx))
-            node.stats = node.stats.update(rows[idx[:, None], node.scope])
-            if (not structure_frozen and len(node.children) >= 2
-                    and node.stats.count >= node.next_check):
-                node.next_check = 2.0 * node.stats.count
-                restructure(nid, node, prev_stats, prev_count)
-            stack.extend((c, idx) for c in reversed(node.children))
-        else:
-            stacked = np.stack([child_values(c, idx) for c in node.children])
+        if isinstance(node, SumNode):
+            pos = [net.index.get(c) for c in node.children]
+            if None in pos:  # a child created in this pass is not compiled yet
+                flush()
+                stacked = np.stack([values[p][idx] if p is not None
+                                    else subtree_log_density_rows(pool, c, rows[idx])
+                                    for p, c in zip(pos, node.children)])
+            elif len(idx) == rows.shape[0]:  # every row of the batch, in order
+                stacked = values[pos]
+            else:
+                stacked = values[pos][:, idx]
             winners = tie_break_argmax(stacked, rng)
+            if len(idx) == 1:
+                j = int(winners[0])
+                node.child_counts[j] += 1.0
+                stack.append((node.children[j], idx))
+                continue
             routed = []
             for j, c in enumerate(node.children):
                 sub = idx[winners == j]
@@ -387,6 +413,24 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
                     node.child_counts[j] += float(len(sub))
                     routed.append((c, sub))
             stack.extend(reversed(routed))
+            continue
+        if nid in pending:  # reached twice in this pass: updates compose in order
+            flush()
+        if isinstance(node, LeafNode):
+            absorb(nid, node, idx)
+            continue
+        if (not structure_frozen and len(node.children) >= 2
+                and node.stats.count + len(idx) >= node.next_check):
+            flush()
+            prev_stats = node.stats
+            prev_count = node.count - float(len(idx))
+            node.stats = node.stats.update(rows[idx[:, None], node.scope])
+            node.next_check = 2.0 * node.stats.count
+            restructure(nid, node, prev_stats, prev_count)
+        else:
+            absorb(nid, node, idx)
+        stack.extend((c, idx) for c in reversed(node.children))
+    flush()
 
     if report.restructured:
         simplify(pool)

@@ -156,6 +156,10 @@ def pool_from_json(doc: Any) -> NodePool:
     if not report.ok:
         raise ModelFormatError(
             f"model failed validation: {'; '.join(map(str, report.violations))}")
+    names = doc.get("variable_names")
+    if names is not None and not (isinstance(names, list) and len(names) == pool.dim
+                                  and all(isinstance(name, str) for name in names)):
+        raise ModelFormatError(f"variable_names must be a list of {pool.dim} strings")
     return pool
 
 

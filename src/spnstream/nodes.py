@@ -82,15 +82,26 @@ def derived_weights(node: SumNode, mode: str) -> np.ndarray:
 
     "mle" uses plain count ratios; "laplace" adds one pseudo-count per child.
     """
-    counts = np.asarray(node.child_counts, dtype=np.float64)
+    return edge_weights([node], mode)
+
+
+def edge_weights(sums: list[SumNode], mode: str) -> np.ndarray:
+    """``derived_weights`` of every sum in ``sums``, concatenated in one pass.
+
+    Each edge is divided by its own sum's total, so every weight has the
+    bits that sum alone would give it.
+    """
     if mode == "mle":
-        if node.count <= 0.0:
+        if any(node.count <= 0.0 for node in sums):
             raise ValueError("cannot derive mle weights from a sum node with zero count")
-        return counts / node.count
-    if mode == "laplace":
-        k = len(node.child_counts)
-        return (counts + 1.0) / (node.count + k)
-    raise ValueError(f"unknown weight mode: {mode!r}")
+        num = [c for node in sums for c in node.child_counts]
+        den = [node.count for node in sums for _ in node.child_counts]
+    elif mode == "laplace":
+        num = [c + 1.0 for node in sums for c in node.child_counts]
+        den = [node.count + len(node.child_counts) for node in sums for _ in node.child_counts]
+    else:
+        raise ValueError(f"unknown weight mode: {mode!r}")
+    return np.divide(num, den, dtype=np.float64)
 
 
 class NodePool:

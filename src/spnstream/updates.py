@@ -26,6 +26,10 @@ def tie_break_argmax(values: np.ndarray, rng: np.random.Generator) -> np.ndarray
     winners = np.argmax(values, axis=0)
     top = values[winners, np.arange(values.shape[1])]
     tied_mask = (values == top)
+    # Without ties each column equals its top once.  A NaN top equals
+    # nothing, so it is ruled out before this count can stand for "no tie".
+    if np.count_nonzero(tied_mask) == values.shape[1] and not np.isnan(top).any():
+        return winners
     n_tied = tied_mask.sum(axis=0)
     for col in np.flatnonzero(n_tied > 1):
         candidates = np.flatnonzero(tied_mask[:, col])

@@ -259,3 +259,93 @@ def reference_update(stats: GaussianStats, batch) -> GaussianStats:
     new_cov = (n * stats.cov + scatter) / total - np.outer(delta, delta)
     new_cov = 0.5 * (new_cov + new_cov.T)
     return GaussianStats(new_mean, new_cov, total)
+
+
+# ----------------------------------------------------------------------
+# Write-pass oracle
+# ----------------------------------------------------------------------
+
+def reference_tie_break_argmax(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``updates.tie_break_argmax`` as first written: every column goes
+    through the tie count."""
+    winners = np.argmax(values, axis=0)
+    top = values[winners, np.arange(values.shape[1])]
+    tied_mask = (values == top)
+    n_tied = tied_mask.sum(axis=0)
+    for col in np.flatnonzero(n_tied > 1):
+        candidates = np.flatnonzero(tied_mask[:, col])
+        winners[col] = candidates[rng.integers(len(candidates))]
+    return winners
+
+
+def reference_learn_batch(pool: NodePool, rows: np.ndarray, config, rng: np.random.Generator,
+                          structure_frozen: bool = False):
+    """``learner.learn_batch`` as a per-node walk: every node a row reaches
+    absorbs it on the spot through ``reference_update``, and every sum routes
+    through ``reference_tie_break_argmax``.  The oracle of the write pass,
+    which must leave the pool, the report and ``rng`` as this walk does."""
+    from spnstream.evaluate import check_rows, shared_net, subtree_log_density_rows
+    from spnstream.learner import (BatchReport, _best_cross_child_pair, make_mixture,
+                                   merge_into_leaf, simplify)
+    from spnstream.nodes import scope_union
+
+    rows = check_rows(rows, pool.dim)
+    report = BatchReport(rows=rows.shape[0])
+    if rows.shape[0] == 0:
+        return report
+    net = shared_net(pool)
+    values = net.eval_rows(rows)
+
+    def restructure(nid, node, prev_stats, prev_count):
+        r, child_a, child_b = _best_cross_child_pair(pool, node)
+        if child_a is None or r < config.correlation_threshold:
+            return
+        if r * math.sqrt(max(node.stats.count, 0.0)) < config.significance_z:
+            return
+        joint = scope_union(pool.node(child_a).scope, pool.node(child_b).scope)
+        if len(joint) >= config.max_leaf_vars:
+            make_mixture(pool, nid, child_a, child_b,
+                         birth_stats=prev_stats, birth_count=prev_count,
+                         next_check=2.0 * node.stats.count)
+            report.mixtures_created += 1
+        else:
+            merge_into_leaf(pool, nid, child_a, child_b,
+                            birth_stats=prev_stats, birth_count=prev_count)
+            report.leaves_merged += 1
+
+    def child_values(c, idx):
+        pos = net.index.get(c)
+        if pos is not None:
+            return values[pos][idx]
+        return subtree_log_density_rows(pool, c, rows[idx])
+
+    stack = [(pool.root, np.arange(rows.shape[0]))]
+    while stack:
+        nid, idx = stack.pop()
+        node = pool.node(nid)
+        node.count += float(len(idx))
+        if isinstance(node, LeafNode):
+            node.stats = reference_update(node.stats, rows[idx[:, None], node.scope])
+        elif isinstance(node, ProductNode):
+            prev_stats = node.stats
+            prev_count = node.count - float(len(idx))
+            node.stats = reference_update(node.stats, rows[idx[:, None], node.scope])
+            if (not structure_frozen and len(node.children) >= 2
+                    and node.stats.count >= node.next_check):
+                node.next_check = 2.0 * node.stats.count
+                restructure(nid, node, prev_stats, prev_count)
+            stack.extend((c, idx) for c in reversed(node.children))
+        else:
+            stacked = np.stack([child_values(c, idx) for c in node.children])
+            winners = reference_tie_break_argmax(stacked, rng)
+            routed = []
+            for j, c in enumerate(node.children):
+                sub = idx[winners == j]
+                if len(sub):
+                    node.child_counts[j] += float(len(sub))
+                    routed.append((c, sub))
+            stack.extend(reversed(routed))
+
+    if report.restructured:
+        simplify(pool)
+    return report

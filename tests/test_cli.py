@@ -6,14 +6,19 @@ and exit codes are all exercised exactly as a shell user would hit them.
 
 import dataclasses
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from spnstream.cli import main
 from spnstream.dataset import load_csv
+from spnstream.evaluate import sample
 from spnstream.gstats import GaussianStats
-from spnstream.learner import LearnerConfig
+from spnstream.learner import LearnerConfig, init_factored_pool
 from spnstream.model_io import load_model, pool_to_json, save_model
 from spnstream.nodes import LeafNode, NodePool, SumNode
 
@@ -237,3 +242,47 @@ def test_model_written_by_train_loads_back(tmp_path, capsys):
     assert pool.dim == 3
     assert doc["variable_names"] == ["x1", "x2", "x3"]
     assert doc["learner_config"]["batch_size"] == 16
+
+
+def test_wrong_variable_names_fail_with_one_error_line(tmp_path, capsys):
+    doc = pool_to_json(init_factored_pool(2))
+    doc["variable_names"] = ["a"]
+    model = tmp_path / "names.spn"
+    model.write_text(json.dumps(doc))
+    for argv in (["sample", model, "-n", 3, "--out", tmp_path / "drawn.csv"],
+                 ["inspect", model, "--dot", tmp_path / "model.dot"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "variable_names" in err
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+def test_sample_of_more_rows_than_memory_fails_with_one_error_line(tmp_path):
+    model = tmp_path / "model.spn"
+    save_model(model, init_factored_pool(2))
+    drawn = tmp_path / "drawn.csv"
+    cmd = [sys.executable, "-m", "spnstream", "sample", str(model), "-n", "10000000000000",
+           "--out", str(drawn)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=limit_address_space)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "memory" in proc.stderr
+    assert not drawn.exists()
+
+
+def test_sample_draws_for_a_seed_are_unchanged(tmp_path, capsys):
+    model = tmp_path / "model.spn"
+    save_model(model, init_factored_pool(2))
+    drawn = tmp_path / "drawn.csv"
+    assert run(capsys, "sample", model, "-n", 3, "--out", drawn, "--seed", 4)[0] == 0
+    rows, _ = load_csv(drawn)
+    expected = sample(load_model(model)[0], np.random.default_rng(4), size=3)
+    assert rows.tobytes() == expected.tobytes()

@@ -29,7 +29,8 @@ from spnstream.evaluate import (
 )
 from spnstream.gstats import GaussianStats
 from spnstream.learner import LearnerConfig, init_factored_pool, learn_batch, make_mixture
-from spnstream.nodes import LeafNode, NodePool, ProductNode, SumNode, make_scope, validate
+from spnstream.nodes import (LeafNode, NodePool, ProductNode, SumNode, derived_weights,
+                             make_scope, validate)
 
 from bench_eval import wide_mixture
 from helpers import (expand_mixture, oracle_cov, oracle_log_density, oracle_log_density_rows,
@@ -737,3 +738,26 @@ def test_in_place_stats_write_shows_after_bump():
     fresh = copy.deepcopy(pool)
     assert after == (log_density(fresh, evidence), analytic_mean(fresh).tolist())
     assert after != before
+
+
+@pytest.mark.parametrize("mode", ["laplace", "mle"])
+def test_sum_edge_weights_match_derived_weights_bit_for_bit(mode):
+    rng = np.random.default_rng(31)
+    zero_edges = 0
+    for _ in range(25):
+        pool = random_pool(rng, int(rng.integers(1, 7)), weight_mode=mode)
+        for node in pool.nodes.values():  # counts that are not whole, some of them zero
+            if isinstance(node, SumNode):
+                node.child_counts = [c * float(rng.uniform(0.1, 3.0)) * float(rng.random() < 0.8)
+                                     for c in node.child_counts]
+                node.count = sum(node.child_counts) or 1.0
+        net = compile_pool(pool)
+        for nid in net.sums:
+            node = pool.node(nid)
+            lo = int(net.child_ptr[net.index[nid]])
+            with np.errstate(divide="ignore"):
+                want = np.log(derived_weights(node, mode))
+            got = net.child_logw[lo:lo + len(node.children)]
+            assert got.tobytes() == want.tobytes()
+            zero_edges += int(np.count_nonzero(got == -np.inf))
+    assert (zero_edges > 0) == (mode == "mle")

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spnstream.gstats import GaussianStats
+from spnstream.gstats import GaussianStats, update_each_with_one_row
 
 from helpers import population_stats, reference_update
 
@@ -171,3 +171,63 @@ def test_update_matches_the_reference_formula_bit_for_bit(case):
     assert got == update_outcome(reference_update, stats, batch)
     if form == "wide" and len(batch):
         assert got[0] == "ValueError" and "does not match stats dimension" in got[1]
+
+
+# -0.0 is worth a draw of its own: a one-row sum or product turns it into +0.0.
+SIGNED = st.one_of(FINITE, st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+
+
+@st.composite
+def one_row_cases(draw):
+    """(stats, X, rows, cols): statistics of mixed widths, each to absorb one
+    row of a strided matrix X, read at its own columns."""
+    width = draw(st.integers(4, 6))
+    n_rows = draw(st.integers(1, 4))
+    full = np.array(draw(st.lists(SIGNED, min_size=2 * n_rows * 2 * width,
+                                  max_size=2 * n_rows * 2 * width)))
+    X = full.reshape(2 * n_rows, 2 * width)[::2, 1::2]  # strided rows and columns
+    stats, rows, cols = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(1, 4))
+        mean = np.array(draw(st.lists(SIGNED, min_size=k, max_size=k)))
+        a = np.array(draw(st.lists(FINITE, min_size=k * k, max_size=k * k))).reshape(k, k)
+        count = draw(st.one_of(st.just(0.0), st.integers(1, 50).map(float), st.floats(0.0, 1e6)))
+        stats.append(GaussianStats(mean, a @ a.T, count))
+        rows.append(draw(st.integers(0, n_rows - 1)))
+        cols.append(tuple(sorted(draw(st.permutations(range(width)))[:k])))
+    return stats, X, rows, cols
+
+
+# A row's -0.0 makes a -0.0 row sum and a -0.0 scatter term, which the
+# one-row sum and the one-term matmul turn into +0.0; at count 0 they reach
+# the mean of a negative mean and the covariance of a negative covariance.
+NEGATIVE_ZEROS = ([GaussianStats(np.zeros(2), np.array([[1.0, -0.5], [-0.5, 1.0]]), 0.0),
+                   GaussianStats(np.array([-1.0]), np.eye(1), 0.0)],
+                  np.array([[-0.0, 2.0]]), [0, 0], [(0, 1), (0,)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_row_cases())
+@example(NEGATIVE_ZEROS)
+def test_stacked_one_row_updates_match_the_reference_bit_for_bit(case):
+    stats, X, rows, cols = case
+    with np.errstate(all="ignore"):  # huge draws overflow alike in both
+        got = update_each_with_one_row(stats, X, rows, cols)
+        for s, r, c, out in zip(stats, rows, cols, got):
+            want = reference_update(s, X[[r]][:, list(c)])
+            assert (out.count, out.mean.tobytes(), out.cov.tobytes()) == \
+                (want.count, want.mean.tobytes(), want.cov.tobytes())
+            assert out.mean.flags.owndata and out.cov.flags.owndata
+            assert out.mean.dtype == out.cov.dtype == np.float64
+
+
+def test_stacked_one_row_updates_leave_their_inputs_alone():
+    stats = [GaussianStats(np.array([1.0, 2.0]), np.eye(2), 3.0),
+             GaussianStats(np.array([-1.0]), np.eye(1), 0.0)]
+    before = [(s.mean.copy(), s.cov.copy(), s.count) for s in stats]
+    out = update_each_with_one_row(stats, np.array([[4.0, 5.0, 6.0]]), [0, 0], [(0, 2), (1,)])
+    assert [o.count for o in out] == [4.0, 1.0]
+    np.testing.assert_array_equal(out[1].mean, [5.0])
+    for s, (mean, cov, count) in zip(stats, before):
+        assert s.mean.tobytes() == mean.tobytes() and s.cov.tobytes() == cov.tobytes()
+        assert s.count == count

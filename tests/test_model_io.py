@@ -285,3 +285,13 @@ def test_save_rejects_non_finite_values(tmp_path):
     leaf.stats.mean[0] = np.inf
     with pytest.raises(ValueError):
         save_model(tmp_path / "bad.spn", pool)
+
+
+@pytest.mark.parametrize("names", [["a"], ["a", "b", "c"], "ab", ["a", 2], {"0": "a"}])
+def test_variable_names_must_name_every_variable(names):
+    doc = pool_to_json(init_factored_pool(2))
+    doc["variable_names"] = names
+    with pytest.raises(ModelFormatError, match="variable_names"):
+        pool_from_json(doc)
+    del doc["variable_names"]
+    assert pool_from_json(doc).dim == 2
