@@ -10,12 +10,17 @@ time of one ``compile_pool``.  Three networks: a model trained on the toy
 stream (small, deep enough to be realistic) and two wide constructed
 mixtures (many sum edges, multivariate leaves), the larger with 1 251 nodes.
 
-Last, the write path: ``learn_batch`` rows/second on live models, one row
-per call on the trained toy model, and one and 16 rows per call on a wider
-model trained on planted blocks, each with no read between writes and with
-one marginal query after every write (untimed).  The read re-factors the leaves the
-write replaced; a second factorization of them by the next write, or
-per-node overhead in the write pass, shows in these rates.
+Last, the model trained on planted blocks: its marginal and conditional
+queries/second on a warm net, and with each query the first read after a
+16-row write (structure frozen, untimed), which replaces every leaf the
+rows reach, so the query refills the factors restricted to its observation
+patterns that the kernel caches per leaf group.  Then the write path:
+``learn_batch`` rows/second on live models, one row per call on the trained
+toy model, and one and 16 rows per call on the planted-blocks model, each
+with no read between writes and with one marginal query after every write
+(untimed).  The read re-factors the leaves the write replaced; a second
+factorization of them by the next write, or per-node overhead in the write
+pass, shows in these rates.
 
 Run from the repository root:
 
@@ -25,6 +30,7 @@ Run from the repository root:
 
 import argparse
 import copy
+import itertools
 import time
 
 import numpy as np
@@ -32,7 +38,7 @@ import numpy as np
 from spnstream import toy
 from spnstream.evaluate import compile_pool, conditional_log_density, log_density, sample
 from spnstream.gstats import GaussianStats
-from spnstream.learner import EvalCache, LearnerConfig, fit, learn_batch
+from spnstream.learner import LearnerConfig, fit, learn_batch
 from spnstream.nodes import LeafNode, NodePool, ProductNode, SumNode, make_scope
 
 
@@ -77,28 +83,36 @@ QUERIES = 64
 SAMPLE_ROWS = (32, 4096)
 
 
-def query_rates(pool, min_seconds: float, rng) -> tuple[float, float]:
-    """Marginal and conditional queries/second on random evidence."""
+def query_rates(pool, min_seconds: float, rng, write=None) -> tuple[float, float]:
+    """Marginal and conditional queries/second on random evidence.  With
+    ``write``, an untimed ``write()`` comes before every query, so each
+    query is the first read after a write."""
     d = pool.dim
     half, quarter = max(1, d // 2), max(1, d // 4)
     marginals, conditionals = [], []
     for _ in range(QUERIES):
         x = rng.normal(0.0, 3.0, size=d)
         perm = rng.permutation(d).tolist()
-        marginals.append({v: float(x[v]) for v in perm[:half]})
+        marginals.append(({v: float(x[v]) for v in perm[:half]},))
         conditionals.append(({v: float(x[v]) for v in perm[:quarter]},
                              {v: float(x[v]) for v in perm[quarter:quarter + half]}))
 
-    def marginal():
-        for evidence in marginals:
-            log_density(pool, evidence)
+    def rate(ask, queries) -> float:
+        ask(pool, *queries[0])  # warm-up
+        best = spent = 0.0
+        while spent < min_seconds:
+            timed = 0.0
+            for args in queries:
+                if write is not None:
+                    write()
+                t0 = time.perf_counter()
+                ask(pool, *args)
+                timed += time.perf_counter() - t0
+            spent += timed
+            best = max(best, len(queries) / timed)
+        return best
 
-    def conditional():
-        for query, evidence in conditionals:
-            conditional_log_density(pool, query, evidence)
-
-    return (time_call(marginal, QUERIES, min_seconds),
-            time_call(conditional, QUERIES, min_seconds))
+    return rate(log_density, marginals), rate(conditional_log_density, conditionals)
 
 
 def run_workload(name: str, pool, batch_sizes, min_seconds: float, rng) -> None:
@@ -140,17 +154,35 @@ def write_pass(pool, rows, cfg: LearnerConfig, read: bool) -> float:
     ``pool`` in batches of ``cfg.batch_size``, the structure learning on.
     With ``read``, one marginal query runs after every write, untimed."""
     evidence = {0: float(rows[0, 0])}
-    live, cache = copy.deepcopy(pool), EvalCache()
+    live = copy.deepcopy(pool)
     log_density(live, evidence)  # the state a live model is read in
     rng = np.random.default_rng(cfg.seed)
     timed = 0.0
     for lo in range(0, rows.shape[0], cfg.batch_size):
         t0 = time.perf_counter()
-        learn_batch(live, rows[lo:lo + cfg.batch_size], cfg, rng, cache=cache)
+        learn_batch(live, rows[lo:lo + cfg.batch_size], cfg, rng)
         timed += time.perf_counter() - t0
         if read:
             log_density(live, evidence)
     return timed
+
+
+def run_blocks_queries(pool, rows, min_seconds: float, rng) -> None:
+    """Queries/second on a copy of ``pool``, warm and as the first read after
+    a 16-row write of ``rows`` taken in turn."""
+    live = copy.deepcopy(pool)
+    cfg = LearnerConfig(batch_size=16, seed=0)
+    write_rng = np.random.default_rng(0)
+    starts = itertools.cycle(range(0, rows.shape[0] - cfg.batch_size + 1, cfg.batch_size))
+
+    def write() -> None:
+        lo = next(starts)
+        learn_batch(live, rows[lo:lo + cfg.batch_size], cfg, write_rng, structure_frozen=True)
+
+    print(f"\nplanted blocks ({len(pool)} nodes): queries/s {'marginal':>9} {'conditional':>12}")
+    for name, after in (("warm net", None), ("after a 16-row write", write)):
+        marginal, conditional = query_rates(live, min_seconds, rng, after)
+        print(f"{name:>34} {marginal:>9.0f} {conditional:>12.0f}")
 
 
 def run_writes(min_seconds: float, seed: int) -> None:
@@ -160,9 +192,10 @@ def run_writes(min_seconds: float, seed: int) -> None:
     toy_cfg = LearnerConfig(max_leaf_vars=1, seed=0)
     toy_pool, _ = fit(toy.generate(3000, rng), toy_cfg)
     blocks_pool, _ = fit(planted_blocks(20000, rng), LearnerConfig(batch_size=256, seed=0))
+    blocks_rows = planted_blocks(640, rng)
+    run_blocks_queries(blocks_pool, blocks_rows, min_seconds, rng)
     print("\nlearn_batch rows/s on live models (structure learning on)")
     print(f"{'model':>26} {'batch':>6} {'no reads':>10} {'read after each':>16}")
-    blocks_rows = planted_blocks(640, rng)
     for name, pool, rows, cfg in [
             ("trained toy", toy_pool, toy.generate(500, rng), toy_cfg),
             ("planted blocks", blocks_pool, blocks_rows, LearnerConfig(batch_size=1, seed=0)),

@@ -40,6 +40,9 @@ LOG_2PI = kernels.LOG_2PI
 _BLOCK_BYTES = 1 << 19
 # Bytes one block of sample may take (kernels.DrawPlan.row_words per row).
 _SAMPLE_BYTES = 1 << 20
+# Bytes the restricted factors of one leaf group's kernels.PatternTable may
+# take; a table about to pass it is emptied.
+_PATTERN_BYTES = 1 << 22
 
 
 def _factors(covs: np.ndarray, floor: float):
@@ -94,7 +97,7 @@ class CompiledNet:
     mat_ptr: np.ndarray
     leaf_ichol: np.ndarray
     leaf_chol: np.ndarray  # Cholesky factors, laid out like leaf_ichol
-    leaf_cov: np.ndarray  # regularized covariances, laid out like leaf_ichol
+    leaf_cov: np.ndarray  # regularized covariances, laid out like leaf_ichol; partial reads only
     leaf_const: np.ndarray
     key: tuple[int, int]  # (pool.structure_version, pool.root) it was compiled at
     plan: kernels.LevelPlan
@@ -104,6 +107,11 @@ class CompiledNet:
     # edges or leaf variables) then takes at most _BLOCK_BYTES.
     block_rows: int
     leaf_ids: list[list[int]]  # node ids of each plan.leaves group's leaves
+    # Per plan.leaves group, the factors of its leaves' covariances restricted
+    # to the observation patterns partial-evidence queries have used, filled
+    # by the kernel and emptied by refresh_params when a leaf of the group is
+    # factored again.
+    patterns: list[kernels.PatternTable]
     # Per leaf group, weak references to the GaussianStats objects its leaves
     # were last factored from, and the variance floor used; refresh_params
     # re-factors a leaf only when its stats object was replaced or the floor
@@ -131,7 +139,7 @@ class CompiledNet:
         out = np.empty((self.kind.shape[0], X.shape[0]), dtype=np.float64)
         return kernels.eval_flat_numpy(self.plan, self.child_logw, self.leaf_mean,
                                        self.leaf_ichol, self.leaf_const, X, out,
-                                       self.leaf_cov if partial else None)
+                                       self.leaf_cov if partial else None, self.patterns)
 
     def refresh_leaf(self, pool: NodePool, nid: int) -> None:
         """Bring the flattened parameters up to date after a stats update of
@@ -146,16 +154,18 @@ class CompiledNet:
         Leaves whose ``stats`` object is not the one they were last factored
         from are re-factored (all leaves after a change of the variance
         floor): univariate ones in closed form, those over k > 1 variables
-        with one stacked factorization per k.  A write into a stats array in
-        place is not seen; ``pool.bump()`` after one recompiles.  Every
-        sum-edge weight is recomputed, since child counts are edited in place.
+        with one stacked factorization per k, and the group's table of
+        restricted factors is emptied.  A write into a stats array in place
+        is not seen; ``pool.bump()`` after one recompiles.  Every sum-edge
+        weight is recomputed, since child counts are edited in place.
         """
         floor = pool.variance_floor
         if floor != self.floor:
             self.factored = [[None] * len(ids) for ids in self.leaf_ids]
             self.floor = floor
         nodes = pool.nodes
-        for g, ids, done in zip(self.plan.leaves, self.leaf_ids, self.factored):
+        for g, ids, done, table in zip(self.plan.leaves, self.leaf_ids, self.factored,
+                                       self.patterns):
             stats = [nodes[nid].stats for nid in ids]
             fresh = [d is None or d() is not s for d, s in zip(done, stats)]
             if not any(fresh):
@@ -178,6 +188,7 @@ class CompiledNet:
             self.leaf_chol[mat_at] = chol
             self.leaf_cov[mat_at] = reg
             self.leaf_const[node_at] = const
+            table.clear()
             # weakref.ref hands back an object's existing reference, so
             # recording the unchanged leaves again costs next to nothing.
             done[:] = map(weakref.ref, stats)
@@ -246,7 +257,8 @@ def compile_pool(pool: NodePool) -> CompiledNet:
                       leaf_cov, leaf_const, (pool.structure_version, pool.root), plan, sums,
                       np.array(sum_edges, dtype=np.intp),
                       max(1, _BLOCK_BYTES // (8 * width)),
-                      [[order[i] for i in g.nodes.tolist()] for g in plan.leaves])
+                      [[order[i] for i in g.nodes.tolist()] for g in plan.leaves],
+                      [kernels.PatternTable(_PATTERN_BYTES) for _ in plan.leaves])
     net.refresh_params(pool)
     return net
 
@@ -333,7 +345,7 @@ def _check_assignment(pool: NodePool, assignment: Mapping[int, float]) -> dict[i
         if k < 0 or k >= pool.dim:
             raise ValueError(f"assignment variable {k} is outside dimension {pool.dim}")
         v = float(value)
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise ValueError(f"assignment value for variable {k} is not finite")
         out[k] = v
     return out

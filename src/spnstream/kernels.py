@@ -32,12 +32,18 @@ size:
   ``logaddexp`` after adding the edge log weights for sums.
 
 Given the regularized leaf covariances (``leaf_cov``, laid out like
-``leaf_ichol``) the kernel also takes partial evidence: NaN marks an
-unobserved value, which is integrated out inside its leaf.  A leaf with
-every variable unobserved contributes 0, a univariate leaf otherwise its
-closed form, and the (row, leaf) pairs of one k > 1 group with some but not
-all variables observed go through one stacked Cholesky factorization of
-their restricted covariances.
+``leaf_ichol``) and one ``PatternTable`` per leaf group, the kernel also
+takes partial evidence: NaN marks an unobserved value, which is integrated
+out inside its leaf.  A leaf with every variable unobserved contributes 0,
+a univariate leaf otherwise its closed form, and a fully observed leaf its
+own factor.  A (row, leaf) pair of a k > 1 group with some but not all
+variables observed gathers the factor of its leaf's covariance restricted
+to the observed variables from its group's table and takes one batched
+``matmul``.  The table keeps those factors per observation pattern (which
+of the k variables are unobserved) for every leaf of the group; the kernel
+factors a pattern the first time a query uses it (every pattern at once
+when that at most doubles the work), and the owner of the table empties it
+whenever a leaf of the group is factored again.
 
 ``sample_flat`` walks the same plan top-down to draw rows: the (node, row)
 pairs that reach a group are handled by a few numpy calls, with routing
@@ -54,8 +60,9 @@ pairwise sum of the others.
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,6 +93,34 @@ class NodeGroup:
     nodes: np.ndarray     # (m,) dense node indices
     children: np.ndarray  # (c, m) dense child indices; column j belongs to nodes[j]
     edges: np.ndarray     # (c, m) edge positions in child_logw
+
+
+@dataclass(eq=False)
+class PatternTable:
+    """Restricted factors of one k > 1 ``LeafGroup``, one slot per observation pattern.
+
+    A pattern is the (k,) boolean mask of a leaf's unobserved variables,
+    keyed by its bytes, so keys do not overflow for any k.  Slot s holds, for
+    each of the group's m leaves j, the inverse Cholesky factor
+    ``ichol[s, j]`` and log normalization constant ``const[s, j]`` of the
+    leaf's regularized covariance restricted to its observed variables,
+    padded to k x k by a diagonal block on the unobserved variables (see
+    ``_restricted_factors``).  The arrays are allocated at the first
+    pattern, with room for every pattern or as many as ``budget`` bytes
+    hold; when a new pattern would not fit, the table is emptied first.
+    """
+
+    budget: int
+    slots: dict[bytes, int] = field(default_factory=dict)
+    ichol: np.ndarray | None = None  # (capacity, m, k, k)
+    const: np.ndarray | None = None  # (capacity, m)
+
+    def clear(self) -> None:
+        self.slots, self.ichol, self.const = {}, None, None
+
+    @property
+    def nbytes(self) -> int:
+        return 0 if self.ichol is None else self.ichol.nbytes + self.const.nbytes
 
 
 @dataclass(frozen=True)
@@ -174,16 +209,19 @@ def draw_plan(plan: LevelPlan, n_nodes: int) -> DrawPlan:
 
 
 def eval_flat_numpy(plan: LevelPlan, child_logw, leaf_mean, leaf_ichol, leaf_const, X, out,
-                    leaf_cov=None):
+                    leaf_cov=None, patterns=None):
     """Level kernel: a few numpy calls per plan group, batched over rows.
 
-    With ``leaf_cov`` a NaN in X marks an unobserved value.
+    With ``leaf_cov`` a NaN in X marks an unobserved value; ``patterns``
+    then holds one ``PatternTable`` per ``plan.leaves`` group, which the
+    kernel fills as queries use new patterns.
     """
-    for g in plan.leaves:
+    for i, g in enumerate(plan.leaves):
         if leaf_cov is None:
             out[g.nodes] = _leaf_rows(g, X[:, g.cols] - leaf_mean[g.mean], leaf_ichol, leaf_const)
         else:
-            out[g.nodes] = _partial_leaf_rows(g, leaf_mean, leaf_ichol, leaf_const, leaf_cov, X)
+            out[g.nodes] = _partial_leaf_rows(g, patterns[i], leaf_mean, leaf_ichol, leaf_const,
+                                              leaf_cov, X)
     for g in plan.groups:
         terms = out[g.children]
         if g.is_sum:
@@ -204,7 +242,8 @@ def _leaf_rows(g: LeafGroup, dev, leaf_ichol, leaf_const):
     return leaf_const[g.nodes, None] - 0.5 * np.einsum("lij,lij->li", y, y)
 
 
-def _partial_leaf_rows(g: LeafGroup, leaf_mean, leaf_ichol, leaf_const, leaf_cov, X):
+def _partial_leaf_rows(g: LeafGroup, table: PatternTable, leaf_mean, leaf_ichol, leaf_const,
+                       leaf_cov, X):
     """``_leaf_rows`` where NaN in X marks an unobserved value."""
     dev = X[:, g.cols] - leaf_mean[g.mean]
     miss = np.isnan(dev)
@@ -217,18 +256,65 @@ def _partial_leaf_rows(g: LeafGroup, leaf_mean, leaf_ichol, leaf_const, leaf_cov
     val[n_miss == g.k] = 0.0
     leaf, row = np.nonzero((n_miss > 0) & (n_miss < g.k))
     if leaf.size:
-        # Each restricted covariance sits in a k x k matrix that is the
-        # identity on the unobserved variables, where the deviation is 0:
-        # they then add nothing to the quadratic form and log 1 to the
-        # log-determinant, and 0.5 log 2 pi each is added back.
-        hide = miss[row, leaf]
-        cov = np.where(hide[:, :, None] | hide[:, None, :], np.eye(g.k), leaf_cov[g.ichol[leaf]])
-        chol = np.linalg.cholesky(cov)
-        z = np.linalg.solve(chol, dev[row, leaf][:, :, None])[:, :, 0]
-        val[leaf, row] = (-0.5 * (g.k - n_miss[leaf, row]) * LOG_2PI
-                          - np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-                          - 0.5 * np.einsum("ij,ij->i", z, z))
+        ichol, const = _restricted_factors(g, table, miss[row, leaf], leaf, leaf_cov)
+        y = np.matmul(ichol, dev[row, leaf][:, :, None])[:, :, 0]
+        val[leaf, row] = const - 0.5 * np.einsum("ij,ij->i", y, y)
     return val
+
+
+def _restricted_factors(g: LeafGroup, table: PatternTable, hide, leaf, leaf_cov):
+    """Inverse Cholesky factors (pairs, k, k) and log-constants (pairs,) of the
+    restricted covariances of the (row, leaf) pairs with unobserved masks
+    ``hide`` (pairs, k) on leaves ``leaf`` (pairs,), gathered from ``table``.
+
+    The patterns the table lacks are factored for all m leaves of the group
+    in one stack; all 2^k - 2 patterns instead, when that at most doubles
+    the work and fits the budget, so that later queries find every pattern
+    (for k = 2 one miss fills the table).  A call whose own patterns pass
+    the budget factors them in stacks of at most the budget, uses them once
+    and leaves the table empty.
+    """
+    k, m = g.k, g.nodes.size
+    flat = hide.tobytes()
+    keys = [flat[i:i + k] for i in range(0, len(flat), k)]
+    distinct = dict.fromkeys(keys)
+    new = [key for key in distinct if key not in table.slots]
+    if new:
+        slot_bytes = 8 * m * (k * k + 1)
+        # All of them, when they cost at most twice the new ones and fit.
+        if 2 ** k - 2 <= min(2 * len(new), table.budget // slot_bytes):
+            distinct = {bytes(p): None for p in itertools.product((0, 1), repeat=k)
+                        if 0 < sum(p) < k}
+            new = [key for key in distinct if key not in table.slots]
+        if (len(table.slots) + len(new)) * slot_bytes > table.budget:
+            table.clear()
+            new = list(distinct)
+        if table.ichol is None:  # room for every pattern, or as many as the budget holds
+            cap = max(len(new), min(2 ** k - 2, table.budget // slot_bytes))
+            table.ichol, table.const = np.empty((cap, m, k, k)), np.empty((cap, m))
+        used = len(table.slots)
+        # The unobserved block is I / (2 pi): each such variable then adds
+        # 0.5 log 2 pi to the log-constant, which cancels its share of the
+        # full leaf's -0.5 k log 2 pi, and a deviation of 0 there adds nothing
+        # to the quadratic form.
+        covs, pad = leaf_cov[g.ichol], np.eye(k) / (2.0 * np.pi)
+        masks = np.frombuffer(b"".join(new), dtype=bool).reshape(-1, 1, k)
+        step = max(1, table.budget // slot_bytes)
+        for lo in range(0, len(new), step):
+            h = masks[lo:lo + step]
+            chol = np.linalg.cholesky(np.where(h[..., :, None] | h[..., None, :], pad, covs))
+            at = slice(used + lo, used + lo + h.shape[0])
+            table.ichol[at] = np.linalg.inv(chol)
+            table.const[at] = (-0.5 * k * LOG_2PI
+                               - np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1))
+        table.slots.update(zip(new, range(used, used + len(new))))
+    at = np.array([table.slots[key] for key in keys]) * m + leaf
+    # take, not fancy indexing, which is ~10x slower on (p, k, k) gathers.
+    ichol = table.ichol.reshape(-1, k, k).take(at, axis=0)
+    const = table.const.reshape(-1).take(at)
+    if table.nbytes > table.budget:
+        table.clear()
+    return ichol, const
 
 
 def sample_flat(plan: LevelPlan, draws: DrawPlan, child_logw, leaf_mean, leaf_chol, root: int,

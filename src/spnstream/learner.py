@@ -188,7 +188,8 @@ def merge_into_leaf(pool: NodePool, parent_id: int, child_a: int, child_b: int,
     """Collapse two children of a product node into one multivariate leaf.
 
     The leaf's Gaussian is the parent's running statistics restricted to
-    the pair's joint scope; the subtrees under both children are released.
+    the pair's joint scope; the subtrees under both children are released,
+    except for nodes another parent still holds (a DAG).
     Returns the new leaf's id.  ``birth_stats``/``birth_count`` override
     the inherited state, see ``make_mixture``.
     """
@@ -208,8 +209,7 @@ def merge_into_leaf(pool: NodePool, parent_id: int, child_a: int, child_b: int,
     pos = parent.children.index(child_a)
     parent.children[pos] = leaf_id
     parent.children.remove(child_b)
-    pool.remove_subtree(child_a)
-    pool.remove_subtree(child_b)
+    pool.remove_subtree(child_a, child_b)
     pool.bump()
     return leaf_id
 

@@ -10,6 +10,7 @@ from the counts kept on each sum node.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -150,10 +151,20 @@ class NodePool:
         del self.nodes[nid]
         self.structure_version += 1
 
-    def remove_subtree(self, nid: int) -> None:
-        """Remove a node and everything reachable from it."""
-        for cur in topological_order(self, nid):
-            del self.nodes[cur]
+    def remove_subtree(self, *nids: int) -> None:
+        """Remove the nodes ``nids`` and everything reachable from them that
+        no remaining node references: in a DAG, a node that a parent outside
+        the removed part still holds stays, with everything under it."""
+        order: dict[int, None] = {}  # children before parents over all starts
+        for nid in nids:
+            order.update(dict.fromkeys(topological_order(self, nid)))
+        held = Counter(c for node in self.nodes.values() if not isinstance(node, LeafNode)
+                       for c in node.children)
+        for cur in reversed(order):  # a node's parents in the part are decided first
+            if not held[cur]:
+                node = self.nodes.pop(cur)
+                if not isinstance(node, LeafNode):
+                    held.subtract(node.children)
         self.structure_version += 1
 
     def bump(self) -> None:

@@ -622,9 +622,13 @@ def test_read_queries_follow_every_kind_of_edit():
     pool = two_rooted_pool(rng)
     X = rng.normal(size=(5, 4))
     evidence, query = {0: 0.3, 2: -1.1}, {1: 0.8}
+    # Marginals over several observation patterns, so the pool's net answers
+    # from restricted factors it cached before the edit.
+    marginals = [{0: 0.3}, {1: -0.4, 3: 0.9}, {0: 0.3, 1: 0.8, 2: -1.1}, {2: 0.5, 3: -0.2}]
 
     def answers(p):
         return (log_density(p, evidence), conditional_log_density(p, query, evidence),
+                [log_density(p, m) for m in marginals],
                 log_density_rows(p, X).tolist(), analytic_mean(p).tolist(),
                 sample(p, np.random.default_rng(5), size=3).tolist())
 
@@ -647,6 +651,13 @@ def test_read_queries_follow_every_kind_of_edit():
     seen.append(check())
     first = next(n for n in pool.nodes.values() if isinstance(n, LeafNode))
     first.stats = GaussianStats(first.stats.mean + 0.7, 1.3 * first.stats.cov, first.stats.count)
+    seen.append(check())
+    pool.variance_floor = 3e-2
+    seen.append(check())
+    multi = next(n for n in pool.nodes.values() if isinstance(n, LeafNode) and len(n.scope) > 1)
+    multi.stats.cov[0, 1] = multi.stats.cov[1, 0] = 0.5 * multi.stats.cov[0, 1]
+    multi.stats.mean += 0.4
+    pool.bump()
     seen.append(check())
     alt = pool.node(root.children[1])
     make_mixture(pool, root.children[1], alt.children[0], alt.children[1])
@@ -723,6 +734,113 @@ def test_sample_and_mean_on_a_cached_net_factor_only_replaced_leaves(monkeypatch
     analytic_mean(pool)
     assert sum(stacks[1:]) == len(multi)
     assert "topological_order" not in calls and "compile_pool" not in calls
+
+
+def test_a_group_factors_each_observation_pattern_once_between_refreshes(monkeypatch):
+    rng = np.random.default_rng(163)
+    pool = random_pool(rng, dim=8, max_sums=4, max_leaf_vars=4)
+    multi = [n for n in pool.nodes.values() if isinstance(n, LeafNode) and len(n.scope) > 1]
+    assert len(multi) >= 2
+    log_density_rows(pool, rng.normal(size=(2, 8)))  # compiled and factored
+    stacks = []
+    real_cholesky = np.linalg.cholesky
+
+    def cholesky(a):
+        stacks.append(a.shape)
+        return real_cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    queries = [{int(v): float(rng.normal()) for v in rng.permutation(8)[:4]} for _ in range(12)]
+    first = [log_density(pool, q) for q in queries]
+    built = len(stacks)
+    assert built > 0
+    # Each pattern is factored once, for every leaf of its group.
+    group_size = {len(n.scope): 0 for n in multi}
+    for n in multi:
+        group_size[len(n.scope)] += 1
+    assert all(shape[1] == group_size[shape[-1]] for shape in stacks)
+    for k in group_size:
+        assert sum(shape[0] for shape in stacks if shape[-1] == k) <= 2 ** k - 2
+    assert [log_density(pool, q) for q in queries] == first
+    assert len(stacks) == built  # warm: no factorization at all
+    # A replaced leaf empties its group's table, and only that group's.
+    k = len(multi[0].scope)
+    multi[0].stats = GaussianStats(multi[0].stats.mean + 0.5, multi[0].stats.cov, 3.0)
+    again = [log_density(pool, q) for q in queries]
+    refilled = stacks[built:]
+    assert refilled[0] == (1, k, k)  # refresh_params re-factors the one replaced leaf
+    assert len(refilled) > 1
+    assert all(shape[1:] == (group_size[k], k, k) for shape in refilled[1:])
+    assert sum(shape[0] for shape in refilled[1:]) <= 2 ** k - 2
+    fresh = copy.deepcopy(pool)
+    fresh.compiled = None
+    assert again == [log_density(fresh, q) for q in queries]
+    # Over two variables the first miss factors both patterns.
+    pair = NodePool(dim=2)
+    pair.root = pair.add(leaf([0, 1], [1.0, -1.0], [[2.0, 0.8], [0.8, 1.0]], 4.0))
+    log_density(pair, {0: 0.5})
+    del stacks[:]
+    log_density(pair, {1: 0.5})
+    assert stacks == [] and len(pair.compiled.patterns[0].slots) == 2
+
+
+def closed_form_marginal(stats: GaussianStats, floor: float, evidence: dict) -> float:
+    """log N(x_obs; mean_obs, cov_obs + floor I) of one leaf over 0..k-1."""
+    obs = sorted(evidence)
+    cov = stats.cov[np.ix_(obs, obs)] + floor * np.eye(len(obs))
+    dev = np.array([evidence[v] for v in obs]) - stats.mean[obs]
+    _, logdet = np.linalg.slogdet(cov)
+    return float(-0.5 * (len(obs) * math.log(2.0 * math.pi) + logdet
+                         + dev @ np.linalg.solve(cov, dev)))
+
+
+def wide_leaf_pool(rng, k: int) -> NodePool:
+    a = rng.normal(size=(k, k))
+    pool = NodePool(dim=k)
+    pool.root = pool.add(leaf(range(k), rng.normal(size=k), a @ a.T / k + 0.5 * np.eye(k), 9.0))
+    return pool
+
+
+def test_a_leaf_over_70_variables_marginalizes_by_pattern():
+    rng = np.random.default_rng(167)
+    pool = wide_leaf_pool(rng, 70)
+    stats = pool.node(pool.root).stats
+    x = rng.normal(size=70)
+    # Patterns that differ only beyond variable 63, then one that repeats.
+    patterns = [set(range(70)) - {68}, set(range(70)) - {69}, set(range(0, 70, 3)),
+                set(range(64)), set(range(70)) - {68}]
+    for obs in patterns:
+        evidence = {v: float(x[v]) for v in obs}
+        want = closed_form_marginal(stats, pool.variance_floor, evidence)
+        assert log_density(pool, evidence) == pytest.approx(want, abs=1e-9)
+    assert len(pool.compiled.patterns[0].slots) == 4
+
+
+def test_distinct_patterns_on_a_wide_leaf_keep_the_table_within_its_budget(monkeypatch):
+    rng = np.random.default_rng(173)
+    k = 66
+    budget = 3 * 8 * (k * k + 1)  # three patterns of the one leaf
+    monkeypatch.setattr(evaluate, "_PATTERN_BYTES", budget)
+    pool = wide_leaf_pool(rng, k)
+    stats = pool.node(pool.root).stats
+    x = rng.normal(size=k)
+    for _ in range(10):
+        obs = rng.permutation(k)[:int(rng.integers(1, k))].tolist()
+        evidence = {v: float(x[v]) for v in obs}
+        want = closed_form_marginal(stats, pool.variance_floor, evidence)
+        assert log_density(pool, evidence) == pytest.approx(want, abs=1e-9)
+        table = pool.compiled.patterns[0]
+        assert 0 < table.nbytes <= budget and len(table.slots) <= 3
+    # One call whose own patterns pass the budget answers and keeps nothing.
+    X = np.tile(x, (5, 1))
+    for i in range(5):
+        X[i, rng.permutation(k)[:i + 1]] = np.nan
+    got = pool.compiled.eval_rows(X, partial=True)[0]
+    for row, value in zip(X, got):
+        evidence = {v: float(row[v]) for v in np.flatnonzero(~np.isnan(row))}
+        assert value == pytest.approx(closed_form_marginal(stats, pool.variance_floor, evidence),
+                                      abs=1e-9)
+    assert pool.compiled.patterns[0].nbytes == 0
 
 
 def test_in_place_stats_write_shows_after_bump():

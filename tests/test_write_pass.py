@@ -125,12 +125,15 @@ def test_a_leaf_reached_twice_in_one_pass_updates_in_visit_order(batch):
 def test_a_dag_restructures_like_the_oracle(batch):
     # The products check early and mix their correlated pair, so nodes born
     # mid-pass sit over the shared leaf, which other rows reach in that pass.
+    # With max_leaf_vars=3 the pair merges into a leaf instead, and the
+    # shared leaf, still held by the other product, must stay in the pool.
     pool, _ = shared_leaf_dag(next_check=6.0)
     rng = np.random.default_rng(4)
     x = rng.normal(size=96)
     rows = np.column_stack([x, np.where(np.arange(96) % 2, 3.0, -3.0) + x])
-    cfg = LearnerConfig(batch_size=batch, max_leaf_vars=1, significance_z=1.0)
-    assert assert_streams_agree(pool, rows, cfg, batch) > 0
+    for max_leaf_vars in (1, 3):
+        cfg = LearnerConfig(batch_size=batch, max_leaf_vars=max_leaf_vars, significance_z=1.0)
+        assert assert_streams_agree(pool, rows, cfg, batch) > 0
 
 
 @pytest.mark.parametrize("batch", [1, 2, 16])
