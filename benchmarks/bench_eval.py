@@ -10,7 +10,7 @@ time of one ``compile_pool``.  Three networks: a model trained on the toy
 stream (small, deep enough to be realistic) and two wide constructed
 mixtures (many sum edges, multivariate leaves), the larger with 1 251 nodes.
 
-Last, the model trained on planted blocks: its marginal and conditional
+Then the model trained on planted blocks: its marginal and conditional
 queries/second on a warm net, and with each query the first read after a
 16-row write (structure frozen, untimed), which replaces every leaf the
 rows reach, so the query refills the factors restricted to its observation
@@ -20,7 +20,11 @@ toy model, and one and 16 rows per call on the planted-blocks model, each
 with no read between writes and with one marginal query after every write
 (untimed).  The read re-factors the leaves the write replaced; a second
 factorization of them by the next write, or per-node overhead in the write
-pass, shows in these rates.
+pass, shows in these rates.  Last, the cost of structure learning on planted
+blocks: the time of one cross-child pair search on the root of the
+factorized start model (24 singleton children) after it has absorbed 10k
+rows, and rows/second of a batch-256 ``fit`` of those rows, which checks
+pairs and edits the structure as it goes.
 
 Run from the repository root:
 
@@ -38,7 +42,8 @@ import numpy as np
 from spnstream import toy
 from spnstream.evaluate import compile_pool, conditional_log_density, log_density, sample
 from spnstream.gstats import GaussianStats
-from spnstream.learner import LearnerConfig, fit, learn_batch
+from spnstream.learner import (LearnerConfig, _best_cross_child_pair, fit, init_factored_pool,
+                                learn_batch)
 from spnstream.nodes import LeafNode, NodePool, ProductNode, SumNode, make_scope
 
 
@@ -210,6 +215,19 @@ def run_writes(min_seconds: float, seed: int) -> None:
               f" {best[1]:>16.0f}")
 
 
+def run_structure(min_seconds: float, rng) -> None:
+    """Pair-search time and batch-256 ``fit`` rows/second on planted blocks."""
+    rows = planted_blocks(10000, rng)
+    pool = init_factored_pool(rows.shape[1])
+    root = pool.node(pool.root)
+    root.stats = root.stats.update(rows)
+    search_ms = 1e3 / time_call(lambda: _best_cross_child_pair(pool, root), 1, min_seconds)
+    cfg = LearnerConfig(batch_size=256, seed=0)
+    rate = time_call(lambda: fit(rows, cfg), rows.shape[0], min_seconds)
+    print(f"\nplanted blocks structure learning: pair search on the {len(root.children)}-child"
+          f" root {search_ms:.3f} ms; fit at batch 256 {rate:.0f} rows/s")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--batch-sizes", type=int, nargs="+",
@@ -227,6 +245,7 @@ def main() -> None:
                      wide_mixture(components, 16, 4, rng), args.batch_sizes,
                      args.min_seconds, rng)
     run_writes(args.min_seconds, args.seed)
+    run_structure(args.min_seconds, rng)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -83,7 +83,11 @@ def _leaf_factor(stats: GaussianStats, floor: float):
 
 @dataclass(eq=False)
 class CompiledNet:
-    """Flat-array view of a pool, consumed by the kernels module."""
+    """Flat-array view of a pool, consumed by the kernels module.
+
+    The leaves' parameters live on the plan's leaf groups
+    (``kernels.LeafGroup``), which ``refresh_params`` writes in place.
+    """
 
     order: list[int]
     index: dict[int, int]
@@ -91,14 +95,6 @@ class CompiledNet:
     child_ptr: np.ndarray
     child_idx: np.ndarray
     child_logw: np.ndarray
-    leaf_ptr: np.ndarray
-    leaf_vars: np.ndarray
-    leaf_mean: np.ndarray
-    mat_ptr: np.ndarray
-    leaf_ichol: np.ndarray
-    leaf_chol: np.ndarray  # Cholesky factors, laid out like leaf_ichol
-    leaf_cov: np.ndarray  # regularized covariances, laid out like leaf_ichol; partial reads only
-    leaf_const: np.ndarray
     key: tuple[int, int]  # (pool.structure_version, pool.root) it was compiled at
     plan: kernels.LevelPlan
     sums: list[int]  # sum node ids
@@ -106,18 +102,9 @@ class CompiledNet:
     # Rows per block of log_density_rows: the widest per-row array (nodes,
     # edges or leaf variables) then takes at most _BLOCK_BYTES.
     block_rows: int
-    leaf_ids: list[list[int]]  # node ids of each plan.leaves group's leaves
-    # Per plan.leaves group, the factors of its leaves' covariances restricted
-    # to the observation patterns partial-evidence queries have used, filled
-    # by the kernel and emptied by refresh_params when a leaf of the group is
-    # factored again.
-    patterns: list[kernels.PatternTable]
-    # Per leaf group, weak references to the GaussianStats objects its leaves
-    # were last factored from, and the variance floor used; refresh_params
-    # re-factors a leaf only when its stats object was replaced or the floor
-    # changed.  Weak, so replaced statistics are freed by the write that
-    # replaces them, not by the next read.
-    factored: list[list] = field(default_factory=list)
+    # The variance floor the leaves were last factored with; refresh_params
+    # re-factors a leaf only when its stats object was replaced (see
+    # LeafGroup.factored) or the floor changed.
     floor: float = math.nan
     draws: kernels.DrawPlan | None = None  # routing tables, built by the first sample
 
@@ -137,37 +124,39 @@ class CompiledNet:
         """
         X = np.ascontiguousarray(X, dtype=np.float64)
         out = np.empty((self.kind.shape[0], X.shape[0]), dtype=np.float64)
-        return kernels.eval_flat_numpy(self.plan, self.child_logw, self.leaf_mean,
-                                       self.leaf_ichol, self.leaf_const, X, out,
-                                       self.leaf_cov if partial else None, self.patterns)
+        return kernels.eval_flat_numpy(self.plan, self.child_logw, X, out, partial)
 
     def refresh_leaf(self, pool: NodePool, nid: int) -> None:
-        """Bring the flattened parameters up to date after a stats update of
-        leaf ``nid``: every leaf is factored again.  Nothing in the package
+        """Bring the parameters up to date after a stats update of leaf
+        ``nid``: every leaf is factored again.  Nothing in the package
         calls it; it stays for perfbench/tracing.py, which wraps it by name."""
         self.floor = math.nan  # the records no longer say what the arrays hold
         self.refresh_params(pool)
 
     def refresh_params(self, pool: NodePool) -> None:
-        """Bring the flattened parameters up to date with the pool.
+        """Bring the leaf groups' parameters and the edge weights up to date
+        with the pool.
 
         Leaves whose ``stats`` object is not the one they were last factored
         from are re-factored (all leaves after a change of the variance
         floor): univariate ones in closed form, those over k > 1 variables
-        with one stacked factorization per k, and the group's table of
-        restricted factors is emptied.  A write into a stats array in place
-        is not seen; ``pool.bump()`` after one recompiles.  Every sum-edge
-        weight is recomputed, since child counts are edited in place.
+        with one stacked factorization per k, written into their group's
+        arrays in place, and the group's table of restricted factors is
+        emptied.  The group records the stats objects weakly, so replaced
+        statistics are freed by the write that replaces them, not by the
+        next read.  A write into a stats array in place is not seen;
+        ``pool.bump()`` after one recompiles.  Every sum-edge weight is
+        recomputed, since child counts are edited in place.
         """
         floor = pool.variance_floor
         if floor != self.floor:
-            self.factored = [[None] * len(ids) for ids in self.leaf_ids]
+            for g in self.plan.leaves:
+                g.factored[:] = [None] * len(g.ids)
             self.floor = floor
         nodes = pool.nodes
-        for g, ids, done, table in zip(self.plan.leaves, self.leaf_ids, self.factored,
-                                       self.patterns):
-            stats = [nodes[nid].stats for nid in ids]
-            fresh = [d is None or d() is not s for d, s in zip(done, stats)]
+        for g in self.plan.leaves:
+            stats = [nodes[nid].stats for nid in g.ids]
+            fresh = [d is None or d() is not s for d, s in zip(g.factored, stats)]
             if not any(fresh):
                 continue
             if all(fresh):  # every leaf after a write to each: no gathers
@@ -175,23 +164,18 @@ class CompiledNet:
             else:
                 at = np.flatnonzero(fresh)
                 todo = [stats[j] for j in at.tolist()]
-            mean_at, mat_at, node_at = g.mean[at], g.ichol[at], g.nodes[at]
             if g.k == 1:
-                means = np.array([s.mean[0] for s in todo])
-                reg, chol, ichol, const = _univariate_factors(
+                g.mean[at] = [s.mean[0] for s in todo]
+                g.cov[at], g.chol[at], g.ichol[at], g.const[at] = _univariate_factors(
                     np.array([s.cov[0, 0] for s in todo]), floor)
             else:
-                means = np.array([s.mean for s in todo])
-                reg, chol, ichol, const = _factors(np.array([s.cov for s in todo]), floor)
-            self.leaf_mean[mean_at] = means
-            self.leaf_ichol[mat_at] = ichol
-            self.leaf_chol[mat_at] = chol
-            self.leaf_cov[mat_at] = reg
-            self.leaf_const[node_at] = const
-            table.clear()
+                g.mean[at] = [s.mean for s in todo]
+                g.cov[at], g.chol[at], g.ichol[at], g.const[at] = _factors(
+                    np.array([s.cov for s in todo]), floor)
+            g.table.clear()
             # weakref.ref hands back an object's existing reference, so
             # recording the unchanged leaves again costs next to nothing.
-            done[:] = map(weakref.ref, stats)
+            g.factored[:] = map(weakref.ref, stats)
         self.refresh_weights(pool)
 
     def refresh_weights(self, pool: NodePool) -> None:
@@ -210,55 +194,31 @@ def compile_pool(pool: NodePool) -> CompiledNet:
     index = {nid: i for i, nid in enumerate(order)}
     n = len(order)
     kind = np.zeros(n, dtype=np.int8)
-    child_counts = []
-    leaf_sizes = []
-    for i, nid in enumerate(order):
-        node = pool.node(nid)
-        if isinstance(node, LeafNode):
-            child_counts.append(0)
-            leaf_sizes.append(len(node.scope))
-        else:
-            kind[i] = kernels.KIND_SUM if isinstance(node, SumNode) else kernels.KIND_PRODUCT
-            child_counts.append(len(node.children))
-            leaf_sizes.append(0)
-
-    child_ptr = np.zeros(n + 1, dtype=np.int64)
-    child_ptr[1:] = np.cumsum(child_counts)
-    child_idx = np.zeros(child_ptr[-1], dtype=np.int64)
-    child_logw = np.zeros(child_ptr[-1], dtype=np.float64)
-
-    leaf_ptr = np.zeros(n + 1, dtype=np.int64)
-    leaf_ptr[1:] = np.cumsum(leaf_sizes)
-    leaf_vars = np.zeros(leaf_ptr[-1], dtype=np.int64)
-    leaf_mean = np.zeros(leaf_ptr[-1], dtype=np.float64)
-    mat_ptr = np.zeros(n + 1, dtype=np.int64)
-    mat_ptr[1:] = np.cumsum([s * s for s in leaf_sizes])
-    leaf_ichol = np.zeros(mat_ptr[-1], dtype=np.float64)
-    leaf_chol = np.zeros(mat_ptr[-1], dtype=np.float64)
-    leaf_cov = np.zeros(mat_ptr[-1], dtype=np.float64)
-    mat_ptr = mat_ptr[:-1].copy()  # only a start offset per node
-    leaf_const = np.zeros(n, dtype=np.float64)
-
+    ptr = [0]
+    kids: list[int] = []
+    scopes = {}  # dense index -> scope, for each leaf
     sums, sum_edges = [], []
     for i, nid in enumerate(order):
         node = pool.node(nid)
         if isinstance(node, LeafNode):
-            leaf_vars[leaf_ptr[i]:leaf_ptr[i + 1]] = node.scope
+            scopes[i] = node.scope
         else:
-            lo = int(child_ptr[i])
-            child_idx[lo:lo + len(node.children)] = [index[c] for c in node.children]
+            lo = len(kids)
+            kids.extend(index[c] for c in node.children)
             if isinstance(node, SumNode):
+                kind[i] = kernels.KIND_SUM
                 sums.append(nid)
-                sum_edges.extend(range(lo, lo + len(node.children)))
-    plan = kernels.level_plan(kind, child_ptr, child_idx, leaf_ptr, leaf_vars, mat_ptr)
-    width = max(n, child_idx.size, leaf_vars.size)
-    net = CompiledNet(order, index, kind, child_ptr, child_idx, child_logw,
-                      leaf_ptr, leaf_vars, leaf_mean, mat_ptr, leaf_ichol, leaf_chol,
-                      leaf_cov, leaf_const, (pool.structure_version, pool.root), plan, sums,
-                      np.array(sum_edges, dtype=np.intp),
-                      max(1, _BLOCK_BYTES // (8 * width)),
-                      [[order[i] for i in g.nodes.tolist()] for g in plan.leaves],
-                      [kernels.PatternTable(_PATTERN_BYTES) for _ in plan.leaves])
+                sum_edges.extend(range(lo, len(kids)))
+            else:
+                kind[i] = kernels.KIND_PRODUCT
+        ptr.append(len(kids))
+    child_ptr = np.array(ptr, dtype=np.int64)
+    child_idx = np.array(kids, dtype=np.int64)
+    plan = kernels.level_plan(kind, child_ptr, child_idx, scopes, order, _PATTERN_BYTES)
+    width = max(n, child_idx.size, sum(map(len, scopes.values())))
+    net = CompiledNet(order, index, kind, child_ptr, child_idx, np.zeros(child_idx.size),
+                      (pool.structure_version, pool.root), plan, sums,
+                      np.array(sum_edges, dtype=np.intp), max(1, _BLOCK_BYTES // (8 * width)))
     net.refresh_params(pool)
     return net
 
@@ -286,8 +246,10 @@ def shared_net(pool: NodePool) -> CompiledNet:
 
 
 def check_rows(X: np.ndarray, dim: int) -> np.ndarray:
-    """Complete rows as a float (n, dim) array; ValueError on bad width or values."""
+    """Complete rows as a float (n, dim) array; ValueError on bad shape or values."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.ndim != 2:
+        raise ValueError(f"rows must be a 2-d array, got shape {X.shape}")
     if X.shape[1] != dim:
         raise ValueError(f"rows have width {X.shape[1]}, pool dimension is {dim}")
     if not np.isfinite(X).all():
@@ -405,8 +367,7 @@ def sample(pool: NodePool, rng: np.random.Generator, size: int | None = None) ->
         net.draws = kernels.draw_plan(net.plan, len(net.order))
     root = net.index[pool.root]
     for rows in net.row_blocks(n, max(1, _SAMPLE_BYTES // (8 * net.draws.row_words))):
-        kernels.sample_flat(net.plan, net.draws, net.child_logw, net.leaf_mean, net.leaf_chol,
-                            root, rng, out[rows])
+        kernels.sample_flat(net.plan, net.draws, net.child_logw, root, rng, out[rows])
     return out[0] if size is None else out
 
 
@@ -420,7 +381,7 @@ def analytic_mean(pool: NodePool) -> np.ndarray:
     net = shared_net(pool)
     means = np.zeros((len(net.order), pool.dim))
     for g in net.plan.leaves:
-        means[g.nodes if g.k == 1 else g.nodes[:, None], g.cols] = net.leaf_mean[g.mean]
+        means[g.nodes if g.k == 1 else g.nodes[:, None], g.cols] = g.mean
     for g in net.plan.groups:
         terms = means[g.children]
         if g.is_sum:

@@ -9,53 +9,49 @@ Array layout (N nodes in topological order, children before parents):
     kind[i]          0 leaf, 1 sum, 2 product
     child_ptr/child_idx   CSR child lists over dense node indices
     child_logw[e]    log mixture weight of edge e (0.0 for product edges)
-    leaf_ptr/leaf_vars    CSR variable columns per leaf
-    leaf_mean        flat per-leaf means, aligned with leaf_vars
-    mat_ptr/leaf_ichol    flat row-major inverse Cholesky factors, k*k per leaf
-    leaf_chol        the Cholesky factors themselves, laid out like leaf_ichol
-    leaf_const[i]    log normalization constant of leaf i
 
-The kernel follows a ``LevelPlan`` that ``level_plan`` builds from the index
-arrays, once per structure (see ``evaluate.compile_pool``).  The parameter
-arrays are read at every call, so refreshing leaves or weights in place
-needs no new plan.  The plan holds index arrays into the flat arrays above,
-grouped so that each group costs a fixed number of numpy calls whatever its
-size:
+The kernel follows a ``LevelPlan`` that ``level_plan`` builds from these
+index arrays and the leaves' scopes, once per structure (see
+``evaluate.compile_pool``).  Its groups each cost a fixed number of numpy
+calls whatever their size:
 
-* one ``LeafGroup`` per leaf scope size k.  For k = 1 the group is one
-  elementwise expression over all univariate leaves; for k > 1 it is one
-  batched ``matmul`` against the stacked inverse factors.
+* one ``LeafGroup`` per leaf scope size k, which holds its leaves'
+  parameters as stacked arrays: ``mean`` (m, k), ``ichol`` (the inverse
+  Cholesky factors), ``chol`` and the regularized ``cov``, each (m, k, k),
+  and the log normalization constants ``const`` (m,); for k = 1 the
+  trailing axes are dropped.  For k = 1 the group is one elementwise
+  expression over all univariate leaves; for k > 1 it is one batched
+  ``matmul`` against the stacked inverse factors.  The owner of the plan
+  writes these arrays in place, so refreshing leaves needs no new plan.
 * one ``NodeGroup`` per (height, kind, number of children), in order of
   height, where a leaf has height 0 and an inner node one more than its
   highest child.  A group gathers its children's rows into a (children,
   nodes, rows) block and reduces the first axis: ``add`` for products,
   ``logaddexp`` after adding the edge log weights for sums.
 
-Given the regularized leaf covariances (``leaf_cov``, laid out like
-``leaf_ichol``) and one ``PatternTable`` per leaf group, the kernel also
-takes partial evidence: NaN marks an unobserved value, which is integrated
-out inside its leaf.  A leaf with every variable unobserved contributes 0,
-a univariate leaf otherwise its closed form, and a fully observed leaf its
-own factor.  A (row, leaf) pair of a k > 1 group with some but not all
-variables observed gathers the factor of its leaf's covariance restricted
-to the observed variables from its group's table and takes one batched
-``matmul``.  The table keeps those factors per observation pattern (which
-of the k variables are unobserved) for every leaf of the group; the kernel
-factors a pattern the first time a query uses it (every pattern at once
-when that at most doubles the work), and the owner of the table empties it
-whenever a leaf of the group is factored again.
+The kernel also takes partial evidence: NaN marks an unobserved value,
+which is integrated out inside its leaf.  A leaf with every variable
+unobserved contributes 0, a univariate leaf otherwise its closed form, and
+a fully observed leaf its own factor.  A (row, leaf) pair of a k > 1 group
+with some but not all variables observed gathers the factor of its leaf's
+covariance restricted to the observed variables from its group's
+``PatternTable`` and takes one batched ``matmul``.  The table keeps those
+factors per observation pattern (which of the k variables are unobserved)
+for every leaf of the group; the kernel factors a pattern the first time a
+query uses it (every pattern at once when that at most doubles the work),
+and the owner of the plan empties it whenever a leaf of the group is
+factored again.
 
 ``sample_flat`` walks the same plan top-down to draw rows: the (node, row)
 pairs that reach a group are handled by a few numpy calls, with routing
 tables (``DrawPlan``) that ``draw_plan`` builds once per structure.
 
 Reducing the first axis adds a node's children left to right, as a scalar
-loop over nodes does, so a model routes its rows exactly as under the
-per-node numpy loop this kernel replaced.  (numpy sums pairwise only a
-block of one node and one row with eight or more children, as that loop
-did for every node at batch 1.)  A segmented ``reduceat`` over a level's
-edges would not keep the order: it adds each segment's first child to a
-pairwise sum of the others.
+loop over nodes does, so every row's sums are taken in child-list order.
+(numpy sums pairwise only a block of one node and one row with eight or
+more children.)  A segmented ``reduceat`` over a level's edges would not
+keep the order: it adds each segment's first child to a pairwise sum of
+the others.
 """
 
 from __future__ import annotations
@@ -74,15 +70,24 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 NUMBA_ENABLED = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeafGroup:
-    """All leaves over k variables; index arrays are (m,) for k = 1, else (m, k[, k])."""
+    """All m leaves over k variables and their parameters, which the owner of
+    the plan writes in place; arrays are (m,) for k = 1, else (m, k[, k])."""
 
     k: int
     nodes: np.ndarray   # (m,) dense node indices
+    ids: list[int]      # their node ids
     cols: np.ndarray    # data columns
-    mean: np.ndarray    # positions in leaf_mean
-    ichol: np.ndarray   # positions in leaf_ichol
+    mean: np.ndarray
+    ichol: np.ndarray   # inverse Cholesky factors
+    chol: np.ndarray    # Cholesky factors
+    cov: np.ndarray     # regularized covariances; partial reads only
+    const: np.ndarray   # (m,) log normalization constants
+    table: PatternTable
+    # Weak references to the statistics each leaf was last factored from,
+    # kept by evaluate.CompiledNet.refresh_params.
+    factored: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -154,19 +159,27 @@ class DrawPlan:
     row_words: int
 
 
-def level_plan(kind, child_ptr, child_idx, leaf_ptr, leaf_vars, mat_ptr) -> LevelPlan:
+def level_plan(kind, child_ptr, child_idx, scopes: dict[int, tuple[int, ...]], ids,
+               table_bytes: int) -> LevelPlan:
     """Group the nodes of a flattened network for ``eval_flat_numpy``: the
-    leaves by scope size, the inner nodes by height, kind and child count."""
-    sizes = np.diff(leaf_ptr)
+    leaves by scope size, the inner nodes by height, kind and child count.
+
+    ``scopes`` maps each leaf's dense index, in increasing order, to its
+    variables and ``ids[i]`` is the node id of dense index i.  The leaf
+    groups' parameter arrays start zeroed, and each gets an empty
+    ``PatternTable`` of ``table_bytes``.
+    """
+    by_size: dict[int, list[int]] = defaultdict(list)
+    for i, scope in scopes.items():
+        by_size[len(scope)].append(i)
     leaves = []
-    # Not np.unique, whose first call imports numpy.ma (about 1 MB).
-    for k in sorted(set(sizes[kind == KIND_LEAF].tolist())):
-        nodes = np.flatnonzero((kind == KIND_LEAF) & (sizes == k))
-        mean, ichol = leaf_ptr[nodes], mat_ptr[nodes]
-        if k > 1:
-            mean = mean[:, None] + np.arange(k)
-            ichol = ichol[:, None, None] + np.arange(k * k).reshape(k, k)
-        leaves.append(LeafGroup(k, nodes, leaf_vars[mean], mean, ichol))
+    for k, at in sorted(by_size.items()):
+        m = len(at)
+        vec, mat = ((m,), (m,)) if k == 1 else ((m, k), (m, k, k))
+        leaves.append(LeafGroup(k, np.array(at, dtype=np.intp), [ids[i] for i in at],
+                                np.array([scopes[i] for i in at], dtype=np.int64).reshape(vec),
+                                np.zeros(vec), np.zeros(mat), np.zeros(mat), np.zeros(mat),
+                                np.zeros(m), PatternTable(table_bytes)))
 
     ptr = child_ptr.tolist()
     kids = child_idx.tolist()
@@ -208,20 +221,14 @@ def draw_plan(plan: LevelPlan, n_nodes: int) -> DrawPlan:
     return DrawPlan(group_of, pos_of, tuple(draws), int(words.max()))
 
 
-def eval_flat_numpy(plan: LevelPlan, child_logw, leaf_mean, leaf_ichol, leaf_const, X, out,
-                    leaf_cov=None, patterns=None):
+def eval_flat_numpy(plan: LevelPlan, child_logw, X, out, partial: bool = False):
     """Level kernel: a few numpy calls per plan group, batched over rows.
 
-    With ``leaf_cov`` a NaN in X marks an unobserved value; ``patterns``
-    then holds one ``PatternTable`` per ``plan.leaves`` group, which the
-    kernel fills as queries use new patterns.
+    With ``partial`` a NaN in X marks an unobserved value; the leaf groups'
+    tables then fill as queries use new patterns.
     """
-    for i, g in enumerate(plan.leaves):
-        if leaf_cov is None:
-            out[g.nodes] = _leaf_rows(g, X[:, g.cols] - leaf_mean[g.mean], leaf_ichol, leaf_const)
-        else:
-            out[g.nodes] = _partial_leaf_rows(g, patterns[i], leaf_mean, leaf_ichol, leaf_const,
-                                              leaf_cov, X)
+    for g in plan.leaves:
+        out[g.nodes] = _partial_leaf_rows(g, X) if partial else _leaf_rows(g, X[:, g.cols] - g.mean)
     for g in plan.groups:
         terms = out[g.children]
         if g.is_sum:
@@ -232,23 +239,22 @@ def eval_flat_numpy(plan: LevelPlan, child_logw, leaf_mean, leaf_ichol, leaf_con
     return out
 
 
-def _leaf_rows(g: LeafGroup, dev, leaf_ichol, leaf_const):
+def _leaf_rows(g: LeafGroup, dev):
     """(leaves, rows) log-densities of one leaf group at deviations ``dev``
     from the means, shape (rows, leaves[, k])."""
     if g.k == 1:
-        y = dev * leaf_ichol[g.ichol]
-        return (leaf_const[g.nodes] - 0.5 * (y * y)).T
-    y = np.matmul(dev.transpose(1, 0, 2), leaf_ichol[g.ichol].transpose(0, 2, 1))
-    return leaf_const[g.nodes, None] - 0.5 * np.einsum("lij,lij->li", y, y)
+        y = dev * g.ichol
+        return (g.const - 0.5 * (y * y)).T
+    y = np.matmul(dev.transpose(1, 0, 2), g.ichol.transpose(0, 2, 1))
+    return g.const[:, None] - 0.5 * np.einsum("lij,lij->li", y, y)
 
 
-def _partial_leaf_rows(g: LeafGroup, table: PatternTable, leaf_mean, leaf_ichol, leaf_const,
-                       leaf_cov, X):
+def _partial_leaf_rows(g: LeafGroup, X):
     """``_leaf_rows`` where NaN in X marks an unobserved value."""
-    dev = X[:, g.cols] - leaf_mean[g.mean]
+    dev = X[:, g.cols] - g.mean
     miss = np.isnan(dev)
     dev[miss] = 0.0
-    val = _leaf_rows(g, dev, leaf_ichol, leaf_const)
+    val = _leaf_rows(g, dev)
     if g.k == 1:
         val[miss.T] = 0.0
         return val
@@ -256,16 +262,16 @@ def _partial_leaf_rows(g: LeafGroup, table: PatternTable, leaf_mean, leaf_ichol,
     val[n_miss == g.k] = 0.0
     leaf, row = np.nonzero((n_miss > 0) & (n_miss < g.k))
     if leaf.size:
-        ichol, const = _restricted_factors(g, table, miss[row, leaf], leaf, leaf_cov)
+        ichol, const = _restricted_factors(g, miss[row, leaf], leaf)
         y = np.matmul(ichol, dev[row, leaf][:, :, None])[:, :, 0]
         val[leaf, row] = const - 0.5 * np.einsum("ij,ij->i", y, y)
     return val
 
 
-def _restricted_factors(g: LeafGroup, table: PatternTable, hide, leaf, leaf_cov):
+def _restricted_factors(g: LeafGroup, hide, leaf):
     """Inverse Cholesky factors (pairs, k, k) and log-constants (pairs,) of the
     restricted covariances of the (row, leaf) pairs with unobserved masks
-    ``hide`` (pairs, k) on leaves ``leaf`` (pairs,), gathered from ``table``.
+    ``hide`` (pairs, k) on leaves ``leaf`` (pairs,), gathered from ``g.table``.
 
     The patterns the table lacks are factored for all m leaves of the group
     in one stack; all 2^k - 2 patterns instead, when that at most doubles
@@ -274,7 +280,7 @@ def _restricted_factors(g: LeafGroup, table: PatternTable, hide, leaf, leaf_cov)
     the budget factors them in stacks of at most the budget, uses them once
     and leaves the table empty.
     """
-    k, m = g.k, g.nodes.size
+    table, k, m = g.table, g.k, g.nodes.size
     flat = hide.tobytes()
     keys = [flat[i:i + k] for i in range(0, len(flat), k)]
     distinct = dict.fromkeys(keys)
@@ -297,12 +303,12 @@ def _restricted_factors(g: LeafGroup, table: PatternTable, hide, leaf, leaf_cov)
         # 0.5 log 2 pi to the log-constant, which cancels its share of the
         # full leaf's -0.5 k log 2 pi, and a deviation of 0 there adds nothing
         # to the quadratic form.
-        covs, pad = leaf_cov[g.ichol], np.eye(k) / (2.0 * np.pi)
+        pad = np.eye(k) / (2.0 * np.pi)
         masks = np.frombuffer(b"".join(new), dtype=bool).reshape(-1, 1, k)
         step = max(1, table.budget // slot_bytes)
         for lo in range(0, len(new), step):
             h = masks[lo:lo + step]
-            chol = np.linalg.cholesky(np.where(h[..., :, None] | h[..., None, :], pad, covs))
+            chol = np.linalg.cholesky(np.where(h[..., :, None] | h[..., None, :], pad, g.cov))
             at = slice(used + lo, used + lo + h.shape[0])
             table.ichol[at] = np.linalg.inv(chol)
             table.const[at] = (-0.5 * k * LOG_2PI
@@ -317,8 +323,7 @@ def _restricted_factors(g: LeafGroup, table: PatternTable, hide, leaf, leaf_cov)
     return ichol, const
 
 
-def sample_flat(plan: LevelPlan, draws: DrawPlan, child_logw, leaf_mean, leaf_chol, root: int,
-                rng, out):
+def sample_flat(plan: LevelPlan, draws: DrawPlan, child_logw, root: int, rng, out):
     """Draw every row of ``out`` top-down from node ``root``; returns ``out``.
 
     The (node, row) pairs that reach a node are filed under its group, so
@@ -326,9 +331,9 @@ def sample_flat(plan: LevelPlan, draws: DrawPlan, child_logw, leaf_mean, leaf_ch
     the groups in reverse, a product sends its rows to every child and a sum
     draws one uniform per pair and picks the child whose cumulative weight
     first exceeds it.  Each leaf group then draws its pairs as mean + L z,
-    with L the Cholesky factor from ``leaf_chol`` (laid out like
-    ``leaf_ichol``).  Decomposability keeps the pairs that reach a node from
-    different parents on disjoint rows, so every row gets each variable once.
+    with L the leaf's Cholesky factor from ``chol``.  Decomposability keeps
+    the pairs that reach a node from different parents on disjoint rows, so
+    every row gets each variable once.
     """
     n_rows = out.shape[0]
     if n_rows == 0:
@@ -368,8 +373,8 @@ def sample_flat(plan: LevelPlan, draws: DrawPlan, child_logw, leaf_mean, leaf_ch
         pos, rows = _joined(parts)
         z = rng.standard_normal((rows.size, g.k))
         # take, not fancy indexing, which is ~10x slower on (p, k, k) gathers.
-        mean = leaf_mean[g.mean].take(pos, axis=0)
-        chol = leaf_chol[g.ichol].take(pos, axis=0)
+        mean = g.mean.take(pos, axis=0)
+        chol = g.chol.take(pos, axis=0)
         cols = g.cols.take(pos, axis=0)
         if g.k == 1:
             out[rows, cols] = mean + chol * z[:, 0]

@@ -75,10 +75,10 @@ class LearnerConfig:
             raise ValueError(f"unknown weight mode: {self.weight_mode!r}")
         if not (0.0 < self.early_stop_fraction <= 1.0):
             raise ValueError("early_stop_fraction must be in (0, 1]")
-        if self.variance_floor <= 0.0:
-            raise ValueError("variance_floor must be positive")
-        if self.significance_z < 0.0:
-            raise ValueError("significance_z must be non-negative")
+        if not 0.0 < self.variance_floor < math.inf:
+            raise ValueError("variance_floor must be positive and finite")
+        if not 0.0 <= self.significance_z < math.inf:
+            raise ValueError("significance_z must be non-negative and finite")
 
 
 def init_factored_pool(dim: int, weight_mode: str = "laplace",
@@ -271,27 +271,28 @@ class EvalCache:
 def _best_cross_child_pair(pool: NodePool, node: ProductNode):
     """Strongest correlation between variables of two different children.
 
-    Returns (correlation, child_a, child_b) or (0.0, None, None) when the
-    node has fewer than two children.  Pairs are scanned in child-list
-    order and only a strictly larger correlation replaces the incumbent,
-    so the choice is deterministic.
+    Returns (correlation, child_a, child_b), or (0.0, None, None) when the
+    node has fewer than two children or no positive correlation.  All pairs
+    are scored at once: each scope position is labelled with its child's
+    index, and of the entries with label_i < label_j that hold the maximum
+    the first by (label_i, label_j) wins, which is the pair a scan in
+    child-list order keeping only strictly larger values would pick.
     """
-    if len(node.children) < 2:
+    c = len(node.children)
+    if c < 2:
         return 0.0, None, None
     corr = node.stats.correlation_matrix()
     pos = {v: i for i, v in enumerate(node.scope)}
-    child_pos = [np.array([pos[v] for v in pool.node(c).scope], dtype=np.intp)
-                 for c in node.children]
-    best = 0.0
-    best_pair = (None, None)
-    for a in range(len(node.children)):
-        for b in range(a + 1, len(node.children)):
-            block = corr[np.ix_(child_pos[a], child_pos[b])]
-            r = float(block.max()) if block.size else 0.0
-            if r > best:
-                best = r
-                best_pair = (node.children[a], node.children[b])
-    return best, best_pair[0], best_pair[1]
+    label = np.empty(len(node.scope), dtype=np.intp)
+    for j, child in enumerate(node.children):
+        label[[pos[v] for v in pool.node(child).scope]] = j
+    cross = label[:, None] < label
+    best = corr.max(initial=0.0, where=cross)
+    if not best > 0.0:
+        return 0.0, None, None
+    i, j = np.nonzero(cross & (corr == best))
+    a, b = divmod(int((label[i] * c + label[j]).min()), c)
+    return float(best), node.children[a], node.children[b]
 
 
 @dataclass

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -132,6 +133,8 @@ def pool_from_json(doc: Any) -> NodePool:
             node: Any = LeafNode(scope=scope, stats=_stats_from_json(rec.get("stats"), where),
                                  count=count)
         elif kind == "product":
+            if next_check is not None and not math.isfinite(next_check):
+                raise ModelFormatError(f"{where}: next_check must be finite")
             stats = _stats_from_json(rec.get("stats"), where)
             node = ProductNode(scope=scope, children=children, count=count, stats=stats,
                                next_check=(2.0 * stats.count if next_check is None

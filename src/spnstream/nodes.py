@@ -10,6 +10,7 @@ from the counts kept on each sum node.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Union
@@ -119,8 +120,8 @@ class NodePool:
             raise ValueError("dimension must be at least 1")
         if weight_mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight mode: {weight_mode!r}")
-        if variance_floor <= 0.0:
-            raise ValueError("variance floor must be positive")
+        if not 0.0 < variance_floor < math.inf:
+            raise ValueError("variance floor must be positive and finite")
         self.dim = int(dim)
         self.weight_mode = weight_mode
         self.variance_floor = float(variance_floor)

@@ -3,7 +3,7 @@
 The oracles deliberately share no code with the library's evaluation path.
 Densities come from expanding the network into an explicit Gaussian
 mixture over the induced sum-branch combinations and evaluating it with
-scipy, or from a scalar loop over a compiled net's flat arrays; statistics
+scipy, or from a scalar loop over a compiled net's arrays; statistics
 come from recomputing over the concatenated raw data.
 """
 
@@ -90,32 +90,34 @@ def random_pool(rng: np.random.Generator, dim: int, max_sums: int = 6,
 
 def scalar_eval_rows(net, X: np.ndarray) -> np.ndarray:
     """Per-node log-densities (n_nodes, n_rows) of a ``CompiledNet`` at
-    complete rows, one node and one row at a time over its flat arrays.
+    complete rows, one node and one row at a time over its arrays.
 
-    The oracle of the level kernel: it reads the same arrays but writes out
-    each leaf's quadratic form and each sum's log-sum-exp, so the two agree
-    to rounding.
+    The oracle of the level kernel: it reads the same parameters but writes
+    out each leaf's quadratic form and each sum's log-sum-exp, so the two
+    agree to rounding.
     """
     kind, child_ptr, child_idx, child_logw = net.kind, net.child_ptr, net.child_idx, net.child_logw
-    leaf_ptr, leaf_vars, leaf_mean = net.leaf_ptr, net.leaf_vars, net.leaf_mean
-    mat_ptr, leaf_ichol, leaf_const = net.mat_ptr, net.leaf_ichol, net.leaf_const
+    leaves = {}  # dense index -> (columns, mean, inverse factor, log-constant)
+    for g in net.plan.leaves:
+        for j, i in enumerate(g.nodes.tolist()):
+            leaves[i] = (np.reshape(g.cols[j], g.k), np.reshape(g.mean[j], g.k),
+                         np.reshape(g.ichol[j], (g.k, g.k)), g.const[j])
     n_nodes = kind.shape[0]
     n_rows = X.shape[0]
     out = np.empty((n_nodes, n_rows))
     for i in range(n_nodes):
         if kind[i] == KIND_LEAF:
-            lo = leaf_ptr[i]
-            k = leaf_ptr[i + 1] - lo
-            mp = mat_ptr[i]
+            cols, mean, ichol, const = leaves[i]
+            k = cols.shape[0]
             for p in range(n_rows):
                 q = 0.0
                 for r in range(k):
                     acc = 0.0
                     for c in range(r + 1):
-                        dev = X[p, leaf_vars[lo + c]] - leaf_mean[lo + c]
-                        acc += leaf_ichol[mp + r * k + c] * dev
+                        dev = X[p, cols[c]] - mean[c]
+                        acc += ichol[r, c] * dev
                     q += acc * acc
-                out[i, p] = leaf_const[i] - 0.5 * q
+                out[i, p] = const - 0.5 * q
         elif kind[i] == KIND_PRODUCT:
             lo, hi = child_ptr[i], child_ptr[i + 1]
             for p in range(n_rows):
@@ -278,15 +280,38 @@ def reference_tie_break_argmax(values: np.ndarray, rng: np.random.Generator) -> 
     return winners
 
 
+def reference_best_cross_child_pair(pool: NodePool, node: ProductNode):
+    """``learner._best_cross_child_pair`` as first written: child pairs in
+    child-list order, one ``np.ix_`` block each, and only a strictly larger
+    correlation replaces the incumbent."""
+    if len(node.children) < 2:
+        return 0.0, None, None
+    corr = node.stats.correlation_matrix()
+    pos = {v: i for i, v in enumerate(node.scope)}
+    child_pos = [np.array([pos[v] for v in pool.node(c).scope], dtype=np.intp)
+                 for c in node.children]
+    best = 0.0
+    best_pair = (None, None)
+    for a in range(len(node.children)):
+        for b in range(a + 1, len(node.children)):
+            block = corr[np.ix_(child_pos[a], child_pos[b])]
+            r = float(block.max()) if block.size else 0.0
+            if r > best:
+                best = r
+                best_pair = (node.children[a], node.children[b])
+    return best, best_pair[0], best_pair[1]
+
+
 def reference_learn_batch(pool: NodePool, rows: np.ndarray, config, rng: np.random.Generator,
                           structure_frozen: bool = False):
     """``learner.learn_batch`` as a per-node walk: every node a row reaches
-    absorbs it on the spot through ``reference_update``, and every sum routes
-    through ``reference_tie_break_argmax``.  The oracle of the write pass,
-    which must leave the pool, the report and ``rng`` as this walk does."""
+    absorbs it on the spot through ``reference_update``, every sum routes
+    through ``reference_tie_break_argmax`` and every structure check picks
+    its pair through ``reference_best_cross_child_pair``.  The oracle of the
+    write pass, which must leave the pool, the report and ``rng`` as this
+    walk does."""
     from spnstream.evaluate import check_rows, shared_net, subtree_log_density_rows
-    from spnstream.learner import (BatchReport, _best_cross_child_pair, make_mixture,
-                                   merge_into_leaf, simplify)
+    from spnstream.learner import BatchReport, make_mixture, merge_into_leaf, simplify
     from spnstream.nodes import scope_union
 
     rows = check_rows(rows, pool.dim)
@@ -297,7 +322,7 @@ def reference_learn_batch(pool: NodePool, rows: np.ndarray, config, rng: np.rand
     values = net.eval_rows(rows)
 
     def restructure(nid, node, prev_stats, prev_count):
-        r, child_a, child_b = _best_cross_child_pair(pool, node)
+        r, child_a, child_b = reference_best_cross_child_pair(pool, node)
         if child_a is None or r < config.correlation_threshold:
             return
         if r * math.sqrt(max(node.stats.count, 0.0)) < config.significance_z:

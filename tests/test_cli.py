@@ -146,10 +146,14 @@ def test_dimension_mismatch_fails_cleanly(tmp_path, capsys):
 def test_bad_flag_value_fails_cleanly(tmp_path, capsys):
     data = tmp_path / "toy.csv"
     run(capsys, "gen-toy", "-n", 30, "--out", data, "--seed", 0)
-    code, _, err = run(capsys, "train", data, "--out", tmp_path / "m.spn",
-                       "--correlation-threshold", 0.0)
-    assert code == 1
-    assert "error:" in err and "correlation_threshold" in err
+    model = tmp_path / "m.spn"
+    for flag, value in (("--correlation-threshold", 0.0), ("--variance-floor", "nan"),
+                        ("--variance-floor", "inf"), ("--significance-z", "nan")):
+        code, _, err = run(capsys, "train", data, "--out", model, flag, value)
+        assert code == 1, flag
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert flag[2:].replace("-", "_") in err
+        assert not model.exists()
 
 
 def test_corrupt_model_fails_cleanly(tmp_path, capsys):

@@ -215,6 +215,16 @@ def test_non_finite_rows_are_rejected():
         log_density_rows(pool, np.array([[np.nan, 1.0, 2.0]]))
 
 
+def test_rows_of_more_than_two_dimensions_are_rejected():
+    pool = init_factored_pool(3)
+    X = np.zeros((2, 3, 4))
+    with pytest.raises(ValueError, match=r"\(2, 3, 4\)"):
+        log_density_rows(pool, X)
+    with pytest.raises(ValueError, match=r"\(2, 3, 4\)"):
+        learn_batch(pool, X, LearnerConfig(), np.random.default_rng(0))
+    assert pool.node(pool.root).count == 1.0
+
+
 def test_refresh_leaf_tracks_parameter_change():
     pool = two_leaf_mixture([3.0, 2.0])
     net = compile_pool(pool)
@@ -317,8 +327,8 @@ def test_univariate_refresh_matches_leaf_factor_to_one_ulp():
         pool = single_leaf_pool(mean=1.5, var=var + floor, floor=floor)
         net = compile_pool(pool)
         mean, ichol, const = _leaf_factor(pool.node(pool.root).stats, floor)
-        for got, want in ((net.leaf_mean[0], mean[0]), (net.leaf_ichol[0], ichol[0, 0]),
-                          (net.leaf_const[0], const)):
+        g = net.plan.leaves[0]
+        for got, want in ((g.mean[0], mean[0]), (g.ichol[0], ichol[0, 0]), (g.const[0], const)):
             assert abs(got - want) <= np.spacing(abs(want)), (var, got, want)
 
 
@@ -781,7 +791,7 @@ def test_a_group_factors_each_observation_pattern_once_between_refreshes(monkeyp
     log_density(pair, {0: 0.5})
     del stacks[:]
     log_density(pair, {1: 0.5})
-    assert stacks == [] and len(pair.compiled.patterns[0].slots) == 2
+    assert stacks == [] and len(pair.compiled.plan.leaves[0].table.slots) == 2
 
 
 def closed_form_marginal(stats: GaussianStats, floor: float, evidence: dict) -> float:
@@ -813,7 +823,7 @@ def test_a_leaf_over_70_variables_marginalizes_by_pattern():
         evidence = {v: float(x[v]) for v in obs}
         want = closed_form_marginal(stats, pool.variance_floor, evidence)
         assert log_density(pool, evidence) == pytest.approx(want, abs=1e-9)
-    assert len(pool.compiled.patterns[0].slots) == 4
+    assert len(pool.compiled.plan.leaves[0].table.slots) == 4
 
 
 def test_distinct_patterns_on_a_wide_leaf_keep_the_table_within_its_budget(monkeypatch):
@@ -829,7 +839,7 @@ def test_distinct_patterns_on_a_wide_leaf_keep_the_table_within_its_budget(monke
         evidence = {v: float(x[v]) for v in obs}
         want = closed_form_marginal(stats, pool.variance_floor, evidence)
         assert log_density(pool, evidence) == pytest.approx(want, abs=1e-9)
-        table = pool.compiled.patterns[0]
+        table = pool.compiled.plan.leaves[0].table
         assert 0 < table.nbytes <= budget and len(table.slots) <= 3
     # One call whose own patterns pass the budget answers and keeps nothing.
     X = np.tile(x, (5, 1))
@@ -840,7 +850,7 @@ def test_distinct_patterns_on_a_wide_leaf_keep_the_table_within_its_budget(monke
         evidence = {v: float(row[v]) for v in np.flatnonzero(~np.isnan(row))}
         assert value == pytest.approx(closed_form_marginal(stats, pool.variance_floor, evidence),
                                       abs=1e-9)
-    assert pool.compiled.patterns[0].nbytes == 0
+    assert pool.compiled.plan.leaves[0].table.nbytes == 0
 
 
 def test_in_place_stats_write_shows_after_bump():

@@ -11,6 +11,7 @@ from spnstream.evaluate import log_density, log_density_rows, sample
 from spnstream.gstats import GaussianStats
 from spnstream.learner import (
     EvalCache,
+    _best_cross_child_pair,
     LearnerConfig,
     fit,
     init_factored_pool,
@@ -32,7 +33,7 @@ from spnstream.nodes import (
 
 from spnstream.model_io import pool_from_json, pool_to_json
 
-from helpers import random_pool
+from helpers import population_stats, random_pool, reference_best_cross_child_pair
 
 
 def correlated_rows(rng, n, noise=0.0):
@@ -98,7 +99,11 @@ def test_config_bounds_are_enforced():
         dict(early_stop_fraction=0.0),
         dict(early_stop_fraction=1.1),
         dict(variance_floor=0.0),
+        dict(variance_floor=float("nan")),
+        dict(variance_floor=float("inf")),
         dict(significance_z=-1.0),
+        dict(significance_z=float("nan")),
+        dict(significance_z=float("inf")),
     ]:
         with pytest.raises(ValueError):
             LearnerConfig(**bad)
@@ -374,6 +379,56 @@ def test_simplify_keeps_mle_density_when_nested_counts_disagree():
         assert np.allclose(log_density_rows(pool, X), before, rtol=0.0, atol=1e-9)
         checked += 1
     assert checked >= 40
+
+
+# ----------------------------------------------------------------------
+# Cross-child pair search
+# ----------------------------------------------------------------------
+
+def tied_columns(rng, n: int, d: int) -> np.ndarray:
+    """Rows whose columns repeat a few base columns, some negated or scaled,
+    with constant and nearly constant ones among them, so that correlations
+    tie exactly across child pairs and some variances are degenerate."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return np.zeros((n, d))
+    base = rng.normal(size=(n, int(rng.integers(1, 4))))
+    base[:, 0] *= 1e-7 if kind == 1 else 1.0  # variance below the degenerate floor
+    cols = base[:, rng.integers(base.shape[1], size=d)]
+    cols *= rng.choice([1.0, -1.0, 1.0, 2.0], size=d)
+    cols[:, rng.random(d) < 0.2] = 3.0  # constant columns
+    return cols
+
+
+def test_pair_search_matches_the_pairwise_scan_on_ties_and_degenerate_data():
+    rng = np.random.default_rng(181)
+    ties = found = 0
+    for _ in range(400):
+        d = int(rng.integers(2, 9))
+        data = tied_columns(rng, int(rng.integers(2, 6)), d)
+        # Children over a random partition of the variables, in random order.
+        cuts = np.sort(rng.choice(np.arange(1, d), size=int(rng.integers(1, d)), replace=False))
+        parts = np.split(rng.permutation(d), cuts)
+        pool = NodePool(dim=d)
+        kids = [pool.add(LeafNode(make_scope(p), GaussianStats(np.zeros(len(p)), np.eye(len(p)),
+                                                               1.0), 1.0))
+                for p in parts]
+        mean, cov = population_stats(data)
+        node = ProductNode(make_scope(range(d)), kids, float(len(data)),
+                           GaussianStats(mean, cov, float(len(data))))
+        want = reference_best_cross_child_pair(pool, node)
+        assert _best_cross_child_pair(pool, node) == want
+        if want[1] is not None:
+            found += 1
+            corr = node.stats.correlation_matrix()
+            hits = {(a, b) for a in range(len(kids)) for b in range(a + 1, len(kids))
+                    if corr[np.ix_(parts[a], parts[b])].max() == want[0]}
+            ties += len(hits) > 1
+    assert found > 100 and ties > 50
+    # Fewer than two children: nothing to compare.
+    pool = init_factored_pool(1)
+    lone = ProductNode((0,), [pool.root], 1.0, GaussianStats.zeros(1, count=1.0))
+    assert _best_cross_child_pair(pool, lone) == (0.0, None, None)
 
 
 # ----------------------------------------------------------------------
@@ -659,9 +714,11 @@ class CompileCounter:
         counted = self.factored
         fresh = self.compile_pool(pool)
         self.factored = counted
-        for name in ("leaf_mean", "leaf_ichol", "leaf_chol", "leaf_cov", "leaf_const",
-                     "child_logw"):
-            assert getattr(net, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert net.child_logw.tobytes() == fresh.child_logw.tobytes()
+        assert len(net.plan.leaves) == len(fresh.plan.leaves)
+        for g, f in zip(net.plan.leaves, fresh.plan.leaves):
+            for name in ("mean", "ichol", "chol", "cov", "const"):
+                assert getattr(g, name).tobytes() == getattr(f, name).tobytes(), (g.k, name)
 
 
 def reads(pool):

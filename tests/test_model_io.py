@@ -146,9 +146,13 @@ def _product(doc):
     lambda doc: doc.update(dimension=0),
     lambda doc: doc.update(weight_mode="median"),
     lambda doc: doc.update(variance_floor=-1.0),
+    lambda doc: doc.update(variance_floor=float("nan")),
+    lambda doc: doc.update(variance_floor=float("inf")),
+    lambda doc: _product(doc).update(next_check=float("nan")),
     lambda doc: _product(doc)["children"].append(99),
 ], ids=["non-int-children", "zero-dimension", "unknown-weight-mode",
-        "negative-variance-floor", "dangling-child"])
+        "negative-variance-floor", "nan-variance-floor", "infinite-variance-floor",
+        "nan-next-check", "dangling-child"])
 def test_malformed_documents_raise_model_format_error(edit):
     doc = pool_to_json(init_factored_pool(2))
     edit(doc)

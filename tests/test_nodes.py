@@ -190,8 +190,9 @@ def test_pool_rejects_bad_settings():
         NodePool(dim=0)
     with pytest.raises(ValueError):
         NodePool(dim=2, weight_mode="map")
-    with pytest.raises(ValueError):
-        NodePool(dim=2, variance_floor=0.0)
+    for floor in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            NodePool(dim=2, variance_floor=floor)
 
 
 def test_random_pools_validate_clean():
