@@ -5,8 +5,9 @@ queries run, across batch sizes, and prints rows/second and, at batch 1,
 milliseconds per row.  For each network it also prints partial-evidence
 queries/second (``log_density`` marginals with half of the variables
 observed, and ``conditional_log_density`` with a quarter queried given
-another half), ``sample`` rows/second at 32 and 4096 rows per call, and the
-time of one ``compile_pool``.  Three networks: a model trained on the toy
+another half), ``sample`` rows/second at 32 and 4096 rows per call, the
+time of one ``compile_pool``, and the time of a recompile followed by the
+first 32-row ``sample``.  Three networks: a model trained on the toy
 stream (small, deep enough to be realistic) and two wide constructed
 mixtures (many sum edges, multivariate leaves), the larger with 1 251 nodes.
 
@@ -133,8 +134,14 @@ def run_workload(name: str, pool, batch_sizes, min_seconds: float, rng) -> None:
         print(line)
     marginal, conditional = query_rates(pool, min_seconds, rng)
     compile_ms = 1e3 / time_call(lambda: compile_pool(pool), 1, min_seconds)
+
+    def compile_and_sample():
+        pool.bump()  # the next read compiles the pool again
+        sample(pool, np.random.default_rng(0), SAMPLE_ROWS[0])
+
+    first_ms = 1e3 / time_call(compile_and_sample, 1, min_seconds)
     print(f"queries/s: marginal {marginal:.0f}, conditional {conditional:.0f};"
-          f" compile_pool {compile_ms:.2f} ms")
+          f" compile_pool {compile_ms:.2f} ms; compile_pool + first sample {first_ms:.2f} ms")
     draws = ", ".join(f"{rows} rows {time_call(lambda: sample(pool, rng, rows), rows, min_seconds):.0f}"
                       for rows in SAMPLE_ROWS)
     print(f"sample rows/s: {draws}")

@@ -135,9 +135,15 @@ def cmd_cv(args) -> int:
     return 0
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise CliError("seed must be a non-negative integer")
+
+
 def cmd_sample(args) -> int:
     if args.rows < 0:
         raise CliError("number of rows must be non-negative")
+    _check_seed(args.seed)
     pool, doc = _load(args.model)
     names = doc.get("variable_names")
     rng = np.random.default_rng(args.seed)
@@ -153,6 +159,7 @@ def cmd_sample(args) -> int:
 def cmd_gen_toy(args) -> int:
     if args.rows < 1:
         raise CliError("number of rows must be at least 1")
+    _check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     rows = toy.generate(args.rows, rng)
     save_csv(args.out, rows, names=toy.VARIABLE_NAMES)

@@ -38,7 +38,7 @@ LOG_2PI = kernels.LOG_2PI
 # the kernel's temporaries a block then peaks near 2 MB, whatever the
 # number of rows.
 _BLOCK_BYTES = 1 << 19
-# Bytes one block of sample may take (kernels.DrawPlan.row_words per row).
+# Bytes one block of sample may take (kernels.LevelPlan.row_words per row).
 _SAMPLE_BYTES = 1 << 20
 # Bytes the restricted factors of one leaf group's kernels.PatternTable may
 # take; a table about to pass it is emptied.
@@ -83,18 +83,16 @@ def _leaf_factor(stats: GaussianStats, floor: float):
 
 @dataclass(eq=False)
 class CompiledNet:
-    """Flat-array view of a pool, consumed by the kernels module.
+    """A pool flattened into one ``kernels.LevelPlan`` and its edge weights.
 
-    The leaves' parameters live on the plan's leaf groups
-    (``kernels.LeafGroup``), which ``refresh_params`` writes in place.
+    The plan drives both the kernel and sampling.  The leaves' parameters
+    live on its leaf groups (``kernels.LeafGroup``), which
+    ``refresh_params`` writes in place.
     """
 
     order: list[int]
     index: dict[int, int]
-    kind: np.ndarray
-    child_ptr: np.ndarray
-    child_idx: np.ndarray
-    child_logw: np.ndarray
+    child_logw: np.ndarray  # log weight of each edge, 0.0 on product edges
     key: tuple[int, int]  # (pool.structure_version, pool.root) it was compiled at
     plan: kernels.LevelPlan
     sums: list[int]  # sum node ids
@@ -106,7 +104,6 @@ class CompiledNet:
     # re-factors a leaf only when its stats object was replaced (see
     # LeafGroup.factored) or the floor changed.
     floor: float = math.nan
-    draws: kernels.DrawPlan | None = None  # routing tables, built by the first sample
 
     def row_blocks(self, n_rows: int, block_rows: int) -> list[slice]:
         """Equal blocks of at most ``block_rows`` rows.  Equal sizes avoid a
@@ -123,7 +120,7 @@ class CompiledNet:
         inside its leaf.
         """
         X = np.ascontiguousarray(X, dtype=np.float64)
-        out = np.empty((self.kind.shape[0], X.shape[0]), dtype=np.float64)
+        out = np.empty((len(self.order), X.shape[0]), dtype=np.float64)
         return kernels.eval_flat_numpy(self.plan, self.child_logw, X, out, partial)
 
     def refresh_leaf(self, pool: NodePool, nid: int) -> None:
@@ -189,36 +186,40 @@ class CompiledNet:
 
 
 def compile_pool(pool: NodePool) -> CompiledNet:
-    """Flatten the pool (reachable part, topological order) for the kernels."""
+    """Flatten the pool (reachable part, topological order) into a level plan.
+
+    One walk, children before parents: a leaf's height is 0 and an inner
+    node's one more than its highest child's, and each node's edges are
+    numbered on from the last node's, in child-list order.
+    """
     order = topological_order(pool)
     index = {nid: i for i, nid in enumerate(order)}
     n = len(order)
-    kind = np.zeros(n, dtype=np.int8)
-    ptr = [0]
-    kids: list[int] = []
+    height = [0] * n
+    inner = []  # (height, kind, dense index, first edge, dense children)
     scopes = {}  # dense index -> scope, for each leaf
     sums, sum_edges = [], []
+    n_edges = 0
     for i, nid in enumerate(order):
         node = pool.node(nid)
         if isinstance(node, LeafNode):
             scopes[i] = node.scope
+            continue
+        kids = [index[c] for c in node.children]
+        height[i] = 1 + max((height[c] for c in kids), default=0)
+        if isinstance(node, SumNode):
+            kind = kernels.KIND_SUM
+            sums.append(nid)
+            sum_edges.extend(range(n_edges, n_edges + len(kids)))
         else:
-            lo = len(kids)
-            kids.extend(index[c] for c in node.children)
-            if isinstance(node, SumNode):
-                kind[i] = kernels.KIND_SUM
-                sums.append(nid)
-                sum_edges.extend(range(lo, len(kids)))
-            else:
-                kind[i] = kernels.KIND_PRODUCT
-        ptr.append(len(kids))
-    child_ptr = np.array(ptr, dtype=np.int64)
-    child_idx = np.array(kids, dtype=np.int64)
-    plan = kernels.level_plan(kind, child_ptr, child_idx, scopes, order, _PATTERN_BYTES)
-    width = max(n, child_idx.size, sum(map(len, scopes.values())))
-    net = CompiledNet(order, index, kind, child_ptr, child_idx, np.zeros(child_idx.size),
-                      (pool.structure_version, pool.root), plan, sums,
-                      np.array(sum_edges, dtype=np.intp), max(1, _BLOCK_BYTES // (8 * width)))
+            kind = kernels.KIND_PRODUCT
+        inner.append((height[i], kind, i, n_edges, kids))
+        n_edges += len(kids)
+    plan = kernels.level_plan(n, inner, scopes, order, _PATTERN_BYTES)
+    width = max(n, n_edges, sum(map(len, scopes.values())))
+    net = CompiledNet(order, index, np.zeros(n_edges), (pool.structure_version, pool.root),
+                      plan, sums, np.array(sum_edges, dtype=np.intp),
+                      max(1, _BLOCK_BYTES // (8 * width)))
     net.refresh_params(pool)
     return net
 
@@ -363,11 +364,9 @@ def sample(pool: NodePool, rng: np.random.Generator, size: int | None = None) ->
     n = 1 if size is None else int(size)
     out = np.empty((n, pool.dim), dtype=np.float64)
     net = shared_net(pool)
-    if net.draws is None:  # built on the first draw, so reads that never sample skip it
-        net.draws = kernels.draw_plan(net.plan, len(net.order))
     root = net.index[pool.root]
-    for rows in net.row_blocks(n, max(1, _SAMPLE_BYTES // (8 * net.draws.row_words))):
-        kernels.sample_flat(net.plan, net.draws, net.child_logw, root, rng, out[rows])
+    for rows in net.row_blocks(n, max(1, _SAMPLE_BYTES // (8 * net.plan.row_words))):
+        kernels.sample_flat(net.plan, net.child_logw, root, rng, out[rows])
     return out[0] if size is None else out
 
 

@@ -1,19 +1,15 @@
 """The bottom-up evaluation kernel and top-down sampling over a flattened network.
 
 The hot loop of both training and evaluation is computing, for a batch of
-rows, the log-density of every node in the network.  The network is
-flattened into plain arrays (see ``evaluate.CompiledNet``) and handed to one
-kernel, ``eval_flat_numpy``, which every write and read runs.
-
-Array layout (N nodes in topological order, children before parents):
-    kind[i]          0 leaf, 1 sum, 2 product
-    child_ptr/child_idx   CSR child lists over dense node indices
-    child_logw[e]    log mixture weight of edge e (0.0 for product edges)
-
-The kernel follows a ``LevelPlan`` that ``level_plan`` builds from these
-index arrays and the leaves' scopes, once per structure (see
-``evaluate.compile_pool``).  Its groups each cost a fixed number of numpy
-calls whatever their size:
+rows, the log-density of every node in the network.  The network's N nodes
+are numbered densely in topological order, children before parents, and
+its edges node after node in child-list order; ``child_logw[e]`` holds the
+log mixture weight of edge e (0.0 for product edges).  One kernel,
+``eval_flat_numpy``, which every write and read runs, follows the network's
+one ``LevelPlan``, which ``level_plan`` builds from each inner node's
+height, kind, children and first edge and the leaves' scopes, once per
+structure, in one walk of the network (see ``evaluate.compile_pool``).
+Its groups each cost a fixed number of numpy calls whatever their size:
 
 * one ``LeafGroup`` per leaf scope size k, which holds its leaves'
   parameters as stacked arrays: ``mean`` (m, k), ``ichol`` (the inverse
@@ -43,8 +39,9 @@ and the owner of the plan empties it whenever a leaf of the group is
 factored again.
 
 ``sample_flat`` walks the same plan top-down to draw rows: the (node, row)
-pairs that reach a group are handled by a few numpy calls, with routing
-tables (``DrawPlan``) that ``draw_plan`` builds once per structure.
+pairs that reach a group are handled by a few numpy calls, routed by the
+plan's record of each node's group and position (``group_of``/``pos_of``,
+and each ``NodeGroup``'s ``target``/``pos`` for its children).
 
 Reducing the first axis adds a node's children left to right, as a scalar
 loop over nodes does, so every row's sums are taken in child-list order.
@@ -62,7 +59,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-KIND_LEAF = 0
 KIND_SUM = 1
 KIND_PRODUCT = 2
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -92,12 +88,21 @@ class LeafGroup:
 
 @dataclass(frozen=True)
 class NodeGroup:
-    """Inner nodes of one height and kind with the same number of children c."""
+    """Inner nodes of one height and kind with the same number of children c.
+
+    ``target`` holds each child's group (an index into ``LevelPlan.groups``,
+    or len(groups) plus an index into ``LevelPlan.leaves``) and ``pos`` its
+    position in that group's arrays, both (c, m) like ``children``;
+    ``targets`` lists the groups that occur.  ``sample_flat`` routes by them.
+    """
 
     is_sum: bool
     nodes: np.ndarray     # (m,) dense node indices
     children: np.ndarray  # (c, m) dense child indices; column j belongs to nodes[j]
     edges: np.ndarray     # (c, m) edge positions in child_logw
+    target: np.ndarray
+    pos: np.ndarray
+    targets: tuple[int, ...]
 
 
 @dataclass(eq=False)
@@ -132,48 +137,45 @@ class PatternTable:
 class LevelPlan:
     leaves: tuple[LeafGroup, ...]
     groups: tuple[NodeGroup, ...]  # children's groups come first
-
-
-@dataclass(frozen=True)
-class DrawGroup:
-    """Where the children of one ``NodeGroup`` sit, for ``sample_flat``.
-
-    ``target`` holds each child's group (an index into ``LevelPlan.groups``,
-    or len(groups) plus an index into ``LevelPlan.leaves``) and ``pos`` its
-    position in that group's arrays, both (c, m) like ``NodeGroup.children``;
-    ``targets`` lists the groups that occur.
-    """
-
-    target: np.ndarray
-    pos: np.ndarray
-    targets: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DrawPlan:
-    group_of: np.ndarray  # (N,) group of each node, numbered as in DrawGroup.target
+    group_of: np.ndarray  # (N,) group of each node, numbered as in NodeGroup.target
     pos_of: np.ndarray    # (N,) its position in that group
-    groups: tuple[DrawGroup, ...]  # one per LevelPlan.groups entry
     # Bound on the 8-byte words one drawn row takes: a (node, row) pair for
     # every node it can reach and a leaf's draw.
     row_words: int
 
 
-def level_plan(kind, child_ptr, child_idx, scopes: dict[int, tuple[int, ...]], ids,
+def level_plan(n_nodes: int, inner, scopes: dict[int, tuple[int, ...]], ids,
                table_bytes: int) -> LevelPlan:
-    """Group the nodes of a flattened network for ``eval_flat_numpy``: the
-    leaves by scope size, the inner nodes by height, kind and child count.
+    """Group the N = ``n_nodes`` nodes of a flattened network for
+    ``eval_flat_numpy`` and ``sample_flat``: the leaves by scope size, the
+    inner nodes by height, kind and child count.
 
-    ``scopes`` maps each leaf's dense index, in increasing order, to its
-    variables and ``ids[i]`` is the node id of dense index i.  The leaf
-    groups' parameter arrays start zeroed, and each gets an empty
-    ``PatternTable`` of ``table_bytes``.
+    ``inner`` lists the inner nodes in increasing order of dense index i as
+    (height, kind, i, first edge, dense children), node i's edges numbered
+    on from its first edge; ``scopes`` maps each leaf's dense index, in
+    increasing order, to its variables and ``ids[i]`` is the node id of
+    dense index i.  The leaf groups' parameter arrays start zeroed, and each
+    gets an empty ``PatternTable`` of ``table_bytes``.
     """
     by_size: dict[int, list[int]] = defaultdict(list)
     for i, scope in scopes.items():
         by_size[len(scope)].append(i)
+    sizes = sorted(by_size.items())
+    by_level: dict[tuple[int, int, int], list] = defaultdict(list)
+    for height, kd, i, first, kids in inner:
+        by_level[(height, kd, len(kids))].append((i, first, kids))
+    levels = sorted(by_level.items())
+    group_of, pos_of = [0] * n_nodes, [0] * n_nodes
+    for gi, at in enumerate([[i for i, _, _ in at] for _, at in levels] + [at for _, at in sizes]):
+        for j, i in enumerate(at):
+            group_of[i], pos_of[i] = gi, j
+    group_arr, pos_arr = np.array(group_of, dtype=np.int64), np.array(pos_of, dtype=np.int64)
+
+    words = [0] * n_nodes
     leaves = []
-    for k, at in sorted(by_size.items()):
+    for k, at in sizes:
+        for i in at:
+            words[i] = 2 + 4 * k + k * k
         m = len(at)
         vec, mat = ((m,), (m,)) if k == 1 else ((m, k), (m, k, k))
         leaves.append(LeafGroup(k, np.array(at, dtype=np.intp), [ids[i] for i in at],
@@ -181,44 +183,19 @@ def level_plan(kind, child_ptr, child_idx, scopes: dict[int, tuple[int, ...]], i
                                 np.zeros(vec), np.zeros(mat), np.zeros(mat), np.zeros(mat),
                                 np.zeros(m), PatternTable(table_bytes)))
 
-    ptr = child_ptr.tolist()
-    kids = child_idx.tolist()
-    height = [0] * kind.shape[0]
-    by_level: dict[tuple[int, int, int], list[int]] = defaultdict(list)
-    for i, kd in enumerate(kind.tolist()):
-        if kd == KIND_LEAF:
-            continue
-        lo, hi = ptr[i], ptr[i + 1]
-        height[i] = 1 + max((height[c] for c in kids[lo:hi]), default=0)
-        by_level[(height[i], kd, hi - lo)].append(i)
-
     groups = []
-    for (_, kd, c), members in sorted(by_level.items()):
-        nodes = np.array(members, dtype=np.int64)
-        edges = child_ptr[nodes] + np.arange(c)[:, None]
-        groups.append(NodeGroup(kd == KIND_SUM, nodes, child_idx[edges], edges))
-    return LevelPlan(tuple(leaves), tuple(groups))
-
-
-def draw_plan(plan: LevelPlan, n_nodes: int) -> DrawPlan:
-    """Routing tables of ``sample_flat`` for a network of ``n_nodes`` nodes."""
-    members = [g.nodes for g in plan.groups] + [g.nodes for g in plan.leaves]
-    sizes = [m.size for m in members]
-    everyone = np.concatenate(members)
-    group_of = np.empty(n_nodes, dtype=np.int64)
-    pos_of = np.empty(n_nodes, dtype=np.int64)
-    group_of[everyone] = np.repeat(np.arange(len(members)), sizes)
-    pos_of[everyone] = np.arange(everyone.size) - np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
-    words = np.zeros(n_nodes)
-    for g in plan.leaves:
-        words[g.nodes] = 2 + 4 * g.k + g.k * g.k
-    draws = []
-    for g in plan.groups:
-        kids = words[g.children]
-        words[g.nodes] = 2 + (kids.max(axis=0) if g.is_sum else kids.sum(axis=0))
-        target, pos = group_of[g.children], pos_of[g.children]
-        draws.append(DrawGroup(target, pos, tuple(sorted(set(target.ravel().tolist())))))
-    return DrawPlan(group_of, pos_of, tuple(draws), int(words.max()))
+    for (_, kd, c), at in levels:
+        is_sum, m = kd == KIND_SUM, len(at)
+        for i, _, kids in at:
+            w = [words[x] for x in kids]
+            words[i] = 2 + (max(w, default=0) if is_sum else sum(w))
+        children = np.array([kids[e] for e in range(c) for _, _, kids in at],
+                            dtype=np.int64).reshape(c, m)
+        edges = np.array([f + e for e in range(c) for _, f, _ in at], dtype=np.int64).reshape(c, m)
+        groups.append(NodeGroup(is_sum, np.array([i for i, _, _ in at], dtype=np.int64), children,
+                                edges, group_arr[children], pos_arr[children],
+                                tuple(sorted({group_of[x] for _, _, kids in at for x in kids}))))
+    return LevelPlan(tuple(leaves), tuple(groups), group_arr, pos_arr, max(words))
 
 
 def eval_flat_numpy(plan: LevelPlan, child_logw, X, out, partial: bool = False):
@@ -323,7 +300,7 @@ def _restricted_factors(g: LeafGroup, hide, leaf):
     return ichol, const
 
 
-def sample_flat(plan: LevelPlan, draws: DrawPlan, child_logw, root: int, rng, out):
+def sample_flat(plan: LevelPlan, child_logw, root: int, rng, out):
     """Draw every row of ``out`` top-down from node ``root``; returns ``out``.
 
     The (node, row) pairs that reach a node are filed under its group, so
@@ -340,14 +317,14 @@ def sample_flat(plan: LevelPlan, draws: DrawPlan, child_logw, root: int, rng, ou
         return out
     n_inner = len(plan.groups)
     pending = [[] for _ in range(n_inner + len(plan.leaves))]
-    pending[draws.group_of[root]].append((draws.pos_of[root:root + 1].repeat(n_rows),
-                                          np.arange(n_rows)))
+    pending[plan.group_of[root]].append((plan.pos_of[root:root + 1].repeat(n_rows),
+                                         np.arange(n_rows)))
     for gi in range(n_inner - 1, -1, -1):
         parts, pending[gi] = pending[gi], None  # let the pieces go once joined
         if not parts:
             continue
         pos, rows = _joined(parts)
-        g, d = plan.groups[gi], draws.groups[gi]
+        g = plan.groups[gi]
         if g.is_sum:
             # The group's edge weights node after node in one running sum, so
             # one binary search picks for every pair: node p's children cover
@@ -363,9 +340,9 @@ def sample_flat(plan: LevelPlan, draws: DrawPlan, child_logw, root: int, rng, ou
             # belongs to a child of this node with positive weight.
             u = np.minimum(lo + rng.random(rows.size) * (hi - lo), np.nextafter(hi, 0.0))
             pick = np.searchsorted(cum, u, side="right") - pos * c
-            _route(pending, d, (pick, pos), rows)
+            _route(pending, g, (pick, pos), rows)
         else:
-            _route(pending, d, (slice(None), pos), np.concatenate([rows] * len(d.pos)))
+            _route(pending, g, (slice(None), pos), np.concatenate([rows] * len(g.pos)))
     for li, g in enumerate(plan.leaves):
         parts, pending[n_inner + li] = pending[n_inner + li], None
         if not parts:
@@ -390,14 +367,14 @@ def _joined(parts):
     return np.concatenate([p for p, _ in parts]), np.concatenate([r for _, r in parts])
 
 
-def _route(pending, d: DrawGroup, idx, rows):
-    """File the pairs (child ``d.pos[idx]``, ``rows``) under the children's groups."""
-    pos = d.pos[idx].ravel()
-    if len(d.targets) == 1:
-        pending[d.targets[0]].append((pos, rows))
+def _route(pending, g: NodeGroup, idx, rows):
+    """File the pairs (child ``g.pos[idx]``, ``rows``) under the children's groups."""
+    pos = g.pos[idx].ravel()
+    if len(g.targets) == 1:
+        pending[g.targets[0]].append((pos, rows))
         return
-    group = d.target[idx].ravel()
-    for t in d.targets:
+    group = g.target[idx].ravel()
+    for t in g.targets:
         sel = group == t
         if sel.any():
             pending[t].append((pos[sel], rows[sel]))

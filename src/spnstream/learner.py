@@ -21,6 +21,7 @@ how a component count larger than two emerges over time.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -41,14 +42,15 @@ class LearnerConfig:
     correlation_threshold: minimum cross-child correlation that justifies a
         structure change.
     max_leaf_vars: joint scopes at least this large become mixtures; smaller
-        ones collapse into a multivariate leaf.
-    batch_size: rows per update step.
+        ones collapse into a multivariate leaf.  An integer.
+    batch_size: rows per update step, an integer.
     weight_mode: "laplace" (add-one smoothing) or "mle" (count ratios).
     early_stop_fraction: fraction of the stream after which structure
         changes stop (parameters keep updating).
     variance_floor: added to every covariance diagonal before it is used as
         a density or sampled from.
-    seed: seed for routing tie breaks and any other learner randomness.
+    seed: seed for routing tie breaks and any other learner randomness, a
+        non-negative integer.
     significance_z: structure changes additionally require the detected
         correlation to be significant, |r| * sqrt(n) >= significance_z,
         which keeps the small-sample noise of a young node from triggering
@@ -67,10 +69,12 @@ class LearnerConfig:
     def __post_init__(self):
         if not (0.0 < self.correlation_threshold <= 1.0):
             raise ValueError("correlation_threshold must be in (0, 1]")
-        if self.max_leaf_vars < 1:
-            raise ValueError("max_leaf_vars must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        if not _whole(self.max_leaf_vars, 1):
+            raise ValueError("max_leaf_vars must be an integer of at least 1")
+        if not _whole(self.batch_size, 1):
+            raise ValueError("batch_size must be an integer of at least 1")
+        if not _whole(self.seed, 0):
+            raise ValueError("seed must be a non-negative integer")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight mode: {self.weight_mode!r}")
         if not (0.0 < self.early_stop_fraction <= 1.0):
@@ -79,6 +83,11 @@ class LearnerConfig:
             raise ValueError("variance_floor must be positive and finite")
         if not 0.0 <= self.significance_z < math.inf:
             raise ValueError("significance_z must be non-negative and finite")
+
+
+def _whole(value, least: int) -> bool:
+    """Whether ``value`` is an integer, not a bool, of at least ``least``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 def init_factored_pool(dim: int, weight_mode: str = "laplace",
@@ -132,6 +141,30 @@ def make_factored_subtree(pool: NodePool, scope: Scope, parent_stats: GaussianSt
     return pool.add(product)
 
 
+def _replace_pair(pool: NodePool, parent_id: int, child_a: int, child_b: int,
+                  birth_stats: GaussianStats | None, birth_count: float | None, build) -> int:
+    """Replace two distinct children of a product node by the node ``build`` adds.
+
+    ``build(parent, joint, stats, count)`` adds the replacement over the
+    pair's joint scope and returns its id; ``stats``/``count`` are
+    ``birth_stats``/``birth_count``, by default the parent's.  The
+    replacement takes ``child_a``'s position in the parent's child list.
+    """
+    parent = pool.node(parent_id)
+    if not isinstance(parent, ProductNode):
+        raise ValueError(f"node {parent_id} is not a product node")
+    if child_a not in parent.children or child_b not in parent.children or child_a == child_b:
+        raise ValueError("both children must be distinct children of the parent")
+    stats = parent.stats if birth_stats is None else birth_stats
+    count = parent.count if birth_count is None else birth_count
+    new_id = build(parent, scope_union(pool.node(child_a).scope, pool.node(child_b).scope),
+                   stats, count)
+    parent.children[parent.children.index(child_a)] = new_id
+    parent.children.remove(child_b)
+    pool.bump()
+    return new_id
+
+
 def make_mixture(pool: NodePool, parent_id: int, child_a: int, child_b: int,
                  birth_stats: GaussianStats | None = None,
                  birth_count: float | None = None,
@@ -150,36 +183,16 @@ def make_mixture(pool: NodePool, parent_id: int, child_a: int, child_b: int,
     twice).  ``next_check`` sets the first correlation-check point of the
     inheriting component; default is twice the inherited evidence.
     """
-    parent = pool.node(parent_id)
-    if not isinstance(parent, ProductNode):
-        raise ValueError(f"node {parent_id} is not a product node")
-    if child_a not in parent.children or child_b not in parent.children or child_a == child_b:
-        raise ValueError("both children must be distinct children of the parent")
-    if birth_stats is None:
-        birth_stats = parent.stats
-    if birth_count is None:
-        birth_count = parent.count
-    scope_a = pool.node(child_a).scope
-    scope_b = pool.node(child_b).scope
-    joint = scope_union(scope_a, scope_b)
-    positions = scope_positions(parent.scope, joint)
+    def build(parent, joint, stats, count):
+        old = pool.add(ProductNode(scope=joint, children=[child_a, child_b], count=count,
+                                   stats=stats.restrict(scope_positions(parent.scope, joint)),
+                                   next_check=2.0 * stats.count if next_check is None
+                                   else next_check))
+        new = make_factored_subtree(pool, joint, stats, parent.scope)
+        return pool.add(SumNode(scope=joint, children=[old, new], child_counts=[count, 0.0],
+                                count=count))
 
-    comp_old = ProductNode(scope=joint, children=[child_a, child_b], count=birth_count,
-                           stats=birth_stats.restrict(positions),
-                           next_check=(2.0 * birth_stats.count
-                                       if next_check is None else next_check))
-    comp_old_id = pool.add(comp_old)
-    comp_new_id = make_factored_subtree(pool, joint, birth_stats, parent.scope)
-
-    mix = SumNode(scope=joint, children=[comp_old_id, comp_new_id],
-                  child_counts=[birth_count, 0.0], count=birth_count)
-    mix_id = pool.add(mix)
-
-    pos = parent.children.index(child_a)
-    parent.children[pos] = mix_id
-    parent.children.remove(child_b)
-    pool.bump()
-    return mix_id
+    return _replace_pair(pool, parent_id, child_a, child_b, birth_stats, birth_count, build)
 
 
 def merge_into_leaf(pool: NodePool, parent_id: int, child_a: int, child_b: int,
@@ -193,24 +206,12 @@ def merge_into_leaf(pool: NodePool, parent_id: int, child_a: int, child_b: int,
     Returns the new leaf's id.  ``birth_stats``/``birth_count`` override
     the inherited state, see ``make_mixture``.
     """
-    parent = pool.node(parent_id)
-    if not isinstance(parent, ProductNode):
-        raise ValueError(f"node {parent_id} is not a product node")
-    if child_a not in parent.children or child_b not in parent.children or child_a == child_b:
-        raise ValueError("both children must be distinct children of the parent")
-    if birth_stats is None:
-        birth_stats = parent.stats
-    if birth_count is None:
-        birth_count = parent.count
-    joint = scope_union(pool.node(child_a).scope, pool.node(child_b).scope)
-    positions = scope_positions(parent.scope, joint)
-    leaf = LeafNode(scope=joint, stats=birth_stats.restrict(positions), count=birth_count)
-    leaf_id = pool.add(leaf)
-    pos = parent.children.index(child_a)
-    parent.children[pos] = leaf_id
-    parent.children.remove(child_b)
+    def build(parent, joint, stats, count):
+        return pool.add(LeafNode(scope=joint, count=count,
+                                 stats=stats.restrict(scope_positions(parent.scope, joint))))
+
+    leaf_id = _replace_pair(pool, parent_id, child_a, child_b, birth_stats, birth_count, build)
     pool.remove_subtree(child_a, child_b)
-    pool.bump()
     return leaf_id
 
 

@@ -195,7 +195,8 @@ def export_dot(pool: NodePool, variable_names: list[str] | None = None) -> str:
 
     Sum nodes show "+" with edge labels carrying the derived weights,
     product nodes show a multiplication sign, leaves list their variables
-    with means and diagonal variances.
+    with means and diagonal variances.  A backslash or double quote in a
+    variable name is escaped, so any name gives valid DOT.
     """
     from .nodes import derived_weights
 
@@ -215,6 +216,7 @@ def export_dot(pool: NodePool, variable_names: list[str] | None = None) -> str:
                 lines.append(f"  n{nid} -> n{c};")
         else:
             names = ", ".join(variable_names[v] for v in node.scope)
+            names = names.replace("\\", "\\\\").replace('"', '\\"')
             mu = ", ".join(_fmt(m) for m in node.stats.mean)
             var = ", ".join(_fmt(v) for v in np.diag(node.stats.cov))
             lines.append(

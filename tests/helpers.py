@@ -3,8 +3,8 @@
 The oracles deliberately share no code with the library's evaluation path.
 Densities come from expanding the network into an explicit Gaussian
 mixture over the induced sum-branch combinations and evaluating it with
-scipy, or from a scalar loop over a compiled net's arrays; statistics
-come from recomputing over the concatenated raw data.
+scipy, or from a scalar loop over the pool's nodes and a compiled net's
+leaves; statistics come from recomputing over the concatenated raw data.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from spnstream.gstats import GaussianStats
-from spnstream.kernels import KIND_LEAF, KIND_PRODUCT
 from spnstream.nodes import (LeafNode, NodePool, ProductNode, SumNode,
                              derived_weights, make_scope)
 
@@ -88,25 +87,26 @@ def random_pool(rng: np.random.Generator, dim: int, max_sums: int = 6,
 # Scalar oracle of the compiled net's kernel
 # ----------------------------------------------------------------------
 
-def scalar_eval_rows(net, X: np.ndarray) -> np.ndarray:
-    """Per-node log-densities (n_nodes, n_rows) of a ``CompiledNet`` at
-    complete rows, one node and one row at a time over its arrays.
+def scalar_eval_rows(net, pool: NodePool, X: np.ndarray) -> np.ndarray:
+    """Per-node log-densities (n_nodes, n_rows) of a ``CompiledNet`` of
+    ``pool`` at complete rows, one node and one row at a time.
 
-    The oracle of the level kernel: it reads the same parameters but writes
+    The oracle of the level kernel: it reads the leaves' parameters from the
+    net's leaf groups but the structure from the pool (children through
+    ``net.index``) and the sum weights from ``derived_weights``, and writes
     out each leaf's quadratic form and each sum's log-sum-exp, so the two
     agree to rounding.
     """
-    kind, child_ptr, child_idx, child_logw = net.kind, net.child_ptr, net.child_idx, net.child_logw
     leaves = {}  # dense index -> (columns, mean, inverse factor, log-constant)
     for g in net.plan.leaves:
         for j, i in enumerate(g.nodes.tolist()):
             leaves[i] = (np.reshape(g.cols[j], g.k), np.reshape(g.mean[j], g.k),
                          np.reshape(g.ichol[j], (g.k, g.k)), g.const[j])
-    n_nodes = kind.shape[0]
     n_rows = X.shape[0]
-    out = np.empty((n_nodes, n_rows))
-    for i in range(n_nodes):
-        if kind[i] == KIND_LEAF:
+    out = np.empty((len(net.order), n_rows))
+    for i, nid in enumerate(net.order):
+        node = pool.node(nid)
+        if isinstance(node, LeafNode):
             cols, mean, ichol, const = leaves[i]
             k = cols.shape[0]
             for p in range(n_rows):
@@ -118,28 +118,30 @@ def scalar_eval_rows(net, X: np.ndarray) -> np.ndarray:
                         acc += ichol[r, c] * dev
                     q += acc * acc
                 out[i, p] = const - 0.5 * q
-        elif kind[i] == KIND_PRODUCT:
-            lo, hi = child_ptr[i], child_ptr[i + 1]
+            continue
+        kids = [net.index[c] for c in node.children]
+        if isinstance(node, ProductNode):
             for p in range(n_rows):
                 acc = 0.0
-                for e in range(lo, hi):
-                    acc += out[child_idx[e], p]
+                for c in kids:
+                    acc += out[c, p]
                 out[i, p] = acc
-        else:
-            lo, hi = child_ptr[i], child_ptr[i + 1]
-            for p in range(n_rows):
-                best = -np.inf
-                for e in range(lo, hi):
-                    v = child_logw[e] + out[child_idx[e], p]
-                    if v > best:
-                        best = v
-                if best == -np.inf:
-                    out[i, p] = -np.inf
-                else:
-                    acc = 0.0
-                    for e in range(lo, hi):
-                        acc += math.exp(child_logw[e] + out[child_idx[e], p] - best)
-                    out[i, p] = best + math.log(acc)
+            continue
+        with np.errstate(divide="ignore"):
+            logw = np.log(derived_weights(node, pool.weight_mode))
+        for p in range(n_rows):
+            best = -np.inf
+            for w, c in zip(logw, kids):
+                v = w + out[c, p]
+                if v > best:
+                    best = v
+            if best == -np.inf:
+                out[i, p] = -np.inf
+            else:
+                acc = 0.0
+                for w, c in zip(logw, kids):
+                    acc += math.exp(w + out[c, p] - best)
+                out[i, p] = best + math.log(acc)
     return out
 
 

@@ -229,6 +229,24 @@ def test_sample_rejects_negative_rows(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["train", "cv", "sample", "gen-toy"])
+def test_negative_seed_fails_with_one_error_line(tmp_path, capsys, command):
+    data = tmp_path / "toy.csv"
+    model = tmp_path / "m.spn"
+    run(capsys, "gen-toy", "-n", 30, "--out", data, "--seed", 0)
+    run(capsys, "train", data, "--out", model)
+    out = tmp_path / "out.csv"
+    argv = {"train": ["train", data, "--out", tmp_path / "m2.spn"],
+            "cv": ["cv", data, "--folds", 2],
+            "sample": ["sample", model, "-n", 5, "--out", out],
+            "gen-toy": ["gen-toy", "-n", 5, "--out", out]}[command]
+    code, _, err = run(capsys, *argv, "--seed", -1)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "seed" in err
+    assert not out.exists() and not (tmp_path / "m2.spn").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

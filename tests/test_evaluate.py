@@ -258,7 +258,7 @@ def assert_kernels_agree(pool: NodePool, X: np.ndarray) -> None:
     net = compile_pool(pool)
     got = net.eval_rows(X)
     assert got.shape == (len(net.order), X.shape[0])
-    np.testing.assert_allclose(got, scalar_eval_rows(net, X), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(got, scalar_eval_rows(net, pool, X), rtol=0.0, atol=1e-12)
     walk = subtree_log_density_rows(pool, pool.root, X)
     np.testing.assert_allclose(got[net.index[pool.root]], walk, rtol=0.0, atol=1e-12)
 
@@ -318,6 +318,35 @@ def test_level_kernel_agrees_on_a_1251_node_wide_mixture():
     pool = wide_mixture(250, 16, 4, rng)
     assert len(pool) == 1251
     assert_kernels_agree(pool, rng.normal(0.0, 5.0, size=(20, 16)))
+
+
+@pytest.mark.parametrize("make, most_parents", [
+    (lambda: deep_chain(8), 2),
+    (lambda: single_leaf_pool(mean=1.5, var=2.0), 0),
+    (lambda: wide_mixture(30, 16, 4, np.random.default_rng(7)), 1),
+], ids=["dag", "leaf-rooted", "wide-mixture"])
+def test_level_plan_routes_every_node_and_edge_to_its_group(make, most_parents):
+    pool = make()
+    net = compile_pool(pool)
+    plan = net.plan
+    members = [g.nodes.tolist() for g in plan.groups] + [g.nodes.tolist() for g in plan.leaves]
+    assert sorted(itertools.chain(*members)) == list(range(len(net.order)))
+    for gi, nodes in enumerate(members):
+        assert plan.group_of[nodes].tolist() == [gi] * len(nodes)
+        assert plan.pos_of[nodes].tolist() == list(range(len(nodes)))
+    parents = {}  # dense child -> number of parents
+    for g in plan.groups:
+        assert g.target.shape == g.pos.shape == g.children.shape == g.edges.shape
+        for t, p, child in zip(g.target.flat, g.pos.flat, g.children.flat):
+            assert members[t][p] == child
+            parents[child] = parents.get(child, 0) + 1
+        assert g.targets == tuple(sorted(set(g.target.flat)))
+        for j, i in enumerate(g.nodes.tolist()):  # children in child-list order, edges in a run
+            assert [net.order[c] for c in g.children[:, j]] == pool.node(net.order[i]).children
+            assert np.diff(g.edges[:, j]).tolist() == [1] * (g.edges.shape[0] - 1)
+    assert sorted(itertools.chain(*(g.edges.flat for g in plan.groups))) == list(
+        range(net.child_logw.size))
+    assert max(parents.values(), default=0) == most_parents
 
 
 def test_univariate_refresh_matches_leaf_factor_to_one_ulp():
@@ -880,12 +909,14 @@ def test_sum_edge_weights_match_derived_weights_bit_for_bit(mode):
                                      for c in node.child_counts]
                 node.count = sum(node.child_counts) or 1.0
         net = compile_pool(pool)
+        lo = 0  # net.sum_edges lists each sum's edges in turn
         for nid in net.sums:
             node = pool.node(nid)
-            lo = int(net.child_ptr[net.index[nid]])
             with np.errstate(divide="ignore"):
                 want = np.log(derived_weights(node, mode))
-            got = net.child_logw[lo:lo + len(node.children)]
+            got = net.child_logw[net.sum_edges[lo:lo + len(node.children)]]
+            lo += len(node.children)
             assert got.tobytes() == want.tobytes()
             zero_edges += int(np.count_nonzero(got == -np.inf))
+        assert lo == net.sum_edges.size
     assert (zero_edges > 0) == (mode == "mle")

@@ -109,6 +109,23 @@ def test_config_bounds_are_enforced():
             LearnerConfig(**bad)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(batch_size=1.5), dict(batch_size=2.0), dict(batch_size=True),
+    dict(max_leaf_vars=2.5), dict(max_leaf_vars=3.0), dict(max_leaf_vars=True),
+    dict(seed=-1), dict(seed=1.5), dict(seed=False), dict(seed=None),
+], ids=lambda bad: "{}={!r}".format(*next(iter(bad.items()))))
+def test_config_rejects_counts_and_seeds_that_are_not_whole(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        LearnerConfig(**bad)
+
+
+def test_config_takes_numpy_integers():
+    cfg = LearnerConfig(batch_size=np.int64(4), max_leaf_vars=np.int32(2), seed=np.uint8(7))
+    ref = LearnerConfig(batch_size=4, max_leaf_vars=2, seed=7)
+    rows = toy.generate(40, np.random.default_rng(0))
+    assert pool_to_json(fit(rows, cfg)[0]) == pool_to_json(fit(rows, ref)[0])
+
+
 # ----------------------------------------------------------------------
 # Mixture creation
 # ----------------------------------------------------------------------

@@ -251,6 +251,20 @@ def test_dot_export_of_initial_model():
     assert len(re.findall(r"->", dot)) == 2
 
 
+def test_dot_labels_escape_quotes_and_backslashes():
+    pool = init_factored_pool(3)
+    dot = export_dot(pool, variable_names=['a"b', "c\\", "plain"])
+    quoted = r'"((?:[^"\\]|\\.)*)"'  # a DOT string: no bare quote, escapes paired
+    labels = []
+    for line in dot.splitlines()[2:-1]:
+        m = re.fullmatch(rf"  n\d+( -> n\d+)?( \[label={quoted}(, shape=\w+)?\])?;", line)
+        assert m, line
+        if m.group(3) is not None and m.group(4) == ", shape=box":
+            labels.append(re.sub(r"\\(.)", lambda e: {"n": "\n"}.get(e.group(1), e.group(1)),
+                                 m.group(3)).split("\n")[0])
+    assert sorted(labels) == ['a"b', "c\\", "plain"]
+
+
 def test_dot_edge_count_matches_links():
     rng = np.random.default_rng(5)
     for _ in range(10):
