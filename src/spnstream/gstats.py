@@ -5,6 +5,12 @@ and the number of observations absorbed so far.  Updates are exact: after
 any sequence of batch updates the result equals a direct recomputation
 over the concatenated data, up to floating point roundoff, regardless of
 how the stream was split into batches.
+
+The write pass updates many statistics at once through two stacked forms
+of ``GaussianStats.update``, each with the bits of the per-node call:
+``update_each_with_one_row`` for statistics of any widths that take one
+row each, and ``update_each_with_rows`` for statistics of one width that
+take the same number of rows each.
 """
 
 from __future__ import annotations
@@ -53,9 +59,9 @@ class GaussianStats:
 
     @classmethod
     def _unchecked(cls, mean: np.ndarray, cov: np.ndarray, count: float) -> "GaussianStats":
-        """Statistics from arrays ``update_each_with_one_row`` has just
-        computed: float64, of matching shapes and owned, with a float count;
-        skips the conversions."""
+        """Statistics from arrays a stacked update has just computed:
+        float64, of matching shapes and owned, with a float count; skips the
+        conversions."""
         stats = object.__new__(cls)
         stats.mean, stats.cov, stats.count = mean, cov, count
         return stats
@@ -149,3 +155,31 @@ def update_each_with_one_row(stats: list[GaussianStats], X: np.ndarray, rows: li
     return [GaussianStats._unchecked(new_mean[i, :k].copy(), new_cov[i, :k, :k].copy(),
                                      s.count + 1)
             for i, (s, k) in enumerate(zip(stats, ks))]
+
+
+def update_each_with_rows(stats: list[GaussianStats], X: np.ndarray, rows: list,
+                          cols: list) -> list[GaussianStats]:
+    """``stats[i].update(X[rows[i], cols[i]])`` for every i, in one stacked pass.
+
+    Every ``rows[i]`` holds the same number m of row indices and every
+    ``cols[i]`` the same number k of columns, which ``stats[i]`` must match,
+    so the rows form one (N, m, k) block without padding.  Each item of the
+    block then goes through the steps of ``GaussianStats.update`` with the
+    shape of the per-node call: numpy sums its m rows in the same order
+    and BLAS gets the same product, so each result has the bits of its own
+    update.  Padding to a common m or k would change that order.
+    """
+    block = X[np.array(rows)[:, :, None], np.array(cols)[:, None, :]]
+    mean = np.array([s.mean for s in stats])
+    cov = np.array([s.cov for s in stats])
+    n = np.array([s.count for s in stats])[:, None]
+    total = n + block.shape[1]
+    new_mean = (n * mean + np.add.reduce(block, axis=1)) / total
+    dev = block - mean[:, None, :]
+    scatter = dev.transpose(0, 2, 1) @ dev
+    delta = new_mean - mean
+    new_cov = ((n[:, :, None] * cov + scatter) / total[:, :, None]
+               - delta[:, :, None] * delta[:, None, :])
+    new_cov = 0.5 * (new_cov + new_cov.transpose(0, 2, 1))
+    return [GaussianStats._unchecked(new_mean[i].copy(), new_cov[i].copy(), float(t))
+            for i, t in enumerate(total[:, 0])]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluate import CompiledNet, check_rows, shared_net, subtree_log_density_rows
-from .gstats import GaussianStats, update_each_with_one_row
+from .gstats import GaussianStats, update_each_with_one_row, update_each_with_rows
 from .nodes import (LeafNode, NodePool, ProductNode, Scope, SumNode,
                     WEIGHT_MODES, make_scope, scope_positions, scope_union,
                     topological_order)
@@ -325,15 +325,16 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
     A component inheriting evidence n is first re-examined at 2n, so a
     change can never cascade within the batch that triggered it.
 
-    A leaf or product that receives exactly one row is not updated on the
-    spot: the walk queues it, and all queued nodes take their rows in one
-    stacked update (``gstats.update_each_with_one_row``) when the walk
-    ends, or earlier when statistics are about to be read: before a
-    product's structure check, and before scoring a node created in this
-    pass.  A node reached a second time in the pass (a DAG) first has the
-    queue applied, so its updates compose in visit order.  A node that
-    receives two or more rows updates on the spot.  The result has the
-    bits of updating every node as the walk reaches it.
+    Leaves and products are not updated on the spot: the walk queues each
+    with its rows, and the queue is applied when the walk ends, or earlier
+    when statistics are about to be read: before a product's structure
+    check, and before scoring a node created in this pass.  A node reached
+    a second time in the pass (a DAG) first has the queue applied, so its
+    updates compose in visit order.  Applying the queue takes one stacked
+    update for all nodes with one row (``gstats.update_each_with_one_row``)
+    and one for each group of nodes that share their row count and scope
+    width (``gstats.update_each_with_rows``).  The result has the bits of
+    updating every node as the walk reaches it.
     Rows of the wrong width or with a non-finite value raise ValueError
     before the pool is touched.
     The bottom-up pass runs on the pool's compiled net, the one the read
@@ -365,25 +366,32 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
                             birth_stats=prev_stats, birth_count=prev_count)
             report.leaves_merged += 1
 
-    # One-row visits are applied together, by one stacked update at the end
-    # of the pass or before the next read of statistics, whichever is first.
-    pending: dict[int, tuple[LeafNode | ProductNode, int]] = {}  # id -> (node, row)
+    # Visits are applied together, at the end of the pass or before the next
+    # read of statistics, whichever is first.
+    pending: dict[int, tuple[LeafNode | ProductNode, np.ndarray]] = {}  # id -> (node, rows)
+
+    def put(queue, stacked_update) -> None:
+        """Give each queued (node, rows) its statistics from one stacked update."""
+        nodes = [n for n, _ in queue]
+        fresh = stacked_update([n.stats for n in nodes], rows, [p for _, p in queue],
+                               [n.scope for n in nodes])
+        for node, stats in zip(nodes, fresh):
+            node.stats = stats
 
     def flush() -> None:
         if not pending:
             return
-        queue = list(pending.values())
-        fresh = update_each_with_one_row([n.stats for n, _ in queue], rows,
-                                         [r for _, r in queue], [n.scope for n, _ in queue])
-        for (node, _), stats in zip(queue, fresh):
-            node.stats = stats
+        one_row, groups = [], {}
+        for node, idx in pending.values():
+            if len(idx) == 1:
+                one_row.append((node, int(idx[0])))
+            else:
+                groups.setdefault((len(idx), len(node.scope)), []).append((node, idx))
         pending.clear()
-
-    def absorb(nid: int, node: LeafNode | ProductNode, idx: np.ndarray) -> None:
-        if len(idx) == 1:
-            pending[nid] = (node, int(idx[0]))
-        else:
-            node.stats = node.stats.update(rows[idx[:, None], node.scope])
+        if one_row:
+            put(one_row, update_each_with_one_row)
+        for group in groups.values():
+            put(group, update_each_with_rows)
 
     # A sum pushes only the children it routed rows to.
     stack = [(pool.root, np.arange(rows.shape[0]))]
@@ -419,7 +427,7 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
         if nid in pending:  # reached twice in this pass: updates compose in order
             flush()
         if isinstance(node, LeafNode):
-            absorb(nid, node, idx)
+            pending[nid] = (node, idx)
             continue
         if (not structure_frozen and len(node.children) >= 2
                 and node.stats.count + len(idx) >= node.next_check):
@@ -430,7 +438,7 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
             node.next_check = 2.0 * node.stats.count
             restructure(nid, node, prev_stats, prev_count)
         else:
-            absorb(nid, node, idx)
+            pending[nid] = (node, idx)
         stack.extend((c, idx) for c in reversed(node.children))
     flush()
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from typing import Any
 
 import numpy as np
@@ -30,6 +31,14 @@ class ModelFormatError(ValueError):
 _BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
 
 
+def _integer(value) -> int:
+    """``value`` if it is an integer, else TypeError: ``int()`` would truncate
+    a float and accept a numeric string or a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _stats_to_json(stats: GaussianStats) -> dict[str, Any]:
     k = stats.mean.shape[0]
     return {
@@ -44,7 +53,7 @@ def _stats_from_json(obj: Any, where: str) -> GaussianStats:
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where}: stats must be an object")
     try:
-        k = int(obj["dim"])
+        k = _integer(obj["dim"])
         count = float(obj["count"])
         mean = np.asarray(obj["mean"], dtype=np.float64)
         cov = np.asarray(obj["cov"], dtype=np.float64)
@@ -103,9 +112,9 @@ def pool_from_json(doc: Any) -> NodePool:
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format_version: {version!r}")
     try:
-        root = int(doc["root"])
+        root = _integer(doc["root"])
         node_recs = doc["nodes"]
-        pool = NodePool(int(doc["dimension"]), weight_mode=doc.get("weight_mode", "laplace"),
+        pool = NodePool(_integer(doc["dimension"]), weight_mode=doc.get("weight_mode", "laplace"),
                         variance_floor=float(doc.get("variance_floor", 1e-4)))
     except _BAD_VALUE as exc:
         raise ModelFormatError(f"bad model header ({exc})") from exc
@@ -117,11 +126,11 @@ def pool_from_json(doc: Any) -> NodePool:
         if not isinstance(rec, dict):
             raise ModelFormatError(f"{where}: node record must be an object")
         try:
-            nid = int(rec["id"])
+            nid = _integer(rec["id"])
             kind = rec["type"]
-            scope = tuple(int(v) for v in rec["scope"])
+            scope = tuple(_integer(v) for v in rec["scope"])
             count = float(rec["count"])
-            children = [int(c) for c in rec.get("children", [])]
+            children = [_integer(c) for c in rec.get("children", [])]
             child_counts = [float(c) for c in rec.get("child_counts", [])]
             next_check = rec.get("next_check")
             next_check = None if next_check is None else float(next_check)

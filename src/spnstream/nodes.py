@@ -261,11 +261,11 @@ def validate(pool: NodePool) -> ValidationReport:
 
     Returns a report listing every violation: completeness at sum nodes,
     decomposability at product nodes, derived weights summing to one,
-    positive definite regularized leaf covariances, finite counts, dimension
-    and scope consistency, and acyclicity.  Every node must be reachable
-    from the root ("unreachable" otherwise, which also covers cycles among
-    unreachable nodes), and the root must cover every variable of the pool
-    exactly ("root-scope").  Dangling child references and sum nodes whose
+    positive definite regularized leaf covariances, finite counts and
+    statistics, dimension and scope consistency, and acyclicity.  Every node
+    must be reachable from the root ("unreachable" otherwise, which also
+    covers cycles among unreachable nodes), and the root must cover every
+    variable of the pool exactly ("root-scope").  Dangling child references and sum nodes whose
     child counts do not match their children raise ``StructuralError``
     instead of being reported, since no meaningful checks can run on top of
     them; only reachable nodes are inspected for these.
@@ -300,24 +300,23 @@ def validate(pool: NodePool) -> ValidationReport:
         counts += node.child_counts if isinstance(node, SumNode) else [node.stats.count]
         if not np.all(np.isfinite(counts)):
             report.add(nid, "non-finite", "node counts contain non-finite values")
-        if isinstance(node, LeafNode):
+        if isinstance(node, (LeafNode, ProductNode)):
             k = len(node.scope)
             if node.stats.dim != k:
                 report.add(nid, "stats-dim",
                            f"stats dimension {node.stats.dim} does not match scope size {k}")
-                continue
-            if not np.all(np.isfinite(node.stats.mean)) or not np.all(np.isfinite(node.stats.cov)):
-                report.add(nid, "non-finite", "leaf statistics contain non-finite values")
-                continue
-            asym = float(np.abs(node.stats.cov - node.stats.cov.T).max()) if k else 0.0
-            if asym > 1e-12:
-                report.add(nid, "asymmetric-cov", f"covariance asymmetry {asym:.3e}")
-            reg = node.stats.cov + pool.variance_floor * np.eye(k)
-            try:
-                np.linalg.cholesky(reg)
-            except np.linalg.LinAlgError:
-                report.add(nid, "not-pd", "regularized covariance is not positive definite")
-        elif isinstance(node, ProductNode):
+            elif not np.all(np.isfinite(node.stats.mean)) or not np.all(np.isfinite(node.stats.cov)):
+                report.add(nid, "non-finite", "statistics contain non-finite values")
+            elif isinstance(node, LeafNode):
+                asym = float(np.abs(node.stats.cov - node.stats.cov.T).max()) if k else 0.0
+                if asym > 1e-12:
+                    report.add(nid, "asymmetric-cov", f"covariance asymmetry {asym:.3e}")
+                reg = node.stats.cov + pool.variance_floor * np.eye(k)
+                try:
+                    np.linalg.cholesky(reg)
+                except np.linalg.LinAlgError:
+                    report.add(nid, "not-pd", "regularized covariance is not positive definite")
+        if isinstance(node, ProductNode):
             if not node.children:
                 report.add(nid, "no-children", "product node has no children")
                 continue
@@ -329,9 +328,6 @@ def validate(pool: NodePool) -> ValidationReport:
                         report.add(nid, "overlapping-scopes",
                                    f"children {node.children[a]} and {node.children[b]} "
                                    f"share variables {sorted(overlap)}")
-            if node.stats.dim != len(node.scope):
-                report.add(nid, "stats-dim",
-                           f"stats dimension {node.stats.dim} does not match scope size {len(node.scope)}")
         elif isinstance(node, SumNode):
             if not node.children:
                 report.add(nid, "no-children", "sum node has no children")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spnstream.gstats import GaussianStats, update_each_with_one_row
+from spnstream.gstats import GaussianStats, update_each_with_one_row, update_each_with_rows
 
 from helpers import population_stats, reference_update
 
@@ -231,3 +231,46 @@ def test_stacked_one_row_updates_leave_their_inputs_alone():
     for s, (mean, cov, count) in zip(stats, before):
         assert s.mean.tobytes() == mean.tobytes() and s.cov.tobytes() == cov.tobytes()
         assert s.count == count
+
+
+@st.composite
+def same_shape_cases(draw):
+    """(stats, X, rows, cols): N statistics of width k, each to absorb the
+    same number m >= 2 of rows of a strided matrix X, read at its own
+    columns.  The values come from a drawn seed, with drawn shares of -0.0
+    in X and in the means."""
+    k, m, n = draw(st.integers(1, 5)), draw(st.integers(2, 300)), draw(st.integers(1, 20))
+    width, height = k + draw(st.integers(0, 3)), m + draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    full = rng.normal(0.0, scale, size=(2 * height, 2 * width))
+    full[rng.random(full.shape) < draw(st.sampled_from([0.0, 0.1, 1.0]))] = -0.0
+    X = full[::2, 1::2] if draw(st.booleans()) else np.ascontiguousarray(full[:height, :width])
+    negative_zero = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    stats, rows, cols = [], [], []
+    for _ in range(n):
+        mean = rng.normal(0.0, scale, size=k)
+        mean[rng.random(k) < negative_zero] = -0.0
+        a = rng.normal(0.0, scale, size=(k, k))
+        count = draw(st.one_of(st.just(0.0), st.integers(1, 1000).map(float),
+                               st.floats(0.0, 1e6)))
+        stats.append(GaussianStats(mean, a @ a.T, count))
+        rows.append(rng.choice(height, size=m, replace=False))
+        cols.append(tuple(sorted(rng.choice(width, size=k, replace=False).tolist())))
+    return stats, X, rows, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_shape_cases())
+def test_stacked_same_shape_updates_match_update_bit_for_bit(case):
+    stats, X, rows, cols = case
+    before = ([(s.mean.tobytes(), s.cov.tobytes(), s.count) for s in stats], X.tobytes(),
+              [r.tobytes() for r in rows], list(cols))
+    got = update_each_with_rows(stats, X, rows, cols)
+    for s, r, c, out in zip(stats, rows, cols, got):
+        want = s.update(X[r[:, None], c])
+        assert (out.count, out.mean.tobytes(), out.cov.tobytes()) == \
+            (want.count, want.mean.tobytes(), want.cov.tobytes())
+        assert out.mean.dtype == out.cov.dtype == np.float64
+    assert ([(s.mean.tobytes(), s.cov.tobytes(), s.count) for s in stats], X.tobytes(),
+            [r.tobytes() for r in rows], list(cols)) == before

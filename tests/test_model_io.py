@@ -150,9 +150,17 @@ def _product(doc):
     lambda doc: doc.update(variance_floor=float("inf")),
     lambda doc: _product(doc).update(next_check=float("nan")),
     lambda doc: _product(doc)["children"].append(99),
+    # Integer fields take JSON integers only: int() would truncate or coerce these.
+    lambda doc: doc["nodes"][0].update(id=0.6),
+    lambda doc: doc["nodes"][0].update(scope=[0.9]),
+    lambda doc: doc.update(dimension=2.95),
+    lambda doc: doc.update(root=str(doc["root"])),
+    lambda doc: doc["nodes"][0]["stats"].update(dim=True),
+    lambda doc: _product(doc).update(children=[float(c) for c in _product(doc)["children"]]),
 ], ids=["non-int-children", "zero-dimension", "unknown-weight-mode",
         "negative-variance-floor", "nan-variance-floor", "infinite-variance-floor",
-        "nan-next-check", "dangling-child"])
+        "nan-next-check", "dangling-child", "float-id", "float-scope-variable",
+        "float-dimension", "string-root", "bool-stats-dim", "float-children"])
 def test_malformed_documents_raise_model_format_error(edit):
     doc = pool_to_json(init_factored_pool(2))
     edit(doc)
@@ -185,6 +193,13 @@ def test_non_finite_counts_are_rejected(tmp_path, edit):
     path.write_text(json.dumps(doc))  # writes NaN and Infinity literals
     with pytest.raises(ModelFormatError, match="non-finite"):
         load_model(path)
+
+
+def test_non_finite_product_statistics_are_rejected():
+    doc = pool_to_json(init_factored_pool(2))
+    _product(doc)["stats"]["mean"] = [float("nan"), float("inf")]
+    with pytest.raises(ModelFormatError, match="non-finite"):
+        pool_from_json(doc)
 
 
 def test_negative_scope_variables_are_rejected():

@@ -115,6 +115,17 @@ def test_non_positive_definite_leaf_is_flagged():
     assert any(v.node == leaf and v.code == "not-pd" for v in report.violations)
 
 
+@pytest.mark.parametrize("mean, cov", [([np.nan, np.inf], np.eye(2)),
+                                       ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]])])
+def test_non_finite_product_statistics_are_flagged(mean, cov):
+    pool = NodePool(dim=2)
+    pool.root = pool.add(ProductNode(make_scope([0, 1]),
+                                     [pool.add(unit_leaf([0])), pool.add(unit_leaf([1]))],
+                                     1.0, GaussianStats(mean, cov, 1.0)))
+    report = validate(pool)
+    assert [(v.node, v.code) for v in report.violations] == [(pool.root, "non-finite")]
+
+
 def test_derived_weights_mle_is_count_ratio():
     node = SumNode(make_scope([0]), [10, 11], [2.0, 3.0], 5.0)
     w = derived_weights(node, "mle")

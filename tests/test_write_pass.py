@@ -1,11 +1,15 @@
 """The write pass against its per-node oracle, byte for byte.
 
-``learn_batch`` defers the statistics update of every node that receives a
-single row and applies them together as one stacked update; it routes a
-single row without per-child numpy.  ``helpers.reference_learn_batch`` is
-the write pass as a plain per-node walk.  Both must leave identical model
-files, reports and generator states, on trees and DAGs, with and without
-structure edits, ties and every batch size.
+``learn_batch`` defers the statistics update of every leaf and product it
+reaches and applies them together: one stacked update for the nodes that
+receive a single row, and one per group of nodes that receive the same
+number of rows over scopes of the same width.  It routes a single row
+without per-child numpy.
+``helpers.reference_learn_batch`` is the write pass as a plain per-node
+walk.  Both must leave identical model files, reports and generator
+states, on trees and DAGs, with and without structure edits, ties and
+every batch size, including batches over 128 rows, where numpy's pairwise
+sum of a one-variable node's rows recurses.
 """
 
 import copy
@@ -14,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from spnstream import gstats, toy
+from spnstream import gstats, learner, toy
 from spnstream.gstats import GaussianStats
 from spnstream.learner import LearnerConfig, fit, init_factored_pool, learn_batch
 from spnstream.model_io import pool_to_json
@@ -62,18 +66,19 @@ def test_toy_stream_matches_the_oracle(batch, max_leaf_vars):
     assert assert_streams_agree(init_factored_pool(3), rows, cfg, batch) > 0
 
 
-@pytest.mark.parametrize("batch", [1, 2, 16])
+@pytest.mark.parametrize("batch", [1, 2, 16, 256])
 @pytest.mark.parametrize("mode", ["laplace", "mle"])
 def test_planted_blocks_with_edits_match_the_oracle(batch, mode):
     rng = np.random.default_rng(11)
     cfg = LearnerConfig(max_leaf_vars=3, batch_size=batch, weight_mode=mode, seed=11)
     pool = init_factored_pool(8, weight_mode=mode)
-    edits = assert_streams_agree(pool, planted_rows(rng, 1500), cfg, batch)
+    # Enough batches for several edits at every batch size.
+    edits = assert_streams_agree(pool, planted_rows(rng, max(1500, 24 * batch)), cfg, batch)
     assert edits >= 2
     # A trained model keeps agreeing, structure learning on.
     pool, _ = fit(planted_rows(rng, 2000), LearnerConfig(max_leaf_vars=3, batch_size=64,
                                                           weight_mode=mode, seed=12))
-    assert_streams_agree(pool, planted_rows(rng, 160), cfg, batch, seed=13)
+    assert_streams_agree(pool, planted_rows(rng, max(160, 2 * batch)), cfg, batch, seed=13)
 
 
 @pytest.mark.parametrize("batch", [1, 2, 16])
@@ -166,3 +171,30 @@ def test_batch_one_writes_on_a_trained_model_skip_gaussian_stats_update(monkeypa
         learn_batch(pool, row[None, :], cfg, rng, structure_frozen=True)
     assert calls == []
     assert sum(n.count for n in pool.nodes.values()) > before
+
+
+def test_a_16_row_write_updates_nodes_of_one_shape_together(monkeypatch):
+    rng = np.random.default_rng(9)
+    pool, _ = fit(planted_rows(rng, 2000), LearnerConfig(max_leaf_vars=3, batch_size=64, seed=9))
+    calls, groups = [], []
+    update, stacked = GaussianStats.update, learner.update_each_with_rows
+
+    def counted(self, batch):
+        calls.append(batch.shape[0])
+        return update(self, batch)
+
+    def counted_stacked(stats, X, rows, cols):
+        groups.append(len(stats))
+        return stacked(stats, X, rows, cols)
+
+    monkeypatch.setattr(gstats.GaussianStats, "update", counted)
+    monkeypatch.setattr(learner, "update_each_with_rows", counted_stacked)
+    before = {nid: n.stats for nid, n in pool.nodes.items() if not isinstance(n, SumNode)}
+    learn_batch(pool, planted_rows(rng, 16), LearnerConfig(batch_size=16, seed=9), rng,
+                structure_frozen=True)
+    # Every node that took two or more rows went through a stacked update,
+    # in fewer calls than nodes; none called update.
+    updated = sum(pool.node(nid).stats.count - stats.count >= 2 for nid, stats in before.items())
+    assert calls == []
+    assert sum(groups) == updated
+    assert len(groups) < updated
