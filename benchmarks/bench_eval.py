@@ -24,8 +24,7 @@ factorization of them by the next write, or per-node overhead in the write
 pass, shows in these rates.  Last, the cost of structure learning on planted
 blocks: the time of one cross-child pair search on the root of the
 factorized start model (24 singleton children) after it has absorbed 10k
-rows, and rows/second of a batch-256 ``fit`` of those rows, which checks
-pairs and edits the structure as it goes.
+rows.
 
 Run from the repository root:
 
@@ -223,16 +222,14 @@ def run_writes(min_seconds: float, seed: int) -> None:
 
 
 def run_structure(min_seconds: float, rng) -> None:
-    """Pair-search time and batch-256 ``fit`` rows/second on planted blocks."""
+    """Time of one cross-child pair search on planted blocks."""
     rows = planted_blocks(10000, rng)
     pool = init_factored_pool(rows.shape[1])
     root = pool.node(pool.root)
     root.stats = root.stats.update(rows)
     search_ms = 1e3 / time_call(lambda: _best_cross_child_pair(pool, root), 1, min_seconds)
-    cfg = LearnerConfig(batch_size=256, seed=0)
-    rate = time_call(lambda: fit(rows, cfg), rows.shape[0], min_seconds)
     print(f"\nplanted blocks structure learning: pair search on the {len(root.children)}-child"
-          f" root {search_ms:.3f} ms; fit at batch 256 {rate:.0f} rows/s")
+          f" root {search_ms:.3f} ms")
 
 
 def main() -> None:

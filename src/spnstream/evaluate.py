@@ -13,14 +13,16 @@ Each pool holds one compiled net (``shared_net``), which these queries and
 and factor the network once between them.  The net is rebuilt after a
 structure edit; otherwise each use re-factors only the leaves whose
 statistics object was replaced (every leaf after a change of
-``pool.variance_floor``, which shows at once) and recomputes every sum
-weight from the counts, so no caller sees stale parameters; a write into a
-statistics array in place needs ``pool.bump()``.
+``pool.variance_floor``, which shows at once) and recomputes the sum
+weights when a count or the weight mode changed, so no caller sees stale
+parameters; a write into a statistics array in place needs
+``pool.bump()``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import weakref
 from dataclasses import dataclass
@@ -104,6 +106,10 @@ class CompiledNet:
     # re-factors a leaf only when its stats object was replaced (see
     # LeafGroup.factored) or the floor changed.
     floor: float = math.nan
+    # The weight mode, then each sum's count and child counts, that
+    # child_logw was last computed from; refresh_weights skips a pool
+    # that still has them.
+    weight_inputs: list | None = None
 
     def row_blocks(self, n_rows: int, block_rows: int) -> list[slice]:
         """Equal blocks of at most ``block_rows`` rows.  Equal sizes avoid a
@@ -142,8 +148,10 @@ class CompiledNet:
         emptied.  The group records the stats objects weakly, so replaced
         statistics are freed by the write that replaces them, not by the
         next read.  A write into a stats array in place is not seen;
-        ``pool.bump()`` after one recompiles.  Every sum-edge weight is
-        recomputed, since child counts are edited in place.
+        ``pool.bump()`` after one recompiles.  The sum-edge weights are
+        recomputed when a count, a child count or the weight mode differs
+        from the last values used (``refresh_weights``); counts are edited
+        in place, so they are compared by value.
         """
         floor = pool.variance_floor
         if floor != self.floor:
@@ -177,12 +185,22 @@ class CompiledNet:
 
     def refresh_weights(self, pool: NodePool) -> None:
         """Recompute sum-edge log weights from current counts, in one pass
-        over every sum edge; a zero count under "mle" weights gives -inf."""
+        over every sum edge, when the weight mode or any sum's count or child
+        counts differ from the ones they were last computed from; a zero
+        count under "mle" weights gives -inf."""
         if not self.sums:
             return
-        weights = edge_weights([pool.nodes[nid] for nid in self.sums], pool.weight_mode)
+        sums = [pool.nodes[nid] for nid in self.sums]
+        seen = [pool.weight_mode]
+        for node in sums:
+            seen.append(node.count)
+            seen += node.child_counts
+        if seen == self.weight_inputs:
+            return
+        weights = edge_weights(sums, pool.weight_mode)
         with np.errstate(divide="ignore"):
             self.child_logw[self.sum_edges] = np.log(weights)
+        self.weight_inputs = seen
 
 
 def compile_pool(pool: NodePool) -> CompiledNet:
@@ -233,9 +251,10 @@ def shared_net(pool: NodePool) -> CompiledNet:
     rebuilt when the structure version or the root differs from the ones it
     was compiled at (tests and users may reassign the root without a
     version bump); otherwise ``refresh_params`` brings it up to date:
-    replaced leaf statistics, edited child counts and a new variance floor
-    show at once, while a write into a statistics array in place needs
-    ``pool.bump()``.
+    replaced leaf statistics, edited counts, a new weight mode and a new
+    variance floor show at once, while a write into a statistics array in
+    place needs ``pool.bump()``.  A read that follows a read with nothing
+    changed re-factors nothing and recomputes no weight.
     """
     net = pool.compiled
     if net is None or net.key != (pool.structure_version, pool.root):
@@ -359,15 +378,23 @@ def sample(pool: NodePool, rng: np.random.Generator, size: int | None = None) ->
     reaches it by its weights, each product node passes the row to every
     child, and each leaf draws its variables from its regularized Gaussian
     with the Cholesky factor kept in the net.  Returns shape (d,) when size
-    is None, otherwise (size, d).
+    is None, otherwise (size, d); ``size`` must be a non-negative integer.
     """
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else _size(size)
     out = np.empty((n, pool.dim), dtype=np.float64)
     net = shared_net(pool)
     root = net.index[pool.root]
     for rows in net.row_blocks(n, max(1, _SAMPLE_BYTES // (8 * net.plan.row_words))):
         kernels.sample_flat(net.plan, net.child_logw, root, rng, out[rows])
     return out[0] if size is None else out
+
+
+def _size(size) -> int:
+    """``size`` if it is a non-negative integer (a numpy one too), else
+    ValueError: ``int()`` would truncate 2.7 and take ``True`` or ``"3"``."""
+    if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 0:
+        raise ValueError(f"size must be a non-negative integer, got {size!r}")
+    return int(size)
 
 
 def analytic_mean(pool: NodePool) -> np.ndarray:

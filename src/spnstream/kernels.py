@@ -27,16 +27,18 @@ Its groups each cost a fixed number of numpy calls whatever their size:
 
 The kernel also takes partial evidence: NaN marks an unobserved value,
 which is integrated out inside its leaf.  A leaf with every variable
-unobserved contributes 0, a univariate leaf otherwise its closed form, and
-a fully observed leaf its own factor.  A (row, leaf) pair of a k > 1 group
-with some but not all variables observed gathers the factor of its leaf's
-covariance restricted to the observed variables from its group's
-``PatternTable`` and takes one batched ``matmul``.  The table keeps those
-factors per observation pattern (which of the k variables are unobserved)
-for every leaf of the group; the kernel factors a pattern the first time a
-query uses it (every pattern at once when that at most doubles the work),
-and the owner of the plan empties it whenever a leaf of the group is
-factored again.
+unobserved contributes 0 and a univariate leaf otherwise its closed form.
+In a k > 1 group every (row, leaf) pair takes its inverse factor and
+log-constant in one gather from the group's ``PatternTable``, and one
+batched ``matmul`` and one ``einsum`` finish the group: a fully observed
+pair reads its leaf's own factor, an unobserved one a zero factor with
+constant 0, and any other the factor of its leaf's covariance restricted
+to the observed variables.  The table keeps those restricted factors per
+observation pattern (which of the k variables are unobserved) for every
+leaf of the group; the kernel factors a pattern the first time a query
+uses it (every pattern at once when that at most doubles the work), and
+the owner of the plan empties it whenever a leaf of the group is factored
+again.
 
 ``sample_flat`` walks the same plan top-down to draw rows: the (node, row)
 pairs that reach a group are handled by a few numpy calls, routed by the
@@ -105,32 +107,46 @@ class NodeGroup:
     targets: tuple[int, ...]
 
 
+# The fixed slots at the front of every PatternTable: a zero factor with
+# constant 0 for a leaf with no variable observed, and the leaf's own factor
+# for one with every variable observed.  They are copied, never factored.
+_UNOBSERVED, _OBSERVED = 0, 1
+_FIXED = 2
+
+
 @dataclass(eq=False)
 class PatternTable:
-    """Restricted factors of one k > 1 ``LeafGroup``, one slot per observation pattern.
+    """Inverse factors of one k > 1 ``LeafGroup`` per observation pattern,
+    in one array that a partial read gathers from once.
 
     A pattern is the (k,) boolean mask of a leaf's unobserved variables,
     keyed by its bytes, so keys do not overflow for any k.  Slot s holds, for
-    each of the group's m leaves j, the inverse Cholesky factor
-    ``ichol[s, j]`` and log normalization constant ``const[s, j]`` of the
-    leaf's regularized covariance restricted to its observed variables,
-    padded to k x k by a diagonal block on the unobserved variables (see
-    ``_restricted_factors``).  The arrays are allocated at the first
-    pattern, with room for every pattern or as many as ``budget`` bytes
-    hold; when a new pattern would not fit, the table is emptied first.
+    each of the group's m leaves j, an inverse Cholesky factor
+    ``ichol[s, j]`` and log normalization constant ``const[s, j]``.  The
+    first ``_FIXED`` slots hold the two fixed patterns, unobserved and fully
+    observed (a zero factor and the leaf's own).  Every other pattern has its
+    slot in ``slots``: the factor of the leaf's regularized covariance
+    restricted to its observed variables, padded to k x k by a diagonal
+    block on the unobserved variables.  The arrays are allocated at the
+    first partial read, with room for every pattern or as many as ``budget``
+    bytes hold; when a new pattern would not fit, the table is emptied
+    first.  The fixed slots count toward neither ``nbytes`` nor the budget.
     """
 
     budget: int
     slots: dict[bytes, int] = field(default_factory=dict)
-    ichol: np.ndarray | None = None  # (capacity, m, k, k)
-    const: np.ndarray | None = None  # (capacity, m)
+    ichol: np.ndarray | None = None  # (_FIXED + capacity, m, k, k)
+    const: np.ndarray | None = None  # (_FIXED + capacity, m)
 
     def clear(self) -> None:
         self.slots, self.ichol, self.const = {}, None, None
 
     @property
     def nbytes(self) -> int:
-        return 0 if self.ichol is None else self.ichol.nbytes + self.const.nbytes
+        """Bytes of the pattern slots, the fixed ones left out."""
+        if self.ichol is None:
+            return 0
+        return self.ichol[_FIXED:].nbytes + self.const[_FIXED:].nbytes
 
 
 @dataclass(frozen=True)
@@ -227,55 +243,58 @@ def _leaf_rows(g: LeafGroup, dev):
 
 
 def _partial_leaf_rows(g: LeafGroup, X):
-    """``_leaf_rows`` where NaN in X marks an unobserved value."""
+    """``_leaf_rows`` where NaN in X marks an unobserved value.
+
+    For k > 1 every (row, leaf) pair takes its inverse factor and
+    log-constant from one gather over its group's table (``_pair_factors``),
+    then one batched ``matmul`` and one ``einsum`` finish the group."""
     dev = X[:, g.cols] - g.mean
     miss = np.isnan(dev)
     dev[miss] = 0.0
-    val = _leaf_rows(g, dev)
     if g.k == 1:
+        val = _leaf_rows(g, dev)
         val[miss.T] = 0.0
         return val
-    n_miss = miss.sum(axis=2).T
-    val[n_miss == g.k] = 0.0
-    leaf, row = np.nonzero((n_miss > 0) & (n_miss < g.k))
-    if leaf.size:
-        ichol, const = _restricted_factors(g, miss[row, leaf], leaf)
-        y = np.matmul(ichol, dev[row, leaf][:, :, None])[:, :, 0]
-        val[leaf, row] = const - 0.5 * np.einsum("ij,ij->i", y, y)
-    return val
+    ichol, const = _pair_factors(g, miss)
+    y = np.matmul(ichol, dev[..., None])[..., 0]
+    return (const - 0.5 * np.einsum("rli,rli->rl", y, y)).T
 
 
-def _restricted_factors(g: LeafGroup, hide, leaf):
-    """Inverse Cholesky factors (pairs, k, k) and log-constants (pairs,) of the
-    restricted covariances of the (row, leaf) pairs with unobserved masks
-    ``hide`` (pairs, k) on leaves ``leaf`` (pairs,), gathered from ``g.table``.
+def _pair_factors(g: LeafGroup, hide):
+    """Inverse Cholesky factors (rows, m, k, k) and log-constants (rows, m) of
+    every (row, leaf) pair of a k > 1 group, given the unobserved masks
+    ``hide`` (rows, m, k), in one gather from ``g.table``.
 
-    The patterns the table lacks are factored for all m leaves of the group
-    in one stack; all 2^k - 2 patterns instead, when that at most doubles
-    the work and fits the budget, so that later queries find every pattern
-    (for k = 2 one miss fills the table).  A call whose own patterns pass
-    the budget factors them in stacks of at most the budget, uses them once
-    and leaves the table empty.
+    A fully observed pair reads its leaf's own factor and an unobserved one
+    a zero factor with constant 0, both from the table's fixed slots.  The
+    patterns the table lacks are factored for all m leaves of the group in
+    one stack; all 2^k - 2 patterns instead, when that at most doubles the
+    work and fits the budget, so that later queries find every pattern (for
+    k = 2 one miss fills the table).  A call whose own patterns pass the
+    budget factors them in stacks of at most the budget, uses them once and
+    leaves the table empty.
     """
     table, k, m = g.table, g.k, g.nodes.size
-    flat = hide.tobytes()
-    keys = [flat[i:i + k] for i in range(0, len(flat), k)]
-    distinct = dict.fromkeys(keys)
-    new = [key for key in distinct if key not in table.slots]
-    if new:
+    keys = np.frombuffer(hide.tobytes(), dtype=f"V{k}").tolist()  # each pair's pattern
+    # Where each pattern's m entries start in the flattened table.
+    start = {b"\x01" * k: _UNOBSERVED * m, bytes(k): _OBSERVED * m}
+    patterns = [key for key in dict.fromkeys(keys) if key not in start]
+    new = [key for key in patterns if key not in table.slots]
+    if new or table.ichol is None:
         slot_bytes = 8 * m * (k * k + 1)
         # All of them, when they cost at most twice the new ones and fit.
-        if 2 ** k - 2 <= min(2 * len(new), table.budget // slot_bytes):
-            distinct = {bytes(p): None for p in itertools.product((0, 1), repeat=k)
-                        if 0 < sum(p) < k}
-            new = [key for key in distinct if key not in table.slots]
+        if new and 2 ** k - 2 <= min(2 * len(new), table.budget // slot_bytes):
+            new = [bytes(p) for p in itertools.product((0, 1), repeat=k)
+                   if 0 < sum(p) < k and bytes(p) not in table.slots]
         if (len(table.slots) + len(new)) * slot_bytes > table.budget:
             table.clear()
-            new = list(distinct)
+            new = patterns
         if table.ichol is None:  # room for every pattern, or as many as the budget holds
-            cap = max(len(new), min(2 ** k - 2, table.budget // slot_bytes))
+            cap = _FIXED + max(len(new), min(2 ** k - 2, table.budget // slot_bytes))
             table.ichol, table.const = np.empty((cap, m, k, k)), np.empty((cap, m))
-        used = len(table.slots)
+            table.ichol[_UNOBSERVED], table.const[_UNOBSERVED] = 0.0, 0.0
+            table.ichol[_OBSERVED], table.const[_OBSERVED] = g.ichol, g.const
+        used = _FIXED + len(table.slots)
         # The unobserved block is I / (2 pi): each such variable then adds
         # 0.5 log 2 pi to the log-constant, which cancels its share of the
         # full leaf's -0.5 k log 2 pi, and a deviation of 0 there adds nothing
@@ -291,7 +310,10 @@ def _restricted_factors(g: LeafGroup, hide, leaf):
             table.const[at] = (-0.5 * k * LOG_2PI
                                - np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1))
         table.slots.update(zip(new, range(used, used + len(new))))
-    at = np.array([table.slots[key] for key in keys]) * m + leaf
+    start.update((key, table.slots[key] * m) for key in patterns)
+    # Pairs run row by row, leaf by leaf.
+    at = np.array([start[key] + j for key, j in zip(keys, itertools.cycle(range(m)))],
+                  dtype=np.intp).reshape(hide.shape[:2])
     # take, not fancy indexing, which is ~10x slower on (p, k, k) gathers.
     ichol = table.ichol.reshape(-1, k, k).take(at, axis=0)
     const = table.const.reshape(-1).take(at)

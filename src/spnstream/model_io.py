@@ -39,6 +39,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """``value`` as a float if it is a number, else TypeError: ``float()``
+    would accept a numeric string or a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _stats_to_json(stats: GaussianStats) -> dict[str, Any]:
     k = stats.mean.shape[0]
     return {
@@ -54,9 +62,9 @@ def _stats_from_json(obj: Any, where: str) -> GaussianStats:
         raise ModelFormatError(f"{where}: stats must be an object")
     try:
         k = _integer(obj["dim"])
-        count = float(obj["count"])
-        mean = np.asarray(obj["mean"], dtype=np.float64)
-        cov = np.asarray(obj["cov"], dtype=np.float64)
+        count = _real(obj["count"])
+        mean = np.array([_real(v) for v in obj["mean"]], dtype=np.float64)
+        cov = np.array([_real(v) for v in obj["cov"]], dtype=np.float64)
     except _BAD_VALUE as exc:
         raise ModelFormatError(f"{where}: bad stats record ({exc})") from exc
     if mean.shape != (k,) or cov.shape != (k * k,):
@@ -115,7 +123,7 @@ def pool_from_json(doc: Any) -> NodePool:
         root = _integer(doc["root"])
         node_recs = doc["nodes"]
         pool = NodePool(_integer(doc["dimension"]), weight_mode=doc.get("weight_mode", "laplace"),
-                        variance_floor=float(doc.get("variance_floor", 1e-4)))
+                        variance_floor=_real(doc.get("variance_floor", 1e-4)))
     except _BAD_VALUE as exc:
         raise ModelFormatError(f"bad model header ({exc})") from exc
     if not isinstance(node_recs, list) or not node_recs:
@@ -129,11 +137,11 @@ def pool_from_json(doc: Any) -> NodePool:
             nid = _integer(rec["id"])
             kind = rec["type"]
             scope = tuple(_integer(v) for v in rec["scope"])
-            count = float(rec["count"])
+            count = _real(rec["count"])
             children = [_integer(c) for c in rec.get("children", [])]
-            child_counts = [float(c) for c in rec.get("child_counts", [])]
+            child_counts = [_real(c) for c in rec.get("child_counts", [])]
             next_check = rec.get("next_check")
-            next_check = None if next_check is None else float(next_check)
+            next_check = None if next_check is None else _real(next_check)
         except _BAD_VALUE as exc:
             raise ModelFormatError(f"{where}: bad node record ({exc})") from exc
         if nid in pool.nodes:

@@ -1,0 +1,34 @@
+"""``benchmarks/bench_eval.py`` runs end to end.
+
+The tests import its networks (``bench_eval.wide_mixture``), but nothing
+else runs the script, so a change that breaks one of its tables would go
+unseen.  This runs it at batch 1 with a token timing budget (about 3 s)
+and checks that it exits 0 and prints the planted-blocks query table.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import spnstream
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_bench_eval_runs_and_prints_the_planted_blocks_queries():
+    src_root = str(Path(spnstream.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH", "")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_root, inherited])))
+    proc = subprocess.run([sys.executable, str(ROOT / "benchmarks" / "bench_eval.py"),
+                           "--batch-sizes", "1", "--min-seconds", "0.001"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+                          check=False)
+    assert proc.returncode == 0, f"bench_eval.py exited {proc.returncode}:\n{proc.stderr}"
+    lines = proc.stdout.splitlines()
+    head = [i for i, line in enumerate(lines) if line.startswith("planted blocks (")
+            and "queries/s" in line]
+    assert len(head) == 1, proc.stdout
+    for line, name in zip(lines[head[0] + 1:head[0] + 3], ("warm net", "after a 16-row write")):
+        label, marginal, conditional = line.rsplit(maxsplit=2)
+        assert label.strip() == name and float(marginal) > 0 and float(conditional) > 0, line

@@ -545,6 +545,22 @@ def test_zero_weight_children_are_never_drawn_at_either_end_of_the_range():
             assert np.array_equal(draws, np.full((64, n_sums), want)), (n_sums, u)
 
 
+@pytest.mark.parametrize("size", [2.7, 3.0, np.float64(2.0), True, False, np.bool_(True), "3",
+                                  -1, [2]])
+def test_sample_size_must_be_a_non_negative_integer(size):
+    pool = init_factored_pool(2)
+    with pytest.raises(ValueError, match="size"):
+        sample(pool, np.random.default_rng(0), size)
+
+
+def test_sample_size_takes_numpy_integers():
+    pool = init_factored_pool(2)
+    assert sample(pool, np.random.default_rng(0), np.int64(3)).shape == (3, 2)
+    assert sample(pool, np.random.default_rng(0), np.uint8(0)).shape == (0, 2)
+    want = sample(pool, np.random.default_rng(5), 4)
+    assert sample(pool, np.random.default_rng(5), np.int32(4)).tobytes() == want.tobytes()
+
+
 def test_sample_draws_in_bounded_blocks():
     rng = np.random.default_rng(149)
     pool = wide_mixture(250, 16, 4, rng)
@@ -880,6 +896,113 @@ def test_distinct_patterns_on_a_wide_leaf_keep_the_table_within_its_budget(monke
         assert value == pytest.approx(closed_form_marginal(stats, pool.variance_floor, evidence),
                                       abs=1e-9)
     assert pool.compiled.plan.leaves[0].table.nbytes == 0
+
+
+def blocks_mixture(rng, components: int = 3) -> NodePool:
+    """A sum of products over 9 variables, each product with one leaf over
+    each of the blocks {0, 1}, {2, 3, 4} and {5, 6, 7, 8}: three leaf groups
+    of k = 2, 3 and 4 with ``components`` leaves each."""
+    pool = NodePool(dim=9)
+    blocks = [(0, 1), (2, 3, 4), (5, 6, 7, 8)]
+    kids, counts = [], []
+    for _ in range(components):
+        leaves = []
+        for block in blocks:
+            a = rng.normal(size=(len(block), len(block)))
+            leaves.append(pool.add(leaf(block, rng.normal(size=len(block)),
+                                        a @ a.T / len(block) + 0.5 * np.eye(len(block)), 5.0)))
+        kids.append(pool.add(ProductNode(make_scope(range(9)), leaves, 5.0,
+                                         GaussianStats.zeros(9, count=1.0))))
+        counts.append(float(rng.integers(1, 9)))
+    pool.root = pool.add(SumNode(make_scope(range(9)), kids, counts, sum(counts)))
+    return pool
+
+
+def test_partial_rows_mix_observed_partial_and_unobserved_pairs_in_each_group():
+    rng = np.random.default_rng(179)
+    pool = blocks_mixture(rng)
+    net = compile_pool(pool)
+    assert sorted(g.k for g in net.plan.leaves) == [2, 3, 4]
+    x = rng.normal(size=(6, 9))
+    X = x.copy()
+    hidden = [[], [0, 1, 2, 5], [1, 2, 3, 4, 8], [0, 5, 6, 7, 8], [0, 1, 2, 3, 4, 5, 6, 7, 8],
+              [1, 3, 6, 7]]
+    for row, hide in zip(X, hidden):
+        row[hide] = np.nan
+    got = net.eval_rows(X, partial=True)
+    # Every group sees all three kinds of pair in this one call.
+    for g in net.plan.leaves:
+        seen = np.isnan(X[:, g.cols[0]]).sum(axis=1)
+        assert {0, g.k} < set(seen.tolist()), g.k
+    for nid, node in pool.nodes.items():
+        if not isinstance(node, LeafNode):
+            continue
+        for r, row in enumerate(X):
+            evidence = {j: float(row[v]) for j, v in enumerate(node.scope) if not np.isnan(row[v])}
+            want = (closed_form_marginal(node.stats, pool.variance_floor, evidence)
+                    if evidence else 0.0)
+            assert got[net.index[nid], r] == pytest.approx(want, abs=1e-9), (node.scope, r)
+    components = expand_mixture(pool)
+    root = got[net.index[pool.root]]
+    for r, row in enumerate(X):
+        evidence = {v: float(row[v]) for v in np.flatnonzero(~np.isnan(row))}
+        assert root[r] == pytest.approx(oracle_log_density(pool, evidence, components), abs=1e-9)
+    # Complete rows read the leaves' own factors.
+    complete = net.eval_rows(x[:3], partial=True)
+    np.testing.assert_allclose(complete, net.eval_rows(x[:3]), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(got[:, 0], net.eval_rows(x[:1])[:, 0], rtol=0.0, atol=1e-12)
+    # Nothing observed anywhere: every leaf contributes exactly 0.
+    empty = net.eval_rows(np.full((2, 9), np.nan), partial=True)
+    for g in net.plan.leaves:
+        assert not empty[g.nodes].any()
+
+
+def test_a_read_after_a_read_does_not_recompute_the_weights(monkeypatch):
+    rng = np.random.default_rng(181)
+    pool = blocks_mixture(rng)
+    calls = []
+    real_edge_weights = evaluate.edge_weights
+
+    def edge_weights(sums, mode):
+        calls.append(mode)
+        return real_edge_weights(sums, mode)
+
+    monkeypatch.setattr(evaluate, "edge_weights", edge_weights)
+    evidence = {0: 0.3, 4: -0.2, 6: 1.1}
+    first = log_density(pool, evidence)
+    assert calls == ["laplace"]  # the compile
+    assert [log_density(pool, evidence) for _ in range(3)] == [first] * 3
+    sample(pool, rng, size=4)
+    analytic_mean(pool)
+    assert calls == ["laplace"]
+
+    def fresh_read() -> float:
+        fresh = copy.deepcopy(pool)
+        fresh.compiled = None
+        return log_density(fresh, evidence)
+
+    # A hand-edited child count shows at the next read, also when the
+    # edit leaves the sum's own count as it was.
+    root = pool.node(pool.root)
+    moved = min(root.child_counts[0], 1.0)
+    root.child_counts[0] -= moved
+    root.child_counts[1] += moved
+    shifted = log_density(pool, evidence)
+    assert calls == ["laplace"] * 2 and shifted != first
+    assert shifted == fresh_read()
+    root.child_counts[1] += 7.0
+    root.count += 7.0
+    edited = log_density(pool, evidence)
+    assert calls[-1] == "laplace" and edited != shifted
+    assert edited == fresh_read()
+    # So does a new weight mode.
+    pool.weight_mode = "mle"
+    mle = log_density(pool, evidence)
+    assert calls[-1] == "mle" and mle != edited
+    assert mle == fresh_read()
+    del calls[:]
+    log_density(pool, evidence)
+    assert calls == []
 
 
 def test_in_place_stats_write_shows_after_bump():

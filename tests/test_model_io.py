@@ -157,10 +157,25 @@ def _product(doc):
     lambda doc: doc.update(root=str(doc["root"])),
     lambda doc: doc["nodes"][0]["stats"].update(dim=True),
     lambda doc: _product(doc).update(children=[float(c) for c in _product(doc)["children"]]),
+    # Number fields take JSON numbers only: float() would take these strings and bools.
+    lambda doc: _first(doc, "leaf").update(count="3"),
+    lambda doc: _first(doc, "leaf").update(count=True),
+    lambda doc: doc.update(variance_floor="0.5"),
+    lambda doc: doc.update(variance_floor=True),
+    lambda doc: _product(doc).update(next_check="4.0"),
+    lambda doc: _product(doc).update(next_check=True),
+    lambda doc: _first(doc, "leaf")["stats"].update(count=True),
+    lambda doc: _first(doc, "leaf")["stats"].update(count="2"),
+    lambda doc: _first(doc, "leaf")["stats"].update(mean=["0.25"]),
+    lambda doc: _first(doc, "leaf")["stats"].update(mean=[False]),
+    lambda doc: _first(doc, "leaf")["stats"].update(cov=["1.0"]),
 ], ids=["non-int-children", "zero-dimension", "unknown-weight-mode",
         "negative-variance-floor", "nan-variance-floor", "infinite-variance-floor",
         "nan-next-check", "dangling-child", "float-id", "float-scope-variable",
-        "float-dimension", "string-root", "bool-stats-dim", "float-children"])
+        "float-dimension", "string-root", "bool-stats-dim", "float-children",
+        "string-count", "bool-count", "string-variance-floor", "bool-variance-floor",
+        "string-next-check", "bool-next-check", "bool-stats-count", "string-stats-count",
+        "string-mean", "bool-mean", "string-cov"])
 def test_malformed_documents_raise_model_format_error(edit):
     doc = pool_to_json(init_factored_pool(2))
     edit(doc)
@@ -193,6 +208,18 @@ def test_non_finite_counts_are_rejected(tmp_path, edit):
     path.write_text(json.dumps(doc))  # writes NaN and Infinity literals
     with pytest.raises(ModelFormatError, match="non-finite"):
         load_model(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: _first(doc, "sum").update(count="3.0"),
+    lambda doc: _first(doc, "sum").update(child_counts=["2.0", 1.0]),
+    lambda doc: _first(doc, "sum").update(child_counts=[2.0, True]),
+], ids=["string-count", "string-child-count", "bool-child-count"])
+def test_sum_counts_take_numbers_only(edit):
+    doc = _two_leaf_mixture_doc()
+    edit(doc)
+    with pytest.raises(ModelFormatError, match="bad node record"):
+        pool_from_json(doc)
 
 
 def test_non_finite_product_statistics_are_rejected():
