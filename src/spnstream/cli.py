@@ -74,10 +74,7 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
-    try:
-        rows, names = load_csv(args.data)
-    except (OSError, DatasetError) as exc:
-        raise CliError(str(exc)) from exc
+    rows, names = _read_csv(args.data)
     pool, report = fit(rows, config)
     ll = log_density_rows(pool, rows)
     save_model(args.out, pool, config=config, variable_names=names)
@@ -90,10 +87,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     pool, _doc = _load(args.model)
-    try:
-        rows, _names = load_csv(args.data)
-    except (OSError, DatasetError) as exc:
-        raise CliError(str(exc)) from exc
+    rows, _names = _read_csv(args.data)
     if rows.shape[1] != pool.dim:
         raise CliError(f"model has dimension {pool.dim}, data has {rows.shape[1]} columns")
     ll = log_density_rows(pool, rows)
@@ -108,10 +102,7 @@ def cmd_cv(args) -> int:
     config = _config_from_args(args)
     if args.folds < 2:
         raise CliError("need at least 2 folds")
-    try:
-        rows, _names = load_csv(args.data)
-    except (OSError, DatasetError) as exc:
-        raise CliError(str(exc)) from exc
+    rows, _names = _read_csv(args.data)
     n = rows.shape[0]
     if n < args.folds:
         raise CliError(f"{n} rows cannot be split into {args.folds} folds")
@@ -207,6 +198,13 @@ def _load(path) -> tuple:
     try:
         return load_model(path)
     except (OSError, ModelFormatError) as exc:
+        raise CliError(str(exc)) from exc
+
+
+def _read_csv(path) -> tuple:
+    try:
+        return load_csv(path)
+    except (OSError, DatasetError) as exc:
         raise CliError(str(exc)) from exc
 
 

@@ -22,7 +22,6 @@ parameters; a write into a statistics array in place needs
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import weakref
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ import numpy as np
 from . import kernels
 from .gstats import GaussianStats
 from .nodes import (LeafNode, NodePool, ProductNode, SumNode, derived_weights, edge_weights,
-                    topological_order)
+                    is_integer, topological_order)
 
 LOG_2PI = kernels.LOG_2PI
 # Bytes of the widest per-row array in one block of log_density_rows; with
@@ -102,6 +101,9 @@ class CompiledNet:
     # Rows per block of log_density_rows: the widest per-row array (nodes,
     # edges or leaf variables) then takes at most _BLOCK_BYTES.
     block_rows: int
+    # Rows per block of a partial eval_rows, which also gathers a k x k
+    # factor for each of a leaf group's m leaves: m * k * k words a row.
+    partial_block_rows: int
     # The variance floor the leaves were last factored with; refresh_params
     # re-factors a leaf only when its stats object was replaced (see
     # LeafGroup.factored) or the floor changed.
@@ -123,11 +125,16 @@ class CompiledNet:
         """Per-node log-density matrix, shape (n_nodes, n_rows).
 
         With ``partial`` a NaN in X marks an unobserved value, integrated out
-        inside its leaf.
+        inside its leaf; those rows go through the kernel in blocks of
+        ``partial_block_rows``, so its temporaries do not grow with the rows.
         """
         X = np.ascontiguousarray(X, dtype=np.float64)
         out = np.empty((len(self.order), X.shape[0]), dtype=np.float64)
-        return kernels.eval_flat_numpy(self.plan, self.child_logw, X, out, partial)
+        if not partial or X.shape[0] <= self.partial_block_rows:
+            return kernels.eval_flat_numpy(self.plan, self.child_logw, X, out, partial)
+        for rows in self.row_blocks(X.shape[0], self.partial_block_rows):
+            kernels.eval_flat_numpy(self.plan, self.child_logw, X[rows], out[:, rows], True)
+        return out
 
     def refresh_leaf(self, pool: NodePool, nid: int) -> None:
         """Bring the parameters up to date after a stats update of leaf
@@ -235,9 +242,11 @@ def compile_pool(pool: NodePool) -> CompiledNet:
         n_edges += len(kids)
     plan = kernels.level_plan(n, inner, scopes, order, _PATTERN_BYTES)
     width = max(n, n_edges, sum(map(len, scopes.values())))
+    partial_width = max([width] + [g.nodes.size * g.k * g.k for g in plan.leaves])
     net = CompiledNet(order, index, np.zeros(n_edges), (pool.structure_version, pool.root),
                       plan, sums, np.array(sum_edges, dtype=np.intp),
-                      max(1, _BLOCK_BYTES // (8 * width)))
+                      max(1, _BLOCK_BYTES // (8 * width)),
+                      max(1, _BLOCK_BYTES // (8 * partial_width)))
     net.refresh_params(pool)
     return net
 
@@ -392,7 +401,7 @@ def sample(pool: NodePool, rng: np.random.Generator, size: int | None = None) ->
 def _size(size) -> int:
     """``size`` if it is a non-negative integer (a numpy one too), else
     ValueError: ``int()`` would truncate 2.7 and take ``True`` or ``"3"``."""
-    if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 0:
+    if not is_integer(size) or size < 0:
         raise ValueError(f"size must be a non-negative integer, got {size!r}")
     return int(size)
 

@@ -6,11 +6,11 @@ any sequence of batch updates the result equals a direct recomputation
 over the concatenated data, up to floating point roundoff, regardless of
 how the stream was split into batches.
 
-The write pass updates many statistics at once through two stacked forms
-of ``GaussianStats.update``, each with the bits of the per-node call:
-``update_each_with_one_row`` for statistics of any widths that take one
-row each, and ``update_each_with_rows`` for statistics of one width that
-take the same number of rows each.
+``update_each`` holds the update formula, that of Chan, Golub & LeVeque
+(1979).  It updates many statistics at once in stacked passes, each
+result with the bits of updating it alone; ``GaussianStats.update`` is its
+one-item case, and the write pass applies all its queued updates with one
+call.
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ class GaussianStats:
 
         The update keeps the running mean exact and folds the batch into the
         population covariance using deviations from the pre-update mean,
-        then corrects for the mean shift.  An empty batch is a no-op.
+        then corrects for the mean shift (``update_each``).  An empty batch
+        is a no-op.
         """
         if not (type(batch) is np.ndarray and batch.ndim == 2 and batch.dtype == np.float64):
             batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
@@ -80,28 +81,7 @@ class GaussianStats:
             return GaussianStats(self.mean.copy(), self.cov.copy(), self.count)
         if batch.shape[1] != self.dim:
             raise ValueError(f"batch width {batch.shape[1]} does not match stats dimension {self.dim}")
-        n = self.count
-        total = n + m
-        # np.add.reduce is what batch.sum(axis=0) calls, without its Python wrapper.
-        new_mean = (n * self.mean + np.add.reduce(batch, axis=0)) / total
-        dev = batch - self.mean
-        scatter = dev.T @ dev
-        delta = new_mean - self.mean
-        new_cov = (n * self.cov + scatter) / total - delta[:, None] * delta
-        new_cov = 0.5 * (new_cov + new_cov.T)
-        return GaussianStats(new_mean, new_cov, total)
-
-    def correlation(self, i: int, j: int) -> float:
-        """Absolute correlation between coordinates i and j.
-
-        Returns 0.0 when either variance is below ``DEGENERATE_VARIANCE``,
-        so freshly created or constant coordinates never look correlated.
-        """
-        vi = self.cov[i, i]
-        vj = self.cov[j, j]
-        if vi < DEGENERATE_VARIANCE or vj < DEGENERATE_VARIANCE:
-            return 0.0
-        return float(abs(self.cov[i, j]) / np.sqrt(vi * vj))
+        return update_each([self], batch, [np.arange(m)], [range(self.dim)])[0]
 
     def correlation_matrix(self) -> np.ndarray:
         """Absolute correlation matrix with degenerate rows zeroed and zero diagonal."""
@@ -121,65 +101,83 @@ class GaussianStats:
         return GaussianStats(self.mean.copy(), self.cov.copy(), self.count)
 
 
-def update_each_with_one_row(stats: list[GaussianStats], X: np.ndarray, rows: list[int],
-                             cols: list) -> list[GaussianStats]:
-    """``stats[i].update(X[rows[i], cols[i]])`` for every i, in one stacked pass.
+def update_each(stats: list[GaussianStats], X: np.ndarray, rows: list,
+                cols: list) -> list[GaussianStats]:
+    """New statistics for every i: ``stats[i]`` after absorbing the rows
+    ``rows[i]`` of X, read at the columns ``cols[i]``.
 
-    The statistics may differ in dimension, so the pass pads them with
-    zeros to the widest.  With a single row every step of
-    ``GaussianStats.update`` is elementwise, so padding never reaches a real
-    entry and each result has the bits of its own update.  Two steps need
-    care there: ``np.add.reduce`` over one row and the one-term
-    ``dev.T @ dev`` both add their terms to +0.0, which turns a -0.0 into
-    +0.0, so the stacked pass adds 0.0 too.  Each result owns its arrays.
+    Every ``rows[i]`` holds at least one row index and ``cols[i]`` one
+    column per dimension of ``stats[i]``.  The update keeps the running
+    mean exact and folds the rows into the population covariance using
+    deviations from the pre-update mean, then corrects for the mean
+    shift.  The items that take one row share one pass
+    (``_one_row_terms``); the others share one pass per exact
+    (row count, width) group (``_rows_terms``); every pass ends in the
+    same closing step.  Each result has the bits of updating its
+    statistics alone, whatever else shares the call, and owns its
+    arrays; the inputs are left unchanged.
     """
-    ks = [s.mean.shape[0] for s in stats]
+    passes = {}  # None for the one-row pass, else (row count, width)
+    for i, r in enumerate(rows):
+        passes.setdefault(None if len(r) == 1 else (len(r), len(cols[i])), []).append(i)
+    fresh = [None] * len(stats)
+    for shape, items in passes.items():
+        terms = _rows_terms if shape else _one_row_terms
+        mean, cov, sums, scatter = terms(stats, X, rows, cols, items)
+        n = np.array([stats[i].count for i in items])[:, None]
+        total = n + len(rows[items[0]])
+        new_mean = (n * mean + sums) / total
+        delta = new_mean - mean
+        new_cov = ((n[:, :, None] * cov + scatter) / total[:, :, None]
+                   - delta[:, :, None] * delta[:, None, :])
+        new_cov = 0.5 * (new_cov + new_cov.transpose(0, 2, 1))
+        for i, mu, sigma, t in zip(items, new_mean, new_cov, total[:, 0].tolist()):
+            if not shape:  # the one-row pass padded each item to the widest
+                k = stats[i].mean.shape[0]
+                mu, sigma = mu[:k], sigma[:k, :k]
+            fresh[i] = GaussianStats._unchecked(mu.copy(), sigma.copy(), t)
+    return fresh
+
+
+def _one_row_terms(stats: list[GaussianStats], X: np.ndarray, rows: list, cols: list,
+                   items: list[int]):
+    """(mean, cov, row sum, scatter) of the ``items`` of ``update_each``'s
+    arguments, which take one row each.
+
+    The statistics may differ in width, so the pass pads them with zeros to
+    the widest.  With a single row every step of the update is elementwise,
+    so padding never reaches a real entry.  Two steps need care there: in
+    the per-item update, ``np.add.reduce`` over one row and the one-term
+    ``dev.T @ dev`` both add their terms to +0.0, which turns a -0.0 into
+    +0.0, so this pass adds 0.0 too.
+    """
+    ks = [stats[i].mean.shape[0] for i in items]
     real = np.arange(max(ks)) < np.array(ks)[:, None]
     real_cov = real[:, :, None] & real[:, None, :]
     x = np.zeros(real.shape)
     width_x = X.shape[1]
-    x[real] = X.take([r * width_x + v for r, c in zip(rows, cols) for v in c])
+    x[real] = X.take([int(rows[i][0]) * width_x + v for i in items for v in cols[i]])
     mean = np.zeros(real.shape)
-    mean[real] = np.concatenate([s.mean for s in stats])
+    mean[real] = np.concatenate([stats[i].mean for i in items])
     cov = np.zeros(real_cov.shape)
-    cov[real_cov] = np.concatenate([s.cov for s in stats], axis=None)
-    n = np.array([s.count for s in stats])[:, None]
-    total = n + 1.0
-    new_mean = (n * mean + (x + 0.0)) / total
+    cov[real_cov] = np.concatenate([stats[i].cov for i in items], axis=None)
     dev = x - mean
-    scatter = dev[:, :, None] * dev[:, None, :] + 0.0
-    delta = new_mean - mean
-    new_cov = ((n[:, :, None] * cov + scatter) / total[:, :, None]
-               - delta[:, :, None] * delta[:, None, :])
-    new_cov = 0.5 * (new_cov + new_cov.transpose(0, 2, 1))
-    return [GaussianStats._unchecked(new_mean[i, :k].copy(), new_cov[i, :k, :k].copy(),
-                                     s.count + 1)
-            for i, (s, k) in enumerate(zip(stats, ks))]
+    return mean, cov, x + 0.0, dev[:, :, None] * dev[:, None, :] + 0.0
 
 
-def update_each_with_rows(stats: list[GaussianStats], X: np.ndarray, rows: list,
-                          cols: list) -> list[GaussianStats]:
-    """``stats[i].update(X[rows[i], cols[i]])`` for every i, in one stacked pass.
+def _rows_terms(stats: list[GaussianStats], X: np.ndarray, rows: list, cols: list,
+                items: list[int]):
+    """(mean, cov, row sum, scatter) of the ``items`` of ``update_each``'s
+    arguments, which take m >= 2 rows each over k columns each, the same m
+    and k for all.
 
-    Every ``rows[i]`` holds the same number m of row indices and every
-    ``cols[i]`` the same number k of columns, which ``stats[i]`` must match,
-    so the rows form one (N, m, k) block without padding.  Each item of the
-    block then goes through the steps of ``GaussianStats.update`` with the
-    shape of the per-node call: numpy sums its m rows in the same order
-    and BLAS gets the same product, so each result has the bits of its own
-    update.  Padding to a common m or k would change that order.
+    The rows form one (N, m, k) block without padding, so numpy sums each
+    item's m rows in the order of the per-item update and BLAS gets the
+    same product.  Padding to a common m or k would change that order.
     """
-    block = X[np.array(rows)[:, :, None], np.array(cols)[:, None, :]]
-    mean = np.array([s.mean for s in stats])
-    cov = np.array([s.cov for s in stats])
-    n = np.array([s.count for s in stats])[:, None]
-    total = n + block.shape[1]
-    new_mean = (n * mean + np.add.reduce(block, axis=1)) / total
+    block = X[np.array([rows[i] for i in items])[:, :, None],
+              np.array([cols[i] for i in items])[:, None, :]]
+    mean = np.array([stats[i].mean for i in items])
     dev = block - mean[:, None, :]
-    scatter = dev.transpose(0, 2, 1) @ dev
-    delta = new_mean - mean
-    new_cov = ((n[:, :, None] * cov + scatter) / total[:, :, None]
-               - delta[:, :, None] * delta[:, None, :])
-    new_cov = 0.5 * (new_cov + new_cov.transpose(0, 2, 1))
-    return [GaussianStats._unchecked(new_mean[i].copy(), new_cov[i].copy(), float(t))
-            for i, t in enumerate(total[:, 0])]
+    return (mean, np.array([stats[i].cov for i in items]), np.add.reduce(block, axis=1),
+            dev.transpose(0, 2, 1) @ dev)

@@ -21,16 +21,15 @@ how a component count larger than two emerges over time.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .evaluate import CompiledNet, check_rows, shared_net, subtree_log_density_rows
-from .gstats import GaussianStats, update_each_with_one_row, update_each_with_rows
+from .gstats import GaussianStats, update_each
 from .nodes import (LeafNode, NodePool, ProductNode, Scope, SumNode,
-                    WEIGHT_MODES, make_scope, scope_positions, scope_union,
+                    WEIGHT_MODES, is_integer, make_scope, scope_positions, scope_union,
                     topological_order)
 from .updates import tie_break_argmax
 
@@ -87,7 +86,7 @@ class LearnerConfig:
 
 def _whole(value, least: int) -> bool:
     """Whether ``value`` is an integer, not a bool, of at least ``least``."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+    return is_integer(value) and value >= least
 
 
 def init_factored_pool(dim: int, weight_mode: str = "laplace",
@@ -327,14 +326,14 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
 
     Leaves and products are not updated on the spot: the walk queues each
     with its rows, and the queue is applied when the walk ends, or earlier
-    when statistics are about to be read: before a product's structure
-    check, and before scoring a node created in this pass.  A node reached
+    when statistics are about to be read: at a product's structure check,
+    the product's own update included, and before scoring a node created
+    in this pass.  A node reached
     a second time in the pass (a DAG) first has the queue applied, so its
-    updates compose in visit order.  Applying the queue takes one stacked
-    update for all nodes with one row (``gstats.update_each_with_one_row``)
-    and one for each group of nodes that share their row count and scope
-    width (``gstats.update_each_with_rows``).  The result has the bits of
-    updating every node as the walk reaches it.
+    updates compose in visit order.  Applying the queue is one call of
+    ``gstats.update_each``, which stacks the nodes into as few passes as
+    keep their bits, so the result has the bits of updating every node as
+    the walk reaches it.
     Rows of the wrong width or with a non-finite value raise ValueError
     before the pool is touched.
     The bottom-up pass runs on the pool's compiled net, the one the read
@@ -370,28 +369,13 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
     # read of statistics, whichever is first.
     pending: dict[int, tuple[LeafNode | ProductNode, np.ndarray]] = {}  # id -> (node, rows)
 
-    def put(queue, stacked_update) -> None:
-        """Give each queued (node, rows) its statistics from one stacked update."""
-        nodes = [n for n, _ in queue]
-        fresh = stacked_update([n.stats for n in nodes], rows, [p for _, p in queue],
-                               [n.scope for n in nodes])
+    def flush() -> None:
+        nodes = [n for n, _ in pending.values()]
+        fresh = update_each([n.stats for n in nodes], rows, [p for _, p in pending.values()],
+                            [n.scope for n in nodes])
+        pending.clear()
         for node, stats in zip(nodes, fresh):
             node.stats = stats
-
-    def flush() -> None:
-        if not pending:
-            return
-        one_row, groups = [], {}
-        for node, idx in pending.values():
-            if len(idx) == 1:
-                one_row.append((node, int(idx[0])))
-            else:
-                groups.setdefault((len(idx), len(node.scope)), []).append((node, idx))
-        pending.clear()
-        if one_row:
-            put(one_row, update_each_with_one_row)
-        for group in groups.values():
-            put(group, update_each_with_rows)
 
     # A sum pushes only the children it routed rows to.
     stack = [(pool.root, np.arange(rows.shape[0]))]
@@ -426,19 +410,16 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
             continue
         if nid in pending:  # reached twice in this pass: updates compose in order
             flush()
+        pending[nid] = (node, idx)
         if isinstance(node, LeafNode):
-            pending[nid] = (node, idx)
             continue
         if (not structure_frozen and len(node.children) >= 2
                 and node.stats.count + len(idx) >= node.next_check):
-            flush()
             prev_stats = node.stats
             prev_count = node.count - float(len(idx))
-            node.stats = node.stats.update(rows[idx[:, None], node.scope])
+            flush()
             node.next_check = 2.0 * node.stats.count
             restructure(nid, node, prev_stats, prev_count)
-        else:
-            pending[nid] = (node, idx)
         stack.extend((c, idx) for c in reversed(node.children))
     flush()
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .gstats import GaussianStats
 from .learner import LearnerConfig
-from .nodes import LeafNode, NodePool, ProductNode, StructuralError, SumNode, validate
+from .nodes import (LeafNode, NodePool, ProductNode, StructuralError, SumNode, is_integer,
+                    validate)
 
 FORMAT_VERSION = 1
 
@@ -34,7 +35,7 @@ _BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
 def _integer(value) -> int:
     """``value`` if it is an integer, else TypeError: ``int()`` would truncate
     a float and accept a numeric string or a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not is_integer(value):
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
 

@@ -11,6 +11,7 @@ from the counts kept on each sum node.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Union
@@ -26,6 +27,11 @@ WEIGHT_MODES = ("mle", "laplace")
 
 class StructuralError(Exception):
     """The pool is malformed at the container level (dangling ids, bad root)."""
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, a numpy one too, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def make_scope(variables: Iterable[int]) -> Scope:

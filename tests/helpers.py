@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from spnstream.gstats import GaussianStats
+from spnstream.gstats import DEGENERATE_VARIANCE, GaussianStats
 from spnstream.nodes import (LeafNode, NodePool, ProductNode, SumNode,
                              derived_weights, make_scope)
 
@@ -263,6 +263,20 @@ def reference_update(stats: GaussianStats, batch) -> GaussianStats:
     new_cov = (n * stats.cov + scatter) / total - np.outer(delta, delta)
     new_cov = 0.5 * (new_cov + new_cov.T)
     return GaussianStats(new_mean, new_cov, total)
+
+
+def correlation(stats: GaussianStats, i: int, j: int) -> float:
+    """Absolute correlation between coordinates i and j of ``stats``, one
+    pair at a time: the oracle for ``GaussianStats.correlation_matrix``.
+
+    Returns 0.0 when either variance is below ``DEGENERATE_VARIANCE``,
+    so freshly created or constant coordinates never look correlated.
+    """
+    vi = stats.cov[i, i]
+    vj = stats.cov[j, j]
+    if vi < DEGENERATE_VARIANCE or vj < DEGENERATE_VARIANCE:
+        return 0.0
+    return float(abs(stats.cov[i, j]) / np.sqrt(vi * vj))
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from spnstream.evaluate import (
     log_density,
     log_density_rows,
     sample,
+    shared_net,
     subtree_log_density_rows,
 )
 from spnstream.gstats import GaussianStats
@@ -375,6 +376,35 @@ def test_log_density_rows_evaluates_in_bounded_blocks():
     assert peak < 4e6, peak
     walk = subtree_log_density_rows(pool, pool.root, X)
     np.testing.assert_allclose(got, walk, rtol=0.0, atol=1e-12)
+
+
+def test_partial_rows_evaluate_in_bounded_blocks():
+    rng = np.random.default_rng(191)
+    pool = wide_mixture(250, 16, 4, rng)
+
+    def hidden(n):
+        X = rng.normal(0.0, 3.0, size=(n, 16))
+        X[rng.random(X.shape) < 0.4] = np.nan
+        return X
+
+    net = shared_net(pool)
+    net.eval_rows(hidden(64), partial=True)  # fills the pattern tables
+    # In one block, every (row, leaf) pair of the 1 000 leaves over four
+    # variables would gather a 4 x 4 factor: 128 kB a row.
+    beyond_output = []
+    for n in (256, 1024):
+        X = hidden(n)
+        tracemalloc.start()
+        try:
+            got = net.eval_rows(X, partial=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        beyond_output.append(peak - got.nbytes)
+    assert beyond_output[1] <= 1.1 * beyond_output[0], beyond_output
+    # Blocks change no bit: each row read alone gives the same values.
+    alone = np.hstack([net.eval_rows(X[i:i + 1], partial=True) for i in range(8)])
+    assert got[:, :8].tobytes() == alone.tobytes()
 
 
 def test_runtime_needs_no_scipy(tmp_path):

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spnstream.gstats import GaussianStats, update_each_with_one_row, update_each_with_rows
+from spnstream.gstats import GaussianStats, update_each
 
-from helpers import population_stats, reference_update
+from helpers import correlation, population_stats, reference_update
 
 
 def test_single_point_from_empty():
@@ -82,22 +82,22 @@ def test_width_mismatch_rejected():
 
 def test_correlation_rank_one():
     stats = GaussianStats(np.zeros(2), np.array([[4.0, 2.0], [2.0, 1.0]]), 10.0)
-    assert stats.correlation(0, 1) == pytest.approx(1.0)
+    assert correlation(stats, 0, 1) == pytest.approx(1.0)
 
 
 def test_correlation_independent():
     stats = GaussianStats(np.zeros(2), np.array([[4.0, 0.0], [0.0, 1.0]]), 10.0)
-    assert stats.correlation(0, 1) == 0.0
+    assert correlation(stats, 0, 1) == 0.0
 
 
 def test_correlation_unit_variances():
     stats = GaussianStats(np.zeros(2), np.array([[1.0, 0.5], [0.5, 1.0]]), 10.0)
-    assert stats.correlation(0, 1) == pytest.approx(0.5)
+    assert correlation(stats, 0, 1) == pytest.approx(0.5)
 
 
 def test_correlation_degenerate_variance_is_zero():
     stats = GaussianStats(np.zeros(2), np.array([[0.0, 0.0], [0.0, 1.0]]), 10.0)
-    assert stats.correlation(0, 1) == 0.0
+    assert correlation(stats, 0, 1) == 0.0
 
 
 def test_correlation_matrix_matches_pairwise():
@@ -108,7 +108,7 @@ def test_correlation_matrix_matches_pairwise():
         assert mat[i, i] == 0.0
         for j in range(4):
             if i != j:
-                assert mat[i, j] == pytest.approx(stats.correlation(i, j))
+                assert mat[i, j] == pytest.approx(correlation(stats, i, j))
 
 
 def test_restrict_slices_and_keeps_count():
@@ -178,22 +178,24 @@ SIGNED = st.one_of(FINITE, st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
 
 
 @st.composite
-def one_row_cases(draw):
-    """(stats, X, rows, cols): statistics of mixed widths, each to absorb one
-    row of a strided matrix X, read at its own columns."""
+def mixed_cases(draw):
+    """(stats, X, rows, cols): statistics of widths 1-4, each to absorb one to
+    three rows of a strided matrix X, read at its own columns, so that one
+    call mixes one-row items, several (rows, width) groups and groups of one."""
     width = draw(st.integers(4, 6))
-    n_rows = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(3, 5))
     full = np.array(draw(st.lists(SIGNED, min_size=2 * n_rows * 2 * width,
                                   max_size=2 * n_rows * 2 * width)))
     X = full.reshape(2 * n_rows, 2 * width)[::2, 1::2]  # strided rows and columns
     stats, rows, cols = [], [], []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, 8))):
         k = draw(st.integers(1, 4))
         mean = np.array(draw(st.lists(SIGNED, min_size=k, max_size=k)))
         a = np.array(draw(st.lists(FINITE, min_size=k * k, max_size=k * k))).reshape(k, k)
         count = draw(st.one_of(st.just(0.0), st.integers(1, 50).map(float), st.floats(0.0, 1e6)))
         stats.append(GaussianStats(mean, a @ a.T, count))
-        rows.append(draw(st.integers(0, n_rows - 1)))
+        m = draw(st.integers(1, 3))
+        rows.append(np.array(draw(st.permutations(range(n_rows)))[:m]))
         cols.append(tuple(sorted(draw(st.permutations(range(width)))[:k])))
     return stats, X, rows, cols
 
@@ -203,29 +205,46 @@ def one_row_cases(draw):
 # the mean of a negative mean and the covariance of a negative covariance.
 NEGATIVE_ZEROS = ([GaussianStats(np.zeros(2), np.array([[1.0, -0.5], [-0.5, 1.0]]), 0.0),
                    GaussianStats(np.array([-1.0]), np.eye(1), 0.0)],
-                  np.array([[-0.0, 2.0]]), [0, 0], [(0, 1), (0,)])
+                  np.array([[-0.0, 2.0]]), [np.array([0]), np.array([0])], [(0, 1), (0,)])
+# One-row items of widths 1 and 3, a (2 rows, width 1) group of two, a
+# (2 rows, width 2) group of one and a (3 rows, width 1) group of one.
+MIXED = ([GaussianStats(np.array([-0.0]), np.eye(1), 0.0),
+          GaussianStats(np.arange(3.0), np.eye(3), 4.0),
+          GaussianStats(np.array([1.0]), np.eye(1), 2.0),
+          GaussianStats(np.array([-2.0]), np.eye(1), 0.0),
+          GaussianStats(np.array([0.5, -0.0]), np.array([[2.0, 0.5], [0.5, 1.0]]), 7.0),
+          GaussianStats(np.array([3.0]), np.eye(1), 1.0)],
+         np.array([[-0.0, 1.0, 2.0], [4.0, -0.0, 6.0], [7.0, 8.0, -9.0]]),
+         [np.array(r) for r in ([1], [0], [0, 2], [2, 1], [1, 0], [0, 1, 2])],
+         [(0,), (0, 1, 2), (1,), (2,), (0, 1), (1,)])
 
 
 @settings(max_examples=300, deadline=None)
-@given(one_row_cases())
+@given(mixed_cases())
 @example(NEGATIVE_ZEROS)
-def test_stacked_one_row_updates_match_the_reference_bit_for_bit(case):
+@example(MIXED)
+def test_stacked_updates_of_mixed_shapes_match_the_reference_bit_for_bit(case):
     stats, X, rows, cols = case
+    before = ([(s.mean.tobytes(), s.cov.tobytes(), s.count) for s in stats], X.tobytes(),
+              [r.tobytes() for r in rows], list(cols))
     with np.errstate(all="ignore"):  # huge draws overflow alike in both
-        got = update_each_with_one_row(stats, X, rows, cols)
+        got = update_each(stats, X, rows, cols)
+        assert len(got) == len(stats)
         for s, r, c, out in zip(stats, rows, cols, got):
-            want = reference_update(s, X[[r]][:, list(c)])
+            want = reference_update(s, X[r][:, list(c)])
             assert (out.count, out.mean.tobytes(), out.cov.tobytes()) == \
                 (want.count, want.mean.tobytes(), want.cov.tobytes())
             assert out.mean.flags.owndata and out.cov.flags.owndata
             assert out.mean.dtype == out.cov.dtype == np.float64
+    assert ([(s.mean.tobytes(), s.cov.tobytes(), s.count) for s in stats], X.tobytes(),
+            [r.tobytes() for r in rows], list(cols)) == before
 
 
 def test_stacked_one_row_updates_leave_their_inputs_alone():
     stats = [GaussianStats(np.array([1.0, 2.0]), np.eye(2), 3.0),
              GaussianStats(np.array([-1.0]), np.eye(1), 0.0)]
     before = [(s.mean.copy(), s.cov.copy(), s.count) for s in stats]
-    out = update_each_with_one_row(stats, np.array([[4.0, 5.0, 6.0]]), [0, 0], [(0, 2), (1,)])
+    out = update_each(stats, np.array([[4.0, 5.0, 6.0]]), [[0], [0]], [(0, 2), (1,)])
     assert [o.count for o in out] == [4.0, 1.0]
     np.testing.assert_array_equal(out[1].mean, [5.0])
     for s, (mean, cov, count) in zip(stats, before):
@@ -266,9 +285,9 @@ def test_stacked_same_shape_updates_match_update_bit_for_bit(case):
     stats, X, rows, cols = case
     before = ([(s.mean.tobytes(), s.cov.tobytes(), s.count) for s in stats], X.tobytes(),
               [r.tobytes() for r in rows], list(cols))
-    got = update_each_with_rows(stats, X, rows, cols)
+    got = update_each(stats, X, rows, cols)
     for s, r, c, out in zip(stats, rows, cols, got):
-        want = s.update(X[r[:, None], c])
+        want = reference_update(s, X[r[:, None], c])
         assert (out.count, out.mean.tobytes(), out.cov.tobytes()) == \
             (want.count, want.mean.tobytes(), want.cov.tobytes())
         assert out.mean.dtype == out.cov.dtype == np.float64

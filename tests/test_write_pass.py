@@ -1,10 +1,11 @@
 """The write pass against its per-node oracle, byte for byte.
 
 ``learn_batch`` defers the statistics update of every leaf and product it
-reaches and applies them together: one stacked update for the nodes that
-receive a single row, and one per group of nodes that receive the same
-number of rows over scopes of the same width.  It routes a single row
-without per-child numpy.
+reaches, structure checks included, and applies them together in one call
+of ``gstats.update_each``: one stacked pass for the nodes that receive a
+single row, and one per group of nodes that receive the same number of
+rows over scopes of the same width.  It routes a single row without
+per-child numpy.
 ``helpers.reference_learn_batch`` is the write pass as a plain per-node
 walk.  Both must leave identical model files, reports and generator
 states, on trees and DAGs, with and without structure edits, ties and
@@ -18,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from spnstream import gstats, learner, toy
+from spnstream import gstats, toy
 from spnstream.gstats import GaussianStats
 from spnstream.learner import LearnerConfig, fit, init_factored_pool, learn_batch
 from spnstream.model_io import pool_to_json
@@ -177,24 +178,39 @@ def test_a_16_row_write_updates_nodes_of_one_shape_together(monkeypatch):
     rng = np.random.default_rng(9)
     pool, _ = fit(planted_rows(rng, 2000), LearnerConfig(max_leaf_vars=3, batch_size=64, seed=9))
     calls, groups = [], []
-    update, stacked = GaussianStats.update, learner.update_each_with_rows
+    update, stacked = GaussianStats.update, gstats._rows_terms
 
     def counted(self, batch):
         calls.append(batch.shape[0])
         return update(self, batch)
 
-    def counted_stacked(stats, X, rows, cols):
-        groups.append(len(stats))
-        return stacked(stats, X, rows, cols)
+    def counted_stacked(stats, X, rows, cols, items):
+        groups.append(len(items))
+        return stacked(stats, X, rows, cols, items)
 
     monkeypatch.setattr(gstats.GaussianStats, "update", counted)
-    monkeypatch.setattr(learner, "update_each_with_rows", counted_stacked)
+    monkeypatch.setattr(gstats, "_rows_terms", counted_stacked)
     before = {nid: n.stats for nid, n in pool.nodes.items() if not isinstance(n, SumNode)}
     learn_batch(pool, planted_rows(rng, 16), LearnerConfig(batch_size=16, seed=9), rng,
                 structure_frozen=True)
-    # Every node that took two or more rows went through a stacked update,
-    # in fewer calls than nodes; none called update.
+    # Every node that took two or more rows went through a stacked pass of
+    # gstats.update_each, in fewer passes than nodes; none called update.
     updated = sum(pool.node(nid).stats.count - stats.count >= 2 for nid, stats in before.items())
     assert calls == []
     assert sum(groups) == updated
     assert len(groups) < updated
+
+
+def test_structure_checks_skip_gaussian_stats_update(monkeypatch):
+    calls = []
+    update = GaussianStats.update
+
+    def counted(self, batch):
+        calls.append(batch.shape[0])
+        return update(self, batch)
+
+    monkeypatch.setattr(gstats.GaussianStats, "update", counted)
+    _, report = fit(planted_rows(np.random.default_rng(9), 2000),
+                    LearnerConfig(max_leaf_vars=3, batch_size=16, seed=9))
+    assert report.mixtures_created + report.leaves_merged >= 1
+    assert calls == []
