@@ -1,6 +1,7 @@
 """CSV loading and writing for the command line tools.
 
-Files are plain comma-separated numeric tables in UTF-8.  A first line
+Files are plain comma-separated numeric tables in UTF-8; a leading
+byte-order mark is skipped.  A first line
 that fails to parse as numbers is taken to be a header with variable
 names.  Well-formed files are parsed by numpy's C reader; any file it
 rejects, or whose result would be refused, is re-read by the Python
@@ -51,7 +52,7 @@ def _load_numpy(path) -> tuple[np.ndarray, list[str] | None] | None:
     own first record, and only one line long: numpy skips one line, and a
     quoted header cell may run over several.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         first = [c.strip() for c in next(reader, [])]
         if reader.line_num > 1:
@@ -77,7 +78,7 @@ def _load_reference(path) -> tuple[np.ndarray, list[str] | None]:
     linenos: list[int] = []
     names: list[str] | None = None
     lineno = 0
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         width = None
         try:

@@ -10,20 +10,19 @@ contributes a factor of one.  ``sample`` draws rows in one top-down pass
 over the net's level plan and ``analytic_mean`` is one bottom-up pass.
 Each pool holds one compiled net (``shared_net``), which these queries and
 ``learner.learn_batch`` share, so a write and the reads after it compile
-and factor the network once between them.  The net is rebuilt after a
-structure edit; otherwise each use re-factors only the leaves whose
+and factor the network once between them.  The net's parameters live on
+the groups of its plan: each leaf group re-factors only the leaves whose
 statistics object was replaced (every leaf after a change of
-``pool.variance_floor``, which shows at once) and recomputes the sum
-weights when a count or the weight mode changed, so no caller sees stale
-parameters; a write into a statistics array in place needs
-``pool.bump()``.
+``pool.variance_floor``, which shows at once), and the sum groups' log
+weights are recomputed when a count or the weight mode changed, so no
+caller sees stale parameters.  The net is rebuilt after a structure edit;
+a write into a statistics array in place needs ``pool.bump()``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import weakref
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -34,7 +33,6 @@ from .gstats import GaussianStats
 from .nodes import (LeafNode, NodePool, ProductNode, SumNode, derived_weights, edge_weights,
                     is_integer, topological_order)
 
-LOG_2PI = kernels.LOG_2PI
 # Bytes of the widest per-row array in one block of log_density_rows; with
 # the kernel's temporaries a block then peaks near 2 MB, whatever the
 # number of rows.
@@ -46,35 +44,11 @@ _SAMPLE_BYTES = 1 << 20
 _PATTERN_BYTES = 1 << 22
 
 
-def _factors(covs: np.ndarray, floor: float):
-    """Cholesky pieces of regularized Gaussians over k variables.
-
-    From a (k, k) covariance, or a stack of them, returns the regularized
-    covariances cov + floor * I, their Cholesky factors, the inverses of
-    those and the log normalization constants, one LAPACK call each for the
-    whole stack.
-    """
-    k = covs.shape[-1]
-    reg = covs + floor * np.eye(k)
-    chol = np.linalg.cholesky(reg)
-    # LAPACK's inverse leaves ~1e-16 above the diagonal; the kernel reads it.
-    ichol = np.tril(np.linalg.inv(chol))
-    const = -0.5 * k * LOG_2PI - np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    return reg, chol, ichol, const
-
-
-def _univariate_factors(var: np.ndarray, floor: float):
-    """``_factors`` in closed form for univariate leaves of variances ``var``,
-    shape (m,): the Cholesky factor of a 1x1 matrix is its square root."""
-    reg = var + floor
-    chol = np.sqrt(reg)
-    return reg, chol, 1.0 / chol, -0.5 * LOG_2PI - np.log(chol)
-
-
 def _leaf_factor(stats: GaussianStats, floor: float):
     """(mean, inverse Cholesky factor, log normalization constant) of one
-    leaf's regularized Gaussian N(mean, cov + floor * I)."""
-    _, _, ichol, const = _factors(stats.cov, floor)
+    leaf's regularized Gaussian N(mean, cov + floor * I); the (k, k) input
+    takes the stacked path of ``kernels.factors`` even at k = 1."""
+    _, _, ichol, const = kernels.factors(stats.cov, floor)
     return stats.mean, ichol, float(const)
 
 
@@ -84,20 +58,19 @@ def _leaf_factor(stats: GaussianStats, floor: float):
 
 @dataclass(eq=False)
 class CompiledNet:
-    """A pool flattened into one ``kernels.LevelPlan`` and its edge weights.
+    """A pool flattened into one ``kernels.LevelPlan``.
 
-    The plan drives both the kernel and sampling.  The leaves' parameters
-    live on its leaf groups (``kernels.LeafGroup``), which
-    ``refresh_params`` writes in place.
+    The plan drives both the kernel and sampling, and its groups hold the
+    parameters: the leaves' on the leaf groups (``kernels.LeafGroup``), the
+    sums' log weights on the sum groups (``kernels.NodeGroup.logw``), which
+    ``refresh_params`` brings up to date in place.
     """
 
     order: list[int]
     index: dict[int, int]
-    child_logw: np.ndarray  # log weight of each edge, 0.0 on product edges
     key: tuple[int, int]  # (pool.structure_version, pool.root) it was compiled at
     plan: kernels.LevelPlan
-    sums: list[int]  # sum node ids
-    sum_edges: np.ndarray  # child_logw positions of their edges, sum by sum
+    sums: list[int]  # sum node ids, group after group of the plan
     # Rows per block of log_density_rows: the widest per-row array (nodes,
     # edges or leaf variables) then takes at most _BLOCK_BYTES.
     block_rows: int
@@ -106,10 +79,10 @@ class CompiledNet:
     partial_block_rows: int
     # The variance floor the leaves were last factored with; refresh_params
     # re-factors a leaf only when its stats object was replaced (see
-    # LeafGroup.factored) or the floor changed.
+    # LeafGroup.refresh) or the floor changed.
     floor: float = math.nan
-    # The weight mode, then each sum's count and child counts, that
-    # child_logw was last computed from; refresh_weights skips a pool
+    # The weight mode, then each sum's count and child counts, that the sum
+    # groups' logw was last computed from; refresh_weights skips a pool
     # that still has them.
     weight_inputs: list | None = None
 
@@ -131,9 +104,9 @@ class CompiledNet:
         X = np.ascontiguousarray(X, dtype=np.float64)
         out = np.empty((len(self.order), X.shape[0]), dtype=np.float64)
         if not partial or X.shape[0] <= self.partial_block_rows:
-            return kernels.eval_flat_numpy(self.plan, self.child_logw, X, out, partial)
+            return kernels.eval_flat_numpy(self.plan, X, out, partial)
         for rows in self.row_blocks(X.shape[0], self.partial_block_rows):
-            kernels.eval_flat_numpy(self.plan, self.child_logw, X[rows], out[:, rows], True)
+            kernels.eval_flat_numpy(self.plan, X[rows], out[:, rows], True)
         return out
 
     def refresh_leaf(self, pool: NodePool, nid: int) -> None:
@@ -144,55 +117,26 @@ class CompiledNet:
         self.refresh_params(pool)
 
     def refresh_params(self, pool: NodePool) -> None:
-        """Bring the leaf groups' parameters and the edge weights up to date
-        with the pool.
+        """Bring the groups' parameters up to date with the pool.
 
-        Leaves whose ``stats`` object is not the one they were last factored
-        from are re-factored (all leaves after a change of the variance
-        floor): univariate ones in closed form, those over k > 1 variables
-        with one stacked factorization per k, written into their group's
-        arrays in place, and the group's table of restricted factors is
-        emptied.  The group records the stats objects weakly, so replaced
-        statistics are freed by the write that replaces them, not by the
-        next read.  A write into a stats array in place is not seen;
-        ``pool.bump()`` after one recompiles.  The sum-edge weights are
-        recomputed when a count, a child count or the weight mode differs
-        from the last values used (``refresh_weights``); counts are edited
-        in place, so they are compared by value.
+        Each leaf group re-factors the leaves whose ``stats`` object is not
+        the one they were last factored from, every leaf after a change of
+        the variance floor (``kernels.LeafGroup.refresh``).  A write into a
+        stats array in place is not seen; ``pool.bump()`` after one
+        recompiles.  The sums' log weights are recomputed when a count, a
+        child count or the weight mode differs from the last values used
+        (``refresh_weights``); counts are edited in place, so they are
+        compared by value.
         """
         floor = pool.variance_floor
-        if floor != self.floor:
-            for g in self.plan.leaves:
-                g.factored[:] = [None] * len(g.ids)
-            self.floor = floor
-        nodes = pool.nodes
+        every, self.floor = floor != self.floor, floor
         for g in self.plan.leaves:
-            stats = [nodes[nid].stats for nid in g.ids]
-            fresh = [d is None or d() is not s for d, s in zip(g.factored, stats)]
-            if not any(fresh):
-                continue
-            if all(fresh):  # every leaf after a write to each: no gathers
-                at, todo = slice(None), stats
-            else:
-                at = np.flatnonzero(fresh)
-                todo = [stats[j] for j in at.tolist()]
-            if g.k == 1:
-                g.mean[at] = [s.mean[0] for s in todo]
-                g.cov[at], g.chol[at], g.ichol[at], g.const[at] = _univariate_factors(
-                    np.array([s.cov[0, 0] for s in todo]), floor)
-            else:
-                g.mean[at] = [s.mean for s in todo]
-                g.cov[at], g.chol[at], g.ichol[at], g.const[at] = _factors(
-                    np.array([s.cov for s in todo]), floor)
-            g.table.clear()
-            # weakref.ref hands back an object's existing reference, so
-            # recording the unchanged leaves again costs next to nothing.
-            g.factored[:] = map(weakref.ref, stats)
+            g.refresh([pool.nodes[nid].stats for nid in g.ids], floor, every)
         self.refresh_weights(pool)
 
     def refresh_weights(self, pool: NodePool) -> None:
-        """Recompute sum-edge log weights from current counts, in one pass
-        over every sum edge, when the weight mode or any sum's count or child
+        """Recompute the sum groups' log weights from current counts, in one
+        pass over every sum, when the weight mode or any sum's count or child
         counts differ from the ones they were last computed from; a zero
         count under "mle" weights gives -inf."""
         if not self.sums:
@@ -204,9 +148,14 @@ class CompiledNet:
             seen += node.child_counts
         if seen == self.weight_inputs:
             return
-        weights = edge_weights(sums, pool.weight_mode)
         with np.errstate(divide="ignore"):
-            self.child_logw[self.sum_edges] = np.log(weights)
+            logw = np.log(edge_weights(sums, pool.weight_mode))
+        lo = 0  # self.sums runs group after group, each sum's weights in turn
+        for g in self.plan.groups:
+            if g.is_sum:
+                c, m = g.logw.shape
+                g.logw[:] = logw[lo:lo + c * m].reshape(m, c).T
+                lo += c * m
         self.weight_inputs = seen
 
 
@@ -214,17 +163,14 @@ def compile_pool(pool: NodePool) -> CompiledNet:
     """Flatten the pool (reachable part, topological order) into a level plan.
 
     One walk, children before parents: a leaf's height is 0 and an inner
-    node's one more than its highest child's, and each node's edges are
-    numbered on from the last node's, in child-list order.
+    node's one more than its highest child's.
     """
     order = topological_order(pool)
     index = {nid: i for i, nid in enumerate(order)}
     n = len(order)
     height = [0] * n
-    inner = []  # (height, kind, dense index, first edge, dense children)
+    inner = []  # (height, kind, dense index, dense children)
     scopes = {}  # dense index -> scope, for each leaf
-    sums, sum_edges = [], []
-    n_edges = 0
     for i, nid in enumerate(order):
         node = pool.node(nid)
         if isinstance(node, LeafNode):
@@ -232,19 +178,14 @@ def compile_pool(pool: NodePool) -> CompiledNet:
             continue
         kids = [index[c] for c in node.children]
         height[i] = 1 + max((height[c] for c in kids), default=0)
-        if isinstance(node, SumNode):
-            kind = kernels.KIND_SUM
-            sums.append(nid)
-            sum_edges.extend(range(n_edges, n_edges + len(kids)))
-        else:
-            kind = kernels.KIND_PRODUCT
-        inner.append((height[i], kind, i, n_edges, kids))
-        n_edges += len(kids)
+        kind = kernels.KIND_SUM if isinstance(node, SumNode) else kernels.KIND_PRODUCT
+        inner.append((height[i], kind, i, kids))
     plan = kernels.level_plan(n, inner, scopes, order, _PATTERN_BYTES)
+    n_edges = sum(g.children.size for g in plan.groups)
     width = max(n, n_edges, sum(map(len, scopes.values())))
     partial_width = max([width] + [g.nodes.size * g.k * g.k for g in plan.leaves])
-    net = CompiledNet(order, index, np.zeros(n_edges), (pool.structure_version, pool.root),
-                      plan, sums, np.array(sum_edges, dtype=np.intp),
+    sums = [order[i] for g in plan.groups if g.is_sum for i in g.nodes.tolist()]
+    net = CompiledNet(order, index, (pool.structure_version, pool.root), plan, sums,
                       max(1, _BLOCK_BYTES // (8 * width)),
                       max(1, _BLOCK_BYTES // (8 * partial_width)))
     net.refresh_params(pool)
@@ -394,7 +335,7 @@ def sample(pool: NodePool, rng: np.random.Generator, size: int | None = None) ->
     net = shared_net(pool)
     root = net.index[pool.root]
     for rows in net.row_blocks(n, max(1, _SAMPLE_BYTES // (8 * net.plan.row_words))):
-        kernels.sample_flat(net.plan, net.child_logw, root, rng, out[rows])
+        kernels.sample_flat(net.plan, root, rng, out[rows])
     return out[0] if size is None else out
 
 
@@ -411,7 +352,7 @@ def analytic_mean(pool: NodePool) -> np.ndarray:
 
     One bottom-up pass over the cached net's level plan: a leaf's mean sits
     on its scope, a product adds its children's means and a sum weights
-    them by its edge weights.
+    them by its weights.
     """
     net = shared_net(pool)
     means = np.zeros((len(net.order), pool.dim))
@@ -420,6 +361,6 @@ def analytic_mean(pool: NodePool) -> np.ndarray:
     for g in net.plan.groups:
         terms = means[g.children]
         if g.is_sum:
-            terms *= np.exp(net.child_logw[g.edges])[:, :, None]
+            terms *= np.exp(g.logw)[:, :, None]
         means[g.nodes] = terms.sum(axis=0)
     return means[net.index[pool.root]]

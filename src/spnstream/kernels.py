@@ -2,28 +2,30 @@
 
 The hot loop of both training and evaluation is computing, for a batch of
 rows, the log-density of every node in the network.  The network's N nodes
-are numbered densely in topological order, children before parents, and
-its edges node after node in child-list order; ``child_logw[e]`` holds the
-log mixture weight of edge e (0.0 for product edges).  One kernel,
-``eval_flat_numpy``, which every write and read runs, follows the network's
-one ``LevelPlan``, which ``level_plan`` builds from each inner node's
-height, kind, children and first edge and the leaves' scopes, once per
+are numbered densely in topological order, children before parents.  One
+kernel, ``eval_flat_numpy``, which every write and read runs, follows the
+network's one ``LevelPlan``, which ``level_plan`` builds from each inner
+node's height, kind and children and the leaves' scopes, once per
 structure, in one walk of the network (see ``evaluate.compile_pool``).
-Its groups each cost a fixed number of numpy calls whatever their size:
+Each group of the plan holds its own parameters, which its owner writes in
+place, so a refresh needs no new plan, and each costs a fixed number of
+numpy calls whatever its size:
 
 * one ``LeafGroup`` per leaf scope size k, which holds its leaves'
   parameters as stacked arrays: ``mean`` (m, k), ``ichol`` (the inverse
   Cholesky factors), ``chol`` and the regularized ``cov``, each (m, k, k),
   and the log normalization constants ``const`` (m,); for k = 1 the
-  trailing axes are dropped.  For k = 1 the group is one elementwise
+  trailing axes are dropped.  ``LeafGroup.refresh`` writes them from the
+  leaves' statistics with ``factors``, the one place the Cholesky pieces
+  of a Gaussian are computed.  For k = 1 the group is one elementwise
   expression over all univariate leaves; for k > 1 it is one batched
-  ``matmul`` against the stacked inverse factors.  The owner of the plan
-  writes these arrays in place, so refreshing leaves needs no new plan.
+  ``matmul`` against the stacked inverse factors.
 * one ``NodeGroup`` per (height, kind, number of children), in order of
   height, where a leaf has height 0 and an inner node one more than its
   highest child.  A group gathers its children's rows into a (children,
   nodes, rows) block and reduces the first axis: ``add`` for products,
-  ``logaddexp`` after adding the edge log weights for sums.
+  ``logaddexp`` after adding the sums' log weights ``logw``, (children,
+  nodes) like the block, for sums.
 
 The kernel also takes partial evidence: NaN marks an unobserved value,
 which is integrated out inside its leaf.  A leaf with every variable
@@ -37,7 +39,7 @@ to the observed variables.  The table keeps those restricted factors per
 observation pattern (which of the k variables are unobserved) for every
 leaf of the group; the kernel factors a pattern the first time a query
 uses it (every pattern at once when that at most doubles the work), and
-the owner of the plan empties it whenever a leaf of the group is factored
+``LeafGroup.refresh`` empties it whenever a leaf of the group is factored
 again.
 
 ``sample_flat`` walks the same plan top-down to draw rows: the (node, row)
@@ -56,6 +58,7 @@ the others.
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -68,10 +71,33 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 NUMBA_ENABLED = False
 
 
+def factors(covs: np.ndarray, floor: float):
+    """Cholesky pieces of regularized Gaussians: the regularized covariances,
+    their Cholesky factors, the inverses of those and the log normalization
+    constants.
+
+    An input of shape (m,) holds the variances of m univariate Gaussians,
+    which take the closed form: the factor of a 1 x 1 matrix is its square
+    root.  A (k, k) covariance, or a stack (..., k, k) of them, regularized
+    as cov + floor * I, takes one LAPACK call per piece for the whole stack.
+    """
+    if covs.ndim == 1:
+        reg = covs + floor
+        chol = np.sqrt(reg)
+        return reg, chol, 1.0 / chol, -0.5 * LOG_2PI - np.log(chol)
+    k = covs.shape[-1]
+    reg = covs + floor * np.eye(k)
+    chol = np.linalg.cholesky(reg)
+    # LAPACK's inverse leaves ~1e-16 above the diagonal; the kernel reads it.
+    ichol = np.tril(np.linalg.inv(chol))
+    const = -0.5 * k * LOG_2PI - np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    return reg, chol, ichol, const
+
+
 @dataclass(frozen=True, eq=False)
 class LeafGroup:
-    """All m leaves over k variables and their parameters, which the owner of
-    the plan writes in place; arrays are (m,) for k = 1, else (m, k[, k])."""
+    """All m leaves over k variables and their parameters, which ``refresh``
+    writes in place; arrays are (m,) for k = 1, else (m, k[, k])."""
 
     k: int
     nodes: np.ndarray   # (m,) dense node indices
@@ -83,25 +109,57 @@ class LeafGroup:
     cov: np.ndarray     # regularized covariances; partial reads only
     const: np.ndarray   # (m,) log normalization constants
     table: PatternTable
-    # Weak references to the statistics each leaf was last factored from,
-    # kept by evaluate.CompiledNet.refresh_params.
-    factored: list = field(default_factory=list)
+    # Weak references to the statistics each leaf was last factored from
+    # (None before the first refresh).
+    factored: list
+
+    def refresh(self, stats: list, floor: float, every: bool) -> None:
+        """Factor again the leaves whose statistics object, ``stats[j]`` for
+        leaf j, is not the one they were last factored from (every leaf with
+        ``every``), with variance floor ``floor``, in one ``factors`` call,
+        and empty the table of restricted factors if any leaf changed.
+
+        The statistics are recorded weakly, so replaced ones are freed by the
+        write that replaces them, not by the next read.  A write into a
+        statistics array in place is not seen.
+        """
+        fresh = [every or r is None or r() is not s for r, s in zip(self.factored, stats)]
+        if not any(fresh):
+            return
+        if all(fresh):  # every leaf after a write to each: no gathers
+            at, todo = slice(None), stats
+        else:
+            at = np.flatnonzero(fresh)
+            todo = [stats[j] for j in at.tolist()]
+        if self.k == 1:
+            self.mean[at] = [s.mean[0] for s in todo]
+            covs = np.array([s.cov[0, 0] for s in todo])
+        else:
+            self.mean[at] = [s.mean for s in todo]
+            covs = np.array([s.cov for s in todo])
+        self.cov[at], self.chol[at], self.ichol[at], self.const[at] = factors(covs, floor)
+        self.table.clear()
+        # weakref.ref hands back an object's existing reference, so recording
+        # the unchanged leaves again costs next to nothing.
+        self.factored[:] = map(weakref.ref, stats)
 
 
 @dataclass(frozen=True)
 class NodeGroup:
     """Inner nodes of one height and kind with the same number of children c.
 
-    ``target`` holds each child's group (an index into ``LevelPlan.groups``,
-    or len(groups) plus an index into ``LevelPlan.leaves``) and ``pos`` its
-    position in that group's arrays, both (c, m) like ``children``;
+    A sum group holds its log weights in ``logw``, written in place by the
+    owner of the plan; a product group has none.  ``target`` holds each
+    child's group (an index into ``LevelPlan.groups``, or len(groups) plus
+    an index into ``LevelPlan.leaves``) and ``pos`` its position in that
+    group's arrays, both (c, m) like ``children``;
     ``targets`` lists the groups that occur.  ``sample_flat`` routes by them.
     """
 
     is_sum: bool
     nodes: np.ndarray     # (m,) dense node indices
     children: np.ndarray  # (c, m) dense child indices; column j belongs to nodes[j]
-    edges: np.ndarray     # (c, m) edge positions in child_logw
+    logw: np.ndarray | None  # (c, m) log weight of each child, for sums
     target: np.ndarray
     pos: np.ndarray
     targets: tuple[int, ...]
@@ -167,22 +225,22 @@ def level_plan(n_nodes: int, inner, scopes: dict[int, tuple[int, ...]], ids,
     inner nodes by height, kind and child count.
 
     ``inner`` lists the inner nodes in increasing order of dense index i as
-    (height, kind, i, first edge, dense children), node i's edges numbered
-    on from its first edge; ``scopes`` maps each leaf's dense index, in
+    (height, kind, i, dense children); ``scopes`` maps each leaf's dense index, in
     increasing order, to its variables and ``ids[i]`` is the node id of
-    dense index i.  The leaf groups' parameter arrays start zeroed, and each
-    gets an empty ``PatternTable`` of ``table_bytes``.
+    dense index i.  The groups' parameter arrays (the sums' ``logw`` and the
+    leaves') start zeroed, and each leaf group gets an empty
+    ``PatternTable`` of ``table_bytes``.
     """
     by_size: dict[int, list[int]] = defaultdict(list)
     for i, scope in scopes.items():
         by_size[len(scope)].append(i)
     sizes = sorted(by_size.items())
     by_level: dict[tuple[int, int, int], list] = defaultdict(list)
-    for height, kd, i, first, kids in inner:
-        by_level[(height, kd, len(kids))].append((i, first, kids))
+    for height, kd, i, kids in inner:
+        by_level[(height, kd, len(kids))].append((i, kids))
     levels = sorted(by_level.items())
     group_of, pos_of = [0] * n_nodes, [0] * n_nodes
-    for gi, at in enumerate([[i for i, _, _ in at] for _, at in levels] + [at for _, at in sizes]):
+    for gi, at in enumerate([[i for i, _ in at] for _, at in levels] + [at for _, at in sizes]):
         for j, i in enumerate(at):
             group_of[i], pos_of[i] = gi, j
     group_arr, pos_arr = np.array(group_of, dtype=np.int64), np.array(pos_of, dtype=np.int64)
@@ -197,24 +255,24 @@ def level_plan(n_nodes: int, inner, scopes: dict[int, tuple[int, ...]], ids,
         leaves.append(LeafGroup(k, np.array(at, dtype=np.intp), [ids[i] for i in at],
                                 np.array([scopes[i] for i in at], dtype=np.int64).reshape(vec),
                                 np.zeros(vec), np.zeros(mat), np.zeros(mat), np.zeros(mat),
-                                np.zeros(m), PatternTable(table_bytes)))
+                                np.zeros(m), PatternTable(table_bytes), [None] * m))
 
     groups = []
     for (_, kd, c), at in levels:
         is_sum, m = kd == KIND_SUM, len(at)
-        for i, _, kids in at:
+        for i, kids in at:
             w = [words[x] for x in kids]
             words[i] = 2 + (max(w, default=0) if is_sum else sum(w))
-        children = np.array([kids[e] for e in range(c) for _, _, kids in at],
+        children = np.array([kids[e] for e in range(c) for _, kids in at],
                             dtype=np.int64).reshape(c, m)
-        edges = np.array([f + e for e in range(c) for _, f, _ in at], dtype=np.int64).reshape(c, m)
-        groups.append(NodeGroup(is_sum, np.array([i for i, _, _ in at], dtype=np.int64), children,
-                                edges, group_arr[children], pos_arr[children],
-                                tuple(sorted({group_of[x] for _, _, kids in at for x in kids}))))
+        groups.append(NodeGroup(is_sum, np.array([i for i, _ in at], dtype=np.int64), children,
+                                np.zeros((c, m)) if is_sum else None,
+                                group_arr[children], pos_arr[children],
+                                tuple(sorted({group_of[x] for _, kids in at for x in kids}))))
     return LevelPlan(tuple(leaves), tuple(groups), group_arr, pos_arr, max(words))
 
 
-def eval_flat_numpy(plan: LevelPlan, child_logw, X, out, partial: bool = False):
+def eval_flat_numpy(plan: LevelPlan, X, out, partial: bool = False):
     """Level kernel: a few numpy calls per plan group, batched over rows.
 
     With ``partial`` a NaN in X marks an unobserved value; the leaf groups'
@@ -225,7 +283,7 @@ def eval_flat_numpy(plan: LevelPlan, child_logw, X, out, partial: bool = False):
     for g in plan.groups:
         terms = out[g.children]
         if g.is_sum:
-            terms += child_logw[g.edges][:, :, None]
+            terms += g.logw[:, :, None]
             out[g.nodes] = np.logaddexp.reduce(terms, axis=0)
         else:
             out[g.nodes] = np.add.reduce(terms, axis=0)
@@ -304,11 +362,10 @@ def _pair_factors(g: LeafGroup, hide):
         step = max(1, table.budget // slot_bytes)
         for lo in range(0, len(new), step):
             h = masks[lo:lo + step]
-            chol = np.linalg.cholesky(np.where(h[..., :, None] | h[..., None, :], pad, g.cov))
             at = slice(used + lo, used + lo + h.shape[0])
-            table.ichol[at] = np.linalg.inv(chol)
-            table.const[at] = (-0.5 * k * LOG_2PI
-                               - np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1))
+            # g.cov is regularized already, so no floor is added.
+            _, _, table.ichol[at], table.const[at] = factors(
+                np.where(h[..., :, None] | h[..., None, :], pad, g.cov), 0.0)
         table.slots.update(zip(new, range(used, used + len(new))))
     start.update((key, table.slots[key] * m) for key in patterns)
     # Pairs run row by row, leaf by leaf.
@@ -322,7 +379,7 @@ def _pair_factors(g: LeafGroup, hide):
     return ichol, const
 
 
-def sample_flat(plan: LevelPlan, child_logw, root: int, rng, out):
+def sample_flat(plan: LevelPlan, root: int, rng, out):
     """Draw every row of ``out`` top-down from node ``root``; returns ``out``.
 
     The (node, row) pairs that reach a node are filed under its group, so
@@ -348,13 +405,13 @@ def sample_flat(plan: LevelPlan, child_logw, root: int, rng, out):
         pos, rows = _joined(parts)
         g = plan.groups[gi]
         if g.is_sum:
-            # The group's edge weights node after node in one running sum, so
+            # The group's weights node after node in one running sum, so
             # one binary search picks for every pair: node p's children cover
             # (lo, hi], lo the weight of nodes 0..p-1 and hi = cum[p c + c - 1].
             # Each node's weights sum to one, so the running sum's rounding
             # grows only with the number of nodes in the group.
-            c = g.edges.shape[0]
-            cum = np.cumsum(np.exp(child_logw[g.edges.T]))
+            c = g.logw.shape[0]
+            cum = np.cumsum(np.exp(g.logw.T))
             hi = cum[c - 1::c]
             lo = np.concatenate(([0.0], hi[:-1]))[pos]
             hi = hi[pos]

@@ -268,7 +268,8 @@ def validate(pool: NodePool) -> ValidationReport:
     Returns a report listing every violation: completeness at sum nodes,
     decomposability at product nodes, derived weights summing to one,
     positive definite regularized leaf covariances, finite counts and
-    statistics, dimension and scope consistency, and acyclicity.  Every node
+    statistics, dimension and scope consistency (no scope names a variable
+    twice: "scope-repeat"), and acyclicity.  Every node
     must be reachable from the root ("unreachable" otherwise, which also
     covers cycles among unreachable nodes), and the root must cover every
     variable of the pool exactly ("root-scope").  Dangling child references and sum nodes whose
@@ -302,6 +303,8 @@ def validate(pool: NodePool) -> ValidationReport:
                        f"stored scope {node.scope} differs from recomputed {scopes[nid]}")
         if any(v < 0 or v >= pool.dim for v in node.scope):
             report.add(nid, "scope-range", "scope references a variable outside the pool dimension")
+        if len(set(node.scope)) != len(node.scope):
+            report.add(nid, "scope-repeat", "scope names a variable more than once")
         counts = [node.count]
         counts += node.child_counts if isinstance(node, SumNode) else [node.stats.count]
         if not np.all(np.isfinite(counts)):

@@ -124,6 +124,28 @@ def test_undecodable_bytes_report_their_line(tmp_path):
         load_csv(path)
 
 
+def numpy_decides(path) -> bool:
+    """Whether load_csv takes numpy's result for the file."""
+    try:
+        return _load_numpy(path) is not None
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("cell", ["3.0", '"3.0"'], ids=["numpy", "reference"])
+def test_a_byte_order_mark_is_not_part_of_the_first_cell(tmp_path, cell):
+    # A quoted cell makes numpy's reader give the file to the reference.
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + f"1.0,2.0\n{cell},4.0\n5.0,6.0\n".encode())
+    assert numpy_decides(path) != cell.startswith('"')
+    data, names = load_csv(path)
+    assert data.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]] and names is None
+    path.write_bytes(b"\xef\xbb\xbf" + f"a,b\n1.0,2.0\n{cell},4.0\n".encode())
+    assert numpy_decides(path) != cell.startswith('"')
+    data, names = load_csv(path)
+    assert data.tolist() == [[1.0, 2.0], [3.0, 4.0]] and names == ["a", "b"]
+
+
 def test_oversized_cell_reports_its_line(tmp_path):
     path = tmp_path / "huge.csv"
     path.write_text("1,2\n3," + "4" * (csv.field_size_limit() + 1) + "\n")

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import spnstream
-from spnstream import evaluate
+from spnstream import evaluate, kernels
 from spnstream.evaluate import (
     _leaf_factor,
     analytic_mean,
@@ -304,7 +304,8 @@ def test_level_kernel_agrees_on_a_200_level_chain():
 
 def test_level_kernel_agrees_with_a_zero_count_mle_child():
     pool = two_leaf_mixture([0.0, 3.0], mode="mle")
-    assert np.isneginf(compile_pool(pool).child_logw).sum() == 1
+    sums = [g for g in compile_pool(pool).plan.groups if g.is_sum]
+    assert sum(np.isneginf(g.logw).sum() for g in sums) == 1
     assert_kernels_agree(pool, np.array([[0.0], [4.0], [-3.0]]))
 
 
@@ -337,16 +338,19 @@ def test_level_plan_routes_every_node_and_edge_to_its_group(make, most_parents):
         assert plan.pos_of[nodes].tolist() == list(range(len(nodes)))
     parents = {}  # dense child -> number of parents
     for g in plan.groups:
-        assert g.target.shape == g.pos.shape == g.children.shape == g.edges.shape
+        assert g.target.shape == g.pos.shape == g.children.shape
+        if g.is_sum:
+            assert g.logw.shape == g.children.shape
+        else:
+            assert g.logw is None
         for t, p, child in zip(g.target.flat, g.pos.flat, g.children.flat):
             assert members[t][p] == child
             parents[child] = parents.get(child, 0) + 1
         assert g.targets == tuple(sorted(set(g.target.flat)))
-        for j, i in enumerate(g.nodes.tolist()):  # children in child-list order, edges in a run
+        for j, i in enumerate(g.nodes.tolist()):  # children in child-list order
             assert [net.order[c] for c in g.children[:, j]] == pool.node(net.order[i]).children
-            assert np.diff(g.edges[:, j]).tolist() == [1] * (g.edges.shape[0] - 1)
-    assert sorted(itertools.chain(*(g.edges.flat for g in plan.groups))) == list(
-        range(net.child_logw.size))
+    inner = [pool.node(nid) for nid in net.order if not isinstance(pool.node(nid), LeafNode)]
+    assert sum(g.children.size for g in plan.groups) == sum(len(n.children) for n in inner)
     assert max(parents.values(), default=0) == most_parents
 
 
@@ -800,14 +804,15 @@ def test_sample_and_mean_on_a_cached_net_factor_only_replaced_leaves(monkeypatch
         return wrapper
 
     def factors(covs, floor):
-        stacks.append(covs.shape[0])
+        if covs.ndim == 3:  # a stack of k > 1 leaves' covariances
+            stacks.append(covs.shape[0])
         return real_factors(covs, floor)
 
-    real_factors = evaluate._factors
+    real_factors = kernels.factors
     for name in ("topological_order", "_leaf_factor", "compile_pool"):
         monkeypatch.setattr(evaluate, name, counted(getattr(evaluate, name)))
     monkeypatch.setattr(np.linalg, "cholesky", counted(np.linalg.cholesky))
-    monkeypatch.setattr(evaluate, "_factors", factors)
+    monkeypatch.setattr(kernels, "factors", factors)
     sample(pool, rng, size=40)
     analytic_mean(pool)
     log_density_rows(pool, rng.normal(size=(3, 8)))
@@ -987,6 +992,31 @@ def test_partial_rows_mix_observed_partial_and_unobserved_pairs_in_each_group():
         assert not empty[g.nodes].any()
 
 
+def test_restricted_factors_are_lower_triangular_cholesky_inverses():
+    rng = np.random.default_rng(191)
+    pool = blocks_mixture(rng)
+    net = compile_pool(pool)
+    g = next(g for g in net.plan.leaves if g.k == 4)
+    patterns = [p for p in itertools.product((False, True), repeat=4) if 0 < sum(p) < 4]
+    X = rng.normal(size=(len(patterns), 9))
+    for row, hide in zip(X, patterns):
+        row[g.cols[0][list(hide)]] = np.nan
+    net.eval_rows(X, partial=True)
+    table = g.table
+    assert len(table.slots) == len(patterns)
+    log_2pi = math.log(2.0 * math.pi)
+    for key, slot in table.slots.items():
+        obs = ~np.frombuffer(key, dtype=bool)
+        for j in range(g.nodes.size):
+            ichol = table.ichol[slot, j]
+            assert not np.triu(ichol, 1).any()
+            chol = np.linalg.cholesky(g.cov[j][np.ix_(obs, obs)])
+            np.testing.assert_allclose(ichol[np.ix_(obs, obs)], np.linalg.inv(chol),
+                                       rtol=0.0, atol=1e-12)
+            want = -0.5 * obs.sum() * log_2pi - np.log(np.diag(chol)).sum()
+            assert table.const[slot, j] == pytest.approx(want, abs=1e-12)
+
+
 def test_a_read_after_a_read_does_not_recompute_the_weights(monkeypatch):
     rng = np.random.default_rng(181)
     pool = blocks_mixture(rng)
@@ -1062,14 +1092,15 @@ def test_sum_edge_weights_match_derived_weights_bit_for_bit(mode):
                                      for c in node.child_counts]
                 node.count = sum(node.child_counts) or 1.0
         net = compile_pool(pool)
-        lo = 0  # net.sum_edges lists each sum's edges in turn
-        for nid in net.sums:
-            node = pool.node(nid)
-            with np.errstate(divide="ignore"):
-                want = np.log(derived_weights(node, mode))
-            got = net.child_logw[net.sum_edges[lo:lo + len(node.children)]]
-            lo += len(node.children)
-            assert got.tobytes() == want.tobytes()
-            zero_edges += int(np.count_nonzero(got == -np.inf))
-        assert lo == net.sum_edges.size
+        seen = []  # the sums, group after group
+        for g in net.plan.groups:
+            for j, i in enumerate(g.nodes.tolist() if g.is_sum else []):
+                node = pool.node(net.order[i])
+                with np.errstate(divide="ignore"):
+                    want = np.log(derived_weights(node, mode))
+                got = np.ascontiguousarray(g.logw[:, j])
+                assert got.tobytes() == want.tobytes()
+                zero_edges += int(np.count_nonzero(got == -np.inf))
+                seen.append(net.order[i])
+        assert seen == net.sums
     assert (zero_edges > 0) == (mode == "mle")

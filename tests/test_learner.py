@@ -6,7 +6,7 @@ import gc
 import numpy as np
 import pytest
 
-from spnstream import evaluate, toy
+from spnstream import evaluate, kernels, toy
 from spnstream.evaluate import log_density, log_density_rows, sample
 from spnstream.gstats import GaussianStats
 from spnstream.learner import (
@@ -691,7 +691,9 @@ def test_learner_sees_a_variance_floor_change_at_once():
 
 class CompileCounter:
     """Counts compiles, ``refresh_leaf`` calls and factored leaves (one per
-    leaf in each stack handed to ``_factors`` or ``_univariate_factors``)."""
+    leaf in each stack of leaf statistics handed to ``kernels.factors``: (m,)
+    variances or (m, k, k) covariances; the (patterns, m, k, k) stacks of
+    restricted factors a partial read builds are not leaves)."""
 
     def __init__(self, monkeypatch):
         self.compiles = self.refresh_leaf = self.factored = 0
@@ -702,11 +704,12 @@ class CompileCounter:
             counter.compiles += 1
             return counter.compile_pool(pool)
 
-        def stacked(fn):
-            def wrapper(covs, floor):
+        factors = kernels.factors
+
+        def counted_factors(covs, floor):
+            if covs.ndim in (1, 3):
                 counter.factored += covs.shape[0]
-                return fn(covs, floor)
-            return wrapper
+            return factors(covs, floor)
 
         refresh_leaf = evaluate.CompiledNet.refresh_leaf
 
@@ -715,9 +718,7 @@ class CompileCounter:
             return refresh_leaf(net, pool, nid)
 
         monkeypatch.setattr(evaluate, "compile_pool", compile_pool)
-        monkeypatch.setattr(evaluate, "_factors", stacked(evaluate._factors))
-        monkeypatch.setattr(evaluate, "_univariate_factors",
-                            stacked(evaluate._univariate_factors))
+        monkeypatch.setattr(kernels, "factors", counted_factors)
         monkeypatch.setattr(evaluate.CompiledNet, "refresh_leaf", counted_refresh_leaf)
 
     def take(self) -> tuple[int, int, int]:
@@ -731,7 +732,8 @@ class CompileCounter:
         counted = self.factored
         fresh = self.compile_pool(pool)
         self.factored = counted
-        assert net.child_logw.tobytes() == fresh.child_logw.tobytes()
+        assert [None if g.logw is None else g.logw.tobytes() for g in net.plan.groups] == [
+            None if f.logw is None else f.logw.tobytes() for f in fresh.plan.groups]
         assert len(net.plan.leaves) == len(fresh.plan.leaves)
         for g, f in zip(net.plan.leaves, fresh.plan.leaves):
             for name in ("mean", "ichol", "chol", "cov", "const"):

@@ -6,7 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from spnstream.evaluate import log_density_rows
+from scipy.stats import multivariate_normal, norm
+
+from spnstream.evaluate import log_density, log_density_rows
 from spnstream.learner import LearnerConfig, fit, init_factored_pool
 from spnstream.model_io import (
     FORMAT_VERSION,
@@ -235,6 +237,34 @@ def test_negative_scope_variables_are_rejected():
         rec["scope"] = [-1]
     with pytest.raises(ModelFormatError, match="scope-range"):
         pool_from_json(doc)
+
+
+def test_a_leaf_scope_that_repeats_a_variable_is_rejected():
+    # The product's recomputed scope is still (0, 1), so only this check
+    # stops a leaf whose density does not integrate to one.
+    pool = init_factored_pool(2)
+    leaf = pool.node(pool.node(pool.root).children[0])
+    leaf.scope, leaf.stats = (0, 0), GaussianStats(np.zeros(2), np.eye(2), 1.0)
+    doc = pool_to_json(pool)
+    with pytest.raises(ModelFormatError, match="scope-repeat"):
+        pool_from_json(doc)
+
+
+def test_an_unsorted_leaf_scope_is_accepted_and_evaluates_in_its_order():
+    pool = NodePool(dim=3)
+    mean, cov = np.array([1.0, -2.0]), np.array([[2.0, 0.6], [0.6, 0.5]])
+    pair = pool.add(LeafNode((2, 0), GaussianStats(mean, cov, 4.0), 4.0))
+    single = pool.add(LeafNode((1,), GaussianStats(np.array([0.5]), np.eye(1), 4.0), 4.0))
+    pool.root = pool.add(ProductNode(make_scope(range(3)), [pair, single], 4.0,
+                                     GaussianStats.zeros(3, count=4.0)))
+    loaded = pool_from_json(pool_to_json(pool))
+    X = np.random.default_rng(3).normal(size=(5, 3))
+    reg = cov + loaded.variance_floor * np.eye(2)
+    want = (multivariate_normal(mean, reg).logpdf(X[:, [2, 0]])
+            + norm(0.5, np.sqrt(1.0 + loaded.variance_floor)).logpdf(X[:, 1]))
+    np.testing.assert_allclose(log_density_rows(loaded, X), want, rtol=0.0, atol=1e-12)
+    assert log_density(loaded, {0: 0.3}) == pytest.approx(
+        norm(-2.0, np.sqrt(reg[1, 1])).logpdf(0.3), abs=1e-12)
 
 
 def test_root_that_misses_a_variable_is_rejected():

@@ -47,6 +47,17 @@ def test_product_children_sharing_a_variable_is_flagged():
     assert (prod, "overlapping-scopes") in codes
 
 
+def test_a_scope_that_repeats_a_variable_is_flagged():
+    pool = NodePool(dim=2)
+    twice = pool.add(LeafNode((0, 0), GaussianStats(np.zeros(2), np.eye(2), 1.0), 1.0))
+    pool.root = pool.add(ProductNode(make_scope([0, 1]), [twice, pool.add(unit_leaf([1]))],
+                                     1.0, GaussianStats.zeros(2, 1.0)))
+    assert [(v.node, v.code) for v in validate(pool).violations] == [(twice, "scope-repeat")]
+    pool.node(twice).scope = (1, 0)  # unsorted, each variable once
+    del pool.nodes[pool.node(pool.root).children.pop()]
+    assert validate(pool).ok
+
+
 def test_sum_children_with_different_scopes_is_flagged():
     pool = NodePool(dim=2)
     a = pool.add(unit_leaf([0]))
