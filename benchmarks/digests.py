@@ -15,7 +15,12 @@ batch 1) at ``max_leaf_vars`` 1 and 3, and planted blocks
 
 Run from the repository root (about 6 s on a 2-core VM):
 
-    python3 benchmarks/digests.py
+    python3 benchmarks/digests.py            # one line per kind
+    python3 benchmarks/digests.py --per-fit  # one line per fit and kind
+
+With ``--per-fit`` each line names its fit and hashes that fit's bytes
+alone, so a mismatch names the fit it comes from; the default digest of a
+kind hashes the same bytes of every fit in turn.
 """
 
 from __future__ import annotations
@@ -71,25 +76,40 @@ def digests(fits) -> dict[str, str]:
     return {kind: h.hexdigest() for kind, h in hashes.items()}
 
 
+def per_fit_lines(labelled) -> list[str]:
+    """One line per fit and kind, "label kind sha256", over ``labelled``,
+    (label, (pool, rows, seed)) pairs; each digest hashes that fit's bytes
+    of that kind alone."""
+    return [f"{label:21s} {kind:8s} {hashlib.sha256(data).hexdigest()}"
+            for label, fit_ in labelled for kind, data in outputs(*fit_).items()]
+
+
 def fits():
-    """The 14 fits, each with 32 held-out rows from the same source."""
+    """The 14 fits as (label, (pool, rows, seed)), each with 32 held-out
+    rows from the same source."""
     for max_leaf_vars in (1, 3):
         for mode in MODES:
             rows = toy.generate(2032, np.random.default_rng(5))
             cfg = LearnerConfig(max_leaf_vars=max_leaf_vars, weight_mode=mode, seed=5)
-            yield fit(rows[:2000], cfg)[0], rows[2000:], 5
+            yield f"toy-leafvars{max_leaf_vars}-{mode}", (fit(rows[:2000], cfg)[0], rows[2000:], 5)
     for batch, n in ((256, 10240), (16, 4096), (8, 4096), (2, 2048), (1, 1024)):
         for mode in MODES:
             rows = planted_blocks(n + 32, np.random.default_rng(7))
             cfg = LearnerConfig(batch_size=batch, max_leaf_vars=3, weight_mode=mode, seed=7)
-            yield fit(rows[:n], cfg)[0], rows[n:], 7
+            yield f"blocks-b{batch}-{mode}", (fit(rows[:n], cfg)[0], rows[n:], 7)
 
 
-def main() -> int:
-    for kind, digest in digests(fits()).items():
+def main(argv: list[str]) -> int:
+    if argv == ["--per-fit"]:
+        print("\n".join(per_fit_lines(fits())))
+        return 0
+    if argv:
+        print("usage: digests.py [--per-fit]", file=sys.stderr)
+        return 2
+    for kind, digest in digests(fit_ for _, fit_ in fits()).items():
         print(f"{kind:8s} {digest}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

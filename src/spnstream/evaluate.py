@@ -12,11 +12,12 @@ Each pool holds one compiled net (``shared_net``), which these queries and
 ``learner.learn_batch`` share, so a write and the reads after it compile
 and factor the network once between them.  The net's parameters live on
 the groups of its plan: each leaf group re-factors only the leaves whose
-statistics object was replaced (every leaf after a change of
-``pool.variance_floor``, which shows at once), and the sum groups' log
-weights are recomputed when a count or the weight mode changed, so no
-caller sees stale parameters.  The net is rebuilt after a structure edit;
-a write into a statistics array in place needs ``pool.bump()``.
+slot in the pool's statistics store was written since (every leaf after a
+change of ``pool.variance_floor``, which shows at once), and the sum
+groups' log weights are recomputed when a count or the weight mode
+changed, so no caller sees stale parameters.  The net is rebuilt after a
+structure edit; a write into a statistics array in place needs
+``pool.bump()``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from . import kernels
 from .gstats import GaussianStats
 from .nodes import (LeafNode, NodePool, ProductNode, SumNode, derived_weights, edge_weights,
-                    is_integer, topological_order)
+                    is_integer, is_real, topological_order)
 
 # Bytes of the widest per-row array in one block of log_density_rows; with
 # the kernel's temporaries a block then peaks near 2 MB, whatever the
@@ -68,7 +69,8 @@ class CompiledNet:
 
     order: list[int]
     index: dict[int, int]
-    key: tuple[int, int]  # (pool.structure_version, pool.root) it was compiled at
+    # (pool.structure_version, pool.root, pool.store.moves) it was compiled at
+    key: tuple[int, int, int]
     plan: kernels.LevelPlan
     sums: list[int]  # sum node ids, group after group of the plan
     # Rows per block of log_density_rows: the widest per-row array (nodes,
@@ -78,7 +80,7 @@ class CompiledNet:
     # factor for each of a leaf group's m leaves: m * k * k words a row.
     partial_block_rows: int
     # The variance floor the leaves were last factored with; refresh_params
-    # re-factors a leaf only when its stats object was replaced (see
+    # re-factors a leaf only when its slot was written (see
     # LeafGroup.refresh) or the floor changed.
     floor: float = math.nan
     # The weight mode, then each sum's count and child counts, that the sum
@@ -119,19 +121,19 @@ class CompiledNet:
     def refresh_params(self, pool: NodePool) -> None:
         """Bring the groups' parameters up to date with the pool.
 
-        Each leaf group re-factors the leaves whose ``stats`` object is not
-        the one they were last factored from, every leaf after a change of
-        the variance floor (``kernels.LeafGroup.refresh``).  A write into a
-        stats array in place is not seen; ``pool.bump()`` after one
-        recompiles.  The sums' log weights are recomputed when a count, a
-        child count or the weight mode differs from the last values used
-        (``refresh_weights``); counts are edited in place, so they are
-        compared by value.
+        Each leaf group re-factors the leaves whose slot in the pool's
+        statistics store was written since they were last factored, every
+        leaf after a change of the variance floor
+        (``kernels.LeafGroup.refresh``).  A write into a stats array in place
+        is not seen; ``pool.bump()`` after one recompiles.  The sums' log
+        weights are recomputed when a count, a child count or the weight mode
+        differs from the last values used (``refresh_weights``); counts are
+        edited in place, so they are compared by value.
         """
         floor = pool.variance_floor
         every, self.floor = floor != self.floor, floor
         for g in self.plan.leaves:
-            g.refresh([pool.nodes[nid].stats for nid in g.ids], floor, every)
+            g.refresh(floor, every)
         self.refresh_weights(pool)
 
     def refresh_weights(self, pool: NodePool) -> None:
@@ -163,30 +165,36 @@ def compile_pool(pool: NodePool) -> CompiledNet:
     """Flatten the pool (reachable part, topological order) into a level plan.
 
     One walk, children before parents: a leaf's height is 0 and an inner
-    node's one more than its highest child's.
+    node's one more than its highest child's.  A leaf or product that holds
+    its statistics itself gets its slot in the pool's store here.
     """
     order = topological_order(pool)
     index = {nid: i for i, nid in enumerate(order)}
     n = len(order)
     height = [0] * n
     inner = []  # (height, kind, dense index, dense children)
-    scopes = {}  # dense index -> scope, for each leaf
+    scopes, slots = {}, {}  # dense index -> scope and statistics' slot, for each leaf
     for i, nid in enumerate(order):
         node = pool.node(nid)
+        if not isinstance(node, SumNode):
+            slot = pool.slot_of(node)
         if isinstance(node, LeafNode):
-            scopes[i] = node.scope
+            if slot[0].k != len(node.scope):
+                raise ValueError(f"leaf {nid} has statistics of width {slot[0].k} "
+                                 f"over {len(node.scope)} variables")
+            scopes[i], slots[i] = node.scope, slot
             continue
         kids = [index[c] for c in node.children]
         height[i] = 1 + max((height[c] for c in kids), default=0)
         kind = kernels.KIND_SUM if isinstance(node, SumNode) else kernels.KIND_PRODUCT
         inner.append((height[i], kind, i, kids))
-    plan = kernels.level_plan(n, inner, scopes, order, _PATTERN_BYTES)
+    plan = kernels.level_plan(n, inner, scopes, slots, _PATTERN_BYTES)
     n_edges = sum(g.children.size for g in plan.groups)
     width = max(n, n_edges, sum(map(len, scopes.values())))
     partial_width = max([width] + [g.nodes.size * g.k * g.k for g in plan.leaves])
     sums = [order[i] for g in plan.groups if g.is_sum for i in g.nodes.tolist()]
-    net = CompiledNet(order, index, (pool.structure_version, pool.root), plan, sums,
-                      max(1, _BLOCK_BYTES // (8 * width)),
+    net = CompiledNet(order, index, (pool.structure_version, pool.root, pool.store.moves),
+                      plan, sums, max(1, _BLOCK_BYTES // (8 * width)),
                       max(1, _BLOCK_BYTES // (8 * partial_width)))
     net.refresh_params(pool)
     return net
@@ -200,14 +208,15 @@ def shared_net(pool: NodePool) -> CompiledNet:
     own.  ``learner.learn_batch`` and every read query use it.  The net is
     rebuilt when the structure version or the root differs from the ones it
     was compiled at (tests and users may reassign the root without a
-    version bump); otherwise ``refresh_params`` brings it up to date:
-    replaced leaf statistics, edited counts, a new weight mode and a new
-    variance floor show at once, while a write into a statistics array in
-    place needs ``pool.bump()``.  A read that follows a read with nothing
-    changed re-factors nothing and recomputes no weight.
+    version bump), or a leaf's statistics changed width; otherwise
+    ``refresh_params`` brings it up to date: written leaf statistics, edited
+    counts, a new weight mode and a new variance floor show at once, while
+    a write into a statistics array in place needs ``pool.bump()``.  A read
+    that follows a read with nothing changed re-factors nothing and
+    recomputes no weight.
     """
     net = pool.compiled
-    if net is None or net.key != (pool.structure_version, pool.root):
+    if net is None or net.key != (pool.structure_version, pool.root, pool.store.moves):
         pool.compiled = None  # let the old net go before compiling the new one
         net = pool.compiled = compile_pool(pool)
     else:
@@ -276,6 +285,8 @@ def _check_assignment(pool: NodePool, assignment: Mapping[int, float]) -> dict[i
             raise ValueError(f"assignment variable {key!r} is not an integer") from None
         if k < 0 or k >= pool.dim:
             raise ValueError(f"assignment variable {k} is outside dimension {pool.dim}")
+        if not is_real(value):
+            raise ValueError(f"assignment value for variable {k} is not a number: {value!r}")
         v = float(value)
         if not math.isfinite(v):
             raise ValueError(f"assignment value for variable {k} is not finite")

@@ -16,10 +16,10 @@ numpy calls whatever its size:
   Cholesky factors), ``chol`` and the regularized ``cov``, each (m, k, k),
   and the log normalization constants ``const`` (m,); for k = 1 the
   trailing axes are dropped.  ``LeafGroup.refresh`` writes them from the
-  leaves' statistics with ``factors``, the one place the Cholesky pieces
-  of a Gaussian are computed.  For k = 1 the group is one elementwise
-  expression over all univariate leaves; for k > 1 it is one batched
-  ``matmul`` against the stacked inverse factors.
+  leaves' slots in the pool's statistics store with ``factors``, the one
+  place the Cholesky pieces of a Gaussian are computed.  For k = 1 the
+  group is one elementwise expression over all univariate leaves; for
+  k > 1 it is one batched ``matmul`` against the stacked inverse factors.
 * one ``NodeGroup`` per (height, kind, number of children), in order of
   height, where a leaf has height 0 and an inner node one more than its
   highest child.  A group gathers its children's rows into a (children,
@@ -58,17 +58,20 @@ the others.
 from __future__ import annotations
 
 import itertools
-import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .gstats import StatsWidth
 
 KIND_SUM = 1
 KIND_PRODUCT = 2
 LOG_2PI = float(np.log(2.0 * np.pi))
 # There is no other kernel; perfbench/run.py reads this name to label its runs.
 NUMBA_ENABLED = False
+# Indices of the strict upper triangle of a k x k matrix, by k.
+_UPPER: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def factors(covs: np.ndarray, floor: float):
@@ -79,17 +82,22 @@ def factors(covs: np.ndarray, floor: float):
     An input of shape (m,) holds the variances of m univariate Gaussians,
     which take the closed form: the factor of a 1 x 1 matrix is its square
     root.  A (k, k) covariance, or a stack (..., k, k) of them, regularized
-    as cov + floor * I, takes one LAPACK call per piece for the whole stack.
+    as cov + floor * I, takes one LAPACK call per piece for the whole stack;
+    with floor 0 the regularized covariances are ``covs`` itself.
     """
     if covs.ndim == 1:
         reg = covs + floor
         chol = np.sqrt(reg)
         return reg, chol, 1.0 / chol, -0.5 * LOG_2PI - np.log(chol)
     k = covs.shape[-1]
-    reg = covs + floor * np.eye(k)
+    reg = covs + floor * np.eye(k) if floor else covs
     chol = np.linalg.cholesky(reg)
+    ichol = np.linalg.inv(chol)
     # LAPACK's inverse leaves ~1e-16 above the diagonal; the kernel reads it.
-    ichol = np.tril(np.linalg.inv(chol))
+    upper = _UPPER.get(k)
+    if upper is None:
+        upper = _UPPER[k] = np.triu_indices(k, 1)
+    ichol[..., upper[0], upper[1]] = 0.0
     const = -0.5 * k * LOG_2PI - np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
     return reg, chol, ichol, const
 
@@ -101,7 +109,6 @@ class LeafGroup:
 
     k: int
     nodes: np.ndarray   # (m,) dense node indices
-    ids: list[int]      # their node ids
     cols: np.ndarray    # data columns
     mean: np.ndarray
     ichol: np.ndarray   # inverse Cholesky factors
@@ -109,39 +116,37 @@ class LeafGroup:
     cov: np.ndarray     # regularized covariances; partial reads only
     const: np.ndarray   # (m,) log normalization constants
     table: PatternTable
-    # Weak references to the statistics each leaf was last factored from
-    # (None before the first refresh).
-    factored: list
+    stats: StatsWidth   # the store's width k, which holds the leaves' statistics
+    slots: np.ndarray   # (m,) each leaf's slot there
+    seen: np.ndarray    # (m,) the slots' write stamps when last factored
 
-    def refresh(self, stats: list, floor: float, every: bool) -> None:
-        """Factor again the leaves whose statistics object, ``stats[j]`` for
-        leaf j, is not the one they were last factored from (every leaf with
-        ``every``), with variance floor ``floor``, in one ``factors`` call,
-        and empty the table of restricted factors if any leaf changed.
+    def refresh(self, floor: float, every: bool) -> None:
+        """Factor again the leaves whose slot was written since they were
+        last factored (every leaf with ``every``), with variance floor
+        ``floor``, in one ``factors`` call, and empty the table of
+        restricted factors if any leaf changed.
 
-        The statistics are recorded weakly, so replaced ones are freed by the
-        write that replaces them, not by the next read.  A write into a
-        statistics array in place is not seen.
+        A write into a statistics array in place leaves the stamp alone and
+        is not seen.
         """
-        fresh = [every or r is None or r() is not s for r, s in zip(self.factored, stats)]
-        if not any(fresh):
-            return
-        if all(fresh):  # every leaf after a write to each: no gathers
-            at, todo = slice(None), stats
-        else:
-            at = np.flatnonzero(fresh)
-            todo = [stats[j] for j in at.tolist()]
+        stamp = self.stats.stamp.take(self.slots)
+        at = slice(None)
+        if not every:
+            fresh = stamp != self.seen
+            if not fresh.any():
+                return
+            if not fresh.all():
+                at = np.flatnonzero(fresh)
+        slots = self.slots[at]
         if self.k == 1:
-            self.mean[at] = [s.mean[0] for s in todo]
-            covs = np.array([s.cov[0, 0] for s in todo])
+            self.mean[at] = self.stats.mean[slots, 0]
+            covs = self.stats.cov[slots, 0, 0]
         else:
-            self.mean[at] = [s.mean for s in todo]
-            covs = np.array([s.cov for s in todo])
+            self.mean[at] = self.stats.mean[slots]
+            covs = self.stats.cov[slots]
         self.cov[at], self.chol[at], self.ichol[at], self.const[at] = factors(covs, floor)
+        self.seen[:] = stamp
         self.table.clear()
-        # weakref.ref hands back an object's existing reference, so recording
-        # the unchanged leaves again costs next to nothing.
-        self.factored[:] = map(weakref.ref, stats)
 
 
 @dataclass(frozen=True)
@@ -218,7 +223,7 @@ class LevelPlan:
     row_words: int
 
 
-def level_plan(n_nodes: int, inner, scopes: dict[int, tuple[int, ...]], ids,
+def level_plan(n_nodes: int, inner, scopes: dict[int, tuple[int, ...]], slots,
                table_bytes: int) -> LevelPlan:
     """Group the N = ``n_nodes`` nodes of a flattened network for
     ``eval_flat_numpy`` and ``sample_flat``: the leaves by scope size, the
@@ -226,10 +231,10 @@ def level_plan(n_nodes: int, inner, scopes: dict[int, tuple[int, ...]], ids,
 
     ``inner`` lists the inner nodes in increasing order of dense index i as
     (height, kind, i, dense children); ``scopes`` maps each leaf's dense index, in
-    increasing order, to its variables and ``ids[i]`` is the node id of
-    dense index i.  The groups' parameter arrays (the sums' ``logw`` and the
-    leaves') start zeroed, and each leaf group gets an empty
-    ``PatternTable`` of ``table_bytes``.
+    increasing order, to its variables and ``slots`` to its statistics'
+    slot, a (``gstats.StatsWidth``, index) pair.  The groups' parameter
+    arrays (the sums' ``logw`` and the leaves') start zeroed, and each leaf
+    group gets an empty ``PatternTable`` of ``table_bytes``.
     """
     by_size: dict[int, list[int]] = defaultdict(list)
     for i, scope in scopes.items():
@@ -252,10 +257,12 @@ def level_plan(n_nodes: int, inner, scopes: dict[int, tuple[int, ...]], ids,
             words[i] = 2 + 4 * k + k * k
         m = len(at)
         vec, mat = ((m,), (m,)) if k == 1 else ((m, k), (m, k, k))
-        leaves.append(LeafGroup(k, np.array(at, dtype=np.intp), [ids[i] for i in at],
+        leaves.append(LeafGroup(k, np.array(at, dtype=np.intp),
                                 np.array([scopes[i] for i in at], dtype=np.int64).reshape(vec),
                                 np.zeros(vec), np.zeros(mat), np.zeros(mat), np.zeros(mat),
-                                np.zeros(m), PatternTable(table_bytes), [None] * m))
+                                np.zeros(m), PatternTable(table_bytes), slots[at[0]][0],
+                                np.array([slots[i][1] for i in at], dtype=np.intp),
+                                np.zeros(m, dtype=np.int64)))
 
     groups = []
     for (_, kd, c), at in levels:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluate import CompiledNet, check_rows, shared_net, subtree_log_density_rows
-from .gstats import GaussianStats, update_each
+from .gstats import GaussianStats, correlation_matrix, update_each
 from .nodes import (LeafNode, NodePool, ProductNode, Scope, SumNode,
                     WEIGHT_MODES, is_integer, make_scope, scope_positions, scope_union,
                     topological_order)
@@ -258,10 +258,11 @@ class EvalCache:
     The net lives on the pool (``evaluate.shared_net``) and is shared with
     the read queries, so a cache adds no state: ``learn_batch`` finds the
     same net with or without one.  A structure edit forces a rebuild;
-    otherwise only leaves whose statistics were replaced since the net last
-    saw them are re-factored (every leaf after a change of
-    ``pool.variance_floor``), and sum-edge weights are refreshed from the
-    current counts on every use.
+    otherwise only leaves whose slots in the pool's statistics store were
+    written since the net last factored them are re-factored (every leaf
+    after a change of ``pool.variance_floor``), and the sum weights are
+    recomputed only when a count or the weight mode changed since they were
+    last computed.
     """
 
     def ensure(self, pool: NodePool) -> CompiledNet:
@@ -281,7 +282,8 @@ def _best_cross_child_pair(pool: NodePool, node: ProductNode):
     c = len(node.children)
     if c < 2:
         return 0.0, None, None
-    corr = node.stats.correlation_matrix()
+    width, slot = pool.slot_of(node)
+    corr = correlation_matrix(width.cov[slot])
     pos = {v: i for i, v in enumerate(node.scope)}
     label = np.empty(len(node.scope), dtype=np.intp)
     for j, child in enumerate(node.children):
@@ -331,9 +333,11 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
     in this pass.  A node reached
     a second time in the pass (a DAG) first has the queue applied, so its
     updates compose in visit order.  Applying the queue is one call of
-    ``gstats.update_each``, which stacks the nodes into as few passes as
-    keep their bits, so the result has the bits of updating every node as
-    the walk reaches it.
+    ``gstats.update_each`` on the nodes' slots in the pool's statistics
+    store, which stacks them into as few passes as keep their bits and
+    writes the results back into the store, so the result has the bits of
+    updating every node as the walk reaches it and no statistics object is
+    built.
     Rows of the wrong width or with a non-finite value raise ValueError
     before the pool is touched.
     The bottom-up pass runs on the pool's compiled net, the one the read
@@ -347,35 +351,34 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
     net = shared_net(pool)
     values = net.eval_rows(rows)
 
-    def restructure(nid: int, node: ProductNode,
-                    prev_stats: GaussianStats, prev_count: float) -> None:
+    def restructure(nid: int, node: ProductNode, count: float, prev: tuple,
+                    prev_count: float) -> None:
+        """Check product ``nid``, whose statistics now hold ``count`` rows
+        and held ``prev`` (mean, cov, count) before this batch."""
         r, child_a, child_b = _best_cross_child_pair(pool, node)
         if child_a is None or r < config.correlation_threshold:
             return
-        if r * math.sqrt(max(node.stats.count, 0.0)) < config.significance_z:
+        if r * math.sqrt(max(count, 0.0)) < config.significance_z:
             return
         joint = scope_union(pool.node(child_a).scope, pool.node(child_b).scope)
         if len(joint) >= config.max_leaf_vars:
             make_mixture(pool, nid, child_a, child_b,
-                         birth_stats=prev_stats, birth_count=prev_count,
-                         next_check=2.0 * node.stats.count)
+                         birth_stats=GaussianStats(*prev), birth_count=prev_count,
+                         next_check=2.0 * count)
             report.mixtures_created += 1
         else:
             merge_into_leaf(pool, nid, child_a, child_b,
-                            birth_stats=prev_stats, birth_count=prev_count)
+                            birth_stats=GaussianStats(*prev), birth_count=prev_count)
             report.leaves_merged += 1
 
     # Visits are applied together, at the end of the pass or before the next
     # read of statistics, whichever is first.
-    pending: dict[int, tuple[LeafNode | ProductNode, np.ndarray]] = {}  # id -> (node, rows)
+    pending: dict[int, tuple] = {}  # id -> (statistics' slot, rows, scope)
 
     def flush() -> None:
-        nodes = [n for n, _ in pending.values()]
-        fresh = update_each([n.stats for n in nodes], rows, [p for _, p in pending.values()],
-                            [n.scope for n in nodes])
-        pending.clear()
-        for node, stats in zip(nodes, fresh):
-            node.stats = stats
+        if pending:
+            update_each(rows, *zip(*pending.values()))
+            pending.clear()
 
     # A sum pushes only the children it routed rows to.
     stack = [(pool.root, np.arange(rows.shape[0]))]
@@ -410,16 +413,18 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
             continue
         if nid in pending:  # reached twice in this pass: updates compose in order
             flush()
-        pending[nid] = (node, idx)
+        width, i = slot = pool.slot_of(node)
+        pending[nid] = (slot, idx, node.scope)
         if isinstance(node, LeafNode):
             continue
         if (not structure_frozen and len(node.children) >= 2
-                and node.stats.count + len(idx) >= node.next_check):
-            prev_stats = node.stats
+                and width.count[i] + len(idx) >= node.next_check):
+            prev = (width.mean[i].copy(), width.cov[i].copy(), width.count[i])
             prev_count = node.count - float(len(idx))
             flush()
-            node.next_check = 2.0 * node.stats.count
-            restructure(nid, node, prev_stats, prev_count)
+            count = float(width.count[i])
+            node.next_check = 2.0 * count
+            restructure(nid, node, count, prev, prev_count)
         stack.extend((c, idx) for c in reversed(node.children))
     flush()
 

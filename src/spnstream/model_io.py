@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 from typing import Any
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .gstats import GaussianStats
 from .learner import LearnerConfig
 from .nodes import (LeafNode, NodePool, ProductNode, StructuralError, SumNode, is_integer,
-                    validate)
+                    is_real, validate)
 
 FORMAT_VERSION = 1
 
@@ -43,7 +42,7 @@ def _integer(value) -> int:
 def _real(value) -> float:
     """``value`` as a float if it is a number, else TypeError: ``float()``
     would accept a numeric string or a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not is_real(value):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 

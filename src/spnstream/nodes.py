@@ -6,6 +6,14 @@ children, product nodes factorize across disjoint sets of variables, and
 leaves carry a (possibly multivariate) Gaussian given by its running
 statistics.  Mixture weights are not stored; they are derived on demand
 from the counts kept on each sum node.
+
+The running statistics of a pool's leaves and products live in the pool's
+``gstats.StatsStore``.  A node added to a pool holds a slot there
+(``node.slot``), and ``node.stats`` reads it as a view: a write into its
+arrays in place writes the slot, and assigning ``node.stats`` copies the
+new statistics into it.  A node outside any pool holds its statistics
+object itself; removing a node from the pool frees its slot and hands the
+node its statistics back.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .gstats import GaussianStats
+from .gstats import GaussianStats, StatsStore
 
 Scope = tuple[int, ...]
 
@@ -32,6 +40,13 @@ class StructuralError(Exception):
 def is_integer(value) -> bool:
     """Whether ``value`` is an integer, a numpy one too, and not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number, a numpy one too, and not a bool."""
+    # A plain float or int first: the abstract class check takes about 1 us.
+    return type(value) in (float, int) or (isinstance(value, numbers.Real)
+                                            and not isinstance(value, bool))
 
 
 def make_scope(variables: Iterable[int]) -> Scope:
@@ -82,6 +97,26 @@ class LeafNode:
     count: float
 
 
+def _stats(node) -> GaussianStats:
+    if node.slot is None:
+        return node._loose
+    width, i = node.slot
+    return width.view(i)
+
+
+def _set_stats(node, stats: GaussianStats) -> None:
+    if node.slot is None:
+        node._loose = stats
+    else:
+        node.slot = node.slot[0].store.put(node.slot, stats)
+
+
+# A leaf's or product's statistics: a view of its slot in its pool's store
+# (``slot``, a (gstats.StatsWidth, index) pair) once the pool holds it.
+for _cls in (LeafNode, ProductNode):
+    _cls.slot, _cls._loose, _cls.stats = None, None, property(_stats, _set_stats)
+
+
 Node = Union[SumNode, ProductNode, LeafNode]
 
 
@@ -119,6 +154,8 @@ class NodePool:
     one region of the network never invalidate references elsewhere.
     ``weight_mode`` and ``variance_floor`` travel with the pool because both
     are needed to turn stored counts and covariances into densities.
+    ``store`` holds the statistics of the leaves and products added to the
+    pool (``add``); ``remove`` and ``remove_subtree`` free their slots.
     """
 
     def __init__(self, dim: int, weight_mode: str = "laplace", variance_floor: float = 1e-4):
@@ -135,6 +172,7 @@ class NodePool:
         self.root: int = -1
         self._next_id = 0
         self.structure_version = 0
+        self.store = StatsStore()
         # The evaluate.CompiledNet that learn_batch and the read queries
         # share; evaluate.shared_net builds and refreshes it.
         self.compiled = None
@@ -143,8 +181,23 @@ class NodePool:
         nid = self._next_id
         self._next_id += 1
         self.nodes[nid] = node
+        if not isinstance(node, SumNode):
+            self.slot_of(node)
         self.structure_version += 1
         return nid
+
+    def slot_of(self, node: LeafNode | ProductNode) -> tuple:
+        """The node's slot in ``store``, holding its statistics; a node that
+        holds its statistics itself (one not added by ``add``) gets one."""
+        if node.slot is None:
+            node.slot, node._loose = self.store.add(node._loose), None
+        return node.slot
+
+    def _release(self, node: Node) -> None:
+        """Free the node's slot, handing the node its statistics back."""
+        if not isinstance(node, SumNode) and node.slot is not None:
+            width, i = node.slot
+            node.slot, node._loose = None, width.release(i)
 
     def node(self, nid: int) -> Node:
         try:
@@ -155,7 +208,7 @@ class NodePool:
     def remove(self, nid: int) -> None:
         if nid not in self.nodes:
             raise StructuralError(f"no node with id {nid}")
-        del self.nodes[nid]
+        self._release(self.nodes.pop(nid))
         self.structure_version += 1
 
     def remove_subtree(self, *nids: int) -> None:
@@ -170,6 +223,7 @@ class NodePool:
         for cur in reversed(order):  # a node's parents in the part are decided first
             if not held[cur]:
                 node = self.nodes.pop(cur)
+                self._release(node)
                 if not isinstance(node, LeafNode):
                     held.subtract(node.children)
         self.structure_version += 1
@@ -182,10 +236,11 @@ class NodePool:
         share (``evaluate.shared_net``), is rebuilt only when
         ``structure_version`` or the root changes; an edit to a child list
         made outside this class's methods must call this, or both evaluate
-        the old graph.  The net re-factors a leaf only when its ``stats``
-        object is replaced, as ``learn_batch`` does, so a write into
-        ``stats.mean`` or ``stats.cov`` in place must call this too.  Edited
-        counts and a new ``variance_floor`` show without it.
+        the old graph.  The net re-factors a leaf only when the store
+        writes its slot, as ``learn_batch`` and an assignment to
+        ``node.stats`` do, so a write into ``stats.mean`` or ``stats.cov`` in
+        place must call this too.  Edited counts and a new
+        ``variance_floor`` show without it.
         """
         self.structure_version += 1
 

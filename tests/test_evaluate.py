@@ -172,6 +172,27 @@ def test_assignment_keys_must_be_integers():
     assert log_density(pool, {np.int64(1): 0.3}) == log_density(pool, {1: 0.3})
 
 
+@pytest.mark.parametrize("value", ["1.5", True, np.bool_(True), b"2", np.array([1.5]), None,
+                                   1.5 + 0j, [1.5]])
+def test_assignment_values_must_be_real_numbers(value):
+    pool = init_factored_pool(3)
+    with pytest.raises(ValueError, match="variable 1 is not a number"):
+        log_density(pool, {0: 0.2, 1: value})
+    with pytest.raises(ValueError, match="variable 2 is not a number"):
+        conditional_log_density(pool, {2: value}, {0: 0.2})
+    with pytest.raises(ValueError, match="variable 0 is not a number"):
+        conditional_log_density(pool, {2: 0.4}, {0: value})
+
+
+def test_assignment_values_take_numpy_and_integer_numbers():
+    pool = init_factored_pool(3)
+    want = log_density(pool, {0: 2.0, 1: 1.5})
+    for value in (2, np.int64(2), np.float32(2.0), np.float64(2.0)):
+        assert log_density(pool, {0: value, 1: 1.5}) == want
+        assert (conditional_log_density(pool, {0: value}, {1: 1.5})
+                == conditional_log_density(pool, {0: 2.0}, {1: 1.5}))
+
+
 def test_conditional_rejects_overlapping_keys():
     pool = init_factored_pool(2)
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spnstream.gstats import GaussianStats, update_each
+from spnstream.gstats import GaussianStats, StatsStore, update_each
 
 from helpers import correlation, population_stats, reference_update
 
@@ -219,6 +219,18 @@ MIXED = ([GaussianStats(np.array([-0.0]), np.eye(1), 0.0),
          [(0,), (0, 1, 2), (1,), (2,), (0, 1), (1,)])
 
 
+def stored_update(stats, X, rows, cols):
+    """``update_each`` over a store that holds a copy of each of ``stats``;
+    the updated slots, read back as views of the store."""
+    store = StatsStore()
+    slots = [store.add(s) for s in stats]
+    update_each(X, slots, rows, cols)
+    got = [width.view(i) for width, i in slots]
+    for (width, _), out in zip(slots, got):  # written into the store
+        assert np.shares_memory(out.mean, width.mean) and np.shares_memory(out.cov, width.cov)
+    return got
+
+
 @settings(max_examples=300, deadline=None)
 @given(mixed_cases())
 @example(NEGATIVE_ZEROS)
@@ -228,13 +240,12 @@ def test_stacked_updates_of_mixed_shapes_match_the_reference_bit_for_bit(case):
     before = ([(s.mean.tobytes(), s.cov.tobytes(), s.count) for s in stats], X.tobytes(),
               [r.tobytes() for r in rows], list(cols))
     with np.errstate(all="ignore"):  # huge draws overflow alike in both
-        got = update_each(stats, X, rows, cols)
+        got = stored_update(stats, X, rows, cols)
         assert len(got) == len(stats)
         for s, r, c, out in zip(stats, rows, cols, got):
             want = reference_update(s, X[r][:, list(c)])
             assert (out.count, out.mean.tobytes(), out.cov.tobytes()) == \
                 (want.count, want.mean.tobytes(), want.cov.tobytes())
-            assert out.mean.flags.owndata and out.cov.flags.owndata
             assert out.mean.dtype == out.cov.dtype == np.float64
     assert ([(s.mean.tobytes(), s.cov.tobytes(), s.count) for s in stats], X.tobytes(),
             [r.tobytes() for r in rows], list(cols)) == before
@@ -244,7 +255,7 @@ def test_stacked_one_row_updates_leave_their_inputs_alone():
     stats = [GaussianStats(np.array([1.0, 2.0]), np.eye(2), 3.0),
              GaussianStats(np.array([-1.0]), np.eye(1), 0.0)]
     before = [(s.mean.copy(), s.cov.copy(), s.count) for s in stats]
-    out = update_each(stats, np.array([[4.0, 5.0, 6.0]]), [[0], [0]], [(0, 2), (1,)])
+    out = stored_update(stats, np.array([[4.0, 5.0, 6.0]]), [[0], [0]], [(0, 2), (1,)])
     assert [o.count for o in out] == [4.0, 1.0]
     np.testing.assert_array_equal(out[1].mean, [5.0])
     for s, (mean, cov, count) in zip(stats, before):
@@ -285,7 +296,7 @@ def test_stacked_same_shape_updates_match_update_bit_for_bit(case):
     stats, X, rows, cols = case
     before = ([(s.mean.tobytes(), s.cov.tobytes(), s.count) for s in stats], X.tobytes(),
               [r.tobytes() for r in rows], list(cols))
-    got = update_each(stats, X, rows, cols)
+    got = stored_update(stats, X, rows, cols)
     for s, r, c, out in zip(stats, rows, cols, got):
         want = reference_update(s, X[r[:, None], c])
         assert (out.count, out.mean.tobytes(), out.cov.tobytes()) == \
