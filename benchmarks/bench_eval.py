@@ -59,12 +59,12 @@ def wide_mixture(components: int, dim: int, block: int, rng) -> NodePool:
             a = rng.normal(size=(k, k))
             stats = GaussianStats(rng.normal(0.0, 3.0, size=k),
                                   a @ a.T / k + 0.5 * np.eye(k), 50.0)
-            leaves.append(pool.add(LeafNode(scope=scope, stats=stats, count=50.0)))
+            leaves.append(pool.add(LeafNode(scope=scope, stats=stats)))
         kids.append(pool.add(ProductNode(scope=make_scope(range(dim)), children=leaves,
-                                         count=50.0, stats=GaussianStats.zeros(dim, count=1.0))))
+                                         stats=GaussianStats.zeros(dim, count=1.0))))
     counts = [float(rng.integers(1, 100)) for _ in kids]
     pool.root = pool.add(SumNode(scope=make_scope(range(dim)), children=kids,
-                                 child_counts=counts, count=sum(counts)))
+                                 child_counts=counts))
     return pool
 
 

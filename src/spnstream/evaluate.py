@@ -14,10 +14,10 @@ and factor the network once between them.  The net's parameters live on
 the groups of its plan: each leaf group re-factors only the leaves whose
 slot in the pool's statistics store was written since (every leaf after a
 change of ``pool.variance_floor``, which shows at once), and the sum
-groups' log weights are recomputed when a count or the weight mode
-changed, so no caller sees stale parameters.  The net is rebuilt after a
-structure edit; a write into a statistics array in place needs
-``pool.bump()``.
+groups' log weights are recomputed when a child count or the weight mode
+changed, so no caller sees stale parameters.  Statistics change only by
+a write into their slot, which stamps it, so every change shows; the net
+is rebuilt after a structure edit.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class CompiledNet:
 
     order: list[int]
     index: dict[int, int]
-    # (pool.structure_version, pool.root, pool.store.moves) it was compiled at
-    key: tuple[int, int, int]
+    # (pool.structure_version, pool.root) it was compiled at
+    key: tuple[int, int]
     plan: kernels.LevelPlan
     sums: list[int]  # sum node ids, group after group of the plan
     # Rows per block of log_density_rows: the widest per-row array (nodes,
@@ -83,9 +83,9 @@ class CompiledNet:
     # re-factors a leaf only when its slot was written (see
     # LeafGroup.refresh) or the floor changed.
     floor: float = math.nan
-    # The weight mode, then each sum's count and child counts, that the sum
-    # groups' logw was last computed from; refresh_weights skips a pool
-    # that still has them.
+    # The weight mode, then each sum's child counts, that the sum groups'
+    # logw was last computed from; refresh_weights skips a pool that still
+    # has them.
     weight_inputs: list | None = None
 
     def row_blocks(self, n_rows: int, block_rows: int) -> list[slice]:
@@ -124,11 +124,10 @@ class CompiledNet:
         Each leaf group re-factors the leaves whose slot in the pool's
         statistics store was written since they were last factored, every
         leaf after a change of the variance floor
-        (``kernels.LeafGroup.refresh``).  A write into a stats array in place
-        is not seen; ``pool.bump()`` after one recompiles.  The sums' log
-        weights are recomputed when a count, a child count or the weight mode
-        differs from the last values used (``refresh_weights``); counts are
-        edited in place, so they are compared by value.
+        (``kernels.LeafGroup.refresh``).  The sums' log weights are
+        recomputed when a child count or the weight mode differs from the
+        last values used (``refresh_weights``); child counts are edited in
+        place, so they are compared by value.
         """
         floor = pool.variance_floor
         every, self.floor = floor != self.floor, floor
@@ -138,15 +137,14 @@ class CompiledNet:
 
     def refresh_weights(self, pool: NodePool) -> None:
         """Recompute the sum groups' log weights from current counts, in one
-        pass over every sum, when the weight mode or any sum's count or child
-        counts differ from the ones they were last computed from; a zero
-        count under "mle" weights gives -inf."""
+        pass over every sum, when the weight mode or any sum's child counts
+        differ from the ones they were last computed from; a zero count
+        under "mle" weights gives -inf."""
         if not self.sums:
             return
         sums = [pool.nodes[nid] for nid in self.sums]
         seen = [pool.weight_mode]
         for node in sums:
-            seen.append(node.count)
             seen += node.child_counts
         if seen == self.weight_inputs:
             return
@@ -193,7 +191,7 @@ def compile_pool(pool: NodePool) -> CompiledNet:
     width = max(n, n_edges, sum(map(len, scopes.values())))
     partial_width = max([width] + [g.nodes.size * g.k * g.k for g in plan.leaves])
     sums = [order[i] for g in plan.groups if g.is_sum for i in g.nodes.tolist()]
-    net = CompiledNet(order, index, (pool.structure_version, pool.root, pool.store.moves),
+    net = CompiledNet(order, index, (pool.structure_version, pool.root),
                       plan, sums, max(1, _BLOCK_BYTES // (8 * width)),
                       max(1, _BLOCK_BYTES // (8 * partial_width)))
     net.refresh_params(pool)
@@ -208,15 +206,13 @@ def shared_net(pool: NodePool) -> CompiledNet:
     own.  ``learner.learn_batch`` and every read query use it.  The net is
     rebuilt when the structure version or the root differs from the ones it
     was compiled at (tests and users may reassign the root without a
-    version bump), or a leaf's statistics changed width; otherwise
-    ``refresh_params`` brings it up to date: written leaf statistics, edited
-    counts, a new weight mode and a new variance floor show at once, while
-    a write into a statistics array in place needs ``pool.bump()``.  A read
-    that follows a read with nothing changed re-factors nothing and
-    recomputes no weight.
+    version bump); otherwise ``refresh_params`` brings it up to date:
+    assigned statistics, edited child counts, a new weight mode and a new
+    variance floor show at once.  A read that follows a read with nothing
+    changed re-factors nothing and recomputes no weight.
     """
     net = pool.compiled
-    if net is None or net.key != (pool.structure_version, pool.root, pool.store.moves):
+    if net is None or net.key != (pool.structure_version, pool.root):
         pool.compiled = None  # let the old net go before compiling the new one
         net = pool.compiled = compile_pool(pool)
     else:

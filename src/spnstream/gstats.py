@@ -10,7 +10,8 @@ A pool keeps the statistics of all its leaves and products in one
 ``StatsStore``: for each scope width k, stacked arrays ``mean`` (S, k),
 ``cov`` (S, k, k) and ``count`` (S,) and a write stamp per slot
 (``StatsWidth``).  A node holds a (width, slot) handle, and ``node.stats``
-is a ``GaussianStats`` whose arrays are its slot's rows.
+is a snapshot of its slot (``StatsWidth.read``) whose arrays refuse
+writes: a slot changes only through ``StatsWidth.write``, which stamps it.
 
 ``update_each`` holds the update formula, that of Chan, Golub & LeVeque
 (1979).  It updates many slots at once in stacked passes, each result with
@@ -114,11 +115,7 @@ class StatsWidth:
     A slot keeps its index until it is freed, whatever is allocated or
     freed meanwhile, and a freed slot is handed out again last in, first
     out.  ``stamp[i]`` changes whenever slot i is written or freed, so a
-    reader that recorded it knows whether the slot changed since.  ``views``
-    holds the ``GaussianStats`` that ``view`` handed out for a slot, whose
-    arrays are the slot's rows: a write into them in place writes the slot.
-    Before the store writes or frees the slot the view gets copies, so it
-    keeps the values it showed, as a replaced statistics object would.
+    reader that recorded it knows whether the slot changed since.
     """
 
     def __init__(self, store: StatsStore, k: int):
@@ -127,11 +124,6 @@ class StatsWidth:
         self.count, self.stamp = np.zeros(0), np.zeros(0, dtype=np.int64)
         self.free: list[int] = []
         self.used = 0  # slots ever handed out
-        self.views: dict[int, GaussianStats] = {}
-
-    def __getstate__(self):
-        # A copy's views would not share the copy's arrays; it makes its own.
-        return {**self.__dict__, "views": {}}
 
     def alloc(self) -> int:
         """A slot to write, the last one freed if any."""
@@ -144,39 +136,25 @@ class StatsWidth:
                 new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
                 new[:self.used] = old
                 setattr(self, name, new)
-            for i, view in self.views.items():
-                view.mean, view.cov = self.mean[i], self.cov[i]
         self.used += 1
         return self.used - 1
 
-    def view(self, i: int) -> GaussianStats:
-        """Slot i as statistics whose arrays are the slot's rows."""
-        stats = self.views.get(i)
-        if stats is None:
-            stats = self.views[i] = GaussianStats(self.mean[i], self.cov[i], self.count[i])
-        return stats
-
-    def _let_go(self, i: int) -> GaussianStats | None:
-        """Slot i's view, if one was handed out, given copies of its arrays."""
-        stats = self.views.pop(i, None)
-        if stats is not None:
-            stats.mean, stats.cov = stats.mean.copy(), stats.cov.copy()
+    def read(self, i: int) -> GaussianStats:
+        """A snapshot of slot i, in arrays of its own that refuse writes, so
+        a write into them raises ValueError instead of missing the stamp."""
+        stats = GaussianStats(self.mean[i].copy(), self.cov[i].copy(), self.count[i])
+        stats.mean.flags.writeable = stats.cov.flags.writeable = False
         return stats
 
     def write(self, at, mean, cov, count) -> None:
         """Write the slots ``at``: an index, a slice, or an index array that
         names each slot at most once."""
-        if self.views:
-            for i in np.arange(self.used)[at].reshape(-1).tolist():
-                self._let_go(i)
         self.mean[at], self.cov[at], self.count[at] = mean, cov, count
         self.stamp[at] = self.store.tick()
 
     def release(self, i: int) -> GaussianStats:
-        """Free slot i and return its statistics, which no longer share its arrays."""
-        stats = self._let_go(i)
-        if stats is None:
-            stats = GaussianStats(self.mean[i].copy(), self.cov[i].copy(), self.count[i])
+        """Free slot i and return its last statistics (``read``)."""
+        stats = self.read(i)
         self.stamp[i] = self.store.tick()
         self.free.append(i)
         return stats
@@ -186,14 +164,12 @@ class StatsStore:
     """The statistics of one pool's leaves and products: one ``StatsWidth``
     per scope width.  A slot is a (``StatsWidth``, index) pair.
 
-    ``moves`` counts the slots that changed width (``put``), which moves
-    them; a compiled net that recorded it knows its slots still hold.
     ``stamps`` counts the writes and frees, which stamp their slots.
     """
 
     def __init__(self):
         self.widths: dict[int, StatsWidth] = {}
-        self.moves = self.stamps = 0
+        self.stamps = 0
 
     def tick(self) -> int:
         """A stamp no slot of this store has held."""
@@ -209,18 +185,6 @@ class StatsStore:
         i = width.alloc()
         width.write(i, stats.mean, stats.cov, stats.count)
         return width, i
-
-    def put(self, slot: tuple[StatsWidth, int], stats: GaussianStats) -> tuple[StatsWidth, int]:
-        """Write ``stats`` into ``slot``; returns the slot that holds them,
-        a new one of the right width if their width differs."""
-        width, i = slot
-        if stats.mean.shape[0] == width.k:
-            width.write(i, stats.mean, stats.cov, stats.count)
-            return slot
-        new = self.add(stats)
-        width.release(i)
-        self.moves += 1
-        return new
 
 
 def update_each(X: np.ndarray, slots: list, rows: list, cols: list) -> None:
@@ -263,7 +227,7 @@ def update_each(X: np.ndarray, slots: list, rows: list, cols: list) -> None:
 
 def _index(slots: list[int]):
     """Index of the store rows ``slots``: a slice for one slot, so reads
-    are views and writes plain assignments, else an array."""
+    copy nothing and writes are plain assignments, else an array."""
     return slice(slots[0], slots[0] + 1) if len(slots) == 1 else np.array(slots)
 
 

@@ -124,10 +124,8 @@ class LeafGroup:
         """Factor again the leaves whose slot was written since they were
         last factored (every leaf with ``every``), with variance floor
         ``floor``, in one ``factors`` call, and empty the table of
-        restricted factors if any leaf changed.
-
-        A write into a statistics array in place leaves the stamp alone and
-        is not seen.
+        restricted factors if any leaf changed.  Every change to a slot
+        goes through ``StatsWidth.write``, which stamps it, so none is missed.
         """
         stamp = self.stats.stamp.take(self.slots)
         at = slice(None)

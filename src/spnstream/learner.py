@@ -101,13 +101,12 @@ def init_factored_pool(dim: int, weight_mode: str = "laplace",
     pool = NodePool(dim, weight_mode=weight_mode, variance_floor=variance_floor)
     leaf_ids = []
     for v in range(dim):
-        leaf = LeafNode(scope=(v,), stats=GaussianStats(np.zeros(1), np.ones((1, 1)), 1.0),
-                        count=1.0)
+        leaf = LeafNode(scope=(v,), stats=GaussianStats(np.zeros(1), np.ones((1, 1)), 1.0))
         leaf_ids.append(pool.add(leaf))
     if dim == 1:
         pool.root = leaf_ids[0]
         return pool
-    root = ProductNode(scope=make_scope(range(dim)), children=leaf_ids, count=1.0,
+    root = ProductNode(scope=make_scope(range(dim)), children=leaf_ids,
                        stats=GaussianStats.zeros(dim, count=1.0), next_check=2.0)
     pool.root = pool.add(root)
     return pool
@@ -130,24 +129,23 @@ def make_factored_subtree(pool: NodePool, scope: Scope, parent_stats: GaussianSt
         var = max(float(parent_stats.cov[p, p]), pool.variance_floor)
         mean = float(parent_stats.mean[p])
         leaf = LeafNode(scope=(v,),
-                        stats=GaussianStats(np.array([mean]), np.array([[var]]), 1.0),
-                        count=1.0)
+                        stats=GaussianStats(np.array([mean]), np.array([[var]]), 1.0))
         leaf_ids.append(pool.add(leaf))
     if len(leaf_ids) == 1:
         return leaf_ids[0]
-    product = ProductNode(scope=make_scope(scope), children=leaf_ids, count=0.0,
+    product = ProductNode(scope=make_scope(scope), children=leaf_ids,
                           stats=GaussianStats.zeros(len(scope), count=0.0))
     return pool.add(product)
 
 
 def _replace_pair(pool: NodePool, parent_id: int, child_a: int, child_b: int,
-                  birth_stats: GaussianStats | None, birth_count: float | None, build) -> int:
+                  birth_stats: GaussianStats | None, build) -> int:
     """Replace two distinct children of a product node by the node ``build`` adds.
 
-    ``build(parent, joint, stats, count)`` adds the replacement over the
-    pair's joint scope and returns its id; ``stats``/``count`` are
-    ``birth_stats``/``birth_count``, by default the parent's.  The
-    replacement takes ``child_a``'s position in the parent's child list.
+    ``build(parent, joint, stats)`` adds the replacement over the pair's
+    joint scope and returns its id; ``stats`` is ``birth_stats``, by
+    default the parent's.  The replacement takes ``child_a``'s position in
+    the parent's child list.
     """
     parent = pool.node(parent_id)
     if not isinstance(parent, ProductNode):
@@ -155,9 +153,8 @@ def _replace_pair(pool: NodePool, parent_id: int, child_a: int, child_b: int,
     if child_a not in parent.children or child_b not in parent.children or child_a == child_b:
         raise ValueError("both children must be distinct children of the parent")
     stats = parent.stats if birth_stats is None else birth_stats
-    count = parent.count if birth_count is None else birth_count
     new_id = build(parent, scope_union(pool.node(child_a).scope, pool.node(child_b).scope),
-                   stats, count)
+                   stats)
     parent.children[parent.children.index(child_a)] = new_id
     parent.children.remove(child_b)
     pool.bump()
@@ -166,7 +163,6 @@ def _replace_pair(pool: NodePool, parent_id: int, child_a: int, child_b: int,
 
 def make_mixture(pool: NodePool, parent_id: int, child_a: int, child_b: int,
                  birth_stats: GaussianStats | None = None,
-                 birth_count: float | None = None,
                  next_check: float | None = None) -> int:
     """Replace two children of a product node by a two-component mixture.
 
@@ -176,40 +172,39 @@ def make_mixture(pool: NodePool, parent_id: int, child_a: int, child_b: int,
     zero.  Returns the id of the new sum node, which takes the first
     removed child's position in the parent's child list.
 
-    ``birth_stats``/``birth_count`` override the inherited state (the
+    ``birth_stats`` overrides the inherited statistics and count (the
     streaming learner passes the parent's pre-batch state here so the batch
     that triggered the change can then descend without being counted
     twice).  ``next_check`` sets the first correlation-check point of the
     inheriting component; default is twice the inherited evidence.
     """
-    def build(parent, joint, stats, count):
-        old = pool.add(ProductNode(scope=joint, children=[child_a, child_b], count=count,
+    def build(parent, joint, stats):
+        old = pool.add(ProductNode(scope=joint, children=[child_a, child_b],
                                    stats=stats.restrict(scope_positions(parent.scope, joint)),
                                    next_check=2.0 * stats.count if next_check is None
                                    else next_check))
         new = make_factored_subtree(pool, joint, stats, parent.scope)
-        return pool.add(SumNode(scope=joint, children=[old, new], child_counts=[count, 0.0],
-                                count=count))
+        return pool.add(SumNode(scope=joint, children=[old, new],
+                                child_counts=[stats.count, 0.0]))
 
-    return _replace_pair(pool, parent_id, child_a, child_b, birth_stats, birth_count, build)
+    return _replace_pair(pool, parent_id, child_a, child_b, birth_stats, build)
 
 
 def merge_into_leaf(pool: NodePool, parent_id: int, child_a: int, child_b: int,
-                    birth_stats: GaussianStats | None = None,
-                    birth_count: float | None = None) -> int:
+                    birth_stats: GaussianStats | None = None) -> int:
     """Collapse two children of a product node into one multivariate leaf.
 
     The leaf's Gaussian is the parent's running statistics restricted to
     the pair's joint scope; the subtrees under both children are released,
     except for nodes another parent still holds (a DAG).
-    Returns the new leaf's id.  ``birth_stats``/``birth_count`` override
-    the inherited state, see ``make_mixture``.
+    Returns the new leaf's id.  ``birth_stats`` overrides the inherited
+    state, see ``make_mixture``.
     """
-    def build(parent, joint, stats, count):
-        return pool.add(LeafNode(scope=joint, count=count,
+    def build(parent, joint, stats):
+        return pool.add(LeafNode(scope=joint,
                                  stats=stats.restrict(scope_positions(parent.scope, joint))))
 
-    leaf_id = _replace_pair(pool, parent_id, child_a, child_b, birth_stats, birth_count, build)
+    leaf_id = _replace_pair(pool, parent_id, child_a, child_b, birth_stats, build)
     pool.remove_subtree(child_a, child_b)
     return leaf_id
 
@@ -261,8 +256,8 @@ class EvalCache:
     otherwise only leaves whose slots in the pool's statistics store were
     written since the net last factored them are re-factored (every leaf
     after a change of ``pool.variance_floor``), and the sum weights are
-    recomputed only when a count or the weight mode changed since they were
-    last computed.
+    recomputed only when a child count or the weight mode changed since
+    they were last computed.
     """
 
     def ensure(self, pool: NodePool) -> CompiledNet:
@@ -351,8 +346,7 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
     net = shared_net(pool)
     values = net.eval_rows(rows)
 
-    def restructure(nid: int, node: ProductNode, count: float, prev: tuple,
-                    prev_count: float) -> None:
+    def restructure(nid: int, node: ProductNode, count: float, prev: tuple) -> None:
         """Check product ``nid``, whose statistics now hold ``count`` rows
         and held ``prev`` (mean, cov, count) before this batch."""
         r, child_a, child_b = _best_cross_child_pair(pool, node)
@@ -362,13 +356,11 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
             return
         joint = scope_union(pool.node(child_a).scope, pool.node(child_b).scope)
         if len(joint) >= config.max_leaf_vars:
-            make_mixture(pool, nid, child_a, child_b,
-                         birth_stats=GaussianStats(*prev), birth_count=prev_count,
+            make_mixture(pool, nid, child_a, child_b, birth_stats=GaussianStats(*prev),
                          next_check=2.0 * count)
             report.mixtures_created += 1
         else:
-            merge_into_leaf(pool, nid, child_a, child_b,
-                            birth_stats=GaussianStats(*prev), birth_count=prev_count)
+            merge_into_leaf(pool, nid, child_a, child_b, birth_stats=GaussianStats(*prev))
             report.leaves_merged += 1
 
     # Visits are applied together, at the end of the pass or before the next
@@ -385,7 +377,6 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
     while stack:
         nid, idx = stack.pop()
         node = pool.node(nid)
-        node.count += float(len(idx))
         if isinstance(node, SumNode):
             pos = [net.index.get(c) for c in node.children]
             if None in pos:  # a child created in this pass is not compiled yet
@@ -420,11 +411,10 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
         if (not structure_frozen and len(node.children) >= 2
                 and width.count[i] + len(idx) >= node.next_check):
             prev = (width.mean[i].copy(), width.cov[i].copy(), width.count[i])
-            prev_count = node.count - float(len(idx))
             flush()
             count = float(width.count[i])
             node.next_check = 2.0 * count
-            restructure(nid, node, count, prev, prev_count)
+            restructure(nid, node, count, prev)
         stack.extend((c, idx) for c in reversed(node.children))
     flush()
 

@@ -4,6 +4,10 @@ Models are stored as a single JSON document.  All node statistics go in
 flat row-major lists so the files diff cleanly and stay independent of
 numpy's repr.  Loading validates the reconstructed pool and refuses
 structurally broken input rather than deferring the failure to query time.
+
+Every node record carries a ``count``, which the pool derives: a leaf's
+or product's is its statistics' count, a sum's the sum of its child
+counts.  The loader refuses a record whose ``count`` disagrees.
 """
 
 from __future__ import annotations
@@ -147,22 +151,30 @@ def pool_from_json(doc: Any) -> NodePool:
         if nid in pool.nodes:
             raise ModelFormatError(f"{where}: duplicate node id {nid}")
         if kind == "leaf":
-            node: Any = LeafNode(scope=scope, stats=_stats_from_json(rec.get("stats"), where),
-                                 count=count)
+            node: Any = LeafNode(scope=scope, stats=_stats_from_json(rec.get("stats"), where))
         elif kind == "product":
             if next_check is not None and not math.isfinite(next_check):
                 raise ModelFormatError(f"{where}: next_check must be finite")
             stats = _stats_from_json(rec.get("stats"), where)
-            node = ProductNode(scope=scope, children=children, count=count, stats=stats,
+            node = ProductNode(scope=scope, children=children, stats=stats,
                                next_check=(2.0 * stats.count if next_check is None
                                            else next_check))
         elif kind == "sum":
             if len(children) != len(child_counts):
                 raise ModelFormatError(f"{where}: children and child_counts lengths differ")
-            node = SumNode(scope=scope, children=children, child_counts=child_counts,
-                           count=count)
+            node = SumNode(scope=scope, children=children, child_counts=child_counts)
         else:
             raise ModelFormatError(f"{where}: unknown node type {kind!r}")
+        # The stored count is the node's own; a sum's may differ from the sum
+        # of its child counts by the rounding that validate's weight-sum
+        # check allows.  validate reports non-finite statistics and child counts.
+        if not math.isfinite(count):
+            raise ModelFormatError(f"{where}: non-finite count {count!r}")
+        if math.isfinite(node.count) and not math.isclose(
+                count, node.count, rel_tol=1e-12 if kind == "sum" else 0.0):
+            raise ModelFormatError(f"{where}: count {count!r} disagrees with the "
+                                   f"{'child' if kind == 'sum' else 'stats'} counts "
+                                   f"({node.count!r})")
         pool.nodes[nid] = node
         pool._next_id = max(pool._next_id, nid + 1)
     if root not in pool.nodes:
@@ -219,6 +231,8 @@ def export_dot(pool: NodePool, variable_names: list[str] | None = None) -> str:
 
     if variable_names is None:
         variable_names = [f"x{i + 1}" for i in range(pool.dim)]
+    if len(variable_names) != pool.dim:
+        raise ValueError("variable_names length must match the pool dimension")
     lines = ["digraph spn {", "  node [fontname=\"Helvetica\"];"]
     for nid in sorted(pool.nodes):
         node = pool.nodes[nid]
@@ -234,8 +248,9 @@ def export_dot(pool: NodePool, variable_names: list[str] | None = None) -> str:
         else:
             names = ", ".join(variable_names[v] for v in node.scope)
             names = names.replace("\\", "\\\\").replace('"', '\\"')
-            mu = ", ".join(_fmt(m) for m in node.stats.mean)
-            var = ", ".join(_fmt(v) for v in np.diag(node.stats.cov))
+            stats = node.stats
+            mu = ", ".join(_fmt(m) for m in stats.mean)
+            var = ", ".join(_fmt(v) for v in np.diag(stats.cov))
             lines.append(
                 f"  n{nid} [label=\"{names}\\nmean ({mu})\\nvar ({var})\", shape=box];")
     lines.append("}")

@@ -5,15 +5,19 @@ stable integer identifiers plus a designated root.  Sum nodes mix their
 children, product nodes factorize across disjoint sets of variables, and
 leaves carry a (possibly multivariate) Gaussian given by its running
 statistics.  Mixture weights are not stored; they are derived on demand
-from the counts kept on each sum node.
+from the child counts kept on each sum node.
 
-The running statistics of a pool's leaves and products live in the pool's
-``gstats.StatsStore``.  A node added to a pool holds a slot there
-(``node.slot``), and ``node.stats`` reads it as a view: a write into its
-arrays in place writes the slot, and assigning ``node.stats`` copies the
-new statistics into it.  A node outside any pool holds its statistics
+Nodes hold the structure and the pool's ``gstats.StatsStore`` holds the
+numbers: the running statistics of the pool's leaves and products.  A
+node added to a pool holds a slot there (``node.slot``).  ``node.stats``
+reads the slot as a snapshot whose arrays refuse writes, so statistics
+change only by assignment, which writes the new statistics into the slot
+and must keep its width.  A node outside any pool holds its statistics
 object itself; removing a node from the pool frees its slot and hands the
 node its statistics back.
+
+Every count has one source.  A leaf's or product's ``count`` is its
+statistics' count, and a sum's is the sum of its ``child_counts``.
 """
 
 from __future__ import annotations
@@ -75,14 +79,21 @@ class SumNode:
     scope: Scope
     children: list[int]
     child_counts: list[float]
-    count: float
+
+    @property
+    def count(self) -> float:
+        """Rows routed through the node: its child counts added left to
+        right, in child-list order (``sum`` compensates on Python 3.12)."""
+        total = 0.0
+        for c in self.child_counts:
+            total += c
+        return total
 
 
 @dataclass(eq=False)
 class ProductNode:
     scope: Scope
     children: list[int]
-    count: float
     stats: GaussianStats
     # Observation count at which the next cross-child correlation check is
     # due.  Checks run on a doubling schedule of the node's own evidence,
@@ -94,27 +105,37 @@ class ProductNode:
 class LeafNode:
     scope: Scope
     stats: GaussianStats
-    count: float
 
 
 def _stats(node) -> GaussianStats:
     if node.slot is None:
         return node._loose
     width, i = node.slot
-    return width.view(i)
+    return width.read(i)
 
 
 def _set_stats(node, stats: GaussianStats) -> None:
     if node.slot is None:
         node._loose = stats
-    else:
-        node.slot = node.slot[0].store.put(node.slot, stats)
+        return
+    width, i = node.slot
+    if stats.dim != width.k:
+        raise ValueError(f"statistics of width {stats.dim} for a node of width {width.k}")
+    width.write(i, stats.mean, stats.cov, stats.count)
 
 
-# A leaf's or product's statistics: a view of its slot in its pool's store
+def _count(node) -> float:
+    if node.slot is None:
+        return node._loose.count
+    width, i = node.slot
+    return float(width.count[i])
+
+
+# A leaf's or product's statistics and count: its slot in its pool's store
 # (``slot``, a (gstats.StatsWidth, index) pair) once the pool holds it.
 for _cls in (LeafNode, ProductNode):
-    _cls.slot, _cls._loose, _cls.stats = None, None, property(_stats, _set_stats)
+    _cls.slot, _cls._loose = None, None
+    _cls.stats, _cls.count = property(_stats, _set_stats), property(_count)
 
 
 Node = Union[SumNode, ProductNode, LeafNode]
@@ -134,14 +155,16 @@ def edge_weights(sums: list[SumNode], mode: str) -> np.ndarray:
     Each edge is divided by its own sum's total, so every weight has the
     bits that sum alone would give it.
     """
+    totals = [node.count for node in sums]
     if mode == "mle":
-        if any(node.count <= 0.0 for node in sums):
+        if any(t <= 0.0 for t in totals):
             raise ValueError("cannot derive mle weights from a sum node with zero count")
         num = [c for node in sums for c in node.child_counts]
-        den = [node.count for node in sums for _ in node.child_counts]
+        den = [t for node, t in zip(sums, totals) for _ in node.child_counts]
     elif mode == "laplace":
         num = [c + 1.0 for node in sums for c in node.child_counts]
-        den = [node.count + len(node.child_counts) for node in sums for _ in node.child_counts]
+        den = [t + len(node.child_counts) for node, t in zip(sums, totals)
+               for _ in node.child_counts]
     else:
         raise ValueError(f"unknown weight mode: {mode!r}")
     return np.divide(num, den, dtype=np.float64)
@@ -229,17 +252,13 @@ class NodePool:
         self.structure_version += 1
 
     def bump(self) -> None:
-        """Mark the structure as changed (after direct child-list edits, or
-        after writing into a leaf's statistics arrays in place).
+        """Mark the structure as changed (after direct child-list edits).
 
         The pool's compiled net, which ``learn_batch`` and the read queries
         share (``evaluate.shared_net``), is rebuilt only when
         ``structure_version`` or the root changes; an edit to a child list
         made outside this class's methods must call this, or both evaluate
-        the old graph.  The net re-factors a leaf only when the store
-        writes its slot, as ``learn_batch`` and an assignment to
-        ``node.stats`` do, so a write into ``stats.mean`` or ``stats.cov`` in
-        place must call this too.  Edited counts and a new
+        the old graph.  Assigned statistics, edited child counts and a new
         ``variance_floor`` show without it.
         """
         self.structure_version += 1
@@ -360,22 +379,22 @@ def validate(pool: NodePool) -> ValidationReport:
             report.add(nid, "scope-range", "scope references a variable outside the pool dimension")
         if len(set(node.scope)) != len(node.scope):
             report.add(nid, "scope-repeat", "scope names a variable more than once")
-        counts = [node.count]
-        counts += node.child_counts if isinstance(node, SumNode) else [node.stats.count]
+        stats = None if isinstance(node, SumNode) else node.stats
+        counts = [node.count, *node.child_counts] if stats is None else [stats.count]
         if not np.all(np.isfinite(counts)):
             report.add(nid, "non-finite", "node counts contain non-finite values")
-        if isinstance(node, (LeafNode, ProductNode)):
+        if stats is not None:
             k = len(node.scope)
-            if node.stats.dim != k:
+            if stats.dim != k:
                 report.add(nid, "stats-dim",
-                           f"stats dimension {node.stats.dim} does not match scope size {k}")
-            elif not np.all(np.isfinite(node.stats.mean)) or not np.all(np.isfinite(node.stats.cov)):
+                           f"stats dimension {stats.dim} does not match scope size {k}")
+            elif not np.all(np.isfinite(stats.mean)) or not np.all(np.isfinite(stats.cov)):
                 report.add(nid, "non-finite", "statistics contain non-finite values")
             elif isinstance(node, LeafNode):
-                asym = float(np.abs(node.stats.cov - node.stats.cov.T).max()) if k else 0.0
+                asym = float(np.abs(stats.cov - stats.cov.T).max()) if k else 0.0
                 if asym > 1e-12:
                     report.add(nid, "asymmetric-cov", f"covariance asymmetry {asym:.3e}")
-                reg = node.stats.cov + pool.variance_floor * np.eye(k)
+                reg = stats.cov + pool.variance_floor * np.eye(k)
                 try:
                     np.linalg.cholesky(reg)
                 except np.linalg.LinAlgError:

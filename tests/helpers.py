@@ -36,8 +36,8 @@ def random_pool(rng: np.random.Generator, dim: int, max_sums: int = 6,
                 max_leaf_vars: int = 3) -> NodePool:
     """Random valid network over ``dim`` variables.
 
-    Sum nodes have 2-3 same-scope children with positive integer counts
-    summing to the node count, products partition their scope, and leaves
+    Sum nodes have 2-3 same-scope children with positive integer counts,
+    products partition their scope, and leaves
     over at most ``max_leaf_vars`` variables carry well-conditioned
     covariances, so the result passes validation in either weight mode.
     """
@@ -56,15 +56,15 @@ def random_pool(rng: np.random.Generator, dim: int, max_sums: int = 6,
         else:
             kind = "product"
         if kind == "leaf":
-            return pool.add(LeafNode(scope=scope, stats=healthy_stats(rng, k),
-                                     count=float(rng.integers(1, 300))))
+            stats = healthy_stats(rng, k)
+            rng.integers(1, 300)  # the old count field's draw: seeded pools stay as they were
+            return pool.add(LeafNode(scope=scope, stats=stats))
         if kind == "sum":
             budget["sums"] -= 1
             n_children = int(rng.integers(2, 4))
             children = [build(scope, depth + 1) for _ in range(n_children)]
             counts = [float(rng.integers(1, 50)) for _ in children]
-            return pool.add(SumNode(scope=scope, children=children,
-                                    child_counts=counts, count=sum(counts)))
+            return pool.add(SumNode(scope=scope, children=children, child_counts=counts))
         parts = max(2, min(k, int(rng.integers(2, 4))))
         assignment = rng.integers(0, parts, size=k)
         # guarantee no empty part
@@ -75,8 +75,8 @@ def random_pool(rng: np.random.Generator, dim: int, max_sums: int = 6,
         for v, p in zip(scope, assignment):
             groups.setdefault(int(p), []).append(v)
         children = [build(make_scope(g), depth + 1) for g in groups.values()]
+        rng.integers(1, 300)  # the draw of the old count field, as for leaves
         return pool.add(ProductNode(scope=scope, children=children,
-                                    count=float(rng.integers(1, 300)),
                                     stats=healthy_stats(rng, k)))
 
     pool.root = build(make_scope(range(dim)), 0)
@@ -337,7 +337,7 @@ def reference_learn_batch(pool: NodePool, rows: np.ndarray, config, rng: np.rand
     net = shared_net(pool)
     values = net.eval_rows(rows)
 
-    def restructure(nid, node, prev_stats, prev_count):
+    def restructure(nid, node, prev_stats):
         r, child_a, child_b = reference_best_cross_child_pair(pool, node)
         if child_a is None or r < config.correlation_threshold:
             return
@@ -345,13 +345,11 @@ def reference_learn_batch(pool: NodePool, rows: np.ndarray, config, rng: np.rand
             return
         joint = scope_union(pool.node(child_a).scope, pool.node(child_b).scope)
         if len(joint) >= config.max_leaf_vars:
-            make_mixture(pool, nid, child_a, child_b,
-                         birth_stats=prev_stats, birth_count=prev_count,
+            make_mixture(pool, nid, child_a, child_b, birth_stats=prev_stats,
                          next_check=2.0 * node.stats.count)
             report.mixtures_created += 1
         else:
-            merge_into_leaf(pool, nid, child_a, child_b,
-                            birth_stats=prev_stats, birth_count=prev_count)
+            merge_into_leaf(pool, nid, child_a, child_b, birth_stats=prev_stats)
             report.leaves_merged += 1
 
     def child_values(c, idx):
@@ -364,17 +362,15 @@ def reference_learn_batch(pool: NodePool, rows: np.ndarray, config, rng: np.rand
     while stack:
         nid, idx = stack.pop()
         node = pool.node(nid)
-        node.count += float(len(idx))
         if isinstance(node, LeafNode):
             node.stats = reference_update(node.stats, rows[idx[:, None], node.scope])
         elif isinstance(node, ProductNode):
             prev_stats = node.stats
-            prev_count = node.count - float(len(idx))
             node.stats = reference_update(node.stats, rows[idx[:, None], node.scope])
             if (not structure_frozen and len(node.children) >= 2
                     and node.stats.count >= node.next_check):
                 node.next_check = 2.0 * node.stats.count
-                restructure(nid, node, prev_stats, prev_count)
+                restructure(nid, node, prev_stats)
             stack.extend((c, idx) for c in reversed(node.children))
         else:
             stacked = np.stack([child_values(c, idx) for c in node.children])

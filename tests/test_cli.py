@@ -92,7 +92,7 @@ def test_training_is_byte_deterministic(tmp_path, capsys):
 def test_eval_known_value_on_unit_leaf(tmp_path, capsys):
     pool = NodePool(dim=1)
     stats = GaussianStats(np.array([0.0]), np.array([[1.0 - 1e-4]]), 1.0)
-    pool.root = pool.add(LeafNode(frozenset({0}), stats, 1.0))
+    pool.root = pool.add(LeafNode(frozenset({0}), stats))
     model = tmp_path / "leaf.spn"
     save_model(model, pool)
     data = tmp_path / "zero.csv"
@@ -189,8 +189,8 @@ def test_train_without_learner_flags_uses_the_learner_defaults(tmp_path, capsys)
 def test_malformed_model_fails_with_one_error_line(tmp_path, capsys):
     pool = NodePool(dim=1)
     stats = GaussianStats(np.array([0.0]), np.array([[1.0]]), 1.0)
-    leaf = pool.add(LeafNode((0,), stats, 1.0))
-    pool.root = pool.add(SumNode((0,), [leaf, leaf], [1.0, 1.0], 2.0))
+    leaf = pool.add(LeafNode((0,), stats))
+    pool.root = pool.add(SumNode((0,), [leaf, leaf], [1.0, 1.0]))
     doc = pool_to_json(pool)
     doc["nodes"][pool.root]["children"][1] = 99  # dangling child
     model = tmp_path / "dangling.spn"
@@ -205,10 +205,10 @@ def test_inspect_reports_depth_of_a_very_deep_chain(tmp_path, capsys):
     # Python's default recursion limit.
     pool = NodePool(dim=1)
     stats = GaussianStats(np.array([0.0]), np.array([[1.0]]), 1.0)
-    inner = pool.add(LeafNode((0,), stats.copy(), 1.0))
+    inner = pool.add(LeafNode((0,), stats.copy()))
     for _ in range(1500):
-        leaf = pool.add(LeafNode((0,), stats.copy(), 1.0))
-        inner = pool.add(SumNode((0,), [leaf, inner], [1.0, 1.0], 2.0))
+        leaf = pool.add(LeafNode((0,), stats.copy()))
+        inner = pool.add(SumNode((0,), [leaf, inner], [1.0, 1.0]))
     pool.root = inner
     model = tmp_path / "deep.spn"
     save_model(model, pool)
@@ -220,7 +220,7 @@ def test_inspect_reports_depth_of_a_very_deep_chain(tmp_path, capsys):
 def test_sample_rejects_negative_rows(tmp_path, capsys):
     pool = NodePool(dim=1)
     stats = GaussianStats(np.array([0.0]), np.array([[1.0]]), 1.0)
-    pool.root = pool.add(LeafNode(frozenset({0}), stats, 1.0))
+    pool.root = pool.add(LeafNode(frozenset({0}), stats))
     model = tmp_path / "leaf.spn"
     save_model(model, pool)
     code, _, err = run(capsys, "sample", model, "-n", -1,

@@ -46,7 +46,7 @@ LOG_HALF_MIX_AT_0 = -1.611750307391722
 def leaf(scope, mean, cov, count=1.0):
     mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
     cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
-    return LeafNode(make_scope(scope), GaussianStats(mean, cov, count), count)
+    return LeafNode(make_scope(scope), GaussianStats(mean, cov, count))
 
 
 def single_leaf_pool(mean=0.0, var=1.0, floor=1e-4):
@@ -59,7 +59,7 @@ def two_leaf_mixture(counts, mode="mle"):
     pool = NodePool(dim=1, weight_mode=mode)
     a = pool.add(leaf([0], [0.0], [[1.0 - pool.variance_floor]], counts[0]))
     b = pool.add(leaf([0], [4.0], [[1.0 - pool.variance_floor]], counts[1]))
-    pool.root = pool.add(SumNode(make_scope([0]), [a, b], list(counts), float(sum(counts))))
+    pool.root = pool.add(SumNode(make_scope([0]), [a, b], list(counts)))
     return pool
 
 
@@ -267,7 +267,6 @@ def test_refresh_weights_tracks_count_change():
     net = compile_pool(pool)
     root = pool.node(pool.root)
     root.child_counts[0] += 10.0
-    root.count += 10.0
     net.refresh_weights(pool)
     X = np.array([[0.0], [4.0]])
     assert np.allclose(
@@ -298,9 +297,9 @@ def deep_chain(heights: int) -> NodePool:
         pair = []
         for mean in (-0.5, 0.5):
             right = pool.add(leaf([i], [mean], [[0.7]]))
-            pair.append(pool.add(ProductNode(make_scope(range(i + 1)), [below, right], 1.0,
+            pair.append(pool.add(ProductNode(make_scope(range(i + 1)), [below, right],
                                              GaussianStats.zeros(i + 1, 1.0))))
-        below = pool.add(SumNode(make_scope(range(i + 1)), pair, [2.0, 3.0], 5.0))
+        below = pool.add(SumNode(make_scope(range(i + 1)), pair, [2.0, 3.0]))
     pool.root = below
     return pool
 
@@ -484,7 +483,7 @@ def test_zero_weight_child_is_never_selected():
     pool = NodePool(dim=1, weight_mode="mle")
     a = pool.add(leaf([0], [0.0], [[0.01]], 7.0))
     b = pool.add(leaf([0], [4.0], [[0.01]], 0.0))
-    pool.root = pool.add(SumNode(make_scope([0]), [a, b], [7.0, 0.0], 7.0))
+    pool.root = pool.add(SumNode(make_scope([0]), [a, b], [7.0, 0.0]))
     draws = sample(pool, np.random.default_rng(1), size=4000)
     # Second component sits at mean 4 with sd 0.1; every draw must come
     # from the first.
@@ -520,9 +519,9 @@ def test_sample_mean_on_a_leaf_shared_by_two_products():
     low = pool.add(leaf([1], [-2.0], [[0.3]], 10.0))
     high = pool.add(leaf([1], [3.0], [[0.8]], 20.0))
     scope = make_scope([0, 1])
-    left = pool.add(ProductNode(scope, [shared, low], 10.0, GaussianStats.zeros(2, 10.0)))
-    right = pool.add(ProductNode(scope, [shared, high], 20.0, GaussianStats.zeros(2, 20.0)))
-    pool.root = pool.add(SumNode(scope, [left, right], [10.0, 20.0], 30.0))
+    left = pool.add(ProductNode(scope, [shared, low], GaussianStats.zeros(2, 10.0)))
+    right = pool.add(ProductNode(scope, [shared, high], GaussianStats.zeros(2, 20.0)))
+    pool.root = pool.add(SumNode(scope, [left, right], [10.0, 20.0]))
     assert validate(pool).ok
     draws = sample(pool, np.random.default_rng(7), size=20000)
     se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
@@ -561,9 +560,8 @@ def test_sample_covariance_of_a_mixture_over_multivariate_leaves():
         pair = pool.add(leaf([0, 4], [shift, -shift], [[1.0, 0.7], [0.7, 2.0]], count))
         triple = pool.add(leaf([1, 2, 3], [0.5 * shift, shift, -1.0], SKEWED_COV / (1 + shift),
                                count))
-        kids.append(pool.add(ProductNode(scope, [pair, triple], count,
-                                         GaussianStats.zeros(5, count))))
-    pool.root = pool.add(SumNode(scope, kids, [30.0, 70.0], 100.0))
+        kids.append(pool.add(ProductNode(scope, [pair, triple], GaussianStats.zeros(5, count))))
+    pool.root = pool.add(SumNode(scope, kids, [30.0, 70.0]))
     assert validate(pool).ok
     assert_sample_moments(pool, 100_000, 137)
 
@@ -591,9 +589,9 @@ def test_zero_weight_children_are_never_drawn_at_either_end_of_the_range():
         sums = []
         for v in range(n_sums):
             kids = [pool.add(leaf([v], [mean], [[0.01]], 7.0)) for mean in (-30.0, -1.0, 2.0, 50.0)]
-            sums.append(pool.add(SumNode(make_scope([v]), kids, [0.0, 0.1, 0.2, 0.0], 0.3)))
+            sums.append(pool.add(SumNode(make_scope([v]), kids, [0.0, 0.1, 0.2, 0.0])))
         pool.root = sums[0] if n_sums == 1 else pool.add(
-            ProductNode(make_scope(range(n_sums)), sums, 0.3, GaussianStats.zeros(n_sums, 0.3)))
+            ProductNode(make_scope(range(n_sums)), sums, GaussianStats.zeros(n_sums, 0.3)))
         assert validate(pool).ok
         for u, want in ((0.0, -1.0), (0.25, -1.0), (np.nextafter(1.0, 0.0), 2.0)):
             draws = sample(pool, ConstantRng(u), size=64)
@@ -687,8 +685,8 @@ def test_partial_evidence_with_a_zero_count_mle_child_has_no_nan():
     for shift in (0.0, 3.0):
         a = pool.add(leaf([0, 1], [shift, -shift], [[1.0, 0.4], [0.4, 2.0]], 4.0))
         b = pool.add(leaf([2], [shift], [[0.5]], 4.0))
-        kids.append(pool.add(ProductNode(scope, [a, b], 4.0, GaussianStats.zeros(3, 4.0))))
-    pool.root = pool.add(SumNode(scope, kids, [0.0, 4.0], 4.0))
+        kids.append(pool.add(ProductNode(scope, [a, b], GaussianStats.zeros(3, 4.0))))
+    pool.root = pool.add(SumNode(scope, kids, [0.0, 4.0]))
     assert validate(pool).ok
     for evidence in ({}, {0: 0.5}, {1: -1.0, 2: 0.2}, {0: 0.5, 1: -1.0, 2: 0.2}):
         got = log_density(pool, evidence)
@@ -722,8 +720,8 @@ def two_rooted_pool(rng) -> NodePool:
     pool = random_pool(rng, dim=4, max_sums=3, max_leaf_vars=3)
     scope = make_scope(range(4))
     leaves = [pool.add(leaf([v], [0.5 * v], [[1.5]], 10.0)) for v in range(4)]
-    alt = pool.add(ProductNode(scope, leaves, 10.0, GaussianStats.zeros(4, 10.0)))
-    pool.root = pool.add(SumNode(scope, [pool.root, alt], [30.0, 10.0], 40.0))
+    alt = pool.add(ProductNode(scope, leaves, GaussianStats.zeros(4, 10.0)))
+    pool.root = pool.add(SumNode(scope, [pool.root, alt], [30.0, 10.0]))
     return pool
 
 
@@ -757,7 +755,6 @@ def test_read_queries_follow_every_kind_of_edit():
     seen.append(check())
     root = pool.node(pool.root)
     root.child_counts[1] += 25.0
-    root.count += 25.0
     seen.append(check())
     first = next(n for n in pool.nodes.values() if isinstance(n, LeafNode))
     first.stats = GaussianStats(first.stats.mean + 0.7, 1.3 * first.stats.cov, first.stats.count)
@@ -765,9 +762,9 @@ def test_read_queries_follow_every_kind_of_edit():
     pool.variance_floor = 3e-2
     seen.append(check())
     multi = next(n for n in pool.nodes.values() if isinstance(n, LeafNode) and len(n.scope) > 1)
-    multi.stats.cov[0, 1] = multi.stats.cov[1, 0] = 0.5 * multi.stats.cov[0, 1]
-    multi.stats.mean += 0.4
-    pool.bump()
+    cov = multi.stats.cov.copy()
+    cov[0, 1] = cov[1, 0] = 0.5 * cov[0, 1]
+    multi.stats = GaussianStats(multi.stats.mean + 0.4, cov, multi.stats.count)
     seen.append(check())
     alt = pool.node(root.children[1])
     make_mixture(pool, root.children[1], alt.children[0], alt.children[1])
@@ -967,10 +964,10 @@ def blocks_mixture(rng, components: int = 3) -> NodePool:
             a = rng.normal(size=(len(block), len(block)))
             leaves.append(pool.add(leaf(block, rng.normal(size=len(block)),
                                         a @ a.T / len(block) + 0.5 * np.eye(len(block)), 5.0)))
-        kids.append(pool.add(ProductNode(make_scope(range(9)), leaves, 5.0,
+        kids.append(pool.add(ProductNode(make_scope(range(9)), leaves,
                                          GaussianStats.zeros(9, count=1.0))))
         counts.append(float(rng.integers(1, 9)))
-    pool.root = pool.add(SumNode(make_scope(range(9)), kids, counts, sum(counts)))
+    pool.root = pool.add(SumNode(make_scope(range(9)), kids, counts))
     return pool
 
 
@@ -1072,7 +1069,6 @@ def test_a_read_after_a_read_does_not_recompute_the_weights(monkeypatch):
     assert calls == ["laplace"] * 2 and shifted != first
     assert shifted == fresh_read()
     root.child_counts[1] += 7.0
-    root.count += 7.0
     edited = log_density(pool, evidence)
     assert calls[-1] == "laplace" and edited != shifted
     assert edited == fresh_read()
@@ -1086,19 +1082,27 @@ def test_a_read_after_a_read_does_not_recompute_the_weights(monkeypatch):
     assert calls == []
 
 
-def test_in_place_stats_write_shows_after_bump():
+def test_in_place_stats_write_raises_and_changes_nothing():
     rng = np.random.default_rng(157)
     pool = random_pool(rng, dim=4, max_sums=3, max_leaf_vars=3)
     evidence = {0: 0.3, 2: -0.5}
     before = (log_density(pool, evidence), analytic_mean(pool).tolist())
     first = next(n for n in pool.nodes.values() if isinstance(n, LeafNode))
-    first.stats.mean += 0.8
-    first.stats.cov *= 1.5
-    pool.bump()
-    after = (log_density(pool, evidence), analytic_mean(pool).tolist())
+    width, i = first.slot
+    held = (width.mean[i].tobytes(), width.cov[i].tobytes(), width.count[i], width.stamp[i])
+    stats = first.stats
+    with pytest.raises(ValueError, match="read-only"):
+        stats.mean += 0.8
+    with pytest.raises(ValueError, match="read-only"):
+        stats.cov *= 1.5
+    with pytest.raises(ValueError, match="read-only"):
+        first.stats.cov[0, 0] = 2.0
+    assert (width.mean[i].tobytes(), width.cov[i].tobytes(), width.count[i],
+            width.stamp[i]) == held
+    assert (log_density(pool, evidence), analytic_mean(pool).tolist()) == before
     fresh = copy.deepcopy(pool)
-    assert after == (log_density(fresh, evidence), analytic_mean(fresh).tolist())
-    assert after != before
+    fresh.compiled = None
+    assert (log_density(fresh, evidence), analytic_mean(fresh).tolist()) == before
 
 
 @pytest.mark.parametrize("mode", ["laplace", "mle"])
@@ -1109,9 +1113,10 @@ def test_sum_edge_weights_match_derived_weights_bit_for_bit(mode):
         pool = random_pool(rng, int(rng.integers(1, 7)), weight_mode=mode)
         for node in pool.nodes.values():  # counts that are not whole, some of them zero
             if isinstance(node, SumNode):
-                node.child_counts = [c * float(rng.uniform(0.1, 3.0)) * float(rng.random() < 0.8)
-                                     for c in node.child_counts]
-                node.count = sum(node.child_counts) or 1.0
+                drawn = [c * float(rng.uniform(0.1, 3.0)) * float(rng.random() < 0.8)
+                         for c in node.child_counts]
+                if any(drawn):  # a sum's count is its child counts' sum; mle needs it positive
+                    node.child_counts = drawn
         net = compile_pool(pool)
         seen = []  # the sums, group after group
         for g in net.plan.groups:

@@ -221,14 +221,14 @@ MIXED = ([GaussianStats(np.array([-0.0]), np.eye(1), 0.0),
 
 def stored_update(stats, X, rows, cols):
     """``update_each`` over a store that holds a copy of each of ``stats``;
-    the updated slots, read back as views of the store."""
+    the updated slots, read back from the store's arrays."""
     store = StatsStore()
     slots = [store.add(s) for s in stats]
+    stamps = [width.stamp[i] for width, i in slots]
     update_each(X, slots, rows, cols)
-    got = [width.view(i) for width, i in slots]
-    for (width, _), out in zip(slots, got):  # written into the store
-        assert np.shares_memory(out.mean, width.mean) and np.shares_memory(out.cov, width.cov)
-    return got
+    # Written into the store: every slot is stamped again, and its rows hold the result.
+    assert all(width.stamp[i] != stamp for (width, i), stamp in zip(slots, stamps))
+    return [GaussianStats(width.mean[i], width.cov[i], width.count[i]) for width, i in slots]
 
 
 @settings(max_examples=300, deadline=None)

@@ -137,11 +137,10 @@ def build_parent_product(dim=3, count=100.0):
         ids.append(pool.add(LeafNode(
             make_scope([i]),
             GaussianStats(np.array([float(i)]), np.eye(1), count),
-            count,
         )))
     mean = np.arange(dim, dtype=np.float64)
     cov = np.eye(dim) + 0.2
-    root = pool.add(ProductNode(make_scope(range(dim)), list(ids), count,
+    root = pool.add(ProductNode(make_scope(range(dim)), list(ids),
                                 GaussianStats(mean, cov, count)))
     pool.root = root
     return pool, ids
@@ -291,8 +290,8 @@ def test_factored_subtree_singleton_scope_is_a_bare_leaf():
 
 def test_single_child_product_is_spliced_out():
     pool = NodePool(dim=1)
-    inner = pool.add(LeafNode(make_scope([0]), GaussianStats.zeros(1, 1.0), 1.0))
-    chain = pool.add(ProductNode(make_scope([0]), [inner], 1.0, GaussianStats.zeros(1, 1.0)))
+    inner = pool.add(LeafNode(make_scope([0]), GaussianStats.zeros(1, 1.0)))
+    chain = pool.add(ProductNode(make_scope([0]), [inner], GaussianStats.zeros(1, 1.0)))
     pool.root = chain
     assert simplify(pool)
     assert pool.root == inner
@@ -301,11 +300,11 @@ def test_single_child_product_is_spliced_out():
 
 def test_sum_under_sum_children_are_promoted_with_counts():
     pool = NodePool(dim=1, weight_mode="mle")
-    a = pool.add(LeafNode(make_scope([0]), GaussianStats(np.zeros(1), np.eye(1), 2.0), 2.0))
-    b = pool.add(LeafNode(make_scope([0]), GaussianStats(np.ones(1), np.eye(1), 3.0), 3.0))
-    c = pool.add(LeafNode(make_scope([0]), GaussianStats(-np.ones(1), np.eye(1), 5.0), 5.0))
-    inner = pool.add(SumNode(make_scope([0]), [a, b], [2.0, 3.0], 5.0))
-    outer = pool.add(SumNode(make_scope([0]), [inner, c], [5.0, 5.0], 10.0))
+    a = pool.add(LeafNode(make_scope([0]), GaussianStats(np.zeros(1), np.eye(1), 2.0)))
+    b = pool.add(LeafNode(make_scope([0]), GaussianStats(np.ones(1), np.eye(1), 3.0)))
+    c = pool.add(LeafNode(make_scope([0]), GaussianStats(-np.ones(1), np.eye(1), 5.0)))
+    inner = pool.add(SumNode(make_scope([0]), [a, b], [2.0, 3.0]))
+    outer = pool.add(SumNode(make_scope([0]), [inner, c], [5.0, 5.0]))
     pool.root = outer
     X = np.linspace(-2.0, 2.0, 9).reshape(-1, 1)
     before = log_density_rows(pool, X)
@@ -327,14 +326,14 @@ def inject_redundancy(pool, rng):
                 lo = int(rng.integers(0, len(node.children)))
                 hi = int(rng.integers(lo + 1, len(node.children) + 1))
                 counts = node.child_counts[lo:hi]
-                inner = pool.add(SumNode(node.scope, node.children[lo:hi], counts, sum(counts)))
+                inner = pool.add(SumNode(node.scope, node.children[lo:hi], counts))
                 node.children[lo:hi] = [inner]
                 node.child_counts[lo:hi] = [sum(counts)]
 
     def chain(nid):
         for _ in range(int(rng.integers(1, 4))):
             k = len(pool.node(nid).scope)
-            nid = pool.add(ProductNode(pool.node(nid).scope, [nid], 1.0,
+            nid = pool.add(ProductNode(pool.node(nid).scope, [nid],
                                        GaussianStats.zeros(k, 1.0)))
         return nid
 
@@ -387,7 +386,7 @@ def test_simplify_keeps_mle_density_when_nested_counts_disagree():
         pos = int(rng.integers(len(outer.children)))
         count = outer.child_counts[pos] + float(rng.integers(1, 50))
         outer.children[pos] = pool.add(
-            SumNode(outer.scope, [outer.children[pos]], [count], count))
+            SumNode(outer.scope, [outer.children[pos]], [count]))
         assert validate(pool).ok
         X = rng.normal(size=(6, pool.dim))
         before = log_density_rows(pool, X)
@@ -428,10 +427,10 @@ def test_pair_search_matches_the_pairwise_scan_on_ties_and_degenerate_data():
         parts = np.split(rng.permutation(d), cuts)
         pool = NodePool(dim=d)
         kids = [pool.add(LeafNode(make_scope(p), GaussianStats(np.zeros(len(p)), np.eye(len(p)),
-                                                               1.0), 1.0))
+                                                               1.0)))
                 for p in parts]
         mean, cov = population_stats(data)
-        node = ProductNode(make_scope(range(d)), kids, float(len(data)),
+        node = ProductNode(make_scope(range(d)), kids,
                            GaussianStats(mean, cov, float(len(data))))
         want = reference_best_cross_child_pair(pool, node)
         assert _best_cross_child_pair(pool, node) == want
@@ -444,7 +443,7 @@ def test_pair_search_matches_the_pairwise_scan_on_ties_and_degenerate_data():
     assert found > 100 and ties > 50
     # Fewer than two children: nothing to compare.
     pool = init_factored_pool(1)
-    lone = ProductNode((0,), [pool.root], 1.0, GaussianStats.zeros(1, count=1.0))
+    lone = ProductNode((0,), [pool.root], GaussianStats.zeros(1, count=1.0))
     assert _best_cross_child_pair(pool, lone) == (0.0, None, None)
 
 
@@ -624,10 +623,10 @@ def test_learn_batch_routes_through_a_very_deep_chain():
     # Python's default recursion limit.
     pool = NodePool(dim=1)
     stats = GaussianStats(np.array([0.0]), np.array([[1.0]]), 1.0)
-    inner = pool.add(LeafNode((0,), stats.copy(), 1.0))
+    inner = pool.add(LeafNode((0,), stats.copy()))
     for _ in range(1500):
-        leaf = pool.add(LeafNode((0,), stats.copy(), 1.0))
-        inner = pool.add(SumNode((0,), [leaf, inner], [1.0, 1.0], 2.0))
+        leaf = pool.add(LeafNode((0,), stats.copy()))
+        inner = pool.add(SumNode((0,), [leaf, inner], [1.0, 1.0]))
     pool.root = inner
     rows = np.random.default_rng(0).normal(size=(32, 1))
     learn_batch(pool, rows, LearnerConfig(), np.random.default_rng(0))
@@ -675,9 +674,9 @@ def test_one_cache_serves_two_loaded_models():
 def test_learner_sees_a_variance_floor_change_at_once():
     # Leaf A fits 0.6 better under the old floor, leaf B under a floor of 10.
     pool = NodePool(dim=1)
-    a = pool.add(LeafNode((0,), GaussianStats(np.array([0.0]), np.array([[0.01]]), 5.0), 5.0))
-    b = pool.add(LeafNode((0,), GaussianStats(np.array([1.0]), np.array([[0.0]]), 5.0), 5.0))
-    pool.root = pool.add(SumNode((0,), [a, b], [5.0, 5.0], 10.0))
+    a = pool.add(LeafNode((0,), GaussianStats(np.array([0.0]), np.array([[0.01]]), 5.0)))
+    b = pool.add(LeafNode((0,), GaussianStats(np.array([1.0]), np.array([[0.0]]), 5.0)))
+    pool.root = pool.add(SumNode((0,), [a, b], [5.0, 5.0]))
     cache = EvalCache()
     cache.ensure(pool)
     pool.variance_floor = 10.0
@@ -763,6 +762,12 @@ def leaf_stats(pool) -> dict:
     return {nid: n.stats for nid, n in pool.nodes.items() if isinstance(n, LeafNode)}
 
 
+def leaf_stamps(pool) -> dict:
+    """Each leaf's write stamp in the pool's statistics store."""
+    return {nid: n.slot[0].stamp[n.slot[1]] for nid, n in pool.nodes.items()
+            if isinstance(n, LeafNode)}
+
+
 def test_writes_and_reads_share_one_net_and_factor_each_leaf_once(monkeypatch):
     pool, rng = blocks_model(41)
     assert {s.dim for s in leaf_stats(pool).values()} == {1, 2}
@@ -775,10 +780,10 @@ def test_writes_and_reads_share_one_net_and_factor_each_leaf_once(monkeypatch):
     # write -> read -> write: each leaf the first write replaced is factored
     # once, by the read; nothing compiles and refresh_leaf is never called.
     snapshot = copy.deepcopy(pool)
-    before = leaf_stats(pool)
+    before = leaf_stamps(pool)
     learn_batch(pool, rng.normal(size=(16, 8)), cfg, rng, cache=cache, **frozen)
     counter.assert_matches_fresh_compile(pool.compiled, snapshot)
-    replaced = sum(s is not before[nid] for nid, s in leaf_stats(pool).items())
+    replaced = sum(stamp != before[nid] for nid, stamp in leaf_stamps(pool).items())
     assert replaced > 0
     assert counter.take() == (0, 0, 0)
     reads(pool)

@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import multivariate_normal, norm
 
 from spnstream.evaluate import log_density, log_density_rows
-from spnstream.learner import LearnerConfig, fit, init_factored_pool
+from spnstream.learner import LearnerConfig, fit, init_factored_pool, make_mixture
 from spnstream.model_io import (
     FORMAT_VERSION,
     ModelFormatError,
@@ -24,6 +24,7 @@ from spnstream.nodes import LeafNode, NodePool, ProductNode, SumNode, make_scope
 from spnstream import toy
 
 from helpers import random_pool
+from test_learner import blocks_model
 
 
 def pools_structurally_equal(a, b):
@@ -93,6 +94,45 @@ def test_save_is_byte_stable(tmp_path):
     assert p3.read_bytes() == p1.read_bytes()
 
 
+def test_random_and_learned_pools_round_trip_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(7)
+    pools = [random_pool(rng, dim=int(rng.integers(1, 7))) for _ in range(6)]
+    pools.append(blocks_model(41)[0])  # 8 variables, a mixture and a 2-variable leaf
+    for i, pool in enumerate(pools):
+        first, again = tmp_path / f"{i}.spn", tmp_path / f"{i}-again.spn"
+        save_model(first, pool)
+        save_model(again, load_model(first)[0])
+        assert again.read_bytes() == first.read_bytes()
+
+
+def _mixture_doc():
+    """A product over a sum of two products over leaves, each count on its
+    record as the writer derives it."""
+    pool = init_factored_pool(2)
+    root = pool.node(pool.root)
+    make_mixture(pool, pool.root, *root.children)
+    return pool_to_json(pool)
+
+
+@pytest.mark.parametrize("kind,count", [("leaf", 1e9), ("product", -5.0), ("sum", 3.0),
+                                        ("sum", 1.0 + 1e-9)])
+def test_a_count_that_disagrees_with_its_source_is_rejected(kind, count):
+    doc = _mixture_doc()
+    pool_from_json(doc)
+    rec = _first(doc, kind)
+    rec["count"] = count
+    with pytest.raises(ModelFormatError, match=rf"nodes\[\d+\]: count .* disagrees"):
+        pool_from_json(doc)
+
+
+def test_a_sum_count_off_by_rounding_loads_as_the_sum_of_its_child_counts():
+    doc = _mixture_doc()
+    rec = _first(doc, "sum")
+    total = rec["count"]
+    rec["count"] = float(np.nextafter(total, np.inf))
+    assert pool_from_json(doc).node(rec["id"]).count == total
+
+
 def test_truncated_file_is_a_parse_error(tmp_path):
     pool = init_factored_pool(2)
     path = tmp_path / "m.spn"
@@ -112,6 +152,7 @@ def test_invalid_structure_is_rejected_naming_the_node():
         if rec["type"] == "product":
             rec["type"] = "sum"
             rec["child_counts"] = [1.0, 1.0]
+            rec["count"] = 2.0
             del rec["stats"]
             del rec["next_check"]
             bad_id = rec["id"]
@@ -187,9 +228,9 @@ def test_malformed_documents_raise_model_format_error(edit):
 
 def _two_leaf_mixture_doc():
     pool = NodePool(dim=1)
-    a = pool.add(LeafNode(make_scope([0]), GaussianStats(np.zeros(1), np.eye(1), 2.0), 2.0))
-    b = pool.add(LeafNode(make_scope([0]), GaussianStats(np.ones(1), np.eye(1), 1.0), 1.0))
-    pool.root = pool.add(SumNode(make_scope([0]), [a, b], [2.0, 1.0], 3.0))
+    a = pool.add(LeafNode(make_scope([0]), GaussianStats(np.zeros(1), np.eye(1), 2.0)))
+    b = pool.add(LeafNode(make_scope([0]), GaussianStats(np.ones(1), np.eye(1), 1.0)))
+    pool.root = pool.add(SumNode(make_scope([0]), [a, b], [2.0, 1.0]))
     return pool_to_json(pool)
 
 
@@ -242,10 +283,11 @@ def test_negative_scope_variables_are_rejected():
 def test_a_leaf_scope_that_repeats_a_variable_is_rejected():
     # The product's recomputed scope is still (0, 1), so only this check
     # stops a leaf whose density does not integrate to one.
-    pool = init_factored_pool(2)
-    leaf = pool.node(pool.node(pool.root).children[0])
-    leaf.scope, leaf.stats = (0, 0), GaussianStats(np.zeros(2), np.eye(2), 1.0)
-    doc = pool_to_json(pool)
+    doc = pool_to_json(init_factored_pool(2))
+    leaf = _first(doc, "leaf")
+    assert leaf["scope"] == [0]
+    leaf["scope"] = [0, 0]
+    leaf["stats"] = {"count": 1.0, "dim": 2, "mean": [0.0, 0.0], "cov": [1.0, 0.0, 0.0, 1.0]}
     with pytest.raises(ModelFormatError, match="scope-repeat"):
         pool_from_json(doc)
 
@@ -253,9 +295,9 @@ def test_a_leaf_scope_that_repeats_a_variable_is_rejected():
 def test_an_unsorted_leaf_scope_is_accepted_and_evaluates_in_its_order():
     pool = NodePool(dim=3)
     mean, cov = np.array([1.0, -2.0]), np.array([[2.0, 0.6], [0.6, 0.5]])
-    pair = pool.add(LeafNode((2, 0), GaussianStats(mean, cov, 4.0), 4.0))
-    single = pool.add(LeafNode((1,), GaussianStats(np.array([0.5]), np.eye(1), 4.0), 4.0))
-    pool.root = pool.add(ProductNode(make_scope(range(3)), [pair, single], 4.0,
+    pair = pool.add(LeafNode((2, 0), GaussianStats(mean, cov, 4.0)))
+    single = pool.add(LeafNode((1,), GaussianStats(np.array([0.5]), np.eye(1), 4.0)))
+    pool.root = pool.add(ProductNode(make_scope(range(3)), [pair, single],
                                      GaussianStats.zeros(3, count=4.0)))
     loaded = pool_from_json(pool_to_json(pool))
     X = np.random.default_rng(3).normal(size=(5, 3))
@@ -270,7 +312,7 @@ def test_an_unsorted_leaf_scope_is_accepted_and_evaluates_in_its_order():
 def test_root_that_misses_a_variable_is_rejected():
     pool = NodePool(dim=2)
     pool.root = pool.add(LeafNode(make_scope([0]),
-                                  GaussianStats(np.zeros(1), np.eye(1), 1.0), 1.0))
+                                  GaussianStats(np.zeros(1), np.eye(1), 1.0)))
     with pytest.raises(ModelFormatError, match="root-scope"):
         pool_from_json(pool_to_json(pool))
 
@@ -369,10 +411,16 @@ def test_trained_toy_shape_appears_in_export():
     )
 
 
+@pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]])
+def test_dot_export_needs_one_name_per_variable(names):
+    with pytest.raises(ValueError, match="variable_names length must match the pool dimension"):
+        export_dot(init_factored_pool(2), variable_names=names)
+
+
 def test_save_rejects_non_finite_values(tmp_path):
     pool = init_factored_pool(2)
     leaf = next(n for n in pool.nodes.values() if isinstance(n, LeafNode))
-    leaf.stats.mean[0] = np.inf
+    leaf.stats = GaussianStats(np.array([np.inf]), leaf.stats.cov, leaf.stats.count)
     with pytest.raises(ValueError):
         save_model(tmp_path / "bad.spn", pool)
 

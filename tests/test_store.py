@@ -1,6 +1,6 @@
 """The pool's statistics store: slots through births, deaths, copies and
-moves between widths, each checked bit for bit against a deep copy taken
-before the change."""
+refused assignments of another width, each checked bit for bit against a
+deep copy taken before the change."""
 
 import copy
 
@@ -48,7 +48,7 @@ def assert_reused(pool, freed: set) -> None:
     """New nodes of the freed slots' widths take exactly those slots."""
     taken = set()
     for k, _ in sorted(freed):
-        node = LeafNode(tuple(range(k)), GaussianStats.zeros(k, 1.0), 1.0)
+        node = LeafNode(tuple(range(k)), GaussianStats.zeros(k, 1.0))
         pool.add(node)
         taken.add(slot_of(node))
     assert taken == freed
@@ -112,10 +112,11 @@ def test_a_removed_node_keeps_its_statistics_and_a_later_write_leaves_them():
     pool.node(pool.root).children.remove(left)
     pool.node(pool.root).child_counts.pop(0)
     pool.remove_subtree(left)
-    assert node.slot is None and node.stats is held and stats_bits(node) == want
-    replacement = LeafNode((1,), GaussianStats(np.array([9.0]), np.eye(1), 2.0), 2.0)
+    assert node.slot is None and stats_bits(node) == want
+    replacement = LeafNode((1,), GaussianStats(np.array([9.0]), np.eye(1), 2.0))
     pool.add(replacement)  # takes a freed slot, perhaps the one the node held
     assert stats_bits(node) == want
+    assert (held.mean.tobytes(), held.cov.tobytes(), held.count) == want  # a snapshot
 
 
 @pytest.mark.parametrize("batch", [1, 16])
@@ -167,26 +168,35 @@ def test_a_deep_copy_has_its_own_arrays_and_factors_nothing_at_first(monkeypatch
     assert pool_to_json(twin) != pool_to_json(original)
 
 
-def test_new_statistics_of_another_width_move_the_node():
+def test_statistics_of_another_width_are_refused_and_change_nothing():
     pool = NodePool(2)
-    a = pool.add(LeafNode((0,), GaussianStats(np.zeros(1), np.eye(1), 1.0), 1.0))
-    b = pool.add(LeafNode((1,), GaussianStats(np.ones(1), np.eye(1), 1.0), 1.0))
-    pool.root = pool.add(ProductNode((0, 1), [a, b], 1.0, GaussianStats.zeros(2, 1.0)))
+    a = pool.add(LeafNode((0,), GaussianStats(np.zeros(1), np.eye(1), 1.0)))
+    b = pool.add(LeafNode((1,), GaussianStats(np.ones(1), np.eye(1), 1.0)))
+    pool.root = pool.add(ProductNode((0, 1), [a, b], GaussianStats.zeros(2, 1.0)))
     leaf = pool.node(a)
-    old = slot_of(leaf)
+    width, i = leaf.slot
     X = np.array([[0.3, -0.2], [1.0, 2.0]])
-    log_density_rows(pool, X)
+    before = log_density_rows(pool, X).tobytes()
+    net = pool.compiled
+
+    def held():
+        return ({k: (w.mean.tobytes(), w.cov.tobytes(), w.count.tobytes(), w.stamp.tobytes(),
+                     w.used, list(w.free)) for k, w in pool.store.widths.items()},
+                pool.store.stamps, net.key, net.floor, [g.seen.tobytes() for g in net.plan.leaves])
+
+    kept = held()
     mean, cov = np.array([0.5, -1.0]), np.array([[2.0, 0.3], [0.3, 1.0]])
-    leaf.scope, leaf.stats = (0, 1), GaussianStats(mean, cov, 3.0)
-    assert leaf.slot[0] is pool.store.widths[2] and old[1] in pool.store.widths[1].free
-    assert leaf.stats.mean.tobytes() == mean.tobytes() and leaf.stats.count == 3.0
-    pool.root = a
-    assert log_density_rows(pool, X).tobytes() == log_density_rows(copy.deepcopy(pool), X).tobytes()
-    assert log_density_rows(pool, X).tobytes() == \
-        compile_pool(pool).eval_rows(X)[0].tobytes()
-    leaf.scope, leaf.stats = (0,), GaussianStats(np.array([2.0]), np.eye(1), 4.0)
-    assert slot_of(leaf) == old  # the freed slot of width 1 again
+    with pytest.raises(ValueError, match="width 2 for a node of width 1"):
+        leaf.stats = GaussianStats(mean, cov, 3.0)
+    assert leaf.slot == (width, i) and held() == kept
+    assert log_density_rows(pool, X).tobytes() == before and pool.compiled is net
+    # Statistics of the node's width are written into its slot and show at once.
+    leaf.stats = GaussianStats(np.array([2.0]), np.eye(1), 4.0)
+    assert leaf.slot == (width, i) and leaf.count == 4.0
     assert log_density(pool, {0: 2.0}) == pytest.approx(-0.5 * np.log(2 * np.pi * (1 + 1e-4)))
+    assert pool.compiled is net
+    assert log_density_rows(pool, X).tobytes() == \
+        compile_pool(pool).eval_rows(X)[net.index[pool.root]].tobytes()
 
 
 @pytest.mark.parametrize("batch,frozen", [(1, True), (1, False), (16, True), (16, False)])

@@ -21,7 +21,6 @@ def leaf(scope, mean, var, count=1.0):
     return LeafNode(
         make_scope(scope),
         GaussianStats(np.array([float(mean)]), np.array([[float(var)]]), count),
-        count,
     )
 
 
@@ -33,7 +32,7 @@ def mixture_1d(means, counts, mode="mle", var=1.0):
     pool = NodePool(dim=1, weight_mode=mode)
     ids = [pool.add(leaf([0], m, var, c)) for m, c in zip(means, counts)]
     pool.root = pool.add(
-        SumNode(make_scope([0]), ids, [float(c) for c in counts], float(sum(counts)))
+        SumNode(make_scope([0]), ids, [float(c) for c in counts])
     )
     return pool, ids
 
@@ -202,7 +201,7 @@ def test_empty_batch_is_a_noop():
 def test_leaf_stats_match_batch_oracle_after_many_updates():
     pool = NodePool(dim=2)
     nid = pool.add(
-        LeafNode(make_scope([0, 1]), GaussianStats.zeros(2), 0.0)
+        LeafNode(make_scope([0, 1]), GaussianStats.zeros(2))
     )
     pool.root = nid
     rng = np.random.default_rng(37)
