@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import time
 
@@ -208,6 +209,10 @@ def _read_csv(path) -> tuple:
         raise CliError(str(exc)) from exc
 
 
+# Built once per process: an argparse parser refers to itself through its
+# groups and help formatters, so each one left about 375 objects for the
+# cyclic collector, which then ran inside the caller's later work.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spnstream",

@@ -10,7 +10,7 @@ A pool keeps the statistics of all its leaves and products in one
 ``StatsStore``: for each scope width k, stacked arrays ``mean`` (S, k),
 ``cov`` (S, k, k) and ``count`` (S,) and a write stamp per slot
 (``StatsWidth``).  A node holds a (width, slot) handle, and ``node.stats``
-is a snapshot of its slot (``StatsWidth.read``) whose arrays refuse
+is a frozen snapshot of its slot (``StatsWidth.read``) whose arrays refuse
 writes: a slot changes only through ``StatsWidth.write``, which stamps it.
 
 ``update_each`` holds the update formula, that of Chan, Golub & LeVeque
@@ -32,9 +32,12 @@ import numpy as np
 DEGENERATE_VARIANCE = 1e-12
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class GaussianStats:
     """Running mean/covariance over a fixed-width stream of vectors.
+
+    Frozen: rebinding a field raises, so a snapshot of a store slot
+    (``StatsWidth.read``) cannot be changed as if it were the slot.
 
     Attributes:
         mean: running mean, shape (k,).
@@ -48,14 +51,14 @@ class GaussianStats:
     count: float
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.cov = np.asarray(self.cov, dtype=np.float64)
+        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
+        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=np.float64))
         if self.mean.ndim != 1:
             raise ValueError("mean must be a vector")
         k = self.mean.shape[0]
         if self.cov.shape != (k, k):
             raise ValueError(f"covariance shape {self.cov.shape} does not match mean of length {k}")
-        self.count = float(self.count)
+        object.__setattr__(self, "count", float(self.count))
 
     @property
     def dim(self) -> int:

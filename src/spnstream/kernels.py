@@ -392,9 +392,7 @@ def sample_flat(plan: LevelPlan, root: int, rng, out):
     the groups in reverse, a product sends its rows to every child and a sum
     draws one uniform per pair and picks the child whose cumulative weight
     first exceeds it.  Each leaf group then draws its pairs as mean + L z,
-    with L the leaf's Cholesky factor from ``chol``.  Decomposability keeps
-    the pairs that reach a node from different parents on disjoint rows, so
-    every row gets each variable once.
+    with L the leaf's Cholesky factor from ``chol``.
     """
     n_rows = out.shape[0]
     if n_rows == 0:

@@ -195,8 +195,7 @@ def merge_into_leaf(pool: NodePool, parent_id: int, child_a: int, child_b: int,
     """Collapse two children of a product node into one multivariate leaf.
 
     The leaf's Gaussian is the parent's running statistics restricted to
-    the pair's joint scope; the subtrees under both children are released,
-    except for nodes another parent still holds (a DAG).
+    the pair's joint scope; the subtrees under both children are released.
     Returns the new leaf's id.  ``birth_stats`` overrides the inherited
     state, see ``make_mixture``.
     """
@@ -325,9 +324,8 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
     with its rows, and the queue is applied when the walk ends, or earlier
     when statistics are about to be read: at a product's structure check,
     the product's own update included, and before scoring a node created
-    in this pass.  A node reached
-    a second time in the pass (a DAG) first has the queue applied, so its
-    updates compose in visit order.  Applying the queue is one call of
+    in this pass.  The pool is a tree, so no node is queued twice.
+    Applying the queue is one call of
     ``gstats.update_each`` on the nodes' slots in the pool's statistics
     store, which stacks them into as few passes as keep their bits and
     writes the results back into the store, so the result has the bits of
@@ -364,13 +362,15 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
             report.leaves_merged += 1
 
     # Visits are applied together, at the end of the pass or before the next
-    # read of statistics, whichever is first.
-    pending: dict[int, tuple] = {}  # id -> (statistics' slot, rows, scope)
+    # read of statistics, whichever is first: each queued node's statistics'
+    # slot, its rows and its scope.
+    slots, idxs, scopes = [], [], []
 
     def flush() -> None:
-        if pending:
-            update_each(rows, *zip(*pending.values()))
-            pending.clear()
+        if slots:
+            update_each(rows, slots, idxs, scopes)
+            for queue in (slots, idxs, scopes):
+                queue.clear()
 
     # A sum pushes only the children it routed rows to.
     stack = [(pool.root, np.arange(rows.shape[0]))]
@@ -402,10 +402,10 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
                     routed.append((c, sub))
             stack.extend(reversed(routed))
             continue
-        if nid in pending:  # reached twice in this pass: updates compose in order
-            flush()
         width, i = slot = pool.slot_of(node)
-        pending[nid] = (slot, idx, node.scope)
+        slots.append(slot)
+        idxs.append(idx)
+        scopes.append(node.scope)
         if isinstance(node, LeafNode):
             continue
         if (not structure_frozen and len(node.children) >= 2

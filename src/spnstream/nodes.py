@@ -10,21 +10,27 @@ from the child counts kept on each sum node.
 Nodes hold the structure and the pool's ``gstats.StatsStore`` holds the
 numbers: the running statistics of the pool's leaves and products.  A
 node added to a pool holds a slot there (``node.slot``).  ``node.stats``
-reads the slot as a snapshot whose arrays refuse writes, so statistics
-change only by assignment, which writes the new statistics into the slot
-and must keep its width.  A node outside any pool holds its statistics
-object itself; removing a node from the pool frees its slot and hands the
-node its statistics back.
+reads the slot as a frozen snapshot whose arrays refuse writes, so
+statistics change only by assignment, which writes the new statistics
+into the slot and must keep its width.  A node outside any pool holds
+its statistics object itself; removing a node from the pool frees its
+slot and hands the node its statistics back.
 
 Every count has one source.  A leaf's or product's ``count`` is its
 statistics' count, and a sum's is the sum of its ``child_counts``.
+
+A pool is a tree: every node but the root has exactly one parent.
+``topological_order``, the one walk that ``validate``, compilation and
+``simplify`` run, refuses a node reached twice, so a shared child or a
+cycle raises there.  The learner's edits keep the rule: a mixture moves
+the pair under a new product, a merge adds a fresh leaf, and ``simplify``
+re-parents a spliced product's only child and a dissolved sum's children.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -39,6 +45,15 @@ WEIGHT_MODES = ("mle", "laplace")
 
 class StructuralError(Exception):
     """The pool is malformed at the container level (dangling ids, bad root)."""
+
+
+class NotATree(ValueError):
+    """A walk reached ``node`` a second time: it has two parents or lies on
+    a cycle."""
+
+    def __init__(self, node: int):
+        super().__init__(f"node {node} is reached twice: the pool is not a tree")
+        self.node = node
 
 
 def is_integer(value) -> bool:
@@ -235,21 +250,14 @@ class NodePool:
         self.structure_version += 1
 
     def remove_subtree(self, *nids: int) -> None:
-        """Remove the nodes ``nids`` and everything reachable from them that
-        no remaining node references: in a DAG, a node that a parent outside
-        the removed part still holds stays, with everything under it."""
-        order: dict[int, None] = {}  # children before parents over all starts
-        for nid in nids:
-            order.update(dict.fromkeys(topological_order(self, nid)))
-        held = Counter(c for node in self.nodes.values() if not isinstance(node, LeafNode)
-                       for c in node.children)
-        for cur in reversed(order):  # a node's parents in the part are decided first
-            if not held[cur]:
-                node = self.nodes.pop(cur)
-                self._release(node)
-                if not isinstance(node, LeafNode):
-                    held.subtract(node.children)
-        self.structure_version += 1
+        """Remove the nodes ``nids`` and every node under them."""
+        stack = list(nids)
+        while stack:
+            nid = stack.pop()
+            node = self.node(nid)
+            if not isinstance(node, LeafNode):
+                stack.extend(node.children)
+            self.remove(nid)
 
     def bump(self) -> None:
         """Mark the structure as changed (after direct child-list edits).
@@ -271,40 +279,34 @@ class NodePool:
 
 
 def topological_order(pool: NodePool, start: int | None = None) -> list[int]:
-    """Ids reachable from ``start`` (default root), children before parents.
+    """Ids under ``start`` (default root), children left to right, each
+    subtree finished before its parent.
 
-    Raises ``StructuralError`` on dangling child references.  Cycles are
-    reported by ``validate``; here they surface as a ValueError so that
-    evaluation never loops forever.
+    Raises ``StructuralError`` on dangling child references and ``NotATree``
+    on a node reached twice, which a shared child and a cycle both are.
     """
     root = pool.root if start is None else start
     if root not in pool.nodes:
         raise StructuralError(f"root id {root} is not in the pool")
+    # Pre-order with the children pushed left to right, so the rightmost is
+    # visited first; reversed, that is the post-order with children left to right.
     order: list[int] = []
-    state: dict[int, int] = {}  # 1 = on stack, 2 = done
-    stack: list[tuple[int, int]] = [(root, 0)]
+    seen = {root}
+    stack = [root]
     while stack:
-        nid, child_pos = stack.pop()
-        node = pool.node(nid)
-        children = [] if isinstance(node, LeafNode) else node.children
-        if child_pos == 0:
-            if state.get(nid) == 1:
-                raise ValueError("cycle detected while ordering nodes")
-            if state.get(nid) == 2:
-                continue
-            state[nid] = 1
-        if child_pos < len(children):
-            stack.append((nid, child_pos + 1))
-            child = children[child_pos]
+        nid = stack.pop()
+        order.append(nid)
+        node = pool.nodes[nid]
+        if isinstance(node, LeafNode):
+            continue
+        for child in node.children:
+            if child in seen:
+                raise NotATree(child)
             if child not in pool.nodes:
                 raise StructuralError(f"node {nid} references missing child {child}")
-            if state.get(child) == 1:
-                raise ValueError("cycle detected while ordering nodes")
-            if state.get(child) != 2:
-                stack.append((child, 0))
-        else:
-            state[nid] = 2
-            order.append(nid)
+            seen.add(child)
+        stack.extend(node.children)
+    order.reverse()
     return order
 
 
@@ -343,7 +345,9 @@ def validate(pool: NodePool) -> ValidationReport:
     decomposability at product nodes, derived weights summing to one,
     positive definite regularized leaf covariances, finite counts and
     statistics, dimension and scope consistency (no scope names a variable
-    twice: "scope-repeat"), and acyclicity.  Every node
+    twice: "scope-repeat", no leaf is over no variable: "empty-scope"), and
+    that the pool is a tree ("not-a-tree" names a node reached twice from
+    the root).  Every node
     must be reachable from the root ("unreachable" otherwise, which also
     covers cycles among unreachable nodes), and the root must cover every
     variable of the pool exactly ("root-scope").  Dangling child references and sum nodes whose
@@ -354,8 +358,8 @@ def validate(pool: NodePool) -> ValidationReport:
     report = ValidationReport()
     try:
         order = topological_order(pool)
-    except ValueError:
-        report.add(None, "cycle", "the child graph contains a cycle")
+    except NotATree as exc:
+        report.add(exc.node, "not-a-tree", str(exc))
         return report
     for nid in sorted(pool.nodes.keys() - set(order)):
         report.add(nid, "unreachable", "node is not reachable from the root")
@@ -365,6 +369,8 @@ def validate(pool: NodePool) -> ValidationReport:
         node = pool.node(nid)
         if isinstance(node, LeafNode):
             scopes[nid] = node.scope
+            if not node.scope:
+                report.add(nid, "empty-scope", "leaf is over no variable")
         else:
             if isinstance(node, SumNode) and len(node.child_counts) != len(node.children):
                 raise StructuralError(

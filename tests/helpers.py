@@ -83,6 +83,30 @@ def random_pool(rng: np.random.Generator, dim: int, max_sums: int = 6,
     return pool
 
 
+NOT_A_TREE = ["shared-leaf", "repeated-child"]
+
+
+def not_a_tree(kind: str) -> tuple[NodePool, int]:
+    """A pool that is not a tree, and the node a walk from its root reaches
+    twice: "shared-leaf", a sum over two products that share their leaf on
+    variable 0, or "repeated-child", a sum that lists one product twice."""
+    pool = NodePool(2)
+
+    def leaf(v, mean):
+        return pool.add(LeafNode((v,), GaussianStats(np.array([mean]), np.eye(1), 4.0)))
+
+    shared = leaf(0, 0.0)
+    left = pool.add(ProductNode((0, 1), [shared, leaf(1, -3.0)], GaussianStats.zeros(2, 4.0)))
+    if kind == "shared-leaf":
+        right = pool.add(ProductNode((0, 1), [shared, leaf(1, 3.0)],
+                                     GaussianStats.zeros(2, 4.0)))
+        twice = shared
+    else:
+        right = twice = left
+    pool.root = pool.add(SumNode((0, 1), [left, right], [4.0, 4.0]))
+    return pool, twice
+
+
 # ----------------------------------------------------------------------
 # Scalar oracle of the compiled net's kernel
 # ----------------------------------------------------------------------

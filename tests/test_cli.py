@@ -5,6 +5,7 @@ and exit codes are all exercised exactly as a shell user would hit them.
 """
 
 import dataclasses
+import gc
 import json
 import os
 import resource
@@ -27,6 +28,14 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_a_second_call_leaves_no_cyclic_garbage(tmp_path, capsys):
+    # An argparse parser refers to itself, so main builds one per process.
+    for _ in range(2):
+        gc.collect()
+        assert run(capsys, "gen-toy", "-n", 10, "--out", tmp_path / "toy.csv")[0] == 0
+    assert gc.collect() == 0
 
 
 def test_gen_toy_writes_named_csv(tmp_path, capsys):

@@ -285,19 +285,21 @@ def assert_kernels_agree(pool: NodePool, X: np.ndarray) -> None:
 
 
 def deep_chain(heights: int) -> NodePool:
-    """Products and sums alternating up ``heights`` levels.
+    """Products and sums alternating up ``heights`` levels, a tree.
 
-    Above the leaf on variable 0, step i adds two products that join the node
-    below (shared by both) with a leaf on variable i, and a sum over the two.
+    Above the leaf on variable 0, step i adds a sum over two products: one
+    joins the node below with a leaf on variable i, the other joins a fresh
+    leaf over variables 0..i-1 with another leaf on variable i.
     """
     dim = heights // 2 + 1
     pool = NodePool(dim=dim)
     below = pool.add(leaf([0], [0.0], [[1.0]]))
     for i in range(1, dim):
+        fresh = pool.add(leaf(range(i), np.zeros(i), 0.8 * np.eye(i) + 0.1))
         pair = []
-        for mean in (-0.5, 0.5):
+        for left, mean in ((below, -0.5), (fresh, 0.5)):
             right = pool.add(leaf([i], [mean], [[0.7]]))
-            pair.append(pool.add(ProductNode(make_scope(range(i + 1)), [below, right],
+            pair.append(pool.add(ProductNode(make_scope(range(i + 1)), [left, right],
                                              GaussianStats.zeros(i + 1, 1.0))))
         below = pool.add(SumNode(make_scope(range(i + 1)), pair, [2.0, 3.0]))
     pool.root = below
@@ -343,10 +345,10 @@ def test_level_kernel_agrees_on_a_1251_node_wide_mixture():
 
 
 @pytest.mark.parametrize("make, most_parents", [
-    (lambda: deep_chain(8), 2),
+    (lambda: deep_chain(8), 1),
     (lambda: single_leaf_pool(mean=1.5, var=2.0), 0),
     (lambda: wide_mixture(30, 16, 4, np.random.default_rng(7)), 1),
-], ids=["dag", "leaf-rooted", "wide-mixture"])
+], ids=["chain", "leaf-rooted", "wide-mixture"])
 def test_level_plan_routes_every_node_and_edge_to_its_group(make, most_parents):
     pool = make()
     net = compile_pool(pool)
@@ -511,9 +513,8 @@ def test_sample_mean_matches_analytic_mean():
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 4.5 * se + 1e-6)
 
 
-def test_sample_mean_on_a_leaf_shared_by_two_products():
-    # The x0 leaf has two product parents under the root sum, so it is
-    # reached by the rows of both mixture components.
+def test_queries_refuse_a_leaf_shared_by_two_products_and_sample_once_it_is_split():
+    # The x0 leaf has two product parents under the root sum: not a tree.
     pool = NodePool(dim=2)
     shared = pool.add(leaf([0], [1.5], [[0.5]], 30.0))
     low = pool.add(leaf([1], [-2.0], [[0.3]], 10.0))
@@ -522,6 +523,16 @@ def test_sample_mean_on_a_leaf_shared_by_two_products():
     left = pool.add(ProductNode(scope, [shared, low], GaussianStats.zeros(2, 10.0)))
     right = pool.add(ProductNode(scope, [shared, high], GaussianStats.zeros(2, 20.0)))
     pool.root = pool.add(SumNode(scope, [left, right], [10.0, 20.0]))
+    reached_twice = f"node {shared} is reached twice"
+    with pytest.raises(ValueError, match=reached_twice):
+        sample(pool, np.random.default_rng(7), size=10)
+    with pytest.raises(ValueError, match=reached_twice):
+        log_density_rows(pool, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=reached_twice):
+        log_density(pool, {0: 1.0})
+    # Each product with its own copy of the leaf: a tree, and the same density.
+    pool.node(right).children[0] = pool.add(leaf([0], [1.5], [[0.5]], 30.0))
+    pool.bump()
     assert validate(pool).ok
     draws = sample(pool, np.random.default_rng(7), size=20000)
     se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])

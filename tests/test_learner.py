@@ -2,6 +2,7 @@
 
 import copy
 import gc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from spnstream.nodes import (
 from spnstream.model_io import pool_from_json, pool_to_json
 
 from helpers import population_stats, random_pool, reference_best_cross_child_pair
+from test_write_pass import planted_rows
 
 
 def correlated_rows(rng, n, noise=0.0):
@@ -370,6 +372,19 @@ def test_simplify_is_idempotent():
                 assert not any(isinstance(pool.node(c), SumNode) for c in node.children)
         assert not simplify(pool)
         assert np.allclose(log_density_rows(pool, X), before, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("batch", [1, 16, 256])
+def test_fits_that_edit_the_structure_leave_a_tree(batch):
+    rng = np.random.default_rng(5)
+    pool, report = fit(planted_rows(rng, max(1500, 24 * batch)),
+                       LearnerConfig(max_leaf_vars=3, batch_size=batch, seed=5))
+    assert report.mixtures_created >= 1 and report.leaves_merged >= 1
+    parents = Counter(c for node in pool.nodes.values() if not isinstance(node, LeafNode)
+                      for c in node.children)
+    # Every node but the root has exactly one parent, and the root none.
+    assert parents.keys() == pool.nodes.keys() - {pool.root}
+    assert set(parents.values()) == {1}
 
 
 def test_simplify_keeps_mle_density_when_nested_counts_disagree():

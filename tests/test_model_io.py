@@ -20,10 +20,11 @@ from spnstream.model_io import (
     save_model,
 )
 from spnstream.gstats import GaussianStats
-from spnstream.nodes import LeafNode, NodePool, ProductNode, SumNode, make_scope
+from spnstream.nodes import (LeafNode, NodePool, ProductNode, SumNode, make_scope,
+                             topological_order, validate)
 from spnstream import toy
 
-from helpers import random_pool
+from helpers import NOT_A_TREE, not_a_tree, random_pool
 from test_learner import blocks_model
 
 
@@ -290,6 +291,31 @@ def test_a_leaf_scope_that_repeats_a_variable_is_rejected():
     leaf["stats"] = {"count": 1.0, "dim": 2, "mean": [0.0, 0.0], "cov": [1.0, 0.0, 0.0, 1.0]}
     with pytest.raises(ModelFormatError, match="scope-repeat"):
         pool_from_json(doc)
+
+
+def test_a_leaf_over_no_variable_is_rejected():
+    # The root's recomputed scope is still (0, 1), and a partial read of
+    # such a leaf would fail inside numpy.
+    doc = pool_to_json(init_factored_pool(2))
+    doc["nodes"].append({"id": 9, "type": "leaf", "scope": [], "count": 1.0,
+                         "stats": {"count": 1.0, "dim": 0, "mean": [], "cov": []}})
+    _first(doc, "product")["children"].append(9)
+    with pytest.raises(ModelFormatError, match=r"\[empty-scope\] node 9"):
+        pool_from_json(doc)
+    pool = init_factored_pool(2)
+    empty = pool.add(LeafNode((), GaussianStats.zeros(0, 1.0)))
+    pool.node(pool.root).children.append(empty)
+    assert [(v.node, v.code) for v in validate(pool).violations] == [(empty, "empty-scope")]
+
+
+@pytest.mark.parametrize("kind", NOT_A_TREE)
+def test_a_pool_that_is_not_a_tree_is_rejected_naming_the_node_reached_twice(kind):
+    pool, twice = not_a_tree(kind)
+    with pytest.raises(ValueError, match=f"node {twice} is reached twice"):
+        topological_order(pool)
+    assert [(v.node, v.code) for v in validate(pool).violations] == [(twice, "not-a-tree")]
+    with pytest.raises(ModelFormatError, match=rf"\[not-a-tree\] node {twice}:"):
+        pool_from_json(pool_to_json(pool))
 
 
 def test_an_unsorted_leaf_scope_is_accepted_and_evaluates_in_its_order():

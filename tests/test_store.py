@@ -3,6 +3,7 @@ refused assignments of another width, each checked bit for bit against a
 deep copy taken before the change."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ import pytest
 from spnstream import kernels, toy
 from spnstream.evaluate import compile_pool, log_density, log_density_rows
 from spnstream.gstats import GaussianStats
-from spnstream.learner import (LearnerConfig, fit, learn_batch, make_mixture, merge_into_leaf,
-                               simplify)
+from spnstream.learner import (LearnerConfig, fit, init_factored_pool, learn_batch, make_mixture,
+                               merge_into_leaf, simplify)
 from spnstream.model_io import pool_to_json
 from spnstream.nodes import LeafNode, NodePool, ProductNode, SumNode, validate
 
-from test_write_pass import planted_rows, shared_leaf_dag
+from test_write_pass import planted_rows, two_products
 
 
 def stats_bits(node) -> tuple:
@@ -54,30 +55,32 @@ def assert_reused(pool, freed: set) -> None:
     assert taken == freed
 
 
-def dag_children():
-    pool, shared = shared_leaf_dag()
+def tree_children():
+    """``two_products`` with the left product's two leaves: ``first`` on
+    variable 0 and ``own`` on variable 1."""
+    pool = two_products()
     left, right = pool.node(pool.root).children
-    own = [c for c in pool.node(left).children if c != shared][0]
-    return pool, shared, left, right, own
+    first, own = pool.node(left).children
+    return pool, first, left, right, own
 
 
 def test_merge_into_leaf_keeps_every_survivor_and_reuses_the_freed_slot():
-    pool, shared, left, _, own = dag_children()
+    pool, first, left, _, own = tree_children()
     before = copy.deepcopy(pool)
-    merged = merge_into_leaf(pool, left, shared, own)
-    # The shared leaf stays for the other product; the left one's own leaf goes.
-    assert shared in pool and own not in pool
+    merged = merge_into_leaf(pool, left, first, own)
+    # Both leaves go; the right product and its leaves stay.
+    assert first not in pool and own not in pool
     assert_survivors_kept(pool, before)
     assert pool.node(merged).stats.dim == 2
     freed = freed_slots(pool, before)
-    assert freed == {slot_of(before.node(own))}
+    assert freed == {slot_of(before.node(first)), slot_of(before.node(own))}
     assert_reused(pool, freed)
 
 
 def test_make_mixture_and_simplify_keep_every_survivor_and_reuse_the_freed_slot():
-    pool, shared, left, _, own = dag_children()
+    pool, first, left, _, own = tree_children()
     before = copy.deepcopy(pool)
-    make_mixture(pool, left, shared, own)
+    make_mixture(pool, left, first, own)
     assert_survivors_kept(pool, before)
     assert freed_slots(pool, before) == set()
     before = copy.deepcopy(pool)
@@ -89,23 +92,23 @@ def test_make_mixture_and_simplify_keep_every_survivor_and_reuse_the_freed_slot(
     assert_reused(pool, freed)
 
 
-def test_remove_subtree_beside_a_shared_leaf_keeps_it_and_reuses_the_freed_slots():
-    pool, shared, left, right, own = dag_children()
+def test_remove_subtree_beside_a_sibling_keeps_it_and_reuses_the_freed_slots():
+    pool, first, left, right, own = tree_children()
     root = pool.node(pool.root)
     root.children, root.child_counts = [right], [4.0]
     pool.remove_subtree(left)
     before_adds = copy.deepcopy(pool)
-    assert shared in pool and left not in pool and own not in pool
-    original, _ = shared_leaf_dag()
+    assert right in pool and not {left, first, own} & set(pool.nodes)
+    original = two_products()
     assert_survivors_kept(pool, original)
     freed = freed_slots(pool, original)
-    assert freed == {slot_of(original.node(left)), slot_of(original.node(own))}
+    assert freed == {slot_of(original.node(nid)) for nid in (left, first, own)}
     assert_reused(pool, freed)
     assert_survivors_kept(pool, before_adds)
 
 
 def test_a_removed_node_keeps_its_statistics_and_a_later_write_leaves_them():
-    pool, shared, left, right, own = dag_children()
+    pool, first, left, right, own = tree_children()
     node = pool.node(own)
     want = stats_bits(node)
     held = node.stats
@@ -117,6 +120,32 @@ def test_a_removed_node_keeps_its_statistics_and_a_later_write_leaves_them():
     pool.add(replacement)  # takes a freed slot, perhaps the one the node held
     assert stats_bits(node) == want
     assert (held.mean.tobytes(), held.cov.tobytes(), held.count) == want  # a snapshot
+
+
+def test_rebinding_a_statistics_field_raises_and_leaves_the_slot():
+    pool = init_factored_pool(2)
+    leaf = pool.node(pool.node(pool.root).children[0])
+    width, i = leaf.slot
+
+    def held():
+        return (width.mean[i].tobytes(), width.cov[i].tobytes(), width.count[i],
+                width.stamp[i], pool.store.stamps)
+
+    kept = held()
+    snapshot = leaf.stats
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        leaf.stats.count += 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        snapshot.mean = np.ones(1)
+    assert held() == kept and leaf.count == 1.0 and snapshot.count == 1.0
+    loose = LeafNode((0,), GaussianStats(np.zeros(1), np.eye(1), 1.0))
+    for stats in (loose.stats, GaussianStats.zeros(1, 1.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stats.count += 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stats.mean = np.ones(1)
+        assert stats.count == 1.0 and stats.mean.tolist() == [0.0]
+    assert loose.count == 1.0
 
 
 @pytest.mark.parametrize("batch", [1, 16])

@@ -8,7 +8,7 @@ rows over scopes of the same width.  It routes a single row without
 per-child numpy.
 ``helpers.reference_learn_batch`` is the write pass as a plain per-node
 walk.  Both must leave identical model files, reports and generator
-states, on trees and DAGs, with and without structure edits, ties and
+states, with and without structure edits, ties and
 every batch size, including batches over 128 rows, where numpy's pairwise
 sum of a one-variable node's rows recurses.
 """
@@ -25,7 +25,7 @@ from spnstream.learner import LearnerConfig, fit, init_factored_pool, learn_batc
 from spnstream.model_io import pool_to_json
 from spnstream.nodes import LeafNode, NodePool, ProductNode, SumNode, validate
 
-from helpers import random_pool, reference_learn_batch
+from helpers import NOT_A_TREE, not_a_tree, random_pool, reference_learn_batch
 from test_updates import mixture_1d
 
 
@@ -95,44 +95,75 @@ def test_random_pools_match_the_oracle(batch, mode):
             assert_streams_agree(pool, rows, cfg, batch, frozen=frozen, seed=trial)
 
 
-def shared_leaf_dag(next_check=1e9):
-    """A sum over two products that share their leaf over variable 0."""
+def two_products(next_check=1e9):
+    """A sum over two products, each over its own leaves on variables 0 and 1."""
     pool = NodePool(2)
 
     def leaf(v, mean):
         return pool.add(LeafNode((v,), GaussianStats(np.array([mean]), np.eye(1), 4.0)))
 
-    shared = leaf(0, 0.0)
-    left = pool.add(ProductNode((0, 1), [shared, leaf(1, -3.0)],
+    left = pool.add(ProductNode((0, 1), [leaf(0, 0.0), leaf(1, -3.0)],
                                 GaussianStats.zeros(2, count=4.0), next_check=next_check))
-    right = pool.add(ProductNode((0, 1), [shared, leaf(1, 3.0)],
+    right = pool.add(ProductNode((0, 1), [leaf(0, 0.0), leaf(1, 3.0)],
                                  GaussianStats.zeros(2, count=4.0), next_check=next_check))
     pool.root = pool.add(SumNode((0, 1), [left, right], [4.0, 4.0]))
     assert validate(pool).ok
-    return pool, shared
+    return pool
+
+
+def store_bits(pool) -> dict:
+    return {k: (w.mean.tobytes(), w.cov.tobytes(), w.count.tobytes(), w.stamp.tobytes(),
+                w.used, list(w.free)) for k, w in pool.store.widths.items()}
+
+
+@pytest.mark.parametrize("batch", [1, 2, 16])
+def test_learn_batch_refuses_a_pool_that_is_not_a_tree_before_it_touches_anything(batch):
+    rows = np.random.default_rng(3).normal(size=(batch, 2))
+    for kind in NOT_A_TREE:
+        for frozen in (False, True):
+            pool, twice = not_a_tree(kind)
+            before = (model_bytes(pool), store_bits(pool), pool.store.stamps,
+                      pool.structure_version)
+            rng = np.random.default_rng(3)
+            with pytest.raises(ValueError, match=f"node {twice} is reached twice"):
+                learn_batch(pool, rows, LearnerConfig(batch_size=batch), rng,
+                            structure_frozen=frozen)
+            assert (model_bytes(pool), store_bits(pool), pool.store.stamps,
+                    pool.structure_version) == before
+            assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
 
 @pytest.mark.parametrize("batch", [1, 2, 16])
 def test_a_leaf_reached_twice_in_one_pass_updates_in_visit_order(batch):
-    pool, shared = shared_leaf_dag()
+    # A leaf that two products share would be reached twice in one pass, so
+    # learn_batch refuses it; split into one leaf per product, each copy
+    # takes the rows that reach it through its own product.
+    shared_pool, shared = not_a_tree("shared-leaf")
+    two_rows = np.array([[0.5, -3.0], [1.5, 3.0]])
+    with pytest.raises(ValueError, match=f"node {shared} is reached twice"):
+        learn_batch(shared_pool, two_rows, LearnerConfig(batch_size=batch),
+                    np.random.default_rng(3))
+    pool = two_products()
     rng = np.random.default_rng(3)
     rows = np.column_stack([rng.normal(size=64), np.where(np.arange(64) % 2, 3.0, -3.0)])
     assert_streams_agree(pool, rows, LearnerConfig(batch_size=batch), batch)
-    # One two-row batch routes a row down each product, so the shared leaf
-    # takes two one-row updates in that pass.
-    twice = copy.deepcopy(pool)
-    learn_batch(twice, np.array([[0.5, -3.0], [1.5, 3.0]]), LearnerConfig(), rng)
-    assert twice.node(shared).stats.count == 6.0
-    assert_streams_agree(pool, np.array([[0.5, -3.0], [1.5, 3.0]]), LearnerConfig(), 2)
+    # One two-row batch routes a row down each product, so each copy of the
+    # leaf takes one one-row update in that pass.
+    split = copy.deepcopy(pool)
+    learn_batch(split, two_rows, LearnerConfig(), rng)
+    root = split.node(split.root)
+    assert [split.node(split.node(p).children[0]).stats.count
+            for p in root.children] == [5.0, 5.0]
+    assert_streams_agree(pool, two_rows, LearnerConfig(), 2)
 
 
 @pytest.mark.parametrize("batch", [2, 16])
-def test_a_dag_restructures_like_the_oracle(batch):
+def test_nodes_born_mid_pass_restructure_like_the_oracle(batch):
     # The products check early and mix their correlated pair, so nodes born
-    # mid-pass sit over the shared leaf, which other rows reach in that pass.
-    # With max_leaf_vars=3 the pair merges into a leaf instead, and the
-    # shared leaf, still held by the other product, must stay in the pool.
-    pool, _ = shared_leaf_dag(next_check=6.0)
+    # mid-pass take the rows that follow in that pass and are scored by the
+    # graph walk.  With max_leaf_vars=3 the pair merges into a leaf instead,
+    # and the pair's leaves are released mid-pass.
+    pool = two_products(next_check=6.0)
     rng = np.random.default_rng(4)
     x = rng.normal(size=96)
     rows = np.column_stack([x, np.where(np.arange(96) % 2, 3.0, -3.0) + x])
