@@ -10,6 +10,11 @@ time of one ``compile_pool``, and the time of a recompile followed by the
 first 32-row ``sample``.  Three networks: a model trained on the toy
 stream (small, deep enough to be realistic) and two wide constructed
 mixtures (many sum edges, multivariate leaves), the larger with 1 251 nodes.
+For the toy model it also prints microseconds per call of a marginal, a
+conditional and a one-row ``learn_batch``, and splits that write by phase:
+``gstats.update_each``, ``CompiledNet.refresh_params``, ``eval_rows``, the
+routing (``tie_break_argmax``) and the rest, each timed by a wrapper this
+script installs for one more pass and removes after it.
 
 Then the model trained on planted blocks: its marginal and conditional
 queries/second on a warm net, and with each query the first read after a
@@ -39,8 +44,9 @@ import time
 
 import numpy as np
 
-from spnstream import toy
-from spnstream.evaluate import compile_pool, conditional_log_density, log_density, sample
+from spnstream import learner, toy
+from spnstream.evaluate import (CompiledNet, compile_pool, conditional_log_density, log_density,
+                                sample)
 from spnstream.gstats import GaussianStats
 from spnstream.learner import (LearnerConfig, _best_cross_child_pair, fit, init_factored_pool,
                                 learn_batch)
@@ -146,6 +152,56 @@ def run_workload(name: str, pool, batch_sizes, min_seconds: float, rng) -> None:
     print(f"sample rows/s: {draws}")
 
 
+# The phases of a write, by the name each is timed under and where it is wrapped.
+WRITE_PHASES = (("update_each", learner, "update_each"),
+                ("refresh_params", CompiledNet, "refresh_params"),
+                ("eval_rows", CompiledNet, "eval_rows"),
+                ("routing", learner, "tie_break_argmax"))
+
+
+def phase_split(pool, rows, cfg: LearnerConfig) -> tuple[float, dict[str, float]]:
+    """Seconds of one ``write_pass`` (no reads) with each of ``WRITE_PHASES``
+    wrapped in a timer, and the seconds each phase took in it."""
+    spent = dict.fromkeys([name for name, _, _ in WRITE_PHASES], 0.0)
+    originals = []
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name] += time.perf_counter() - t0
+        return wrapper
+
+    for name, owner, attr in WRITE_PHASES:
+        originals.append((owner, attr, getattr(owner, attr)))
+        setattr(owner, attr, timed(name, getattr(owner, attr)))
+    try:
+        total = write_pass(pool, rows, cfg, read=False)
+    finally:
+        for owner, attr, fn in originals:
+            setattr(owner, attr, fn)
+    return total, spent
+
+
+def run_toy_calls(pool, min_seconds: float, rng) -> None:
+    """Microseconds per call on the trained toy model: a marginal, a
+    conditional and a one-row write, then that write split by phase."""
+    marginal, conditional = query_rates(pool, min_seconds, rng)
+    cfg = LearnerConfig(max_leaf_vars=1, seed=0)
+    rows = toy.generate(500, rng)
+    write = min(write_pass(pool, rows, cfg, read=False) for _ in range(3))
+    total, spent = phase_split(pool, rows, cfg)
+    spent["rest"] = total - sum(spent.values())
+    n = rows.shape[0]
+    print(f"us per call: marginal {1e6 / marginal:.1f}, conditional {1e6 / conditional:.1f},"
+          f" one-row learn_batch {1e6 * write / n:.1f}")
+    print("one-row learn_batch by phase (us per row, timed pass): "
+          + ", ".join(f"{name} {1e6 * s / n:.1f} ({100 * s / total:.0f}%)"
+                      for name, s in spent.items()))
+
+
 def planted_blocks(n: int, rng, blocks: int = 6, width: int = 4) -> np.ndarray:
     """Rows of independent blocks of ``width`` variables; within a block the
     variables share one of three cluster centres and a latent factor."""
@@ -244,6 +300,8 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
     trained, _ = fit(toy.generate(3000, rng), LearnerConfig(max_leaf_vars=1, seed=0))
     run_workload("trained toy model", trained, args.batch_sizes, args.min_seconds, rng)
+    # Its own generator, so the networks and rows below stay as they were.
+    run_toy_calls(trained, args.min_seconds, np.random.default_rng([args.seed, 1]))
     for components in (64, 250):
         run_workload(f"wide mixture ({components} x 4 leaves over 16 vars)",
                      wide_mixture(components, 16, 4, rng), args.batch_sizes,

@@ -16,14 +16,15 @@ slot in the pool's statistics store was written since (every leaf after a
 change of ``pool.variance_floor``, which shows at once), and the sum
 groups' log weights are recomputed when a child count or the weight mode
 changed, so no caller sees stale parameters.  Statistics change only by
-a write into their slot, which stamps it, so every change shows; the net
-is rebuilt after a structure edit.
+a write into their slot, which stamps it and moves the store's count of
+writes, so every change shows, and a read after a read, with that count
+where it was, looks at no leaf group; the net is rebuilt after a
+structure edit.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -67,8 +68,8 @@ class CompiledNet:
     ``refresh_params`` brings up to date in place.
     """
 
-    order: list[int]
-    index: dict[int, int]
+    order: list[int]        # node ids by dense index: plan order, children first
+    index: dict[int, int]   # node id -> dense index
     # (pool.structure_version, pool.root) it was compiled at
     key: tuple[int, int]
     plan: kernels.LevelPlan
@@ -79,10 +80,12 @@ class CompiledNet:
     # Rows per block of a partial eval_rows, which also gathers a k x k
     # factor for each of a leaf group's m leaves: m * k * k words a row.
     partial_block_rows: int
-    # The variance floor the leaves were last factored with; refresh_params
-    # re-factors a leaf only when its slot was written (see
-    # LeafGroup.refresh) or the floor changed.
+    # The variance floor the leaves were last factored with, and the pool's
+    # store.stamps then; refresh_params re-factors a leaf only when its slot
+    # was written (see LeafGroup.refresh) or the floor changed, and looks at
+    # no slot while both records hold.
     floor: float = math.nan
+    stamps: int = -1
     # The weight mode, then each sum's child counts, that the sum groups'
     # logw was last computed from; refresh_weights skips a pool that still
     # has them.
@@ -124,15 +127,19 @@ class CompiledNet:
         Each leaf group re-factors the leaves whose slot in the pool's
         statistics store was written since they were last factored, every
         leaf after a change of the variance floor
-        (``kernels.LeafGroup.refresh``).  The sums' log weights are
-        recomputed when a child count or the weight mode differs from the
-        last values used (``refresh_weights``); child counts are edited in
-        place, so they are compared by value.
+        (``kernels.LeafGroup.refresh``).  The store counts its writes and
+        frees (``StatsStore.stamps``), so while that count and the floor
+        are the ones last seen no group is looked at: a read after a read
+        costs O(1) here.  The sums' log weights are recomputed when a child
+        count or the weight mode differs from the last values used
+        (``refresh_weights``); child counts are edited in place, so they
+        are compared by value.
         """
-        floor = pool.variance_floor
-        every, self.floor = floor != self.floor, floor
-        for g in self.plan.leaves:
-            g.refresh(floor, every)
+        floor, stamps = pool.variance_floor, pool.store.stamps
+        if floor != self.floor or stamps != self.stamps:
+            every, self.floor, self.stamps = floor != self.floor, floor, stamps
+            for g in self.plan.leaves:
+                g.refresh(floor, every)
         self.refresh_weights(pool)
 
     def refresh_weights(self, pool: NodePool) -> None:
@@ -148,8 +155,12 @@ class CompiledNet:
             seen += node.child_counts
         if seen == self.weight_inputs:
             return
-        with np.errstate(divide="ignore"):
-            logw = np.log(edge_weights(sums, pool.weight_mode))
+        w = edge_weights(sums, pool.weight_mode)
+        if np.count_nonzero(w) == w.size:
+            logw = np.log(w)
+        else:
+            with np.errstate(divide="ignore"):
+                logw = np.log(w)
         lo = 0  # self.sums runs group after group, each sum's weights in turn
         for g in self.plan.groups:
             if g.is_sum:
@@ -160,19 +171,18 @@ class CompiledNet:
 
 
 def compile_pool(pool: NodePool) -> CompiledNet:
-    """Flatten the pool (reachable part, topological order) into a level plan.
+    """Flatten the pool (its reachable part) into a level plan.
 
     One walk, children before parents: a leaf's height is 0 and an inner
     node's one more than its highest child's.  A leaf or product that holds
     its statistics itself gets its slot in the pool's store here.
+    ``kernels.level_plan`` then numbers the nodes densely in plan order,
+    children first, so each plan group owns a range of the kernel's output.
     """
-    order = topological_order(pool)
-    index = {nid: i for i, nid in enumerate(order)}
-    n = len(order)
-    height = [0] * n
-    inner = []  # (height, kind, dense index, dense children)
-    scopes, slots = {}, {}  # dense index -> scope and statistics' slot, for each leaf
-    for i, nid in enumerate(order):
+    height: dict[int, int] = {}
+    inner = []  # (height, kind, node id, child ids)
+    scopes, slots = {}, {}  # node id -> scope and statistics' slot, for each leaf
+    for nid in topological_order(pool):
         node = pool.node(nid)
         if not isinstance(node, SumNode):
             slot = pool.slot_of(node)
@@ -180,19 +190,21 @@ def compile_pool(pool: NodePool) -> CompiledNet:
             if slot[0].k != len(node.scope):
                 raise ValueError(f"leaf {nid} has statistics of width {slot[0].k} "
                                  f"over {len(node.scope)} variables")
-            scopes[i], slots[i] = node.scope, slot
+            scopes[nid], slots[nid] = node.scope, slot
+            height[nid] = 0
             continue
-        kids = [index[c] for c in node.children]
-        height[i] = 1 + max((height[c] for c in kids), default=0)
+        height[nid] = h = 1 + max((height[c] for c in node.children), default=0)
         kind = kernels.KIND_SUM if isinstance(node, SumNode) else kernels.KIND_PRODUCT
-        inner.append((height[i], kind, i, kids))
-    plan = kernels.level_plan(n, inner, scopes, slots, _PATTERN_BYTES)
+        inner.append((h, kind, nid, node.children))
+    plan, order = kernels.level_plan(inner, scopes, slots, _PATTERN_BYTES)
+    n = len(order)
     n_edges = sum(g.children.size for g in plan.groups)
     width = max(n, n_edges, sum(map(len, scopes.values())))
     partial_width = max([width] + [g.nodes.size * g.k * g.k for g in plan.leaves])
     sums = [order[i] for g in plan.groups if g.is_sum for i in g.nodes.tolist()]
-    net = CompiledNet(order, index, (pool.structure_version, pool.root),
-                      plan, sums, max(1, _BLOCK_BYTES // (8 * width)),
+    net = CompiledNet(order, {nid: i for i, nid in enumerate(order)},
+                      (pool.structure_version, pool.root), plan, sums,
+                      max(1, _BLOCK_BYTES // (8 * width)),
                       max(1, _BLOCK_BYTES // (8 * partial_width)))
     net.refresh_params(pool)
     return net
@@ -209,7 +221,9 @@ def shared_net(pool: NodePool) -> CompiledNet:
     version bump); otherwise ``refresh_params`` brings it up to date:
     assigned statistics, edited child counts, a new weight mode and a new
     variance floor show at once.  A read that follows a read with nothing
-    changed re-factors nothing and recomputes no weight.
+    changed looks at no leaf group (the store's write count has not moved),
+    re-factors nothing and recomputes no weight: its refresh is O(1) but
+    for the by-value compare of the child counts.
     """
     net = pool.compiled
     if net is None or net.key != (pool.structure_version, pool.root):
@@ -222,7 +236,8 @@ def shared_net(pool: NodePool) -> CompiledNet:
 
 def check_rows(X: np.ndarray, dim: int) -> np.ndarray:
     """Complete rows as a float (n, dim) array; ValueError on bad shape or values."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if not (type(X) is np.ndarray and X.ndim == 2 and X.dtype == np.float64):
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.ndim != 2:
         raise ValueError(f"rows must be a 2-d array, got shape {X.shape}")
     if X.shape[1] != dim:
@@ -275,10 +290,9 @@ def subtree_log_density_rows(pool: NodePool, nid: int, X: np.ndarray) -> np.ndar
 def _check_assignment(pool: NodePool, assignment: Mapping[int, float]) -> dict[int, float]:
     out = {}
     for key, value in assignment.items():
-        try:
-            k = operator.index(key)
-        except TypeError:
-            raise ValueError(f"assignment variable {key!r} is not an integer") from None
+        if not is_integer(key):  # a bool is no variable index
+            raise ValueError(f"assignment variable {key!r} is not an integer")
+        k = int(key)
         if k < 0 or k >= pool.dim:
             raise ValueError(f"assignment variable {k} is outside dimension {pool.dim}")
         if not is_real(value):
@@ -366,8 +380,8 @@ def analytic_mean(pool: NodePool) -> np.ndarray:
     for g in net.plan.leaves:
         means[g.nodes if g.k == 1 else g.nodes[:, None], g.cols] = g.mean
     for g in net.plan.groups:
-        terms = means[g.children]
+        terms = means.take(g.children, axis=0)
         if g.is_sum:
             terms *= np.exp(g.logw)[:, :, None]
-        means[g.nodes] = terms.sum(axis=0)
+        means[g.span] = terms.sum(axis=0)
     return means[net.index[pool.root]]

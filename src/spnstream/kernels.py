@@ -1,12 +1,11 @@
 """The bottom-up evaluation kernel and top-down sampling over a flattened network.
 
 The hot loop of both training and evaluation is computing, for a batch of
-rows, the log-density of every node in the network.  The network's N nodes
-are numbered densely in topological order, children before parents.  One
-kernel, ``eval_flat_numpy``, which every write and read runs, follows the
+rows, the log-density of every node in the network.  One kernel,
+``eval_flat_numpy``, which every write and read runs, follows the
 network's one ``LevelPlan``, which ``level_plan`` builds from each inner
 node's height, kind and children and the leaves' scopes, once per
-structure, in one walk of the network (see ``evaluate.compile_pool``).
+structure, after one walk of the network (see ``evaluate.compile_pool``).
 Each group of the plan holds its own parameters, which its owner writes in
 place, so a refresh needs no new plan, and each costs a fixed number of
 numpy calls whatever its size:
@@ -26,6 +25,16 @@ numpy calls whatever its size:
   nodes, rows) block and reduces the first axis: ``add`` for products,
   ``logaddexp`` after adding the sums' log weights ``logw``, (children,
   nodes) like the block, for sums.
+
+The N nodes are numbered densely in plan order: the leaf groups by k,
+then the node groups in order.  That is children before parents, since
+the node groups run by height, and each group owns one contiguous range
+``span`` of the kernel's (N, rows) output.  A leaf group writes its range
+by slice assignment, and a node group gathers its children's rows with
+``take`` and reduces them straight into its range (``out=``), so no group
+pays for a scattered index on the small batches of a stream.  (A leaf
+group still gathers its columns of X by fancy indexing, whose layout the
+k > 1 ``matmul`` is fastest on.)
 
 The kernel also takes partial evidence: NaN marks an unobserved value,
 which is integrated out inside its leaf.  A leaf with every variable
@@ -108,7 +117,8 @@ class LeafGroup:
     writes in place; arrays are (m,) for k = 1, else (m, k[, k])."""
 
     k: int
-    nodes: np.ndarray   # (m,) dense node indices
+    nodes: np.ndarray   # (m,) dense node indices, the range span
+    span: slice         # the group's rows of the kernel's output
     cols: np.ndarray    # data columns
     mean: np.ndarray
     ichol: np.ndarray   # inverse Cholesky factors
@@ -160,7 +170,8 @@ class NodeGroup:
     """
 
     is_sum: bool
-    nodes: np.ndarray     # (m,) dense node indices
+    nodes: np.ndarray     # (m,) dense node indices, the range span
+    span: slice           # the group's rows of the kernel's output
     children: np.ndarray  # (c, m) dense child indices; column j belongs to nodes[j]
     logw: np.ndarray | None  # (c, m) log weight of each child, for sums
     target: np.ndarray
@@ -221,77 +232,91 @@ class LevelPlan:
     row_words: int
 
 
-def level_plan(n_nodes: int, inner, scopes: dict[int, tuple[int, ...]], slots,
-               table_bytes: int) -> LevelPlan:
-    """Group the N = ``n_nodes`` nodes of a flattened network for
-    ``eval_flat_numpy`` and ``sample_flat``: the leaves by scope size, the
-    inner nodes by height, kind and child count.
+def level_plan(inner, scopes: dict, slots, table_bytes: int):
+    """Group the nodes of a flattened network for ``eval_flat_numpy`` and
+    ``sample_flat`` (the leaves by scope size, the inner nodes by height,
+    kind and child count) and number them densely in plan order; returns
+    the plan and the nodes' labels in that order.
 
-    ``inner`` lists the inner nodes in increasing order of dense index i as
-    (height, kind, i, dense children); ``scopes`` maps each leaf's dense index, in
-    increasing order, to its variables and ``slots`` to its statistics'
-    slot, a (``gstats.StatsWidth``, index) pair.  The groups' parameter
+    ``inner`` lists the inner nodes children first as (height, kind, label,
+    child labels); ``scopes`` maps each leaf's label, children first too,
+    to its variables and ``slots`` to its statistics' slot, a
+    (``gstats.StatsWidth``, index) pair.  A label is any hashable, such as
+    a node id.  The leaf groups by k come first in the numbering, then the
+    node groups by (height, kind, child count), each group's nodes in the
+    order given, so every group owns the range ``span`` of the numbering
+    and a child is numbered before its parent.  The groups' parameter
     arrays (the sums' ``logw`` and the leaves') start zeroed, and each leaf
     group gets an empty ``PatternTable`` of ``table_bytes``.
     """
-    by_size: dict[int, list[int]] = defaultdict(list)
-    for i, scope in scopes.items():
-        by_size[len(scope)].append(i)
+    by_size: dict[int, list] = defaultdict(list)
+    for label, scope in scopes.items():
+        by_size[len(scope)].append(label)
     sizes = sorted(by_size.items())
     by_level: dict[tuple[int, int, int], list] = defaultdict(list)
-    for height, kd, i, kids in inner:
-        by_level[(height, kd, len(kids))].append((i, kids))
+    for height, kd, label, kids in inner:
+        by_level[(height, kd, len(kids))].append((label, kids))
     levels = sorted(by_level.items())
-    group_of, pos_of = [0] * n_nodes, [0] * n_nodes
-    for gi, at in enumerate([[i for i, _ in at] for _, at in levels] + [at for _, at in sizes]):
-        for j, i in enumerate(at):
-            group_of[i], pos_of[i] = gi, j
+    # Plan order: the leaf groups, then the node groups.  NodeGroup.target
+    # numbers the node groups first, then the leaf groups.
+    members = [at for _, at in sizes] + [[label for label, _ in at] for _, at in levels]
+    numbers = [len(levels) + li for li in range(len(sizes))] + list(range(len(levels)))
+    order = [label for at in members for label in at]
+    index = {label: i for i, label in enumerate(order)}
+    spans, group_of, pos_of = [], [], []
+    for gi, at in zip(numbers, members):
+        spans.append(slice(len(group_of), len(group_of) + len(at)))
+        group_of += [gi] * len(at)
+        pos_of += range(len(at))
     group_arr, pos_arr = np.array(group_of, dtype=np.int64), np.array(pos_of, dtype=np.int64)
 
-    words = [0] * n_nodes
+    words = [0] * len(order)
     leaves = []
-    for k, at in sizes:
-        for i in at:
-            words[i] = 2 + 4 * k + k * k
+    for (k, at), span in zip(sizes, spans):
+        words[span] = [2 + 4 * k + k * k] * len(at)
         m = len(at)
         vec, mat = ((m,), (m,)) if k == 1 else ((m, k), (m, k, k))
-        leaves.append(LeafGroup(k, np.array(at, dtype=np.intp),
-                                np.array([scopes[i] for i in at], dtype=np.int64).reshape(vec),
+        leaves.append(LeafGroup(k, np.arange(span.start, span.stop), span,
+                                np.array([scopes[x] for x in at], dtype=np.int64).reshape(vec),
                                 np.zeros(vec), np.zeros(mat), np.zeros(mat), np.zeros(mat),
                                 np.zeros(m), PatternTable(table_bytes), slots[at[0]][0],
-                                np.array([slots[i][1] for i in at], dtype=np.intp),
+                                np.array([slots[x][1] for x in at], dtype=np.intp),
                                 np.zeros(m, dtype=np.int64)))
 
     groups = []
-    for (_, kd, c), at in levels:
+    for ((_, kd, c), at), span in zip(levels, spans[len(sizes):]):
         is_sum, m = kd == KIND_SUM, len(at)
-        for i, kids in at:
+        kid_index = [[index[x] for x in kids] for _, kids in at]
+        for i, kids in zip(range(span.start, span.stop), kid_index):
             w = [words[x] for x in kids]
             words[i] = 2 + (max(w, default=0) if is_sum else sum(w))
-        children = np.array([kids[e] for e in range(c) for _, kids in at],
-                            dtype=np.int64).reshape(c, m)
-        groups.append(NodeGroup(is_sum, np.array([i for i, _ in at], dtype=np.int64), children,
+        children = np.array([kids[e] for e in range(c) for kids in kid_index],
+                            dtype=np.intp).reshape(c, m)
+        groups.append(NodeGroup(is_sum, np.arange(span.start, span.stop), span, children,
                                 np.zeros((c, m)) if is_sum else None,
                                 group_arr[children], pos_arr[children],
-                                tuple(sorted({group_of[x] for _, kids in at for x in kids}))))
-    return LevelPlan(tuple(leaves), tuple(groups), group_arr, pos_arr, max(words))
+                                tuple(sorted({group_of[x] for kids in kid_index for x in kids}))))
+    return LevelPlan(tuple(leaves), tuple(groups), group_arr, pos_arr, max(words)), order
 
 
 def eval_flat_numpy(plan: LevelPlan, X, out, partial: bool = False):
     """Level kernel: a few numpy calls per plan group, batched over rows.
 
-    With ``partial`` a NaN in X marks an unobserved value; the leaf groups'
+    Each group writes its own rows of ``out``, the range ``g.span``: a leaf
+    group by slice assignment, a node group by reducing its children's
+    rows, gathered with ``take``, straight into them (``out=``).  With
+    ``partial`` a NaN in X marks an unobserved value; the leaf groups'
     tables then fill as queries use new patterns.
     """
     for g in plan.leaves:
-        out[g.nodes] = _partial_leaf_rows(g, X) if partial else _leaf_rows(g, X[:, g.cols] - g.mean)
+        out[g.span] = _partial_leaf_rows(g, X) if partial else _leaf_rows(g, X[:, g.cols] - g.mean)
     for g in plan.groups:
-        terms = out[g.children]
+        terms = out.take(g.children, axis=0)
         if g.is_sum:
             terms += g.logw[:, :, None]
-            out[g.nodes] = np.logaddexp.reduce(terms, axis=0)
+            np.logaddexp.reduce(terms, axis=0, out=out[g.span])
         else:
-            out[g.nodes] = np.add.reduce(terms, axis=0)
+            np.add.reduce(terms, axis=0, out=out[g.span])
     return out
 
 

@@ -385,9 +385,9 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
                                     else subtree_log_density_rows(pool, c, rows[idx])
                                     for p, c in zip(pos, node.children)])
             elif len(idx) == rows.shape[0]:  # every row of the batch, in order
-                stacked = values[pos]
+                stacked = values.take(pos, axis=0)
             else:
-                stacked = values[pos][:, idx]
+                stacked = values.take(pos, axis=0)[:, idx]
             winners = tie_break_argmax(stacked, rng)
             if len(idx) == 1:
                 j = int(winners[0])

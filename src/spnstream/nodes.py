@@ -58,7 +58,9 @@ class NotATree(ValueError):
 
 def is_integer(value) -> bool:
     """Whether ``value`` is an integer, a numpy one too, and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # A plain int first: the abstract class check takes about 0.5 us.
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def is_real(value) -> bool:

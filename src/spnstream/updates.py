@@ -21,8 +21,18 @@ def tie_break_argmax(values: np.ndarray, rng: np.random.Generator) -> np.ndarray
 
     Rows whose maximum is attained by a single child never consume
     randomness, so runs without ties are reproducible regardless of how
-    many potential ties other data would have had.
+    many potential ties other data would have had.  A column with a NaN
+    goes to its first NaN and draws nothing.  A single column, the route
+    of one row, takes the same winner and draws in plain Python.
     """
+    if values.shape[1] == 1:
+        col = values[:, 0].tolist()
+        for j, v in enumerate(col):
+            if v != v:  # NaN: argmax's pick, and NaN ties with nothing
+                return np.array([j])
+        top = max(col)
+        tied = [j for j, v in enumerate(col) if v == top]
+        return np.array([tied[0] if len(tied) == 1 else tied[rng.integers(len(tied))]])
     winners = np.argmax(values, axis=0)
     top = values[winners, np.arange(values.shape[1])]
     tied_mask = (values == top)

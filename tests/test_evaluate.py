@@ -172,6 +172,18 @@ def test_assignment_keys_must_be_integers():
     assert log_density(pool, {np.int64(1): 0.3}) == log_density(pool, {1: 0.3})
 
 
+@pytest.mark.parametrize("key", [True, False, np.True_, np.False_])
+def test_assignment_keys_must_not_be_bools(key):
+    # True is no stand-in for variable 1.
+    pool = init_factored_pool(3)
+    with pytest.raises(ValueError, match="is not an integer"):
+        log_density(pool, {key: 0.5})
+    with pytest.raises(ValueError, match="is not an integer"):
+        conditional_log_density(pool, {key: 0.5}, {2: 0.1})
+    with pytest.raises(ValueError, match="is not an integer"):
+        conditional_log_density(pool, {2: 0.1}, {key: 0.5})
+
+
 @pytest.mark.parametrize("value", ["1.5", True, np.bool_(True), b"2", np.array([1.5]), None,
                                    1.5 + 0j, [1.5]])
 def test_assignment_values_must_be_real_numbers(value):
@@ -374,6 +386,42 @@ def test_level_plan_routes_every_node_and_edge_to_its_group(make, most_parents):
     inner = [pool.node(nid) for nid in net.order if not isinstance(pool.node(nid), LeafNode)]
     assert sum(g.children.size for g in plan.groups) == sum(len(n.children) for n in inner)
     assert max(parents.values(), default=0) == most_parents
+
+
+def _random_pools(seed: int = 107, count: int = 20) -> list:
+    rng = np.random.default_rng(seed)
+    return [random_pool(rng, dim=int(rng.integers(1, 9)), max_sums=int(rng.integers(0, 8)),
+                        max_leaf_vars=4) for _ in range(count)]
+
+
+@pytest.mark.parametrize("make", [
+    _random_pools,
+    lambda: [deep_chain(8), deep_chain(200)],
+    lambda: [single_leaf_pool(mean=1.5, var=2.0)],
+    lambda: [wide_mixture(30, 16, 4, np.random.default_rng(7))],
+], ids=["random", "chain", "leaf-rooted", "wide-mixture"])
+def test_plan_groups_own_contiguous_ranges_in_plan_order(make):
+    # The kernel writes each group's rows by slice: every group's nodes are
+    # one ascending range, the ranges tile 0..N-1 leaf groups first (by k),
+    # then the node groups in plan order, and every child comes before its
+    # parent.
+    for pool in make():
+        net = compile_pool(pool)
+        plan = net.plan
+        lo = 0
+        for g in plan.leaves + plan.groups:
+            assert g.nodes.tolist() == list(range(lo, lo + g.nodes.size))
+            assert g.span == slice(lo, lo + g.nodes.size)
+            lo += g.nodes.size
+        assert lo == len(net.order) == len(net.index)
+        assert [g.k for g in plan.leaves] == sorted({g.k for g in plan.leaves})
+        for g in plan.groups:
+            assert (g.children < g.nodes).all()
+        for nid, i in net.index.items():
+            assert net.order[i] == nid
+            node = pool.node(nid)
+            if not isinstance(node, LeafNode):
+                assert all(net.index[c] < i for c in node.children)
 
 
 def test_univariate_refresh_matches_leaf_factor_to_one_ulp():
@@ -1091,6 +1139,78 @@ def test_a_read_after_a_read_does_not_recompute_the_weights(monkeypatch):
     del calls[:]
     log_density(pool, evidence)
     assert calls == []
+
+
+def test_a_read_after_a_read_refreshes_no_leaf_group(monkeypatch):
+    rng = np.random.default_rng(191)
+    pool = blocks_mixture(rng)
+    evidence = {0: 0.3, 4: -0.2, 6: 1.1}
+    first = log_density(pool, evidence)
+    calls = []
+    real_refresh = kernels.LeafGroup.refresh
+
+    def refresh(group, floor, every):
+        calls.append(group.k)
+        return real_refresh(group, floor, every)
+
+    monkeypatch.setattr(kernels.LeafGroup, "refresh", refresh)
+    assert log_density(pool, evidence) == first
+    conditional_log_density(pool, {1: 0.5}, evidence)
+    log_density_rows(pool, rng.normal(size=(3, 9)))
+    sample(pool, rng, size=4)
+    assert calls == []
+    # A write moves the store's count of writes, so the next read looks at
+    # every group again (and re-factors only the written leaves).
+    learn_batch(pool, rng.normal(size=(2, 9)), LearnerConfig(), rng, structure_frozen=True)
+    log_density(pool, evidence)
+    assert sorted(calls) == [2, 3, 4]
+
+
+def _assign_stats(pool):
+    multi = next(n for n in pool.nodes.values() if isinstance(n, LeafNode) and len(n.scope) > 2)
+    multi.stats = GaussianStats(multi.stats.mean + 0.4, 1.3 * multi.stats.cov, multi.stats.count)
+
+
+def _move_a_child_count(pool):
+    # The sum's own count stays as it was.
+    counts = pool.node(pool.root).child_counts
+    counts[0], counts[1] = counts[0] + 2.0, counts[1] - 1.0
+    counts[2] -= 1.0
+
+
+def _new_variance_floor(pool):
+    pool.variance_floor = 3e-2
+
+
+def _reorder_children_and_bump(pool):
+    pool.node(pool.root).children.reverse()  # the counts stay where they were
+    pool.bump()
+
+
+@pytest.mark.parametrize("edit", [_assign_stats, _move_a_child_count, _new_variance_floor,
+                                  _reorder_children_and_bump],
+                         ids=["node-stats", "child-counts", "variance-floor", "bump"])
+def test_an_edit_after_reads_shows_in_the_next_read_bit_for_bit(edit):
+    rng = np.random.default_rng(193)
+    pool = blocks_mixture(rng)
+    assert len(set(pool.node(pool.root).child_counts)) == 3
+    evidence = {0: 0.3, 4: -0.2, 6: 1.1}
+    X = rng.normal(size=(4, 9))
+    X[1, [0, 3, 5]] = X[2, :5] = X[3, 1:] = np.nan
+    before = [log_density(pool, evidence) for _ in range(2)]  # a warm net, then a read after a read
+    assert before[0] == before[1]
+    edit(pool)
+    got = log_density(pool, evidence)  # the next read
+    fresh = compile_pool(pool)
+    row = np.full((1, 9), np.nan)
+    row[0, list(evidence)] = list(evidence.values())
+    assert got != before[0]
+    assert got == fresh.eval_rows(row, partial=True)[fresh.index[pool.root], 0]
+    net = pool.compiled
+    assert net.order == fresh.order
+    for partial in (False, True):
+        Y = X if partial else np.nan_to_num(X)
+        assert net.eval_rows(Y, partial).tobytes() == fresh.eval_rows(Y, partial).tobytes()
 
 
 def test_in_place_stats_write_raises_and_changes_nothing():

@@ -7,6 +7,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spnstream.evaluate import log_density, log_density_rows
 from spnstream.gstats import GaussianStats
@@ -14,7 +16,7 @@ from spnstream.learner import LearnerConfig, learn_batch
 from spnstream.nodes import LeafNode, NodePool, ProductNode, SumNode, make_scope, validate
 from spnstream.updates import tie_break_argmax
 
-from helpers import population_stats, random_pool
+from helpers import population_stats, random_pool, reference_tie_break_argmax
 
 
 def leaf(scope, mean, var, count=1.0):
@@ -101,6 +103,28 @@ def test_tie_break_consumes_no_randomness_without_ties():
     winners = tie_break_argmax(values, rng)
     assert winners.tolist() == [0, 0]
     assert rng.bit_generator.state == state
+
+
+# Few distinct values, so repeated maxima are common; -inf and NaN too.
+_ROUTE_VALUES = st.sampled_from([-np.inf, -3.5, -1.0, -0.0, 0.0, 2.25, np.nan])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_ROUTE_VALUES, min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+@example([np.nan], 0)
+@example([-np.inf, -np.inf], 1)
+@example([2.25, np.nan, 2.25, np.nan], 2)
+@example([0.0, -0.0, -1.0], 3)
+def test_one_column_route_matches_the_reference_winner_and_draws(column, seed):
+    # The single-column path of tie_break_argmax, the route of one row,
+    # against the general rule: the same winner, and the generator left in
+    # the same state (a NaN draws nothing, a tie draws once).
+    values = np.array(column)[:, None]
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = tie_break_argmax(values, got_rng)
+    want = reference_tie_break_argmax(values.copy(), want_rng)
+    assert got.tolist() == want.tolist()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_update_batch_routes_each_row_independently():
