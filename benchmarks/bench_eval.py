@@ -11,10 +11,13 @@ first 32-row ``sample``.  Three networks: a model trained on the toy
 stream (small, deep enough to be realistic) and two wide constructed
 mixtures (many sum edges, multivariate leaves), the larger with 1 251 nodes.
 For the toy model it also prints microseconds per call of a marginal, a
-conditional and a one-row ``learn_batch``, and splits that write by phase:
-``gstats.update_each``, ``CompiledNet.refresh_params``, ``eval_rows``, the
-routing (``tie_break_argmax``) and the rest, each timed by a wrapper this
-script installs for one more pass and removes after it.
+conditional and a one-row ``learn_batch``, and splits the marginal and
+the write by phase, each timed by wrappers this script installs for one
+more pass and removes after it: the marginal into the evidence layout
+(the pass that checks the evidence into a row, and the batch array,
+timed directly in a pass without wrappers), ``shared_net``, the kernel's
+leaf groups and node groups and the rest; the write into ``gstats.update_each``, ``CompiledNet.refresh_params``,
+``eval_rows``, the routing (``tie_break_argmax``) and the rest.
 
 Then the model trained on planted blocks: its marginal and conditional
 queries/second on a warm net, and with each query the first read after a
@@ -40,11 +43,12 @@ Run from the repository root:
 import argparse
 import copy
 import itertools
+import math
 import time
 
 import numpy as np
 
-from spnstream import learner, toy
+from spnstream import evaluate, kernels, learner, toy
 from spnstream.evaluate import (CompiledNet, compile_pool, conditional_log_density, log_density,
                                 sample)
 from spnstream.gstats import GaussianStats
@@ -94,11 +98,10 @@ QUERIES = 64
 SAMPLE_ROWS = (32, 4096)
 
 
-def query_rates(pool, min_seconds: float, rng, write=None) -> tuple[float, float]:
-    """Marginal and conditional queries/second on random evidence.  With
-    ``write``, an untimed ``write()`` comes before every query, so each
-    query is the first read after a write."""
-    d = pool.dim
+def random_queries(d: int, rng) -> tuple[list, list]:
+    """``QUERIES`` marginals (half of the ``d`` variables observed) and as
+    many conditionals (a quarter queried given another half), each as the
+    argument tuple of its query minus the pool."""
     half, quarter = max(1, d // 2), max(1, d // 4)
     marginals, conditionals = [], []
     for _ in range(QUERIES):
@@ -107,6 +110,14 @@ def query_rates(pool, min_seconds: float, rng, write=None) -> tuple[float, float
         marginals.append(({v: float(x[v]) for v in perm[:half]},))
         conditionals.append(({v: float(x[v]) for v in perm[:quarter]},
                              {v: float(x[v]) for v in perm[quarter:quarter + half]}))
+    return marginals, conditionals
+
+
+def query_rates(pool, min_seconds: float, rng, write=None) -> tuple[float, float]:
+    """Marginal and conditional queries/second on random evidence.  With
+    ``write``, an untimed ``write()`` comes before every query, so each
+    query is the first read after a write."""
+    marginals, conditionals = random_queries(pool.dim, rng)
 
     def rate(ask, queries) -> float:
         ask(pool, *queries[0])  # warm-up
@@ -157,12 +168,17 @@ WRITE_PHASES = (("update_each", learner, "update_each"),
                 ("refresh_params", CompiledNet, "refresh_params"),
                 ("eval_rows", CompiledNet, "eval_rows"),
                 ("routing", learner, "tie_break_argmax"))
+# The calls a marginal is timed by; marginal_phases makes its phases of them.
+MARGINAL_CALLS = (("shared_net", evaluate, "shared_net"),
+                  ("kernel", kernels, "eval_flat_numpy"),
+                  ("leaf groups", kernels, "_partial_leaf_rows"))
 
 
-def phase_split(pool, rows, cfg: LearnerConfig) -> tuple[float, dict[str, float]]:
-    """Seconds of one ``write_pass`` (no reads) with each of ``WRITE_PHASES``
-    wrapped in a timer, and the seconds each phase took in it."""
-    spent = dict.fromkeys([name for name, _, _ in WRITE_PHASES], 0.0)
+def phase_split(calls, run) -> tuple[float, dict[str, float]]:
+    """Seconds of ``run()``, which returns them, with each of ``calls``
+    (name, owner, attribute) wrapped in a timer, and the seconds each
+    wrapped call took in it."""
+    spent = dict.fromkeys([name for name, _, _ in calls], 0.0)
     originals = []
 
     def timed(name, fn):
@@ -174,29 +190,68 @@ def phase_split(pool, rows, cfg: LearnerConfig) -> tuple[float, dict[str, float]
                 spent[name] += time.perf_counter() - t0
         return wrapper
 
-    for name, owner, attr in WRITE_PHASES:
+    for name, owner, attr in calls:
         originals.append((owner, attr, getattr(owner, attr)))
         setattr(owner, attr, timed(name, getattr(owner, attr)))
     try:
-        total = write_pass(pool, rows, cfg, read=False)
+        total = run()
     finally:
         for owner, attr, fn in originals:
             setattr(owner, attr, fn)
     return total, spent
 
 
+def marginal_phases(pool, marginals) -> tuple[float, dict[str, float]]:
+    """Seconds of one pass of ``log_density`` over ``marginals`` split into
+    the evidence layout, ``shared_net``, the kernel's leaf groups, its node
+    groups (the kernel less its leaf groups) and the rest (``eval_rows``'
+    set-up around the kernel, the calls' own overhead and the timers').
+
+    The evidence layout is timed directly, in a pass of its own without
+    timers: the steps ``log_density`` takes before the net, a row of NaN,
+    the evidence pass (``_check_assignment``) and the batch array."""
+    t0 = time.perf_counter()
+    for evidence in marginals:
+        row = [math.nan] * pool.dim
+        evaluate._check_assignment(pool, evidence, row)
+        np.array([row])
+    layout = time.perf_counter() - t0
+
+    def run() -> float:
+        t0 = time.perf_counter()
+        for evidence in marginals:
+            log_density(pool, evidence)
+        return time.perf_counter() - t0
+
+    total, t = phase_split(MARGINAL_CALLS, run)
+    phases = {"evidence layout": layout,
+              "shared_net": t["shared_net"],
+              "leaf groups": t["leaf groups"],
+              "node groups": t["kernel"] - t["leaf groups"]}
+    phases["rest"] = total - sum(phases.values())
+    return total, phases
+
+
 def run_toy_calls(pool, min_seconds: float, rng) -> None:
     """Microseconds per call on the trained toy model: a marginal, a
-    conditional and a one-row write, then that write split by phase."""
+    conditional and a one-row write, then the marginal and the write split
+    by phase."""
     marginal, conditional = query_rates(pool, min_seconds, rng)
     cfg = LearnerConfig(max_leaf_vars=1, seed=0)
     rows = toy.generate(500, rng)
     write = min(write_pass(pool, rows, cfg, read=False) for _ in range(3))
-    total, spent = phase_split(pool, rows, cfg)
+    total, spent = phase_split(WRITE_PHASES, lambda: write_pass(pool, rows, cfg, read=False))
     spent["rest"] = total - sum(spent.values())
     n = rows.shape[0]
     print(f"us per call: marginal {1e6 / marginal:.1f}, conditional {1e6 / conditional:.1f},"
           f" one-row learn_batch {1e6 * write / n:.1f}")
+    marginals = [evidence for evidence, in random_queries(pool.dim, rng)[0]]
+    log_density(pool, marginals[0])  # warm-up
+    m_total, phases = min((marginal_phases(pool, marginals) for _ in range(10)),
+                          key=lambda split: split[0])
+    print("marginal by phase (us per query, timed pass): "
+          + ", ".join(f"{name} {1e6 * s / QUERIES:.1f} ({100 * s / m_total:.0f}%)"
+                      for name, s in phases.items()))
     print("one-row learn_batch by phase (us per row, timed pass): "
           + ", ".join(f"{name} {1e6 * s / n:.1f} ({100 * s / total:.0f}%)"
                       for name, s in spent.items()))

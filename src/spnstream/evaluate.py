@@ -4,10 +4,13 @@ Every query runs the level kernel of the kernels module over a
 ``CompiledNet``, the pool flattened into arrays and grouped into a level
 plan.  ``log_density_rows`` scores complete rows.
 ``log_density`` and ``conditional_log_density`` pass their evidence as rows
-in which NaN marks an unassigned variable; each Gaussian leaf integrates
-its unassigned variables out, so a leaf with no assigned variable
-contributes a factor of one.  ``sample`` draws rows in one top-down pass
-over the net's level plan and ``analytic_mean`` is one bottom-up pass.
+in which NaN marks an unassigned variable: one pass over each assignment
+checks it and writes it into a Python list of NaN, and one ``np.array``
+makes the batch, so laying out the evidence takes one numpy call a
+query.  Each Gaussian leaf integrates its unassigned variables out, so a
+leaf with no assigned variable contributes a factor of one.  ``sample``
+draws rows in one top-down pass over the net's level plan and
+``analytic_mean`` is one bottom-up pass.
 Each pool holds one compiled net (``shared_net``), which these queries and
 ``learner.learn_batch`` share, so a write and the reads after it compile
 and factor the network once between them.  The net's parameters live on
@@ -25,8 +28,8 @@ structure edit.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -287,8 +290,22 @@ def subtree_log_density_rows(pool: NodePool, nid: int, X: np.ndarray) -> np.ndar
 # Partial-evidence queries
 # ======================================================================
 
-def _check_assignment(pool: NodePool, assignment: Mapping[int, float]) -> dict[int, float]:
-    out = {}
+def _check_assignment(pool: NodePool, assignment: Mapping[int, float],
+                      row: list[float]) -> list[int]:
+    """Check ``assignment`` and write it into ``row`` in one pass.
+
+    ``row`` is a list of ``pool.dim`` floats, NaN where nothing is
+    assigned; each value is written as a float at its variable, and the
+    variables are returned in the order met.  ValueError, before anything
+    is compiled, on anything but a mapping (its type is named) of integer
+    variables inside the dimension to finite real values.  No dict or
+    array comes in between: the row goes straight into the batch of
+    ``_partial_rows``.
+    """
+    if not isinstance(assignment, Mapping):
+        raise ValueError(f"assignment must be a mapping of variables to values, "
+                         f"got {type(assignment).__name__}")
+    keys = []
     for key, value in assignment.items():
         if not is_integer(key):  # a bool is no variable index
             raise ValueError(f"assignment variable {key!r} is not an integer")
@@ -300,16 +317,16 @@ def _check_assignment(pool: NodePool, assignment: Mapping[int, float]) -> dict[i
         v = float(value)
         if not math.isfinite(v):
             raise ValueError(f"assignment value for variable {k} is not finite")
-        out[k] = v
-    return out
+        row[k] = v
+        keys.append(k)
+    return keys
 
 
-def _partial_rows(pool: NodePool, *assignments: dict[int, float]) -> np.ndarray:
-    """Root log-density of each assignment, all in one batch; NaN marks the
-    variables an assignment leaves out."""
-    X = np.full((len(assignments), pool.dim), np.nan)
-    for row, assignment in zip(X, assignments):
-        row[list(assignment)] = list(assignment.values())
+def _partial_rows(pool: NodePool, *rows: list[float]) -> np.ndarray:
+    """Root log-density of each evidence row, all in one batch: each row is
+    a list of ``pool.dim`` floats from ``_check_assignment``, NaN where the
+    assignment leaves a variable out, and one ``np.array`` makes the batch."""
+    X = np.array(rows)
     net = shared_net(pool)
     return net.eval_rows(X, partial=True)[net.index[pool.root]]
 
@@ -320,18 +337,26 @@ def log_density(pool: NodePool, evidence: Mapping[int, float]) -> float:
     With empty evidence this is log of the total mass, which is 0.0 for any
     valid network.
     """
-    return float(_partial_rows(pool, _check_assignment(pool, evidence))[0])
+    row = [math.nan] * pool.dim
+    _check_assignment(pool, evidence, row)
+    return float(_partial_rows(pool, row)[0])
 
 
 def conditional_log_density(pool: NodePool, query: Mapping[int, float],
                             evidence: Mapping[int, float]) -> float:
-    """log f(query | evidence): a batch of the evidence and of evidence plus query."""
-    q = _check_assignment(pool, query)
-    ev = _check_assignment(pool, evidence)
-    overlap = set(q) & set(ev)
+    """log f(query | evidence): a batch of the evidence and of evidence plus
+    query, the second row a copy of the first with the query written in."""
+    q = [math.nan] * pool.dim
+    keys = _check_assignment(pool, query, q)
+    ev = [math.nan] * pool.dim
+    _check_assignment(pool, evidence, ev)
+    overlap = {k for k in keys if not math.isnan(ev[k])}  # assigned values are finite
     if overlap:
         raise ValueError(f"query and evidence share variables {sorted(overlap)}")
-    denom, joint = _partial_rows(pool, ev, {**ev, **q})
+    joint = ev.copy()
+    for k in keys:
+        joint[k] = q[k]
+    denom, joint = _partial_rows(pool, ev, joint)
     if denom == -np.inf:
         raise ValueError("evidence has zero density under the model")
     return float(joint - denom)

@@ -5,6 +5,8 @@ Densities come from expanding the network into an explicit Gaussian
 mixture over the induced sum-branch combinations and evaluating it with
 scipy, or from a scalar loop over the pool's nodes and a compiled net's
 leaves; statistics come from recomputing over the concatenated raw data.
+``reference_partial_rows`` is the one exception: it checks how the read
+queries lay out their evidence, not the kernel, so it runs the pool's net.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
+from spnstream.evaluate import shared_net
 from spnstream.gstats import DEGENERATE_VARIANCE, GaussianStats
 from spnstream.nodes import (LeafNode, NodePool, ProductNode, SumNode,
                              derived_weights, make_scope)
@@ -167,6 +170,22 @@ def scalar_eval_rows(net, pool: NodePool, X: np.ndarray) -> np.ndarray:
                     acc += math.exp(w + out[c, p] - best)
                 out[i, p] = best + math.log(acc)
     return out
+
+
+def reference_partial_rows(pool: NodePool, *assignments) -> np.ndarray:
+    """Root log-density of each assignment, all in one batch, laid out
+    without the queries' own evidence pass: a row of NaN per assignment
+    (``np.full``) with its values stored at its variables, run through the
+    pool's own net (``CompiledNet.eval_rows`` with ``partial``).
+    ``log_density`` is a batch of one assignment and
+    ``conditional_log_density`` one of the evidence and the evidence plus
+    the query, so each must match this bit for bit.
+    """
+    X = np.full((len(assignments), pool.dim), np.nan)
+    for row, assignment in zip(X, assignments):
+        row[[int(k) for k in assignment]] = [float(v) for v in assignment.values()]
+    net = shared_net(pool)
+    return net.eval_rows(X, partial=True)[net.index[pool.root]]
 
 
 # ----------------------------------------------------------------------

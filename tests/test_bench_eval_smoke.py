@@ -3,7 +3,8 @@
 The tests import its networks (``bench_eval.wide_mixture``), but nothing
 else runs the script, so a change that breaks one of its tables would go
 unseen.  This runs it at batch 1 with a token timing budget (about 3 s)
-and checks that it exits 0 and prints the planted-blocks query table.
+and checks that it exits 0 and prints the toy marginal's phase split and
+the planted-blocks query table.
 """
 
 import os
@@ -32,3 +33,13 @@ def test_bench_eval_runs_and_prints_the_planted_blocks_queries():
     for line, name in zip(lines[head[0] + 1:head[0] + 3], ("warm net", "after a 16-row write")):
         label, marginal, conditional = line.rsplit(maxsplit=2)
         assert label.strip() == name and float(marginal) > 0 and float(conditional) > 0, line
+    split = [line for line in lines if line.startswith("marginal by phase")]
+    assert len(split) == 1, proc.stdout
+    phases = {}
+    for part in split[0].split(": ", 1)[1].split(", "):
+        name, us, share = part.rsplit(maxsplit=2)
+        phases[name] = float(us)
+        assert share.startswith("(") and share.endswith("%)"), part
+    assert list(phases) == ["evidence layout", "shared_net", "leaf groups", "node groups",
+                            "rest"], split[0]
+    assert all(phases[name] > 0 for name in ("evidence layout", "leaf groups", "node groups"))

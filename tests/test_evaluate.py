@@ -1,5 +1,6 @@
 """Density evaluation, conditionals, and sampling against hand values and oracles."""
 
+import collections
 import copy
 import gc
 import itertools
@@ -9,11 +10,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 import weakref
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import spnstream
 from spnstream import evaluate, kernels
@@ -35,7 +40,7 @@ from spnstream.nodes import (LeafNode, NodePool, ProductNode, SumNode, derived_w
 
 from bench_eval import wide_mixture
 from helpers import (expand_mixture, oracle_cov, oracle_log_density, oracle_log_density_rows,
-                     oracle_mean, random_pool, scalar_eval_rows)
+                     oracle_mean, random_pool, reference_partial_rows, scalar_eval_rows)
 
 # log pdf of a standard normal at zero.
 LOG_STD_NORMAL_AT_0 = -0.9189385332046727
@@ -205,6 +210,72 @@ def test_assignment_values_take_numpy_and_integer_numbers():
                 == conditional_log_density(pool, {0: 2.0}, {1: 1.5}))
 
 
+@pytest.mark.parametrize("bad", [[(0, 1.0)], None, ((0, 1.0),), "0", 3, 0.5, {0, 1},
+                                 np.array([1.5, 2.0])])
+def test_evidence_and_query_must_be_mappings(bad):
+    # Refused by the evidence pass, before the pool's net is compiled.
+    pool = init_factored_pool(3)
+    name = type(bad).__name__
+    with pytest.raises(ValueError, match=f"must be a mapping .*, got {name}$"):
+        log_density(pool, bad)
+    with pytest.raises(ValueError, match=f"got {name}$"):
+        conditional_log_density(pool, bad, {0: 0.1})
+    with pytest.raises(ValueError, match=f"got {name}$"):
+        conditional_log_density(pool, {1: 0.1}, bad)
+    assert pool.compiled is None
+
+
+def test_any_mapping_is_evidence():
+    class Evidence(Mapping):
+        def __init__(self, pairs):
+            self.pairs = dict(pairs)
+
+        def __getitem__(self, key):
+            return self.pairs[key]
+
+        def __iter__(self):
+            return iter(self.pairs)
+
+        def __len__(self):
+            return len(self.pairs)
+
+    pool = random_pool(np.random.default_rng(7), 4)
+    ev, q = {2: 0.3, 0: -1.5}, {3: 0.7}
+    for wrap in (Evidence, types.MappingProxyType, collections.OrderedDict):
+        assert log_density(pool, wrap(ev)) == log_density(pool, ev)
+        assert (conditional_log_density(pool, wrap(q), wrap(ev))
+                == conditional_log_density(pool, q, ev))
+
+
+# Variable indices as Python and numpy integers, values as Python floats,
+# Python integers and numpy floats.
+_KEY_TYPES = st.sampled_from([int, np.int64, np.int32, np.intp, np.uint8])
+_VALUES = st.one_of(st.floats(-8.0, 8.0), st.integers(-8, 8),
+                    st.floats(-8.0, 8.0).map(np.float64),
+                    st.floats(-8.0, 8.0, width=32).map(np.float32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_queries_lay_out_their_evidence_as_the_reference_bit_for_bit(seed, data):
+    rng = np.random.default_rng(seed)
+    pool = random_pool(rng, int(rng.integers(2, 7)))
+    sizes = {g.k for g in shared_net(pool).plan.leaves}
+    assume(1 in sizes and max(sizes) >= 2)
+    variables = data.draw(st.permutations(range(pool.dim)))
+    n_ev = data.draw(st.integers(0, pool.dim))
+    n_q = data.draw(st.integers(0, pool.dim - n_ev))
+
+    def assignment(vs):
+        return {data.draw(_KEY_TYPES)(v): data.draw(_VALUES) for v in vs}
+
+    ev, q = assignment(variables[:n_ev]), assignment(variables[n_ev:n_ev + n_q])
+    want = reference_partial_rows(pool, ev)[0]
+    assert log_density(pool, ev).hex() == float(want).hex()
+    denom, joint = reference_partial_rows(pool, ev, {**ev, **q})
+    assert conditional_log_density(pool, q, ev).hex() == float(joint - denom).hex()
+
+
 def test_conditional_rejects_overlapping_keys():
     pool = init_factored_pool(2)
     with pytest.raises(ValueError):
@@ -328,6 +399,26 @@ def test_level_kernel_agrees_on_random_pools():
         for rows in (1, 7):
             assert_kernels_agree(pool, rng.normal(scale=2.0, size=(rows, pool.dim)))
     assert leaf_sizes == {1, 2, 3, 4}
+
+
+def test_univariate_partial_rows_read_the_same_bits_in_any_batch():
+    # A univariate leaf group gathers partial evidence with take; its rows
+    # of a 40-row batch equal each row read alone.
+    rng = np.random.default_rng(89)
+    checked = 0
+    while checked < 10:
+        pool = random_pool(rng, dim=5, max_leaf_vars=3)
+        net = shared_net(pool)
+        spans = [g.span for g in net.plan.leaves if g.k == 1]
+        if not spans:
+            continue
+        X = rng.normal(scale=2.0, size=(40, pool.dim))
+        X[rng.random(X.shape) < 0.4] = np.nan
+        alone = np.hstack([net.eval_rows(X[i:i + 1], partial=True) for i in range(40)])
+        got = net.eval_rows(X, partial=True)
+        for span in spans:
+            assert got[span].tobytes() == alone[span].tobytes()
+        checked += 1
 
 
 def test_level_kernel_agrees_on_a_200_level_chain():
