@@ -25,8 +25,11 @@ queries/second on a warm net, and with each query the first read after a
 rows reach, so the query refills the factors restricted to its observation
 patterns that the kernel caches per leaf group.  Then the write path:
 ``learn_batch`` rows/second on live models, one row per call on the trained
-toy model, and one and 16 rows per call on the planted-blocks model, each
-with no read between writes and with one marginal query after every write
+toy model, one and 16 rows per call on the planted-blocks model, and 256
+rows per call from the factorized start over 24 planted-block variables
+(a fixed stream of 10 240 rows on which the structure learning only
+merges, so no write meets a sum and none evaluates the net), each with
+no read between writes and with one marginal query after every write
 (untimed).  The read re-factors the leaves the write replaced; a second
 factorization of them by the next write, or per-node overhead in the write
 pass, shows in these rates.  Last, the cost of structure learning on planted
@@ -316,19 +319,27 @@ def run_writes(min_seconds: float, seed: int) -> None:
     blocks_pool, _ = fit(planted_blocks(20000, rng), LearnerConfig(batch_size=256, seed=0))
     blocks_rows = planted_blocks(640, rng)
     run_blocks_queries(blocks_pool, blocks_rows, min_seconds, rng)
+    # A fixed stream on which the factorized start only merges, so that no
+    # write meets a sum, whatever the seed of the other rows.
+    sum_free_rows = planted_blocks(10240, np.random.default_rng(3))
+    sum_free_cfg = LearnerConfig(batch_size=256, seed=0)
+    sum_free = init_factored_pool(sum_free_rows.shape[1])
+    _, report = fit(sum_free_rows, sum_free_cfg)
+    assert report.mixtures_created == 0, "the sum-free stream made a mixture"
     print("\nlearn_batch rows/s on live models (structure learning on)")
-    print(f"{'model':>26} {'batch':>6} {'no reads':>10} {'read after each':>16}")
+    print(f"{'model':>28} {'batch':>6} {'no reads':>10} {'read after each':>16}")
     for name, pool, rows, cfg in [
             ("trained toy", toy_pool, toy.generate(500, rng), toy_cfg),
             ("planted blocks", blocks_pool, blocks_rows, LearnerConfig(batch_size=1, seed=0)),
-            ("planted blocks", blocks_pool, blocks_rows, LearnerConfig(batch_size=16, seed=0))]:
+            ("planted blocks", blocks_pool, blocks_rows, LearnerConfig(batch_size=16, seed=0)),
+            ("factorized start", sum_free, sum_free_rows, sum_free_cfg)]:
         best, spent = [0.0, 0.0], 0.0
         while spent < 2 * min_seconds:
             for read in (False, True):
                 dt = write_pass(pool, rows, cfg, read)
                 spent += dt
                 best[read] = max(best[read], rows.shape[0] / dt)
-        print(f"{name + f' ({len(pool)} nodes)':>26} {cfg.batch_size:>6} {best[0]:>10.0f}"
+        print(f"{name + f' ({len(pool)} nodes)':>28} {cfg.batch_size:>6} {best[0]:>10.0f}"
               f" {best[1]:>16.0f}")
 
 

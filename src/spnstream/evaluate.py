@@ -11,9 +11,13 @@ query.  Each Gaussian leaf integrates its unassigned variables out, so a
 leaf with no assigned variable contributes a factor of one.  ``sample``
 draws rows in one top-down pass over the net's level plan and
 ``analytic_mean`` is one bottom-up pass.
-Each pool holds one compiled net (``shared_net``), which these queries and
+Each pool holds one compiled net (``current_net``), which these queries and
 ``learner.learn_batch`` share, so a write and the reads after it compile
-and factor the network once between them.  The net's parameters live on
+the network once between them.  A write reads densities only at sums, so
+it refreshes and evaluates the net only when the pool has a sum; the
+first read after writes into a pool without one factors the leaves those
+writes changed, so every changed leaf is factored once whatever comes
+next.  The net's parameters live on
 the groups of its plan: each leaf group re-factors only the leaves whose
 slot in the pool's statistics store was written since (every leaf after a
 change of ``pool.variance_floor``, which shows at once), and the sum
@@ -213,27 +217,40 @@ def compile_pool(pool: NodePool) -> CompiledNet:
     return net
 
 
-def shared_net(pool: NodePool) -> CompiledNet:
-    """The pool's compiled net, up to date with its parameters.
+def current_net(pool: NodePool) -> CompiledNet:
+    """The pool's compiled net for its current structure, parameters as they
+    were last brought up to date.
 
     One net per pool, held on the pool itself (``pool.compiled``), so it
     lives exactly as long as the pool and a deep copy of the pool gets its
-    own.  ``learner.learn_batch`` and every read query use it.  The net is
-    rebuilt when the structure version or the root differs from the ones it
-    was compiled at (tests and users may reassign the root without a
-    version bump); otherwise ``refresh_params`` brings it up to date:
-    assigned statistics, edited child counts, a new weight mode and a new
-    variance floor show at once.  A read that follows a read with nothing
-    changed looks at no leaf group (the store's write count has not moved),
-    re-factors nothing and recomputes no weight: its refresh is O(1) but
-    for the by-value compare of the child counts.
+    own.  The net is rebuilt when the structure version or the root differs
+    from the ones it was compiled at (tests and users may reassign the root
+    without a version bump); compiling walks the pool, so a pool that is
+    not a tree raises here, before anything reads or writes it.
+    ``learner.learn_batch`` takes the net from here and refreshes its
+    parameters only when it evaluates, that is when the pool has a sum.
     """
     net = pool.compiled
     if net is None or net.key != (pool.structure_version, pool.root):
         pool.compiled = None  # let the old net go before compiling the new one
         net = pool.compiled = compile_pool(pool)
-    else:
-        net.refresh_params(pool)
+    return net
+
+
+def shared_net(pool: NodePool) -> CompiledNet:
+    """The pool's compiled net (``current_net``), up to date with its
+    parameters.
+
+    Every read query uses it.  ``refresh_params`` brings the net up to
+    date: assigned statistics, edited child counts, a new weight mode and
+    a new variance floor show at once, and so do the leaves that writes
+    without a sum left unfactored.  A read that follows a read with
+    nothing changed looks at no leaf group (the store's write count has
+    not moved), re-factors nothing and recomputes no weight: its refresh
+    is O(1) but for the by-value compare of the child counts.
+    """
+    net = current_net(pool)
+    net.refresh_params(pool)
     return net
 
 
@@ -255,7 +272,12 @@ def log_density_rows(pool: NodePool, X: np.ndarray) -> np.ndarray:
     """Joint log-density at complete rows, shape (n_rows,).
 
     Rows are evaluated in blocks and only the root's row of each block is
-    kept, so memory does not grow with the number of rows.
+    kept, so memory does not grow with the number of rows.  With leaves
+    over k >= 2 variables a row's value can differ in its last bits with
+    the batch it is scored in, so a digest over scores holds only at a
+    fixed split into blocks: the batched matrix products that score such a
+    leaf group are the only per-row reductions whose operand shape follows
+    the batch.  Univariate leaves give the same bits at every batch.
     """
     X = check_rows(X, pool.dim)
     net = shared_net(pool)

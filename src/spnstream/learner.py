@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import CompiledNet, check_rows, shared_net, subtree_log_density_rows
+from .evaluate import (CompiledNet, check_rows, current_net, shared_net,
+                       subtree_log_density_rows)
 from .gstats import GaussianStats, correlation_matrix, update_each
 from .nodes import (LeafNode, NodePool, ProductNode, Scope, SumNode,
                     WEIGHT_MODES, is_integer, make_scope, scope_positions, scope_union,
@@ -256,7 +257,10 @@ class EvalCache:
     written since the net last factored them are re-factored (every leaf
     after a change of ``pool.variance_floor``), and the sum weights are
     recomputed only when a child count or the weight mode changed since
-    they were last computed.
+    they were last computed.  A write refreshes and evaluates the net only
+    when the pool has a sum, whose routing reads densities; after writes
+    into a pool without one, the next read (or ``ensure``) factors the
+    leaves those writes changed.
     """
 
     def ensure(self, pool: NodePool) -> CompiledNet:
@@ -308,7 +312,7 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
     """One streaming update: push a batch through the network once.
 
     Per-node log-likelihoods for the whole batch are computed bottom-up
-    first, then one top-down pass updates counts, routes rows at sum nodes,
+    first (on a pool with a sum, see below), then one top-down pass updates counts, routes rows at sum nodes,
     folds rows into product statistics, triggers structure changes, and
     updates leaves.  That pass is one iterative depth-first walk in
     pre-order over an explicit stack, so network depth is not limited by
@@ -333,16 +337,26 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
     built.
     Rows of the wrong width or with a non-finite value raise ValueError
     before the pool is touched.
-    The bottom-up pass runs on the pool's compiled net, the one the read
-    queries use (``evaluate.shared_net``), so ``cache`` is optional: the
-    net is found through the pool either way.
+    Only a sum reads densities, to route its rows, so the bottom-up pass
+    runs only on a pool that has a sum when the batch arrives.  It runs on
+    the pool's compiled net, the one the read queries use
+    (``evaluate.current_net``, compiled if the structure changed, which
+    also refuses a pool that is not a tree), after ``refresh_params``;
+    ``cache`` is optional, since the net is found through the pool either
+    way.  On a pool without a sum the net's parameters are left as they
+    are: any sum the pass meets was born in it, so its children are all
+    new and the graph walk scores them, and the first read after such
+    writes factors the leaves they changed, once.
     """
     rows = check_rows(rows, pool.dim)
     report = BatchReport(rows=rows.shape[0])
     if rows.shape[0] == 0:
         return report
-    net = shared_net(pool)
-    values = net.eval_rows(rows)
+    net = current_net(pool)
+    values = None
+    if net.sums:  # only a sum reads densities
+        net.refresh_params(pool)
+        values = net.eval_rows(rows)
 
     def restructure(nid: int, node: ProductNode, count: float, prev: tuple) -> None:
         """Check product ``nid``, whose statistics now hold ``count`` rows

@@ -86,13 +86,14 @@ def random_pool(rng: np.random.Generator, dim: int, max_sums: int = 6,
     return pool
 
 
-NOT_A_TREE = ["shared-leaf", "repeated-child"]
+NOT_A_TREE = ["shared-leaf", "repeated-child", "product-shared-leaf", "product-repeated-child"]
 
 
 def not_a_tree(kind: str) -> tuple[NodePool, int]:
     """A pool that is not a tree, and the node a walk from its root reaches
     twice: "shared-leaf", a sum over two products that share their leaf on
-    variable 0, or "repeated-child", a sum that lists one product twice."""
+    variable 0, or "repeated-child", a sum that lists one product twice.
+    The "product-" kinds have no sum: the same with a product root."""
     pool = NodePool(2)
 
     def leaf(v, mean):
@@ -100,13 +101,16 @@ def not_a_tree(kind: str) -> tuple[NodePool, int]:
 
     shared = leaf(0, 0.0)
     left = pool.add(ProductNode((0, 1), [shared, leaf(1, -3.0)], GaussianStats.zeros(2, 4.0)))
-    if kind == "shared-leaf":
+    if kind in ("shared-leaf", "product-shared-leaf"):
         right = pool.add(ProductNode((0, 1), [shared, leaf(1, 3.0)],
                                      GaussianStats.zeros(2, 4.0)))
         twice = shared
     else:
         right = twice = left
-    pool.root = pool.add(SumNode((0, 1), [left, right], [4.0, 4.0]))
+    if kind.startswith("product-"):
+        pool.root = pool.add(ProductNode((0, 1), [left, right], GaussianStats.zeros(2, 4.0)))
+    else:
+        pool.root = pool.add(SumNode((0, 1), [left, right], [4.0, 4.0]))
     return pool, twice
 
 

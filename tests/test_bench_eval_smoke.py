@@ -3,8 +3,8 @@
 The tests import its networks (``bench_eval.wide_mixture``), but nothing
 else runs the script, so a change that breaks one of its tables would go
 unseen.  This runs it at batch 1 with a token timing budget (about 3 s)
-and checks that it exits 0 and prints the toy marginal's phase split and
-the planted-blocks query table.
+and checks that it exits 0 and prints the toy marginal's phase split, the
+planted-blocks query table and the write table's sum-free row.
 """
 
 import os
@@ -43,3 +43,10 @@ def test_bench_eval_runs_and_prints_the_planted_blocks_queries():
     assert list(phases) == ["evidence layout", "shared_net", "leaf groups", "node groups",
                             "rest"], split[0]
     assert all(phases[name] > 0 for name in ("evidence layout", "leaf groups", "node groups"))
+    # The write table's sum-free row: the factorized start over 24 variables
+    # (25 nodes) at batch 256; bench_eval asserts that its stream makes no mixture.
+    sum_free = [line for line in lines if line.lstrip().startswith("factorized start (")]
+    assert len(sum_free) == 1, proc.stdout
+    label, batch, no_reads, with_reads = sum_free[0].rsplit(maxsplit=3)
+    assert label.strip() == "factorized start (25 nodes)" and batch == "256", sum_free[0]
+    assert float(no_reads) > 0 and float(with_reads) > 0, sum_free[0]

@@ -707,23 +707,43 @@ class CompileCounter:
     """Counts compiles, ``refresh_leaf`` calls and factored leaves (one per
     leaf in each stack of leaf statistics handed to ``kernels.factors``: (m,)
     variances or (m, k, k) covariances; the (patterns, m, k, k) stacks of
-    restricted factors a partial read builds are not leaves)."""
+    restricted factors a partial read builds are not leaves).  ``calls``
+    counts the calls of ``CompiledNet.eval_rows``, ``kernels.factors`` and
+    ``CompiledNet.refresh_weights`` made outside a compile, which factors
+    every leaf of the net it builds."""
 
     def __init__(self, monkeypatch):
         self.compiles = self.refresh_leaf = self.factored = 0
+        self.calls = Counter()
+        self.compiling = False
         self.compile_pool = evaluate.compile_pool
         counter = self
 
         def compile_pool(pool):
             counter.compiles += 1
-            return counter.compile_pool(pool)
+            counter.compiling = True
+            try:
+                return counter.compile_pool(pool)
+            finally:
+                counter.compiling = False
 
-        factors = kernels.factors
+        def outside_compiles(name, fn):
+            def counted(*args, **kwargs):
+                if not counter.compiling:
+                    counter.calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        factors = outside_compiles("factors", kernels.factors)
 
         def counted_factors(covs, floor):
             if covs.ndim in (1, 3):
                 counter.factored += covs.shape[0]
             return factors(covs, floor)
+
+        for name in ("eval_rows", "refresh_weights"):
+            monkeypatch.setattr(evaluate.CompiledNet, name,
+                                outside_compiles(name, getattr(evaluate.CompiledNet, name)))
 
         refresh_leaf = evaluate.CompiledNet.refresh_leaf
 
@@ -743,9 +763,9 @@ class CompileCounter:
     def assert_matches_fresh_compile(self, net, pool):
         """The net's parameter arrays equal a fresh compile of ``pool``, bit for
         bit; the fresh compile's factorizations are not counted."""
-        counted = self.factored
+        counted = self.factored, self.calls.copy()
         fresh = self.compile_pool(pool)
-        self.factored = counted
+        self.factored, self.calls = counted
         assert [None if g.logw is None else g.logw.tobytes() for g in net.plan.groups] == [
             None if f.logw is None else f.logw.tobytes() for f in fresh.plan.groups]
         assert len(net.plan.leaves) == len(fresh.plan.leaves)
@@ -864,3 +884,66 @@ def test_a_deep_copy_writes_without_changing_the_original(monkeypatch):
         counter.assert_matches_fresh_compile(twin.compiled, twin)
         assert reads(pool) == before
         counter.assert_matches_fresh_compile(pool.compiled, pool)
+
+
+def sum_free_pools() -> list:
+    """Two 8-variable pools without a sum: the factorized start, and the
+    same with variables 0 and 1, and 2 and 3, merged into 2-variable leaves."""
+    merged = init_factored_pool(8)
+    for pair in ((0, 1), (2, 3)):
+        by_scope = {merged.node(c).scope: c for c in merged.node(merged.root).children}
+        merge_into_leaf(merged, merged.root, *(by_scope[(v,)] for v in pair))
+    assert {len(n.scope) for n in merged.nodes.values() if isinstance(n, LeafNode)} == {1, 2}
+    return [init_factored_pool(8), merged]
+
+
+def has_sum(pool) -> bool:
+    return any(isinstance(n, SumNode) for n in pool.nodes.values())
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_writes_into_a_pool_without_a_sum_evaluate_and_factor_nothing(monkeypatch, frozen):
+    # Correlated pairs, so that with the structure learning on the factorized
+    # start merges them (max_leaf_vars=3 keeps every edit a merge here) and
+    # the writes after an edit compile.
+    rng = np.random.default_rng(53)
+    a, b = rng.normal(size=(2, 1024, 1))
+    rows = np.hstack([a, a + 0.3 * rng.normal(size=(1024, 1)), b,
+                      b + 0.3 * rng.normal(size=(1024, 1)), rng.normal(size=(1024, 4))])
+    cfg = LearnerConfig(batch_size=64, max_leaf_vars=3, seed=53)
+    counter = CompileCounter(monkeypatch)
+    for start, pool in zip(("factorized", "merged"), sum_free_pools()):
+        reads(pool)
+        counter.take()
+        counter.calls.clear()
+        keys, edits = set(), 0
+        for lo in range(0, rows.shape[0], cfg.batch_size):
+            keys.add((pool.structure_version, pool.root))
+            report = learn_batch(pool, rows[lo:lo + cfg.batch_size], cfg, rng,
+                                 structure_frozen=frozen)
+            edits += report.mixtures_created + report.leaves_merged
+            assert report.mixtures_created == 0 and not has_sum(pool)
+        assert not counter.calls, counter.calls
+        compiles = counter.take()[0]
+        assert compiles < len(keys)  # the key at the first write was compiled by the read
+        # Only the factorized start has pairs left to merge, one edit each.
+        assert (edits, compiles) == ((2, 2) if start == "factorized" and not frozen else (0, 0))
+        # The next read factors the leaves the writes changed, every one, once.
+        reads(pool)
+        counter.assert_matches_fresh_compile(pool.compiled, pool)
+        leaves = sum(isinstance(n, LeafNode) for n in pool.nodes.values())
+        assert counter.take()[:2] == (0, leaves)
+        assert counter.calls["eval_rows"] > 0
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_writes_into_a_pool_with_a_sum_evaluate_once_each(monkeypatch, frozen):
+    pool, rng = blocks_model(55)
+    assert has_sum(pool)
+    cfg = LearnerConfig(batch_size=16, max_leaf_vars=3, seed=55)
+    reads(pool)
+    counter = CompileCounter(monkeypatch)
+    for _ in range(4):
+        learn_batch(pool, rng.normal(size=(16, 8)), cfg, rng, structure_frozen=frozen)
+        assert counter.calls["eval_rows"] == 1
+        counter.calls.clear()

@@ -82,6 +82,18 @@ def test_planted_blocks_with_edits_match_the_oracle(batch, mode):
     assert_streams_agree(pool, planted_rows(rng, max(160, 2 * batch)), cfg, batch, seed=13)
 
 
+def test_a_stream_without_a_sum_matches_the_oracle():
+    # With max_leaf_vars above the dimension every edit is a merge, so the
+    # pool never has a sum and the write pass evaluates nothing.
+    rng = np.random.default_rng(19)
+    cfg = LearnerConfig(max_leaf_vars=9, batch_size=256, seed=19)
+    rows = planted_rows(rng, 24 * 256)
+    pool = init_factored_pool(8)
+    assert assert_streams_agree(pool, rows, cfg, 256) >= 2
+    _, report = fit(rows, cfg, pool=copy.deepcopy(pool))
+    assert report.mixtures_created == 0 and report.leaves_merged >= 2
+
+
 @pytest.mark.parametrize("batch", [1, 2, 16])
 @pytest.mark.parametrize("mode", ["laplace", "mle"])
 def test_random_pools_match_the_oracle(batch, mode):
