@@ -6,8 +6,8 @@ milliseconds per row.  For each network it also prints partial-evidence
 queries/second (``log_density`` marginals with half of the variables
 observed, and ``conditional_log_density`` with a quarter queried given
 another half), ``sample`` rows/second at 32 and 4096 rows per call, the
-time of one ``compile_pool``, and the time of a recompile followed by the
-first 32-row ``sample``.  Three networks: a model trained on the toy
+time of one ``compile_pool`` (which sets no parameters), and the time of a
+recompile followed by the first 32-row ``sample``, which factors every leaf.  Three networks: a model trained on the toy
 stream (small, deep enough to be realistic) and two wide constructed
 mixtures (many sum edges, multivariate leaves), the larger with 1 251 nodes.
 For the toy model it also prints microseconds per call of a marginal, a
@@ -16,7 +16,8 @@ the write by phase, each timed by wrappers this script installs for one
 more pass and removes after it: the marginal into the evidence layout
 (the pass that checks the evidence into a row, and the batch array,
 timed directly in a pass without wrappers), ``shared_net``, the kernel's
-leaf groups and node groups and the rest; the write into ``gstats.update_each``, ``CompiledNet.refresh_params``,
+leaf groups and node groups and the rest; the write into ``gstats.update_each``, the leaf
+refresh (``LeafGroup.refresh``), the weight refresh (``CompiledNet.refresh_weights``),
 ``eval_rows``, the routing (``tie_break_argmax``) and the rest.
 
 Then the model trained on planted blocks: its marginal and conditional
@@ -141,7 +142,7 @@ def query_rates(pool, min_seconds: float, rng, write=None) -> tuple[float, float
 
 
 def run_workload(name: str, pool, batch_sizes, min_seconds: float, rng) -> None:
-    net = compile_pool(pool)
+    net = evaluate.shared_net(pool)
     print(f"\n{name}: {len(net.order)} nodes, dimension {pool.dim}")
     print(f"{'batch':>7} {'eval_rows rows/s':>17}")
     for batch in batch_sizes:
@@ -168,7 +169,8 @@ def run_workload(name: str, pool, batch_sizes, min_seconds: float, rng) -> None:
 
 # The phases of a write, by the name each is timed under and where it is wrapped.
 WRITE_PHASES = (("update_each", learner, "update_each"),
-                ("refresh_params", CompiledNet, "refresh_params"),
+                ("leaf refresh", kernels.LeafGroup, "refresh"),
+                ("refresh_weights", CompiledNet, "refresh_weights"),
                 ("eval_rows", CompiledNet, "eval_rows"),
                 ("routing", learner, "tie_break_argmax"))
 # The calls a marginal is timed by; marginal_phases makes its phases of them.

@@ -16,17 +16,18 @@ Each pool holds one compiled net (``current_net``), which these queries and
 the network once between them.  A write reads densities only at sums, so
 it refreshes and evaluates the net only when the pool has a sum; the
 first read after writes into a pool without one factors the leaves those
-writes changed, so every changed leaf is factored once whatever comes
-next.  The net's parameters live on
-the groups of its plan: each leaf group re-factors only the leaves whose
-slot in the pool's statistics store was written since (every leaf after a
-change of ``pool.variance_floor``, which shows at once), and the sum
-groups' log weights are recomputed when a child count or the weight mode
-changed, so no caller sees stale parameters.  Statistics change only by
-a write into their slot, which stamps it and moves the store's count of
-writes, so every change shows, and a read after a read, with that count
-where it was, looks at no leaf group; the net is rebuilt after a
-structure edit.
+writes changed.  A new net starts with no parameters, so a compile for a write
+that reads no density factors nothing.  The net's parameters live on
+the groups of its plan.  After a write into the pool's statistics store
+a univariate leaf group re-derives all its leaves and a k > 1 group
+re-factors the leaves whose slot was written (every leaf after a change
+of ``pool.variance_floor``, which shows at once); a sum group recomputes
+its log weights when one of its sums' slots of child counts was written
+or the weight mode changed, so no caller sees stale parameters.
+Statistics and child counts change only by a write into their slot,
+which stamps it and moves the store's count of writes, so every change
+shows, and a read after a read, with that count where it was, looks at
+no group; the net is rebuilt after a structure edit.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ import numpy as np
 
 from . import kernels
 from .gstats import GaussianStats
-from .nodes import (LeafNode, NodePool, ProductNode, SumNode, derived_weights, edge_weights,
-                    is_integer, is_real, topological_order)
+from .nodes import (LeafNode, NodePool, ProductNode, SumNode, derived_weights, is_integer,
+                    is_real, topological_order)
 
 # Bytes of the widest per-row array in one block of log_density_rows; with
 # the kernel's temporaries a block then peaks near 2 MB, whatever the
@@ -72,7 +73,7 @@ class CompiledNet:
     The plan drives both the kernel and sampling, and its groups hold the
     parameters: the leaves' on the leaf groups (``kernels.LeafGroup``), the
     sums' log weights on the sum groups (``kernels.NodeGroup.logw``), which
-    ``refresh_params`` brings up to date in place.
+    ``refresh_params`` sets and brings up to date in place.
     """
 
     order: list[int]        # node ids by dense index: plan order, children first
@@ -88,15 +89,16 @@ class CompiledNet:
     # factor for each of a leaf group's m leaves: m * k * k words a row.
     partial_block_rows: int
     # The variance floor the leaves were last factored with, and the pool's
-    # store.stamps then; refresh_params re-factors a leaf only when its slot
-    # was written (see LeafGroup.refresh) or the floor changed, and looks at
-    # no slot while both records hold.
+    # store.stamps then; refresh_params re-factors the leaves only when the
+    # store was written (see LeafGroup.refresh) or the floor changed, and
+    # looks at no group while both records hold.  A new net holds neither,
+    # so its first refresh factors every leaf.
     floor: float = math.nan
     stamps: int = -1
-    # The weight mode, then each sum's child counts, that the sum groups'
-    # logw was last computed from; refresh_weights skips a pool that still
-    # has them.
-    weight_inputs: list | None = None
+    # The same for the sum groups' logw: the weight mode and store.stamps
+    # it was last computed at.
+    weight_mode: str | None = None
+    weight_stamps: int = -1
 
     def row_blocks(self, n_rows: int, block_rows: int) -> list[slice]:
         """Equal blocks of at most ``block_rows`` rows.  Equal sizes avoid a
@@ -131,16 +133,14 @@ class CompiledNet:
     def refresh_params(self, pool: NodePool) -> None:
         """Bring the groups' parameters up to date with the pool.
 
-        Each leaf group re-factors the leaves whose slot in the pool's
-        statistics store was written since they were last factored, every
-        leaf after a change of the variance floor
-        (``kernels.LeafGroup.refresh``).  The store counts its writes and
-        frees (``StatsStore.stamps``), so while that count and the floor
-        are the ones last seen no group is looked at: a read after a read
-        costs O(1) here.  The sums' log weights are recomputed when a child
-        count or the weight mode differs from the last values used
-        (``refresh_weights``); child counts are edited in place, so they
-        are compared by value.
+        The store counts its writes and frees (``StatsStore.stamps``), so
+        while that count, the variance floor and the weight mode are the
+        ones last seen no group is looked at: a read after a read costs
+        O(1) here.  Otherwise each leaf group factors its leaves again
+        (``kernels.LeafGroup.refresh``): a univariate group all of them, a
+        k > 1 group those whose slot was written since, every leaf after a
+        change of the floor.  The sums' log weights follow
+        (``refresh_weights``).
         """
         floor, stamps = pool.variance_floor, pool.store.stamps
         if floor != self.floor or stamps != self.stamps:
@@ -150,49 +150,39 @@ class CompiledNet:
         self.refresh_weights(pool)
 
     def refresh_weights(self, pool: NodePool) -> None:
-        """Recompute the sum groups' log weights from current counts, in one
-        pass over every sum, when the weight mode or any sum's child counts
-        differ from the ones they were last computed from; a zero count
-        under "mle" weights gives -inf."""
-        if not self.sums:
+        """Recompute the log weights of each sum group one of whose sums'
+        child counts were written since (``kernels.NodeGroup.refresh``),
+        every group's after a change of the weight mode; a zero count
+        under "mle" weights gives -inf, and an unknown mode raises
+        ValueError here, at every read until it is set right."""
+        mode, stamps = pool.weight_mode, pool.store.stamps
+        if mode == self.weight_mode and stamps == self.weight_stamps:
             return
-        sums = [pool.nodes[nid] for nid in self.sums]
-        seen = [pool.weight_mode]
-        for node in sums:
-            seen += node.child_counts
-        if seen == self.weight_inputs:
-            return
-        w = edge_weights(sums, pool.weight_mode)
-        if np.count_nonzero(w) == w.size:
-            logw = np.log(w)
-        else:
-            with np.errstate(divide="ignore"):
-                logw = np.log(w)
-        lo = 0  # self.sums runs group after group, each sum's weights in turn
-        for g in self.plan.groups:
-            if g.is_sum:
-                c, m = g.logw.shape
-                g.logw[:] = logw[lo:lo + c * m].reshape(m, c).T
-                lo += c * m
-        self.weight_inputs = seen
+        every = mode != self.weight_mode
+        for g in self.plan.sums:
+            g.refresh(mode, every)
+        self.weight_mode, self.weight_stamps = mode, stamps
 
 
 def compile_pool(pool: NodePool) -> CompiledNet:
     """Flatten the pool (its reachable part) into a level plan.
 
     One walk, children before parents: a leaf's height is 0 and an inner
-    node's one more than its highest child's.  A leaf or product that holds
-    its statistics itself gets its slot in the pool's store here.
-    ``kernels.level_plan`` then numbers the nodes densely in plan order,
-    children first, so each plan group owns a range of the kernel's output.
+    node's one more than its highest child's.  A node that holds its
+    statistics or child counts itself gets its slot in the pool's store
+    here.  ``kernels.level_plan`` then numbers the nodes densely in plan
+    order, children first, so each plan group owns a range of the kernel's
+    output.  The net's parameters are left unset: its first
+    ``refresh_params`` factors every leaf and weighs every sum, so a
+    compile for a write that reads no density factors nothing.
     """
     height: dict[int, int] = {}
     inner = []  # (height, kind, node id, child ids)
-    scopes, slots = {}, {}  # node id -> scope and statistics' slot, for each leaf
+    scopes = {}  # node id -> scope, for each leaf
+    slots = {}  # node id -> slot, for each leaf (statistics) and sum (child counts)
     for nid in topological_order(pool):
         node = pool.node(nid)
-        if not isinstance(node, SumNode):
-            slot = pool.slot_of(node)
+        slot = pool.slot_of(node)
         if isinstance(node, LeafNode):
             if slot[0].k != len(node.scope):
                 raise ValueError(f"leaf {nid} has statistics of width {slot[0].k} "
@@ -200,6 +190,11 @@ def compile_pool(pool: NodePool) -> CompiledNet:
             scopes[nid], slots[nid] = node.scope, slot
             height[nid] = 0
             continue
+        if isinstance(node, SumNode):
+            if slot[0].c != len(node.children):
+                raise ValueError(f"sum {nid} has {slot[0].c} child counts "
+                                 f"for {len(node.children)} children")
+            slots[nid] = slot
         height[nid] = h = 1 + max((height[c] for c in node.children), default=0)
         kind = kernels.KIND_SUM if isinstance(node, SumNode) else kernels.KIND_PRODUCT
         inner.append((h, kind, nid, node.children))
@@ -209,12 +204,10 @@ def compile_pool(pool: NodePool) -> CompiledNet:
     width = max(n, n_edges, sum(map(len, scopes.values())))
     partial_width = max([width] + [g.nodes.size * g.k * g.k for g in plan.leaves])
     sums = [order[i] for g in plan.groups if g.is_sum for i in g.nodes.tolist()]
-    net = CompiledNet(order, {nid: i for i, nid in enumerate(order)},
-                      (pool.structure_version, pool.root), plan, sums,
-                      max(1, _BLOCK_BYTES // (8 * width)),
-                      max(1, _BLOCK_BYTES // (8 * partial_width)))
-    net.refresh_params(pool)
-    return net
+    return CompiledNet(order, {nid: i for i, nid in enumerate(order)},
+                       (pool.structure_version, pool.root), plan, sums,
+                       max(1, _BLOCK_BYTES // (8 * width)),
+                       max(1, _BLOCK_BYTES // (8 * partial_width)))
 
 
 def current_net(pool: NodePool) -> CompiledNet:
@@ -242,12 +235,12 @@ def shared_net(pool: NodePool) -> CompiledNet:
     parameters.
 
     Every read query uses it.  ``refresh_params`` brings the net up to
-    date: assigned statistics, edited child counts, a new weight mode and
-    a new variance floor show at once, and so do the leaves that writes
-    without a sum left unfactored.  A read that follows a read with
-    nothing changed looks at no leaf group (the store's write count has
-    not moved), re-factors nothing and recomputes no weight: its refresh
-    is O(1) but for the by-value compare of the child counts.
+    date: assigned statistics, assigned child counts, a new weight mode
+    and a new variance floor show at once, and so do the leaves that
+    writes without a sum left unfactored (all of them on a net compiled
+    for such writes).  A read that follows a read with nothing changed
+    looks at no group (the store's write count has not moved),
+    re-factors nothing and recomputes no weight: its refresh is O(1).
     """
     net = current_net(pool)
     net.refresh_params(pool)

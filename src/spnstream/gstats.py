@@ -6,12 +6,17 @@ any sequence of batch updates the result equals a direct recomputation
 over the concatenated data, up to floating point roundoff, regardless of
 how the stream was split into batches.
 
-A pool keeps the statistics of all its leaves and products in one
-``StatsStore``: for each scope width k, stacked arrays ``mean`` (S, k),
-``cov`` (S, k, k) and ``count`` (S,) and a write stamp per slot
-(``StatsWidth``).  A node holds a (width, slot) handle, and ``node.stats``
-is a frozen snapshot of its slot (``StatsWidth.read``) whose arrays refuse
-writes: a slot changes only through ``StatsWidth.write``, which stamps it.
+A pool keeps the numbers of all its nodes in one ``StatsStore``.  For
+each scope width k it holds the statistics of the leaves and products of
+that width, stacked arrays ``mean`` (S, k), ``cov`` (S, k, k) and
+``count`` (S,) (``StatsWidth``); for each number of children c, the child
+counts of the sums with c children, ``counts`` (S, c) (``CountsWidth``).
+Both share one slot allocator with a write stamp per slot (``Slots``).
+A node holds a (width, slot) handle.  ``node.stats`` is a frozen snapshot
+of its slot (``StatsWidth.read``) whose arrays refuse writes, and a sum's
+``node.child_counts`` a list that refuses edits (``ChildCounts``): a slot
+changes only through its width's ``write`` (or ``CountsWidth.add``),
+which stamps it.
 
 ``update_each`` holds the update formula, that of Chan, Golub & LeVeque
 (1979).  It updates many slots at once in stacked passes, each result with
@@ -111,9 +116,10 @@ def correlation_matrix(cov: np.ndarray) -> np.ndarray:
     return r
 
 
-class StatsWidth:
-    """The statistics of every slot of one scope width ``k``, in stacked
-    arrays that grow by doubling.
+class Slots:
+    """Stacked arrays, one row per slot, that grow by doubling: ``stamp``
+    and the arrays named in the constructor, each given empty with the
+    shape of one row after its first axis.
 
     A slot keeps its index until it is freed, whatever is allocated or
     freed meanwhile, and a freed slot is handed out again last in, first
@@ -121,10 +127,11 @@ class StatsWidth:
     reader that recorded it knows whether the slot changed since.
     """
 
-    def __init__(self, store: StatsStore, k: int):
-        self.store, self.k = store, k
-        self.mean, self.cov = np.zeros((0, k)), np.zeros((0, k, k))
-        self.count, self.stamp = np.zeros(0), np.zeros(0, dtype=np.int64)
+    def __init__(self, store: StatsStore, **arrays: np.ndarray):
+        self.store, self.names = store, ("stamp", *arrays)
+        self.stamp = np.zeros(0, dtype=np.int64)
+        for name, empty in arrays.items():
+            setattr(self, name, empty)
         self.free: list[int] = []
         self.used = 0  # slots ever handed out
 
@@ -132,15 +139,32 @@ class StatsWidth:
         """A slot to write, the last one freed if any."""
         if self.free:
             return self.free.pop()
-        if self.used == len(self.count):
+        if self.used == len(self.stamp):
             cap = max(8, 2 * self.used)
-            for name in ("mean", "cov", "count", "stamp"):
+            for name in self.names:
                 old = getattr(self, name)
                 new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
                 new[:self.used] = old
                 setattr(self, name, new)
         self.used += 1
         return self.used - 1
+
+    def release(self, i: int):
+        """Free slot i and return its last contents (``read``)."""
+        last = self.read(i)
+        self.stamp[i] = self.store.tick()
+        self.free.append(i)
+        return last
+
+
+class StatsWidth(Slots):
+    """The statistics of every slot of one scope width ``k``: ``mean``
+    (S, k), ``cov`` (S, k, k) and ``count`` (S,)."""
+
+    def __init__(self, store: StatsStore, k: int):
+        super().__init__(store, mean=np.zeros((0, k)), cov=np.zeros((0, k, k)),
+                         count=np.zeros(0))
+        self.k = k
 
     def read(self, i: int) -> GaussianStats:
         """A snapshot of slot i, in arrays of its own that refuse writes, so
@@ -155,23 +179,56 @@ class StatsWidth:
         self.mean[at], self.cov[at], self.count[at] = mean, cov, count
         self.stamp[at] = self.store.tick()
 
-    def release(self, i: int) -> GaussianStats:
-        """Free slot i and return its last statistics (``read``)."""
-        stats = self.read(i)
+
+class ChildCounts(list):
+    """A read-only snapshot of a sum's child counts (``CountsWidth.read``):
+    a list of floats that compares as one, but raises ValueError on any
+    edit in place, so an edit cannot miss its slot's stamp."""
+
+    def _refuse(self, *args, **kwargs):
+        raise ValueError("child counts are a read-only snapshot; "
+                         "assign node.child_counts to change them")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+
+    def __reduce__(self):  # copies and pickles rebuild it whole, not by append
+        return ChildCounts, (list(self),)
+
+
+class CountsWidth(Slots):
+    """The child counts of every sum with ``c`` children: ``counts`` (S, c)."""
+
+    def __init__(self, store: StatsStore, c: int):
+        super().__init__(store, counts=np.zeros((0, c)))
+        self.c = c
+
+    def read(self, i: int) -> ChildCounts:
+        """A snapshot of slot i's counts."""
+        return ChildCounts(self.counts[i].tolist())
+
+    def write(self, i: int, counts) -> None:
+        self.counts[i] = counts
         self.stamp[i] = self.store.tick()
-        self.free.append(i)
-        return stats
+
+    def add(self, i: int, j: int, n: float) -> None:
+        """Add ``n`` to count j of slot i."""
+        self.counts[i, j] += n
+        self.stamp[i] = self.store.tick()
 
 
 class StatsStore:
-    """The statistics of one pool's leaves and products: one ``StatsWidth``
-    per scope width.  A slot is a (``StatsWidth``, index) pair.
+    """The numbers of one pool: the statistics of its leaves and products,
+    one ``StatsWidth`` per scope width, and the child counts of its sums,
+    one ``CountsWidth`` per number of children.  A slot is a (width,
+    index) pair.
 
     ``stamps`` counts the writes and frees, which stamp their slots.
     """
 
     def __init__(self):
         self.widths: dict[int, StatsWidth] = {}
+        self.counts: dict[int, CountsWidth] = {}
         self.stamps = 0
 
     def tick(self) -> int:
@@ -187,6 +244,16 @@ class StatsStore:
             width = self.widths[k] = StatsWidth(self, k)
         i = width.alloc()
         width.write(i, stats.mean, stats.cov, stats.count)
+        return width, i
+
+    def add_counts(self, counts: list[float]) -> tuple[CountsWidth, int]:
+        """A new slot holding a copy of a sum's child ``counts``."""
+        c = len(counts)
+        width = self.counts.get(c)
+        if width is None:
+            width = self.counts[c] = CountsWidth(self, c)
+        i = width.alloc()
+        width.write(i, counts)
         return width, i
 
 

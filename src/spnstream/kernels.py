@@ -24,7 +24,9 @@ numpy calls whatever its size:
   highest child.  A group gathers its children's rows into a (children,
   nodes, rows) block and reduces the first axis: ``add`` for products,
   ``logaddexp`` after adding the sums' log weights ``logw``, (children,
-  nodes) like the block, for sums.
+  nodes) like the block, for sums.  ``NodeGroup.refresh`` writes a sum
+  group's ``logw`` from the sums' slots of child counts in the store in
+  one vector expression (``log_weights``).
 
 The N nodes are numbered densely in plan order: the leaf groups by k,
 then the node groups in order.  That is children before parents, since
@@ -73,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gstats import StatsWidth
+from .gstats import CountsWidth, StatsWidth
 
 KIND_SUM = 1
 KIND_PRODUCT = 2
@@ -132,12 +134,21 @@ class LeafGroup:
     seen: np.ndarray    # (m,) the slots' write stamps when last factored
 
     def refresh(self, floor: float, every: bool) -> None:
-        """Factor again the leaves whose slot was written since they were
-        last factored (every leaf with ``every``), with variance floor
-        ``floor``, in one ``factors`` call, and empty the table of
-        restricted factors if any leaf changed.  Every change to a slot
-        goes through ``StatsWidth.write``, which stamps it, so none is missed.
+        """Factor the leaves again with variance floor ``floor``, in one
+        ``factors`` call, and empty the table of restricted factors if any
+        leaf changed.
+
+        A univariate group re-derives every leaf, elementwise.  A k > 1
+        group factors the leaves whose slot was written since they were
+        last factored (every leaf with ``every``).  Every change to a slot
+        goes through ``StatsWidth.write``, which stamps it, so none is
+        missed.
         """
+        if self.k == 1:  # (S, 1) and (S, 1, 1): a flat take is the slots' one entry
+            self.stats.mean.take(self.slots, out=self.mean)
+            self.cov[:], self.chol[:], self.ichol[:], self.const[:] = factors(
+                self.stats.cov.take(self.slots), floor)
+            return
         stamp = self.stats.stamp.take(self.slots)
         at = slice(None)
         if not every:
@@ -147,15 +158,36 @@ class LeafGroup:
             if not fresh.all():
                 at = np.flatnonzero(fresh)
         slots = self.slots[at]
-        if self.k == 1:
-            self.mean[at] = self.stats.mean[slots, 0]
-            covs = self.stats.cov[slots, 0, 0]
-        else:
-            self.mean[at] = self.stats.mean[slots]
-            covs = self.stats.cov[slots]
-        self.cov[at], self.chol[at], self.ichol[at], self.const[at] = factors(covs, floor)
+        self.mean[at] = self.stats.mean[slots]
+        self.cov[at], self.chol[at], self.ichol[at], self.const[at] = factors(
+            self.stats.cov[slots], floor)
         self.seen[:] = stamp
         self.table.clear()
+
+
+def log_weights(counts: np.ndarray, mode: str) -> np.ndarray:
+    """Log mixture weights of sums with child counts ``counts`` (m, c), one
+    sum a row, under weighting mode ``mode``: "mle" divides each count by
+    its sum's total, "laplace" adds one pseudo-count per child.
+
+    Each total adds its row left to right (``np.add.accumulate``), as
+    ``nodes.SumNode.count`` does, so every weight has the bits of
+    ``nodes.derived_weights``.  A zero count under "mle" gives -inf; a
+    zero total there, or an unknown mode, raises ValueError.
+    """
+    total = np.add.accumulate(counts, axis=1)[:, -1:]
+    if mode == "mle":
+        if (total <= 0.0).any():
+            raise ValueError("cannot derive mle weights from a sum node with zero count")
+        w = counts / total
+    elif mode == "laplace":
+        w = (counts + 1.0) / (total + float(counts.shape[1]))
+    else:
+        raise ValueError(f"unknown weight mode: {mode!r}")
+    if np.count_nonzero(w) == w.size:
+        return np.log(w)
+    with np.errstate(divide="ignore"):
+        return np.log(w)
 
 
 @dataclass(frozen=True)
@@ -178,6 +210,23 @@ class NodeGroup:
     target: np.ndarray
     pos: np.ndarray
     targets: tuple[int, ...]
+    # For sums: the store's width c, which holds the sums' child counts,
+    # each sum's slot there, and the slots' write stamps when logw was
+    # last computed.
+    counts: CountsWidth | None = None
+    slots: np.ndarray | None = None
+    seen: np.ndarray | None = None
+
+    def refresh(self, mode: str, every: bool) -> None:
+        """Recompute a sum group's log weights under weighting mode ``mode``
+        (``log_weights``), if a sum's slot was written since they were last
+        computed or ``every`` is set."""
+        stamp = self.counts.stamp.take(self.slots)
+        # Bytes compare equal stamps in one call, where == and all take two.
+        if not every and stamp.tobytes() == self.seen.tobytes():
+            return
+        self.logw[:] = log_weights(self.counts.counts.take(self.slots, axis=0), mode).T
+        self.seen[:] = stamp
 
 
 # The fixed slots at the front of every PatternTable: a zero factor with
@@ -226,6 +275,7 @@ class PatternTable:
 class LevelPlan:
     leaves: tuple[LeafGroup, ...]
     groups: tuple[NodeGroup, ...]  # children's groups come first
+    sums: tuple[NodeGroup, ...]    # the sum groups among them
     group_of: np.ndarray  # (N,) group of each node, numbered as in NodeGroup.target
     pos_of: np.ndarray    # (N,) its position in that group
     # Bound on the 8-byte words one drawn row takes: a (node, row) pair for
@@ -241,9 +291,11 @@ def level_plan(inner, scopes: dict, slots, table_bytes: int):
 
     ``inner`` lists the inner nodes children first as (height, kind, label,
     child labels); ``scopes`` maps each leaf's label, children first too,
-    to its variables and ``slots`` to its statistics' slot, a
-    (``gstats.StatsWidth``, index) pair.  A label is any hashable, such as
-    a node id.  The leaf groups by k come first in the numbering, then the
+    to its variables.  ``slots`` maps each leaf's label to its statistics'
+    slot, a (``gstats.StatsWidth``, index) pair, and each sum's to the
+    slot of its child counts, a (``gstats.CountsWidth``, index) pair of
+    the width of its number of children.  A label is any hashable, such
+    as a node id.  The leaf groups by k come first in the numbering, then the
     node groups by (height, kind, child count), each group's nodes in the
     order given, so every group owns the range ``span`` of the numbering
     and a child is numbered before its parent.  The groups' parameter
@@ -293,11 +345,16 @@ def level_plan(inner, scopes: dict, slots, table_bytes: int):
             words[i] = 2 + (max(w, default=0) if is_sum else sum(w))
         children = np.array([kids[e] for e in range(c) for kids in kid_index],
                             dtype=np.intp).reshape(c, m)
-        groups.append(NodeGroup(is_sum, np.arange(span.start, span.stop), span, children,
-                                np.zeros((c, m)) if is_sum else None,
+        logw = counts = sum_slots = seen = None
+        if is_sum:
+            logw, counts, seen = np.zeros((c, m)), slots[at[0][0]][0], np.zeros(m, dtype=np.int64)
+            sum_slots = np.array([slots[x][1] for x, _ in at], dtype=np.intp)
+        groups.append(NodeGroup(is_sum, np.arange(span.start, span.stop), span, children, logw,
                                 group_arr[children], pos_arr[children],
-                                tuple(sorted({group_of[x] for kids in kid_index for x in kids}))))
-    return LevelPlan(tuple(leaves), tuple(groups), group_arr, pos_arr, max(words)), order
+                                tuple(sorted({group_of[x] for kids in kid_index for x in kids})),
+                                counts, sum_slots, seen))
+    return LevelPlan(tuple(leaves), tuple(groups), tuple(g for g in groups if g.is_sum),
+                     group_arr, pos_arr, max(words)), order
 
 
 def eval_flat_numpy(plan: LevelPlan, X, out, partial: bool = False):

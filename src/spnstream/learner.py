@@ -215,7 +215,8 @@ def simplify(pool: NodePool) -> bool:
     Product nodes left with a single child are spliced out, and a sum node
     appearing as a child of another sum node is dissolved into its parent,
     its children promoted with their counts scaled by the parent's count for
-    it over its own count.  Density under count-ratio weights is unchanged.
+    it over its own count, which are assigned to the parent's
+    ``child_counts``.  Density under count-ratio weights is unchanged.
     One pass, children before parents, so every node sees its children
     already normalized and the result is idempotent.
     """
@@ -238,9 +239,11 @@ def simplify(pool: NodePool) -> bool:
                 inner_id = node.children[pos]
                 inner = pool.node(inner_id)
                 if isinstance(inner, SumNode):
-                    scale = node.child_counts[pos] / inner.count if inner.count else 1.0
+                    counts = list(node.child_counts)
+                    scale = counts[pos] / inner.count if inner.count else 1.0
                     node.children[pos:pos + 1] = inner.children
-                    node.child_counts[pos:pos + 1] = [c * scale for c in inner.child_counts]
+                    counts[pos:pos + 1] = [c * scale for c in inner.child_counts]
+                    node.child_counts = counts
                     pool.remove(inner_id)
                     changed = True
     return changed
@@ -252,15 +255,17 @@ class EvalCache:
 
     The net lives on the pool (``evaluate.shared_net``) and is shared with
     the read queries, so a cache adds no state: ``learn_batch`` finds the
-    same net with or without one.  A structure edit forces a rebuild;
-    otherwise only leaves whose slots in the pool's statistics store were
-    written since the net last factored them are re-factored (every leaf
-    after a change of ``pool.variance_floor``), and the sum weights are
-    recomputed only when a child count or the weight mode changed since
-    they were last computed.  A write refreshes and evaluates the net only
-    when the pool has a sum, whose routing reads densities; after writes
-    into a pool without one, the next read (or ``ensure``) factors the
-    leaves those writes changed.
+    same net with or without one.  A structure edit forces a rebuild,
+    which leaves the net's parameters for its first refresh to set;
+    otherwise, once the pool's statistics store was written, the
+    univariate leaves are re-derived and only the k > 1 leaves whose slots
+    were written since the net last factored them are re-factored (every
+    leaf after a change of ``pool.variance_floor``), and a sum group's
+    weights are recomputed only when one of its sums' child counts or the
+    weight mode changed since they were last computed.  A write refreshes
+    and evaluates the net only when the pool has a sum, whose routing reads
+    densities; after writes into a pool without one, the next read (or
+    ``ensure``) factors the leaves those writes changed.
     """
 
     def ensure(self, pool: NodePool) -> CompiledNet:
@@ -316,7 +321,10 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
     folds rows into product statistics, triggers structure changes, and
     updates leaves.  That pass is one iterative depth-first walk in
     pre-order over an explicit stack, so network depth is not limited by
-    Python's recursion limit.  Structure decisions use a product's
+    Python's recursion limit.  A sum adds the rows it routes to each child
+    into its slot of child counts in the pool's store, which stamps the
+    slot, so the next refresh recomputes its group's weights.
+    Structure decisions use a product's
     statistics after absorbing the current batch, but the nodes a change
     creates are born from the pre-batch state; the batch then continues
     down into them like any other data, so every row is counted exactly
@@ -346,7 +354,8 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
     way.  On a pool without a sum the net's parameters are left as they
     are: any sum the pass meets was born in it, so its children are all
     new and the graph walk scores them, and the first read after such
-    writes factors the leaves they changed, once.
+    writes factors the leaves they changed; a compile for such a write
+    factors nothing either.
     """
     rows = check_rows(rows, pool.dim)
     report = BatchReport(rows=rows.shape[0])
@@ -403,16 +412,17 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
             else:
                 stacked = values.take(pos, axis=0)[:, idx]
             winners = tie_break_argmax(stacked, rng)
+            counts, i = pool.slot_of(node)
             if len(idx) == 1:
                 j = int(winners[0])
-                node.child_counts[j] += 1.0
+                counts.add(i, j, 1.0)
                 stack.append((node.children[j], idx))
                 continue
             routed = []
             for j, c in enumerate(node.children):
                 sub = idx[winners == j]
                 if len(sub):
-                    node.child_counts[j] += float(len(sub))
+                    counts.add(i, j, float(len(sub)))
                     routed.append((c, sub))
             stack.extend(reversed(routed))
             continue

@@ -7,7 +7,10 @@ structurally broken input rather than deferring the failure to query time.
 
 Every node record carries a ``count``, which the pool derives: a leaf's
 or product's is its statistics' count, a sum's the sum of its child
-counts.  The loader refuses a record whose ``count`` disagrees.
+counts.  The loader refuses a record whose ``count`` disagrees.  Loaded
+nodes hold their numbers themselves, a sum its child counts as a leaf or
+product its statistics, until the pool's first compile or write gives
+each its slot in the pool's store.
 """
 
 from __future__ import annotations

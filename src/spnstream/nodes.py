@@ -5,16 +5,21 @@ stable integer identifiers plus a designated root.  Sum nodes mix their
 children, product nodes factorize across disjoint sets of variables, and
 leaves carry a (possibly multivariate) Gaussian given by its running
 statistics.  Mixture weights are not stored; they are derived on demand
-from the child counts kept on each sum node.
+from each sum node's child counts.
 
 Nodes hold the structure and the pool's ``gstats.StatsStore`` holds the
-numbers: the running statistics of the pool's leaves and products.  A
-node added to a pool holds a slot there (``node.slot``).  ``node.stats``
-reads the slot as a frozen snapshot whose arrays refuse writes, so
-statistics change only by assignment, which writes the new statistics
-into the slot and must keep its width.  A node outside any pool holds
-its statistics object itself; removing a node from the pool frees its
-slot and hands the node its statistics back.
+numbers: the running statistics of the pool's leaves and products and
+the child counts of its sums.  A node added to a pool holds a slot there
+(``node.slot``).  ``node.stats`` reads the slot as a frozen snapshot
+whose arrays refuse writes, so statistics change only by assignment,
+which writes the new statistics into the slot and must keep its width.
+``node.child_counts`` reads a sum's slot as a list that refuses edits in
+place (``gstats.ChildCounts``); assigning a list of counts writes it
+into the slot, and one of another length moves the sum to the width of
+that length.  Either way the slot's stamp moves, so the compiled net
+sees the change.  A node outside any pool holds its numbers itself;
+removing a node from the pool frees its slot and hands the node its
+numbers back.
 
 Every count has one source.  A leaf's or product's ``count`` is its
 statistics' count, and a sum's is the sum of its ``child_counts``.
@@ -36,7 +41,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .gstats import GaussianStats, StatsStore
+from .gstats import ChildCounts, GaussianStats, StatsStore
 
 Scope = tuple[int, ...]
 
@@ -124,7 +129,7 @@ class LeafNode:
     stats: GaussianStats
 
 
-def _stats(node) -> GaussianStats:
+def _read(node) -> GaussianStats | ChildCounts:
     if node.slot is None:
         return node._loose
     width, i = node.slot
@@ -148,11 +153,27 @@ def _count(node) -> float:
     return float(width.count[i])
 
 
-# A leaf's or product's statistics and count: its slot in its pool's store
-# (``slot``, a (gstats.StatsWidth, index) pair) once the pool holds it.
-for _cls in (LeafNode, ProductNode):
+def _set_child_counts(node, counts) -> None:
+    counts = ChildCounts(float(c) for c in counts)
+    if node.slot is None:
+        node._loose = counts
+        return
+    width, i = node.slot
+    if len(counts) == width.c:
+        width.write(i, counts)
+        return
+    width.release(i)  # a new length moves the sum to the width of that length
+    node.slot = width.store.add_counts(counts)
+
+
+# A node's numbers, its statistics (a leaf's or product's) or its child
+# counts (a sum's): its slot in its pool's store (``slot``, a (width,
+# index) pair) once the pool holds it, else the node's own ``_loose``.
+for _cls in (LeafNode, ProductNode, SumNode):
     _cls.slot, _cls._loose = None, None
-    _cls.stats, _cls.count = property(_stats, _set_stats), property(_count)
+for _cls in (LeafNode, ProductNode):
+    _cls.stats, _cls.count = property(_read, _set_stats), property(_count)
+SumNode.child_counts = property(_read, _set_child_counts)
 
 
 Node = Union[SumNode, ProductNode, LeafNode]
@@ -221,21 +242,22 @@ class NodePool:
         nid = self._next_id
         self._next_id += 1
         self.nodes[nid] = node
-        if not isinstance(node, SumNode):
-            self.slot_of(node)
+        self.slot_of(node)
         self.structure_version += 1
         return nid
 
-    def slot_of(self, node: LeafNode | ProductNode) -> tuple:
-        """The node's slot in ``store``, holding its statistics; a node that
-        holds its statistics itself (one not added by ``add``) gets one."""
+    def slot_of(self, node: Node) -> tuple:
+        """The node's slot in ``store``, holding its statistics or child
+        counts; a node that holds them itself (one not added by ``add``)
+        gets one."""
         if node.slot is None:
-            node.slot, node._loose = self.store.add(node._loose), None
+            add = self.store.add_counts if isinstance(node, SumNode) else self.store.add
+            node.slot, node._loose = add(node._loose), None
         return node.slot
 
     def _release(self, node: Node) -> None:
-        """Free the node's slot, handing the node its statistics back."""
-        if not isinstance(node, SumNode) and node.slot is not None:
+        """Free the node's slot, handing the node its numbers back."""
+        if node.slot is not None:
             width, i = node.slot
             node.slot, node._loose = None, width.release(i)
 
@@ -268,8 +290,9 @@ class NodePool:
         share (``evaluate.shared_net``), is rebuilt only when
         ``structure_version`` or the root changes; an edit to a child list
         made outside this class's methods must call this, or both evaluate
-        the old graph.  Assigned statistics, edited child counts and a new
-        ``variance_floor`` show without it.
+        the old graph.  Assigned statistics, assigned child counts of the
+        same length, a new ``weight_mode`` and a new ``variance_floor`` show
+        without it: each assignment stamps its slot in ``store``.
         """
         self.structure_version += 1
 

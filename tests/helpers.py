@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from spnstream.evaluate import shared_net
+from spnstream.evaluate import compile_pool, shared_net
 from spnstream.gstats import DEGENERATE_VARIANCE, GaussianStats
 from spnstream.nodes import (LeafNode, NodePool, ProductNode, SumNode,
                              derived_weights, make_scope)
@@ -84,6 +84,14 @@ def random_pool(rng: np.random.Generator, dim: int, max_sums: int = 6,
 
     pool.root = build(make_scope(range(dim)), 0)
     return pool
+
+
+def fresh_net(pool: NodePool):
+    """A fresh compile of ``pool`` with its parameters brought up to date:
+    ``compile_pool`` leaves them unset, for the first refresh to fill."""
+    net = compile_pool(pool)
+    net.refresh_params(pool)
+    return net
 
 
 NOT_A_TREE = ["shared-leaf", "repeated-child", "product-shared-leaf", "product-repeated-child"]
@@ -426,7 +434,9 @@ def reference_learn_batch(pool: NodePool, rows: np.ndarray, config, rng: np.rand
             for j, c in enumerate(node.children):
                 sub = idx[winners == j]
                 if len(sub):
-                    node.child_counts[j] += float(len(sub))
+                    counts = list(node.child_counts)
+                    counts[j] += float(len(sub))
+                    node.child_counts = counts
                     routed.append((c, sub))
             stack.extend(reversed(routed))
 

@@ -3,8 +3,9 @@
 The tests import its networks (``bench_eval.wide_mixture``), but nothing
 else runs the script, so a change that breaks one of its tables would go
 unseen.  This runs it at batch 1 with a token timing budget (about 3 s)
-and checks that it exits 0 and prints the toy marginal's phase split, the
-planted-blocks query table and the write table's sum-free row.
+and checks that it exits 0 and prints the toy marginal's and one-row
+write's phase splits, the planted-blocks query table and the write
+table's sum-free row.
 """
 
 import os
@@ -43,6 +44,17 @@ def test_bench_eval_runs_and_prints_the_planted_blocks_queries():
     assert list(phases) == ["evidence layout", "shared_net", "leaf groups", "node groups",
                             "rest"], split[0]
     assert all(phases[name] > 0 for name in ("evidence layout", "leaf groups", "node groups"))
+    # The one-row write's split times the leaf refresh and the weight refresh apart.
+    split = [line for line in lines if line.startswith("one-row learn_batch by phase")]
+    assert len(split) == 1, proc.stdout
+    phases = {}
+    for part in split[0].split(": ", 1)[1].split(", "):
+        name, us, share = part.rsplit(maxsplit=2)
+        phases[name] = float(us)
+        assert share.startswith("(") and share.endswith("%)"), part
+    assert list(phases) == ["update_each", "leaf refresh", "refresh_weights", "eval_rows",
+                            "routing", "rest"], split[0]
+    assert all(phases[name] > 0 for name in ("update_each", "leaf refresh", "refresh_weights"))
     # The write table's sum-free row: the factorized start over 24 variables
     # (25 nodes) at batch 256; bench_eval asserts that its stream makes no mixture.
     sum_free = [line for line in lines if line.lstrip().startswith("factorized start (")]

@@ -39,8 +39,9 @@ from spnstream.nodes import (LeafNode, NodePool, ProductNode, SumNode, derived_w
                              make_scope, validate)
 
 from bench_eval import wide_mixture
-from helpers import (expand_mixture, oracle_cov, oracle_log_density, oracle_log_density_rows,
-                     oracle_mean, random_pool, reference_partial_rows, scalar_eval_rows)
+from helpers import (expand_mixture, fresh_net, oracle_cov, oracle_log_density,
+                     oracle_log_density_rows, oracle_mean, random_pool, reference_partial_rows,
+                     scalar_eval_rows)
 
 # log pdf of a standard normal at zero.
 LOG_STD_NORMAL_AT_0 = -0.9189385332046727
@@ -332,7 +333,7 @@ def test_rows_of_more_than_two_dimensions_are_rejected():
 
 def test_refresh_leaf_tracks_parameter_change():
     pool = two_leaf_mixture([3.0, 2.0])
-    net = compile_pool(pool)
+    net = fresh_net(pool)
     X = np.array([[0.25], [1.5]])
     before = net.eval_rows(X)[net.index[pool.root]]
     first = next(nid for nid, n in pool.nodes.items() if isinstance(n, LeafNode))
@@ -347,9 +348,9 @@ def test_refresh_leaf_tracks_parameter_change():
 
 def test_refresh_weights_tracks_count_change():
     pool = two_leaf_mixture([3.0, 2.0])
-    net = compile_pool(pool)
+    net = fresh_net(pool)
     root = pool.node(pool.root)
-    root.child_counts[0] += 10.0
+    root.child_counts = [root.child_counts[0] + 10.0, root.child_counts[1]]
     net.refresh_weights(pool)
     X = np.array([[0.0], [4.0]])
     assert np.allclose(
@@ -359,7 +360,7 @@ def test_refresh_weights_tracks_count_change():
 
 def assert_kernels_agree(pool: NodePool, X: np.ndarray) -> None:
     """The level kernel against the scalar loop over every node and the graph walk at the root."""
-    net = compile_pool(pool)
+    net = fresh_net(pool)
     got = net.eval_rows(X)
     assert got.shape == (len(net.order), X.shape[0])
     np.testing.assert_allclose(got, scalar_eval_rows(net, pool, X), rtol=0.0, atol=1e-12)
@@ -429,7 +430,7 @@ def test_level_kernel_agrees_on_a_200_level_chain():
 
 def test_level_kernel_agrees_with_a_zero_count_mle_child():
     pool = two_leaf_mixture([0.0, 3.0], mode="mle")
-    sums = [g for g in compile_pool(pool).plan.groups if g.is_sum]
+    sums = [g for g in fresh_net(pool).plan.groups if g.is_sum]
     assert sum(np.isneginf(g.logw).sum() for g in sums) == 1
     assert_kernels_agree(pool, np.array([[0.0], [4.0], [-3.0]]))
 
@@ -520,7 +521,7 @@ def test_univariate_refresh_matches_leaf_factor_to_one_ulp():
     variances = [0.0, floor, 0.3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.7, 1e10, 3.3e10]
     for var in variances:
         pool = single_leaf_pool(mean=1.5, var=var + floor, floor=floor)
-        net = compile_pool(pool)
+        net = fresh_net(pool)
         mean, ichol, const = _leaf_factor(pool.node(pool.root).stats, floor)
         g = net.plan.leaves[0]
         for got, want in ((g.mean[0], mean[0]), (g.ichol[0], ichol[0, 0]), (g.const[0], const)):
@@ -904,7 +905,9 @@ def test_read_queries_follow_every_kind_of_edit():
     learn_batch(pool, rng.normal(size=(8, 4)), cfg, rng, structure_frozen=True)
     seen.append(check())
     root = pool.node(pool.root)
-    root.child_counts[1] += 25.0
+    counts = list(root.child_counts)
+    counts[1] += 25.0
+    root.child_counts = counts
     seen.append(check())
     first = next(n for n in pool.nodes.values() if isinstance(n, LeafNode))
     first.stats = GaussianStats(first.stats.mean + 0.7, 1.3 * first.stats.cov, first.stats.count)
@@ -1124,7 +1127,7 @@ def blocks_mixture(rng, components: int = 3) -> NodePool:
 def test_partial_rows_mix_observed_partial_and_unobserved_pairs_in_each_group():
     rng = np.random.default_rng(179)
     pool = blocks_mixture(rng)
-    net = compile_pool(pool)
+    net = fresh_net(pool)
     assert sorted(g.k for g in net.plan.leaves) == [2, 3, 4]
     x = rng.normal(size=(6, 9))
     X = x.copy()
@@ -1163,7 +1166,7 @@ def test_partial_rows_mix_observed_partial_and_unobserved_pairs_in_each_group():
 def test_restricted_factors_are_lower_triangular_cholesky_inverses():
     rng = np.random.default_rng(191)
     pool = blocks_mixture(rng)
-    net = compile_pool(pool)
+    net = fresh_net(pool)
     g = next(g for g in net.plan.leaves if g.k == 4)
     patterns = [p for p in itertools.product((False, True), repeat=4) if 0 < sum(p) < 4]
     X = rng.normal(size=(len(patterns), 9))
@@ -1189,16 +1192,16 @@ def test_a_read_after_a_read_does_not_recompute_the_weights(monkeypatch):
     rng = np.random.default_rng(181)
     pool = blocks_mixture(rng)
     calls = []
-    real_edge_weights = evaluate.edge_weights
+    real_log_weights = kernels.log_weights
 
-    def edge_weights(sums, mode):
+    def log_weights(counts, mode):
         calls.append(mode)
-        return real_edge_weights(sums, mode)
+        return real_log_weights(counts, mode)
 
-    monkeypatch.setattr(evaluate, "edge_weights", edge_weights)
+    monkeypatch.setattr(kernels, "log_weights", log_weights)
     evidence = {0: 0.3, 4: -0.2, 6: 1.1}
     first = log_density(pool, evidence)
-    assert calls == ["laplace"]  # the compile
+    assert calls == ["laplace"]  # the first read weighs the new net
     assert [log_density(pool, evidence) for _ in range(3)] == [first] * 3
     sample(pool, rng, size=4)
     analytic_mean(pool)
@@ -1209,16 +1212,19 @@ def test_a_read_after_a_read_does_not_recompute_the_weights(monkeypatch):
         fresh.compiled = None
         return log_density(fresh, evidence)
 
-    # A hand-edited child count shows at the next read, also when the
-    # edit leaves the sum's own count as it was.
+    # An assigned child count shows at the next read, also when the
+    # assignment leaves the sum's own count as it was.
     root = pool.node(pool.root)
-    moved = min(root.child_counts[0], 1.0)
-    root.child_counts[0] -= moved
-    root.child_counts[1] += moved
+    counts = list(root.child_counts)
+    moved = min(counts[0], 1.0)
+    counts[0] -= moved
+    counts[1] += moved
+    root.child_counts = counts
     shifted = log_density(pool, evidence)
     assert calls == ["laplace"] * 2 and shifted != first
     assert shifted == fresh_read()
-    root.child_counts[1] += 7.0
+    counts[1] += 7.0
+    root.child_counts = counts
     edited = log_density(pool, evidence)
     assert calls[-1] == "laplace" and edited != shifted
     assert edited == fresh_read()
@@ -1264,9 +1270,10 @@ def _assign_stats(pool):
 
 def _move_a_child_count(pool):
     # The sum's own count stays as it was.
-    counts = pool.node(pool.root).child_counts
+    counts = list(pool.node(pool.root).child_counts)
     counts[0], counts[1] = counts[0] + 2.0, counts[1] - 1.0
     counts[2] -= 1.0
+    pool.node(pool.root).child_counts = counts
 
 
 def _new_variance_floor(pool):
@@ -1292,7 +1299,7 @@ def test_an_edit_after_reads_shows_in_the_next_read_bit_for_bit(edit):
     assert before[0] == before[1]
     edit(pool)
     got = log_density(pool, evidence)  # the next read
-    fresh = compile_pool(pool)
+    fresh = fresh_net(pool)
     row = np.full((1, 9), np.nan)
     row[0, list(evidence)] = list(evidence.values())
     assert got != before[0]
@@ -1339,7 +1346,7 @@ def test_sum_edge_weights_match_derived_weights_bit_for_bit(mode):
                          for c in node.child_counts]
                 if any(drawn):  # a sum's count is its child counts' sum; mle needs it positive
                     node.child_counts = drawn
-        net = compile_pool(pool)
+        net = fresh_net(pool)
         seen = []  # the sums, group after group
         for g in net.plan.groups:
             for j, i in enumerate(g.nodes.tolist() if g.is_sum else []):

@@ -330,7 +330,9 @@ def inject_redundancy(pool, rng):
                 counts = node.child_counts[lo:hi]
                 inner = pool.add(SumNode(node.scope, node.children[lo:hi], counts))
                 node.children[lo:hi] = [inner]
-                node.child_counts[lo:hi] = [sum(counts)]
+                outer = list(node.child_counts)
+                outer[lo:hi] = [sum(counts)]
+                node.child_counts = outer
 
     def chain(nid):
         for _ in range(int(rng.integers(1, 4))):
@@ -707,10 +709,10 @@ class CompileCounter:
     """Counts compiles, ``refresh_leaf`` calls and factored leaves (one per
     leaf in each stack of leaf statistics handed to ``kernels.factors``: (m,)
     variances or (m, k, k) covariances; the (patterns, m, k, k) stacks of
-    restricted factors a partial read builds are not leaves).  ``calls``
-    counts the calls of ``CompiledNet.eval_rows``, ``kernels.factors`` and
-    ``CompiledNet.refresh_weights`` made outside a compile, which factors
-    every leaf of the net it builds."""
+    restricted factors a partial read builds are not leaves), inside
+    compiles too.  ``calls`` counts the calls of ``CompiledNet.eval_rows``,
+    ``kernels.factors`` and ``CompiledNet.refresh_weights`` made outside a
+    compile."""
 
     def __init__(self, monkeypatch):
         self.compiles = self.refresh_leaf = self.factored = 0
@@ -761,10 +763,12 @@ class CompileCounter:
         return out
 
     def assert_matches_fresh_compile(self, net, pool):
-        """The net's parameter arrays equal a fresh compile of ``pool``, bit for
-        bit; the fresh compile's factorizations are not counted."""
+        """The net's parameter arrays equal a fresh compile of ``pool`` brought
+        up to date, bit for bit; the fresh net's factorizations are not
+        counted."""
         counted = self.factored, self.calls.copy()
         fresh = self.compile_pool(pool)
+        fresh.refresh_params(pool)
         self.factored, self.calls = counted
         assert [None if g.logw is None else g.logw.tobytes() for g in net.plan.groups] == [
             None if f.logw is None else f.logw.tobytes() for f in fresh.plan.groups]
@@ -812,18 +816,21 @@ def test_writes_and_reads_share_one_net_and_factor_each_leaf_once(monkeypatch):
     reads(pool)
     counter = CompileCounter(monkeypatch)
 
-    # write -> read -> write: each leaf the first write replaced is factored
-    # once, by the read; nothing compiles and refresh_leaf is never called.
+    # write -> read -> write: the read factors each leaf the first write
+    # replaced once, and re-derives the univariate ones whole; nothing
+    # compiles and refresh_leaf is never called.
     snapshot = copy.deepcopy(pool)
     before = leaf_stamps(pool)
     learn_batch(pool, rng.normal(size=(16, 8)), cfg, rng, cache=cache, **frozen)
     counter.assert_matches_fresh_compile(pool.compiled, snapshot)
-    replaced = sum(stamp != before[nid] for nid, stamp in leaf_stamps(pool).items())
-    assert replaced > 0
+    replaced = {nid for nid, stamp in leaf_stamps(pool).items() if stamp != before[nid]}
+    univariate = {nid for nid, n in pool.nodes.items()
+                  if isinstance(n, LeafNode) and len(n.scope) == 1}
+    assert replaced - univariate and univariate - replaced
     assert counter.take() == (0, 0, 0)
     reads(pool)
     counter.assert_matches_fresh_compile(pool.compiled, pool)
-    assert counter.take() == (0, replaced, 0)
+    assert counter.take() == (0, len(replaced | univariate), 0)
     learn_batch(pool, rng.normal(size=(16, 8)), cfg, rng, cache=cache, **frozen)
     assert counter.take() == (0, 0, 0)
     reads(pool)
@@ -924,7 +931,9 @@ def test_writes_into_a_pool_without_a_sum_evaluate_and_factor_nothing(monkeypatc
             edits += report.mixtures_created + report.leaves_merged
             assert report.mixtures_created == 0 and not has_sum(pool)
         assert not counter.calls, counter.calls
-        compiles = counter.take()[0]
+        # The writes factor no leaf, not even in the compiles after an edit.
+        compiles, factored, _ = counter.take()
+        assert factored == 0
         assert compiles < len(keys)  # the key at the first write was compiled by the read
         # Only the factorized start has pairs left to merge, one edit each.
         assert (edits, compiles) == ((2, 2) if start == "factorized" and not frozen else (0, 0))

@@ -104,7 +104,7 @@ def test_cycle_among_unreachable_nodes_is_reported_as_unreachable():
     a = pool.add(SumNode(make_scope([0]), [leaf], [1.0]))
     b = pool.add(SumNode(make_scope([0]), [a], [1.0]))
     pool.node(a).children.append(b)
-    pool.node(a).child_counts.append(1.0)
+    pool.node(a).child_counts = [*pool.node(a).child_counts, 1.0]
     report = validate(pool)
     assert [(v.node, v.code) for v in report.violations] == [
         (leaf, "unreachable"), (a, "unreachable"), (b, "unreachable")]

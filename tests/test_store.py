@@ -1,21 +1,26 @@
 """The pool's statistics store: slots through births, deaths, copies and
 refused assignments of another width, each checked bit for bit against a
-deep copy taken before the change."""
+deep copy taken before the change; and the sums' child counts held there,
+their log weights, snapshots, copies and saved files."""
 
 import copy
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spnstream import kernels, toy
-from spnstream.evaluate import compile_pool, log_density, log_density_rows
+from spnstream.evaluate import log_density, log_density_rows, shared_net
 from spnstream.gstats import GaussianStats
 from spnstream.learner import (LearnerConfig, fit, init_factored_pool, learn_batch, make_mixture,
                                merge_into_leaf, simplify)
-from spnstream.model_io import pool_to_json
-from spnstream.nodes import LeafNode, NodePool, ProductNode, SumNode, validate
+from spnstream.model_io import load_model, pool_to_json, save_model
+from spnstream.nodes import (WEIGHT_MODES, LeafNode, NodePool, ProductNode, SumNode, edge_weights,
+                             validate)
 
+from helpers import fresh_net
 from test_write_pass import planted_rows, two_products
 
 
@@ -113,7 +118,7 @@ def test_a_removed_node_keeps_its_statistics_and_a_later_write_leaves_them():
     want = stats_bits(node)
     held = node.stats
     pool.node(pool.root).children.remove(left)
-    pool.node(pool.root).child_counts.pop(0)
+    pool.node(pool.root).child_counts = pool.node(pool.root).child_counts[1:]
     pool.remove_subtree(left)
     assert node.slot is None and stats_bits(node) == want
     replacement = LeafNode((1,), GaussianStats(np.array([9.0]), np.eye(1), 2.0))
@@ -225,7 +230,7 @@ def test_statistics_of_another_width_are_refused_and_change_nothing():
     assert log_density(pool, {0: 2.0}) == pytest.approx(-0.5 * np.log(2 * np.pi * (1 + 1e-4)))
     assert pool.compiled is net
     assert log_density_rows(pool, X).tobytes() == \
-        compile_pool(pool).eval_rows(X)[net.index[pool.root]].tobytes()
+        fresh_net(pool).eval_rows(X)[net.index[pool.root]].tobytes()
 
 
 @pytest.mark.parametrize("batch,frozen", [(1, True), (1, False), (16, True), (16, False)])
@@ -258,3 +263,177 @@ def test_a_write_constructs_no_gaussian_stats(monkeypatch, batch, frozen):
             assert made == [], lo
         del made[:]
     assert checked >= (0 if frozen else 1)
+
+
+# ----------------------------------------------------------------------
+# Sums' child counts in the store
+# ----------------------------------------------------------------------
+
+def counts_bits(node) -> tuple:
+    """A sum's child counts as bytes, read from its slot when it has one."""
+    if node.slot is None:
+        return np.array(node.child_counts).tobytes()
+    width, i = node.slot
+    assert np.array(node.child_counts).tobytes() == width.counts[i].tobytes()
+    return width.counts[i].tobytes()
+
+
+def sums_over_leaves(count_lists: list, mode: str) -> tuple[NodePool, list[int]]:
+    """One sum per variable, over one univariate leaf per child count, under
+    a product when there are two or more; returns the pool and the sums' ids."""
+    dim = len(count_lists)
+    pool = NodePool(dim, weight_mode=mode)
+    sums = []
+    for v, counts in enumerate(count_lists):
+        leaves = [pool.add(LeafNode((v,), GaussianStats(np.array([float(j)]), np.eye(1), 1.0)))
+                  for j in range(len(counts))]
+        sums.append(pool.add(SumNode((v,), leaves, counts)))
+    pool.root = sums[0] if dim == 1 else pool.add(
+        ProductNode(tuple(range(dim)), sums, GaussianStats.zeros(dim, 1.0)))
+    return pool, sums
+
+
+# Integer counts, or integer counts scaled as simplify scales them; zeros too.
+_SCALED_COUNTS = st.tuples(st.lists(st.integers(0, 60), min_size=2, max_size=12),
+                           st.one_of(st.just(1.0), st.floats(0.01, 10.0))).map(
+    lambda drawn: [float(c) * drawn[1] for c in drawn[0]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(count_lists=st.lists(_SCALED_COUNTS, min_size=1, max_size=4),
+       mode=st.sampled_from(WEIGHT_MODES))
+def test_sum_group_log_weights_match_edge_weights_bit_for_bit(count_lists, mode):
+    # From 8 children on, a contiguous np.add.reduce would add the counts
+    # pairwise and give other bits than the left-to-right count.
+    pool, sums = sums_over_leaves(count_lists, mode)
+    if mode == "mle" and any(pool.node(nid).count <= 0.0 for nid in sums):
+        with pytest.raises(ValueError, match="zero count"):
+            edge_weights([pool.node(nid) for nid in sums], mode)
+        with pytest.raises(ValueError, match="zero count"):
+            log_density(pool, {0: 0.0})
+        return
+    net = shared_net(pool)
+    checked = set()
+    for g in net.plan.sums:
+        for j, i in enumerate(g.nodes.tolist()):
+            node = pool.node(net.order[i])
+            with np.errstate(divide="ignore"):
+                want = np.log(edge_weights([node], mode))
+            assert np.ascontiguousarray(g.logw[:, j]).tobytes() == want.tobytes()
+            checked.add(net.order[i])
+    assert checked == set(sums)
+
+
+def test_a_zero_count_under_mle_weights_is_minus_infinity():
+    pool, sums = sums_over_leaves([[0.0, 3.0, 0.0]], "mle")
+    net = shared_net(pool)
+    assert np.isneginf(net.plan.sums[0].logw[:, 0]).tolist() == [True, False, True]
+
+
+def test_an_unknown_weight_mode_raises_at_every_read_until_set_right():
+    pool = two_products()
+    evidence = {0: 0.5}
+    first = log_density(pool, evidence)
+    pool.weight_mode = "equal"
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown weight mode: 'equal'"):
+            log_density(pool, evidence)
+    pool.weight_mode = "laplace"
+    assert log_density(pool, evidence) == first
+
+
+def test_an_in_place_edit_of_child_counts_raises_and_leaves_the_slot():
+    pool = two_products()
+    evidence = {0: 0.5}
+    before = log_density(pool, evidence)
+    root = pool.node(pool.root)
+    width, i = root.slot
+
+    def held():
+        return width.counts[i].tobytes(), width.stamp[i], pool.store.stamps
+
+    kept = held()
+    snapshot = root.child_counts
+    edits = [lambda c: c.__setitem__(0, 9.0), lambda c: c.__setitem__(slice(0, 1), [9.0]),
+             lambda c: c.__delitem__(0), lambda c: c.__iadd__([1.0]),
+             lambda c: c.__imul__(2), lambda c: c.append(1.0), lambda c: c.extend([1.0]),
+             lambda c: c.insert(0, 1.0), lambda c: c.pop(), lambda c: c.remove(4.0),
+             lambda c: c.clear(), lambda c: c.sort(), lambda c: c.reverse()]
+    for edit in edits:
+        with pytest.raises(ValueError, match="read-only"):
+            edit(snapshot)
+    with pytest.raises(ValueError, match="read-only"):
+        root.child_counts[1] += 1.0
+    assert held() == kept and snapshot == [4.0, 4.0] and root.child_counts == [4.0, 4.0]
+    assert log_density(pool, evidence) == before
+    # A loose sum's counts refuse edits too, and a copy of a snapshot is a snapshot.
+    loose = SumNode((0,), [1, 2], [1.0, 2.0])
+    for counts in (loose.child_counts, copy.deepcopy(snapshot)):
+        with pytest.raises(ValueError, match="read-only"):
+            counts[0] = 5.0
+    assert loose.child_counts == [1.0, 2.0] and copy.deepcopy(snapshot) == [4.0, 4.0]
+
+
+def test_assigned_child_counts_write_the_slot_and_a_new_length_moves_the_sum():
+    pool = two_products()
+    root = pool.node(pool.root)
+    width, i = root.slot
+    stamp = width.stamp[i]
+    root.child_counts = [1.5, 2.5]
+    assert root.slot == (width, i) and width.stamp[i] > stamp
+    assert width.counts[i].tolist() == [1.5, 2.5] and root.count == 4.0
+    left, right = root.children
+    leaf = pool.add(LeafNode((0, 1), GaussianStats(np.zeros(2), np.eye(2), 2.0)))
+    root.children = [left, right, leaf]
+    root.child_counts = [1.5, 2.5, 2.0]
+    pool.bump()
+    wider, j = root.slot
+    assert wider is pool.store.counts[3] and wider.counts[j].tolist() == [1.5, 2.5, 2.0]
+    assert width.free == [i]  # the old slot is freed, stamped, for the next sum of two
+    assert validate(pool).ok
+    row = np.array([[0.3, -0.2]])
+    assert log_density_rows(pool, row).tobytes() == fresh_net(pool).eval_rows(row)[
+        pool.compiled.index[pool.root]].tobytes()
+
+
+def test_a_deep_copied_pool_owns_its_counts():
+    rng = np.random.default_rng(11)
+    pool, _ = fit(planted_rows(rng, 1000), LearnerConfig(batch_size=16, seed=11))
+    sums = [nid for nid, node in pool.nodes.items() if isinstance(node, SumNode)]
+    assert sums
+    X = planted_rows(rng, 4)
+    before = log_density_rows(pool, X).tobytes()
+    held = {nid: counts_bits(pool.node(nid)) for nid in sums}
+    twin = copy.deepcopy(pool)
+    for c, width in pool.store.counts.items():
+        for name in ("counts", "stamp"):
+            assert not np.shares_memory(getattr(width, name),
+                                        getattr(twin.store.counts[c], name))
+    learn_batch(twin, planted_rows(rng, 64), LearnerConfig(batch_size=64, seed=11), rng,
+                structure_frozen=True)
+    node = twin.node(sums[0])
+    node.child_counts = [c + 3.0 for c in node.child_counts]
+    assert {nid: counts_bits(twin.node(nid)) for nid in sums} != held
+    assert {nid: counts_bits(pool.node(nid)) for nid in sums} == held
+    assert log_density_rows(pool, X).tobytes() == before
+
+
+def test_a_save_load_round_trip_keeps_the_counts_bits(tmp_path):
+    rng = np.random.default_rng(13)
+    pool, _ = fit(planted_rows(rng, 1000), LearnerConfig(batch_size=16, seed=13))
+    sums = [nid for nid, node in pool.nodes.items() if isinstance(node, SumNode)]
+    assert sums
+    # Counts whose bits a decimal repr must carry: scaled, not whole.
+    for j, nid in enumerate(sums):
+        node = pool.node(nid)
+        node.child_counts = [c * (0.1 + 0.2) / (3.0 + j) for c in node.child_counts]
+    held = {nid: counts_bits(pool.node(nid)) for nid in sums}
+    path = tmp_path / "model.spn"
+    save_model(path, pool)
+    loaded, _ = load_model(path)
+    assert {nid: counts_bits(loaded.node(nid)) for nid in sums} == held
+    X = planted_rows(rng, 4)
+    assert log_density_rows(loaded, X).tobytes() == log_density_rows(pool, X).tobytes()
+    # Loaded sums hold their slots once compiled, with the same bits.
+    assert all(loaded.node(nid).slot is not None for nid in sums)
+    assert {nid: counts_bits(loaded.node(nid)) for nid in sums} == held
