@@ -31,7 +31,7 @@ rows per call from the factorized start over 24 planted-block variables
 (a fixed stream of 10 240 rows on which the structure learning only
 merges, so no write meets a sum and none evaluates the net), each with
 no read between writes and with one marginal query after every write
-(untimed).  The read re-factors the leaves the write replaced; a second
+(untimed).  The read re-factors the leaf groups the write reached; a second
 factorization of them by the next write, or per-node overhead in the write
 pass, shows in these rates.  Last, the cost of structure learning on planted
 blocks: the time of one cross-child pair search on the root of the

@@ -15,19 +15,18 @@ Each pool holds one compiled net (``current_net``), which these queries and
 ``learner.learn_batch`` share, so a write and the reads after it compile
 the network once between them.  A write reads densities only at sums, so
 it refreshes and evaluates the net only when the pool has a sum; the
-first read after writes into a pool without one factors the leaves those
-writes changed.  A new net starts with no parameters, so a compile for a write
+first read after writes into a pool without one factors the leaf groups
+those writes reached.  A new net starts with no parameters, so a compile for a write
 that reads no density factors nothing.  The net's parameters live on
-the groups of its plan.  After a write into the pool's statistics store
-a univariate leaf group re-derives all its leaves and a k > 1 group
-re-factors the leaves whose slot was written (every leaf after a change
-of ``pool.variance_floor``, which shows at once); a sum group recomputes
-its log weights when one of its sums' slots of child counts was written
-or the weight mode changed, so no caller sees stale parameters.
-Statistics and child counts change only by a write into their slot,
-which stamps it and moves the store's count of writes, so every change
-shows, and a read after a read, with that count where it was, looks at
-no group; the net is rebuilt after a structure edit.
+the groups of its plan.  A leaf group re-derives all its leaves when its
+width of the pool's statistics store was written since it last did, or
+``pool.variance_floor`` changed, and a sum group recomputes all its log
+weights when its width of child counts was written or the weight mode
+changed, so no caller sees stale parameters.  Statistics and child
+counts change only by a write into their slot, which moves its width's
+count of writes and the store's, so every change shows, and a read after
+a read, with the store's count where it was, looks at no group; the net
+is rebuilt after a structure edit.
 """
 
 from __future__ import annotations
@@ -81,24 +80,19 @@ class CompiledNet:
     # (pool.structure_version, pool.root) it was compiled at
     key: tuple[int, int]
     plan: kernels.LevelPlan
-    sums: list[int]  # sum node ids, group after group of the plan
     # Rows per block of log_density_rows: the widest per-row array (nodes,
     # edges or leaf variables) then takes at most _BLOCK_BYTES.
     block_rows: int
     # Rows per block of a partial eval_rows, which also gathers a k x k
     # factor for each of a leaf group's m leaves: m * k * k words a row.
     partial_block_rows: int
-    # The variance floor the leaves were last factored with, and the pool's
-    # store.stamps then; refresh_params re-factors the leaves only when the
-    # store was written (see LeafGroup.refresh) or the floor changed, and
-    # looks at no group while both records hold.  A new net holds neither,
-    # so its first refresh factors every leaf.
+    # The variance floor, the weight mode and the pool's store.stamps the
+    # groups were last brought up to date with; while all three hold,
+    # refresh_params looks at no group.  A new net holds none of them, and
+    # its groups have seen no write, so its first refresh sets every group.
     floor: float = math.nan
-    stamps: int = -1
-    # The same for the sum groups' logw: the weight mode and store.stamps
-    # it was last computed at.
     weight_mode: str | None = None
-    weight_stamps: int = -1
+    stamps: int = -1
 
     def row_blocks(self, n_rows: int, block_rows: int) -> list[slice]:
         """Equal blocks of at most ``block_rows`` rows.  Equal sizes avoid a
@@ -136,32 +130,38 @@ class CompiledNet:
         The store counts its writes and frees (``StatsStore.stamps``), so
         while that count, the variance floor and the weight mode are the
         ones last seen no group is looked at: a read after a read costs
-        O(1) here.  Otherwise each leaf group factors its leaves again
-        (``kernels.LeafGroup.refresh``): a univariate group all of them, a
-        k > 1 group those whose slot was written since, every leaf after a
-        change of the floor.  The sums' log weights follow
-        (``refresh_weights``).
+        O(1) here.  Otherwise each leaf group whose width was written since
+        factors all its leaves again (``kernels.LeafGroup.refresh``), every
+        group after a change of the floor, and the sums' log weights follow
+        (``refresh_weights``).  A refresh that raises leaves the groups it
+        did not set to the next one.
         """
         floor, stamps = pool.variance_floor, pool.store.stamps
-        if floor != self.floor or stamps != self.stamps:
-            every, self.floor, self.stamps = floor != self.floor, floor, stamps
+        if floor == self.floor and stamps == self.stamps and pool.weight_mode == self.weight_mode:
+            return
+        self.stamps = -1  # until every group is up to date
+        if floor != self.floor:
             for g in self.plan.leaves:
-                g.refresh(floor, every)
+                g.seen = -1
+            self.floor = floor
+        for g in self.plan.leaves:
+            g.refresh(floor)
         self.refresh_weights(pool)
+        self.stamps = stamps
 
     def refresh_weights(self, pool: NodePool) -> None:
-        """Recompute the log weights of each sum group one of whose sums'
-        child counts were written since (``kernels.NodeGroup.refresh``),
-        every group's after a change of the weight mode; a zero count
-        under "mle" weights gives -inf, and an unknown mode raises
-        ValueError here, at every read until it is set right."""
-        mode, stamps = pool.weight_mode, pool.store.stamps
-        if mode == self.weight_mode and stamps == self.weight_stamps:
-            return
-        every = mode != self.weight_mode
+        """Recompute the log weights of each sum group whose width of child
+        counts was written since (``kernels.NodeGroup.refresh``), every
+        group's after a change of the weight mode; a zero count under "mle"
+        weights gives -inf, and an unknown mode raises ValueError here, at
+        every read until it is set right."""
+        mode = pool.weight_mode
+        if mode != self.weight_mode:
+            for g in self.plan.sums:
+                g.seen = -1
+            self.weight_mode = mode
         for g in self.plan.sums:
-            g.refresh(mode, every)
-        self.weight_mode, self.weight_stamps = mode, stamps
+            g.refresh(mode)
 
 
 def compile_pool(pool: NodePool) -> CompiledNet:
@@ -203,9 +203,8 @@ def compile_pool(pool: NodePool) -> CompiledNet:
     n_edges = sum(g.children.size for g in plan.groups)
     width = max(n, n_edges, sum(map(len, scopes.values())))
     partial_width = max([width] + [g.nodes.size * g.k * g.k for g in plan.leaves])
-    sums = [order[i] for g in plan.groups if g.is_sum for i in g.nodes.tolist()]
     return CompiledNet(order, {nid: i for i, nid in enumerate(order)},
-                       (pool.structure_version, pool.root), plan, sums,
+                       (pool.structure_version, pool.root), plan,
                        max(1, _BLOCK_BYTES // (8 * width)),
                        max(1, _BLOCK_BYTES // (8 * partial_width)))
 
@@ -236,7 +235,7 @@ def shared_net(pool: NodePool) -> CompiledNet:
 
     Every read query uses it.  ``refresh_params`` brings the net up to
     date: assigned statistics, assigned child counts, a new weight mode
-    and a new variance floor show at once, and so do the leaves that
+    and a new variance floor show at once, and so do the leaf groups that
     writes without a sum left unfactored (all of them on a net compiled
     for such writes).  A read that follows a read with nothing changed
     looks at no group (the store's write count has not moved),

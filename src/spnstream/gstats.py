@@ -11,12 +11,14 @@ each scope width k it holds the statistics of the leaves and products of
 that width, stacked arrays ``mean`` (S, k), ``cov`` (S, k, k) and
 ``count`` (S,) (``StatsWidth``); for each number of children c, the child
 counts of the sums with c children, ``counts`` (S, c) (``CountsWidth``).
-Both share one slot allocator with a write stamp per slot (``Slots``).
-A node holds a (width, slot) handle.  ``node.stats`` is a frozen snapshot
-of its slot (``StatsWidth.read``) whose arrays refuse writes, and a sum's
+Both share one slot allocator (``Slots``), and each width counts the
+writes and frees of its slots (``writes``).  A node holds a (width, slot)
+handle.  ``node.stats`` is a frozen snapshot of its slot
+(``StatsWidth.read``) whose arrays refuse writes, and a sum's
 ``node.child_counts`` a list that refuses edits (``ChildCounts``): a slot
 changes only through its width's ``write`` (or ``CountsWidth.add``),
-which stamps it.
+which moves the width's count.  ``weights`` turns child counts into
+mixture weights.
 
 ``update_each`` holds the update formula, that of Chan, Golub & LeVeque
 (1979).  It updates many slots at once in stacked passes, each result with
@@ -92,10 +94,6 @@ class GaussianStats:
         update_each(batch, [(width, i)], [np.arange(m)], [range(self.dim)])
         return width.release(i)
 
-    def correlation_matrix(self) -> np.ndarray:
-        """Absolute correlation matrix with degenerate rows zeroed and zero diagonal."""
-        return correlation_matrix(self.cov)
-
     def restrict(self, positions) -> "GaussianStats":
         """Statistics over a subset of coordinates, count preserved."""
         idx = np.asarray(positions, dtype=np.intp)
@@ -117,29 +115,29 @@ def correlation_matrix(cov: np.ndarray) -> np.ndarray:
 
 
 class Slots:
-    """Stacked arrays, one row per slot, that grow by doubling: ``stamp``
-    and the arrays named in the constructor, each given empty with the
-    shape of one row after its first axis.
+    """Stacked arrays, one row per slot, that grow by doubling: the arrays
+    named in the constructor, each given empty with the shape of one row
+    after its first axis.
 
     A slot keeps its index until it is freed, whatever is allocated or
     freed meanwhile, and a freed slot is handed out again last in, first
-    out.  ``stamp[i]`` changes whenever slot i is written or freed, so a
-    reader that recorded it knows whether the slot changed since.
+    out.  ``writes`` moves whenever a slot is written or freed, so a reader
+    that recorded it knows whether any slot changed since.
     """
 
     def __init__(self, store: StatsStore, **arrays: np.ndarray):
-        self.store, self.names = store, ("stamp", *arrays)
-        self.stamp = np.zeros(0, dtype=np.int64)
+        self.store, self.names = store, tuple(arrays)
         for name, empty in arrays.items():
             setattr(self, name, empty)
         self.free: list[int] = []
         self.used = 0  # slots ever handed out
+        self.writes = 0
 
     def alloc(self) -> int:
         """A slot to write, the last one freed if any."""
         if self.free:
             return self.free.pop()
-        if self.used == len(self.stamp):
+        if self.used == len(getattr(self, self.names[0])):
             cap = max(8, 2 * self.used)
             for name in self.names:
                 old = getattr(self, name)
@@ -149,10 +147,15 @@ class Slots:
         self.used += 1
         return self.used - 1
 
+    def wrote(self) -> None:
+        """Count a write or free, in this width and in its store."""
+        self.writes += 1
+        self.store.stamps += 1
+
     def release(self, i: int):
         """Free slot i and return its last contents (``read``)."""
         last = self.read(i)
-        self.stamp[i] = self.store.tick()
+        self.wrote()
         self.free.append(i)
         return last
 
@@ -168,7 +171,7 @@ class StatsWidth(Slots):
 
     def read(self, i: int) -> GaussianStats:
         """A snapshot of slot i, in arrays of its own that refuse writes, so
-        a write into them raises ValueError instead of missing the stamp."""
+        a write into them raises ValueError instead of missing the count."""
         stats = GaussianStats(self.mean[i].copy(), self.cov[i].copy(), self.count[i])
         stats.mean.flags.writeable = stats.cov.flags.writeable = False
         return stats
@@ -177,13 +180,13 @@ class StatsWidth(Slots):
         """Write the slots ``at``: an index, a slice, or an index array that
         names each slot at most once."""
         self.mean[at], self.cov[at], self.count[at] = mean, cov, count
-        self.stamp[at] = self.store.tick()
+        self.wrote()
 
 
 class ChildCounts(list):
     """A read-only snapshot of a sum's child counts (``CountsWidth.read``):
     a list of floats that compares as one, but raises ValueError on any
-    edit in place, so an edit cannot miss its slot's stamp."""
+    edit in place, so an edit cannot miss its width's count of writes."""
 
     def _refuse(self, *args, **kwargs):
         raise ValueError("child counts are a read-only snapshot; "
@@ -209,12 +212,12 @@ class CountsWidth(Slots):
 
     def write(self, i: int, counts) -> None:
         self.counts[i] = counts
-        self.stamp[i] = self.store.tick()
+        self.wrote()
 
     def add(self, i: int, j: int, n: float) -> None:
         """Add ``n`` to count j of slot i."""
         self.counts[i, j] += n
-        self.stamp[i] = self.store.tick()
+        self.wrote()
 
 
 class StatsStore:
@@ -223,18 +226,14 @@ class StatsStore:
     one ``CountsWidth`` per number of children.  A slot is a (width,
     index) pair.
 
-    ``stamps`` counts the writes and frees, which stamp their slots.
+    ``stamps`` counts the writes and frees of all its widths, so a reader
+    that recorded it knows in O(1) whether anything changed since.
     """
 
     def __init__(self):
         self.widths: dict[int, StatsWidth] = {}
         self.counts: dict[int, CountsWidth] = {}
         self.stamps = 0
-
-    def tick(self) -> int:
-        """A stamp no slot of this store has held."""
-        self.stamps += 1
-        return self.stamps
 
     def add(self, stats: GaussianStats) -> tuple[StatsWidth, int]:
         """A new slot holding a copy of ``stats``."""
@@ -255,6 +254,29 @@ class StatsStore:
         i = width.alloc()
         width.write(i, counts)
         return width, i
+
+
+def weights(counts: np.ndarray, mode: str) -> np.ndarray:
+    """Mixture weights of sums with child counts ``counts`` (m, c), one sum
+    a row, under weighting mode ``mode``: "mle" divides each count by its
+    sum's total, "laplace" adds one pseudo-count per child.
+
+    Each total adds its row left to right, as ``nodes.SumNode.count`` does,
+    so a sum's weights have the same bits in any stack.  A zero total under
+    "mle", a sum without children included, or an unknown mode raises
+    ValueError.
+    """
+    if counts.shape[1]:
+        total = np.add.accumulate(counts, axis=1)[:, -1:]
+    else:
+        total = np.zeros((counts.shape[0], 1))
+    if mode == "mle":
+        if (total <= 0.0).any():
+            raise ValueError("cannot derive mle weights from a sum node with zero count")
+        return counts / total
+    if mode == "laplace":
+        return (counts + 1.0) / (total + float(counts.shape[1]))
+    raise ValueError(f"unknown weight mode: {mode!r}")
 
 
 def update_each(X: np.ndarray, slots: list, rows: list, cols: list) -> None:

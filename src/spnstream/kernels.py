@@ -16,7 +16,8 @@ numpy calls whatever its size:
   and the log normalization constants ``const`` (m,); for k = 1 the
   trailing axes are dropped.  ``LeafGroup.refresh`` writes them from the
   leaves' slots in the pool's statistics store with ``factors``, the one
-  place the Cholesky pieces of a Gaussian are computed.  For k = 1 the
+  place the Cholesky pieces of a Gaussian are computed, all of them
+  whenever the store's width k was written since.  For k = 1 the
   group is one elementwise expression over all univariate leaves; for
   k > 1 it is one batched ``matmul`` against the stacked inverse factors.
 * one ``NodeGroup`` per (height, kind, number of children), in order of
@@ -26,7 +27,8 @@ numpy calls whatever its size:
   ``logaddexp`` after adding the sums' log weights ``logw``, (children,
   nodes) like the block, for sums.  ``NodeGroup.refresh`` writes a sum
   group's ``logw`` from the sums' slots of child counts in the store in
-  one vector expression (``log_weights``).
+  one vector expression (``log_weights``), whenever the store's width of
+  c counts was written since.
 
 The N nodes are numbered densely in plan order: the leaf groups by k,
 then the node groups in order.  That is children before parents, since
@@ -51,8 +53,9 @@ to the observed variables.  The table keeps those restricted factors per
 observation pattern (which of the k variables are unobserved) for every
 leaf of the group; the kernel factors a pattern the first time a query
 uses it (every pattern at once when that at most doubles the work), and
-``LeafGroup.refresh`` empties it whenever a leaf of the group is factored
-again.
+``LeafGroup.refresh`` empties it whenever it factors the group again.
+Leaves of another k live in another width of the store, so a write to
+them leaves the group and its table alone.
 
 ``sample_flat`` walks the same plan top-down to draw rows: the (node, row)
 pairs that reach a group are handled by a few numpy calls, routed by the
@@ -75,7 +78,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gstats import CountsWidth, StatsWidth
+from .gstats import CountsWidth, StatsWidth, weights
 
 KIND_SUM = 1
 KIND_PRODUCT = 2
@@ -114,7 +117,7 @@ def factors(covs: np.ndarray, floor: float):
     return reg, chol, ichol, const
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class LeafGroup:
     """All m leaves over k variables and their parameters, which ``refresh``
     writes in place; arrays are (m,) for k = 1, else (m, k[, k])."""
@@ -131,66 +134,36 @@ class LeafGroup:
     table: PatternTable
     stats: StatsWidth   # the store's width k, which holds the leaves' statistics
     slots: np.ndarray   # (m,) each leaf's slot there
-    seen: np.ndarray    # (m,) the slots' write stamps when last factored
+    seen: int = -1      # the width's count of writes when last factored
 
-    def refresh(self, floor: float, every: bool) -> None:
-        """Factor the leaves again with variance floor ``floor``, in one
-        ``factors`` call, and empty the table of restricted factors if any
-        leaf changed.
-
-        A univariate group re-derives every leaf, elementwise.  A k > 1
-        group factors the leaves whose slot was written since they were
-        last factored (every leaf with ``every``).  Every change to a slot
-        goes through ``StatsWidth.write``, which stamps it, so none is
-        missed.
-        """
-        if self.k == 1:  # (S, 1) and (S, 1, 1): a flat take is the slots' one entry
-            self.stats.mean.take(self.slots, out=self.mean)
-            self.cov[:], self.chol[:], self.ichol[:], self.const[:] = factors(
-                self.stats.cov.take(self.slots), floor)
+    def refresh(self, floor: float) -> None:
+        """Factor every leaf again with variance floor ``floor``, in one
+        ``factors`` call, and empty the table of restricted factors, if the
+        width was written since the group was last factored.  Every change
+        to a slot goes through the width, which counts it, so none is
+        missed; a caller that changes the floor sets ``seen`` to -1."""
+        if self.seen == self.stats.writes:
             return
-        stamp = self.stats.stamp.take(self.slots)
-        at = slice(None)
-        if not every:
-            fresh = stamp != self.seen
-            if not fresh.any():
-                return
-            if not fresh.all():
-                at = np.flatnonzero(fresh)
-        slots = self.slots[at]
-        self.mean[at] = self.stats.mean[slots]
-        self.cov[at], self.chol[at], self.ichol[at], self.const[at] = factors(
-            self.stats.cov[slots], floor)
-        self.seen[:] = stamp
+        # (S, 1) and (S, 1, 1) for k = 1: a flat take is the slots' one entry.
+        axis = None if self.k == 1 else 0
+        self.stats.mean.take(self.slots, axis=axis, out=self.mean)
+        self.cov[:], self.chol[:], self.ichol[:], self.const[:] = factors(
+            self.stats.cov.take(self.slots, axis=axis), floor)
+        self.seen = self.stats.writes
         self.table.clear()
 
 
 def log_weights(counts: np.ndarray, mode: str) -> np.ndarray:
-    """Log mixture weights of sums with child counts ``counts`` (m, c), one
-    sum a row, under weighting mode ``mode``: "mle" divides each count by
-    its sum's total, "laplace" adds one pseudo-count per child.
-
-    Each total adds its row left to right (``np.add.accumulate``), as
-    ``nodes.SumNode.count`` does, so every weight has the bits of
-    ``nodes.derived_weights``.  A zero count under "mle" gives -inf; a
-    zero total there, or an unknown mode, raises ValueError.
-    """
-    total = np.add.accumulate(counts, axis=1)[:, -1:]
-    if mode == "mle":
-        if (total <= 0.0).any():
-            raise ValueError("cannot derive mle weights from a sum node with zero count")
-        w = counts / total
-    elif mode == "laplace":
-        w = (counts + 1.0) / (total + float(counts.shape[1]))
-    else:
-        raise ValueError(f"unknown weight mode: {mode!r}")
+    """Log of the mixture weights ``gstats.weights`` of sums with child
+    counts ``counts`` (m, c); a zero weight gives -inf."""
+    w = weights(counts, mode)
     if np.count_nonzero(w) == w.size:
         return np.log(w)
     with np.errstate(divide="ignore"):
         return np.log(w)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class NodeGroup:
     """Inner nodes of one height and kind with the same number of children c.
 
@@ -211,22 +184,20 @@ class NodeGroup:
     pos: np.ndarray
     targets: tuple[int, ...]
     # For sums: the store's width c, which holds the sums' child counts,
-    # each sum's slot there, and the slots' write stamps when logw was
+    # each sum's slot there, and the width's count of writes when logw was
     # last computed.
     counts: CountsWidth | None = None
     slots: np.ndarray | None = None
-    seen: np.ndarray | None = None
+    seen: int = -1
 
-    def refresh(self, mode: str, every: bool) -> None:
+    def refresh(self, mode: str) -> None:
         """Recompute a sum group's log weights under weighting mode ``mode``
-        (``log_weights``), if a sum's slot was written since they were last
-        computed or ``every`` is set."""
-        stamp = self.counts.stamp.take(self.slots)
-        # Bytes compare equal stamps in one call, where == and all take two.
-        if not every and stamp.tobytes() == self.seen.tobytes():
+        (``log_weights``), if the width was written since they were last
+        computed; a caller that changes the mode sets ``seen`` to -1."""
+        if self.seen == self.counts.writes:
             return
         self.logw[:] = log_weights(self.counts.counts.take(self.slots, axis=0), mode).T
-        self.seen[:] = stamp
+        self.seen = self.counts.writes
 
 
 # The fixed slots at the front of every PatternTable: a zero factor with
@@ -333,8 +304,7 @@ def level_plan(inner, scopes: dict, slots, table_bytes: int):
                                 np.array([scopes[x] for x in at], dtype=np.int64).reshape(vec),
                                 np.zeros(vec), np.zeros(mat), np.zeros(mat), np.zeros(mat),
                                 np.zeros(m), PatternTable(table_bytes), slots[at[0]][0],
-                                np.array([slots[x][1] for x in at], dtype=np.intp),
-                                np.zeros(m, dtype=np.int64)))
+                                np.array([slots[x][1] for x in at], dtype=np.intp)))
 
     groups = []
     for ((_, kd, c), at), span in zip(levels, spans[len(sizes):]):
@@ -345,14 +315,14 @@ def level_plan(inner, scopes: dict, slots, table_bytes: int):
             words[i] = 2 + (max(w, default=0) if is_sum else sum(w))
         children = np.array([kids[e] for e in range(c) for kids in kid_index],
                             dtype=np.intp).reshape(c, m)
-        logw = counts = sum_slots = seen = None
+        logw = counts = sum_slots = None
         if is_sum:
-            logw, counts, seen = np.zeros((c, m)), slots[at[0][0]][0], np.zeros(m, dtype=np.int64)
+            logw, counts = np.zeros((c, m)), slots[at[0][0]][0]
             sum_slots = np.array([slots[x][1] for x, _ in at], dtype=np.intp)
         groups.append(NodeGroup(is_sum, np.arange(span.start, span.stop), span, children, logw,
                                 group_arr[children], pos_arr[children],
                                 tuple(sorted({group_of[x] for kids in kid_index for x in kids})),
-                                counts, sum_slots, seen))
+                                counts, sum_slots))
     return LevelPlan(tuple(leaves), tuple(groups), tuple(g for g in groups if g.is_sum),
                      group_arr, pos_arr, max(words)), order
 

@@ -257,15 +257,14 @@ class EvalCache:
     the read queries, so a cache adds no state: ``learn_batch`` finds the
     same net with or without one.  A structure edit forces a rebuild,
     which leaves the net's parameters for its first refresh to set;
-    otherwise, once the pool's statistics store was written, the
-    univariate leaves are re-derived and only the k > 1 leaves whose slots
-    were written since the net last factored them are re-factored (every
-    leaf after a change of ``pool.variance_floor``), and a sum group's
-    weights are recomputed only when one of its sums' child counts or the
-    weight mode changed since they were last computed.  A write refreshes
+    otherwise a leaf group re-derives all its leaves once its width of the
+    pool's statistics store was written since it last did (every group
+    after a change of ``pool.variance_floor``), and a sum group recomputes
+    all its weights once its width of child counts was written or the
+    weight mode changed.  A write refreshes
     and evaluates the net only when the pool has a sum, whose routing reads
     densities; after writes into a pool without one, the next read (or
-    ``ensure``) factors the leaves those writes changed.
+    ``ensure``) factors the leaf groups those writes reached.
     """
 
     def ensure(self, pool: NodePool) -> CompiledNet:
@@ -322,8 +321,9 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
     updates leaves.  That pass is one iterative depth-first walk in
     pre-order over an explicit stack, so network depth is not limited by
     Python's recursion limit.  A sum adds the rows it routes to each child
-    into its slot of child counts in the pool's store, which stamps the
-    slot, so the next refresh recomputes its group's weights.
+    into its slot of child counts in the pool's store, which moves the
+    width's count of writes, so the next refresh recomputes the weights of
+    the sum groups of that width.
     Structure decisions use a product's
     statistics after absorbing the current batch, but the nodes a change
     creates are born from the pre-batch state; the batch then continues
@@ -354,7 +354,7 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
     way.  On a pool without a sum the net's parameters are left as they
     are: any sum the pass meets was born in it, so its children are all
     new and the graph walk scores them, and the first read after such
-    writes factors the leaves they changed; a compile for such a write
+    writes factors the leaf groups they reached; a compile for such a write
     factors nothing either.
     """
     rows = check_rows(rows, pool.dim)
@@ -363,7 +363,7 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
         return report
     net = current_net(pool)
     values = None
-    if net.sums:  # only a sum reads densities
+    if net.plan.sums:  # only a sum reads densities
         net.refresh_params(pool)
         values = net.eval_rows(rows)
 

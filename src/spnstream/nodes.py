@@ -5,7 +5,7 @@ stable integer identifiers plus a designated root.  Sum nodes mix their
 children, product nodes factorize across disjoint sets of variables, and
 leaves carry a (possibly multivariate) Gaussian given by its running
 statistics.  Mixture weights are not stored; they are derived on demand
-from each sum node's child counts.
+from each sum node's child counts (``gstats.weights``).
 
 Nodes hold the structure and the pool's ``gstats.StatsStore`` holds the
 numbers: the running statistics of the pool's leaves and products and
@@ -16,10 +16,10 @@ which writes the new statistics into the slot and must keep its width.
 ``node.child_counts`` reads a sum's slot as a list that refuses edits in
 place (``gstats.ChildCounts``); assigning a list of counts writes it
 into the slot, and one of another length moves the sum to the width of
-that length.  Either way the slot's stamp moves, so the compiled net
-sees the change.  A node outside any pool holds its numbers itself;
-removing a node from the pool frees its slot and hands the node its
-numbers back.
+that length.  Either way the width's count of writes moves, so the
+compiled net sees the change.  A node outside any pool holds its
+numbers itself; removing a node from the pool frees its slot and hands
+the node its numbers back.
 
 Every count has one source.  A leaf's or product's ``count`` is its
 statistics' count, and a sum's is the sum of its ``child_counts``.
@@ -41,7 +41,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .gstats import ChildCounts, GaussianStats, StatsStore
+from .gstats import ChildCounts, GaussianStats, StatsStore, weights
 
 Scope = tuple[int, ...]
 
@@ -180,32 +180,10 @@ Node = Union[SumNode, ProductNode, LeafNode]
 
 
 def derived_weights(node: SumNode, mode: str) -> np.ndarray:
-    """Mixture weights of a sum node under the given weighting mode.
-
-    "mle" uses plain count ratios; "laplace" adds one pseudo-count per child.
-    """
-    return edge_weights([node], mode)
-
-
-def edge_weights(sums: list[SumNode], mode: str) -> np.ndarray:
-    """``derived_weights`` of every sum in ``sums``, concatenated in one pass.
-
-    Each edge is divided by its own sum's total, so every weight has the
-    bits that sum alone would give it.
-    """
-    totals = [node.count for node in sums]
-    if mode == "mle":
-        if any(t <= 0.0 for t in totals):
-            raise ValueError("cannot derive mle weights from a sum node with zero count")
-        num = [c for node in sums for c in node.child_counts]
-        den = [t for node, t in zip(sums, totals) for _ in node.child_counts]
-    elif mode == "laplace":
-        num = [c + 1.0 for node in sums for c in node.child_counts]
-        den = [t + len(node.child_counts) for node, t in zip(sums, totals)
-               for _ in node.child_counts]
-    else:
-        raise ValueError(f"unknown weight mode: {mode!r}")
-    return np.divide(num, den, dtype=np.float64)
+    """Mixture weights of a sum node under the given weighting mode
+    (``gstats.weights``): "mle" uses plain count ratios; "laplace" adds one
+    pseudo-count per child."""
+    return weights(np.array([node.child_counts], dtype=np.float64), mode)[0]
 
 
 class NodePool:
@@ -292,7 +270,8 @@ class NodePool:
         made outside this class's methods must call this, or both evaluate
         the old graph.  Assigned statistics, assigned child counts of the
         same length, a new ``weight_mode`` and a new ``variance_floor`` show
-        without it: each assignment stamps its slot in ``store``.
+        without it: each assignment moves the count of writes of its
+        slot's width in ``store``.
         """
         self.structure_version += 1
 

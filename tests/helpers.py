@@ -19,7 +19,7 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from spnstream.evaluate import compile_pool, shared_net
-from spnstream.gstats import DEGENERATE_VARIANCE, GaussianStats
+from spnstream.gstats import DEGENERATE_VARIANCE, GaussianStats, correlation_matrix
 from spnstream.nodes import (LeafNode, NodePool, ProductNode, SumNode,
                              derived_weights, make_scope)
 
@@ -322,7 +322,7 @@ def reference_update(stats: GaussianStats, batch) -> GaussianStats:
 
 def correlation(stats: GaussianStats, i: int, j: int) -> float:
     """Absolute correlation between coordinates i and j of ``stats``, one
-    pair at a time: the oracle for ``GaussianStats.correlation_matrix``.
+    pair at a time: the oracle for ``gstats.correlation_matrix``.
 
     Returns 0.0 when either variance is below ``DEGENERATE_VARIANCE``,
     so freshly created or constant coordinates never look correlated.
@@ -332,6 +332,28 @@ def correlation(stats: GaussianStats, i: int, j: int) -> float:
     if vi < DEGENERATE_VARIANCE or vj < DEGENERATE_VARIANCE:
         return 0.0
     return float(abs(stats.cov[i, j]) / np.sqrt(vi * vj))
+
+
+def edge_weights(sums: list[SumNode], mode: str) -> np.ndarray:
+    """Mixture weights of every sum in ``sums``, concatenated, from Python
+    lists: the scalar oracle for ``gstats.weights``.
+
+    Each edge is divided by its own sum's total (``SumNode.count``), so
+    every weight has the bits that sum alone would give it.
+    """
+    totals = [node.count for node in sums]
+    if mode == "mle":
+        if any(t <= 0.0 for t in totals):
+            raise ValueError("cannot derive mle weights from a sum node with zero count")
+        num = [c for node in sums for c in node.child_counts]
+        den = [t for node, t in zip(sums, totals) for _ in node.child_counts]
+    elif mode == "laplace":
+        num = [c + 1.0 for node in sums for c in node.child_counts]
+        den = [t + len(node.child_counts) for node, t in zip(sums, totals)
+               for _ in node.child_counts]
+    else:
+        raise ValueError(f"unknown weight mode: {mode!r}")
+    return np.divide(num, den, dtype=np.float64)
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +379,7 @@ def reference_best_cross_child_pair(pool: NodePool, node: ProductNode):
     correlation replaces the incumbent."""
     if len(node.children) < 2:
         return 0.0, None, None
-    corr = node.stats.correlation_matrix()
+    corr = correlation_matrix(node.stats.cov)
     pos = {v: i for i, v in enumerate(node.scope)}
     child_pos = [np.array([pos[v] for v in pool.node(c).scope], dtype=np.intp)
                  for c in node.children]

@@ -960,7 +960,7 @@ def test_queries_on_a_cached_net_walk_no_graph(monkeypatch):
     assert calls == []
 
 
-def test_sample_and_mean_on_a_cached_net_factor_only_replaced_leaves(monkeypatch):
+def test_sample_and_mean_on_a_cached_net_factor_only_written_groups(monkeypatch):
     rng = np.random.default_rng(151)
     pool = random_pool(rng, dim=8, max_sums=4, max_leaf_vars=4)
     multi = [n for n in pool.nodes.values() if isinstance(n, LeafNode) and len(n.scope) > 1]
@@ -990,7 +990,9 @@ def test_sample_and_mean_on_a_cached_net_factor_only_replaced_leaves(monkeypatch
     assert calls == [] and stacks == []
     multi[0].stats = GaussianStats(multi[0].stats.mean + 1.0, multi[0].stats.cov, 3.0)
     sample(pool, rng, size=40)
-    assert stacks == [1]
+    # The replaced leaf's group is factored whole; the other width's is not.
+    k = len(multi[0].scope)
+    assert stacks == [sum(len(n.scope) == k for n in multi)] and stacks[0] < len(multi)
     pool.variance_floor = 2e-4
     analytic_mean(pool)
     assert sum(stacks[1:]) == len(multi)
@@ -1024,12 +1026,18 @@ def test_a_group_factors_each_observation_pattern_once_between_refreshes(monkeyp
         assert sum(shape[0] for shape in stacks if shape[-1] == k) <= 2 ** k - 2
     assert [log_density(pool, q) for q in queries] == first
     assert len(stacks) == built  # warm: no factorization at all
-    # A replaced leaf empties its group's table, and only that group's.
-    k = len(multi[0].scope)
-    multi[0].stats = GaussianStats(multi[0].stats.mean + 0.5, multi[0].stats.cov, 3.0)
+    # A replaced leaf empties its group's table, and only that group's: a
+    # write to the k = 3 leaf leaves the k = 2 group's table filled.
+    k = 3
+    three = next(n for n in multi if len(n.scope) == k)
+    pairs = next(g.table for g in pool.compiled.plan.leaves if g.k == 2)
+    held = (dict(pairs.slots), pairs.ichol)
+    assert held[0]
+    three.stats = GaussianStats(three.stats.mean + 0.5, three.stats.cov, 3.0)
     again = [log_density(pool, q) for q in queries]
     refilled = stacks[built:]
-    assert refilled[0] == (1, k, k)  # refresh_params re-factors the one replaced leaf
+    assert refilled[0] == (group_size[k], k, k)  # refresh_params factors the group whole
+    assert pairs.slots == held[0] and pairs.ichol is held[1]
     assert len(refilled) > 1
     assert all(shape[1:] == (group_size[k], k, k) for shape in refilled[1:])
     assert sum(shape[0] for shape in refilled[1:]) <= 2 ** k - 2
@@ -1246,9 +1254,9 @@ def test_a_read_after_a_read_refreshes_no_leaf_group(monkeypatch):
     calls = []
     real_refresh = kernels.LeafGroup.refresh
 
-    def refresh(group, floor, every):
+    def refresh(group, floor):
         calls.append(group.k)
-        return real_refresh(group, floor, every)
+        return real_refresh(group, floor)
 
     monkeypatch.setattr(kernels.LeafGroup, "refresh", refresh)
     assert log_density(pool, evidence) == first
@@ -1257,7 +1265,7 @@ def test_a_read_after_a_read_refreshes_no_leaf_group(monkeypatch):
     sample(pool, rng, size=4)
     assert calls == []
     # A write moves the store's count of writes, so the next read looks at
-    # every group again (and re-factors only the written leaves).
+    # every group again (and re-factors the groups of the written widths).
     learn_batch(pool, rng.normal(size=(2, 9)), LearnerConfig(), rng, structure_frozen=True)
     log_density(pool, evidence)
     assert sorted(calls) == [2, 3, 4]
@@ -1318,7 +1326,7 @@ def test_in_place_stats_write_raises_and_changes_nothing():
     before = (log_density(pool, evidence), analytic_mean(pool).tolist())
     first = next(n for n in pool.nodes.values() if isinstance(n, LeafNode))
     width, i = first.slot
-    held = (width.mean[i].tobytes(), width.cov[i].tobytes(), width.count[i], width.stamp[i])
+    held = (width.mean[i].tobytes(), width.cov[i].tobytes(), width.count[i], width.writes)
     stats = first.stats
     with pytest.raises(ValueError, match="read-only"):
         stats.mean += 0.8
@@ -1327,7 +1335,7 @@ def test_in_place_stats_write_raises_and_changes_nothing():
     with pytest.raises(ValueError, match="read-only"):
         first.stats.cov[0, 0] = 2.0
     assert (width.mean[i].tobytes(), width.cov[i].tobytes(), width.count[i],
-            width.stamp[i]) == held
+            width.writes) == held
     assert (log_density(pool, evidence), analytic_mean(pool).tolist()) == before
     fresh = copy.deepcopy(pool)
     fresh.compiled = None
@@ -1357,5 +1365,7 @@ def test_sum_edge_weights_match_derived_weights_bit_for_bit(mode):
                 assert got.tobytes() == want.tobytes()
                 zero_edges += int(np.count_nonzero(got == -np.inf))
                 seen.append(net.order[i])
-        assert seen == net.sums
+        assert seen == [net.order[i] for g in net.plan.sums for i in g.nodes.tolist()]
+        assert sorted(seen) == sorted(nid for nid in net.order
+                                      if isinstance(pool.node(nid), SumNode))
     assert (zero_edges > 0) == (mode == "mle")

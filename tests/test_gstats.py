@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spnstream.gstats import GaussianStats, StatsStore, update_each
+from spnstream.gstats import GaussianStats, StatsStore, correlation_matrix, update_each
 
 from helpers import correlation, population_stats, reference_update
 
@@ -103,7 +103,7 @@ def test_correlation_degenerate_variance_is_zero():
 def test_correlation_matrix_matches_pairwise():
     rng = np.random.default_rng(4)
     stats = GaussianStats.zeros(4).update(rng.normal(size=(60, 4)))
-    mat = stats.correlation_matrix()
+    mat = correlation_matrix(stats.cov)
     for i in range(4):
         assert mat[i, i] == 0.0
         for j in range(4):
@@ -224,10 +224,10 @@ def stored_update(stats, X, rows, cols):
     the updated slots, read back from the store's arrays."""
     store = StatsStore()
     slots = [store.add(s) for s in stats]
-    stamps = [width.stamp[i] for width, i in slots]
+    writes = {width: width.writes for width, _ in slots}
     update_each(X, slots, rows, cols)
-    # Written into the store: every slot is stamped again, and its rows hold the result.
-    assert all(width.stamp[i] != stamp for (width, i), stamp in zip(slots, stamps))
+    # Written into the store: every width of a slot counts a write, and its rows hold the result.
+    assert all(width.writes > n for width, n in writes.items())
     return [GaussianStats(width.mean[i], width.cov[i], width.count[i]) for width, i in slots]
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from spnstream import evaluate, kernels, toy
 from spnstream.evaluate import log_density, log_density_rows, sample
-from spnstream.gstats import GaussianStats
+from spnstream.gstats import GaussianStats, correlation_matrix
 from spnstream.learner import (
     EvalCache,
     _best_cross_child_pair,
@@ -453,7 +453,7 @@ def test_pair_search_matches_the_pairwise_scan_on_ties_and_degenerate_data():
         assert _best_cross_child_pair(pool, node) == want
         if want[1] is not None:
             found += 1
-            corr = node.stats.correlation_matrix()
+            corr = correlation_matrix(node.stats.cov)
             hits = {(a, b) for a in range(len(kids)) for b in range(a + 1, len(kids))
                     if corr[np.ix_(parts[a], parts[b])].max() == want[0]}
             ties += len(hits) > 1
@@ -801,10 +801,9 @@ def leaf_stats(pool) -> dict:
     return {nid: n.stats for nid, n in pool.nodes.items() if isinstance(n, LeafNode)}
 
 
-def leaf_stamps(pool) -> dict:
-    """Each leaf's write stamp in the pool's statistics store."""
-    return {nid: n.slot[0].stamp[n.slot[1]] for nid, n in pool.nodes.items()
-            if isinstance(n, LeafNode)}
+def leaf_writes(pool) -> dict:
+    """The count of writes of each leaf's width in the pool's statistics store."""
+    return {nid: n.slot[0].writes for nid, n in pool.nodes.items() if isinstance(n, LeafNode)}
 
 
 def test_writes_and_reads_share_one_net_and_factor_each_leaf_once(monkeypatch):
@@ -816,21 +815,19 @@ def test_writes_and_reads_share_one_net_and_factor_each_leaf_once(monkeypatch):
     reads(pool)
     counter = CompileCounter(monkeypatch)
 
-    # write -> read -> write: the read factors each leaf the first write
-    # replaced once, and re-derives the univariate ones whole; nothing
-    # compiles and refresh_leaf is never called.
+    # write -> read -> write: the read factors each leaf of the widths the
+    # first write reached once, a group at a time; nothing compiles and
+    # refresh_leaf is never called.
     snapshot = copy.deepcopy(pool)
-    before = leaf_stamps(pool)
+    before = leaf_writes(pool)
     learn_batch(pool, rng.normal(size=(16, 8)), cfg, rng, cache=cache, **frozen)
     counter.assert_matches_fresh_compile(pool.compiled, snapshot)
-    replaced = {nid for nid, stamp in leaf_stamps(pool).items() if stamp != before[nid]}
-    univariate = {nid for nid, n in pool.nodes.items()
-                  if isinstance(n, LeafNode) and len(n.scope) == 1}
-    assert replaced - univariate and univariate - replaced
+    written = {nid for nid, n in leaf_writes(pool).items() if n != before[nid]}
+    assert {len(pool.node(nid).scope) for nid in written} == {1, 2}
     assert counter.take() == (0, 0, 0)
     reads(pool)
     counter.assert_matches_fresh_compile(pool.compiled, pool)
-    assert counter.take() == (0, len(replaced | univariate), 0)
+    assert counter.take() == (0, len(written), 0)
     learn_batch(pool, rng.normal(size=(16, 8)), cfg, rng, cache=cache, **frozen)
     assert counter.take() == (0, 0, 0)
     reads(pool)

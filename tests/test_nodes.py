@@ -178,6 +178,10 @@ def test_derived_weights_mle_rejects_zero_count():
         derived_weights(node, "mle")
     # Laplace stays defined: uniform over the children.
     assert np.allclose(derived_weights(node, "laplace"), [0.5, 0.5])
+    childless = SumNode(make_scope([0]), [], [])
+    with pytest.raises(ValueError, match="zero count"):
+        derived_weights(childless, "mle")
+    assert derived_weights(childless, "laplace").shape == (0,)
 
 
 def test_topological_order_puts_children_before_parents():

@@ -17,10 +17,9 @@ from spnstream.gstats import GaussianStats
 from spnstream.learner import (LearnerConfig, fit, init_factored_pool, learn_batch, make_mixture,
                                merge_into_leaf, simplify)
 from spnstream.model_io import load_model, pool_to_json, save_model
-from spnstream.nodes import (WEIGHT_MODES, LeafNode, NodePool, ProductNode, SumNode, edge_weights,
-                             validate)
+from spnstream.nodes import WEIGHT_MODES, LeafNode, NodePool, ProductNode, SumNode, validate
 
-from helpers import fresh_net
+from helpers import edge_weights, fresh_net
 from test_write_pass import planted_rows, two_products
 
 
@@ -134,7 +133,7 @@ def test_rebinding_a_statistics_field_raises_and_leaves_the_slot():
 
     def held():
         return (width.mean[i].tobytes(), width.cov[i].tobytes(), width.count[i],
-                width.stamp[i], pool.store.stamps)
+                width.writes, pool.store.stamps)
 
     kept = held()
     snapshot = leaf.stats
@@ -180,7 +179,7 @@ def test_a_deep_copy_has_its_own_arrays_and_factors_nothing_at_first(monkeypatch
     original = copy.deepcopy(pool)
     twin = copy.deepcopy(pool)
     for k, width in pool.store.widths.items():
-        for name in ("mean", "cov", "count", "stamp"):
+        for name in ("mean", "cov", "count"):
             assert not np.shares_memory(getattr(width, name),
                                         getattr(twin.store.widths[k], name))
     calls = []
@@ -214,9 +213,9 @@ def test_statistics_of_another_width_are_refused_and_change_nothing():
     net = pool.compiled
 
     def held():
-        return ({k: (w.mean.tobytes(), w.cov.tobytes(), w.count.tobytes(), w.stamp.tobytes(),
+        return ({k: (w.mean.tobytes(), w.cov.tobytes(), w.count.tobytes(), w.writes,
                      w.used, list(w.free)) for k, w in pool.store.widths.items()},
-                pool.store.stamps, net.key, net.floor, [g.seen.tobytes() for g in net.plan.leaves])
+                pool.store.stamps, net.key, net.floor, [g.seen for g in net.plan.leaves])
 
     kept = held()
     mean, cov = np.array([0.5, -1.0]), np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -342,6 +341,22 @@ def test_an_unknown_weight_mode_raises_at_every_read_until_set_right():
     assert log_density(pool, evidence) == first
 
 
+def test_a_weight_refresh_that_raises_midway_leaves_no_group_stale():
+    # Under "mle" the group of two children is weighed, then the sum of
+    # three with zero counts raises; back under "laplace" both are weighed again.
+    pool, _ = sums_over_leaves([[3.0, 1.0], [0.0, 0.0, 0.0]], "laplace")
+    evidence = {0: 0.2, 1: 0.5}
+    first = log_density(pool, evidence)
+    pool.weight_mode = "mle"
+    for _ in range(2):
+        with pytest.raises(ValueError, match="zero count"):
+            log_density(pool, evidence)
+    pool.weight_mode = "laplace"
+    assert log_density(pool, evidence) == first
+    assert [g.logw.tobytes() for g in pool.compiled.plan.sums] == \
+        [g.logw.tobytes() for g in fresh_net(pool).plan.sums]
+
+
 def test_an_in_place_edit_of_child_counts_raises_and_leaves_the_slot():
     pool = two_products()
     evidence = {0: 0.5}
@@ -350,7 +365,7 @@ def test_an_in_place_edit_of_child_counts_raises_and_leaves_the_slot():
     width, i = root.slot
 
     def held():
-        return width.counts[i].tobytes(), width.stamp[i], pool.store.stamps
+        return width.counts[i].tobytes(), width.writes, pool.store.stamps
 
     kept = held()
     snapshot = root.child_counts
@@ -378,9 +393,9 @@ def test_assigned_child_counts_write_the_slot_and_a_new_length_moves_the_sum():
     pool = two_products()
     root = pool.node(pool.root)
     width, i = root.slot
-    stamp = width.stamp[i]
+    writes = width.writes
     root.child_counts = [1.5, 2.5]
-    assert root.slot == (width, i) and width.stamp[i] > stamp
+    assert root.slot == (width, i) and width.writes > writes
     assert width.counts[i].tolist() == [1.5, 2.5] and root.count == 4.0
     left, right = root.children
     leaf = pool.add(LeafNode((0, 1), GaussianStats(np.zeros(2), np.eye(2), 2.0)))
@@ -389,7 +404,7 @@ def test_assigned_child_counts_write_the_slot_and_a_new_length_moves_the_sum():
     pool.bump()
     wider, j = root.slot
     assert wider is pool.store.counts[3] and wider.counts[j].tolist() == [1.5, 2.5, 2.0]
-    assert width.free == [i]  # the old slot is freed, stamped, for the next sum of two
+    assert width.free == [i]  # the old slot is freed, counted, for the next sum of two
     assert validate(pool).ok
     row = np.array([[0.3, -0.2]])
     assert log_density_rows(pool, row).tobytes() == fresh_net(pool).eval_rows(row)[
@@ -406,9 +421,7 @@ def test_a_deep_copied_pool_owns_its_counts():
     held = {nid: counts_bits(pool.node(nid)) for nid in sums}
     twin = copy.deepcopy(pool)
     for c, width in pool.store.counts.items():
-        for name in ("counts", "stamp"):
-            assert not np.shares_memory(getattr(width, name),
-                                        getattr(twin.store.counts[c], name))
+        assert not np.shares_memory(width.counts, twin.store.counts[c].counts)
     learn_batch(twin, planted_rows(rng, 64), LearnerConfig(batch_size=64, seed=11), rng,
                 structure_frozen=True)
     node = twin.node(sums[0])

@@ -124,7 +124,7 @@ def two_products(next_check=1e9):
 
 
 def store_bits(pool) -> dict:
-    return {k: (w.mean.tobytes(), w.cov.tobytes(), w.count.tobytes(), w.stamp.tobytes(),
+    return {k: (w.mean.tobytes(), w.cov.tobytes(), w.count.tobytes(), w.writes,
                 w.used, list(w.free)) for k, w in pool.store.widths.items()}
 
 
