@@ -23,11 +23,13 @@ refresh (``LeafGroup.refresh``), the weight refresh (``CompiledNet.refresh_weigh
 Then the model trained on planted blocks: its marginal and conditional
 queries/second on a warm net, and with each query the first read after a
 16-row write (structure frozen, untimed), which replaces every leaf the
-rows reach, so the query refills the factors restricted to its observation
-patterns that the kernel caches per leaf group.  Then the write path:
-``learn_batch`` rows/second on live models, one row per call on the trained
-toy model, one and 16 rows per call on the planted-blocks model, and 256
-rows per call from the factorized start over 24 planted-block variables
+rows reach, so the query refills the factors restricted to every
+observation pattern that the kernel keeps per leaf group.  The two cells
+alternate over five rounds, and each prints its median and min-max.
+Then the write path: ``learn_batch`` rows/second on live models, one row
+per call on the trained toy model, one and 16 rows per call on the
+planted-blocks model, and 256 rows per call from the factorized start
+over 24 planted-block variables
 (a fixed stream of 10 240 rows on which the structure learning only
 merges, so no write meets a sum and none evaluates the net), each with
 no read between writes and with one marginal query after every write
@@ -98,6 +100,8 @@ def time_call(call, rows: int, min_seconds: float) -> float:
 
 # Distinct queries per timed call of the query benchmark.
 QUERIES = 64
+# Alternating rounds of the planted-blocks query cells.
+ROUNDS = 5
 # Rows per sample call: the benchmark's read mix, and a large batch.
 SAMPLE_ROWS = (32, 4096)
 
@@ -296,7 +300,9 @@ def write_pass(pool, rows, cfg: LearnerConfig, read: bool) -> float:
 
 def run_blocks_queries(pool, rows, min_seconds: float, rng) -> None:
     """Queries/second on a copy of ``pool``, warm and as the first read after
-    a 16-row write of ``rows`` taken in turn."""
+    a 16-row write of ``rows`` taken in turn: ``ROUNDS`` rounds that
+    alternate the two cells, so that a slow spell of the machine hits both
+    alike, and each cell's median and min-max over them."""
     live = copy.deepcopy(pool)
     cfg = LearnerConfig(batch_size=16, seed=0)
     write_rng = np.random.default_rng(0)
@@ -306,10 +312,17 @@ def run_blocks_queries(pool, rows, min_seconds: float, rng) -> None:
         lo = next(starts)
         learn_batch(live, rows[lo:lo + cfg.batch_size], cfg, write_rng, structure_frozen=True)
 
-    print(f"\nplanted blocks ({len(pool)} nodes): queries/s {'marginal':>9} {'conditional':>12}")
-    for name, after in (("warm net", None), ("after a 16-row write", write)):
-        marginal, conditional = query_rates(live, min_seconds, rng, after)
-        print(f"{name:>34} {marginal:>9.0f} {conditional:>12.0f}")
+    cells = (("warm net", None), ("after a 16-row write", write))
+    rates = {name: [] for name, _ in cells}
+    for _ in range(ROUNDS):
+        for name, after in cells:
+            rates[name].append(query_rates(live, min_seconds, rng, after))
+    print(f"\nplanted blocks ({len(pool)} nodes): queries/s, median [min-max] of {ROUNDS}"
+          f" alternating rounds")
+    print(f"{'':>22} {'marginal':>20} {'conditional':>20}")
+    for name, cell in rates.items():
+        spread = [f"{np.median(r):.0f} [{min(r):.0f}-{max(r):.0f}]" for r in zip(*cell)]
+        print(f"{name:>22} {spread[0]:>20} {spread[1]:>20}")
 
 
 def run_writes(min_seconds: float, seed: int) -> None:

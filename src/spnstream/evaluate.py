@@ -48,9 +48,6 @@ from .nodes import (LeafNode, NodePool, ProductNode, SumNode, derived_weights, i
 _BLOCK_BYTES = 1 << 19
 # Bytes one block of sample may take (kernels.LevelPlan.row_words per row).
 _SAMPLE_BYTES = 1 << 20
-# Bytes the restricted factors of one leaf group's kernels.PatternTable may
-# take; a table about to pass it is emptied.
-_PATTERN_BYTES = 1 << 22
 
 
 def _leaf_factor(stats: GaussianStats, floor: float):
@@ -198,7 +195,7 @@ def compile_pool(pool: NodePool) -> CompiledNet:
         height[nid] = h = 1 + max((height[c] for c in node.children), default=0)
         kind = kernels.KIND_SUM if isinstance(node, SumNode) else kernels.KIND_PRODUCT
         inner.append((h, kind, nid, node.children))
-    plan, order = kernels.level_plan(inner, scopes, slots, _PATTERN_BYTES)
+    plan, order = kernels.level_plan(inner, scopes, slots)
     n = len(order)
     n_edges = sum(g.children.size for g in plan.groups)
     width = max(n, n_edges, sum(map(len, scopes.values())))

@@ -49,13 +49,16 @@ log-constant in one gather from the group's ``PatternTable``, and one
 batched ``matmul`` and one ``einsum`` finish the group: a fully observed
 pair reads its leaf's own factor, an unobserved one a zero factor with
 constant 0, and any other the factor of its leaf's covariance restricted
-to the observed variables.  The table keeps those restricted factors per
-observation pattern (which of the k variables are unobserved) for every
-leaf of the group; the kernel factors a pattern the first time a query
-uses it (every pattern at once when that at most doubles the work), and
-``LeafGroup.refresh`` empties it whenever it factors the group again.
-Leaves of another k live in another width of the store, so a write to
-them leaves the group and its table alone.
+to the observed variables.  The table numbers the observation patterns
+by their mask bits (bit i set when variable i is unobserved) and keeps
+all 2^k of them for every leaf of the group, or none: the first partial
+read after a refresh factors the 2^k - 2 partly observed ones in one
+stack, and ``LeafGroup.refresh`` empties it whenever it factors the group
+again.  A group whose 2^k patterns would pass ``_PATTERN_BYTES`` (k >= 12,
+or k = 8 with 32 leaves or more) keeps no table and factors each pair's
+restricted covariance per call, by the same formula.  Leaves of another k
+live in another width of the store, so a write to them leaves the group
+and its table alone.
 
 ``sample_flat`` walks the same plan top-down to draw rows: the (node, row)
 pairs that reach a group are handled by a few numpy calls, routed by the
@@ -72,9 +75,8 @@ the others.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,8 +140,9 @@ class LeafGroup:
 
     def refresh(self, floor: float) -> None:
         """Factor every leaf again with variance floor ``floor``, in one
-        ``factors`` call, and empty the table of restricted factors, if the
-        width was written since the group was last factored.  Every change
+        ``factors`` call, and empty the pattern table, which the next partial
+        read fills again whole, if the width was written since the group was
+        last factored.  Every change
         to a slot goes through the width, which counts it, so none is
         missed; a caller that changes the floor sets ``seen`` to -1."""
         if self.seen == self.stats.writes:
@@ -200,46 +203,32 @@ class NodeGroup:
         self.seen = self.counts.writes
 
 
-# The fixed slots at the front of every PatternTable: a zero factor with
-# constant 0 for a leaf with no variable observed, and the leaf's own factor
-# for one with every variable observed.  They are copied, never factored.
-_UNOBSERVED, _OBSERVED = 0, 1
-_FIXED = 2
+# Bytes one k > 1 leaf group's PatternTable may take; a group whose table
+# would pass it keeps none.
+_PATTERN_BYTES = 1 << 22
 
 
 @dataclass(eq=False)
 class PatternTable:
-    """Inverse factors of one k > 1 ``LeafGroup`` per observation pattern,
-    in one array that a partial read gathers from once.
+    """Inverse factors of one k > 1 ``LeafGroup`` for every observation
+    pattern, in one array that a partial read gathers from once.
 
-    A pattern is the (k,) boolean mask of a leaf's unobserved variables,
-    keyed by its bytes, so keys do not overflow for any k.  Slot s holds, for
-    each of the group's m leaves j, an inverse Cholesky factor
-    ``ichol[s, j]`` and log normalization constant ``const[s, j]``.  The
-    first ``_FIXED`` slots hold the two fixed patterns, unobserved and fully
-    observed (a zero factor and the leaf's own).  Every other pattern has its
-    slot in ``slots``: the factor of the leaf's regularized covariance
-    restricted to its observed variables, padded to k x k by a diagonal
-    block on the unobserved variables.  The arrays are allocated at the
-    first partial read, with room for every pattern or as many as ``budget``
-    bytes hold; when a new pattern would not fit, the table is emptied
-    first.  The fixed slots count toward neither ``nbytes`` nor the budget.
+    Pattern p is the mask whose bit i says that variable i is unobserved.
+    Entry p * m + j holds, for leaf j of the group's m, an inverse Cholesky
+    factor ``ichol`` and log normalization constant ``const``: for p = 0
+    the leaf's own, for p = 2^k - 1 a zero factor with constant 0, and for
+    every other p the factor of the leaf's regularized covariance restricted
+    to its observed variables, padded to k x k (``_restricted``).  The first
+    partial read after a refresh fills all 2^k patterns at once, if they fit
+    in ``budget`` bytes; a group whose patterns do not fit keeps none.
     """
 
     budget: int
-    slots: dict[bytes, int] = field(default_factory=dict)
-    ichol: np.ndarray | None = None  # (_FIXED + capacity, m, k, k)
-    const: np.ndarray | None = None  # (_FIXED + capacity, m)
+    ichol: np.ndarray | None = None  # (2^k * m, k, k)
+    const: np.ndarray | None = None  # (2^k * m,)
 
     def clear(self) -> None:
-        self.slots, self.ichol, self.const = {}, None, None
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the pattern slots, the fixed ones left out."""
-        if self.ichol is None:
-            return 0
-        return self.ichol[_FIXED:].nbytes + self.const[_FIXED:].nbytes
+        self.ichol = self.const = None
 
 
 @dataclass(frozen=True)
@@ -254,7 +243,7 @@ class LevelPlan:
     row_words: int
 
 
-def level_plan(inner, scopes: dict, slots, table_bytes: int):
+def level_plan(inner, scopes: dict, slots):
     """Group the nodes of a flattened network for ``eval_flat_numpy`` and
     ``sample_flat`` (the leaves by scope size, the inner nodes by height,
     kind and child count) and number them densely in plan order; returns
@@ -271,7 +260,7 @@ def level_plan(inner, scopes: dict, slots, table_bytes: int):
     order given, so every group owns the range ``span`` of the numbering
     and a child is numbered before its parent.  The groups' parameter
     arrays (the sums' ``logw`` and the leaves') start zeroed, and each leaf
-    group gets an empty ``PatternTable`` of ``table_bytes``.
+    group gets an empty ``PatternTable`` of ``_PATTERN_BYTES``.
     """
     by_size: dict[int, list] = defaultdict(list)
     for label, scope in scopes.items():
@@ -303,7 +292,7 @@ def level_plan(inner, scopes: dict, slots, table_bytes: int):
         leaves.append(LeafGroup(k, np.arange(span.start, span.stop), span,
                                 np.array([scopes[x] for x in at], dtype=np.int64).reshape(vec),
                                 np.zeros(vec), np.zeros(mat), np.zeros(mat), np.zeros(mat),
-                                np.zeros(m), PatternTable(table_bytes), slots[at[0]][0],
+                                np.zeros(m), PatternTable(_PATTERN_BYTES), slots[at[0]][0],
                                 np.array([slots[x][1] for x in at], dtype=np.intp)))
 
     groups = []
@@ -333,8 +322,8 @@ def eval_flat_numpy(plan: LevelPlan, X, out, partial: bool = False):
     Each group writes its own rows of ``out``, the range ``g.span``: a leaf
     group by slice assignment, a node group by reducing its children's
     rows, gathered with ``take``, straight into them (``out=``).  With
-    ``partial`` a NaN in X marks an unobserved value; the leaf groups'
-    tables then fill as queries use new patterns.
+    ``partial`` a NaN in X marks an unobserved value; a k > 1 leaf group
+    then fills its pattern table at the first such call after a refresh.
     """
     for g in plan.leaves:
         out[g.span] = _partial_leaf_rows(g, X) if partial else _leaf_rows(g, X[:, g.cols] - g.mean)
@@ -361,13 +350,15 @@ def _leaf_rows(g: LeafGroup, dev):
 def _partial_leaf_rows(g: LeafGroup, X):
     """``_leaf_rows`` where NaN in X marks an unobserved value.
 
-    For k > 1 every (row, leaf) pair takes its inverse factor and
-    log-constant from one gather over its group's table (``_pair_factors``),
-    then one batched ``matmul`` and one ``einsum`` finish the group.  A
-    k = 1 group gathers its columns with ``take``, about 1 us less than
-    fancy indexing on the one or two rows of a query; the unobserved
-    deviations are set to 0 and, for k = 1, their rows of the result too,
-    by two mask stores."""
+    For k > 1 every (row, leaf) pair takes the inverse factor and
+    log-constant of its observation pattern (``_pair_factors``): one
+    ``take`` from its group's table, numbered by the pattern's mask bits,
+    or, for a group whose table would pass the budget, its own
+    factorization.  One batched ``matmul`` and one ``einsum`` then finish
+    the group.  A k = 1 group gathers its columns with ``take``, about 1 us
+    less than fancy indexing on the one or two rows of a query; the
+    unobserved deviations are set to 0 and, for k = 1, their rows of the
+    result too, by two mask stores."""
     dev = (X.take(g.cols, axis=1) if g.k == 1 else X[:, g.cols]) - g.mean
     miss = np.isnan(dev)
     dev[miss] = 0.0
@@ -383,61 +374,43 @@ def _partial_leaf_rows(g: LeafGroup, X):
 def _pair_factors(g: LeafGroup, hide):
     """Inverse Cholesky factors (rows, m, k, k) and log-constants (rows, m) of
     every (row, leaf) pair of a k > 1 group, given the unobserved masks
-    ``hide`` (rows, m, k), in one gather from ``g.table``.
+    ``hide`` (rows, m, k).
 
-    A fully observed pair reads its leaf's own factor and an unobserved one
-    a zero factor with constant 0, both from the table's fixed slots.  The
-    patterns the table lacks are factored for all m leaves of the group in
-    one stack; all 2^k - 2 patterns instead, when that at most doubles the
-    work and fits the budget, so that later queries find every pattern (for
-    k = 2 one miss fills the table).  A call whose own patterns pass the
-    budget factors them in stacks of at most the budget, uses them once and
-    leaves the table empty.
+    The first call after a refresh fills ``g.table`` with all 2^k patterns,
+    the 2^k - 2 partly observed ones in one ``factors`` stack; every call
+    then gathers each pair's entry, numbered by its mask bits, with one
+    ``take``.  A group whose table would pass its budget factors each pair's
+    own restricted covariance instead and keeps nothing.
     """
     table, k, m = g.table, g.k, g.nodes.size
-    keys = np.frombuffer(hide.tobytes(), dtype=f"V{k}").tolist()  # each pair's pattern
-    # Where each pattern's m entries start in the flattened table.
-    start = {b"\x01" * k: _UNOBSERVED * m, bytes(k): _OBSERVED * m}
-    patterns = [key for key in dict.fromkeys(keys) if key not in start]
-    new = [key for key in patterns if key not in table.slots]
-    if new or table.ichol is None:
-        slot_bytes = 8 * m * (k * k + 1)
-        # All of them, when they cost at most twice the new ones and fit.
-        if new and 2 ** k - 2 <= min(2 * len(new), table.budget // slot_bytes):
-            new = [bytes(p) for p in itertools.product((0, 1), repeat=k)
-                   if 0 < sum(p) < k and bytes(p) not in table.slots]
-        if (len(table.slots) + len(new)) * slot_bytes > table.budget:
-            table.clear()
-            new = patterns
-        if table.ichol is None:  # room for every pattern, or as many as the budget holds
-            cap = _FIXED + max(len(new), min(2 ** k - 2, table.budget // slot_bytes))
-            table.ichol, table.const = np.empty((cap, m, k, k)), np.empty((cap, m))
-            table.ichol[_UNOBSERVED], table.const[_UNOBSERVED] = 0.0, 0.0
-            table.ichol[_OBSERVED], table.const[_OBSERVED] = g.ichol, g.const
-        used = _FIXED + len(table.slots)
-        # The unobserved block is I / (2 pi): each such variable then adds
-        # 0.5 log 2 pi to the log-constant, which cancels its share of the
-        # full leaf's -0.5 k log 2 pi, and a deviation of 0 there adds nothing
-        # to the quadratic form.
-        pad = np.eye(k) / (2.0 * np.pi)
-        masks = np.frombuffer(b"".join(new), dtype=bool).reshape(-1, 1, k)
-        step = max(1, table.budget // slot_bytes)
-        for lo in range(0, len(new), step):
-            h = masks[lo:lo + step]
-            at = slice(used + lo, used + lo + h.shape[0])
-            # g.cov is regularized already, so no floor is added.
-            _, _, table.ichol[at], table.const[at] = factors(
-                np.where(h[..., :, None] | h[..., None, :], pad, g.cov), 0.0)
-        table.slots.update(zip(new, range(used, used + len(new))))
-    start.update((key, table.slots[key] * m) for key in patterns)
-    # Pairs run row by row, leaf by leaf.
-    at = np.array([start[key] + j for key, j in zip(keys, itertools.cycle(range(m)))],
-                  dtype=np.intp).reshape(hide.shape[:2])
+    if 8 * m * (k * k + 1) << k > table.budget:
+        ichol, const = _restricted(g.cov, hide)
+        unobserved = hide.all(axis=-1)
+        ichol[unobserved], const[unobserved] = 0.0, 0.0
+        return ichol, const
+    if table.ichol is None:
+        table.ichol, table.const = np.empty((2 ** k, m, k, k)), np.empty((2 ** k, m))
+        table.ichol[0], table.const[0] = g.ichol, g.const
+        table.ichol[-1], table.const[-1] = 0.0, 0.0
+        masks = (np.arange(1, 2 ** k - 1)[:, None] >> np.arange(k) & 1).astype(bool)
+        table.ichol[1:-1], table.const[1:-1] = _restricted(g.cov, masks[:, None])
+        table.ichol, table.const = table.ichol.reshape(-1, k, k), table.const.reshape(-1)
+    at = (hide @ (1 << np.arange(k))) * m + np.arange(m)
     # take, not fancy indexing, which is ~10x slower on (p, k, k) gathers.
-    ichol = table.ichol.reshape(-1, k, k).take(at, axis=0)
-    const = table.const.reshape(-1).take(at)
-    if table.nbytes > table.budget:
-        table.clear()
+    return table.ichol.take(at, axis=0), table.const.take(at)
+
+
+def _restricted(cov, hide):
+    """Inverse factors and log-constants of the regularized covariances
+    ``cov`` (..., k, k) restricted to the variables that the masks ``hide``
+    (..., k) leave observed, broadcast together.  A hidden variable's row
+    and column become those of I / (2 pi), so it adds 0.5 log 2 pi to the
+    log-constant, which cancels its share of the full leaf's -0.5 k log 2 pi,
+    and its deviation of 0 adds nothing to the quadratic form."""
+    k = cov.shape[-1]
+    # cov is regularized already, so no floor is added.
+    _, _, ichol, const = factors(np.where(hide[..., :, None] | hide[..., None, :],
+                                          np.eye(k) / (2.0 * np.pi), cov), 0.0)
     return ichol, const
 
 

@@ -4,8 +4,9 @@ The tests import its networks (``bench_eval.wide_mixture``), but nothing
 else runs the script, so a change that breaks one of its tables would go
 unseen.  This runs it at batch 1 with a token timing budget (about 3 s)
 and checks that it exits 0 and prints the toy marginal's and one-row
-write's phase splits, the planted-blocks query table and the write
-table's sum-free row.
+write's phase splits, the planted-blocks query table (each cell's median
+and min-max over its alternating rounds) and the write table's sum-free
+row.
 """
 
 import os
@@ -31,9 +32,13 @@ def test_bench_eval_runs_and_prints_the_planted_blocks_queries():
     head = [i for i, line in enumerate(lines) if line.startswith("planted blocks (")
             and "queries/s" in line]
     assert len(head) == 1, proc.stdout
-    for line, name in zip(lines[head[0] + 1:head[0] + 3], ("warm net", "after a 16-row write")):
-        label, marginal, conditional = line.rsplit(maxsplit=2)
-        assert label.strip() == name and float(marginal) > 0 and float(conditional) > 0, line
+    assert "median [min-max] of 5 alternating rounds" in lines[head[0]], lines[head[0]]
+    for line, name in zip(lines[head[0] + 2:head[0] + 4], ("warm net", "after a 16-row write")):
+        label, *cells = line.rsplit(maxsplit=4)
+        assert label.strip() == name, line
+        for median, spread in zip(cells[::2], cells[1::2]):
+            low, high = (float(x) for x in spread.strip("[]").split("-"))
+            assert 0 < low <= float(median) <= high, line
     split = [line for line in lines if line.startswith("marginal by phase")]
     assert len(split) == 1, proc.stdout
     phases = {}

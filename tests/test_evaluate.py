@@ -14,6 +14,7 @@ import types
 import weakref
 from collections.abc import Mapping
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1015,15 +1016,13 @@ def test_a_group_factors_each_observation_pattern_once_between_refreshes(monkeyp
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
     queries = [{int(v): float(rng.normal()) for v in rng.permutation(8)[:4]} for _ in range(12)]
     first = [log_density(pool, q) for q in queries]
-    built = len(stacks)
-    assert built > 0
-    # Each pattern is factored once, for every leaf of its group.
+    # The first partial read fills each group's table in one stack: all
+    # 2^k - 2 partly observed patterns, for every leaf of the group.
     group_size = {len(n.scope): 0 for n in multi}
     for n in multi:
         group_size[len(n.scope)] += 1
-    assert all(shape[1] == group_size[shape[-1]] for shape in stacks)
-    for k in group_size:
-        assert sum(shape[0] for shape in stacks if shape[-1] == k) <= 2 ** k - 2
+    assert sorted(stacks) == sorted((2 ** k - 2, m, k, k) for k, m in group_size.items())
+    built = len(stacks)
     assert [log_density(pool, q) for q in queries] == first
     assert len(stacks) == built  # warm: no factorization at all
     # A replaced leaf empties its group's table, and only that group's: a
@@ -1031,26 +1030,24 @@ def test_a_group_factors_each_observation_pattern_once_between_refreshes(monkeyp
     k = 3
     three = next(n for n in multi if len(n.scope) == k)
     pairs = next(g.table for g in pool.compiled.plan.leaves if g.k == 2)
-    held = (dict(pairs.slots), pairs.ichol)
-    assert held[0]
+    ichol, const = pairs.ichol, pairs.const
+    held = (ichol.tobytes(), const.tobytes())
     three.stats = GaussianStats(three.stats.mean + 0.5, three.stats.cov, 3.0)
     again = [log_density(pool, q) for q in queries]
-    refilled = stacks[built:]
-    assert refilled[0] == (group_size[k], k, k)  # refresh_params factors the group whole
-    assert pairs.slots == held[0] and pairs.ichol is held[1]
-    assert len(refilled) > 1
-    assert all(shape[1:] == (group_size[k], k, k) for shape in refilled[1:])
-    assert sum(shape[0] for shape in refilled[1:]) <= 2 ** k - 2
+    # refresh_params factors the group whole, then the first read refills it.
+    assert stacks[built:] == [(group_size[k], k, k), (2 ** k - 2, group_size[k], k, k)]
+    assert pairs.ichol is ichol and pairs.const is const
+    assert (ichol.tobytes(), const.tobytes()) == held
     fresh = copy.deepcopy(pool)
     fresh.compiled = None
     assert again == [log_density(fresh, q) for q in queries]
-    # Over two variables the first miss factors both patterns.
+    # Over two variables the first partial read fills every pattern.
     pair = NodePool(dim=2)
     pair.root = pair.add(leaf([0, 1], [1.0, -1.0], [[2.0, 0.8], [0.8, 1.0]], 4.0))
     log_density(pair, {0: 0.5})
     del stacks[:]
     log_density(pair, {1: 0.5})
-    assert stacks == [] and len(pair.compiled.plan.leaves[0].table.slots) == 2
+    assert stacks == [] and pair.compiled.plan.leaves[0].table.ichol.shape == (4, 2, 2)
 
 
 def closed_form_marginal(stats: GaussianStats, floor: float, evidence: dict) -> float:
@@ -1082,14 +1079,13 @@ def test_a_leaf_over_70_variables_marginalizes_by_pattern():
         evidence = {v: float(x[v]) for v in obs}
         want = closed_form_marginal(stats, pool.variance_floor, evidence)
         assert log_density(pool, evidence) == pytest.approx(want, abs=1e-9)
-    assert len(pool.compiled.plan.leaves[0].table.slots) == 4
+    # 2^70 patterns pass any budget: each pair is factored per call.
+    assert pool.compiled.plan.leaves[0].table.ichol is None
 
 
 def test_distinct_patterns_on_a_wide_leaf_keep_the_table_within_its_budget(monkeypatch):
     rng = np.random.default_rng(173)
     k = 66
-    budget = 3 * 8 * (k * k + 1)  # three patterns of the one leaf
-    monkeypatch.setattr(evaluate, "_PATTERN_BYTES", budget)
     pool = wide_leaf_pool(rng, k)
     stats = pool.node(pool.root).stats
     x = rng.normal(size=k)
@@ -1098,9 +1094,8 @@ def test_distinct_patterns_on_a_wide_leaf_keep_the_table_within_its_budget(monke
         evidence = {v: float(x[v]) for v in obs}
         want = closed_form_marginal(stats, pool.variance_floor, evidence)
         assert log_density(pool, evidence) == pytest.approx(want, abs=1e-9)
-        table = pool.compiled.plan.leaves[0].table
-        assert 0 < table.nbytes <= budget and len(table.slots) <= 3
-    # One call whose own patterns pass the budget answers and keeps nothing.
+        assert pool.compiled.plan.leaves[0].table.ichol is None
+    # One call of many patterns answers each row and keeps nothing.
     X = np.tile(x, (5, 1))
     for i in range(5):
         X[i, rng.permutation(k)[:i + 1]] = np.nan
@@ -1109,7 +1104,22 @@ def test_distinct_patterns_on_a_wide_leaf_keep_the_table_within_its_budget(monke
         evidence = {v: float(row[v]) for v in np.flatnonzero(~np.isnan(row))}
         assert value == pytest.approx(closed_form_marginal(stats, pool.variance_floor, evidence),
                                       abs=1e-9)
-    assert pool.compiled.plan.leaves[0].table.nbytes == 0
+    assert pool.compiled.plan.leaves[0].table.ichol is None
+    # A table that just fits its budget keeps every pattern; one byte less
+    # keeps none and reads the same bits.
+    small = wide_leaf_pool(rng, 4)
+    X = np.tile(rng.normal(size=4), (16, 1))
+    X[(np.arange(16)[:, None] >> np.arange(4) & 1) == 1] = np.nan
+    need = 2 ** 4 * 8 * (4 * 4 + 1)
+    reads = []
+    for budget in (need, need - 1):
+        monkeypatch.setattr(kernels, "_PATTERN_BYTES", budget)
+        net = fresh_net(small)
+        reads.append(net.eval_rows(X, partial=True))
+        table = net.plan.leaves[0].table
+        kept = 0 if table.ichol is None else table.ichol.nbytes + table.const.nbytes
+        assert kept == (need if budget == need else 0)
+    assert reads[0].tobytes() == reads[1].tobytes()
 
 
 def blocks_mixture(rng, components: int = 3) -> NodePool:
@@ -1176,24 +1186,53 @@ def test_restricted_factors_are_lower_triangular_cholesky_inverses():
     pool = blocks_mixture(rng)
     net = fresh_net(pool)
     g = next(g for g in net.plan.leaves if g.k == 4)
-    patterns = [p for p in itertools.product((False, True), repeat=4) if 0 < sum(p) < 4]
-    X = rng.normal(size=(len(patterns), 9))
-    for row, hide in zip(X, patterns):
-        row[g.cols[0][list(hide)]] = np.nan
+    k, m = g.k, g.nodes.size
+    X = rng.normal(size=(1, 9))
+    X[0, g.cols[0][1]] = np.nan
     net.eval_rows(X, partial=True)
     table = g.table
-    assert len(table.slots) == len(patterns)
+    assert table.ichol.shape == (2 ** k * m, k, k) and table.const.shape == (2 ** k * m,)
+    # Pattern 0 is the leaves' own factor, pattern 2^k - 1 a zero one.
+    assert table.ichol[:m].tobytes() == g.ichol.tobytes()
+    assert table.const[:m].tobytes() == g.const.tobytes()
+    assert not table.ichol[-m:].any() and not table.const[-m:].any()
     log_2pi = math.log(2.0 * math.pi)
-    for key, slot in table.slots.items():
-        obs = ~np.frombuffer(key, dtype=bool)
-        for j in range(g.nodes.size):
-            ichol = table.ichol[slot, j]
+    for code in range(1, 2 ** k - 1):
+        obs = (code >> np.arange(k) & 1) == 0
+        for j in range(m):
+            ichol = table.ichol[code * m + j]
             assert not np.triu(ichol, 1).any()
             chol = np.linalg.cholesky(g.cov[j][np.ix_(obs, obs)])
             np.testing.assert_allclose(ichol[np.ix_(obs, obs)], np.linalg.inv(chol),
                                        rtol=0.0, atol=1e-12)
             want = -0.5 * obs.sum() * log_2pi - np.log(np.diag(chol)).sum()
-            assert table.const[slot, j] == pytest.approx(want, abs=1e-12)
+            assert table.const[code * m + j] == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.data())
+def test_a_group_over_its_budget_reads_the_bits_of_its_pattern_table(seed, components, data):
+    rng = np.random.default_rng(seed)
+    pool = blocks_mixture(rng, components)
+    rows = data.draw(st.integers(1, 5))
+    X = rng.normal(size=(rows, 9))
+    # Each (row, leaf) pair fully observed, partly observed or unobserved.
+    X[np.array(data.draw(st.lists(st.booleans(), min_size=9 * rows, max_size=9 * rows)))
+      .reshape(rows, 9)] = np.nan
+    table_net = fresh_net(pool)
+    with mock.patch.object(kernels, "_PATTERN_BYTES", 0):
+        pair_net = fresh_net(pool)
+    per_pair = pair_net.eval_rows(X, partial=True)
+    assert table_net.eval_rows(X, partial=True).tobytes() == per_pair.tobytes()
+    assert all(g.table.ichol is None for g in pair_net.plan.leaves)
+    for g in pair_net.plan.leaves:
+        hide = np.isnan(X[:, g.cols])
+        ichol, const = kernels._pair_factors(g, hide)
+        hidden = hide.sum(axis=-1)
+        for r, j in zip(*np.nonzero(hidden == 0)):
+            assert ichol[r, j].tobytes() == g.ichol[j].tobytes()
+            assert const[r, j].tobytes() == g.const[j].tobytes()
+        assert not ichol[hidden == g.k].any() and not const[hidden == g.k].any()
 
 
 def test_a_read_after_a_read_does_not_recompute_the_weights(monkeypatch):
