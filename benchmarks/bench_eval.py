@@ -33,9 +33,13 @@ over 24 planted-block variables
 (a fixed stream of 10 240 rows on which the structure learning only
 merges, so no write meets a sum and none evaluates the net), each with
 no read between writes and with one marginal query after every write
-(untimed).  The read re-factors the leaf groups the write reached; a second
-factorization of them by the next write, or per-node overhead in the write
-pass, shows in these rates.  Last, the cost of structure learning on planted
+(untimed), each cell's median and min-max over five rounds that take the
+two in turn.  The read re-factors the leaf groups the write reached; a
+second factorization of them by the next write, or per-node overhead in
+the write pass, shows in these rates.  The same rounds split the 16-row
+planted-blocks writes with reads by ``WRITE_PHASES``, timing only calls
+made within ``learn_batch``, so the reads' refreshes are not counted, and
+print each phase's median.  Last, the cost of structure learning on planted
 blocks: the time of one cross-child pair search on the root of the
 factorized start model (24 singleton children) after it has absorbed 10k
 rows.
@@ -50,6 +54,7 @@ import argparse
 import copy
 import itertools
 import math
+import sys
 import time
 
 import numpy as np
@@ -183,15 +188,18 @@ MARGINAL_CALLS = (("shared_net", evaluate, "shared_net"),
                   ("leaf groups", kernels, "_partial_leaf_rows"))
 
 
-def phase_split(calls, run) -> tuple[float, dict[str, float]]:
+def phase_split(calls, run, inside=None) -> tuple[float, dict[str, float]]:
     """Seconds of ``run()``, which returns them, with each of ``calls``
     (name, owner, attribute) wrapped in a timer, and the seconds each
-    wrapped call took in it."""
+    wrapped call took in it.  With ``inside`` (owner, attribute), the
+    timers count only the calls made within a call of that function."""
     spent = dict.fromkeys([name for name, _, _ in calls], 0.0)
-    originals = []
+    active = [inside is None]
 
     def timed(name, fn):
         def wrapper(*args, **kwargs):
+            if not active[0]:
+                return fn(*args, **kwargs)
             t0 = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
@@ -199,9 +207,21 @@ def phase_split(calls, run) -> tuple[float, dict[str, float]]:
                 spent[name] += time.perf_counter() - t0
         return wrapper
 
-    for name, owner, attr in calls:
-        originals.append((owner, attr, getattr(owner, attr)))
-        setattr(owner, attr, timed(name, getattr(owner, attr)))
+    def gate(fn):
+        def wrapper(*args, **kwargs):
+            active[0] = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active[0] = False
+        return wrapper
+
+    wrappers = [(owner, attr, timed(name, getattr(owner, attr))) for name, owner, attr in calls]
+    if inside is not None:
+        wrappers.append((*inside, gate(getattr(*inside))))
+    originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in wrappers]
+    for owner, attr, wrapper in wrappers:
+        setattr(owner, attr, wrapper)
     try:
         total = run()
     finally:
@@ -321,13 +341,31 @@ def run_blocks_queries(pool, rows, min_seconds: float, rng) -> None:
           f" alternating rounds")
     print(f"{'':>22} {'marginal':>20} {'conditional':>20}")
     for name, cell in rates.items():
-        spread = [f"{np.median(r):.0f} [{min(r):.0f}-{max(r):.0f}]" for r in zip(*cell)]
-        print(f"{name:>22} {spread[0]:>20} {spread[1]:>20}")
+        marginal, conditional = (spread(r) for r in zip(*cell))
+        print(f"{name:>22} {marginal:>20} {conditional:>20}")
+
+
+def write_phases(pool, rows, cfg: LearnerConfig) -> tuple[float, dict[str, float]]:
+    """Seconds of one ``write_pass`` with a marginal after each write
+    (untimed), and the seconds of each of ``WRITE_PHASES`` and the rest in
+    its writes; the reads' own refreshes are not counted."""
+    total, spent = phase_split(WRITE_PHASES, lambda: write_pass(pool, rows, cfg, read=True),
+                               inside=(sys.modules[__name__], "learn_batch"))
+    spent["rest"] = total - sum(spent.values())
+    return total, spent
+
+
+def spread(values) -> str:
+    """The median and [min-max] of ``values``."""
+    return f"{np.median(values):.0f} [{min(values):.0f}-{max(values):.0f}]"
 
 
 def run_writes(min_seconds: float, seed: int) -> None:
-    """Best rows/second of passes without and with reads, taken in turn so
-    that a change of machine speed hits both alike."""
+    """Rows/second of passes without and with reads, ``ROUNDS`` rounds that
+    take them in turn, so that a slow spell of the machine hits both
+    alike, and each cell's median and min-max over them.  The rounds of
+    the 16-row writes on planted blocks also split a pass with reads by
+    phase."""
     rng = np.random.default_rng(seed)
     toy_cfg = LearnerConfig(max_leaf_vars=1, seed=0)
     toy_pool, _ = fit(toy.generate(3000, rng), toy_cfg)
@@ -341,21 +379,31 @@ def run_writes(min_seconds: float, seed: int) -> None:
     sum_free = init_factored_pool(sum_free_rows.shape[1])
     _, report = fit(sum_free_rows, sum_free_cfg)
     assert report.mixtures_created == 0, "the sum-free stream made a mixture"
-    print("\nlearn_batch rows/s on live models (structure learning on)")
-    print(f"{'model':>28} {'batch':>6} {'no reads':>10} {'read after each':>16}")
+    print(f"\nlearn_batch rows/s on live models (structure learning on), median [min-max] of"
+          f" {ROUNDS} alternating rounds")
+    print(f"{'model':>28} {'batch':>6} {'no reads':>22} {'read after each':>22}")
+    split = []
     for name, pool, rows, cfg in [
             ("trained toy", toy_pool, toy.generate(500, rng), toy_cfg),
             ("planted blocks", blocks_pool, blocks_rows, LearnerConfig(batch_size=1, seed=0)),
             ("planted blocks", blocks_pool, blocks_rows, LearnerConfig(batch_size=16, seed=0)),
             ("factorized start", sum_free, sum_free_rows, sum_free_cfg)]:
-        best, spent = [0.0, 0.0], 0.0
-        while spent < 2 * min_seconds:
+        rates = ([], [])
+        for _ in range(ROUNDS):
             for read in (False, True):
-                dt = write_pass(pool, rows, cfg, read)
-                spent += dt
-                best[read] = max(best[read], rows.shape[0] / dt)
-        print(f"{name + f' ({len(pool)} nodes)':>28} {cfg.batch_size:>6} {best[0]:>10.0f}"
-              f" {best[1]:>16.0f}")
+                rates[read].append(rows.shape[0] / write_pass(pool, rows, cfg, read))
+            if pool is blocks_pool and cfg.batch_size == 16:
+                split.append(write_phases(pool, rows, cfg))
+        print(f"{name + f' ({len(pool)} nodes)':>28} {cfg.batch_size:>6} {spread(rates[0]):>22}"
+              f" {spread(rates[1]):>22}")
+    writes = blocks_rows.shape[0] // 16
+    total = np.median([t for t, _ in split])
+    phases = {name: np.median([spent[name] for _, spent in split]) for name in split[0][1]}
+    print(f"16-row learn_batch on planted blocks by phase, a marginal after each write (us per"
+          f" write, median of {ROUNDS} alternating rounds; a write"
+          f" {spread([1e6 * t / writes for t, _ in split])} us): "
+          + ", ".join(f"{name} {1e6 * s / writes:.1f} ({100 * s / total:.0f}%)"
+                      for name, s in phases.items()))
 
 
 def run_structure(min_seconds: float, rng) -> None:

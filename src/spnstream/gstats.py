@@ -21,16 +21,21 @@ which moves the width's count.  ``weights`` turns child counts into
 mixture weights.
 
 ``update_each`` holds the update formula, that of Chan, Golub & LeVeque
-(1979).  It updates many slots at once in stacked passes, each result with
-the bits of updating it alone, and writes the results back into the store,
-so a write builds no ``GaussianStats``.  The write pass applies all its
-queued updates with one call; ``GaussianStats.update`` is its one-item
-case, on a store of one slot.
+(1979).  It updates many slots at once, each result with the bits of
+updating it alone, and writes the results back into the store, so a write
+builds no ``GaussianStats``.  Its cost is a fixed number of numpy calls
+per store width and per padded job (the widths up to ``PAD_WIDTH``, or one
+wider width), which reads, gathers, closes and writes all its items
+together, plus two per exact (row count, width) group: the row sums and
+the scatter, the only steps whose order of additions depends on the
+shape.  The write pass applies all its queued updates with one call;
+``GaussianStats.update`` is its one-item case, on a store of one slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -279,6 +284,12 @@ def weights(counts: np.ndarray, mode: str) -> np.ndarray:
     raise ValueError(f"unknown weight mode: {mode!r}")
 
 
+# Widths up to this one share one padded job per ``update_each`` call, and
+# each wider width takes a job of its own: padding costs an item k * k
+# entries of the widest k, and a job's closing step a dozen numpy calls.
+PAD_WIDTH = 4
+
+
 def update_each(X: np.ndarray, slots: list, rows: list, cols: list) -> None:
     """Absorb into every store slot ``slots[i]`` the rows ``rows[i]`` of X,
     read at the columns ``cols[i]``, and write the results into the slot.
@@ -287,11 +298,16 @@ def update_each(X: np.ndarray, slots: list, rows: list, cols: list) -> None:
     column per dimension of its slot's width, and no slot occurs twice.
     The update keeps the running mean exact and folds the rows into the
     population covariance using deviations from the pre-update mean, then
-    corrects for the mean shift.  The items that take one row share one
-    pass, padded to the widest (``_one_row_pass``); the others take one
-    pass per exact (row count, width) (``_rows_terms``), and those of one
-    width share one closing step (``_close``).  Each result has the bits
-    of updating its slot alone, whatever else shares the call.
+    corrects for the mean shift.
+
+    The items form padded jobs: one for the widths up to ``PAD_WIDTH``
+    and one for each wider width.  A job (``_apply``) reads each width's
+    slots once, gathers the values of all its one-row items with one
+    ``take``, sums and scatters each width's other items with one more
+    ``take`` and two numpy calls per exact (row count, width) group
+    (``_rows_terms``), closes all its items in one step (``_close``) and
+    writes each width back once.  Each result has the bits of updating its
+    slot alone, whatever else shares the call.
     """
     one: dict[StatsWidth, list[int]] = {}
     many: dict[StatsWidth, dict[int, list[int]]] = {}
@@ -300,27 +316,25 @@ def update_each(X: np.ndarray, slots: list, rows: list, cols: list) -> None:
             one.setdefault(slots[item][0], []).append(item)
         else:
             many.setdefault(slots[item][0], {}).setdefault(len(r), []).append(item)
-    if one:
-        _one_row_pass(X, one, slots, rows, cols)
-    for width, by_rows in many.items():
-        items = [i for group in by_rows.values() for i in group]
-        at = _index([slots[i][1] for i in items])
-        mean = width.mean[at]
-        sums, scatter = np.empty_like(mean), np.empty((len(items), width.k, width.k))
-        m = np.empty((len(items), 1))
-        lo = 0
-        for n_rows, group in by_rows.items():
-            hi = lo + len(group)
-            sums[lo:hi], scatter[lo:hi] = _rows_terms(mean[lo:hi], X, rows, cols, group)
-            m[lo:hi] = n_rows
-            lo = hi
-        width.write(at, *_close(width.count[at], m, mean, width.cov[at], sums, scatter))
+    jobs: dict[int, list] = {}
+    for width in {**one, **many}:
+        jobs.setdefault(width.k if width.k > PAD_WIDTH else 0, []).append(
+            (width, one.get(width, []), many.get(width, {})))
+    for job in jobs.values():
+        _apply(X, job, slots, rows, cols)
 
 
 def _index(slots: list[int]):
     """Index of the store rows ``slots``: a slice for one slot, so reads
     copy nothing and writes are plain assignments, else an array."""
     return slice(slots[0], slots[0] + 1) if len(slots) == 1 else np.array(slots)
+
+
+def _gather(width: StatsWidth, at) -> tuple:
+    """The mean, cov and count rows ``at`` (``_index``) of ``width``."""
+    if type(at) is slice:
+        return width.mean[at], width.cov[at], width.count[at]
+    return width.mean.take(at, axis=0), width.cov.take(at, axis=0), width.count[at]
 
 
 def _close(n, m, mean, cov, sums, scatter):
@@ -337,50 +351,126 @@ def _close(n, m, mean, cov, sums, scatter):
     return new_mean, 0.5 * (new_cov + new_cov.transpose(0, 2, 1)), total[:, 0]
 
 
-def _one_row_pass(X: np.ndarray, by_width: dict, slots: list, rows: list, cols: list) -> None:
-    """Apply the items of ``update_each`` that take one row, ``by_width``
-    listing them per width, in one pass.
+def _apply(X: np.ndarray, job: list, slots: list, rows: list, cols: list) -> None:
+    """Apply the items of ``update_each`` of one job: ``job`` lists its
+    widths, each as (width, its one-row items, its other items by row
+    count).
 
-    The statistics may differ in width, so the pass pads them with zeros to
-    the widest.  With a single row every step of the update is elementwise,
-    so padding never reaches a real entry.  Two steps need care there: in
-    the per-item update, ``np.add.reduce`` over one row and the one-term
-    ``dev.T @ dev`` both add their terms to +0.0, which turns a -0.0 into
-    +0.0, so this pass adds 0.0 too.
+    A job of several widths pads every item's statistics, sums and
+    scatter with zeros to its widest width; the job closes all its items in
+    one step, which is elementwise, so padding never reaches a real entry.
+    A job of one width reads its slots without a copy.  The sums and
+    scatters of the one-row items are elementwise too, computed for the
+    whole job at once from x, which holds each of them its row and every
+    other item its mean, so that the other items' deviations are zero
+    until ``_rows_terms`` writes their terms.  Two steps need care there:
+    in the per-item update, ``np.add.reduce`` over one row and the
+    one-term ``dev.T @ dev`` both add their terms to +0.0, which turns a
+    -0.0 into +0.0, so this step adds 0.0 too.
     """
-    order = [i for items in by_width.values() for i in items]
-    widest = max(width.k for width in by_width)
-    x, mean = np.zeros((len(order), widest)), np.zeros((len(order), widest))
-    cov, n = np.zeros((len(order), widest, widest)), np.empty(len(order))
-    width_x = X.shape[1]
-    values = X.take([int(rows[i][0]) * width_x + v for i in order for v in cols[i]])
-    spans, lo, start = [], 0, 0  # start: the first of the width's values
-    for width, items in by_width.items():
-        k, hi = width.k, lo + len(items)
-        at = _index([slots[i][1] for i in items])
-        x[lo:hi, :k] = values[start:start + (hi - lo) * k].reshape(-1, k)
-        mean[lo:hi, :k], cov[lo:hi, :k, :k] = width.mean[at], width.cov[at]
-        n[lo:hi] = width.count[at]
-        spans.append((width, at, lo, hi))
-        lo, start = hi, start + (hi - lo) * k
-    dev = x - mean
-    new_mean, new_cov, total = _close(n, 1.0, mean, cov, x + 0.0,
-                                      dev[:, :, None] * dev[:, None, :] + 0.0)
-    for width, at, lo, hi in spans:
+    widest = size = n_ones = 0
+    for width, one, groups in job:
+        widest = max(widest, width.k)
+        n_ones += len(one)
+        size += len(one) + sum(map(len, groups.values()))
+    padded = len(job) > 1
+    if padded:
+        mean, cov, n = np.zeros((size, widest)), np.zeros((size, widest, widest)), np.empty(size)
+    blank = np.zeros if padded else np.empty  # unpadded, every entry is written before use
+    x, spans = blank((size, widest)), []
+    if n_ones:
+        values = _one_row_values(X, job, rows, cols)
+    lo = start = 0
+    for width, one, groups in job:
+        k = width.k
+        items = one + [i for group in groups.values() for i in group] if groups else one
+        at, many, hi = _index([slots[i][1] for i in items]), lo + len(one), lo + len(items)
+        if padded:
+            mean[lo:hi, :k], cov[lo:hi, :k, :k], n[lo:hi] = _gather(width, at)
+        else:
+            mean, cov, n = _gather(width, at)
+        if one:
+            stop = start + len(one) * k
+            x[lo:many, :k] = values[start:stop].reshape(-1, k)
+            start = stop
+        if groups and n_ones:
+            x[many:hi, :k] = mean[many:hi, :k]
+        spans.append((width, groups, at, lo, many, hi))
+        lo = hi
+    if n_ones:
+        dev = x - mean
+        sums, scatter = x + 0.0, dev[:, :, None] * dev[:, None, :] + 0.0
+    else:
+        sums, scatter = x, blank((size, widest, widest))
+    if n_ones == size:
+        m = 1.0
+    else:  # _rows_terms writes the row count of each item that takes several
+        m = np.ones((size, 1)) if n_ones else np.empty((size, 1))
+    for width, groups, _, _, many, hi in spans:
+        if groups:
+            k = width.k
+            _rows_terms(X, groups, rows, cols, mean[many:hi, :k], sums[many:hi, :k],
+                        scatter[many:hi, :k, :k], m[many:hi, 0])
+    new_mean, new_cov, total = _close(n, m, mean, cov, sums, scatter)
+    for width, _, at, lo, _, hi in spans:
         k = width.k
         width.write(at, new_mean[lo:hi, :k], new_cov[lo:hi, :k, :k], total[lo:hi])
 
 
-def _rows_terms(mean: np.ndarray, X: np.ndarray, rows: list, cols: list, items: list[int]):
-    """(row sums, scatter about ``mean``) of the ``items`` of
-    ``update_each``'s arguments, which take m >= 2 rows each over k columns
-    each, the same m and k for all; ``mean`` (N, k) holds their means.
+def _one_row_values(X: np.ndarray, job: list, rows: list, cols: list) -> np.ndarray:
+    """The values of the one-row items of ``job`` (``_apply``), item after
+    item, each at its columns: one ``take``."""
+    if X.shape[0] == 1:  # every row index is 0
+        return X[0].take([v for _, one, _ in job for i in one for v in cols[i]])
+    width_x = X.shape[1]
+    return X.take([index(rows[i][0]) * width_x + v
+                   for _, one, _ in job for i in one for v in cols[i]])
 
-    The rows form one (N, m, k) block without padding, so numpy sums each
-    item's m rows in the order of the per-item update and BLAS gets the
-    same product.  Padding to a common m or k would change that order.
+
+def _rows_terms(X: np.ndarray, groups: dict, rows: list, cols: list, mean: np.ndarray,
+                sums: np.ndarray, scatter: np.ndarray, m: np.ndarray) -> None:
+    """Write into ``sums`` (N, k), ``scatter`` (N, k, k) and ``m`` (N,) the
+    row sums, the scatter about ``mean`` (N, k) and the row count of the
+    items of ``update_each`` that ``groups`` lists by row count, m >= 2
+    rows each over k columns each, in that order.
+
+    One ``take`` gathers the rows of all N items.  With one row count it
+    is one (N, m, k) block, its index broadcast from each item's columns
+    and rows (one row array for all if they share it); with several, the
+    items follow each other and each group is a contiguous slice, one
+    (n, m, k) block.  Neither pads: numpy sums each item's m rows in the
+    order of the per-item update and BLAS gets the same product.  Padding
+    to a common m or k would change that order, and so would a ``matmul``
+    into a strided output, which numpy does not hand to BLAS; a strided
+    ``scatter`` is filled from a contiguous one.
     """
-    block = X.take(np.array([rows[i] for i in items])[:, :, None] * X.shape[1]
-                   + np.array([cols[i] for i in items])[:, None, :])
-    dev = block - mean[:, None, :]
-    return np.add.reduce(block, axis=1), dev.transpose(0, 2, 1) @ dev
+    items = [i for group in groups.values() for i in group]
+    k, width_x = mean.shape[1], X.shape[1]
+    at = np.array([v for i in items for v in cols[i]]).reshape(-1, k)
+    if len(groups) == 1:  # one row count: each item's columns broadcast over its rows
+        m[...], = groups
+        first = rows[items[0]]
+        if all(rows[i] is first for i in items):  # and one row set
+            starts = np.asarray(first)[None, :, None] * width_x
+        else:
+            starts = np.array([rows[i] for i in items])[:, :, None] * width_x
+        block = X.take(starts + at[:, None, :])
+        blocks = [(slice(None), block, block - mean[:, None, :])]
+    else:
+        counts = np.array([n_rows for n_rows, group in groups.items() for _ in group])
+        m[...] = counts
+        starts = np.concatenate([rows[i] for i in items]) * width_x
+        flat = X.take(starts[:, None] + at.repeat(counts, axis=0))
+        dev = flat - mean.repeat(counts, axis=0)
+        blocks, lo, start = [], 0, 0
+        for n_rows, group in groups.items():
+            hi, stop = lo + len(group), start + len(group) * n_rows
+            blocks.append((slice(lo, hi), flat[start:stop].reshape(-1, n_rows, k),
+                           dev[start:stop].reshape(-1, n_rows, k)))
+            lo, start = hi, stop
+    out = scatter if scatter.flags.c_contiguous else np.empty(scatter.shape)
+    for part, block, dev in blocks:
+        np.add.reduce(block, axis=1, out=sums[part])
+        np.matmul(dev.transpose(0, 2, 1), dev, out=out[part])
+    if out is not scatter:
+        scatter[...] = out

@@ -339,10 +339,11 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
     in this pass.  The pool is a tree, so no node is queued twice.
     Applying the queue is one call of
     ``gstats.update_each`` on the nodes' slots in the pool's statistics
-    store, which stacks them into as few passes as keep their bits and
-    writes the results back into the store, so the result has the bits of
-    updating every node as the walk reaches it and no statistics object is
-    built.
+    store.  It reads and writes each scope width's slots once, sums and
+    scatters the rows of each group of nodes of one (row count, width)
+    together, and closes all the nodes of a padded job in one step, so the
+    result has the bits of updating every node as the walk reaches it and
+    no statistics object is built.
     Rows of the wrong width or with a non-finite value raise ValueError
     before the pool is touched.
     Only a sum reads densities, to route its rows, so the bottom-up pass

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spnstream.gstats import GaussianStats, StatsStore, correlation_matrix, update_each
+from spnstream.gstats import (PAD_WIDTH, GaussianStats, StatsStore, correlation_matrix,
+                              update_each)
 
 from helpers import correlation, population_stats, reference_update
 
@@ -200,6 +201,41 @@ def mixed_cases(draw):
     return stats, X, rows, cols
 
 
+@st.composite
+def write_cases(draw):
+    """(stats, X, rows, cols) shaped like the statistics update of a 16-row
+    write: items of widths 1-4 and one wider than ``PAD_WIDTH``, each to
+    absorb 1-16 rows of a strided matrix X at its own columns.  Every call
+    has several items per (rows, width) group, one-row and multi-row items
+    of width 1, and a width-1 group of 9 rows or more, whose sums numpy adds
+    pairwise.  The values come from a drawn seed, with drawn shares of -0.0
+    in X and in the means, and drawn counts, 0 among them."""
+    wide = draw(st.integers(PAD_WIDTH + 1, PAD_WIDTH + 4))
+    height, width = draw(st.integers(16, 20)), wide + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    full = rng.normal(0.0, scale, size=(2 * height, 2 * width))
+    full[rng.random(full.shape) < draw(st.sampled_from([0.0, 0.1, 1.0]))] = -0.0
+    X = full[::2, 1::2] if draw(st.booleans()) else np.ascontiguousarray(full[:height, :width])
+    negative_zero = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    groups = [(1, 1), (draw(st.integers(9, 16)), 1), (draw(st.integers(2, 16)), 1)]
+    groups += draw(st.lists(st.tuples(st.integers(1, 16), st.integers(1, 4)), min_size=1,
+                            max_size=4))
+    shapes = [shape for shape in groups for _ in range(draw(st.integers(2, 4)))]
+    shapes.append((draw(st.integers(1, 16)), wide))
+    stats, rows, cols = [], [], []
+    for m, k in draw(st.permutations(shapes)):
+        mean = rng.normal(0.0, scale, size=k)
+        mean[rng.random(k) < negative_zero] = -0.0
+        a = rng.normal(0.0, scale, size=(k, k))
+        count = draw(st.one_of(st.just(0.0), st.integers(1, 1000).map(float),
+                               st.floats(0.0, 1e6)))
+        stats.append(GaussianStats(mean, a @ a.T, count))
+        rows.append(rng.choice(height, size=m, replace=False))
+        cols.append(tuple(sorted(rng.choice(width, size=k, replace=False).tolist())))
+    return stats, X, rows, cols
+
+
 # A row's -0.0 makes a -0.0 row sum and a -0.0 scatter term, which the
 # one-row sum and the one-term matmul turn into +0.0; at count 0 they reach
 # the mean of a negative mean and the covariance of a negative covariance.
@@ -232,7 +268,7 @@ def stored_update(stats, X, rows, cols):
 
 
 @settings(max_examples=300, deadline=None)
-@given(mixed_cases())
+@given(st.one_of(mixed_cases(), write_cases()))
 @example(NEGATIVE_ZEROS)
 @example(MIXED)
 def test_stacked_updates_of_mixed_shapes_match_the_reference_bit_for_bit(case):
@@ -243,7 +279,9 @@ def test_stacked_updates_of_mixed_shapes_match_the_reference_bit_for_bit(case):
         got = stored_update(stats, X, rows, cols)
         assert len(got) == len(stats)
         for s, r, c, out in zip(stats, rows, cols, got):
-            want = reference_update(s, X[r][:, list(c)])
+            # Each batch C-ordered, as the per-node oracle builds it: numpy
+            # sums the rows of a column-major batch pairwise from 8 rows on.
+            want = reference_update(s, X[r[:, None], list(c)])
             assert (out.count, out.mean.tobytes(), out.cov.tobytes()) == \
                 (want.count, want.mean.tobytes(), want.cov.tobytes())
             assert out.mean.dtype == out.cov.dtype == np.float64

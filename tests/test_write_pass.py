@@ -2,10 +2,10 @@
 
 ``learn_batch`` defers the statistics update of every leaf and product it
 reaches, structure checks included, and applies them together in one call
-of ``gstats.update_each``: one stacked pass for the nodes that receive a
-single row, and one per group of nodes that receive the same number of
-rows over scopes of the same width.  It routes a single row without
-per-child numpy.
+of ``gstats.update_each``, which sums and scatters each group of nodes
+that receive the same number of rows over scopes of the same width
+together, and closes all of a padded job's nodes in one step.  It routes a
+single row without per-child numpy.
 ``helpers.reference_learn_batch`` is the write pass as a plain per-node
 walk.  Both must leave identical model files, reports and generator
 states, with and without structure edits, ties and
@@ -19,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from spnstream import gstats, toy
+from spnstream import gstats, learner, toy
 from spnstream.gstats import GaussianStats
 from spnstream.learner import LearnerConfig, fit, init_factored_pool, learn_batch
 from spnstream.model_io import pool_to_json
@@ -219,28 +219,45 @@ def test_batch_one_writes_on_a_trained_model_skip_gaussian_stats_update(monkeypa
 def test_a_16_row_write_updates_nodes_of_one_shape_together(monkeypatch):
     rng = np.random.default_rng(9)
     pool, _ = fit(planted_rows(rng, 2000), LearnerConfig(max_leaf_vars=3, batch_size=64, seed=9))
-    calls, groups = [], []
-    update, stacked = GaussianStats.update, gstats._rows_terms
+    calls, groups, jobs, closes = [], [], [], []
+    update, rows_terms, close = GaussianStats.update, gstats._rows_terms, gstats._close
+    update_each = learner.update_each
 
     def counted(self, batch):
         calls.append(batch.shape[0])
         return update(self, batch)
 
-    def counted_stacked(stats, X, rows, cols, items):
-        groups.append(len(items))
-        return stacked(stats, X, rows, cols, items)
+    def counted_rows_terms(X, by_rows, *args):
+        groups.extend(len(items) for items in by_rows.values())
+        return rows_terms(X, by_rows, *args)
+
+    def counted_close(*args):
+        closes[-1] += 1
+        return close(*args)
+
+    def counted_update_each(X, slots, rows, cols):
+        # The padded jobs of the call: the widths up to PAD_WIDTH, and each wider width.
+        jobs.append(len({w.k if w.k > gstats.PAD_WIDTH else 0 for w, _ in slots}))
+        closes.append(0)
+        return update_each(X, slots, rows, cols)
 
     monkeypatch.setattr(gstats.GaussianStats, "update", counted)
-    monkeypatch.setattr(gstats, "_rows_terms", counted_stacked)
+    monkeypatch.setattr(gstats, "_rows_terms", counted_rows_terms)
+    monkeypatch.setattr(gstats, "_close", counted_close)
+    monkeypatch.setattr(learner, "update_each", counted_update_each)
     before = {nid: n.stats for nid, n in pool.nodes.items() if not isinstance(n, SumNode)}
     learn_batch(pool, planted_rows(rng, 16), LearnerConfig(batch_size=16, seed=9), rng,
                 structure_frozen=True)
-    # Every node that took two or more rows went through a stacked pass of
-    # gstats.update_each, in fewer passes than nodes; none called update.
+    # Every node that took two or more rows went through a stacked (rows,
+    # width) group of gstats.update_each, in fewer groups than nodes; none
+    # called update.
     updated = sum(pool.node(nid).stats.count - stats.count >= 2 for nid, stats in before.items())
     assert calls == []
     assert sum(groups) == updated
     assert len(groups) < updated
+    # Each call closed its items in one step per padded job, not per group.
+    assert jobs and closes == jobs
+    assert sum(closes) < len(groups)
 
 
 def test_structure_checks_skip_gaussian_stats_update(monkeypatch):
