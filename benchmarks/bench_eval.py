@@ -7,9 +7,11 @@ queries/second (``log_density`` marginals with half of the variables
 observed, and ``conditional_log_density`` with a quarter queried given
 another half), ``sample`` rows/second at 32 and 4096 rows per call, the
 time of one ``compile_pool`` (which sets no parameters), and the time of a
-recompile followed by the first 32-row ``sample``, which factors every leaf.  Three networks: a model trained on the toy
-stream (small, deep enough to be realistic) and two wide constructed
-mixtures (many sum edges, multivariate leaves), the larger with 1 251 nodes.
+recompile followed by the first 32-row ``sample``, which factors every
+leaf, the two timed in turn over five rounds, each printed as its median
+and min-max.  Three networks: a model trained on the toy stream (small,
+deep enough to be realistic) and two wide constructed mixtures (many sum
+edges, multivariate leaves), the larger with 1 251 nodes.
 For the toy model it also prints microseconds per call of a marginal, a
 conditional and a one-row ``learn_batch``, and splits the marginal and
 the write by phase, each timed by wrappers this script installs for one
@@ -20,7 +22,9 @@ leaf groups and node groups and the rest; the write into ``gstats.update_each``,
 refresh (``LeafGroup.refresh``), the weight refresh (``CompiledNet.refresh_weights``),
 ``eval_rows``, the routing (``tie_break_argmax``) and the rest.
 
-Then the model trained on planted blocks: its marginal and conditional
+Then the model trained on planted blocks: its compile times, as above
+(the shape of model whose structure edits recompile it while it learns),
+its marginal and conditional
 queries/second on a warm net, and with each query the first read after a
 16-row write (structure frozen, untimed), which replaces every leaf the
 rows reach, so the query refills the factors restricted to every
@@ -162,18 +166,27 @@ def run_workload(name: str, pool, batch_sizes, min_seconds: float, rng) -> None:
             line += f"   ms/row {1e3 / rate:.3f}"
         print(line)
     marginal, conditional = query_rates(pool, min_seconds, rng)
-    compile_ms = 1e3 / time_call(lambda: compile_pool(pool), 1, min_seconds)
+    print(f"queries/s: marginal {marginal:.0f}, conditional {conditional:.0f}")
+    print(compile_times(pool, min_seconds))
+    draws = ", ".join(f"{rows} rows {time_call(lambda: sample(pool, rng, rows), rows, min_seconds):.0f}"
+                      for rows in SAMPLE_ROWS)
+    print(f"sample rows/s: {draws}")
 
+
+def compile_times(pool, min_seconds: float) -> str:
+    """The line of ``pool``'s compile times in ms: one ``compile_pool``, and
+    a recompile with the first 32-row ``sample`` after it, ``ROUNDS`` rounds
+    that take the two in turn, each cell's median and min-max over them."""
     def compile_and_sample():
         pool.bump()  # the next read compiles the pool again
         sample(pool, np.random.default_rng(0), SAMPLE_ROWS[0])
 
-    first_ms = 1e3 / time_call(compile_and_sample, 1, min_seconds)
-    print(f"queries/s: marginal {marginal:.0f}, conditional {conditional:.0f};"
-          f" compile_pool {compile_ms:.2f} ms; compile_pool + first sample {first_ms:.2f} ms")
-    draws = ", ".join(f"{rows} rows {time_call(lambda: sample(pool, rng, rows), rows, min_seconds):.0f}"
-                      for rows in SAMPLE_ROWS)
-    print(f"sample rows/s: {draws}")
+    times = ([], [])
+    for _ in range(ROUNDS):
+        for ms, call in zip(times, (lambda: compile_pool(pool), compile_and_sample)):
+            ms.append(1e3 / time_call(call, 1, min_seconds))
+    return (f"compile ms, median [min-max] of {ROUNDS} alternating rounds: compile_pool"
+            f" {spread(times[0], '.3f')}; compile_pool + first sample {spread(times[1], '.3f')}")
 
 
 # The phases of a write, by the name each is timed under and where it is wrapped.
@@ -355,9 +368,9 @@ def write_phases(pool, rows, cfg: LearnerConfig) -> tuple[float, dict[str, float
     return total, spent
 
 
-def spread(values) -> str:
-    """The median and [min-max] of ``values``."""
-    return f"{np.median(values):.0f} [{min(values):.0f}-{max(values):.0f}]"
+def spread(values, fmt: str = ".0f") -> str:
+    """The median and [min-max] of ``values``, each in format ``fmt``."""
+    return f"{np.median(values):{fmt}} [{min(values):{fmt}}-{max(values):{fmt}}]"
 
 
 def run_writes(min_seconds: float, seed: int) -> None:
@@ -371,6 +384,8 @@ def run_writes(min_seconds: float, seed: int) -> None:
     toy_pool, _ = fit(toy.generate(3000, rng), toy_cfg)
     blocks_pool, _ = fit(planted_blocks(20000, rng), LearnerConfig(batch_size=256, seed=0))
     blocks_rows = planted_blocks(640, rng)
+    print(f"\nplanted blocks ({len(blocks_pool)} nodes) "
+          + compile_times(copy.deepcopy(blocks_pool), min_seconds))
     run_blocks_queries(blocks_pool, blocks_rows, min_seconds, rng)
     # A fixed stream on which the factorized start only merges, so that no
     # write meets a sum, whatever the seed of the other rows.

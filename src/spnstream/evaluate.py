@@ -1,15 +1,15 @@
 """Density queries, conditionals, sampling and moments.
 
 Every query runs the level kernel of the kernels module over a
-``CompiledNet``, the pool flattened into arrays and grouped into a level
-plan.  ``log_density_rows`` scores complete rows.
+``CompiledNet``, the pool flattened into groups of nodes that share a
+shape.  ``log_density_rows`` scores complete rows.
 ``log_density`` and ``conditional_log_density`` pass their evidence as rows
 in which NaN marks an unassigned variable: one pass over each assignment
 checks it and writes it into a Python list of NaN, and one ``np.array``
 makes the batch, so laying out the evidence takes one numpy call a
 query.  Each Gaussian leaf integrates its unassigned variables out, so a
 leaf with no assigned variable contributes a factor of one.  ``sample``
-draws rows in one top-down pass over the net's level plan and
+draws rows in one top-down pass over the net's groups and
 ``analytic_mean`` is one bottom-up pass.
 Each pool holds one compiled net (``current_net``), which these queries and
 ``learner.learn_batch`` share, so a write and the reads after it compile
@@ -18,7 +18,7 @@ it refreshes and evaluates the net only when the pool has a sum; the
 first read after writes into a pool without one factors the leaf groups
 those writes reached.  A new net starts with no parameters, so a compile for a write
 that reads no density factors nothing.  The net's parameters live on
-the groups of its plan.  A leaf group re-derives all its leaves when its
+its groups.  A leaf group re-derives all its leaves when its
 width of the pool's statistics store was written since it last did, or
 ``pool.variance_floor`` changed, and a sum group recomputes all its log
 weights when its width of child counts was written or the weight mode
@@ -32,6 +32,7 @@ is rebuilt after a structure edit.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -46,7 +47,7 @@ from .nodes import (LeafNode, NodePool, ProductNode, SumNode, derived_weights, i
 # the kernel's temporaries a block then peaks near 2 MB, whatever the
 # number of rows.
 _BLOCK_BYTES = 1 << 19
-# Bytes one block of sample may take (kernels.LevelPlan.row_words per row).
+# Bytes one block of sample may take (CompiledNet.row_words per row).
 _SAMPLE_BYTES = 1 << 20
 
 
@@ -64,19 +65,29 @@ def _leaf_factor(stats: GaussianStats, floor: float):
 
 @dataclass(eq=False)
 class CompiledNet:
-    """A pool flattened into one ``kernels.LevelPlan``.
+    """A pool flattened into groups of nodes, numbered densely.
 
-    The plan drives both the kernel and sampling, and its groups hold the
-    parameters: the leaves' on the leaf groups (``kernels.LeafGroup``), the
-    sums' log weights on the sum groups (``kernels.NodeGroup.logw``), which
-    ``refresh_params`` sets and brings up to date in place.
+    The groups drive both the kernel and sampling, and hold the parameters:
+    the leaves' on the leaf groups (``kernels.LeafGroup``), one per scope
+    size k, the sums' log weights on the sum groups
+    (``kernels.NodeGroup.logw``), which ``refresh_params`` sets and brings
+    up to date in place.  The node groups hold the inner nodes of one
+    height, kind and child count each, by height, so children come first.
+    ``compile_pool`` builds it.
     """
 
-    order: list[int]        # node ids by dense index: plan order, children first
+    order: list[int]        # node ids by dense index: group order, children first
     index: dict[int, int]   # node id -> dense index
     # (pool.structure_version, pool.root) it was compiled at
     key: tuple[int, int]
-    plan: kernels.LevelPlan
+    leaves: tuple[kernels.LeafGroup, ...]   # by k
+    groups: tuple[kernels.NodeGroup, ...]   # children's groups come first
+    sums: tuple[kernels.NodeGroup, ...]     # the sum groups among them
+    group_of: np.ndarray  # (N,) group of each node, numbered as in NodeGroup.target
+    pos_of: np.ndarray    # (N,) its position in that group
+    # Bound on the 8-byte words one drawn row takes: a (node, row) pair for
+    # every node it can reach and a leaf's draw.
+    row_words: int
     # Rows per block of log_density_rows: the widest per-row array (nodes,
     # edges or leaf variables) then takes at most _BLOCK_BYTES.
     block_rows: int
@@ -109,9 +120,9 @@ class CompiledNet:
         X = np.ascontiguousarray(X, dtype=np.float64)
         out = np.empty((len(self.order), X.shape[0]), dtype=np.float64)
         if not partial or X.shape[0] <= self.partial_block_rows:
-            return kernels.eval_flat_numpy(self.plan, X, out, partial)
+            return kernels.eval_flat_numpy(self, X, out, partial)
         for rows in self.row_blocks(X.shape[0], self.partial_block_rows):
-            kernels.eval_flat_numpy(self.plan, X[rows], out[:, rows], True)
+            kernels.eval_flat_numpy(self, X[rows], out[:, rows], True)
         return out
 
     def refresh_leaf(self, pool: NodePool, nid: int) -> None:
@@ -138,10 +149,10 @@ class CompiledNet:
             return
         self.stamps = -1  # until every group is up to date
         if floor != self.floor:
-            for g in self.plan.leaves:
+            for g in self.leaves:
                 g.seen = -1
             self.floor = floor
-        for g in self.plan.leaves:
+        for g in self.leaves:
             g.refresh(floor)
         self.refresh_weights(pool)
         self.stamps = stamps
@@ -154,55 +165,97 @@ class CompiledNet:
         every read until it is set right."""
         mode = pool.weight_mode
         if mode != self.weight_mode:
-            for g in self.plan.sums:
+            for g in self.sums:
                 g.seen = -1
             self.weight_mode = mode
-        for g in self.plan.sums:
+        for g in self.sums:
             g.refresh(mode)
 
 
 def compile_pool(pool: NodePool) -> CompiledNet:
-    """Flatten the pool (its reachable part) into a level plan.
+    """Flatten the pool (its reachable part) into a ``CompiledNet``.
 
-    One walk, children before parents: a leaf's height is 0 and an inner
-    node's one more than its highest child's.  A node that holds its
-    statistics or child counts itself gets its slot in the pool's store
-    here.  ``kernels.level_plan`` then numbers the nodes densely in plan
-    order, children first, so each plan group owns a range of the kernel's
-    output.  The net's parameters are left unset: its first
+    One walk, children before parents, files each node into its group: a
+    leaf under its scope size k, an inner node under (height, sums before
+    products, child count), where a leaf's height is 0 and an inner node's
+    one more than its highest child's.  A node that holds its statistics
+    or child counts itself gets its slot in the pool's store on the way.
+    The nodes are then numbered densely once, the leaf groups by k first,
+    then the node groups in key order, each group's nodes in walk order,
+    so every group owns the range ``span`` of the kernel's output and a
+    child is numbered before its parent; the root, the one node of the
+    greatest height, is numbered last.  The groups' parameter arrays (the
+    sums' ``logw`` and the leaves') start zeroed: the net's first
     ``refresh_params`` factors every leaf and weighs every sum, so a
     compile for a write that reads no density factors nothing.
     """
     height: dict[int, int] = {}
-    inner = []  # (height, kind, node id, child ids)
-    scopes = {}  # node id -> scope, for each leaf
-    slots = {}  # node id -> slot, for each leaf (statistics) and sum (child counts)
+    by_size: dict[int, list] = defaultdict(list)  # k -> leaves
+    by_level: dict[tuple, list] = defaultdict(list)  # (height, is product, c) -> inner nodes
     for nid in topological_order(pool):
         node = pool.node(nid)
-        slot = pool.slot_of(node)
+        width = pool.slot_of(node)[0]
         if isinstance(node, LeafNode):
-            if slot[0].k != len(node.scope):
-                raise ValueError(f"leaf {nid} has statistics of width {slot[0].k} "
+            if width.k != len(node.scope):
+                raise ValueError(f"leaf {nid} has statistics of width {width.k} "
                                  f"over {len(node.scope)} variables")
-            scopes[nid], slots[nid] = node.scope, slot
             height[nid] = 0
+            by_size[len(node.scope)].append((nid, node))
             continue
-        if isinstance(node, SumNode):
-            if slot[0].c != len(node.children):
-                raise ValueError(f"sum {nid} has {slot[0].c} child counts "
-                                 f"for {len(node.children)} children")
-            slots[nid] = slot
+        is_sum = isinstance(node, SumNode)
+        if is_sum and width.c != len(node.children):
+            raise ValueError(f"sum {nid} has {width.c} child counts "
+                             f"for {len(node.children)} children")
         height[nid] = h = 1 + max((height[c] for c in node.children), default=0)
-        kind = kernels.KIND_SUM if isinstance(node, SumNode) else kernels.KIND_PRODUCT
-        inner.append((h, kind, nid, node.children))
-    plan, order = kernels.level_plan(inner, scopes, slots)
-    n = len(order)
-    n_edges = sum(g.children.size for g in plan.groups)
-    width = max(n, n_edges, sum(map(len, scopes.values())))
-    partial_width = max([width] + [g.nodes.size * g.k * g.k for g in plan.leaves])
-    return CompiledNet(order, {nid: i for i, nid in enumerate(order)},
-                       (pool.structure_version, pool.root), plan,
-                       max(1, _BLOCK_BYTES // (8 * width)),
+        by_level[(h, not is_sum, len(node.children))].append((nid, node))
+    sizes, levels = sorted(by_size.items()), sorted(by_level.items())
+    # Dense order: the leaf groups, then the node groups.  NodeGroup.target
+    # numbers the node groups first, then the leaf groups.
+    members = [at for _, at in sizes] + [at for _, at in levels]
+    order = [nid for at in members for nid, _ in at]
+    index = dict(zip(order, range(len(order))))
+    spans, group_of, pos_of = [], [], []
+    for j, at in enumerate(members):
+        spans.append(slice(len(group_of), len(group_of) + len(at)))
+        group_of += [(j - len(sizes)) % len(members)] * len(at)
+        pos_of += range(len(at))
+    group_of, pos_of = np.array(group_of), np.array(pos_of)
+    words = np.empty(len(order), dtype=np.int64)
+
+    leaves = []
+    for (k, at), span in zip(sizes, spans):
+        words[span] = 2 + 4 * k + k * k
+        m = len(at)
+        vec, mat = ((m,), (m,)) if k == 1 else ((m, k), (m, k, k))
+        leaves.append(kernels.LeafGroup(
+            k, np.arange(span.start, span.stop), span,
+            np.array([node.scope for _, node in at], dtype=np.int64).reshape(vec),
+            np.zeros(vec), np.zeros(mat), np.zeros(mat), np.zeros(mat), np.zeros(m),
+            at[0][1].slot[0], np.array([node.slot[1] for _, node in at], dtype=np.intp)))
+
+    groups = []
+    for ((_, is_product, c), at), span in zip(levels, spans[len(sizes):]):
+        m = len(at)
+        children = np.array([index[x] for _, node in at for x in node.children],
+                            dtype=np.intp).reshape(m, c).T.copy()
+        below = words[children]
+        words[span] = 2 + (below.sum(axis=0) if is_product else below.max(axis=0, initial=0))
+        logw = counts = slots = None
+        if not is_product:
+            logw, counts = np.zeros((c, m)), at[0][1].slot[0]
+            slots = np.array([node.slot[1] for _, node in at], dtype=np.intp)
+        target = group_of[children]
+        groups.append(kernels.NodeGroup(not is_product, np.arange(span.start, span.stop), span,
+                                        children, logw, target, pos_of[children],
+                                        tuple(sorted(set(target.ravel().tolist()))),
+                                        counts, slots))
+
+    n_edges = sum(g.children.size for g in groups)
+    width = max(len(order), n_edges, sum(g.cols.size for g in leaves))
+    partial_width = max([width] + [g.nodes.size * g.k * g.k for g in leaves])
+    return CompiledNet(order, index, (pool.structure_version, pool.root), tuple(leaves),
+                       tuple(groups), tuple(g for g in groups if g.is_sum), group_of, pos_of,
+                       int(words.max()), max(1, _BLOCK_BYTES // (8 * width)),
                        max(1, _BLOCK_BYTES // (8 * partial_width)))
 
 
@@ -380,7 +433,7 @@ def conditional_log_density(pool: NodePool, query: Mapping[int, float],
 def sample(pool: NodePool, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Draw rows from the network's distribution.
 
-    One top-down pass over the cached net's level plan per block of rows
+    One top-down pass over the cached net's groups per block of rows
     (``kernels.sample_flat``): each sum node picks one child per row that
     reaches it by its weights, each product node passes the row to every
     child, and each leaf draws its variables from its regularized Gaussian
@@ -391,8 +444,8 @@ def sample(pool: NodePool, rng: np.random.Generator, size: int | None = None) ->
     out = np.empty((n, pool.dim), dtype=np.float64)
     net = shared_net(pool)
     root = net.index[pool.root]
-    for rows in net.row_blocks(n, max(1, _SAMPLE_BYTES // (8 * net.plan.row_words))):
-        kernels.sample_flat(net.plan, root, rng, out[rows])
+    for rows in net.row_blocks(n, max(1, _SAMPLE_BYTES // (8 * net.row_words))):
+        kernels.sample_flat(net, root, rng, out[rows])
     return out[0] if size is None else out
 
 
@@ -407,15 +460,15 @@ def _size(size) -> int:
 def analytic_mean(pool: NodePool) -> np.ndarray:
     """Exact per-variable mean of the network's distribution.
 
-    One bottom-up pass over the cached net's level plan: a leaf's mean sits
+    One bottom-up pass over the cached net's groups: a leaf's mean sits
     on its scope, a product adds its children's means and a sum weights
     them by its weights.
     """
     net = shared_net(pool)
     means = np.zeros((len(net.order), pool.dim))
-    for g in net.plan.leaves:
+    for g in net.leaves:
         means[g.nodes if g.k == 1 else g.nodes[:, None], g.cols] = g.mean
-    for g in net.plan.groups:
+    for g in net.groups:
         terms = means.take(g.children, axis=0)
         if g.is_sum:
             terms *= np.exp(g.logw)[:, :, None]

@@ -2,13 +2,12 @@
 
 The hot loop of both training and evaluation is computing, for a batch of
 rows, the log-density of every node in the network.  One kernel,
-``eval_flat_numpy``, which every write and read runs, follows the
-network's one ``LevelPlan``, which ``level_plan`` builds from each inner
-node's height, kind and children and the leaves' scopes, once per
-structure, after one walk of the network (see ``evaluate.compile_pool``).
-Each group of the plan holds its own parameters, which its owner writes in
-place, so a refresh needs no new plan, and each costs a fixed number of
-numpy calls whatever its size:
+``eval_flat_numpy``, which every write and read runs, follows the groups
+of a compiled net (``evaluate.CompiledNet``), which ``evaluate.compile_pool``
+files every node into in its one walk of the network, once per structure.
+Each group holds its own parameters, which its owner writes in place, so a
+refresh needs no new compile, and each costs a fixed number of numpy calls
+whatever its size:
 
 * one ``LeafGroup`` per leaf scope size k, which holds its leaves'
   parameters as stacked arrays: ``mean`` (m, k), ``ichol`` (the inverse
@@ -30,7 +29,7 @@ numpy calls whatever its size:
   one vector expression (``log_weights``), whenever the store's width of
   c counts was written since.
 
-The N nodes are numbered densely in plan order: the leaf groups by k,
+The N nodes are numbered densely in group order: the leaf groups by k,
 then the node groups in order.  That is children before parents, since
 the node groups run by height, and each group owns one contiguous range
 ``span`` of the kernel's (N, rows) output.  A leaf group writes its range
@@ -45,24 +44,24 @@ The kernel also takes partial evidence: NaN marks an unobserved value,
 which is integrated out inside its leaf.  A leaf with every variable
 unobserved contributes 0 and a univariate leaf otherwise its closed form.
 In a k > 1 group every (row, leaf) pair takes its inverse factor and
-log-constant in one gather from the group's ``PatternTable``, and one
-batched ``matmul`` and one ``einsum`` finish the group: a fully observed
-pair reads its leaf's own factor, an unobserved one a zero factor with
-constant 0, and any other the factor of its leaf's covariance restricted
-to the observed variables.  The table numbers the observation patterns
-by their mask bits (bit i set when variable i is unobserved) and keeps
-all 2^k of them for every leaf of the group, or none: the first partial
-read after a refresh factors the 2^k - 2 partly observed ones in one
-stack, and ``LeafGroup.refresh`` empties it whenever it factors the group
-again.  A group whose 2^k patterns would pass ``_PATTERN_BYTES`` (k >= 12,
-or k = 8 with 32 leaves or more) keeps no table and factors each pair's
-restricted covariance per call, by the same formula.  Leaves of another k
-live in another width of the store, so a write to them leaves the group
-and its table alone.
+log-constant in one gather from the group's pattern table (``table_ichol``
+and ``table_const``), and one batched ``matmul`` and one ``einsum`` finish
+the group: a fully observed pair reads its leaf's own factor, an
+unobserved one a zero factor with constant 0, and any other the factor of
+its leaf's covariance restricted to the observed variables.  The table
+numbers the observation patterns by their mask bits (bit i set when
+variable i is unobserved) and keeps all 2^k of them for every leaf of the
+group, or none: the first partial read after a refresh factors the 2^k - 2
+partly observed ones in one stack, and ``LeafGroup.refresh`` empties it
+whenever it factors the group again.  A group whose 2^k patterns would
+pass ``_PATTERN_BYTES`` (k >= 12, or k = 8 with 32 leaves or more) keeps
+no table and factors each pair's restricted covariance per call, by the
+same formula.  Leaves of another k live in another width of the store, so
+a write to them leaves the group and its table alone.
 
-``sample_flat`` walks the same plan top-down to draw rows: the (node, row)
-pairs that reach a group are handled by a few numpy calls, routed by the
-plan's record of each node's group and position (``group_of``/``pos_of``,
+``sample_flat`` walks the same groups top-down to draw rows: the (node,
+row) pairs that reach a group are handled by a few numpy calls, routed by
+the net's record of each node's group and position (``group_of``/``pos_of``,
 and each ``NodeGroup``'s ``target``/``pos`` for its children).
 
 Reducing the first axis adds a node's children left to right, as a scalar
@@ -75,15 +74,12 @@ the others.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gstats import CountsWidth, StatsWidth, weights
 
-KIND_SUM = 1
-KIND_PRODUCT = 2
 LOG_2PI = float(np.log(2.0 * np.pi))
 # There is no other kernel; perfbench/run.py reads this name to label its runs.
 NUMBA_ENABLED = False
@@ -122,7 +118,18 @@ def factors(covs: np.ndarray, floor: float):
 @dataclass(eq=False)
 class LeafGroup:
     """All m leaves over k variables and their parameters, which ``refresh``
-    writes in place; arrays are (m,) for k = 1, else (m, k[, k])."""
+    writes in place; arrays are (m,) for k = 1, else (m, k[, k]).
+
+    For k > 1 the pattern table holds the inverse factors of every
+    observation pattern, ``None`` until the first partial read after a
+    refresh fills it (``_pair_factors``).  Pattern p is the mask whose bit i
+    says that variable i is unobserved.  Entry p * m + j holds, for leaf j,
+    an inverse Cholesky factor in ``table_ichol`` and a log normalization
+    constant in ``table_const``: for p = 0 the leaf's own, for p = 2^k - 1 a
+    zero factor with constant 0, and for every other p the factor of the
+    leaf's regularized covariance restricted to its observed variables,
+    padded to k x k (``_restricted``).
+    """
 
     k: int
     nodes: np.ndarray   # (m,) dense node indices, the range span
@@ -133,10 +140,11 @@ class LeafGroup:
     chol: np.ndarray    # Cholesky factors
     cov: np.ndarray     # regularized covariances; partial reads only
     const: np.ndarray   # (m,) log normalization constants
-    table: PatternTable
     stats: StatsWidth   # the store's width k, which holds the leaves' statistics
     slots: np.ndarray   # (m,) each leaf's slot there
     seen: int = -1      # the width's count of writes when last factored
+    table_ichol: np.ndarray | None = None  # (2^k * m, k, k)
+    table_const: np.ndarray | None = None  # (2^k * m,)
 
     def refresh(self, floor: float) -> None:
         """Factor every leaf again with variance floor ``floor``, in one
@@ -153,7 +161,7 @@ class LeafGroup:
         self.cov[:], self.chol[:], self.ichol[:], self.const[:] = factors(
             self.stats.cov.take(self.slots, axis=axis), floor)
         self.seen = self.stats.writes
-        self.table.clear()
+        self.table_ichol = self.table_const = None
 
 
 def log_weights(counts: np.ndarray, mode: str) -> np.ndarray:
@@ -171,10 +179,10 @@ class NodeGroup:
     """Inner nodes of one height and kind with the same number of children c.
 
     A sum group holds its log weights in ``logw``, written in place by the
-    owner of the plan; a product group has none.  ``target`` holds each
-    child's group (an index into ``LevelPlan.groups``, or len(groups) plus
-    an index into ``LevelPlan.leaves``) and ``pos`` its position in that
-    group's arrays, both (c, m) like ``children``;
+    owner of the net; a product group has none.  ``target`` holds each
+    child's group (an index into the net's ``groups``, or len(groups) plus
+    an index into its ``leaves``) and ``pos`` its position in that group's
+    arrays, both (c, m) like ``children``;
     ``targets`` lists the groups that occur.  ``sample_flat`` routes by them.
     """
 
@@ -203,121 +211,14 @@ class NodeGroup:
         self.seen = self.counts.writes
 
 
-# Bytes one k > 1 leaf group's PatternTable may take; a group whose table
+# Bytes one k > 1 leaf group's pattern table may take; a group whose table
 # would pass it keeps none.
 _PATTERN_BYTES = 1 << 22
 
 
-@dataclass(eq=False)
-class PatternTable:
-    """Inverse factors of one k > 1 ``LeafGroup`` for every observation
-    pattern, in one array that a partial read gathers from once.
-
-    Pattern p is the mask whose bit i says that variable i is unobserved.
-    Entry p * m + j holds, for leaf j of the group's m, an inverse Cholesky
-    factor ``ichol`` and log normalization constant ``const``: for p = 0
-    the leaf's own, for p = 2^k - 1 a zero factor with constant 0, and for
-    every other p the factor of the leaf's regularized covariance restricted
-    to its observed variables, padded to k x k (``_restricted``).  The first
-    partial read after a refresh fills all 2^k patterns at once, if they fit
-    in ``budget`` bytes; a group whose patterns do not fit keeps none.
-    """
-
-    budget: int
-    ichol: np.ndarray | None = None  # (2^k * m, k, k)
-    const: np.ndarray | None = None  # (2^k * m,)
-
-    def clear(self) -> None:
-        self.ichol = self.const = None
-
-
-@dataclass(frozen=True)
-class LevelPlan:
-    leaves: tuple[LeafGroup, ...]
-    groups: tuple[NodeGroup, ...]  # children's groups come first
-    sums: tuple[NodeGroup, ...]    # the sum groups among them
-    group_of: np.ndarray  # (N,) group of each node, numbered as in NodeGroup.target
-    pos_of: np.ndarray    # (N,) its position in that group
-    # Bound on the 8-byte words one drawn row takes: a (node, row) pair for
-    # every node it can reach and a leaf's draw.
-    row_words: int
-
-
-def level_plan(inner, scopes: dict, slots):
-    """Group the nodes of a flattened network for ``eval_flat_numpy`` and
-    ``sample_flat`` (the leaves by scope size, the inner nodes by height,
-    kind and child count) and number them densely in plan order; returns
-    the plan and the nodes' labels in that order.
-
-    ``inner`` lists the inner nodes children first as (height, kind, label,
-    child labels); ``scopes`` maps each leaf's label, children first too,
-    to its variables.  ``slots`` maps each leaf's label to its statistics'
-    slot, a (``gstats.StatsWidth``, index) pair, and each sum's to the
-    slot of its child counts, a (``gstats.CountsWidth``, index) pair of
-    the width of its number of children.  A label is any hashable, such
-    as a node id.  The leaf groups by k come first in the numbering, then the
-    node groups by (height, kind, child count), each group's nodes in the
-    order given, so every group owns the range ``span`` of the numbering
-    and a child is numbered before its parent.  The groups' parameter
-    arrays (the sums' ``logw`` and the leaves') start zeroed, and each leaf
-    group gets an empty ``PatternTable`` of ``_PATTERN_BYTES``.
-    """
-    by_size: dict[int, list] = defaultdict(list)
-    for label, scope in scopes.items():
-        by_size[len(scope)].append(label)
-    sizes = sorted(by_size.items())
-    by_level: dict[tuple[int, int, int], list] = defaultdict(list)
-    for height, kd, label, kids in inner:
-        by_level[(height, kd, len(kids))].append((label, kids))
-    levels = sorted(by_level.items())
-    # Plan order: the leaf groups, then the node groups.  NodeGroup.target
-    # numbers the node groups first, then the leaf groups.
-    members = [at for _, at in sizes] + [[label for label, _ in at] for _, at in levels]
-    numbers = [len(levels) + li for li in range(len(sizes))] + list(range(len(levels)))
-    order = [label for at in members for label in at]
-    index = {label: i for i, label in enumerate(order)}
-    spans, group_of, pos_of = [], [], []
-    for gi, at in zip(numbers, members):
-        spans.append(slice(len(group_of), len(group_of) + len(at)))
-        group_of += [gi] * len(at)
-        pos_of += range(len(at))
-    group_arr, pos_arr = np.array(group_of, dtype=np.int64), np.array(pos_of, dtype=np.int64)
-
-    words = [0] * len(order)
-    leaves = []
-    for (k, at), span in zip(sizes, spans):
-        words[span] = [2 + 4 * k + k * k] * len(at)
-        m = len(at)
-        vec, mat = ((m,), (m,)) if k == 1 else ((m, k), (m, k, k))
-        leaves.append(LeafGroup(k, np.arange(span.start, span.stop), span,
-                                np.array([scopes[x] for x in at], dtype=np.int64).reshape(vec),
-                                np.zeros(vec), np.zeros(mat), np.zeros(mat), np.zeros(mat),
-                                np.zeros(m), PatternTable(_PATTERN_BYTES), slots[at[0]][0],
-                                np.array([slots[x][1] for x in at], dtype=np.intp)))
-
-    groups = []
-    for ((_, kd, c), at), span in zip(levels, spans[len(sizes):]):
-        is_sum, m = kd == KIND_SUM, len(at)
-        kid_index = [[index[x] for x in kids] for _, kids in at]
-        for i, kids in zip(range(span.start, span.stop), kid_index):
-            w = [words[x] for x in kids]
-            words[i] = 2 + (max(w, default=0) if is_sum else sum(w))
-        children = np.array([kids[e] for e in range(c) for kids in kid_index],
-                            dtype=np.intp).reshape(c, m)
-        logw = counts = sum_slots = None
-        if is_sum:
-            logw, counts = np.zeros((c, m)), slots[at[0][0]][0]
-            sum_slots = np.array([slots[x][1] for x, _ in at], dtype=np.intp)
-        groups.append(NodeGroup(is_sum, np.arange(span.start, span.stop), span, children, logw,
-                                group_arr[children], pos_arr[children],
-                                tuple(sorted({group_of[x] for kids in kid_index for x in kids})),
-                                counts, sum_slots))
-    return LevelPlan(tuple(leaves), tuple(groups), tuple(g for g in groups if g.is_sum),
-                     group_arr, pos_arr, max(words)), order
-
-
-def eval_flat_numpy(plan: LevelPlan, X, out, partial: bool = False):
-    """Level kernel: a few numpy calls per plan group, batched over rows.
+def eval_flat_numpy(net, X, out, partial: bool = False):
+    """Level kernel: a few numpy calls per group of ``net``, an
+    ``evaluate.CompiledNet``, batched over rows.
 
     Each group writes its own rows of ``out``, the range ``g.span``: a leaf
     group by slice assignment, a node group by reducing its children's
@@ -325,9 +226,9 @@ def eval_flat_numpy(plan: LevelPlan, X, out, partial: bool = False):
     ``partial`` a NaN in X marks an unobserved value; a k > 1 leaf group
     then fills its pattern table at the first such call after a refresh.
     """
-    for g in plan.leaves:
+    for g in net.leaves:
         out[g.span] = _partial_leaf_rows(g, X) if partial else _leaf_rows(g, X[:, g.cols] - g.mean)
-    for g in plan.groups:
+    for g in net.groups:
         terms = out.take(g.children, axis=0)
         if g.is_sum:
             terms += g.logw[:, :, None]
@@ -376,28 +277,28 @@ def _pair_factors(g: LeafGroup, hide):
     every (row, leaf) pair of a k > 1 group, given the unobserved masks
     ``hide`` (rows, m, k).
 
-    The first call after a refresh fills ``g.table`` with all 2^k patterns,
-    the 2^k - 2 partly observed ones in one ``factors`` stack; every call
-    then gathers each pair's entry, numbered by its mask bits, with one
-    ``take``.  A group whose table would pass its budget factors each pair's
-    own restricted covariance instead and keeps nothing.
+    The first call after a refresh fills the group's pattern table with all
+    2^k patterns, the 2^k - 2 partly observed ones in one ``factors`` stack;
+    every call then gathers each pair's entry, numbered by its mask bits,
+    with one ``take``.  A group whose table would pass ``_PATTERN_BYTES``
+    factors each pair's own restricted covariance instead and keeps nothing.
     """
-    table, k, m = g.table, g.k, g.nodes.size
-    if 8 * m * (k * k + 1) << k > table.budget:
+    k, m = g.k, g.nodes.size
+    if 8 * m * (k * k + 1) << k > _PATTERN_BYTES:
         ichol, const = _restricted(g.cov, hide)
         unobserved = hide.all(axis=-1)
         ichol[unobserved], const[unobserved] = 0.0, 0.0
         return ichol, const
-    if table.ichol is None:
-        table.ichol, table.const = np.empty((2 ** k, m, k, k)), np.empty((2 ** k, m))
-        table.ichol[0], table.const[0] = g.ichol, g.const
-        table.ichol[-1], table.const[-1] = 0.0, 0.0
+    if g.table_ichol is None:
+        ichol, const = np.empty((2 ** k, m, k, k)), np.empty((2 ** k, m))
+        ichol[0], const[0] = g.ichol, g.const
+        ichol[-1], const[-1] = 0.0, 0.0
         masks = (np.arange(1, 2 ** k - 1)[:, None] >> np.arange(k) & 1).astype(bool)
-        table.ichol[1:-1], table.const[1:-1] = _restricted(g.cov, masks[:, None])
-        table.ichol, table.const = table.ichol.reshape(-1, k, k), table.const.reshape(-1)
+        ichol[1:-1], const[1:-1] = _restricted(g.cov, masks[:, None])
+        g.table_ichol, g.table_const = ichol.reshape(-1, k, k), const.reshape(-1)
     at = (hide @ (1 << np.arange(k))) * m + np.arange(m)
     # take, not fancy indexing, which is ~10x slower on (p, k, k) gathers.
-    return table.ichol.take(at, axis=0), table.const.take(at)
+    return g.table_ichol.take(at, axis=0), g.table_const.take(at)
 
 
 def _restricted(cov, hide):
@@ -414,8 +315,9 @@ def _restricted(cov, hide):
     return ichol, const
 
 
-def sample_flat(plan: LevelPlan, root: int, rng, out):
-    """Draw every row of ``out`` top-down from node ``root``; returns ``out``.
+def sample_flat(net, root: int, rng, out):
+    """Draw every row of ``out`` top-down from node ``root`` of ``net``, an
+    ``evaluate.CompiledNet``; returns ``out``.
 
     The (node, row) pairs that reach a node are filed under its group, so
     each group costs a few numpy calls for all its nodes and rows.  Walking
@@ -427,16 +329,16 @@ def sample_flat(plan: LevelPlan, root: int, rng, out):
     n_rows = out.shape[0]
     if n_rows == 0:
         return out
-    n_inner = len(plan.groups)
-    pending = [[] for _ in range(n_inner + len(plan.leaves))]
-    pending[plan.group_of[root]].append((plan.pos_of[root:root + 1].repeat(n_rows),
+    n_inner = len(net.groups)
+    pending = [[] for _ in range(n_inner + len(net.leaves))]
+    pending[net.group_of[root]].append((net.pos_of[root:root + 1].repeat(n_rows),
                                          np.arange(n_rows)))
     for gi in range(n_inner - 1, -1, -1):
         parts, pending[gi] = pending[gi], None  # let the pieces go once joined
         if not parts:
             continue
         pos, rows = _joined(parts)
-        g = plan.groups[gi]
+        g = net.groups[gi]
         if g.is_sum:
             # The group's weights node after node in one running sum, so
             # one binary search picks for every pair: node p's children cover
@@ -455,7 +357,7 @@ def sample_flat(plan: LevelPlan, root: int, rng, out):
             _route(pending, g, (pick, pos), rows)
         else:
             _route(pending, g, (slice(None), pos), np.concatenate([rows] * len(g.pos)))
-    for li, g in enumerate(plan.leaves):
+    for li, g in enumerate(net.leaves):
         parts, pending[n_inner + li] = pending[n_inner + li], None
         if not parts:
             continue

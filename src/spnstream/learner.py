@@ -334,9 +334,12 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
 
     Leaves and products are not updated on the spot: the walk queues each
     with its rows, and the queue is applied when the walk ends, or earlier
-    when statistics are about to be read: at a product's structure check,
-    the product's own update included, and before scoring a node created
-    in this pass.  The pool is a tree, so no node is queued twice.
+    when statistics are about to be read, at a product's structure check,
+    the product's own update included.  The pool is a tree, so no node is
+    queued twice, and the graph walk that scores a node created in this
+    pass reads only its subtree: new nodes and the subtrees of the pair
+    the check moved, which the walk had not entered yet, so none of them
+    is queued.
     Applying the queue is one call of
     ``gstats.update_each`` on the nodes' slots in the pool's statistics
     store.  It reads and writes each scope width's slots once, sums and
@@ -364,7 +367,7 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
         return report
     net = current_net(pool)
     values = None
-    if net.plan.sums:  # only a sum reads densities
+    if net.sums:  # only a sum reads densities
         net.refresh_params(pool)
         values = net.eval_rows(rows)
 
@@ -386,7 +389,7 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
             report.leaves_merged += 1
 
     # Visits are applied together, at the end of the pass or before the next
-    # read of statistics, whichever is first: each queued node's statistics'
+    # structure check, whichever is first: each queued node's statistics'
     # slot, its rows and its scope.
     slots, idxs, scopes = [], [], []
 
@@ -404,7 +407,6 @@ def learn_batch(pool: NodePool, rows: np.ndarray, config: LearnerConfig,
         if isinstance(node, SumNode):
             pos = [net.index.get(c) for c in node.children]
             if None in pos:  # a child created in this pass is not compiled yet
-                flush()
                 stacked = np.stack([values[p][idx] if p is not None
                                     else subtree_log_density_rows(pool, c, rows[idx])
                                     for p, c in zip(pos, node.children)])

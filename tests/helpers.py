@@ -137,7 +137,7 @@ def scalar_eval_rows(net, pool: NodePool, X: np.ndarray) -> np.ndarray:
     agree to rounding.
     """
     leaves = {}  # dense index -> (columns, mean, inverse factor, log-constant)
-    for g in net.plan.leaves:
+    for g in net.leaves:
         for j, i in enumerate(g.nodes.tolist()):
             leaves[i] = (np.reshape(g.cols[j], g.k), np.reshape(g.mean[j], g.k),
                          np.reshape(g.ichol[j], (g.k, g.k)), g.const[j])
@@ -302,8 +302,13 @@ def population_stats(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def reference_update(stats: GaussianStats, batch) -> GaussianStats:
     """``GaussianStats.update`` as first written, with every conversion and
-    ``np.outer``: the oracle its faster form must match bit for bit."""
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    ``np.outer``: the oracle its faster form must match bit for bit.
+
+    The batch is copied C-ordered first, as the package's ``take`` copies
+    it: numpy sums each column of a column-major batch of 8 rows or more
+    pairwise, so the last bits would otherwise follow the batch's layout.
+    """
+    batch = np.ascontiguousarray(np.atleast_2d(np.asarray(batch, dtype=np.float64)))
     m = batch.shape[0]
     if m == 0:
         return GaussianStats(stats.mean.copy(), stats.cov.copy(), stats.count)

@@ -4,7 +4,8 @@ The tests import its networks (``bench_eval.wide_mixture``), but nothing
 else runs the script, so a change that breaks one of its tables would go
 unseen.  This runs it at batch 1 with a token timing budget (about 6 s)
 and checks that it exits 0 and prints the toy marginal's and one-row
-write's phase splits, the planted-blocks query table and write table
+write's phase splits, the compile times of every network and of the
+planted-blocks model, the planted-blocks query table and write table
 (each cell's median and min-max over its alternating rounds), the write
 table's sum-free row and the planted-blocks 16-row write's phase split.
 """
@@ -37,6 +38,18 @@ def test_bench_eval_runs_and_prints_the_planted_blocks_queries():
         label, *cells = line.rsplit(maxsplit=4)
         assert label.strip() == name, line
         for median, spread in zip(cells[::2], cells[1::2]):
+            low, high = (float(x) for x in spread.strip("[]").split("-"))
+            assert 0 < low <= float(median) <= high, line
+    # The compile lines: the three networks', then the planted-blocks model's.
+    compiles = [line for line in lines
+                if "compile ms, median [min-max] of 5 alternating rounds: " in line]
+    assert len(compiles) == 4 and compiles[-1].startswith("planted blocks ("), proc.stdout
+    for line in compiles:
+        cells = line.split(": ", 1)[1].split("; ")
+        assert [cell.rsplit(maxsplit=2)[0] for cell in cells] == [
+            "compile_pool", "compile_pool + first sample"], line
+        for cell in cells:
+            _, median, spread = cell.rsplit(maxsplit=2)
             low, high = (float(x) for x in spread.strip("[]").split("-"))
             assert 0 < low <= float(median) <= high, line
     split = [line for line in lines if line.startswith("marginal by phase")]

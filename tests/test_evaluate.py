@@ -262,7 +262,7 @@ _VALUES = st.one_of(st.floats(-8.0, 8.0), st.integers(-8, 8),
 def test_queries_lay_out_their_evidence_as_the_reference_bit_for_bit(seed, data):
     rng = np.random.default_rng(seed)
     pool = random_pool(rng, int(rng.integers(2, 7)))
-    sizes = {g.k for g in shared_net(pool).plan.leaves}
+    sizes = {g.k for g in shared_net(pool).leaves}
     assume(1 in sizes and max(sizes) >= 2)
     variables = data.draw(st.permutations(range(pool.dim)))
     n_ev = data.draw(st.integers(0, pool.dim))
@@ -411,7 +411,7 @@ def test_univariate_partial_rows_read_the_same_bits_in_any_batch():
     while checked < 10:
         pool = random_pool(rng, dim=5, max_leaf_vars=3)
         net = shared_net(pool)
-        spans = [g.span for g in net.plan.leaves if g.k == 1]
+        spans = [g.span for g in net.leaves if g.k == 1]
         if not spans:
             continue
         X = rng.normal(scale=2.0, size=(40, pool.dim))
@@ -431,7 +431,7 @@ def test_level_kernel_agrees_on_a_200_level_chain():
 
 def test_level_kernel_agrees_with_a_zero_count_mle_child():
     pool = two_leaf_mixture([0.0, 3.0], mode="mle")
-    sums = [g for g in fresh_net(pool).plan.groups if g.is_sum]
+    sums = [g for g in fresh_net(pool).groups if g.is_sum]
     assert sum(np.isneginf(g.logw).sum() for g in sums) == 1
     assert_kernels_agree(pool, np.array([[0.0], [4.0], [-3.0]]))
 
@@ -457,14 +457,13 @@ def test_level_kernel_agrees_on_a_1251_node_wide_mixture():
 def test_level_plan_routes_every_node_and_edge_to_its_group(make, most_parents):
     pool = make()
     net = compile_pool(pool)
-    plan = net.plan
-    members = [g.nodes.tolist() for g in plan.groups] + [g.nodes.tolist() for g in plan.leaves]
+    members = [g.nodes.tolist() for g in net.groups] + [g.nodes.tolist() for g in net.leaves]
     assert sorted(itertools.chain(*members)) == list(range(len(net.order)))
     for gi, nodes in enumerate(members):
-        assert plan.group_of[nodes].tolist() == [gi] * len(nodes)
-        assert plan.pos_of[nodes].tolist() == list(range(len(nodes)))
+        assert net.group_of[nodes].tolist() == [gi] * len(nodes)
+        assert net.pos_of[nodes].tolist() == list(range(len(nodes)))
     parents = {}  # dense child -> number of parents
-    for g in plan.groups:
+    for g in net.groups:
         assert g.target.shape == g.pos.shape == g.children.shape
         if g.is_sum:
             assert g.logw.shape == g.children.shape
@@ -477,7 +476,7 @@ def test_level_plan_routes_every_node_and_edge_to_its_group(make, most_parents):
         for j, i in enumerate(g.nodes.tolist()):  # children in child-list order
             assert [net.order[c] for c in g.children[:, j]] == pool.node(net.order[i]).children
     inner = [pool.node(nid) for nid in net.order if not isinstance(pool.node(nid), LeafNode)]
-    assert sum(g.children.size for g in plan.groups) == sum(len(n.children) for n in inner)
+    assert sum(g.children.size for g in net.groups) == sum(len(n.children) for n in inner)
     assert max(parents.values(), default=0) == most_parents
 
 
@@ -497,19 +496,25 @@ def test_plan_groups_own_contiguous_ranges_in_plan_order(make):
     # The kernel writes each group's rows by slice: every group's nodes are
     # one ascending range, the ranges tile 0..N-1 leaf groups first (by k),
     # then the node groups in plan order, and every child comes before its
-    # parent.
+    # parent, at the (target, pos) its parent's group records.  The root,
+    # the one node of the greatest height, is the last node, alone in the
+    # last group.
     for pool in make():
         net = compile_pool(pool)
-        plan = net.plan
         lo = 0
-        for g in plan.leaves + plan.groups:
+        for g in net.leaves + net.groups:
             assert g.nodes.tolist() == list(range(lo, lo + g.nodes.size))
             assert g.span == slice(lo, lo + g.nodes.size)
             lo += g.nodes.size
         assert lo == len(net.order) == len(net.index)
-        assert [g.k for g in plan.leaves] == sorted({g.k for g in plan.leaves})
-        for g in plan.groups:
+        assert [g.k for g in net.leaves] == sorted({g.k for g in net.leaves})
+        members = [g.nodes for g in net.groups + net.leaves]
+        for g in net.groups:
             assert (g.children < g.nodes).all()
+            for t, p, child in zip(g.target.flat, g.pos.flat, g.children.flat):
+                assert members[t][p] == child
+        assert net.index[pool.root] == lo - 1
+        assert (net.groups or net.leaves)[-1].nodes.tolist() == [lo - 1]
         for nid, i in net.index.items():
             assert net.order[i] == nid
             node = pool.node(nid)
@@ -524,7 +529,7 @@ def test_univariate_refresh_matches_leaf_factor_to_one_ulp():
         pool = single_leaf_pool(mean=1.5, var=var + floor, floor=floor)
         net = fresh_net(pool)
         mean, ichol, const = _leaf_factor(pool.node(pool.root).stats, floor)
-        g = net.plan.leaves[0]
+        g = net.leaves[0]
         for got, want in ((g.mean[0], mean[0]), (g.ichol[0], ichol[0, 0]), (g.const[0], const)):
             assert abs(got - want) <= np.spacing(abs(want)), (var, got, want)
 
@@ -1029,14 +1034,14 @@ def test_a_group_factors_each_observation_pattern_once_between_refreshes(monkeyp
     # write to the k = 3 leaf leaves the k = 2 group's table filled.
     k = 3
     three = next(n for n in multi if len(n.scope) == k)
-    pairs = next(g.table for g in pool.compiled.plan.leaves if g.k == 2)
-    ichol, const = pairs.ichol, pairs.const
+    pairs = next(g for g in pool.compiled.leaves if g.k == 2)
+    ichol, const = pairs.table_ichol, pairs.table_const
     held = (ichol.tobytes(), const.tobytes())
     three.stats = GaussianStats(three.stats.mean + 0.5, three.stats.cov, 3.0)
     again = [log_density(pool, q) for q in queries]
     # refresh_params factors the group whole, then the first read refills it.
     assert stacks[built:] == [(group_size[k], k, k), (2 ** k - 2, group_size[k], k, k)]
-    assert pairs.ichol is ichol and pairs.const is const
+    assert pairs.table_ichol is ichol and pairs.table_const is const
     assert (ichol.tobytes(), const.tobytes()) == held
     fresh = copy.deepcopy(pool)
     fresh.compiled = None
@@ -1047,7 +1052,7 @@ def test_a_group_factors_each_observation_pattern_once_between_refreshes(monkeyp
     log_density(pair, {0: 0.5})
     del stacks[:]
     log_density(pair, {1: 0.5})
-    assert stacks == [] and pair.compiled.plan.leaves[0].table.ichol.shape == (4, 2, 2)
+    assert stacks == [] and pair.compiled.leaves[0].table_ichol.shape == (4, 2, 2)
 
 
 def closed_form_marginal(stats: GaussianStats, floor: float, evidence: dict) -> float:
@@ -1080,7 +1085,7 @@ def test_a_leaf_over_70_variables_marginalizes_by_pattern():
         want = closed_form_marginal(stats, pool.variance_floor, evidence)
         assert log_density(pool, evidence) == pytest.approx(want, abs=1e-9)
     # 2^70 patterns pass any budget: each pair is factored per call.
-    assert pool.compiled.plan.leaves[0].table.ichol is None
+    assert pool.compiled.leaves[0].table_ichol is None
 
 
 def test_distinct_patterns_on_a_wide_leaf_keep_the_table_within_its_budget(monkeypatch):
@@ -1094,7 +1099,7 @@ def test_distinct_patterns_on_a_wide_leaf_keep_the_table_within_its_budget(monke
         evidence = {v: float(x[v]) for v in obs}
         want = closed_form_marginal(stats, pool.variance_floor, evidence)
         assert log_density(pool, evidence) == pytest.approx(want, abs=1e-9)
-        assert pool.compiled.plan.leaves[0].table.ichol is None
+        assert pool.compiled.leaves[0].table_ichol is None
     # One call of many patterns answers each row and keeps nothing.
     X = np.tile(x, (5, 1))
     for i in range(5):
@@ -1104,7 +1109,7 @@ def test_distinct_patterns_on_a_wide_leaf_keep_the_table_within_its_budget(monke
         evidence = {v: float(row[v]) for v in np.flatnonzero(~np.isnan(row))}
         assert value == pytest.approx(closed_form_marginal(stats, pool.variance_floor, evidence),
                                       abs=1e-9)
-    assert pool.compiled.plan.leaves[0].table.ichol is None
+    assert pool.compiled.leaves[0].table_ichol is None
     # A table that just fits its budget keeps every pattern; one byte less
     # keeps none and reads the same bits.
     small = wide_leaf_pool(rng, 4)
@@ -1116,8 +1121,8 @@ def test_distinct_patterns_on_a_wide_leaf_keep_the_table_within_its_budget(monke
         monkeypatch.setattr(kernels, "_PATTERN_BYTES", budget)
         net = fresh_net(small)
         reads.append(net.eval_rows(X, partial=True))
-        table = net.plan.leaves[0].table
-        kept = 0 if table.ichol is None else table.ichol.nbytes + table.const.nbytes
+        g = net.leaves[0]
+        kept = 0 if g.table_ichol is None else g.table_ichol.nbytes + g.table_const.nbytes
         assert kept == (need if budget == need else 0)
     assert reads[0].tobytes() == reads[1].tobytes()
 
@@ -1146,7 +1151,7 @@ def test_partial_rows_mix_observed_partial_and_unobserved_pairs_in_each_group():
     rng = np.random.default_rng(179)
     pool = blocks_mixture(rng)
     net = fresh_net(pool)
-    assert sorted(g.k for g in net.plan.leaves) == [2, 3, 4]
+    assert sorted(g.k for g in net.leaves) == [2, 3, 4]
     x = rng.normal(size=(6, 9))
     X = x.copy()
     hidden = [[], [0, 1, 2, 5], [1, 2, 3, 4, 8], [0, 5, 6, 7, 8], [0, 1, 2, 3, 4, 5, 6, 7, 8],
@@ -1155,7 +1160,7 @@ def test_partial_rows_mix_observed_partial_and_unobserved_pairs_in_each_group():
         row[hide] = np.nan
     got = net.eval_rows(X, partial=True)
     # Every group sees all three kinds of pair in this one call.
-    for g in net.plan.leaves:
+    for g in net.leaves:
         seen = np.isnan(X[:, g.cols[0]]).sum(axis=1)
         assert {0, g.k} < set(seen.tolist()), g.k
     for nid, node in pool.nodes.items():
@@ -1177,7 +1182,7 @@ def test_partial_rows_mix_observed_partial_and_unobserved_pairs_in_each_group():
     np.testing.assert_allclose(got[:, 0], net.eval_rows(x[:1])[:, 0], rtol=0.0, atol=1e-12)
     # Nothing observed anywhere: every leaf contributes exactly 0.
     empty = net.eval_rows(np.full((2, 9), np.nan), partial=True)
-    for g in net.plan.leaves:
+    for g in net.leaves:
         assert not empty[g.nodes].any()
 
 
@@ -1185,28 +1190,27 @@ def test_restricted_factors_are_lower_triangular_cholesky_inverses():
     rng = np.random.default_rng(191)
     pool = blocks_mixture(rng)
     net = fresh_net(pool)
-    g = next(g for g in net.plan.leaves if g.k == 4)
+    g = next(g for g in net.leaves if g.k == 4)
     k, m = g.k, g.nodes.size
     X = rng.normal(size=(1, 9))
     X[0, g.cols[0][1]] = np.nan
     net.eval_rows(X, partial=True)
-    table = g.table
-    assert table.ichol.shape == (2 ** k * m, k, k) and table.const.shape == (2 ** k * m,)
+    assert g.table_ichol.shape == (2 ** k * m, k, k) and g.table_const.shape == (2 ** k * m,)
     # Pattern 0 is the leaves' own factor, pattern 2^k - 1 a zero one.
-    assert table.ichol[:m].tobytes() == g.ichol.tobytes()
-    assert table.const[:m].tobytes() == g.const.tobytes()
-    assert not table.ichol[-m:].any() and not table.const[-m:].any()
+    assert g.table_ichol[:m].tobytes() == g.ichol.tobytes()
+    assert g.table_const[:m].tobytes() == g.const.tobytes()
+    assert not g.table_ichol[-m:].any() and not g.table_const[-m:].any()
     log_2pi = math.log(2.0 * math.pi)
     for code in range(1, 2 ** k - 1):
         obs = (code >> np.arange(k) & 1) == 0
         for j in range(m):
-            ichol = table.ichol[code * m + j]
+            ichol = g.table_ichol[code * m + j]
             assert not np.triu(ichol, 1).any()
             chol = np.linalg.cholesky(g.cov[j][np.ix_(obs, obs)])
             np.testing.assert_allclose(ichol[np.ix_(obs, obs)], np.linalg.inv(chol),
                                        rtol=0.0, atol=1e-12)
             want = -0.5 * obs.sum() * log_2pi - np.log(np.diag(chol)).sum()
-            assert table.const[code * m + j] == pytest.approx(want, abs=1e-12)
+            assert g.table_const[code * m + j] == pytest.approx(want, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1219,16 +1223,15 @@ def test_a_group_over_its_budget_reads_the_bits_of_its_pattern_table(seed, compo
     # Each (row, leaf) pair fully observed, partly observed or unobserved.
     X[np.array(data.draw(st.lists(st.booleans(), min_size=9 * rows, max_size=9 * rows)))
       .reshape(rows, 9)] = np.nan
-    table_net = fresh_net(pool)
+    table_net, pair_net = fresh_net(pool), fresh_net(pool)
+    # The budget is read at every partial read.
     with mock.patch.object(kernels, "_PATTERN_BYTES", 0):
-        pair_net = fresh_net(pool)
-    per_pair = pair_net.eval_rows(X, partial=True)
+        per_pair = pair_net.eval_rows(X, partial=True)
+        pairs = [kernels._pair_factors(g, np.isnan(X[:, g.cols])) for g in pair_net.leaves]
     assert table_net.eval_rows(X, partial=True).tobytes() == per_pair.tobytes()
-    assert all(g.table.ichol is None for g in pair_net.plan.leaves)
-    for g in pair_net.plan.leaves:
-        hide = np.isnan(X[:, g.cols])
-        ichol, const = kernels._pair_factors(g, hide)
-        hidden = hide.sum(axis=-1)
+    assert all(g.table_ichol is None for g in pair_net.leaves)
+    for g, (ichol, const) in zip(pair_net.leaves, pairs):
+        hidden = np.isnan(X[:, g.cols]).sum(axis=-1)
         for r, j in zip(*np.nonzero(hidden == 0)):
             assert ichol[r, j].tobytes() == g.ichol[j].tobytes()
             assert const[r, j].tobytes() == g.const[j].tobytes()
@@ -1395,7 +1398,7 @@ def test_sum_edge_weights_match_derived_weights_bit_for_bit(mode):
                     node.child_counts = drawn
         net = fresh_net(pool)
         seen = []  # the sums, group after group
-        for g in net.plan.groups:
+        for g in net.groups:
             for j, i in enumerate(g.nodes.tolist() if g.is_sum else []):
                 node = pool.node(net.order[i])
                 with np.errstate(divide="ignore"):
@@ -1404,7 +1407,7 @@ def test_sum_edge_weights_match_derived_weights_bit_for_bit(mode):
                 assert got.tobytes() == want.tobytes()
                 zero_edges += int(np.count_nonzero(got == -np.inf))
                 seen.append(net.order[i])
-        assert seen == [net.order[i] for g in net.plan.sums for i in g.nodes.tolist()]
+        assert seen == [net.order[i] for g in net.sums for i in g.nodes.tolist()]
         assert sorted(seen) == sorted(nid for nid in net.order
                                       if isinstance(pool.node(nid), SumNode))
     assert (zero_edges > 0) == (mode == "mle")

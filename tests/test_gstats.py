@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from spnstream.gstats import (PAD_WIDTH, GaussianStats, StatsStore, correlation_matrix,
                               update_each)
 
-from helpers import correlation, population_stats, reference_update
+from helpers import correlation, healthy_stats, population_stats, reference_update
 
 
 def test_single_point_from_empty():
@@ -287,6 +287,22 @@ def test_stacked_updates_of_mixed_shapes_match_the_reference_bit_for_bit(case):
             assert out.mean.dtype == out.cov.dtype == np.float64
     assert ([(s.mean.tobytes(), s.cov.tobytes(), s.count) for s in stats], X.tobytes(),
             [r.tobytes() for r in rows], list(cols)) == before
+
+
+def test_the_update_oracle_gives_one_result_for_either_batch_layout():
+    # X[r][:, c] is column-major and X[r[:, None], c] row-major; numpy sums
+    # the columns of the first pairwise, which the oracle's C-ordered copy
+    # undoes, so both give the bits of GaussianStats.update.
+    rng = np.random.default_rng(211)
+    for _ in range(100):
+        X = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), size=(30, 5))
+        r, c = rng.choice(30, size=12, replace=False), rng.choice(5, size=3, replace=False)
+        s = healthy_stats(rng, 3)
+        assert X[r][:, c].flags.f_contiguous and X[r[:, None], c].flags.c_contiguous
+        got = [(o.count, o.mean.tobytes(), o.cov.tobytes())
+               for o in (reference_update(s, X[r][:, c]), reference_update(s, X[r[:, None], c]),
+                         s.update(X[r[:, None], c]))]
+        assert got[0] == got[1] == got[2]
 
 
 def test_stacked_one_row_updates_leave_their_inputs_alone():

@@ -770,10 +770,10 @@ class CompileCounter:
         fresh = self.compile_pool(pool)
         fresh.refresh_params(pool)
         self.factored, self.calls = counted
-        assert [None if g.logw is None else g.logw.tobytes() for g in net.plan.groups] == [
-            None if f.logw is None else f.logw.tobytes() for f in fresh.plan.groups]
-        assert len(net.plan.leaves) == len(fresh.plan.leaves)
-        for g, f in zip(net.plan.leaves, fresh.plan.leaves):
+        assert [None if g.logw is None else g.logw.tobytes() for g in net.groups] == [
+            None if f.logw is None else f.logw.tobytes() for f in fresh.groups]
+        assert len(net.leaves) == len(fresh.leaves)
+        for g, f in zip(net.leaves, fresh.leaves):
             for name in ("mean", "ichol", "chol", "cov", "const"):
                 assert getattr(g, name).tobytes() == getattr(f, name).tobytes(), (g.k, name)
 

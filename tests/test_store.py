@@ -215,7 +215,7 @@ def test_statistics_of_another_width_are_refused_and_change_nothing():
     def held():
         return ({k: (w.mean.tobytes(), w.cov.tobytes(), w.count.tobytes(), w.writes,
                      w.used, list(w.free)) for k, w in pool.store.widths.items()},
-                pool.store.stamps, net.key, net.floor, [g.seen for g in net.plan.leaves])
+                pool.store.stamps, net.key, net.floor, [g.seen for g in net.leaves])
 
     kept = held()
     mean, cov = np.array([0.5, -1.0]), np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -313,7 +313,7 @@ def test_sum_group_log_weights_match_edge_weights_bit_for_bit(count_lists, mode)
         return
     net = shared_net(pool)
     checked = set()
-    for g in net.plan.sums:
+    for g in net.sums:
         for j, i in enumerate(g.nodes.tolist()):
             node = pool.node(net.order[i])
             with np.errstate(divide="ignore"):
@@ -326,7 +326,7 @@ def test_sum_group_log_weights_match_edge_weights_bit_for_bit(count_lists, mode)
 def test_a_zero_count_under_mle_weights_is_minus_infinity():
     pool, sums = sums_over_leaves([[0.0, 3.0, 0.0]], "mle")
     net = shared_net(pool)
-    assert np.isneginf(net.plan.sums[0].logw[:, 0]).tolist() == [True, False, True]
+    assert np.isneginf(net.sums[0].logw[:, 0]).tolist() == [True, False, True]
 
 
 def test_an_unknown_weight_mode_raises_at_every_read_until_set_right():
@@ -353,8 +353,8 @@ def test_a_weight_refresh_that_raises_midway_leaves_no_group_stale():
             log_density(pool, evidence)
     pool.weight_mode = "laplace"
     assert log_density(pool, evidence) == first
-    assert [g.logw.tobytes() for g in pool.compiled.plan.sums] == \
-        [g.logw.tobytes() for g in fresh_net(pool).plan.sums]
+    assert [g.logw.tobytes() for g in pool.compiled.sums] == \
+        [g.logw.tobytes() for g in fresh_net(pool).sums]
 
 
 def test_an_in_place_edit_of_child_counts_raises_and_leaves_the_slot():

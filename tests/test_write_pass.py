@@ -184,6 +184,38 @@ def test_nodes_born_mid_pass_restructure_like_the_oracle(batch):
         assert assert_streams_agree(pool, rows, cfg, batch) > 0
 
 
+def test_update_each_runs_only_at_structure_checks_and_at_the_end(monkeypatch):
+    # A product over three variables whose last two correlate: its check
+    # mixes them into a new sum in the place of the second, so the first
+    # leaf is queued before the walk scores the sum's newborn children.
+    # Their subtrees hold new nodes and the moved pair, which the walk has
+    # not entered (the pool is a tree), so nothing is applied before that
+    # scoring: update_each runs right before each structure check, and once
+    # when the pass ends.
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=64)
+    rows = np.column_stack([rng.normal(size=64), x, x + 0.1 * rng.normal(size=64)])
+    cfg = LearnerConfig(batch_size=64, max_leaf_vars=2)
+    pool = init_factored_pool(3)
+    assert_streams_agree(pool, rows, cfg, 64)
+    events = []
+    update_each, check = learner.update_each, learner._best_cross_child_pair
+
+    def counted_update_each(*args):
+        events.append("update")
+        return update_each(*args)
+
+    def counted_check(*args):
+        events.append("check")
+        return check(*args)
+
+    monkeypatch.setattr(learner, "update_each", counted_update_each)
+    monkeypatch.setattr(learner, "_best_cross_child_pair", counted_check)
+    assert learn_batch(pool, rows, cfg, np.random.default_rng(0)).mixtures_created == 1
+    assert events[-1] == "update" and events.count("check") >= 1
+    assert all(after == "check" for event, after in zip(events, events[1:]) if event == "update")
+
+
 @pytest.mark.parametrize("batch", [1, 2, 16])
 @pytest.mark.parametrize("mode", ["laplace", "mle"])
 def test_ties_draw_the_same_winners(batch, mode):
