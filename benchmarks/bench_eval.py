@@ -30,6 +30,12 @@ queries/second on a warm net, and with each query the first read after a
 rows reach, so the query refills the factors restricted to every
 observation pattern that the kernel keeps per leaf group.  The two cells
 alternate over five rounds, and each prints its median and min-max.
+Then that refill alone: microseconds of ``kernels._pair_factors`` at the
+first partial read after a refresh, which fills the group's empty pattern
+table, for the planted-blocks model's k = 2 group and the k = 4 group of
+the smaller wide mixture, each query a row with half of the variables
+observed, the two timed in turn over five rounds, each printed as its
+median and min-max.
 Then the write path: ``learn_batch`` rows/second on live models, one row
 per call on the trained toy model, one and 16 rows per call on the
 planted-blocks model, and 256 rows per call from the factorized start
@@ -358,6 +364,34 @@ def run_blocks_queries(pool, rows, min_seconds: float, rng) -> None:
         print(f"{name:>22} {marginal:>20} {conditional:>20}")
 
 
+def cold_fill_times(models, min_seconds: float, rng) -> str:
+    """Microseconds of ``kernels._pair_factors`` filling an empty pattern
+    table, as the first partial read after a refresh does, for the k-variable
+    leaf group of each (name, pool, k) of ``models``, at a row with half of
+    the pool's variables observed: the best of a timed loop in each of
+    ``ROUNDS`` rounds that take the groups in turn, so that a slow spell of
+    the machine hits all alike, printed as the median and [min-max]."""
+    def cold_fill(g, hide):
+        def call() -> None:
+            g.table_ichol = g.table_const = None
+            kernels._pair_factors(g, hide)
+        return call
+
+    calls = {}
+    for name, pool, k in models:
+        g = next(g for g in evaluate.shared_net(copy.deepcopy(pool)).leaves if g.k == k)
+        X = rng.normal(size=(1, pool.dim))
+        X[0, rng.permutation(pool.dim)[:pool.dim // 2]] = np.nan
+        calls[f"{name} k = {k} ({g.nodes.size} leaves)"] = cold_fill(g, np.isnan(X[:, g.cols]))
+    times = {label: [] for label in calls}
+    for _ in range(ROUNDS):
+        for label, call in calls.items():
+            times[label].append(1e6 / time_call(call, 1, min_seconds))
+    return (f"\ncold table fill us (_pair_factors at the first partial read after a refresh),"
+            f" median [min-max] of {ROUNDS} alternating rounds: "
+            + "; ".join(f"{label} {spread(t, '.1f')}" for label, t in times.items()))
+
+
 def write_phases(pool, rows, cfg: LearnerConfig) -> tuple[float, dict[str, float]]:
     """Seconds of one ``write_pass`` with a marginal after each write
     (untimed), and the seconds of each of ``WRITE_PHASES`` and the rest in
@@ -387,6 +421,10 @@ def run_writes(min_seconds: float, seed: int) -> None:
     print(f"\nplanted blocks ({len(blocks_pool)} nodes) "
           + compile_times(copy.deepcopy(blocks_pool), min_seconds))
     run_blocks_queries(blocks_pool, blocks_rows, min_seconds, rng)
+    # Its own generator, so the rows below stay as they were.
+    print(cold_fill_times([("planted blocks", blocks_pool, 2),
+                           ("wide mixture", wide_mixture(64, 16, 4, np.random.default_rng(seed)), 4)],
+                          min_seconds, np.random.default_rng([seed, 2])))
     # A fixed stream on which the factorized start only merges, so that no
     # write meets a sum, whatever the seed of the other rows.
     sum_free_rows = planted_blocks(10240, np.random.default_rng(3))

@@ -51,12 +51,16 @@ unobserved one a zero factor with constant 0, and any other the factor of
 its leaf's covariance restricted to the observed variables.  The table
 numbers the observation patterns by their mask bits (bit i set when
 variable i is unobserved) and keeps all 2^k of them for every leaf of the
-group, or none: the first partial read after a refresh factors the 2^k - 2
-partly observed ones in one stack, and ``LeafGroup.refresh`` empties it
-whenever it factors the group again.  A group whose 2^k patterns would
+group, or none: the first partial read after a refresh fills the 2^k - 2
+partly observed ones, and ``LeafGroup.refresh`` empties it whenever it
+factors the group again.  A pattern that leaves one variable observed has
+a diagonal restricted covariance, whose entries are closed form with
+LAPACK's bits (``_one_observed``); the 2^k - 2 - k that leave two or more
+are factored in one stack (``_restricted``), so a k = 2 fill calls no
+LAPACK at all.  A group whose 2^k patterns would
 pass ``_PATTERN_BYTES`` (k >= 12, or k = 8 with 32 leaves or more) keeps
-no table and factors each pair's restricted covariance per call, by the
-same formula.  Leaves of another k live in another width of the store, so
+no table and factors each pair's restricted covariance per call in LAPACK
+(``_restricted``), which gives the table's bits.  Leaves of another k live in another width of the store, so
 a write to them leaves the group and its table alone.
 
 ``sample_flat`` walks the same groups top-down to draw rows: the (node,
@@ -74,7 +78,7 @@ the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -128,7 +132,10 @@ class LeafGroup:
     constant in ``table_const``: for p = 0 the leaf's own, for p = 2^k - 1 a
     zero factor with constant 0, and for every other p the factor of the
     leaf's regularized covariance restricted to its observed variables,
-    padded to k x k (``_restricted``).
+    padded to k x k (``_restricted``), in closed form where one variable is
+    observed (``_one_observed``).  A pair with mask ``hide`` reads entry
+    ``hide @ code_weights + code_offsets``, whose two terms the compile
+    sets once.
     """
 
     k: int
@@ -145,6 +152,13 @@ class LeafGroup:
     seen: int = -1      # the width's count of writes when last factored
     table_ichol: np.ndarray | None = None  # (2^k * m, k, k)
     table_const: np.ndarray | None = None  # (2^k * m,)
+    code_weights: np.ndarray = field(init=False)  # (k,) (1 << i) * m
+    code_offsets: np.ndarray = field(init=False)  # (m,) 0..m-1
+
+    def __post_init__(self):
+        m = self.nodes.size
+        self.code_weights = (1 << np.arange(self.k)) * m
+        self.code_offsets = np.arange(m)
 
     def refresh(self, floor: float) -> None:
         """Factor every leaf again with variance floor ``floor``, in one
@@ -255,18 +269,19 @@ def _partial_leaf_rows(g: LeafGroup, X):
     log-constant of its observation pattern (``_pair_factors``): one
     ``take`` from its group's table, numbered by the pattern's mask bits,
     or, for a group whose table would pass the budget, its own
-    factorization.  One batched ``matmul`` and one ``einsum`` then finish
-    the group.  A k = 1 group gathers its columns with ``take``, about 1 us
-    less than fancy indexing on the one or two rows of a query; the
-    unobserved deviations are set to 0 and, for k = 1, their rows of the
-    result too, by two mask stores."""
-    dev = (X.take(g.cols, axis=1) if g.k == 1 else X[:, g.cols]) - g.mean
+    factorization.  The unobserved deviations are set to 0, and one batched
+    ``matmul`` and one ``einsum`` then finish the group.  A k = 1 group
+    gathers its columns with ``take``, about 1 us less than fancy indexing
+    on the one or two rows of a query, and lets its NaN deviations give NaN
+    values, which one mask store sets to 0."""
+    if g.k == 1:
+        dev = X.take(g.cols, axis=1) - g.mean
+        val = _leaf_rows(g, dev)
+        val[np.isnan(dev).T] = 0.0
+        return val
+    dev = X[:, g.cols] - g.mean
     miss = np.isnan(dev)
     dev[miss] = 0.0
-    if g.k == 1:
-        val = _leaf_rows(g, dev)
-        val[miss.T] = 0.0
-        return val
     ichol, const = _pair_factors(g, miss)
     y = np.matmul(ichol, dev[..., None])[..., 0]
     return (const - 0.5 * np.einsum("rli,rli->rl", y, y)).T
@@ -278,10 +293,13 @@ def _pair_factors(g: LeafGroup, hide):
     ``hide`` (rows, m, k).
 
     The first call after a refresh fills the group's pattern table with all
-    2^k patterns, the 2^k - 2 partly observed ones in one ``factors`` stack;
-    every call then gathers each pair's entry, numbered by its mask bits,
-    with one ``take``.  A group whose table would pass ``_PATTERN_BYTES``
-    factors each pair's own restricted covariance instead and keeps nothing.
+    2^k patterns: the k that leave one variable observed in closed form
+    (``_one_observed``), and the 2^k - 2 - k that leave two or more in one
+    ``_restricted`` stack, so a k = 2 fill calls no LAPACK at all.  Every
+    call then gathers each pair's entry, numbered by its mask bits, with one
+    ``take``.  A group whose table would pass ``_PATTERN_BYTES`` factors each
+    pair's own restricted covariance instead (``_restricted``) and keeps
+    nothing.
     """
     k, m = g.k, g.nodes.size
     if 8 * m * (k * k + 1) << k > _PATTERN_BYTES:
@@ -290,24 +308,60 @@ def _pair_factors(g: LeafGroup, hide):
         ichol[unobserved], const[unobserved] = 0.0, 0.0
         return ichol, const
     if g.table_ichol is None:
-        ichol, const = np.empty((2 ** k, m, k, k)), np.empty((2 ** k, m))
+        ichol, const = np.zeros((2 ** k, m, k, k)), np.empty((2 ** k, m))
         ichol[0], const[0] = g.ichol, g.const
-        ichol[-1], const[-1] = 0.0, 0.0
-        masks = (np.arange(1, 2 ** k - 1)[:, None] >> np.arange(k) & 1).astype(bool)
-        ichol[1:-1], const[1:-1] = _restricted(g.cov, masks[:, None])
+        const[-1] = 0.0
+        one, many, masks = _patterns(k)
+        # The diagonals of every entry, a view: the one-observed factors are diagonal.
+        ichol.reshape(2 ** k, m, k * k)[one, :, ::k + 1], const[one] = _one_observed(g.cov)
+        if many.size:
+            ichol[many], const[many] = _restricted(g.cov, masks[:, None])
         g.table_ichol, g.table_const = ichol.reshape(-1, k, k), const.reshape(-1)
-    at = (hide @ (1 << np.arange(k))) * m + np.arange(m)
+    at = hide @ g.code_weights + g.code_offsets
     # take, not fancy indexing, which is ~10x slower on (p, k, k) gathers.
     return g.table_ichol.take(at, axis=0), g.table_const.take(at)
+
+
+# The pattern split of a k-variable table, by k: the codes that leave one
+# variable observed (variable j at position j), and the codes and masks of
+# those that leave two or more.
+_PATTERNS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _patterns(k: int):
+    split = _PATTERNS.get(k)
+    if split is None:
+        codes = np.arange(1, 2 ** k - 1)
+        masks = (codes[:, None] >> np.arange(k) & 1).astype(bool)
+        many = masks.sum(axis=1) <= k - 2
+        split = _PATTERNS[k] = ((1 << k) - 1 - (1 << np.arange(k)), codes[many], masks[many])
+    return split
+
+
+def _one_observed(cov):
+    """The diagonals (k, m, k) of the inverse factors and the log-constants
+    (k, m) that ``_restricted`` gives the regularized covariances ``cov``
+    (m, k, k) restricted to variable j alone, at position j, bit for bit.
+
+    That restricted covariance is diagonal, c_jj and 1 / (2 pi) on every
+    hidden variable, so its Cholesky factor is the diagonal's square roots
+    and their inverses the inverse factor's; the log-constant sums their
+    logs in index order, as ``factors`` does."""
+    k = cov.shape[-1]
+    eye = np.eye(k, dtype=bool)[:, None, :]
+    root = np.sqrt(np.where(eye, np.diagonal(cov, axis1=-2, axis2=-1), 1.0 / (2.0 * np.pi)))
+    return 1.0 / root, -0.5 * k * LOG_2PI - np.log(root).sum(axis=-1)
 
 
 def _restricted(cov, hide):
     """Inverse factors and log-constants of the regularized covariances
     ``cov`` (..., k, k) restricted to the variables that the masks ``hide``
-    (..., k) leave observed, broadcast together.  A hidden variable's row
-    and column become those of I / (2 pi), so it adds 0.5 log 2 pi to the
-    log-constant, which cancels its share of the full leaf's -0.5 k log 2 pi,
-    and its deviation of 0 adds nothing to the quadratic form."""
+    (..., k) leave observed, broadcast together, in one ``factors`` stack:
+    the LAPACK reference that ``_one_observed`` matches bit for bit.  A
+    hidden variable's row and column become those of I / (2 pi), so it adds
+    0.5 log 2 pi to the log-constant, which cancels its share of the full
+    leaf's -0.5 k log 2 pi, and its deviation of 0 adds nothing to the
+    quadratic form."""
     k = cov.shape[-1]
     # cov is regularized already, so no floor is added.
     _, _, ichol, const = factors(np.where(hide[..., :, None] | hide[..., None, :],

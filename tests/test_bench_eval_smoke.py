@@ -5,9 +5,10 @@ else runs the script, so a change that breaks one of its tables would go
 unseen.  This runs it at batch 1 with a token timing budget (about 6 s)
 and checks that it exits 0 and prints the toy marginal's and one-row
 write's phase splits, the compile times of every network and of the
-planted-blocks model, the planted-blocks query table and write table
-(each cell's median and min-max over its alternating rounds), the write
-table's sum-free row and the planted-blocks 16-row write's phase split.
+planted-blocks model, the planted-blocks query table, the cold pattern
+table fills and the write table (each cell's median and min-max over its
+alternating rounds), the write table's sum-free row and the
+planted-blocks 16-row write's phase split.
 """
 
 import os
@@ -52,6 +53,18 @@ def test_bench_eval_runs_and_prints_the_planted_blocks_queries():
             _, median, spread = cell.rsplit(maxsplit=2)
             low, high = (float(x) for x in spread.strip("[]").split("-"))
             assert 0 < low <= float(median) <= high, line
+    # The cold table fills: the planted-blocks k = 2 group, the wide mixture's k = 4.
+    fills = [line for line in lines if line.startswith("cold table fill us")]
+    assert len(fills) == 1, proc.stdout
+    assert "median [min-max] of 5 alternating rounds: " in fills[0], fills[0]
+    cells = fills[0].split(": ", 1)[1].split("; ")
+    assert [cell.rsplit(maxsplit=2)[0].split(" (")[0] for cell in cells] == [
+        "planted blocks k = 2", "wide mixture k = 4"], fills[0]
+    assert cells[1].startswith("wide mixture k = 4 (256 leaves) "), fills[0]
+    for cell in cells:
+        _, median, spread = cell.rsplit(maxsplit=2)
+        low, high = (float(x) for x in spread.strip("[]").split("-"))
+        assert 0 < low <= float(median) <= high, fills[0]
     split = [line for line in lines if line.startswith("marginal by phase")]
     assert len(split) == 1, proc.stdout
     phases = split_phases(split[0])

@@ -1021,12 +1021,16 @@ def test_a_group_factors_each_observation_pattern_once_between_refreshes(monkeyp
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
     queries = [{int(v): float(rng.normal()) for v in rng.permutation(8)[:4]} for _ in range(12)]
     first = [log_density(pool, q) for q in queries]
-    # The first partial read fills each group's table in one stack: all
-    # 2^k - 2 partly observed patterns, for every leaf of the group.
+    # The first partial read fills each group's table with one stack of the
+    # 2^k - 2 - k patterns that leave two or more variables observed, for
+    # every leaf of the group; the k that leave one are closed form, so a
+    # k = 2 group factors nothing.
     group_size = {len(n.scope): 0 for n in multi}
     for n in multi:
         group_size[len(n.scope)] += 1
-    assert sorted(stacks) == sorted((2 ** k - 2, m, k, k) for k, m in group_size.items())
+    assert 2 in group_size and max(group_size) >= 3
+    assert sorted(stacks) == sorted((2 ** k - 2 - k, m, k, k)
+                                    for k, m in group_size.items() if k >= 3)
     built = len(stacks)
     assert [log_density(pool, q) for q in queries] == first
     assert len(stacks) == built  # warm: no factorization at all
@@ -1040,19 +1044,21 @@ def test_a_group_factors_each_observation_pattern_once_between_refreshes(monkeyp
     three.stats = GaussianStats(three.stats.mean + 0.5, three.stats.cov, 3.0)
     again = [log_density(pool, q) for q in queries]
     # refresh_params factors the group whole, then the first read refills it.
-    assert stacks[built:] == [(group_size[k], k, k), (2 ** k - 2, group_size[k], k, k)]
+    assert stacks[built:] == [(group_size[k], k, k), (2 ** k - 2 - k, group_size[k], k, k)]
     assert pairs.table_ichol is ichol and pairs.table_const is const
     assert (ichol.tobytes(), const.tobytes()) == held
     fresh = copy.deepcopy(pool)
     fresh.compiled = None
     assert again == [log_density(fresh, q) for q in queries]
-    # Over two variables the first partial read fills every pattern.
+    # Over two variables the first partial read fills every pattern, and
+    # only the refresh before it factors.
     pair = NodePool(dim=2)
     pair.root = pair.add(leaf([0, 1], [1.0, -1.0], [[2.0, 0.8], [0.8, 1.0]], 4.0))
-    log_density(pair, {0: 0.5})
     del stacks[:]
+    log_density(pair, {0: 0.5})
+    assert stacks == [(1, 2, 2)]
     log_density(pair, {1: 0.5})
-    assert stacks == [] and pair.compiled.leaves[0].table_ichol.shape == (4, 2, 2)
+    assert stacks == [(1, 2, 2)] and pair.compiled.leaves[0].table_ichol.shape == (4, 2, 2)
 
 
 def closed_form_marginal(stats: GaussianStats, floor: float, evidence: dict) -> float:
@@ -1211,6 +1217,69 @@ def test_restricted_factors_are_lower_triangular_cholesky_inverses():
                                        rtol=0.0, atol=1e-12)
             want = -0.5 * obs.sum() * log_2pi - np.log(np.diag(chol)).sum()
             assert g.table_const[code * m + j] == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 4), st.sampled_from([0.0, 1e-9, 1e-4, 0.3]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_one_observed_table_entries_are_the_bits_of_restricted_factors(k, m, floor, seed, data):
+    # Each variable's scale is drawn apart, so one covariance spans up to 16
+    # decades: variances from 1e-8 to 1e8 before the floor.
+    scales = 10.0 ** np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=m * k,
+                                                 max_size=m * k))).reshape(m, k)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, k, k))
+    covs = (a @ a.transpose(0, 2, 1) / k + 0.1 * np.eye(k)) * scales[:, :, None] * scales[:, None]
+    pool = NodePool(dim=k)
+    kids = [pool.add(leaf(range(k), np.zeros(k), np.eye(k))) for _ in range(m)]
+    pool.root = kids[0] if m == 1 else pool.add(SumNode(make_scope(range(k)), kids, [1.0] * m))
+    g = fresh_net(pool).leaves[0]
+    # A refresh with this floor, as LeafGroup.refresh writes it.
+    g.cov[:], g.chol[:], g.ichol[:], g.const[:] = kernels.factors(covs, floor)
+    g.table_ichol = g.table_const = None
+    kernels._pair_factors(g, np.zeros((1, m, k), dtype=bool))
+    codes = np.arange(1, 2 ** k - 1)
+    masks = (codes[:, None] >> np.arange(k) & 1).astype(bool)
+    ichol, const = kernels._restricted(g.cov, masks[:, None])
+    table_ichol = g.table_ichol.reshape(2 ** k, m, k, k)[1:-1]
+    table_const = g.table_const.reshape(2 ** k, m)[1:-1]
+    one = masks.sum(axis=1) == k - 1
+    assert one.sum() == k
+    # A LAPACK zero may carry a sign, so the factors compare by value.
+    assert np.array_equal(table_ichol, ichol)
+    assert table_const.tobytes() == const.tobytes()
+    assert not np.triu(table_ichol[one], 1).any() and not np.tril(table_ichol[one], -1).any()
+
+
+def test_a_pair_group_fills_its_table_without_linalg(monkeypatch):
+    pool = NodePool(dim=3)
+    kids = [pool.add(ProductNode(make_scope(range(3)), [
+        pool.add(leaf([0, 1], [float(i), -1.0], [[2.0 + i, 0.8], [0.8, 1.0]], 4.0)),
+        pool.add(leaf([2], [0.5 * i], [[1.0 + i]], 4.0))], GaussianStats.zeros(3, count=1.0)))
+        for i in range(3)]
+    pool.root = pool.add(SumNode(make_scope(range(3)), kids, [1.0, 2.0, 3.0]))
+    pairs = [n for n in pool.nodes.values() if isinstance(n, LeafNode) and len(n.scope) == 2]
+    evidence = [{0: 0.5, 2: 0.1}, {1: -0.3}, {0: 0.2, 1: 0.4}]
+    # The reference: every pair factored per call, by LAPACK.
+    with mock.patch.object(kernels, "_PATTERN_BYTES", 0):
+        want = [log_density(copy.deepcopy(pool), e) for e in evidence]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for _ in range(2):
+        log_density_rows(pool, np.zeros((1, 3)))  # refreshed, with LAPACK
+        g = next(g for g in pool.compiled.leaves if g.k == 2)
+        assert g.table_ichol is None
+        with monkeypatch.context() as patch:
+            for name in dir(np.linalg):
+                if callable(getattr(np.linalg, name)) and not name[0].isupper():
+                    patch.setattr(np.linalg, name, refused)
+            got = [log_density(pool, e) for e in evidence]
+        assert g.table_ichol is not None
+        assert got == want
+        # A write empties the table for the next first read.
+        pairs[0].stats = GaussianStats(pairs[0].stats.mean + 0.0, pairs[0].stats.cov, 4.0)
 
 
 @settings(max_examples=60, deadline=None)
